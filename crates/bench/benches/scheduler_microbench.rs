@@ -10,23 +10,37 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sprinklers_analysis::chernoff::overload_bound;
 use sprinklers_core::config::{SizingMode, SprinklersConfig};
-use sprinklers_core::dyadic::DyadicInterval;
-use sprinklers_core::lsf::{AtomicLsf, RowScanLsf, StripeScheduler};
+use sprinklers_core::fifo::FifoGrid;
+use sprinklers_core::lsf::{AtomicLsf, RowScanLsf};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::ols::WeaklyUniformOls;
 use sprinklers_core::packet::Packet;
 use sprinklers_core::sizing::stripe_size;
 use sprinklers_core::sprinklers::SprinklersSwitch;
+use sprinklers_core::store::PacketStore;
 use sprinklers_core::stripe::Stripe;
 use sprinklers_core::switch::{CountingSink, Switch};
+use sprinklers_core::voq::Voq;
 
-fn mk_stripe(n: usize, start: usize, size: usize, seq: u64) -> Stripe {
+/// Store `size` packets and have a VOQ (ready queue: grid queue 0) whose
+/// interval is `[start, start + size)` release them as one stripe — the path
+/// every stripe takes into a scheduler.
+fn mk_stripe(
+    store: &mut PacketStore,
+    grid: &mut FifoGrid,
+    n: usize,
+    start: usize,
+    size: usize,
+    seq: u64,
+) -> Stripe {
     assert!(start + size <= n);
-    let interval = DyadicInterval::new(start, size);
-    let packets = (0..size)
-        .map(|k| Packet::new(0, 1, seq * 1000 + k as u64, 0).with_voq_seq(seq * 1000 + k as u64))
-        .collect();
-    Stripe::assemble(interval, 0, 1, seq, packets)
+    let mut voq = Voq::new(n, 0, start, size);
+    for k in 0..size as u64 {
+        let packet = Packet::new(0, 1, seq * 1000 + k, 0).with_voq_seq(seq * 1000 + k);
+        let handle = store.insert(packet);
+        voq.push(grid, handle, 1);
+    }
+    voq.release_stripe().expect("size packets fill a stripe")
 }
 
 fn bench_ols_generation(c: &mut Criterion) {
@@ -61,16 +75,20 @@ fn bench_lsf_insert_serve(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     group.bench_function("row_scan", |b| {
         b.iter(|| {
-            let mut s = RowScanLsf::new(n);
+            let mut store = PacketStore::new();
+            let mut grid = FifoGrid::new(1 + RowScanLsf::queue_count(n));
+            let mut s = RowScanLsf::new(n, 1);
             for seq in 0..64u64 {
                 let size = 1 << (seq % 7);
                 let start = ((seq as usize * 13) % n / size) * size;
-                s.insert(mk_stripe(n, start, size, seq));
+                let stripe = mk_stripe(&mut store, &mut grid, n, start, size, seq);
+                s.insert(&mut grid, stripe);
             }
             let mut served = 0usize;
             let mut slot = 0usize;
             while !s.is_empty() {
-                if s.serve(slot % n).is_some() {
+                if let Some((handle, ..)) = s.serve(&mut grid, slot % n) {
+                    store.take(handle);
                     served += 1;
                 }
                 slot += 1;
@@ -80,16 +98,20 @@ fn bench_lsf_insert_serve(c: &mut Criterion) {
     });
     group.bench_function("stripe_atomic", |b| {
         b.iter(|| {
-            let mut s = AtomicLsf::new(n);
+            let mut store = PacketStore::new();
+            let mut grid = FifoGrid::new(1 + AtomicLsf::queue_count(n));
+            let mut s = AtomicLsf::new(n, 1);
             for seq in 0..64u64 {
                 let size = 1 << (seq % 7);
                 let start = ((seq as usize * 13) % n / size) * size;
-                s.insert(mk_stripe(n, start, size, seq));
+                let stripe = mk_stripe(&mut store, &mut grid, n, start, size, seq);
+                s.insert(&mut grid, stripe);
             }
             let mut served = 0usize;
             let mut slot = 0usize;
             while !s.is_empty() {
-                if s.serve(slot % n).is_some() {
+                if let Some((handle, ..)) = s.serve(&mut grid, slot % n) {
+                    store.take(handle);
                     served += 1;
                 }
                 slot += 1;

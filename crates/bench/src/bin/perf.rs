@@ -32,7 +32,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sprinklers_bench::cli::{has_flag, parse_flag, parse_list_flag};
+use sprinklers_bench::cli::{check_flags, fail, has_flag, parse_flag, parse_list_flag};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::Packet;
 use sprinklers_core::switch::{CountingSink, Steppable};
@@ -41,6 +41,34 @@ use sprinklers_sim::registry;
 use sprinklers_sim::spec::{LinkSpec, RoutingSpec, SizingSpec, TopologySpec};
 use std::fmt::Write as _;
 use std::time::Instant;
+
+const USAGE: &str = "\
+perf — Mslots/s of the batched stepping hot path over a scheme x n x load x batch grid
+
+Usage:
+  perf [--schemes a,b,..] [--ns 64,256] [--loads 0.05,0.3,0.95]
+       [--batches 1,64] [--threads 1,4] [--slots 8192] [--drain 16384]
+       [--reps 3] [--json out.json] [--quick] [--fabric ExCxH]
+
+One CSV row per cell on stdout (best of --reps).  --quick shrinks the grid
+and the windows; --json also writes the machine-readable report; --threads
+and --batches are grid dimensions (deliveries are byte-identical at any
+value); --fabric appends fat-tree cells (E edges, C cores, H hosts per edge).";
+
+/// Flags that take a value, and bare flags.
+const VALUE_FLAGS: [&str; 10] = [
+    "--schemes",
+    "--ns",
+    "--loads",
+    "--batches",
+    "--threads",
+    "--slots",
+    "--drain",
+    "--reps",
+    "--json",
+    "--fabric",
+];
+const BARE_FLAGS: [&str; 3] = ["--quick", "--help", "-h"];
 
 /// One pre-generated arrival: (slot, input, output).  Packets are built
 /// inside the timed loop (arrival-side work is part of what is measured);
@@ -149,6 +177,13 @@ fn drive(cfg: &CellCfg, arrivals: &[Arrival], offered_slots: u64, drain_slots: u
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if has_flag(&args, "--help") || has_flag(&args, "-h") {
+        println!("{USAGE}");
+        return;
+    }
+    if let Err(e) = check_flags(&args, &VALUE_FLAGS, &BARE_FLAGS) {
+        fail(&e);
+    }
     let quick = has_flag(&args, "--quick");
     let schemes = parse_list_flag::<String>(&args, "--schemes").unwrap_or_else(|| {
         let all = [

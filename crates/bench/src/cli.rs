@@ -19,6 +19,26 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Check that every argument is a known `--flag value` pair or a known bare
+/// flag, so a typo is a usage error instead of a silently ignored word.
+pub fn check_flags(
+    args: &[String],
+    value_flags: &[&str],
+    bare_flags: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if value_flags.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} requires a value"));
+            }
+        } else if !bare_flags.contains(&arg.as_str()) {
+            return Err(format!("unknown argument '{arg}' (see --help)"));
+        }
+    }
+    Ok(())
+}
+
 /// Print an error and exit with status 2 (usage / input error).
 pub fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -108,5 +128,21 @@ mod tests {
             Some(vec!["oq".to_string(), "foff".to_string()])
         );
         assert_eq!(parse_list_flag::<f64>(&a, "--absent"), None);
+    }
+
+    #[test]
+    fn check_flags_accepts_known_flags_and_rejects_the_rest() {
+        let value = ["--ns", "--json"];
+        let bare = ["--quick"];
+        assert!(check_flags(&args(&[]), &value, &bare).is_ok());
+        assert!(check_flags(&args(&["--quick", "--ns", "64,256"]), &value, &bare).is_ok());
+        // Whatever follows a value flag is its value, flag-shaped or not.
+        assert!(check_flags(&args(&["--json", "--quick"]), &value, &bare).is_ok());
+        let err = check_flags(&args(&["--quik"]), &value, &bare).unwrap_err();
+        assert!(err.contains("--quik"), "{err}");
+        let err = check_flags(&args(&["--ns", "64", "stray"]), &value, &bare).unwrap_err();
+        assert!(err.contains("stray"), "{err}");
+        let err = check_flags(&args(&["--ns"]), &value, &bare).unwrap_err();
+        assert!(err.contains("requires a value"), "{err}");
     }
 }

@@ -1,23 +1,33 @@
 //! A Sprinklers input port: N VOQs feeding a Largest-Stripe-First scheduler.
 //!
-//! The input port owns one [`Voq`] per output (which assembles packets into
-//! stripes) and one LSF scheduler (which decides, whenever the first fabric
-//! connects this input to an intermediate port, which queued packet to send).
+//! The input port owns one [`Voq`] record per output (which groups packets
+//! into stripes) and one LSF scheduler (which decides, whenever the first
+//! fabric connects this input to an intermediate port, which queued packet to
+//! send).  Both queue handles into the switch's [`PacketStore`] in one
+//! [`FifoGrid`] — queues `0..N` are the VOQ ready queues, the rest belong to
+//! the scheduler — and the port never touches a packet body after storing it.
 
 use crate::config::{InputDiscipline, SizingMode, SprinklersConfig};
-use crate::lsf::{make_scheduler, StripeScheduler};
+use crate::fifo::FifoGrid;
+use crate::lsf::{Lsf, Served};
 use crate::ols::WeaklyUniformOls;
 use crate::packet::Packet;
 use crate::sizing::stripe_size;
-use crate::stripe::Stripe;
-use crate::voq::Voq;
+use crate::store::PacketStore;
+use crate::voq::{AdaptiveVoq, Voq};
 
 /// One Sprinklers input port.
 pub struct SprinklersInputPort {
     port_id: usize,
     n: usize,
     voqs: Vec<Voq>,
-    scheduler: Box<dyn StripeScheduler + Send>,
+    /// Per-VOQ rate measurement, indexed like `voqs`; empty unless the
+    /// sizing mode is adaptive.
+    adaptive: Vec<AdaptiveVoq>,
+    /// Every queue of this port: VOQ `output`'s ready queue is queue
+    /// `output`, the scheduler's queues follow from `n`.
+    queues: FifoGrid,
+    scheduler: Lsf,
     /// Stripes released by VOQs, counted for telemetry.
     stripes_formed: u64,
     /// Running count of packets at this port (VOQ ready queues plus the
@@ -26,8 +36,7 @@ pub struct SprinklersInputPort {
     /// port-occupancy bitsets in sync from the same counter.
     queued: usize,
     /// Running count of committed stripe-size changes across this port's
-    /// VOQs, maintained by delta around every VOQ interaction (each touches
-    /// exactly one VOQ) so the switch-level total needs no O(N²) rescan.
+    /// VOQs, so the switch-level total needs no O(N²) rescan.
     resizes: u64,
 }
 
@@ -38,24 +47,25 @@ impl SprinklersInputPort {
         let n = config.n;
         let voqs = (0..n)
             .map(|output| {
-                let primary = ols.primary_port(port_id, output);
-                match &config.sizing {
-                    SizingMode::FromMatrix(matrix) => {
-                        let size = stripe_size(matrix.rate(port_id, output), n);
-                        Voq::fixed(port_id, output, n, primary, size)
-                    }
-                    SizingMode::FixedSize(size) => Voq::fixed(port_id, output, n, primary, *size),
-                    SizingMode::Adaptive(params) => {
-                        Voq::adaptive(port_id, output, n, primary, params)
-                    }
-                }
+                let size = match &config.sizing {
+                    SizingMode::FromMatrix(matrix) => stripe_size(matrix.rate(port_id, output), n),
+                    SizingMode::FixedSize(size) => *size,
+                    SizingMode::Adaptive(params) => params.initial_size,
+                };
+                Voq::new(n, output, ols.primary_port(port_id, output), size)
             })
             .collect();
+        let adaptive = match &config.sizing {
+            SizingMode::Adaptive(params) => vec![AdaptiveVoq::new(n, params); n],
+            _ => Vec::new(),
+        };
         SprinklersInputPort {
             port_id,
             n,
             voqs,
-            scheduler: make_scheduler(config.input_discipline, n),
+            adaptive,
+            queues: FifoGrid::new(n + Lsf::queue_count(config.input_discipline, n)),
+            scheduler: Lsf::new(config.input_discipline, n, n),
             stripes_formed: 0,
             queued: 0,
             resizes: 0,
@@ -82,52 +92,63 @@ impl SprinklersInputPort {
         self.port_id
     }
 
-    /// Accept an arriving packet.  Any stripes that become complete are
-    /// immediately plastered into the scheduler.
-    pub fn arrive(&mut self, packet: Packet) {
+    /// Accept an arriving packet: its body goes into `store`, its handle onto
+    /// its VOQ.  Any stripe that becomes complete is immediately plastered
+    /// into the scheduler.
+    // lint: hot-path
+    #[inline]
+    pub fn arrive(&mut self, store: &mut PacketStore, packet: Packet) {
         debug_assert_eq!(packet.input(), self.port_id);
         debug_assert!(packet.output() < self.n);
         let now = packet.arrival_slot;
         let output = packet.output();
+        let output_tag = packet.output_raw();
+        let handle = store.insert(packet);
         self.queued += 1;
-        let before = self.voqs[output].resizes();
-        let stripes = self.voqs[output].push(packet, now);
-        self.resizes += self.voqs[output].resizes() - before;
-        self.plaster(stripes);
+        if let Some(sizing) = self.adaptive.get_mut(output) {
+            sizing.record_arrival(now);
+        }
+        self.voqs[output].push(&mut self.queues, handle, output_tag);
+        self.tick_sizing(output, now);
+        self.release_stripes(output);
     }
 
-    /// Serve the intermediate port the first fabric currently connects us to.
-    pub fn dequeue(&mut self, intermediate: usize) -> Option<Packet> {
-        let packet = self.scheduler.serve(intermediate);
-        if packet.is_some() {
+    /// Serve the intermediate port the first fabric currently connects us to:
+    /// the handle, output port and stripe level of the packet to send, if
+    /// any.  Touches nothing outside this port.
+    // lint: hot-path
+    #[inline]
+    pub fn dequeue(&mut self, intermediate: usize) -> Option<Served> {
+        let served = self.scheduler.serve(&mut self.queues, intermediate);
+        if served.is_some() {
             self.queued -= 1;
         }
-        packet
+        served
     }
 
     /// Periodic maintenance: gives one VOQ per call the chance to re-evaluate
     /// its adaptive stripe size even when it has no arrivals (so idle VOQs can
     /// shrink).  Calling this once per slot visits every VOQ once per frame.
     ///
-    /// Only adaptive sizing needs this: with fixed or matrix-driven sizing a
-    /// VOQ's `on_slot` is a provable no-op (no sizing clock, and complete
-    /// stripes are always collected at the call that completed them), so the
-    /// switch skips the whole pass for non-adaptive configurations.
+    /// Only adaptive sizing needs this: with fixed or matrix-driven sizing
+    /// there is no sizing clock, and complete stripes are always collected at
+    /// the call that completed them, so the switch skips the whole pass for
+    /// non-adaptive configurations.
     pub fn maintain(&mut self, slot: u64) {
         let idx = (slot as usize) % self.n;
-        let before = self.voqs[idx].resizes();
-        let stripes = self.voqs[idx].on_slot(slot);
-        self.resizes += self.voqs[idx].resizes() - before;
-        self.plaster(stripes);
+        self.tick_sizing(idx, slot);
+        self.release_stripes(idx);
     }
 
     /// Notification that one of this port's packets reached output `output`.
     /// May release stripes that were held back by a pending resize.
+    // lint: hot-path
+    #[inline]
     pub fn packet_delivered(&mut self, output: usize) {
-        let before = self.voqs[output].resizes();
-        let stripes = self.voqs[output].packet_delivered();
-        self.resizes += self.voqs[output].resizes() - before;
-        self.plaster(stripes);
+        if self.voqs[output].packet_delivered() {
+            self.resizes += 1;
+            self.release_stripes(output);
+        }
     }
 
     /// Request a stripe-size change for one VOQ (the reconfiguration path).
@@ -137,11 +158,8 @@ impl SprinklersInputPort {
     /// deferred stripe-collection work is left for the per-slot maintenance
     /// pass, which non-adaptive configurations skip entirely.
     pub fn request_resize(&mut self, output: usize, size: usize) {
-        let before = self.voqs[output].resizes();
-        self.voqs[output].request_resize(size);
-        self.resizes += self.voqs[output].resizes() - before;
-        let stripes = self.voqs[output].release_ready();
-        self.plaster(stripes);
+        self.resizes += u64::from(self.voqs[output].request_resize(size));
+        self.release_stripes(output);
     }
 
     /// Packets queued at this port (scheduler plus VOQ ready queues), from a
@@ -160,18 +178,21 @@ impl SprinklersInputPort {
     /// accumulating in VOQ ready queues don't count: the first fabric can
     /// only serve plastered stripes, so a port with a bare ready backlog is a
     /// provable no-op to probe.
+    #[inline]
     pub fn has_servable(&self) -> bool {
         !self.scheduler.is_empty()
     }
 
     /// Committed stripe-size changes across this port's VOQs (running count).
+    #[inline]
     pub fn resizes_committed(&self) -> u64 {
         self.resizes
     }
 
-    /// Packets queued in the scheduler destined to a given intermediate port.
+    /// Packets queued in the scheduler destined to a given intermediate port
+    /// (walks the scheduler's queues; for tests and inspection).
     pub fn queued_for_intermediate(&self, intermediate: usize) -> usize {
-        self.scheduler.queued_in_row(intermediate)
+        self.scheduler.queued_in_row(&self.queues, intermediate)
     }
 
     /// Number of stripes formed so far.
@@ -186,10 +207,22 @@ impl SprinklersInputPort {
         &self.voqs[output]
     }
 
-    fn plaster(&mut self, stripes: Vec<Stripe>) {
-        for stripe in stripes {
+    /// Advance one VOQ's adaptive sizing clock (nothing to do, and nothing
+    /// allocated, for fixed and matrix-driven sizing).
+    #[inline]
+    fn tick_sizing(&mut self, output: usize, now: u64) {
+        if let Some(sizing) = self.adaptive.get_mut(output) {
+            self.resizes += u64::from(sizing.tick(&mut self.voqs[output], now));
+        }
+    }
+
+    /// Plaster every stripe VOQ `output` can release into the scheduler.
+    // lint: hot-path
+    #[inline]
+    fn release_stripes(&mut self, output: usize) {
+        while let Some(stripe) = self.voqs[output].release_stripe() {
             self.stripes_formed += 1;
-            self.scheduler.insert(stripe);
+            self.scheduler.insert(&mut self.queues, stripe);
         }
     }
 }
@@ -205,46 +238,52 @@ mod tests {
 
     #[test]
     fn packets_flow_through_voq_into_scheduler() {
+        let mut store = PacketStore::new();
         let mut port = SprinklersInputPort::with_fixed_size(0, 8, 2, InputDiscipline::StripeAtomic);
-        port.arrive(pkt(0, 3, 0, 0));
+        port.arrive(&mut store, pkt(0, 3, 0, 0));
         assert_eq!(
             port.queued_packets(),
             1,
             "one packet waiting in the VOQ ready queue"
         );
-        port.arrive(pkt(0, 3, 1, 1));
+        port.arrive(&mut store, pkt(0, 3, 1, 1));
         assert_eq!(port.queued_packets(), 2, "stripe formed and plastered");
         assert_eq!(port.stripes_formed(), 1);
+        assert_eq!(store.live(), 2);
         // With the cyclic OLS, VOQ (0, 3) has primary port 3 and stripe size 2,
         // so its interval is [2, 4).
         assert_eq!(port.queued_for_intermediate(2), 1);
         assert_eq!(port.queued_for_intermediate(3), 1);
-        // The atomic scheduler serves the stripe starting at row 2.
+        // The atomic scheduler serves the stripe starting at row 2, in VOQ
+        // order, tagged with output 3 and level 1.
         assert!(port.dequeue(1).is_none());
-        let p = port.dequeue(2).unwrap();
-        assert_eq!(p.intermediate(), 2);
-        let p = port.dequeue(3).unwrap();
-        assert_eq!(p.intermediate(), 3);
+        let (first, output, level) = port.dequeue(2).unwrap();
+        assert_eq!((store.get(first).voq_seq, output, level), (0, 3, 1));
+        let (second, output, level) = port.dequeue(3).unwrap();
+        assert_eq!((store.get(second).voq_seq, output, level), (1, 3, 1));
         assert_eq!(port.queued_packets(), 0);
     }
 
     #[test]
     fn row_scan_port_serves_any_covered_row() {
+        let mut store = PacketStore::new();
         let mut port = SprinklersInputPort::with_fixed_size(0, 8, 2, InputDiscipline::RowScan);
-        port.arrive(pkt(0, 3, 0, 0));
-        port.arrive(pkt(0, 3, 1, 0));
-        // Row-scan can serve row 3 before row 2.
-        let p = port.dequeue(3).unwrap();
-        assert_eq!(p.intermediate(), 3);
+        port.arrive(&mut store, pkt(0, 3, 0, 0));
+        port.arrive(&mut store, pkt(0, 3, 1, 0));
+        // Row-scan can serve row 3 before row 2: that is the stripe's second
+        // packet.
+        let (handle, ..) = port.dequeue(3).unwrap();
+        assert_eq!(store.get(handle).voq_seq, 1);
     }
 
     #[test]
     fn delivery_notification_reaches_the_voq() {
+        let mut store = PacketStore::new();
         let mut port = SprinklersInputPort::with_fixed_size(0, 8, 1, InputDiscipline::StripeAtomic);
-        port.arrive(pkt(0, 5, 0, 0));
+        port.arrive(&mut store, pkt(0, 5, 0, 0));
         assert_eq!(port.voq(5).in_flight(), 1);
-        let p = port.dequeue(5).unwrap();
-        assert_eq!(p.output(), 5);
+        let (_, output, _) = port.dequeue(5).unwrap();
+        assert_eq!(output, 5);
         port.packet_delivered(5);
         assert_eq!(port.voq(5).in_flight(), 0);
     }
@@ -271,5 +310,6 @@ mod tests {
                 "idle VOQ {output} should shrink"
             );
         }
+        assert!(port.resizes_committed() >= 8);
     }
 }

@@ -14,6 +14,9 @@
 //!   random Orthogonal Latin Square* used to pick a primary intermediate port
 //!   for every one of the N² VOQs, so that both the row (per input) and the
 //!   column (per output) mappings are uniform random permutations.
+//! * [`store`] / [`fifo`] — the per-switch packet store (a body is written
+//!   once at arrival and read once at delivery) and the flat grids of index
+//!   queues that hold four-byte handles to it everywhere in between.
 //! * [`stripe`] / [`voq`] — chronological grouping of a VOQ's packets into
 //!   stripes, and the per-VOQ state machine (including adaptive resizing with a
 //!   clearance phase).
@@ -86,6 +89,7 @@
 pub mod config;
 pub mod dyadic;
 pub mod error;
+pub mod fifo;
 pub mod input_port;
 pub mod intermediate_port;
 pub mod lsf;
@@ -99,6 +103,7 @@ pub mod rate_estimator;
 pub mod schedule_view;
 pub mod sizing;
 pub mod sprinklers;
+pub mod store;
 pub mod stripe;
 pub mod switch;
 pub mod voq;

@@ -16,40 +16,35 @@
 //!   of the first non-empty queue is served.  This discipline is strictly
 //!   work-conserving.
 //!
-//! Both implement the [`StripeScheduler`] trait so the input port (and the
-//! tests and benches) can treat them interchangeably.
+//! Neither owns queue storage: their queues are a contiguous range of the
+//! input port's [`FifoGrid`], the same grid that holds the VOQ ready queues,
+//! so a stripe enters the schedule by moving entries between queues of one
+//! grid (for the atomic discipline, one O(1) splice).  Each keeps a bitmask
+//! of non-empty levels per row, so "largest first" is one `leading_zeros`
+//! instead of a scan over the levels.  [`Lsf`] is the input port's choice
+//! between the two.
 
-use crate::packet::Packet;
+use crate::config::InputDiscipline;
+use crate::fifo::FifoGrid;
+use crate::store::PacketHandle;
 use crate::stripe::Stripe;
-use std::collections::VecDeque;
-
-/// Common interface of the input-stage stripe schedulers.
-pub trait StripeScheduler {
-    /// Insert a freshly assembled stripe ("plaster" it into the schedule).
-    fn insert(&mut self, stripe: Stripe);
-
-    /// Serve the given row (intermediate port): return the packet to transmit
-    /// in this slot, or `None` if the scheduler has nothing to send to that
-    /// intermediate port under its discipline.
-    fn serve(&mut self, row: usize) -> Option<Packet>;
-
-    /// Total number of packets currently queued.
-    fn queued_packets(&self) -> usize;
-
-    /// Number of packets currently queued that are destined to `row`.
-    fn queued_in_row(&self, row: usize) -> usize;
-
-    /// True if no packets are queued.
-    fn is_empty(&self) -> bool {
-        self.queued_packets() == 0
-    }
-}
 
 /// The number of stripe-size levels for an `n`-port switch: `log₂(n) + 1`.
 pub fn levels(n: usize) -> usize {
     debug_assert!(n.is_power_of_two());
     n.trailing_zeros() as usize + 1
 }
+
+/// The highest level whose bit is set in a non-zero level mask.
+#[inline]
+pub(crate) fn top_level(mask: u32) -> usize {
+    debug_assert_ne!(mask, 0);
+    (31 - mask.leading_zeros()) as usize
+}
+
+/// What a scheduler hands the first fabric: a packet's handle, its output
+/// port, and the level (`log₂` size) of the stripe it belongs to.
+pub type Served = (PacketHandle, u32, usize);
 
 // ---------------------------------------------------------------------------
 // Row-scan LSF (§3.4.2)
@@ -60,29 +55,33 @@ pub fn levels(n: usize) -> usize {
 pub struct RowScanLsf {
     n: usize,
     levels: usize,
-    /// `queues[row][level]`: packets headed to intermediate port `row` that
-    /// belong to stripes of size `2^level`.
-    queues: Vec<Vec<VecDeque<Packet>>>,
+    /// Grid queue `base + row · levels + level`: packets headed to
+    /// intermediate port `row` that belong to stripes of size `2^level`.
+    base: usize,
+    /// Per row, the levels whose queue is non-empty.
+    row_levels: Vec<u32>,
     queued: usize,
-    row_counts: Vec<usize>,
 }
 
 impl RowScanLsf {
-    /// Create an empty scheduler for an `n`-port switch.
-    pub fn new(n: usize) -> Self {
+    /// Grid queues an `n`-port row-scan scheduler occupies.
+    pub fn queue_count(n: usize) -> usize {
+        n * levels(n)
+    }
+
+    /// Create an empty scheduler for an `n`-port switch whose queues are
+    /// grid queues `base .. base + queue_count(n)`.
+    pub fn new(n: usize, base: usize) -> Self {
         assert!(
             n.is_power_of_two(),
             "switch size {n} must be a power of two"
         );
-        let levels = levels(n);
         RowScanLsf {
             n,
-            levels,
-            queues: (0..n)
-                .map(|_| (0..levels).map(|_| VecDeque::new()).collect())
-                .collect(),
+            levels: levels(n),
+            base,
+            row_levels: vec![0; n],
             queued: 0,
-            row_counts: vec![0; n],
         }
     }
 
@@ -91,49 +90,70 @@ impl RowScanLsf {
         self.n
     }
 
-    /// Occupancy of a single `(row, level)` FIFO (exposed for tests/metrics).
-    pub fn queue_len(&self, row: usize, level: usize) -> usize {
-        self.queues[row][level].len()
+    #[inline]
+    fn queue(&self, row: usize, level: usize) -> usize {
+        self.base + row * self.levels + level
     }
-}
 
-impl StripeScheduler for RowScanLsf {
-    fn insert(&mut self, stripe: Stripe) {
+    /// Occupancy of a single `(row, level)` FIFO, by walking it (exposed for
+    /// tests and the schedule view).
+    pub fn queue_len(&self, grid: &FifoGrid, row: usize, level: usize) -> usize {
+        grid.len(self.queue(row, level))
+    }
+
+    /// Insert a freshly released stripe ("plaster" it into the schedule): the
+    /// packet at offset `o` joins the FIFO of row `interval.start() + o`.
+    // lint: hot-path
+    pub fn insert(&mut self, grid: &mut FifoGrid, stripe: Stripe) {
         let level = stripe.level();
         debug_assert!(level < self.levels);
         debug_assert!(stripe.interval.end() <= self.n);
-        for (offset, packet) in stripe.packets.into_iter().enumerate() {
-            let row = stripe.interval.start() + offset;
-            self.queues[row][level].push_back(packet);
-            self.row_counts[row] += 1;
+        for row in stripe.interval.ports() {
+            let Some((handle, output)) = grid.pop(stripe.source) else {
+                debug_assert!(false, "a released stripe is at the head of its source");
+                break;
+            };
+            grid.push(self.queue(row, level), handle, output);
+            self.row_levels[row] |= 1 << level;
             self.queued += 1;
         }
     }
 
-    fn serve(&mut self, row: usize) -> Option<Packet> {
-        // Fast miss: the sparse stepping loops probe whichever row the fabric
-        // rotation reaches, and most probes find nothing — answer those from
-        // the per-row count instead of scanning every level's FIFO.
-        if self.row_counts[row] == 0 {
+    /// Serve the given row (intermediate port): the packet to transmit in
+    /// this slot, or `None` if nothing is queued for that intermediate port.
+    // lint: hot-path
+    #[inline]
+    pub fn serve(&mut self, grid: &mut FifoGrid, row: usize) -> Option<Served> {
+        let mask = self.row_levels[row];
+        if mask == 0 {
             return None;
         }
-        // Scan from the largest stripe-size column ("rightmost bit") down.
-        for level in (0..self.levels).rev() {
-            if let Some(packet) = self.queues[row][level].pop_front() {
-                self.queued -= 1;
-                self.row_counts[row] -= 1;
-                return Some(packet);
-            }
+        // The largest stripe-size column ("rightmost bit") with a packet.
+        let level = top_level(mask);
+        let q = self.queue(row, level);
+        let (handle, output) = grid.pop(q)?;
+        if grid.is_empty(q) {
+            self.row_levels[row] &= !(1 << level);
         }
-        None
+        self.queued -= 1;
+        Some((handle, output, level))
     }
 
-    fn queued_packets(&self) -> usize {
+    /// Total number of packets currently queued.
+    pub fn queued_packets(&self) -> usize {
         self.queued
     }
 
-    fn queued_in_row(&self, row: usize) -> usize {
-        self.row_counts[row]
+    /// Number of queued packets destined to `row` (walks the row's FIFOs).
+    pub fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
+        (0..self.levels)
+            .map(|level| self.queue_len(grid, row, level))
+            .sum()
+    }
+
+    /// True if no packets are queued.
+    pub fn is_empty(&self) -> bool {
+        self.queued == 0
     }
 }
 
@@ -141,49 +161,57 @@ impl StripeScheduler for RowScanLsf {
 // Stripe-atomic LSF (Algorithm 1)
 // ---------------------------------------------------------------------------
 
-/// A stripe currently being served by the atomic scheduler.
-#[derive(Debug, Clone)]
+/// The stripe the atomic scheduler is in the middle of serving.
+#[derive(Debug, Clone, Copy)]
 struct InService {
-    stripe: Stripe,
-    next_offset: usize,
+    /// The interval queue the stripe heads.
+    queue: usize,
+    level: usize,
+    /// Packets of the stripe still to send.
+    remaining: usize,
 }
 
 /// Algorithm 1 of the paper: stripes start only at the first port of their
 /// interval and are served to completion in consecutive slots.
+///
+/// Because a stripe is always served whole and in offset order, an interval's
+/// queue of stripes is simply a FIFO of their packets back to back: inserting
+/// a stripe that is all its VOQ holds splices the VOQ's queue onto the tail
+/// in O(1), and every service slot pops one head.
 #[derive(Debug, Clone)]
 pub struct AtomicLsf {
     n: usize,
-    levels: usize,
-    /// One FIFO of stripes per dyadic interval.  `interval_queues[level][index]`
-    /// holds the stripes with interval `[index·2^level, (index+1)·2^level)`.
-    /// There are `2N − 1` FIFOs in total, exactly as §3.4.2 observes.
-    interval_queues: Vec<Vec<VecDeque<Stripe>>>,
+    /// First of this scheduler's grid queues: one FIFO per dyadic interval —
+    /// `2N − 1` in total, exactly as §3.4.2 observes.  The interval
+    /// `[index·2^level, (index+1)·2^level)` has queue
+    /// `base + level_base(level) + index`.
+    base: usize,
+    /// Per row, the levels whose interval *starting at that row* has a queued
+    /// packet.
+    start_levels: Vec<u32>,
     in_service: Option<InService>,
     queued: usize,
-    row_counts: Vec<usize>,
 }
 
 impl AtomicLsf {
-    /// Create an empty scheduler for an `n`-port switch.
-    pub fn new(n: usize) -> Self {
+    /// Grid queues an `n`-port stripe-atomic scheduler occupies.
+    pub fn queue_count(n: usize) -> usize {
+        2 * n - 1
+    }
+
+    /// Create an empty scheduler for an `n`-port switch whose queues are
+    /// grid queues `base .. base + queue_count(n)`.
+    pub fn new(n: usize, base: usize) -> Self {
         assert!(
             n.is_power_of_two(),
             "switch size {n} must be a power of two"
         );
-        let levels = levels(n);
-        let interval_queues = (0..levels)
-            .map(|level| {
-                let count = n >> level;
-                (0..count).map(|_| VecDeque::new()).collect()
-            })
-            .collect();
         AtomicLsf {
             n,
-            levels,
-            interval_queues,
+            base,
+            start_levels: vec![0; n],
             in_service: None,
             queued: 0,
-            row_counts: vec![0; n],
         }
     }
 
@@ -192,224 +220,383 @@ impl AtomicLsf {
         self.n
     }
 
+    /// The grid queue of the level-`level` interval containing `row`.  Levels
+    /// `0..level` hold `N + N/2 + … = 2N − (2N >> level)` queues.
+    #[inline]
+    fn queue(&self, row: usize, level: usize) -> usize {
+        self.base + 2 * self.n - ((2 * self.n) >> level) + (row >> level)
+    }
+
     /// Is a stripe currently mid-service?
     pub fn stripe_in_service(&self) -> bool {
         self.in_service.is_some()
     }
 
-    /// Number of queued stripes (not counting the one in service).
-    pub fn queued_stripes(&self) -> usize {
-        self.interval_queues
-            .iter()
-            .map(|per_level| per_level.iter().map(VecDeque::len).sum::<usize>())
-            .sum()
+    /// Packets of interval queue `q` that the stripe in service has already
+    /// sent (0 unless `q` is the queue it heads).
+    fn sent_from(&self, q: usize) -> usize {
+        match self.in_service {
+            Some(svc) if svc.queue == q => (1 << svc.level) - svc.remaining,
+            _ => 0,
+        }
     }
-}
 
-impl StripeScheduler for AtomicLsf {
-    fn insert(&mut self, stripe: Stripe) {
+    /// Number of queued stripes (not counting the one in service), by walking
+    /// every interval queue.
+    pub fn queued_stripes(&self, grid: &FifoGrid) -> usize {
+        let mut stripes = 0;
+        for level in 0..levels(self.n) {
+            for row in (0..self.n).step_by(1 << level) {
+                let q = self.queue(row, level);
+                // Round the in-service stripe's remainder away.
+                stripes += grid.len(q) >> level;
+            }
+        }
+        stripes
+    }
+
+    /// Insert a freshly released stripe behind the others of its interval.
+    // lint: hot-path
+    #[inline]
+    pub fn insert(&mut self, grid: &mut FifoGrid, stripe: Stripe) {
         let level = stripe.level();
-        let index = stripe.interval.index();
+        let start = stripe.interval.start();
         debug_assert!(stripe.interval.end() <= self.n);
-        for offset in 0..stripe.size() {
-            self.row_counts[stripe.interval.start() + offset] += 1;
+        let q = self.queue(start, level);
+        if stripe.drains_source {
+            grid.splice(stripe.source, q);
+        } else {
+            for _ in 0..stripe.size() {
+                let Some((handle, output)) = grid.pop(stripe.source) else {
+                    debug_assert!(false, "a released stripe is at the head of its source");
+                    break;
+                };
+                grid.push(q, handle, output);
+            }
         }
+        self.start_levels[start] |= 1 << level;
         self.queued += stripe.size();
-        self.interval_queues[level][index].push_back(stripe);
     }
 
-    fn serve(&mut self, row: usize) -> Option<Packet> {
-        // Continue a stripe already in service: its next packet is always
-        // destined to the current row because the connection pattern advances
-        // one intermediate port per slot and the stripe's ports are
-        // consecutive.
-        if let Some(svc) = &mut self.in_service {
-            debug_assert_eq!(svc.stripe.port_of_offset(svc.next_offset), row);
-            let packet = svc.stripe.packets[svc.next_offset].clone();
-            svc.next_offset += 1;
-            if svc.next_offset == svc.stripe.size() {
-                self.in_service = None;
+    /// Serve the given row (intermediate port): the packet to transmit in
+    /// this slot, or `None` if the discipline has nothing to send there.
+    // lint: hot-path
+    #[inline]
+    pub fn serve(&mut self, grid: &mut FifoGrid, row: usize) -> Option<Served> {
+        let (q, level, remaining) = match self.in_service {
+            // Continue a stripe already in service: its next packet is always
+            // destined to the current row because the connection pattern
+            // advances one intermediate port per slot and the stripe's ports
+            // are consecutive.
+            Some(svc) => {
+                debug_assert_eq!(
+                    row & ((1 << svc.level) - 1),
+                    (1 << svc.level) - svc.remaining
+                );
+                (svc.queue, svc.level, svc.remaining - 1)
             }
-            self.queued -= 1;
-            self.row_counts[row] -= 1;
-            return Some(packet);
-        }
-
-        // Fast miss: nothing queued through this row at all (the common case
-        // for the sparse stepping probes) answers from the per-row count.
-        if self.row_counts[row] == 0 {
-            return None;
-        }
-
-        // Otherwise, among the stripes whose interval starts at this row, pick
-        // the largest (FCFS within a level, and levels with larger stripes
-        // win).  A dyadic interval starts at `row` iff `row` is a multiple of
-        // its size.
-        for level in (0..self.levels).rev() {
-            let size = 1usize << level;
-            if !row.is_multiple_of(size) {
-                continue;
-            }
-            let index = row / size;
-            if let Some(stripe) = self.interval_queues[level][index].pop_front() {
-                let packet = stripe.packets[0].clone();
-                self.queued -= 1;
-                self.row_counts[row] -= 1;
-                if stripe.size() > 1 {
-                    self.in_service = Some(InService {
-                        stripe,
-                        next_offset: 1,
-                    });
+            // Otherwise, among the stripes whose interval starts at this row,
+            // pick the largest (FCFS within a level, and levels with larger
+            // stripes win).
+            None => {
+                let mask = self.start_levels[row];
+                if mask == 0 {
+                    return None;
                 }
-                return Some(packet);
+                let level = top_level(mask);
+                (self.queue(row, level), level, (1 << level) - 1)
             }
+        };
+        let (handle, output) = grid.pop(q)?;
+        self.in_service = (remaining > 0).then_some(InService {
+            queue: q,
+            level,
+            remaining,
+        });
+        if grid.is_empty(q) {
+            // Clearing the low `level` bits of `row` gives the interval's
+            // first port.
+            self.start_levels[row & !((1 << level) - 1)] &= !(1 << level);
         }
-        None
+        self.queued -= 1;
+        Some((handle, output, level))
     }
 
-    fn queued_packets(&self) -> usize {
+    /// Total number of packets currently queued.
+    pub fn queued_packets(&self) -> usize {
         self.queued
     }
 
-    fn queued_in_row(&self, row: usize) -> usize {
-        self.row_counts[row]
+    /// Number of queued packets destined to `row` (walks the queues of the
+    /// intervals containing it).
+    pub fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
+        let mut count = 0;
+        for level in 0..levels(self.n) {
+            let q = self.queue(row, level);
+            // The queue holds whole stripes, except that the one in service
+            // has already sent its first `sent` offsets.
+            let sent = self.sent_from(q);
+            count += (grid.len(q) + sent) >> level;
+            if row & ((1 << level) - 1) < sent {
+                count -= 1;
+            }
+        }
+        count
+    }
+
+    /// True if no packets are queued.
+    pub fn is_empty(&self) -> bool {
+        self.queued == 0
     }
 }
 
-/// Construct the scheduler selected by an [`crate::config::InputDiscipline`].
-pub fn make_scheduler(
-    discipline: crate::config::InputDiscipline,
-    n: usize,
-) -> Box<dyn StripeScheduler + Send> {
-    match discipline {
-        crate::config::InputDiscipline::RowScan => Box::new(RowScanLsf::new(n)),
-        crate::config::InputDiscipline::StripeAtomic => Box::new(AtomicLsf::new(n)),
+// ---------------------------------------------------------------------------
+// The input port's scheduler
+// ---------------------------------------------------------------------------
+
+/// The scheduler selected by an [`InputDiscipline`].
+#[derive(Debug, Clone)]
+pub enum Lsf {
+    /// [`InputDiscipline::StripeAtomic`].
+    Atomic(AtomicLsf),
+    /// [`InputDiscipline::RowScan`].
+    RowScan(RowScanLsf),
+}
+
+impl Lsf {
+    /// Construct the scheduler selected by an [`InputDiscipline`], using grid
+    /// queues `base .. base + Lsf::queue_count(discipline, n)`.
+    pub fn new(discipline: InputDiscipline, n: usize, base: usize) -> Lsf {
+        match discipline {
+            InputDiscipline::RowScan => Lsf::RowScan(RowScanLsf::new(n, base)),
+            InputDiscipline::StripeAtomic => Lsf::Atomic(AtomicLsf::new(n, base)),
+        }
+    }
+
+    /// Grid queues the scheduler of an `n`-port switch occupies.
+    pub fn queue_count(discipline: InputDiscipline, n: usize) -> usize {
+        match discipline {
+            InputDiscipline::RowScan => RowScanLsf::queue_count(n),
+            InputDiscipline::StripeAtomic => AtomicLsf::queue_count(n),
+        }
+    }
+
+    /// Insert a freshly released stripe.
+    // lint: hot-path
+    #[inline]
+    pub fn insert(&mut self, grid: &mut FifoGrid, stripe: Stripe) {
+        match self {
+            Lsf::Atomic(s) => s.insert(grid, stripe),
+            Lsf::RowScan(s) => s.insert(grid, stripe),
+        }
+    }
+
+    /// Serve the given row: the packet to send, if any.
+    // lint: hot-path
+    #[inline]
+    pub fn serve(&mut self, grid: &mut FifoGrid, row: usize) -> Option<Served> {
+        match self {
+            Lsf::Atomic(s) => s.serve(grid, row),
+            Lsf::RowScan(s) => s.serve(grid, row),
+        }
+    }
+
+    /// Total number of packets currently queued.
+    #[inline]
+    pub fn queued_packets(&self) -> usize {
+        match self {
+            Lsf::Atomic(s) => s.queued_packets(),
+            Lsf::RowScan(s) => s.queued_packets(),
+        }
+    }
+
+    /// Number of queued packets destined to `row` (walks queues).
+    pub fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
+        match self {
+            Lsf::Atomic(s) => s.queued_in_row(grid, row),
+            Lsf::RowScan(s) => s.queued_in_row(grid, row),
+        }
+    }
+
+    /// True if no packets are queued.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.queued_packets() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dyadic::DyadicInterval;
+    use crate::voq::Voq;
     use proptest::prelude::*;
 
-    fn mk_stripe(n: usize, start: usize, size: usize, seq: u64) -> Stripe {
+    /// A grid for an `n`-port scheduler at base 1, with queue 0 as the
+    /// scratch VOQ queue the test stripes are released from.
+    fn grid_for(queue_count: usize) -> FifoGrid {
+        FifoGrid::new(1 + queue_count)
+    }
+
+    /// Have a VOQ over `[start, start + size)` release a stripe of packets
+    /// whose handles are `seq·100 + offset`.
+    fn mk_stripe(grid: &mut FifoGrid, n: usize, start: usize, size: usize, seq: u32) -> Stripe {
         assert!(start + size <= n);
-        let interval = DyadicInterval::new(start, size);
-        let packets = (0..size)
-            .map(|i| Packet::new(0, 1, seq * 100 + i as u64, 0).with_voq_seq(seq * 100 + i as u64))
-            .collect();
-        Stripe::assemble(interval, 0, 1, seq, packets)
+        let mut voq = Voq::new(n, 0, start, size);
+        for offset in 0..size as u32 {
+            voq.push(grid, PacketHandle::from_raw(seq * 100 + offset), 1);
+        }
+        voq.release_stripe().expect("size packets fill a stripe")
+    }
+
+    /// The stripe size a served packet reports.
+    fn size_of(served: Served) -> usize {
+        1 << served.2
     }
 
     #[test]
     fn row_scan_serves_largest_level_first() {
-        let mut s = RowScanLsf::new(8);
-        s.insert(mk_stripe(8, 0, 1, 0)); // level 0 at row 0
-        s.insert(mk_stripe(8, 0, 4, 1)); // level 2 at rows 0..4
-        let p = s.serve(0).unwrap();
-        assert_eq!(p.stripe_size(), 4, "the larger stripe must be served first");
-        let p = s.serve(0).unwrap();
-        assert_eq!(p.stripe_size(), 1);
-        assert!(s.serve(0).is_none());
+        let mut grid = grid_for(RowScanLsf::queue_count(8));
+        let mut s = RowScanLsf::new(8, 1);
+        let small = mk_stripe(&mut grid, 8, 0, 1, 0); // level 0 at row 0
+        s.insert(&mut grid, small);
+        let large = mk_stripe(&mut grid, 8, 0, 4, 1); // level 2 at rows 0..4
+        s.insert(&mut grid, large);
+        let p = s.serve(&mut grid, 0).unwrap();
+        assert_eq!(size_of(p), 4, "the larger stripe must be served first");
+        let p = s.serve(&mut grid, 0).unwrap();
+        assert_eq!(size_of(p), 1);
+        assert!(s.serve(&mut grid, 0).is_none());
         assert_eq!(s.queued_packets(), 3);
     }
 
     #[test]
     fn row_scan_is_work_conserving() {
-        let mut s = RowScanLsf::new(8);
-        s.insert(mk_stripe(8, 4, 4, 0));
+        let mut grid = grid_for(RowScanLsf::queue_count(8));
+        let mut s = RowScanLsf::new(8, 1);
+        let stripe = mk_stripe(&mut grid, 8, 4, 4, 0);
+        s.insert(&mut grid, stripe);
         // Any row within [4, 8) must be servable immediately.
         for row in 4..8 {
-            assert!(s.queued_in_row(row) > 0);
-            assert!(s.serve(row).is_some());
+            assert!(s.queued_in_row(&grid, row) > 0);
+            assert!(s.serve(&mut grid, row).is_some());
         }
         assert!(s.is_empty());
     }
 
     #[test]
     fn atomic_starts_only_at_interval_start() {
-        let mut s = AtomicLsf::new(8);
-        s.insert(mk_stripe(8, 0, 4, 0));
+        let mut grid = grid_for(AtomicLsf::queue_count(8));
+        let mut s = AtomicLsf::new(8, 1);
+        let stripe = mk_stripe(&mut grid, 8, 0, 4, 0);
+        s.insert(&mut grid, stripe);
+        assert_eq!(s.queued_stripes(&grid), 1);
         // Rows 1..4 cannot start the stripe.
-        assert!(s.serve(1).is_none());
-        assert!(s.serve(2).is_none());
+        assert!(s.serve(&mut grid, 1).is_none());
+        assert!(s.serve(&mut grid, 2).is_none());
         // Row 0 starts it; rows 1..3 then continue it.
-        assert!(s.serve(0).is_some());
+        assert!(s.serve(&mut grid, 0).is_some());
         assert!(s.stripe_in_service());
-        assert!(s.serve(1).is_some());
-        assert!(s.serve(2).is_some());
-        assert!(s.serve(3).is_some());
+        assert_eq!(s.queued_stripes(&grid), 0);
+        assert!(s.serve(&mut grid, 1).is_some());
+        assert!(s.serve(&mut grid, 2).is_some());
+        assert!(s.serve(&mut grid, 3).is_some());
         assert!(!s.stripe_in_service());
         assert!(s.is_empty());
     }
 
     #[test]
     fn atomic_serves_stripe_contiguously_in_offset_order() {
-        let mut s = AtomicLsf::new(8);
-        s.insert(mk_stripe(8, 4, 4, 3));
-        let mut served = Vec::new();
-        for row in 4..8 {
-            served.push(s.serve(row).unwrap());
-        }
-        for (i, p) in served.iter().enumerate() {
-            assert_eq!(p.stripe_index(), i);
-            assert_eq!(p.intermediate(), 4 + i);
+        let mut grid = grid_for(AtomicLsf::queue_count(8));
+        let mut s = AtomicLsf::new(8, 1);
+        let stripe = mk_stripe(&mut grid, 8, 4, 4, 3);
+        s.insert(&mut grid, stripe);
+        for (offset, row) in (4..8).enumerate() {
+            let (handle, output, level) = s.serve(&mut grid, row).unwrap();
+            assert_eq!((output, level), (1, 2));
+            assert_eq!(handle.raw(), 300 + offset as u32);
         }
     }
 
     #[test]
     fn atomic_prefers_largest_stripe_at_start_row() {
-        let mut s = AtomicLsf::new(8);
-        s.insert(mk_stripe(8, 0, 2, 0));
-        s.insert(mk_stripe(8, 0, 8, 1));
-        let p = s.serve(0).unwrap();
-        assert_eq!(p.stripe_size(), 8);
+        let mut grid = grid_for(AtomicLsf::queue_count(8));
+        let mut s = AtomicLsf::new(8, 1);
+        let small = mk_stripe(&mut grid, 8, 0, 2, 0);
+        s.insert(&mut grid, small);
+        let large = mk_stripe(&mut grid, 8, 0, 8, 1);
+        s.insert(&mut grid, large);
+        let p = s.serve(&mut grid, 0).unwrap();
+        assert_eq!(size_of(p), 8);
         // The size-2 stripe must wait until the size-8 stripe finishes and the
         // connection wraps around to row 0 again.
         for row in 1..8 {
-            let q = s.serve(row).unwrap();
-            assert_eq!(q.stripe_size(), 8);
+            let q = s.serve(&mut grid, row).unwrap();
+            assert_eq!(size_of(q), 8);
         }
-        let p = s.serve(0).unwrap();
-        assert_eq!(p.stripe_size(), 2);
+        let p = s.serve(&mut grid, 0).unwrap();
+        assert_eq!(size_of(p), 2);
     }
 
     #[test]
     fn atomic_fcfs_within_same_interval() {
-        let mut s = AtomicLsf::new(4);
-        s.insert(mk_stripe(4, 0, 2, 0));
-        s.insert(mk_stripe(4, 0, 2, 1));
-        let first = s.serve(0).unwrap();
-        s.serve(1).unwrap();
-        let second = s.serve(0).unwrap();
+        let mut grid = grid_for(AtomicLsf::queue_count(4));
+        let mut s = AtomicLsf::new(4, 1);
+        let first = mk_stripe(&mut grid, 4, 0, 2, 0);
+        s.insert(&mut grid, first);
+        let second = mk_stripe(&mut grid, 4, 0, 2, 1);
+        s.insert(&mut grid, second);
+        let (first, ..) = s.serve(&mut grid, 0).unwrap();
+        s.serve(&mut grid, 1).unwrap();
+        let (second, ..) = s.serve(&mut grid, 0).unwrap();
         assert!(
-            first.voq_seq < second.voq_seq,
+            first.raw() < second.raw(),
             "stripes of the same interval are FCFS"
         );
     }
 
     #[test]
     fn queued_in_row_tracks_insertions_and_service() {
-        let mut s = RowScanLsf::new(8);
-        s.insert(mk_stripe(8, 0, 2, 0));
-        s.insert(mk_stripe(8, 0, 8, 1));
-        assert_eq!(s.queued_in_row(0), 2);
-        assert_eq!(s.queued_in_row(1), 2);
-        assert_eq!(s.queued_in_row(5), 1);
-        s.serve(0).unwrap();
-        assert_eq!(s.queued_in_row(0), 1);
+        let mut rgrid = grid_for(RowScanLsf::queue_count(8));
+        let mut agrid = grid_for(AtomicLsf::queue_count(8));
+        let mut r = RowScanLsf::new(8, 1);
+        let mut a = AtomicLsf::new(8, 1);
+        for (start, size, seq) in [(0, 2, 0), (0, 8, 1)] {
+            let stripe = mk_stripe(&mut rgrid, 8, start, size, seq);
+            r.insert(&mut rgrid, stripe);
+            let stripe = mk_stripe(&mut agrid, 8, start, size, seq);
+            a.insert(&mut agrid, stripe);
+        }
+        for (row, expected) in [(0, 2), (1, 2), (5, 1)] {
+            assert_eq!(r.queued_in_row(&rgrid, row), expected);
+            assert_eq!(a.queued_in_row(&agrid, row), expected);
+        }
+        r.serve(&mut rgrid, 0).unwrap();
+        assert_eq!(r.queued_in_row(&rgrid, 0), 1);
+        // The atomic scheduler is now mid-stripe: the served offset is gone,
+        // the rest of the size-8 stripe still counts.
+        a.serve(&mut agrid, 0).unwrap();
+        assert_eq!(a.queued_in_row(&agrid, 0), 1);
+        assert_eq!(a.queued_in_row(&agrid, 1), 2);
+        a.serve(&mut agrid, 1).unwrap();
+        assert_eq!(a.queued_in_row(&agrid, 1), 1);
+        assert_eq!(a.queued_in_row(&agrid, 7), 1);
     }
 
     #[test]
     fn make_scheduler_respects_discipline() {
-        let mut a = make_scheduler(crate::config::InputDiscipline::StripeAtomic, 4);
-        let mut r = make_scheduler(crate::config::InputDiscipline::RowScan, 4);
-        a.insert(mk_stripe(4, 0, 4, 0));
-        r.insert(mk_stripe(4, 0, 4, 0));
+        let atomic = InputDiscipline::StripeAtomic;
+        let row_scan = InputDiscipline::RowScan;
+        let mut agrid = grid_for(Lsf::queue_count(atomic, 4));
+        let mut rgrid = grid_for(Lsf::queue_count(row_scan, 4));
+        let mut a = Lsf::new(atomic, 4, 1);
+        let mut r = Lsf::new(row_scan, 4, 1);
+        let stripe = mk_stripe(&mut agrid, 4, 0, 4, 0);
+        a.insert(&mut agrid, stripe);
+        let stripe = mk_stripe(&mut rgrid, 4, 0, 4, 0);
+        r.insert(&mut rgrid, stripe);
         // Row 2 is mid-interval: the atomic scheduler refuses, row-scan serves.
-        assert!(a.serve(2).is_none());
-        assert!(r.serve(2).is_some());
+        assert!(a.serve(&mut agrid, 2).is_none());
+        assert!(r.serve(&mut rgrid, 2).is_some());
     }
 
     #[test]
@@ -427,28 +614,30 @@ mod tests {
         #[test]
         fn row_scan_conserves_packets(starts in proptest::collection::vec((0usize..8, 0usize..4), 1..20)) {
             let n = 8usize;
-            let mut s = RowScanLsf::new(n);
-            let mut inserted = 0usize;
+            let mut grid = grid_for(RowScanLsf::queue_count(n));
+            let mut s = RowScanLsf::new(n, 1);
+            let mut inserted = Vec::new();
             for (seq, (port, level)) in starts.into_iter().enumerate() {
                 let size = 1usize << level;
                 let start = (port / size) * size;
-                let stripe = mk_stripe(n, start, size, seq as u64);
-                inserted += size;
-                s.insert(stripe);
+                let stripe = mk_stripe(&mut grid, n, start, size, seq as u32);
+                inserted.extend((0..size as u32).map(|o| seq as u32 * 100 + o));
+                s.insert(&mut grid, stripe);
             }
-            prop_assert_eq!(s.queued_packets(), inserted);
-            let mut served = 0usize;
+            prop_assert_eq!(s.queued_packets(), inserted.len());
+            let mut served = Vec::new();
             let mut slot = 0usize;
             // Poll rows cyclically; with work conservation this drains in at
             // most `inserted * n` slots.
-            while served < inserted && slot < inserted * n + n {
-                if s.serve(slot % n).is_some() {
-                    served += 1;
+            while served.len() < inserted.len() && slot < inserted.len() * n + n {
+                if let Some((handle, ..)) = s.serve(&mut grid, slot % n) {
+                    served.push(handle.raw());
                 }
                 slot += 1;
             }
-            prop_assert_eq!(served, inserted);
             prop_assert!(s.is_empty());
+            served.sort_unstable();
+            prop_assert_eq!(served, inserted, "every handle served exactly once");
         }
 
         /// The atomic scheduler also conserves packets and always emits each
@@ -456,36 +645,41 @@ mod tests {
         #[test]
         fn atomic_emits_contiguous_bursts(starts in proptest::collection::vec((0usize..8, 0usize..4), 1..20)) {
             let n = 8usize;
-            let mut s = AtomicLsf::new(n);
+            let mut grid = grid_for(AtomicLsf::queue_count(n));
+            let mut s = AtomicLsf::new(n, 1);
             let mut inserted = 0usize;
             for (seq, (port, level)) in starts.into_iter().enumerate() {
                 let size = 1usize << level;
                 let start = (port / size) * size;
-                s.insert(mk_stripe(n, start, size, seq as u64));
+                let stripe = mk_stripe(&mut grid, n, start, size, seq as u32);
+                s.insert(&mut grid, stripe);
                 inserted += size;
             }
-            let mut served: Vec<(usize, Packet)> = Vec::new();
+            // (slot, handle, row) of every served packet.
+            let mut served: Vec<(usize, u32, usize)> = Vec::new();
             let mut slot = 0usize;
             while served.len() < inserted && slot < inserted * n + n {
                 let row = slot % n;
-                if let Some(p) = s.serve(row) {
-                    served.push((slot, p));
+                if let Some((handle, ..)) = s.serve(&mut grid, row) {
+                    served.push((slot, handle.raw(), row));
                 }
                 slot += 1;
             }
             prop_assert_eq!(served.len(), inserted);
-            // Group by (voq_seq / 100) which identifies the stripe in mk_stripe,
+            prop_assert!(s.is_empty());
+            // Group by (handle / 100) which identifies the stripe in mk_stripe,
             // and check contiguity in time and offset order.
             use std::collections::HashMap;
-            let mut by_stripe: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
-            for (slot, p) in &served {
-                by_stripe.entry(p.voq_seq / 100).or_default().push((*slot, p.stripe_index()));
+            let mut by_stripe: HashMap<u32, Vec<(usize, u32, usize)>> = HashMap::new();
+            for (slot, raw, row) in &served {
+                by_stripe.entry(raw / 100).or_default().push((*slot, raw % 100, *row));
             }
             for (_, mut v) in by_stripe {
                 v.sort();
                 for w in v.windows(2) {
                     prop_assert_eq!(w[1].0, w[0].0 + 1, "stripe served in consecutive slots");
                     prop_assert_eq!(w[1].1, w[0].1 + 1, "stripe served in offset order");
+                    prop_assert_eq!(w[1].2, w[0].2 + 1, "offset o crosses port start + o");
                 }
             }
         }

@@ -7,12 +7,21 @@
 //!
 //! # Memory layout
 //!
-//! `Packet` is the unit every queue hop moves, so its size directly scales
-//! the simulator's memory bandwidth: a slot at load ρ copies `O(ρ·N)` packets
-//! between containers, and the evaluation sweeps millions of slots.  The
-//! struct is therefore packed to fit **48 bytes** (six cache-line quarters,
-//! three packets per two cache lines) instead of the 80 bytes a naive
-//! all-`usize` layout costs:
+//! The Sprinklers core writes a packet once and reads it once: `arrive`
+//! stores the body in the switch's [`PacketStore`](crate::store::PacketStore),
+//! delivery takes it out again, and every queue in between — VOQ ready
+//! queues, the LSF schedule, the intermediate FIFOs — holds a four-byte
+//! handle (see [`crate::fifo`]).  The three routing fields below are not
+//! even written while the packet is inside the switch; they are derived from
+//! the intermediate port and stripe level at delivery
+//! ([`stamp_routing`](crate::stripe::stamp_routing)).
+//!
+//! The size of the body still matters: the store's resident set is
+//! `48 B × packets in the switch` (about 10 MB on a dense n = 64 run), each
+//! delivery pulls one body through the cache, and the baseline switches
+//! still queue packets by value.  The struct is therefore packed to fit
+//! **48 bytes** (three packets per two cache lines) instead of the 80 bytes
+//! a naive all-`usize` layout costs:
 //!
 //! * the four identity counters stay `u64` (ids, slots and sequence numbers
 //!   genuinely need the range),
@@ -150,6 +159,21 @@ impl Packet {
     #[inline]
     pub fn output(&self) -> usize {
         self.output as usize
+    }
+
+    /// The output port as stored (the index queues tag each handle with it,
+    /// and this spares them a narrowing cast).
+    #[inline]
+    pub(crate) fn output_raw(&self) -> u32 {
+        self.output
+    }
+
+    /// A value that depends on the first and the last bytes of the struct —
+    /// the two cache lines a 48-byte body can straddle (see
+    /// `PacketStore::warm`).
+    #[inline]
+    pub(crate) fn edge_bits(&self) -> u64 {
+        self.id ^ u64::from(self.flags)
     }
 
     /// Readdress the packet to a different `(input, output)` port pair.

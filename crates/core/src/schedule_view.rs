@@ -7,6 +7,7 @@
 //! as a small text table — handy in examples, debugging sessions and test
 //! failure messages.
 
+use crate::fifo::FifoGrid;
 use crate::lsf::{levels, RowScanLsf};
 
 /// A snapshot of per-row, per-level queue occupancy.
@@ -31,12 +32,12 @@ impl OccupancyGrid {
     }
 
     /// Snapshot the occupancy of a row-scan LSF scheduler.
-    pub fn from_row_scan(scheduler: &RowScanLsf) -> Self {
+    pub fn from_row_scan(scheduler: &RowScanLsf, queues: &FifoGrid) -> Self {
         let n = scheduler.n();
         let mut grid = Self::new(n);
         for row in 0..n {
             for level in 0..grid.levels {
-                grid.counts[row][level] = scheduler.queue_len(row, level);
+                grid.counts[row][level] = scheduler.queue_len(queues, row, level);
             }
         }
         grid
@@ -93,23 +94,29 @@ impl OccupancyGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dyadic::DyadicInterval;
-    use crate::lsf::StripeScheduler;
-    use crate::packet::Packet;
-    use crate::stripe::Stripe;
+    use crate::store::PacketHandle;
+    use crate::voq::Voq;
 
-    fn mk_stripe(start: usize, size: usize) -> Stripe {
-        let interval = DyadicInterval::new(start, size);
-        let packets = (0..size).map(|k| Packet::new(0, 1, k as u64, 0)).collect();
-        Stripe::assemble(interval, 0, 1, 0, packets)
+    /// An `n`-port row-scan scheduler (grid queues from 1) holding the given
+    /// `(start, size)` stripes, each released by a VOQ from grid queue 0.
+    fn scheduler_with(n: usize, stripes: &[(usize, usize)]) -> (RowScanLsf, FifoGrid) {
+        let mut grid = FifoGrid::new(1 + RowScanLsf::queue_count(n));
+        let mut s = RowScanLsf::new(n, 1);
+        for &(start, size) in stripes {
+            let mut voq = Voq::new(n, 0, start, size);
+            for k in 0..size as u32 {
+                voq.push(&mut grid, PacketHandle::from_raw(k), 1);
+            }
+            let stripe = voq.release_stripe().expect("size packets fill a stripe");
+            s.insert(&mut grid, stripe);
+        }
+        (s, grid)
     }
 
     #[test]
     fn snapshot_reflects_scheduler_contents() {
-        let mut s = RowScanLsf::new(8);
-        s.insert(mk_stripe(0, 4));
-        s.insert(mk_stripe(6, 2));
-        let grid = OccupancyGrid::from_row_scan(&s);
+        let (s, queues) = scheduler_with(8, &[(0, 4), (6, 2)]);
+        let grid = OccupancyGrid::from_row_scan(&s, &queues);
         assert_eq!(grid.total(), 6);
         assert_eq!(grid.get(0, 2), 1);
         assert_eq!(grid.get(3, 2), 1);
@@ -121,9 +128,8 @@ mod tests {
 
     #[test]
     fn render_contains_headers_and_counts() {
-        let mut s = RowScanLsf::new(4);
-        s.insert(mk_stripe(0, 4));
-        let grid = OccupancyGrid::from_row_scan(&s);
+        let (s, queues) = scheduler_with(4, &[(0, 4)]);
+        let grid = OccupancyGrid::from_row_scan(&s, &queues);
         let text = grid.render();
         assert!(text.contains("port   0"));
         assert!(text.contains("total queued: 4"));

@@ -11,28 +11,41 @@
 //! fabric is processed before the first, so a packet never crosses both
 //! fabrics in the same slot (store-and-forward).
 
-use crate::config::{SizingMode, SprinklersConfig};
+use crate::config::{AlignmentMode, SizingMode, SprinklersConfig};
 use crate::input_port::SprinklersInputPort;
 use crate::intermediate_port::SprinklersIntermediatePort;
+use crate::lsf::Served;
 use crate::matrix::TrafficMatrix;
 use crate::occupancy::{OccupancySet, PortMask};
 use crate::ols::WeaklyUniformOls;
 use crate::packet::{DeliveredPacket, Packet};
 use crate::par::StepPool;
 use crate::sizing::stripe_size;
+use crate::store::{PacketHandle, PacketStore};
+use crate::stripe::stamp_routing;
 use crate::switch::{DeliverySink, Switch, SwitchStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Minimum occupied ports in a fabric phase before the sharded parallel walk
 /// is worth its dispatch cost (two condvar round trips per phase); below it
-/// the serial walk runs.  Switching between the two paths is free of
-/// determinism risk because they are byte-equivalent by construction — the
-/// parallel path merges every cross-port effect in ascending port order, so
-/// this constant (like the `threads` knob itself) is a pure perf setting.
+/// the serial walk runs.  Switching between the two walks is free of
+/// determinism risk because they collect the same entries in the same
+/// ascending port order for the one serial merge both feed, so this constant
+/// (like the `threads` knob itself) is a pure perf setting.
 const PAR_MIN_OCCUPIED: usize = 64;
 
-/// Pool and scratch state for sharded stepping, present when the switch was
+/// What the second-fabric walk collects from an intermediate port that has a
+/// packet for the output it is connected to: `(intermediate, handle, stripe
+/// level)`.
+type Delivery = (usize, PacketHandle, usize);
+
+/// What the first-fabric walk collects from an input port that has a packet
+/// for the intermediate it is connected to: `(input, intermediate, served
+/// packet, input still servable)`.
+type Transfer = (usize, usize, Served, bool);
+
+/// Pool and shard geometry for sharded stepping, present when the switch was
 /// hinted `threads >= 2` via [`Switch::set_threads`].
 struct ParCtx {
     pool: StepPool,
@@ -41,12 +54,6 @@ struct ParCtx {
     /// `ranges[s]` as a [`PortMask`], the operand of the fused
     /// occupancy-∩-eligibility query each shard walks.
     masks: Vec<PortMask>,
-    /// Phase-A (second fabric) scratch: `(intermediate, packet)` dequeued by
-    /// each shard, merged serially in ascending shard order.
-    deliveries: Vec<Vec<(usize, Packet)>>,
-    /// Phase-B (first fabric) scratch: `(input, intermediate, packet,
-    /// input_still_servable)` per shard.
-    pushes: Vec<Vec<(usize, usize, Packet, bool)>>,
 }
 
 impl ParCtx {
@@ -72,14 +79,6 @@ impl ParCtx {
             .collect();
         ParCtx {
             pool: StepPool::new(shards - 1),
-            deliveries: ranges
-                .iter()
-                .map(|&(lo, hi)| Vec::with_capacity(hi - lo))
-                .collect(),
-            pushes: ranges
-                .iter()
-                .map(|&(lo, hi)| Vec::with_capacity(hi - lo))
-                .collect(),
             ranges,
             masks,
         }
@@ -90,11 +89,63 @@ impl ParCtx {
     }
 }
 
+/// The walk half of a fabric pass: call `visit(port, index, out)` for every
+/// occupied port in ascending order, collecting into `scratch`.
+///
+/// With a pool and at least [`PAR_MIN_OCCUPIED`] occupied ports the walk is
+/// sharded — each shard visits the occupied ports of its own contiguous range
+/// (via the fused occupancy-∩-range-mask query) and fills its own scratch
+/// vector; otherwise it is a serial `trailing_zeros` walk over a copy of each
+/// occupied word, filling `scratch[0]`.  Either way, reading the scratch
+/// vectors in order yields ascending port order.
+// lint: hot-path
+#[inline]
+fn walk_occupied<P: Send, R: Send>(
+    occupied: &OccupancySet,
+    par: Option<&ParCtx>,
+    ports: &mut [P],
+    scratch: &mut [Vec<R>],
+    visit: impl Fn(&mut P, usize, &mut Vec<R>) + Sync,
+) {
+    match par {
+        Some(par) if occupied.len() >= PAR_MIN_OCCUPIED => {
+            let (ranges, masks) = (&par.ranges, &par.masks);
+            par.pool
+                .run_on_ranges(ports, ranges, scratch, |s, local, out| {
+                    let (lo, _hi) = ranges[s];
+                    let mut from = lo;
+                    while let Some(p) = occupied.next_occupied_matching(from, &masks[s]) {
+                        from = p + 1;
+                        visit(&mut local[p - lo], p, out);
+                    }
+                });
+        }
+        _ => {
+            let out = &mut scratch[0];
+            let mut w = 0usize;
+            while let Some(wi) = occupied.next_occupied_word(w) {
+                let mut bits = occupied.word(wi);
+                while bits != 0 {
+                    let p = (wi << 6) + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    visit(&mut ports[p], p, out);
+                }
+                w = wi + 1;
+            }
+        }
+    }
+}
+
 /// A complete Sprinklers switch.
 pub struct SprinklersSwitch {
     config: SprinklersConfig,
     n: usize,
     ols: WeaklyUniformOls,
+    /// Every resident packet's body.  `arrive` writes it, delivery reads and
+    /// frees it, and all the queues of the ports below hold handles into it.
+    /// The sharded fabric phases never touch it: inserts and takes happen in
+    /// serial code only.
+    store: PacketStore,
     inputs: Vec<SprinklersInputPort>,
     intermediates: Vec<SprinklersIntermediatePort>,
     /// Inputs whose scheduler holds at least one servable packet — the ports
@@ -118,6 +169,13 @@ pub struct SprinklersSwitch {
     resizes: u64,
     arrivals: u64,
     departures: u64,
+    /// Second-fabric scratch: what each shard's walk dequeued this slot, for
+    /// the serial merge to deliver in ascending shard (= port) order.  One
+    /// shard unless `set_threads(>= 2)` was applied; every inner vector has
+    /// room for all `n` ports, so a step never grows it.
+    deliveries: Vec<Vec<Delivery>>,
+    /// First-fabric scratch, same shape.
+    transfers: Vec<Vec<Transfer>>,
     /// Sharded-stepping state, present when `set_threads(>= 2)` was applied.
     /// `None` means pure serial stepping — today's default.
     par: Option<ParCtx>,
@@ -159,6 +217,7 @@ impl SprinklersSwitch {
             config,
             n,
             ols,
+            store: PacketStore::new(),
             inputs,
             intermediates,
             occupied_inputs: OccupancySet::new(n),
@@ -169,6 +228,8 @@ impl SprinklersSwitch {
             resizes: 0,
             arrivals: 0,
             departures: 0,
+            deliveries: vec![Vec::with_capacity(n)],
+            transfers: vec![Vec::with_capacity(n)],
             par: None,
         }
     }
@@ -237,31 +298,27 @@ impl SprinklersSwitch {
     /// and inputs without plastered stripes have nothing the fabric could
     /// serve, exactly as in the dense loops — the bitsets only skip provable
     /// no-op probes, which is what keeps the delivery stream byte-identical.
+    ///
+    /// Each pass has two halves.  The *walk* does the port-local work — pick
+    /// the packet each occupied port sends over its current connection — and
+    /// only collects `(port, handle, …)` entries, so it can run serially or
+    /// sharded over a [`StepPool`]; the *merge* then applies every cross-port
+    /// effect serially, in ascending port order.  Splitting them also puts
+    /// the slot's packet-body reads (one per delivery — cold, the body was
+    /// written at arrival) side by side, where the merge can overlap them
+    /// instead of taking one cache miss per loop iteration.
     // lint: hot-path
     fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
-        let n = self.n;
-        // `par` is taken out of `self` for the duration of the step so the
-        // phase helpers can borrow switch fields and pool/scratch state
-        // independently; it is restored before any early return below.
-        match self.par.take() {
-            Some(mut par) => {
-                self.second_fabric_parallel(slot, t, sink, &mut par);
-                self.first_fabric_parallel(slot, t, &mut par);
-                self.par = Some(par);
-            }
-            None => {
-                self.second_fabric_serial(slot, t, sink);
-                self.first_fabric_serial(slot, t);
-            }
-        }
+        self.second_fabric_pass(slot, t, sink);
+        self.first_fabric_pass(slot, t);
 
         // Per-slot maintenance.  Only adaptive sizing observes idle slots
         // (VOQs shrink), so only it pays the dense pass; for fixed and
-        // matrix-driven sizing a VOQ's `on_slot` is a provable no-op — sizing
-        // never changes and complete stripes are collected at the call that
-        // completes them (arrive, delivery, or an explicit resize).
+        // matrix-driven sizing there is no sizing clock, and complete stripes
+        // are released at the call that completes them (arrive, delivery, or
+        // an explicit resize).
         if self.adaptive {
-            for i in 0..n {
+            for i in 0..self.n {
                 let before = self.inputs[i].resizes_committed();
                 self.inputs[i].maintain(slot);
                 self.resizes += self.inputs[i].resizes_committed() - before;
@@ -272,105 +329,64 @@ impl SprinklersSwitch {
         }
     }
 
-    /// Second fabric, serial walk: packets that arrived at the intermediate
-    /// stage in earlier slots may move to their outputs.  Ascending port
-    /// order, like the dense loop; the walk reads a copy of each occupied
-    /// word (found by the chunked word scan), which is safe because the body
-    /// only clears bits of ports it has already visited.
+    /// Second fabric: packets that arrived at the intermediate stage in
+    /// earlier slots may move to their outputs.
     // lint: hot-path
-    fn second_fabric_serial(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
-        let n = self.n;
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_intermediates.next_occupied_word(w) {
-            let mut bits = self.occupied_intermediates.word(wi);
-            while bits != 0 {
-                let l = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.intermediates[l].release_eligible(slot);
-                let output = if l >= t { l - t } else { l + n - t };
-                if let Some(packet) = self.intermediates[l].dequeue(output) {
-                    debug_assert_eq!(packet.output(), output);
-                    if self.intermediates[l].queued_packets() == 0 {
-                        self.occupied_intermediates.remove(l);
-                    }
-                    self.queued_intermediates -= 1;
-                    self.deliver_from_intermediate(packet, slot, sink);
-                }
-            }
-            w = wi + 1;
-        }
-    }
-
-    /// Second fabric, sharded walk: each shard visits the occupied
-    /// intermediates of its own contiguous port range (via the fused
-    /// occupancy-∩-range-mask query), performs the port-local work —
-    /// `release_eligible` plus the output-FIFO dequeue — and records its
-    /// dequeues; every cross-port effect (bitset updates, counters, VOQ
-    /// delivery notifications, sink pushes) happens afterwards in ascending
-    /// shard order, which is ascending port order, so the delivery stream is
-    /// byte-identical to the serial walk.
-    // lint: hot-path
-    fn second_fabric_parallel(
-        &mut self,
-        slot: u64,
-        t: usize,
-        sink: &mut dyn DeliverySink,
-        par: &mut ParCtx,
-    ) {
-        if self.occupied_intermediates.len() < PAR_MIN_OCCUPIED {
-            self.second_fabric_serial(slot, t, sink);
-            return;
-        }
+    fn second_fabric_pass(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
         let n = self.n;
         let occupied = &self.occupied_intermediates;
-        let ranges = &par.ranges;
-        let masks = &par.masks;
-        par.pool.run_on_ranges(
+        // The port-local work of intermediate `l`: stripe-complete releases,
+        // then the head of the connected output's largest non-empty level.
+        let visit = |port: &mut SprinklersIntermediatePort, l: usize, out: &mut Vec<Delivery>| {
+            port.release_eligible(slot);
+            let output = if l >= t { l - t } else { l + n - t };
+            if let Some((handle, level)) = port.dequeue(output) {
+                out.push((l, handle, level));
+            }
+        };
+        walk_occupied(
+            occupied,
+            self.par.as_ref(),
             &mut self.intermediates,
-            ranges,
-            &mut par.deliveries,
-            |s, local, out| {
-                out.clear();
-                let (lo, _hi) = ranges[s];
-                let mask = &masks[s];
-                let mut from = lo;
-                while let Some(l) = occupied.next_occupied_matching(from, mask) {
-                    from = l + 1;
-                    let port = &mut local[l - lo];
-                    port.release_eligible(slot);
-                    let output = if l >= t { l - t } else { l + n - t };
-                    if let Some(packet) = port.dequeue(output) {
-                        debug_assert_eq!(packet.output(), output);
-                        out.push((l, packet));
-                    }
-                }
-            },
+            &mut self.deliveries,
+            visit,
         );
-        for s in 0..par.shards() {
-            for (l, packet) in par.deliveries[s].drain(..) {
+
+        // Merge, in ascending shard order, which is ascending port order.
+        let mut deliveries = std::mem::take(&mut self.deliveries);
+        self.store
+            .warm(deliveries.iter().flatten().map(|&(_, handle, _)| handle));
+        for shard in &mut deliveries {
+            for (l, handle, level) in shard.drain(..) {
                 if self.intermediates[l].queued_packets() == 0 {
                     self.occupied_intermediates.remove(l);
                 }
                 self.queued_intermediates -= 1;
-                self.deliver_from_intermediate(packet, slot, sink);
+                self.deliver(l, handle, level, slot, sink);
             }
         }
+        self.deliveries = deliveries;
     }
 
-    /// Cross-port bookkeeping for one second-fabric delivery: notify the
-    /// originating VOQ (clearance-phase accounting; a committing resize can
-    /// release backlogged stripes into the input's scheduler, which may set
-    /// its occupancy bit) and push the packet into the sink.  Shared verbatim
-    /// by the serial walk and the parallel merge — it *is* the ordered-merge
-    /// body, so the two paths cannot drift apart.
+    /// One second-fabric delivery: the packet's single read.  Take the body
+    /// out of the store (freeing its slot), fill in the routing header from
+    /// where the packet travelled — intermediate port `l`, a FIFO of stripe
+    /// level `level` — then notify the originating VOQ (clearance-phase
+    /// accounting; a committing resize can release backlogged stripes into
+    /// the input's scheduler, which may set its occupancy bit) and push the
+    /// packet into the sink.
     // lint: hot-path
     #[inline]
-    fn deliver_from_intermediate(
+    fn deliver(
         &mut self,
-        packet: Packet,
+        l: usize,
+        handle: PacketHandle,
+        level: usize,
         slot: u64,
         sink: &mut dyn DeliverySink,
     ) {
+        let mut packet = self.store.take(handle);
+        stamp_routing(&mut packet, l, level);
         let input = packet.input();
         let before = self.inputs[input].resizes_committed();
         self.inputs[input].packet_delivered(packet.output());
@@ -382,82 +398,53 @@ impl SprinklersSwitch {
         sink.deliver(DeliveredPacket::new(packet, slot));
     }
 
-    /// First fabric, serial walk: each occupied input may push one packet to
-    /// the intermediate port it is connected to in this slot.
-    // lint: hot-path
-    fn first_fabric_serial(&mut self, slot: u64, t: usize) {
-        let n = self.n;
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_inputs.next_occupied_word(w) {
-            let mut bits = self.occupied_inputs.word(wi);
-            while bits != 0 {
-                let i = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let l = if i + t >= n { i + t - n } else { i + t };
-                if let Some(packet) = self.inputs[i].dequeue(l) {
-                    debug_assert_eq!(packet.intermediate(), l);
-                    if !self.inputs[i].has_servable() {
-                        self.occupied_inputs.remove(i);
-                    }
-                    self.queued_inputs -= 1;
-                    self.queued_intermediates += 1;
-                    self.occupied_intermediates.insert(l);
-                    self.intermediates[l].receive(packet, slot);
-                }
-            }
-            w = wi + 1;
-        }
-    }
-
-    /// First fabric, sharded walk: each shard dequeues from the occupied
-    /// inputs of its own port range (the input-side LSF dequeue is the
-    /// expensive part) and records `(input, intermediate, packet,
-    /// still_servable)`; the intermediate-side `receive` and all bitset and
-    /// counter updates run in the ascending-shard merge.  The first fabric
+    /// First fabric: each occupied input may push one packet to the
+    /// intermediate port it is connected to in this slot.  The first fabric
     /// connects input `i` to intermediate `(i + t) mod n` — a bijection — so
-    /// at most one packet lands on any intermediate per slot and the merge
-    /// order matches the serial walk's ascending-input order exactly.
+    /// at most one packet lands on any intermediate per slot.
     // lint: hot-path
-    fn first_fabric_parallel(&mut self, slot: u64, t: usize, par: &mut ParCtx) {
-        if self.occupied_inputs.len() < PAR_MIN_OCCUPIED {
-            self.first_fabric_serial(slot, t);
-            return;
-        }
+    fn first_fabric_pass(&mut self, slot: u64, t: usize) {
         let n = self.n;
         let occupied = &self.occupied_inputs;
-        let ranges = &par.ranges;
-        let masks = &par.masks;
-        par.pool.run_on_ranges(
+        // The port-local work of input `i`: the LSF dequeue for the connected
+        // intermediate.
+        let visit = |port: &mut SprinklersInputPort, i: usize, out: &mut Vec<Transfer>| {
+            let l = if i + t >= n { i + t - n } else { i + t };
+            if let Some(served) = port.dequeue(l) {
+                out.push((i, l, served, port.has_servable()));
+            }
+        };
+        walk_occupied(
+            occupied,
+            self.par.as_ref(),
             &mut self.inputs,
-            ranges,
-            &mut par.pushes,
-            |s, local, out| {
-                out.clear();
-                let (lo, _hi) = ranges[s];
-                let mask = &masks[s];
-                let mut from = lo;
-                while let Some(i) = occupied.next_occupied_matching(from, mask) {
-                    from = i + 1;
-                    let l = if i + t >= n { i + t - n } else { i + t };
-                    let port = &mut local[i - lo];
-                    if let Some(packet) = port.dequeue(l) {
-                        debug_assert_eq!(packet.intermediate(), l);
-                        out.push((i, l, packet, port.has_servable()));
-                    }
-                }
-            },
+            &mut self.transfers,
+            visit,
         );
-        for s in 0..par.shards() {
-            for (i, l, packet, still_servable) in par.pushes[s].drain(..) {
+
+        // Merge: occupancy bits, counters and the intermediate-side receive.
+        let mut transfers = std::mem::take(&mut self.transfers);
+        if self.config.alignment == AlignmentMode::StripeComplete {
+            // Stripe-complete staging reads each body's VOQ sequence number.
+            self.store.warm(
+                transfers
+                    .iter()
+                    .flatten()
+                    .map(|&(_, _, served, _)| served.0),
+            );
+        }
+        for shard in &mut transfers {
+            for (i, l, (handle, output, level), still_servable) in shard.drain(..) {
                 if !still_servable {
                     self.occupied_inputs.remove(i);
                 }
                 self.queued_inputs -= 1;
                 self.queued_intermediates += 1;
                 self.occupied_intermediates.insert(l);
-                self.intermediates[l].receive(packet, slot);
+                self.intermediates[l].receive(&self.store, handle, i, output as usize, level, slot);
             }
         }
+        self.transfers = transfers;
     }
 }
 
@@ -470,13 +457,14 @@ impl Switch for SprinklersSwitch {
         "sprinklers"
     }
 
+    // lint: hot-path
     fn arrive(&mut self, packet: Packet) {
         debug_assert!(packet.input() < self.n && packet.output() < self.n);
         self.arrivals += 1;
         self.queued_inputs += 1;
         let input = packet.input();
         let before = self.inputs[input].resizes_committed();
-        self.inputs[input].arrive(packet);
+        self.inputs[input].arrive(&mut self.store, packet);
         self.resizes += self.inputs[input].resizes_committed() - before;
         // The arrival may have completed a stripe (or, under adaptive
         // sizing, committed a resize that released backlogged ones).
@@ -520,6 +508,11 @@ impl Switch for SprinklersSwitch {
         } else if self.par.as_ref().is_none_or(|par| par.shards() != shards) {
             self.par = Some(ParCtx::new(self.n, shards));
         }
+        // One scratch vector per shard (between steps they are all empty).
+        let n = self.n;
+        self.deliveries
+            .resize_with(shards, || Vec::with_capacity(n));
+        self.transfers.resize_with(shards, || Vec::with_capacity(n));
     }
 
     fn stats(&self) -> SwitchStats {
@@ -537,7 +530,7 @@ impl Switch for SprinklersSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AlignmentMode, InputDiscipline, SizingMode};
+    use crate::config::InputDiscipline;
 
     fn pkt(input: usize, output: usize, id: u64, slot: u64, seq: u64) -> Packet {
         Packet::new(input, output, id, slot).with_voq_seq(seq)
@@ -764,6 +757,11 @@ mod tests {
                     .map(|p| p.queued_packets())
                     .sum::<usize>(),
                 "{context}: intermediate counter diverged"
+            );
+            assert_eq!(
+                sw.store.live(),
+                sw.queued_inputs + sw.queued_intermediates,
+                "{context}: the store holds a packet no queue does, or the reverse"
             );
         }
 

@@ -7,65 +7,37 @@
 //! atomic unit of service at both the input and the intermediate stage: the
 //! servicing of two stripes never interleaves, which — combined with FCFS
 //! order of stripes within a VOQ — is what rules out packet reordering.
+//!
+//! A stripe is never materialized.  Its packets stay where `arrive` wrote
+//! them in the [`PacketStore`](crate::store::PacketStore); the stripe itself
+//! is the run of `size` consecutive handles at the head of its VOQ's ready
+//! queue, described by a [`Stripe`] for the moment it takes to hand the run
+//! to the LSF scheduler.  Nor are the routing fields written at assembly: the
+//! intermediate port a packet crossed and the level of the FIFO it waited in
+//! determine all three, so [`stamp_routing`] fills them in once, on the copy
+//! that leaves the switch.
 
 use crate::dyadic::DyadicInterval;
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
 
-/// A full stripe of packets from one VOQ, ready to be scheduled.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A full stripe of one VOQ, ready to be scheduled: the `interval.size()`
+/// oldest entries of queue `source` in the input port's
+/// [`FifoGrid`](crate::fifo::FifoGrid).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stripe {
     /// The dyadic interval of intermediate ports the stripe is spread over.
     pub interval: DyadicInterval,
-    /// Input port of the originating VOQ.
-    pub input: usize,
-    /// Output port of the originating VOQ.
-    pub output: usize,
-    /// Monotonically increasing stripe sequence number within the VOQ.
-    pub stripe_seq: u64,
-    /// The packets, in VOQ arrival order; `packets[o]` traverses intermediate
-    /// port `interval.start() + o`.
-    pub packets: Vec<Packet>,
+    /// The grid queue (the VOQ's ready queue) whose head the stripe is.
+    pub source: usize,
+    /// True if the stripe is everything `source` holds, so it can be spliced
+    /// out whole instead of popped entry by entry.
+    pub drains_source: bool,
 }
 
 impl Stripe {
-    /// Assemble a stripe from packets of a VOQ.
-    ///
-    /// Stamps each packet's `stripe_size`, `stripe_index` and `intermediate`
-    /// routing fields.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of packets does not equal the interval size.
-    pub fn assemble(
-        interval: DyadicInterval,
-        input: usize,
-        output: usize,
-        stripe_seq: u64,
-        mut packets: Vec<Packet>,
-    ) -> Self {
-        assert_eq!(
-            packets.len(),
-            interval.size(),
-            "a stripe must contain exactly interval.size() packets"
-        );
-        for (offset, p) in packets.iter_mut().enumerate() {
-            p.set_stripe_size(interval.size());
-            p.set_stripe_index(offset);
-            p.set_intermediate(interval.start() + offset);
-        }
-        Stripe {
-            interval,
-            input,
-            output,
-            stripe_seq,
-            packets,
-        }
-    }
-
     /// Number of packets in the stripe (equals the interval size).
     pub fn size(&self) -> usize {
-        self.packets.len()
+        self.interval.size()
     }
 
     /// The stripe's level, `log₂(size)`.
@@ -77,58 +49,59 @@ impl Stripe {
     pub fn port_of_offset(&self, offset: usize) -> usize {
         self.interval.start() + offset
     }
+}
 
-    /// Number of real (non-padding) packets in the stripe.
-    pub fn data_packets(&self) -> usize {
-        self.packets.iter().filter(|p| !p.is_padding()).count()
-    }
+/// Fill in a delivered packet's routing header from where it travelled: it
+/// crossed intermediate port `intermediate` in a stripe of size `2^level`,
+/// and since that stripe's interval is dyadic the packet's offset within it
+/// is `intermediate mod 2^level`.
+#[inline]
+pub fn stamp_routing(packet: &mut Packet, intermediate: usize, level: usize) {
+    let size = 1usize << level;
+    packet.set_stripe_size(size);
+    packet.set_stripe_index(intermediate & (size - 1));
+    packet.set_intermediate(intermediate);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn mk_packets(n: usize) -> Vec<Packet> {
-        (0..n)
-            .map(|i| Packet::new(2, 5, i as u64, 10).with_voq_seq(i as u64))
-            .collect()
-    }
-
     #[test]
-    fn assemble_stamps_routing_fields() {
-        let interval = DyadicInterval::new(8, 4);
-        let s = Stripe::assemble(interval, 2, 5, 7, mk_packets(4));
-        assert_eq!(s.size(), 4);
-        assert_eq!(s.level(), 2);
-        for (o, p) in s.packets.iter().enumerate() {
+    fn delivery_stamp_matches_the_stripe_offsets() {
+        // What assembly used to write into every packet of a stripe over
+        // [8, 12) is what the stamp derives from (port, level) alone.
+        let stripe = Stripe {
+            interval: DyadicInterval::new(8, 4),
+            source: 0,
+            drains_source: true,
+        };
+        assert_eq!(stripe.size(), 4);
+        assert_eq!(stripe.level(), 2);
+        for offset in 0..4 {
+            let mut p = Packet::new(2, 5, offset as u64, 10);
+            stamp_routing(&mut p, stripe.port_of_offset(offset), stripe.level());
             assert_eq!(p.stripe_size(), 4);
-            assert_eq!(p.stripe_index(), o);
-            assert_eq!(p.intermediate(), 8 + o);
-            assert_eq!(s.port_of_offset(o), 8 + o);
+            assert_eq!(p.stripe_index(), offset);
+            assert_eq!(p.intermediate(), 8 + offset);
         }
     }
 
     #[test]
-    #[should_panic]
-    fn assemble_rejects_wrong_packet_count() {
-        let interval = DyadicInterval::new(8, 4);
-        let _ = Stripe::assemble(interval, 2, 5, 0, mk_packets(3));
-    }
-
-    #[test]
-    fn data_packets_excludes_padding() {
-        let interval = DyadicInterval::new(0, 2);
-        let packets = vec![Packet::new(0, 1, 0, 0), Packet::padding(0, 1, 0)];
-        let s = Stripe::assemble(interval, 0, 1, 0, packets);
-        assert_eq!(s.data_packets(), 1);
-    }
-
-    #[test]
     fn unit_stripe_is_valid() {
-        let interval = DyadicInterval::new(5, 1);
-        let s = Stripe::assemble(interval, 0, 0, 3, mk_packets(1));
+        let s = Stripe {
+            interval: DyadicInterval::new(5, 1),
+            source: 3,
+            drains_source: false,
+        };
         assert_eq!(s.size(), 1);
         assert_eq!(s.level(), 0);
         assert_eq!(s.port_of_offset(0), 5);
+        let mut p = Packet::new(0, 0, 0, 0);
+        stamp_routing(&mut p, 5, 0);
+        assert_eq!(
+            (p.stripe_size(), p.stripe_index(), p.intermediate()),
+            (1, 0, 5)
+        );
     }
 }

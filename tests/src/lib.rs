@@ -7,6 +7,7 @@
 
 use sprinklers_core::config::{AlignmentMode, InputDiscipline, SizingMode, SprinklersConfig};
 use sprinklers_core::matrix::TrafficMatrix;
+use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::sprinklers::SprinklersSwitch;
 use sprinklers_core::switch::Switch;
 use sprinklers_sim::engine::{Engine, RunConfig};
@@ -78,6 +79,34 @@ pub fn run<S: Switch, G: TrafficGenerator>(switch: S, traffic: G, slots: u64) ->
             drain_slots: slots.max(4_096) * 2,
         },
     )
+}
+
+/// Drive a switch through a per-slot arrival schedule the way the engine
+/// does — `schedule[slot]` is injected before `slot` is stepped, and a
+/// `step_batch` call never spans an arrival-bearing slot — with the given
+/// `threads` and `batch` knobs.  Returns the delivery stream.
+pub fn drive_schedule(
+    switch: &mut dyn Switch,
+    schedule: &[Vec<Packet>],
+    threads: usize,
+    batch: u64,
+) -> Vec<DeliveredPacket> {
+    switch.set_threads(threads);
+    let mut delivered = Vec::new();
+    let total = schedule.len() as u64;
+    let mut slot = 0u64;
+    while slot < total {
+        for p in &schedule[slot as usize] {
+            switch.arrive(p.clone());
+        }
+        let mut end = slot + 1;
+        while end < total && end < slot + batch && schedule[end as usize].is_empty() {
+            end += 1;
+        }
+        switch.step_batch(slot, (end - slot) as u32, &mut delivered);
+        slot = end;
+    }
+    delivered
 }
 
 #[cfg(test)]

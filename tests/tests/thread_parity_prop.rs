@@ -17,8 +17,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprinklers_core::matrix::TrafficMatrix;
-use sprinklers_core::packet::{DeliveredPacket, Packet};
+use sprinklers_core::packet::Packet;
 use sprinklers_core::switch::Switch;
+use sprinklers_integration_tests::drive_schedule;
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::registry;
 use sprinklers_sim::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
@@ -68,32 +69,6 @@ fn build(scheme: &str, seed: u64) -> Box<dyn Switch> {
         .expect("registry scheme builds")
 }
 
-/// Drive one switch through the schedule with a fixed thread count and batch
-/// size, engine-style: batches break at arrival-bearing slots.
-fn run(
-    switch: &mut dyn Switch,
-    schedule: &[Vec<Packet>],
-    threads: usize,
-    batch: u64,
-) -> Vec<DeliveredPacket> {
-    switch.set_threads(threads);
-    let mut delivered = Vec::new();
-    let total = schedule.len() as u64;
-    let mut slot = 0u64;
-    while slot < total {
-        for p in &schedule[slot as usize] {
-            switch.arrive(p.clone());
-        }
-        let mut end = slot + 1;
-        while end < total && end < slot + batch && schedule[end as usize].is_empty() {
-            end += 1;
-        }
-        switch.step_batch(slot, (end - slot) as u32, &mut delivered);
-        slot = end;
-    }
-    delivered
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -107,7 +82,7 @@ proptest! {
         let schedule = arrival_schedule(seed, load);
         for scheme in registry::schemes() {
             let mut serial = build(scheme, seed);
-            let expected = run(serial.as_mut(), &schedule, 1, 1);
+            let expected = drive_schedule(serial.as_mut(), &schedule, 1, 1);
             // Frame-building schemes (ufs, padded-frames) legitimately sit on
             // partial n=128 frames for this whole horizon; everything else
             // must actually move traffic or the comparison is vacuous.
@@ -120,7 +95,7 @@ proptest! {
             for threads in [2usize, 4] {
                 for batch in [1u64, 64] {
                     let mut parallel = build(scheme, seed);
-                    let got = run(parallel.as_mut(), &schedule, threads, batch);
+                    let got = drive_schedule(parallel.as_mut(), &schedule, threads, batch);
                     prop_assert_eq!(
                         &got,
                         &expected,
