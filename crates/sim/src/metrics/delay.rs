@@ -41,6 +41,7 @@ impl DelayStats {
     }
 
     /// Record one packet delay (in slots).
+    // lint: hot-path
     pub fn record(&mut self, delay: u64) {
         self.count += 1;
         self.sum += u128::from(delay);

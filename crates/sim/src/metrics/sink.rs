@@ -3,9 +3,14 @@
 //! `MetricsSink` is how the engine consumes deliveries: instead of collecting
 //! packets into a `Vec` and iterating afterwards, the switch pushes each
 //! delivered packet straight into the delay histogram and the reordering
-//! detector.  After warm-up the `deliver` path touches only preallocated
-//! state, so a steady-state simulation slot performs no heap allocation
-//! end to end.
+//! detector.  Both are tables sized at construction — the detector's per-VOQ
+//! state included, so a VOQ's *first* delivery costs no more than its
+//! thousandth — and a steady-state simulation slot performs no heap
+//! allocation end to end.  The two exceptions are by nature unbounded and
+//! off the paper's workloads: a delay at or above the histogram cap (65 536
+//! slots) is kept in a sorted overflow list, and a VOQ that carries more than
+//! one flow id tracks its flows in a map (see
+//! [`ReorderDetector`](crate::metrics::reorder::ReorderDetector)).
 
 use crate::metrics::delay::DelayStats;
 use crate::metrics::reorder::{ReorderDetector, ReorderStats};
@@ -26,13 +31,14 @@ pub struct MetricsSink {
 }
 
 impl MetricsSink {
-    /// Create a sink for a switch with `n` output ports; packets that
-    /// *arrived* before `warmup_slots` are excluded from the delay
-    /// statistics (they still count for reordering and conservation).
+    /// Create a sink for a switch with `n` ports (this sizes the per-output
+    /// and per-VOQ tables); packets that *arrived* before `warmup_slots` are
+    /// excluded from the delay statistics (they still count for reordering
+    /// and conservation).
     pub fn new(warmup_slots: u64, n: usize) -> Self {
         MetricsSink {
             delay: DelayStats::default(),
-            reorder: ReorderDetector::new(),
+            reorder: ReorderDetector::new(n),
             delivered: 0,
             padding: 0,
             warmup_slots,
@@ -94,6 +100,7 @@ pub struct SinkTotals {
 }
 
 impl DeliverySink for MetricsSink {
+    // lint: hot-path
     fn deliver(&mut self, delivered: DeliveredPacket) {
         if delivered.packet.is_padding() {
             self.padding += 1;

@@ -7,9 +7,9 @@
 //! probability 1/2, every other output with probability `1/(2(N−1))`).
 //! Arbitrary admissible rate matrices are also supported.
 
-use super::{row_cdf, sample_from_cdf, TrafficGenerator};
+use super::{draw53, threshold, RowSampler, TrafficGenerator};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::Packet;
 
@@ -17,8 +17,10 @@ use sprinklers_core::packet::Packet;
 pub struct BernoulliTraffic {
     n: usize,
     matrix: TrafficMatrix,
-    /// Per input: (arrival probability, destination CDF).
-    per_input: Vec<(f64, Vec<f64>)>,
+    rows: RowSampler,
+    /// Per input: `threshold(load)`; 0 marks an idle input, which draws
+    /// nothing.
+    arrive: Vec<u64>,
     rng: StdRng,
     label: String,
 }
@@ -27,11 +29,13 @@ impl BernoulliTraffic {
     /// Bernoulli arrivals drawn from an explicit rate matrix.
     pub fn from_matrix(matrix: TrafficMatrix, seed: u64, label: impl Into<String>) -> Self {
         let n = matrix.n();
-        let per_input = (0..n).map(|i| row_cdf(&matrix, i)).collect();
+        let rows = RowSampler::new(&matrix);
+        let arrive = (0..n).map(|i| threshold(rows.load(i))).collect();
         BernoulliTraffic {
             n,
             matrix,
-            per_input,
+            rows,
+            arrive,
             rng: StdRng::seed_from_u64(seed),
             label: label.into(),
         }
@@ -73,12 +77,11 @@ impl TrafficGenerator for BernoulliTraffic {
         self.n
     }
 
+    // lint: hot-path
     fn arrivals_into(&mut self, slot: u64, out: &mut Vec<Packet>) {
-        for input in 0..self.n {
-            let (load, cdf) = &self.per_input[input];
-            if *load > 0.0 && self.rng.gen::<f64>() < *load {
-                let u = self.rng.gen::<f64>();
-                let output = sample_from_cdf(cdf, u);
+        for (input, &arrive) in self.arrive.iter().enumerate() {
+            if arrive != 0 && draw53(&mut self.rng) < arrive {
+                let output = self.rows.sample(input, draw53(&mut self.rng));
                 out.push(Packet::new(input, output, 0, slot));
             }
         }
@@ -167,6 +170,33 @@ mod tests {
         for slot in 0..1000 {
             assert!(gen.arrivals(slot).is_empty());
         }
+    }
+
+    #[test]
+    fn idle_inputs_consume_no_draws() {
+        use rand::Rng;
+        // Nothing offered: the generator's RNG is still at its seed state.
+        let mut idle = BernoulliTraffic::uniform(4, 0.0, 9);
+        for slot in 0..100 {
+            assert!(idle.arrivals(slot).is_empty());
+        }
+        assert_eq!(idle.rng.gen::<u64>(), StdRng::seed_from_u64(9).gen::<u64>());
+
+        // One saturated input between two idle ones: exactly two draws per
+        // slot (arrival, destination), none for the idle inputs.
+        let mut matrix = TrafficMatrix::zero(3);
+        matrix.set(1, 0, 0.5);
+        matrix.set(1, 2, 0.5);
+        let mut gen = BernoulliTraffic::from_matrix(matrix, 9, "one-busy-input");
+        let slots = 100;
+        for slot in 0..slots {
+            assert_eq!(gen.arrivals(slot).len(), 1);
+        }
+        let mut reference = StdRng::seed_from_u64(9);
+        for _ in 0..2 * slots {
+            reference.gen::<u64>();
+        }
+        assert_eq!(gen.rng.gen::<u64>(), reference.gen::<u64>());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! delay analysis (§5) worries about and is used by the extended evaluation
 //! to check that the delay of the ordered schemes stays bounded under bursts.
 
-use super::{row_cdf, sample_from_cdf, TrafficGenerator};
+use super::{draw53, threshold, RowSampler, TrafficGenerator};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::Packet;
 
@@ -16,7 +16,9 @@ use sprinklers_core::packet::Packet;
 pub struct BurstyTraffic {
     n: usize,
     matrix: TrafficMatrix,
-    per_input: Vec<(f64, Vec<f64>)>,
+    rows: RowSampler,
+    /// Per input: `threshold` of the in-burst arrival probability.
+    arrive_in_burst: Vec<u64>,
     /// Probability of leaving the OFF state each slot.
     p_on: f64,
     /// Probability of leaving the ON state each slot.
@@ -40,21 +42,27 @@ impl BurstyTraffic {
         assert!(peak > 0.0 && peak <= 1.0);
         assert!(mean_burst >= 1.0);
         let n = matrix.n();
-        let per_input: Vec<(f64, Vec<f64>)> = (0..n).map(|i| row_cdf(&matrix, i)).collect();
+        let rows = RowSampler::new(&matrix);
         // Duty cycle needed at each input: load / peak.  Use the largest so a
         // single on/off chain serves every input (keeps the model simple);
         // inputs with lower load thin their in-burst arrivals accordingly.
-        for (load, _) in &per_input {
+        for load in (0..n).map(|i| rows.load(i)) {
             assert!(
-                *load <= peak + 1e-9,
+                load <= peak + 1e-9,
                 "input load {load} exceeds the peak rate {peak}"
             );
         }
+        // With a symmetric chain the duty cycle is 1/2, so thin in-burst
+        // arrivals to 2·load (capped at the peak) to hit the long-run load.
+        let arrive_in_burst = (0..n)
+            .map(|i| threshold((2.0 * rows.load(i)).min(peak)))
+            .collect();
         let p_off = 1.0 / mean_burst;
         BurstyTraffic {
             n,
             matrix,
-            per_input,
+            rows,
+            arrive_in_burst,
             p_on: p_off, // symmetric by default; duty cycle handled by thinning
             p_off,
             peak,
@@ -74,26 +82,25 @@ impl TrafficGenerator for BurstyTraffic {
         self.n
     }
 
+    // lint: hot-path
     fn arrivals_into(&mut self, slot: u64, out: &mut Vec<Packet>) {
+        let (leave_on, leave_off) = (threshold(self.p_off), threshold(self.p_on));
         for input in 0..self.n {
             // Evolve the on/off chain.
-            if self.state_on[input] {
-                if self.rng.gen::<f64>() < self.p_off {
-                    self.state_on[input] = false;
-                }
-            } else if self.rng.gen::<f64>() < self.p_on {
-                self.state_on[input] = true;
+            let leave = if self.state_on[input] {
+                leave_on
+            } else {
+                leave_off
+            };
+            if draw53(&mut self.rng) < leave {
+                self.state_on[input] = !self.state_on[input];
             }
             if !self.state_on[input] {
                 continue;
             }
-            let (load, cdf) = &self.per_input[input];
-            // With a symmetric chain the duty cycle is 1/2, so thin in-burst
-            // arrivals to 2·load (capped at the peak) to hit the long-run load.
-            let in_burst = (2.0 * load).min(self.peak);
-            if self.rng.gen::<f64>() < in_burst {
-                let u = self.rng.gen::<f64>();
-                out.push(Packet::new(input, sample_from_cdf(cdf, u), 0, slot));
+            if draw53(&mut self.rng) < self.arrive_in_burst[input] {
+                let output = self.rows.sample(input, draw53(&mut self.rng));
+                out.push(Packet::new(input, output, 0, slot));
             }
         }
     }

@@ -11,9 +11,9 @@
 //! Flow sizes are therefore geometric with the configured mean, a standard
 //! heavy-traffic approximation of TCP flow-size distributions.
 
-use super::{row_cdf, sample_from_cdf, TrafficGenerator};
+use super::{draw53, threshold, RowSampler, TrafficGenerator};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::Packet;
 
@@ -21,7 +21,10 @@ use sprinklers_core::packet::Packet;
 pub struct FlowTraffic {
     n: usize,
     matrix: TrafficMatrix,
-    per_input: Vec<(f64, Vec<f64>)>,
+    rows: RowSampler,
+    /// Per input: `threshold(load)`; 0 marks an idle input, which draws
+    /// nothing.
+    arrive: Vec<u64>,
     mean_flow_len: f64,
     /// Current flow id of each (input, output) pair.
     current_flow: Vec<u64>,
@@ -37,7 +40,8 @@ impl FlowTraffic {
             "mean flow length must be at least 1 packet"
         );
         let n = matrix.n();
-        let per_input = (0..n).map(|i| row_cdf(&matrix, i)).collect();
+        let rows = RowSampler::new(&matrix);
+        let arrive = (0..n).map(|i| threshold(rows.load(i))).collect();
         let mut current_flow = vec![0u64; n * n];
         for (k, f) in current_flow.iter_mut().enumerate() {
             *f = k as u64;
@@ -45,7 +49,8 @@ impl FlowTraffic {
         FlowTraffic {
             n,
             matrix,
-            per_input,
+            rows,
+            arrive,
             mean_flow_len,
             next_flow_id: (n * n) as u64,
             current_flow,
@@ -70,17 +75,17 @@ impl TrafficGenerator for FlowTraffic {
         self.n
     }
 
+    // lint: hot-path
     fn arrivals_into(&mut self, slot: u64, out: &mut Vec<Packet>) {
-        for input in 0..self.n {
-            let (load, cdf) = &self.per_input[input];
-            if *load > 0.0 && self.rng.gen::<f64>() < *load {
-                let u = self.rng.gen::<f64>();
-                let output = sample_from_cdf(cdf, u);
+        let end_flow = threshold(1.0 / self.mean_flow_len);
+        for (input, &arrive) in self.arrive.iter().enumerate() {
+            if arrive != 0 && draw53(&mut self.rng) < arrive {
+                let output = self.rows.sample(input, draw53(&mut self.rng));
                 let key = input * self.n + output;
                 let flow = self.current_flow[key];
                 out.push(Packet::new(input, output, 0, slot).with_flow(flow));
                 // End the flow with probability 1/mean_flow_len.
-                if self.rng.gen::<f64>() < 1.0 / self.mean_flow_len {
+                if draw53(&mut self.rng) < end_flow {
                     self.current_flow[key] = self.next_flow_id;
                     self.next_flow_id += 1;
                 }

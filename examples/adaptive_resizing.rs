@@ -32,7 +32,7 @@ fn main() {
     let mut switch = SprinklersSwitch::new(config, 11);
 
     let mut light = BernoulliTraffic::uniform(n, 0.2, 3);
-    let mut detector = ReorderDetector::new();
+    let mut detector = ReorderDetector::new(n);
     let mut voq_seq = vec![0u64; n * n];
     let mut offered = 0u64;
     let mut delivered = 0u64;

@@ -28,6 +28,7 @@ pub trait Sample: Sized {
 }
 
 impl Sample for f64 {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -35,30 +36,35 @@ impl Sample for f64 {
 }
 
 impl Sample for f32 {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
 impl Sample for u64 {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64()
     }
 }
 
 impl Sample for u32 {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u32()
     }
 }
 
 impl Sample for usize {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() as usize
     }
 }
 
 impl Sample for bool {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
     }
@@ -177,6 +183,7 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
             let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);

@@ -59,7 +59,7 @@ fn stripe_sizes_grow_under_load_and_shrink_when_idle() {
 fn no_reordering_across_a_load_shift() {
     let n = 16;
     let mut sw = adaptive_switch(n, 512);
-    let mut detector = ReorderDetector::new();
+    let mut detector = ReorderDetector::new(n);
     let mut deliveries = Vec::new();
     let mut voq_seq = vec![0u64; n * n];
     let mut light = BernoulliTraffic::uniform(n, 0.15, 3);
@@ -113,7 +113,7 @@ fn explicit_reconfiguration_preserves_order_mid_traffic() {
         5,
     );
     let mut gen = BernoulliTraffic::uniform(n, 0.7, 12);
-    let mut detector = ReorderDetector::new();
+    let mut detector = ReorderDetector::new(n);
     let mut deliveries = Vec::new();
     let mut voq_seq = vec![0u64; n * n];
     for slot in 0..30_000u64 {

@@ -9,6 +9,13 @@
 //! reached their high-water capacity, and then a long measurement window of
 //! the *same* deterministic workload must allocate exactly nothing.
 //!
+//! Part 1 hand-rolls its arrivals and counts deliveries, which isolates the
+//! switch.  Part 2 puts the slot's other half around it — the real
+//! `BernoulliTraffic::arrivals_into` in front, the real `MetricsSink` behind —
+//! and hands the warmed-up switch a *fresh* sink at the edge of the window, so
+//! every VOQ's first delivery (the one that used to insert two B-tree nodes
+//! into the reordering detector) falls inside the measurement.
+//!
 //! This file deliberately contains a single `#[test]`: the allocation
 //! counter is process-global, so a second concurrently-running test would
 //! pollute the measurement.
@@ -16,10 +23,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprinklers_core::matrix::TrafficMatrix;
-use sprinklers_core::packet::Packet;
-use sprinklers_core::switch::{CountingSink, Switch};
+use sprinklers_core::packet::{DeliveredPacket, Packet};
+use sprinklers_core::switch::{CountingSink, DeliverySink, Switch};
+use sprinklers_sim::metrics::sink::MetricsSink;
 use sprinklers_sim::registry;
 use sprinklers_sim::spec::SizingSpec;
+use sprinklers_sim::traffic::bernoulli::BernoulliTraffic;
+use sprinklers_sim::traffic::TrafficGenerator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,12 +106,14 @@ fn drive(
 /// reach — and, because each VOQ receives 2N packets, it also forms a glut
 /// of simultaneous full frames, pre-populating the frame pools of the
 /// frame-based schemes — so a rare steady-state excursion can never trigger
-/// a first-time capacity growth mid-measurement.
+/// a first-time capacity growth mid-measurement.  Packets cycle through
+/// `flows` flow ids.
 fn hotspot_burst(
     switch: &mut dyn Switch,
     voq_seq: &mut [u64],
     next_id: &mut u64,
     from_slot: u64,
+    flows: u64,
 ) -> u64 {
     let mut sink = CountingSink::default();
     let mut slot = from_slot;
@@ -110,7 +122,7 @@ fn hotspot_burst(
             for input in 0..N {
                 let key = input * N + hot;
                 let p = Packet::new(input, hot, *next_id, slot)
-                    .with_flow(*next_id % 64)
+                    .with_flow(*next_id % flows)
                     .with_voq_seq(voq_seq[key]);
                 voq_seq[key] += 1;
                 *next_id += 1;
@@ -121,6 +133,50 @@ fn hotspot_burst(
         }
     }
     slot
+}
+
+/// Part 2's driver: the engine's inner loop in miniature.  The generator
+/// fills the reused `arrivals` buffer, each packet gets its id and per-VOQ
+/// sequence number, and deliveries go to whatever `sink` the caller attached.
+fn drive_generated(
+    switch: &mut dyn Switch,
+    traffic: &mut BernoulliTraffic,
+    arrivals: &mut Vec<Packet>,
+    sink: &mut dyn DeliverySink,
+    voq_seq: &mut [u64],
+    slots: std::ops::Range<u64>,
+) {
+    for slot in slots {
+        arrivals.clear();
+        traffic.arrivals_into(slot, arrivals);
+        for mut p in arrivals.drain(..) {
+            let key = p.input() * N + p.output();
+            p.voq_seq = voq_seq[key];
+            voq_seq[key] += 1;
+            switch.arrive(p);
+        }
+        switch.step(slot, sink);
+    }
+}
+
+/// A `MetricsSink` that also counts the VOQs it hears from for the first
+/// time (in a table sized up front, like the sink's own).
+struct FirstDeliveries {
+    metrics: MetricsSink,
+    seen: Vec<bool>,
+    first: usize,
+}
+
+impl DeliverySink for FirstDeliveries {
+    fn deliver(&mut self, delivered: DeliveredPacket) {
+        let p = &delivered.packet;
+        if !p.is_padding() {
+            let seen = &mut self.seen[p.input() * N + p.output()];
+            self.first += usize::from(!*seen);
+            *seen = true;
+        }
+        self.metrics.deliver(delivered);
+    }
 }
 
 #[test]
@@ -159,7 +215,7 @@ fn hot_paths_do_not_allocate_in_steady_state() {
         // sits ~3× under this, while a per-packet allocation regression
         // overshoots it by an order of magnitude.
         let warmup_before = allocations();
-        let warm_from = hotspot_burst(switch.as_mut(), &mut voq_seq, &mut next_id, 0);
+        let warm_from = hotspot_burst(switch.as_mut(), &mut voq_seq, &mut next_id, 0, 64);
         drive(
             switch.as_mut(),
             &mut rng,
@@ -189,5 +245,58 @@ fn hot_paths_do_not_allocate_in_steady_state() {
             new, 0,
             "{scheme} allocated {new} time(s) during 4096 steady-state slots"
         );
+
+        // Part 2: generator → switch → `MetricsSink`.  A second switch of the
+        // same scheme is inflated the same way and then warmed up on the
+        // generated (single-flow) traffic with a throwaway sink; the metrics
+        // sink is attached only for the window, so all of its N² VOQs
+        // deliver for the first time while allocations are being counted.
+        // `tcp-hash` sits this part out: Bernoulli packets all carry flow 0,
+        // which it hashes onto one intermediate port, and a switch overloaded
+        // several-fold has no steady state to measure.
+        if scheme == "tcp-hash" {
+            continue;
+        }
+        let mut switch = registry::build_named(scheme, N, &SizingSpec::Matrix, &matrix, 7).unwrap();
+        let mut traffic = BernoulliTraffic::uniform(N, LOAD, 2014);
+        let mut arrivals = Vec::with_capacity(N);
+        let mut voq_seq = vec![0u64; N * N];
+        let warm_from = hotspot_burst(switch.as_mut(), &mut voq_seq, &mut 0, 0, 1);
+        let window_from = warm_from + 8_192;
+        drive_generated(
+            switch.as_mut(),
+            &mut traffic,
+            &mut arrivals,
+            &mut CountingSink::default(),
+            &mut voq_seq,
+            warm_from..window_from,
+        );
+        let mut sink = FirstDeliveries {
+            metrics: MetricsSink::new(0, N),
+            seen: vec![false; N * N],
+            first: 0,
+        };
+
+        let before = allocations();
+        drive_generated(
+            switch.as_mut(),
+            &mut traffic,
+            &mut arrivals,
+            &mut sink,
+            &mut voq_seq,
+            window_from..window_from + 4_096,
+        );
+        let new = allocations() - before;
+        assert_eq!(
+            new, 0,
+            "{scheme}: generator + switch + MetricsSink allocated {new} time(s) \
+             during 4096 steady-state slots"
+        );
+        assert_eq!(
+            sink.first,
+            N * N,
+            "{scheme}: every VOQ should deliver for the first time inside the window"
+        );
+        assert!(sink.metrics.delivered_packets() > 4_096);
     }
 }

@@ -50,7 +50,7 @@ impl ConformanceSink {
             slot: 0,
             outputs_this_slot: vec![false; n],
             seen_ids: HashSet::new(),
-            reorder: ReorderDetector::new(),
+            reorder: ReorderDetector::new(n),
             delivered: 0,
             padding: 0,
             violations: Vec::new(),
