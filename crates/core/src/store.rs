@@ -33,15 +33,18 @@ pub const PAGE_SLOTS: usize = 1 << PAGE_SHIFT;
 pub struct PacketHandle(u32);
 
 impl PacketHandle {
-    /// The slot number, as the index queues store it.
+    /// The slot number, as the index queues store it.  Slot numbers are
+    /// dense — a store never hands out a number at or above its
+    /// [`capacity`](PacketStore::capacity) — so they can index a side table.
     #[inline]
-    pub(crate) fn raw(self) -> u32 {
+    pub fn raw(self) -> u32 {
         self.0
     }
 
-    /// Rebuild a handle from a queue entry.
+    /// Rebuild a handle from a queue entry.  Only a number a live handle of
+    /// the same store returned from [`raw`](Self::raw) is meaningful.
     #[inline]
-    pub(crate) fn from_raw(raw: u32) -> Self {
+    pub fn from_raw(raw: u32) -> Self {
         PacketHandle(raw)
     }
 

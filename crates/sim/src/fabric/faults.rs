@@ -78,14 +78,19 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// All events due at or before `slot`, advancing past them.  Slots must
-    /// be visited in nondecreasing order (the fabric steps slot by slot).
-    pub(super) fn due(&mut self, slot: u64) -> &[FaultEvent] {
-        let start = self.cursor;
-        while self.cursor < self.events.len() && self.events[self.cursor].slot <= slot {
-            self.cursor += 1;
-        }
-        &self.events[start..self.cursor]
+    /// The slot of the next event not yet handed out, if any — how far the
+    /// fabric may jump before it has to apply something.
+    pub(super) fn next_slot(&self) -> Option<u64> {
+        self.events.get(self.cursor).map(|e| e.slot)
+    }
+
+    /// The next event due at or before `slot`, advancing past it; `None`
+    /// once every such event has been handed out.  Slots must be visited in
+    /// nondecreasing order.
+    pub(super) fn pop_due(&mut self, slot: u64) -> Option<FaultEvent> {
+        let event = *self.events.get(self.cursor).filter(|e| e.slot <= slot)?;
+        self.cursor += 1;
+        Some(event)
     }
 }
 
@@ -146,6 +151,11 @@ mod tests {
         }
     }
 
+    /// Every event due at or before `slot`.
+    fn due(sched: &mut FaultSchedule, slot: u64) -> Vec<FaultEvent> {
+        std::iter::from_fn(|| sched.pop_due(slot)).collect()
+    }
+
     fn random(mtbf: u64, mttr: u64, seed: u64) -> FaultSpec {
         FaultSpec {
             events: vec![],
@@ -176,20 +186,22 @@ mod tests {
             random: None,
         };
         let mut sched = FaultSchedule::expand(&spec, 8, &run(100, 100));
-        assert!(sched.due(9).is_empty());
-        let due = sched.due(10);
-        assert_eq!(due.len(), 2);
-        assert_eq!((due[0].index, due[1].index), (1, 3), "ascending index");
-        assert_eq!(sched.due(50).len(), 1);
-        assert!(sched.due(1_000).is_empty(), "cursor never rewinds");
+        assert_eq!(sched.next_slot(), Some(10));
+        assert!(due(&mut sched, 9).is_empty());
+        let at_10 = due(&mut sched, 10);
+        assert_eq!(at_10.len(), 2);
+        assert_eq!((at_10[0].index, at_10[1].index), (1, 3), "ascending index");
+        assert_eq!(sched.next_slot(), Some(20));
+        assert_eq!(due(&mut sched, 50).len(), 1);
+        assert!(due(&mut sched, 1_000).is_empty(), "cursor never rewinds");
+        assert_eq!(sched.next_slot(), None);
     }
 
     #[test]
     fn random_schedules_are_reproducible_and_seed_sensitive() {
         let collect = |seed: u64| {
             let mut sched = FaultSchedule::expand(&random(40, 10, seed), 4, &run(400, 100));
-            sched
-                .due(u64::MAX)
+            due(&mut sched, u64::MAX)
                 .iter()
                 .map(|e| (e.slot, e.index, e.kind.is_up()))
                 .collect::<Vec<_>>()
@@ -204,7 +216,7 @@ mod tests {
     fn random_failures_alternate_and_respect_the_run_bounds() {
         let mut sched = FaultSchedule::expand(&random(30, 8, 3), 6, &run(500, 200));
         let mut state = [true; 6]; // all links start up
-        for e in sched.due(u64::MAX) {
+        for e in due(&mut sched, u64::MAX) {
             assert!(e.kind.is_link(), "random faults only target links");
             assert_eq!(
                 state[e.index],
@@ -229,9 +241,8 @@ mod tests {
             index: 2,
         });
         let mut sched = FaultSchedule::expand(&spec, 4, &run(300, 100));
-        let on_link2: Vec<_> = sched
-            .due(u64::MAX)
-            .iter()
+        let on_link2: Vec<_> = due(&mut sched, u64::MAX)
+            .into_iter()
             .filter(|e| e.index == 2)
             .collect();
         assert_eq!(on_link2.len(), 1, "only the scripted event on link 2");
@@ -242,6 +253,6 @@ mod tests {
     fn an_empty_spec_expands_to_an_empty_schedule() {
         let mut sched = FaultSchedule::expand(&FaultSpec::default(), 8, &run(100, 10));
         assert!(sched.is_empty());
-        assert!(sched.due(u64::MAX).is_empty());
+        assert!(due(&mut sched, u64::MAX).is_empty());
     }
 }

@@ -5,24 +5,55 @@
 //! [`TopologySpec`] (every node is an independent N×N switch with its own
 //! derived seed), wires the nodes with the directed links the
 //! [`topology::Wiring`] describes, and routes packets host-to-host: the
-//! engine injects packets addressed by *global* host pair, the fabric
-//! rewrites them to node-local `(input, output)` ports at every hop, and
-//! restores the global identity — ports, VOQ sequence number and original
-//! arrival slot — the moment a packet reaches its destination host.  The
-//! existing [`MetricsSink`](crate::metrics::sink::MetricsSink) therefore
-//! measures true end-to-end delay and end-to-end reordering without knowing
-//! fabrics exist.
+//! engine injects packets addressed by *global* host pair, every hop sees a
+//! node-local `(input, output)` cell, and the packet the engine injected —
+//! ports, id, VOQ sequence number and original arrival slot — comes back
+//! out the moment it reaches its destination host.  The existing
+//! [`MetricsSink`](crate::metrics::sink::MetricsSink) therefore measures
+//! true end-to-end delay and end-to-end reordering without knowing fabrics
+//! exist.
+//!
+//! # How the fabric holds a packet
+//!
+//! An injected packet is written once into the fabric's
+//! [`PacketStore`] and taken out once, at its destination host or at its
+//! typed drop; memory follows the packets resident in the fabric, not the
+//! length of the run, and a packet's `id` is payload the fabric never
+//! interprets.  In between only the store's `u32` handle moves:
+//!
+//! * **inside a node** the switch holds a node-local *cell* — a [`Packet`]
+//!   whose `id` is the handle, whose ports, `voq_seq` and `arrival_slot`
+//!   are the hop's own and whose `flow` is the packet's (no scheme reads
+//!   `id`; `tcp-hash` reads `flow`).  Padding a node generates keeps
+//!   `id == u64::MAX` and is never in the store;
+//! * **on a link** the ingress queue and the wire hold bare handles;
+//! * **parked** at its source host (see below) a packet is a handle in its
+//!   pair's queue.
+//!
+//! A `location` tag per handle names the node holding the cell (or none):
+//! [`FabricWorld::enqueue_at`] sets it, dispatch clears it, and a
+//! `node-down` event finds what the node held by one walk over the tags
+//! instead of per-hop bookkeeping.  Links that hold anything sit in one
+//! occupancy set, so the wire-arrival and admission phases visit those and
+//! no others, and running counts of link-resident and store-resident
+//! packets make [`Steppable::counters`] O(nodes) and "the fabric is empty"
+//! O(1).
 //!
 //! # Determinism
 //!
-//! The fabric advances strictly slot by slot in a fixed phase order — fault
-//! events and parked-traffic release (faulted runs only), then link
-//! arrivals (ascending link index), node steps (ascending node index),
-//! link admissions (ascending link index) — and draws randomness from a
-//! single seed-derived RNG in the router plus one derived seed per node.
-//! [`Steppable::advance`] ignores batching internally, so batch size,
-//! per-node thread counts and suite worker counts are pure performance
-//! knobs: the delivered packet stream is byte-identical at any setting.
+//! The fabric advances in a fixed phase order — fault events and
+//! parked-traffic release (faulted runs only), then link arrivals
+//! (ascending link index), node steps (ascending node index), link
+//! admissions (ascending link index) — and draws randomness from a single
+//! seed-derived RNG in the router plus one derived seed per node.  While
+//! anything is resident [`Steppable::advance`] takes those phases strictly
+//! slot by slot however the engine batches; while *nothing* is — no packet
+//! in the store, no cell or padding in any node — no phase can move or
+//! deliver a packet, so the rest of the call collapses to the fault events
+//! at their slots plus one [`Switch::step_batch`] per node (whose contract
+//! is exactly that many single steps).  Batch size, per-node thread counts
+//! and suite worker counts are therefore pure performance knobs: the
+//! delivered packet stream is byte-identical at any setting.
 //!
 //! # Fault injection
 //!
@@ -39,12 +70,17 @@
 //! in-flight packets drain (or the path recovers), so the re-randomized
 //! path can never overtake surviving packets — reconvergence preserves the
 //! fabric's reorder-freedom guarantee.
+//!
+//! Which paths are alive changes only at those events, so failure-aware
+//! routing reads a per-node-pair bitmask from a cache every event
+//! invalidates (see [`routing`]), and a delivery is matched only against
+//! the events still waiting for some pair to deliver again — usually none.
 
 mod faults;
 pub mod routing;
 pub mod topology;
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::mem;
 
 use crate::engine::RunConfig;
@@ -52,26 +88,22 @@ use crate::registry;
 use crate::report::{FaultEventReport, FaultSummary};
 use crate::spec::{FaultKind, FaultSpec, SizingSpec, SpecError, TopologySpec};
 use sprinklers_core::matrix::TrafficMatrix;
+use sprinklers_core::occupancy::OccupancySet;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
+use sprinklers_core::store::{PacketHandle, PacketStore};
 use sprinklers_core::switch::{DeliverySink, Steppable, Switch, SwitchStats};
 
 use faults::{FaultEvent, FaultSchedule};
-use routing::Router;
+use routing::{mask_contains, PathMasks, Router};
 use topology::{PortTarget, Wiring};
 
 /// Multiplier for deriving per-node seeds (the 64-bit golden ratio, the
 /// same mixing constant `SplitMix64` uses).
 const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The engine-visible identity a packet carried when it was injected,
-/// parked here while the packet's header fields are node-local.
-#[derive(Debug, Clone, Copy, Default)]
-struct GlobalIdentity {
-    src: usize,
-    dst: usize,
-    voq_seq: u64,
-    arrival_slot: u64,
-}
+/// `location` tag of a handle whose packet is in no node: on a link,
+/// parked, or not in the fabric at all.
+const NOT_IN_NODE: u32 = u32::MAX;
 
 /// One switch node: the scheme instance plus its node-local VOQ sequence
 /// counters (each hop re-sequences packets in its own arrival order).
@@ -83,16 +115,17 @@ struct Node {
 }
 
 /// One directed inter-switch link: an ingress queue feeding a fixed-latency
-/// wire that admits at most one packet per `gap` slots.
+/// wire that admits at most one packet per `gap` slots.  Both hold store
+/// handles.
 struct Link {
     to_node: usize,
     to_port: usize,
     latency: u64,
     gap: u64,
     /// Packets waiting to be admitted onto the wire.
-    ingress: VecDeque<Packet>,
+    ingress: VecDeque<u32>,
     /// In-flight packets with their arrival slots (non-decreasing order).
-    wire: VecDeque<(u64, Packet)>,
+    wire: VecDeque<(u64, u32)>,
     /// First slot at which the wire accepts the next packet.
     next_free: u64,
 }
@@ -119,29 +152,26 @@ struct FaultState {
     /// Current state per directed link / per node.
     link_up: Vec<bool>,
     node_up: Vec<bool>,
-    /// Per node: data packets currently buffered inside it, per `(src,
-    /// dst)` host pair — the node-down loss accounting
-    /// (`node_pair_count[node][src * hosts + dst]`).
-    node_pair_count: Vec<Vec<u64>>,
+    /// Live-path bitmasks per (source node, destination node), valid until
+    /// the next applied event.
+    masks: PathMasks,
     /// Typed loss counters (see [`FaultSummary`]).
     dropped_link_failure: u64,
     dropped_node_failure: u64,
     dropped_dead_link: u64,
     dropped_dead_node: u64,
-    /// Striped traffic parked at the source host per pair: filled while the
+    /// Striped traffic parked at the source host, by pair: filled while the
     /// pair's current path is dead with packets still in flight, drained —
     /// FIFO, ascending pair order — once the pair drains or the path
-    /// recovers.
-    parked: Vec<VecDeque<Packet>>,
-    /// Pairs with a non-empty parked queue, kept sorted.
-    parked_pairs: Vec<usize>,
+    /// recovers.  Only pairs with something parked have an entry.
+    parked: BTreeMap<usize, VecDeque<u32>>,
     parked_count: u64,
-    /// Reusable scratch: live-path mask, due events, affected pairs.
-    live: Vec<bool>,
-    due: Vec<FaultEvent>,
+    /// Reusable scratch: the pairs an event cost packets.
     affected: Vec<usize>,
     /// One tracker per applied event, in application order.
     trackers: Vec<EventTracker>,
+    /// Indices of the trackers still waiting on some pair, ascending.
+    open: Vec<usize>,
 }
 
 impl FaultState {
@@ -155,17 +185,39 @@ impl FaultState {
     /// A pair delivered a packet at `slot`: strike it from every event
     /// still waiting on it; an event whose last waiting pair resumes marks
     /// its reconvergence slot.
+    // lint: hot-path
+    #[inline]
     fn note_delivery(&mut self, pair: usize, slot: u64) {
-        for tracker in &mut self.trackers {
-            if tracker.reconverged_slot.is_none() {
-                if let Ok(pos) = tracker.waiting.binary_search(&pair) {
-                    tracker.waiting.remove(pos);
-                    if tracker.waiting.is_empty() {
-                        tracker.reconverged_slot = Some(slot);
-                    }
+        if self.open.is_empty() {
+            return;
+        }
+        let trackers = &mut self.trackers;
+        self.open.retain(|&index| {
+            let tracker = &mut trackers[index];
+            if let Ok(pos) = tracker.waiting.binary_search(&pair) {
+                tracker.waiting.remove(pos);
+                if tracker.waiting.is_empty() {
+                    tracker.reconverged_slot = Some(slot);
+                    return false;
                 }
             }
-        }
+            true
+        });
+    }
+
+    /// The live-path mask from host `src` to remote host `dst`.
+    #[inline]
+    fn live_paths(&mut self, wiring: &Wiring, src: usize, dst: usize) -> &[u64] {
+        let FaultState {
+            masks,
+            link_up,
+            node_up,
+            ..
+        } = self;
+        let key = wiring.host_node(src) * wiring.nodes.len() + wiring.host_node(dst);
+        masks.get(key, |choice| {
+            wiring.path_is_live(src, dst, choice, link_up, node_up)
+        })
     }
 }
 
@@ -174,12 +226,19 @@ pub struct FabricWorld {
     wiring: Wiring,
     nodes: Vec<Node>,
     links: Vec<Link>,
+    /// Links with anything in their ingress queue or on their wire.
+    active_links: OccupancySet,
+    /// Packets on links (ingress + wire), all links together.
+    on_links: usize,
     router: Router,
     label: String,
     hosts: usize,
-    /// Global identity of every in-fabric packet, indexed by packet id
-    /// (engine ids are dense, so this is a flat table).
-    meta: Vec<GlobalIdentity>,
+    /// The body of every packet inside the fabric (in a node, on a link or
+    /// parked), as the engine injected it.
+    store: PacketStore,
+    /// Per store handle: the node holding the packet's cell, or
+    /// [`NOT_IN_NODE`].  Always as long as the store's capacity.
+    location: Vec<u32>,
     /// Packets currently inside the fabric per `(src, dst)` host pair
     /// (`src * hosts + dst`) — the striping router's path-change guard.
     in_flight: Vec<u64>,
@@ -215,6 +274,8 @@ impl FabricWorld {
         load: f64,
     ) -> Result<FabricWorld, SpecError> {
         let wiring = Wiring::build(topo);
+        // Node indices share `location`'s u32 with the `NOT_IN_NODE` tag.
+        assert!(wiring.nodes.len() < NOT_IN_NODE as usize);
         let hosts = wiring.hosts.len();
         let link_spec = topo.link();
         let node_load = if load.is_finite() {
@@ -235,7 +296,7 @@ impl FabricWorld {
                 voq_seq: vec![0; n * n],
             });
         }
-        let links = wiring
+        let links: Vec<Link> = wiring
             .links
             .iter()
             .map(|desc| Link {
@@ -261,13 +322,16 @@ impl FabricWorld {
             topo.routing().name()
         );
         Ok(FabricWorld {
+            active_links: OccupancySet::new(links.len()),
+            on_links: 0,
             wiring,
             nodes,
             links,
             router,
             label,
             hosts,
-            meta: Vec::new(),
+            store: PacketStore::new(),
+            location: Vec::new(),
             in_flight: vec![0; hosts * hosts],
             injected: 0,
             delivered: 0,
@@ -286,23 +350,21 @@ impl FabricWorld {
     /// events plus the seeded random generator — so the whole faulted run
     /// is a pure function of the spec.
     pub fn with_faults(mut self, faults: &FaultSpec, run: &RunConfig) -> Self {
-        let pairs = self.hosts * self.hosts;
+        let nodes = self.nodes.len();
         self.faults = Some(FaultState {
             schedule: FaultSchedule::expand(faults, self.links.len(), run),
             link_up: vec![true; self.links.len()],
-            node_up: vec![true; self.nodes.len()],
-            node_pair_count: self.nodes.iter().map(|_| vec![0; pairs]).collect(),
+            node_up: vec![true; nodes],
+            masks: PathMasks::new(nodes * nodes, self.wiring.path_choices()),
             dropped_link_failure: 0,
             dropped_node_failure: 0,
             dropped_dead_link: 0,
             dropped_dead_node: 0,
-            parked: (0..pairs).map(|_| VecDeque::new()).collect(),
-            parked_pairs: Vec::new(),
+            parked: BTreeMap::new(),
             parked_count: 0,
-            live: Vec::new(),
-            due: Vec::new(),
             affected: Vec::new(),
             trackers: Vec::new(),
+            open: Vec::new(),
         });
         self
     }
@@ -330,94 +392,112 @@ impl FabricWorld {
         })
     }
 
-    /// Fill the fault scratch mask with, per path choice, whether the whole
-    /// path from `src` to `dst` is alive beyond the source node.
-    fn fill_live_mask(&mut self, src: usize, dst: usize) {
-        let choices = self.wiring.path_choices();
-        let f = self.faults.as_mut().expect("fault path");
-        let FaultState {
-            live,
-            link_up,
-            node_up,
-            ..
-        } = f;
-        live.clear();
-        for choice in 0..choices {
-            live.push(self.wiring.path_is_live(src, dst, choice, link_up, node_up));
-        }
+    /// Packets the store has room for without growing: its high-water mark
+    /// of resident packets, rounded up to whole pages.  It follows how full
+    /// the fabric has been, never how long it has run.
+    pub fn store_capacity(&self) -> usize {
+        self.store.capacity()
     }
 
-    /// Rewrite `packet` to node-local identity and hand it to `node`'s
-    /// switch: local ports, a fresh node-local VOQ sequence number, and
-    /// cleared single-switch routing fields (each hop stripes afresh).
-    /// The caller has already set `arrival_slot` to the hop-entry slot.
-    fn enqueue_at(&mut self, node_idx: usize, in_port: usize, out_port: usize, mut packet: Packet) {
-        if let Some(f) = &mut self.faults {
-            let m = &self.meta[packet.id as usize];
-            f.node_pair_count[node_idx][m.src * self.hosts + m.dst] += 1;
+    /// Write an injected packet's body into the store — the one write of
+    /// its stay in the fabric — keeping `location` as long as the store.
+    #[inline]
+    fn admit(store: &mut PacketStore, location: &mut Vec<u32>, packet: Packet) -> u32 {
+        let handle = store.insert(packet).raw();
+        if handle as usize >= location.len() {
+            location.resize(store.capacity(), NOT_IN_NODE);
         }
+        handle
+    }
+
+    /// A packet is lost: take its body out of the store and the packet out
+    /// of its pair's in-flight count.  Returns the pair.
+    #[inline]
+    fn lose(store: &mut PacketStore, in_flight: &mut [u64], hosts: usize, handle: u32) -> usize {
+        let body = store.take(PacketHandle::from_raw(handle));
+        let pair = body.input() * hosts + body.output();
+        in_flight[pair] -= 1;
+        pair
+    }
+
+    /// Hand the packet behind `handle` to `node`'s switch as a node-local
+    /// cell: local ports, a fresh node-local VOQ sequence number, zeroed
+    /// single-switch routing fields (each hop stripes afresh), the packet's
+    /// own `flow`, and `slot` — the hop-entry slot — as its arrival slot.
+    // lint: hot-path
+    #[inline]
+    fn enqueue_at(
+        &mut self,
+        node_idx: usize,
+        in_port: usize,
+        out_port: usize,
+        handle: u32,
+        flow: u64,
+        slot: u64,
+    ) {
+        self.location[handle as usize] = node_idx as u32;
         let node = &mut self.nodes[node_idx];
-        packet.set_ports(in_port, out_port);
-        packet.set_intermediate(0);
-        packet.set_stripe_size(0);
-        packet.set_stripe_index(0);
+        let mut cell = Packet::new(in_port, out_port, u64::from(handle), slot).with_flow(flow);
         let seq = &mut node.voq_seq[in_port * node.n + out_port];
-        packet.voq_seq = *seq;
+        cell.voq_seq = *seq;
         *seq += 1;
-        node.switch.arrive(packet);
+        node.switch.arrive(cell);
     }
 
-    /// Route one delivery off a node: out to a host (restoring the global
-    /// identity) or onto the ingress of the next link.
+    /// Route one delivery off a node: out to a host (as the packet the
+    /// engine injected) or onto the ingress of the next link.
+    // lint: hot-path
+    #[inline]
     fn dispatch(
         &mut self,
         node_idx: usize,
-        delivered: DeliveredPacket,
+        mut delivered: DeliveredPacket,
         sink: &mut dyn DeliverySink,
     ) {
-        let out_port = delivered.packet.output();
-        if !delivered.packet.is_padding() {
-            if let Some(f) = &mut self.faults {
-                let m = &self.meta[delivered.packet.id as usize];
-                f.node_pair_count[node_idx][m.src * self.hosts + m.dst] -= 1;
+        let target = self.wiring.nodes[node_idx].ports[delivered.packet.output()];
+        if delivered.packet.is_padding() {
+            // Padding is a node-local artifact (frame fill): the metrics
+            // sink counts it at a host port, and it never crosses a link —
+            // it has no destination.
+            if let PortTarget::Host(_) = target {
+                sink.deliver(delivered);
             }
+            return;
         }
-        match self.wiring.nodes[node_idx].ports[out_port] {
+        let handle = delivered.packet.id as u32;
+        self.location[handle as usize] = NOT_IN_NODE;
+        match target {
             PortTarget::Host(host) => {
-                if delivered.packet.is_padding() {
-                    // Padding is a node-local artifact (frame fill); the
-                    // metrics sink counts it without touching identity.
-                    sink.deliver(delivered);
-                    return;
-                }
-                let mut packet = delivered.packet;
-                let meta = self.meta[packet.id as usize];
-                debug_assert_eq!(host, meta.dst, "packet surfaced at the wrong host");
-                packet.set_ports(meta.src, meta.dst);
-                packet.voq_seq = meta.voq_seq;
-                packet.arrival_slot = meta.arrival_slot;
-                let pair = meta.src * self.hosts + meta.dst;
+                // The body's one read: identity back, the last hop's
+                // routing header kept.
+                let body = self.store.take(PacketHandle::from_raw(handle));
+                debug_assert_eq!(host, body.output(), "packet surfaced at the wrong host");
+                let packet = &mut delivered.packet;
+                packet.id = body.id;
+                packet.set_ports(body.input(), body.output());
+                packet.voq_seq = body.voq_seq;
+                packet.arrival_slot = body.arrival_slot;
+                let pair = body.input() * self.hosts + body.output();
                 self.in_flight[pair] -= 1;
                 self.delivered += 1;
                 if let Some(f) = &mut self.faults {
                     f.note_delivery(pair, delivered.departure_slot);
                 }
-                sink.deliver(DeliveredPacket::new(packet, delivered.departure_slot));
+                sink.deliver(delivered);
             }
             PortTarget::Link(link_idx) => {
-                // Padding never crosses links: it has no destination.
-                if delivered.packet.is_padding() {
-                    return;
+                if let Some(f) = &mut self.faults {
+                    if !f.link_up[link_idx] {
+                        // The node committed this packet to a link that is
+                        // down: a typed loss, not a silent drop.
+                        f.dropped_dead_link += 1;
+                        Self::lose(&mut self.store, &mut self.in_flight, self.hosts, handle);
+                        return;
+                    }
                 }
-                if self.faults.as_ref().is_some_and(|f| !f.link_up[link_idx]) {
-                    // The node committed this packet to a link that is down:
-                    // a typed loss, not a silent drop.
-                    let m = self.meta[delivered.packet.id as usize];
-                    self.in_flight[m.src * self.hosts + m.dst] -= 1;
-                    self.faults.as_mut().expect("fault path").dropped_dead_link += 1;
-                    return;
-                }
-                self.links[link_idx].ingress.push_back(delivered.packet);
+                self.links[link_idx].ingress.push_back(handle);
+                self.active_links.insert(link_idx);
+                self.on_links += 1;
             }
         }
     }
@@ -425,36 +505,49 @@ impl FabricWorld {
     /// One slot of fabric time, in the fixed deterministic phase order:
     /// fault events and parked release (faulted runs only), then wire
     /// arrivals, node steps, wire admissions.
+    // lint: hot-path
     fn step_slot(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
         // Phase 0 (faulted runs only): apply due fault events, then try to
         // release parked pairs whose path drained or recovered.
-        if self.faults.is_some() {
-            self.apply_due_faults(slot);
-            self.release_parked();
-        }
+        self.apply_due_faults(slot);
+        self.release_parked();
         // Phase 1: packets whose wire latency elapsed enter the far node.
-        for link_idx in 0..self.links.len() {
-            while let Some(&(due, _)) = self.links[link_idx].wire.front() {
-                if due > slot {
-                    break;
-                }
-                let (_, mut packet) = self.links[link_idx].wire.pop_front().unwrap();
-                packet.arrival_slot = slot;
+        // A link leaves the active set once this empties it.
+        let mut w = 0;
+        while let Some(wi) = self.active_links.next_occupied_word(w) {
+            let mut bits = self.active_links.word(wi);
+            while bits != 0 {
+                let link_idx = (wi << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 let (to_node, to_port) = {
                     let link = &self.links[link_idx];
                     (link.to_node, link.to_port)
                 };
-                if self.faults.as_ref().is_some_and(|f| !f.node_up[to_node]) {
-                    // The wire delivered into a dead node: typed loss.
-                    let m = self.meta[packet.id as usize];
-                    self.in_flight[m.src * self.hosts + m.dst] -= 1;
-                    self.faults.as_mut().expect("fault path").dropped_dead_node += 1;
-                    continue;
+                while let Some(&(due, handle)) = self.links[link_idx].wire.front() {
+                    if due > slot {
+                        break;
+                    }
+                    self.links[link_idx].wire.pop_front();
+                    self.on_links -= 1;
+                    if let Some(f) = &mut self.faults {
+                        if !f.node_up[to_node] {
+                            // The wire delivered into a dead node: typed loss.
+                            f.dropped_dead_node += 1;
+                            Self::lose(&mut self.store, &mut self.in_flight, self.hosts, handle);
+                            continue;
+                        }
+                    }
+                    let body = self.store.get(PacketHandle::from_raw(handle));
+                    let (dst, flow) = (body.output(), body.flow);
+                    let out = self.wiring.transit_port(to_node, dst);
+                    self.enqueue_at(to_node, to_port, out, handle, flow, slot);
                 }
-                let dst = self.meta[packet.id as usize].dst;
-                let out = self.wiring.transit_port(to_node, dst);
-                self.enqueue_at(to_node, to_port, out, packet);
+                let link = &self.links[link_idx];
+                if link.wire.is_empty() && link.ingress.is_empty() {
+                    self.active_links.remove(link_idx);
+                }
             }
+            w = wi + 1;
         }
         // Phase 2: every node switches one slot; classify its deliveries.
         // Down nodes are skipped entirely: every scheme derives its phase
@@ -473,119 +566,135 @@ impl FabricWorld {
         }
         self.scratch = scratch;
         // Phase 3: links admit at most one queued packet per `gap` slots.
-        // Down links admit nothing (their queues were flushed at the event;
-        // dispatch keeps them empty while down).
-        let link_up = self.faults.as_ref().map(|f| f.link_up.as_slice());
-        for (link_idx, link) in self.links.iter_mut().enumerate() {
-            if link_up.is_some_and(|up| !up[link_idx]) {
-                continue;
-            }
-            if slot >= link.next_free {
-                if let Some(packet) = link.ingress.pop_front() {
-                    link.wire.push_back((slot + link.latency, packet));
-                    link.next_free = slot + link.gap;
+        // A down link is never active: it was flushed at the event and
+        // dispatch keeps it empty while down.
+        let mut w = 0;
+        while let Some(wi) = self.active_links.next_occupied_word(w) {
+            let mut bits = self.active_links.word(wi);
+            while bits != 0 {
+                let link = &mut self.links[(wi << 6) + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                if slot >= link.next_free {
+                    if let Some(handle) = link.ingress.pop_front() {
+                        link.wire.push_back((slot + link.latency, handle));
+                        link.next_free = slot + link.gap;
+                    }
                 }
             }
+            w = wi + 1;
         }
+    }
+
+    /// Slots `first..end` with the fabric idle: only fault events and the
+    /// nodes' own clocks move.  The events apply at their slots (phase 0)
+    /// and every up node takes each event-free stretch as one
+    /// [`Switch::step_batch`] — the same steps a slot-by-slot walk would
+    /// give it, and since no node holds a cell or padding, none of them
+    /// delivers anything whose order across nodes could matter.
+    fn idle_jump(&mut self, first: u64, end: u64) {
+        let mut slot = first;
+        while slot < end {
+            self.apply_due_faults(slot);
+            let faults = self.faults.as_ref();
+            let next_event = faults.and_then(|f| f.schedule.next_slot());
+            let until = next_event.map_or(end, |at| at.min(end));
+            // `advance` counts slots in a u32, so the stretch fits one.
+            let count = (until - slot) as u32;
+            for (node_idx, node) in self.nodes.iter_mut().enumerate() {
+                if faults.is_none_or(|f| f.node_up[node_idx]) {
+                    node.switch.step_batch(slot, count, &mut self.scratch);
+                }
+            }
+            debug_assert!(self.scratch.is_empty(), "an idle node delivered");
+            slot = until;
+        }
+    }
+
+    /// True when no phase of [`FabricWorld::step_slot`] can move or deliver
+    /// anything: the store holds no packet (so no link does and nothing is
+    /// parked) and no up node holds a cell or padding.
+    fn is_idle(&self) -> bool {
+        self.store.live() == 0
+            && self.nodes.iter().enumerate().all(|(node_idx, node)| {
+                // A down node was rebuilt empty and takes no steps.
+                self.faults.as_ref().is_some_and(|f| !f.node_up[node_idx])
+                    || node.switch.stats().total_queued() == 0
+            })
     }
 
     /// Apply every fault event due at `slot` (phase 0a).
     fn apply_due_faults(&mut self, slot: u64) {
-        {
-            let f = self.faults.as_mut().expect("fault path");
-            let FaultState { schedule, due, .. } = f;
-            due.clear();
-            due.extend_from_slice(schedule.due(slot));
-            if due.is_empty() {
-                return;
-            }
+        while let Some(event) = self.faults.as_mut().and_then(|f| f.schedule.pop_due(slot)) {
+            self.apply_fault_event(event);
         }
-        // Steal the buffer so the events can borrow `self` mutably.
-        let events = mem::take(&mut self.faults.as_mut().expect("fault path").due);
-        for event in &events {
-            self.apply_fault_event(*event);
-        }
-        self.faults.as_mut().expect("fault path").due = events;
     }
 
     /// Apply one fault event: flip the link/node state, flush in-flight
     /// packets off the failing element as typed losses, and open a
     /// reconvergence tracker over the pairs that lost packets.
     fn apply_fault_event(&mut self, event: FaultEvent) {
+        let Some(f) = &mut self.faults else { return };
         let hosts = self.hosts;
-        {
-            let f = self.faults.as_mut().expect("fault path");
-            f.affected.clear();
-        }
+        f.masks.invalidate();
+        f.affected.clear();
         let mut dropped = 0u64;
         match event.kind {
             FaultKind::LinkDown => {
-                let f = self.faults.as_mut().expect("fault path");
                 f.link_up[event.index] = false;
                 let link = &mut self.links[event.index];
-                for packet in link
+                let flushed = link.ingress.len() + link.wire.len();
+                for handle in link
                     .ingress
                     .drain(..)
-                    .chain(link.wire.drain(..).map(|(_, p)| p))
+                    .chain(link.wire.drain(..).map(|(_, handle)| handle))
                 {
-                    let m = self.meta[packet.id as usize];
-                    let pair = m.src * hosts + m.dst;
-                    self.in_flight[pair] -= 1;
+                    let pair = Self::lose(&mut self.store, &mut self.in_flight, hosts, handle);
                     f.affected.push(pair);
-                    dropped += 1;
                 }
+                self.on_links -= flushed;
+                self.active_links.remove(event.index);
+                dropped = flushed as u64;
                 f.dropped_link_failure += dropped;
             }
-            FaultKind::LinkUp => {
-                let f = self.faults.as_mut().expect("fault path");
-                f.link_up[event.index] = true;
-            }
+            FaultKind::LinkUp => f.link_up[event.index] = true,
             FaultKind::NodeDown => {
-                {
-                    let f = self.faults.as_mut().expect("fault path");
-                    f.node_up[event.index] = false;
-                    // Everything buffered inside the node is lost; the
-                    // per-node pair counts say exactly what that was.
-                    for (pair, count) in f.node_pair_count[event.index].iter_mut().enumerate() {
-                        if *count > 0 {
-                            self.in_flight[pair] -= *count;
-                            dropped += *count;
-                            f.affected.push(pair);
-                            *count = 0;
-                        }
+                f.node_up[event.index] = false;
+                // Everything buffered inside the node is lost; the location
+                // tags say exactly what that was.
+                let idx = event.index;
+                for (handle, at) in self.location.iter_mut().enumerate() {
+                    if *at == idx as u32 {
+                        *at = NOT_IN_NODE;
+                        let handle = handle as u32;
+                        let pair = Self::lose(&mut self.store, &mut self.in_flight, hosts, handle);
+                        f.affected.push(pair);
+                        dropped += 1;
                     }
-                    f.dropped_node_failure += dropped;
                 }
+                f.dropped_node_failure += dropped;
                 // Rebuild the switch fresh from its derived seed: a
                 // rebooted switch keeps no state.  `node-up` just flips the
                 // flag back; the rebuilt switch has been idle since.
-                let idx = event.index;
-                let n = self.nodes[idx].n;
+                let node = &mut self.nodes[idx];
                 let node_seed = self
                     .seed
                     .wrapping_add(SEED_MIX.wrapping_mul(idx as u64 + 1));
-                let matrix = TrafficMatrix::uniform(n, self.node_load);
-                let mut switch =
-                    registry::build_named(&self.scheme, n, &self.sizing, &matrix, node_seed)
+                let matrix = TrafficMatrix::uniform(node.n, self.node_load);
+                node.switch =
+                    registry::build_named(&self.scheme, node.n, &self.sizing, &matrix, node_seed)
                         .expect("node scheme built once at construction");
-                switch.set_threads(self.threads);
-                self.nodes[idx].switch = switch;
-                self.nodes[idx].voq_seq.fill(0);
+                node.switch.set_threads(self.threads);
+                node.voq_seq.fill(0);
             }
-            FaultKind::NodeUp => {
-                let f = self.faults.as_mut().expect("fault path");
-                f.node_up[event.index] = true;
-            }
+            FaultKind::NodeUp => f.node_up[event.index] = true,
         }
-        let f = self.faults.as_mut().expect("fault path");
         f.affected.sort_unstable();
         f.affected.dedup();
         // Events that cost nothing reconverge trivially at their own slot.
-        let reconverged = if f.affected.is_empty() {
-            Some(event.slot)
-        } else {
-            None
-        };
+        let reconverged_slot = f.affected.is_empty().then_some(event.slot);
+        if reconverged_slot.is_none() {
+            f.open.push(f.trackers.len());
+        }
         f.trackers.push(EventTracker {
             slot: event.slot,
             kind: event.kind,
@@ -593,7 +702,7 @@ impl FabricWorld {
             dropped,
             waiting: f.affected.clone(),
             affected_pairs: f.affected.len(),
-            reconverged_slot: reconverged,
+            reconverged_slot,
         });
     }
 
@@ -601,58 +710,52 @@ impl FabricWorld {
     /// now move (nothing in flight, or the old path recovered), in
     /// ascending pair order.
     fn release_parked(&mut self) {
-        if self
-            .faults
-            .as_ref()
-            .expect("fault path")
-            .parked_pairs
-            .is_empty()
-        {
+        // Lend the fault state out for the walk, so a release can borrow
+        // the rest of the world.
+        let Some(mut f) = self.faults.take_if(|f| !f.parked.is_empty()) else {
             return;
-        }
-        let mut pairs = mem::take(&mut self.faults.as_mut().expect("fault path").parked_pairs);
-        pairs.retain(|&pair| !self.try_release_pair(pair));
-        self.faults.as_mut().expect("fault path").parked_pairs = pairs;
+        };
+        let mut parked = mem::take(&mut f.parked);
+        parked.retain(|&pair, queue| !self.try_release_pair(&mut f, pair, queue));
+        f.parked = parked;
+        self.faults = Some(f);
     }
 
     /// Try to drain one pair's parked queue.  Returns `true` when the queue
     /// emptied (the pair leaves the parked set).
-    fn try_release_pair(&mut self, pair: usize) -> bool {
+    fn try_release_pair(
+        &mut self,
+        f: &mut FaultState,
+        pair: usize,
+        queue: &mut VecDeque<u32>,
+    ) -> bool {
         let (src, dst) = (pair / self.hosts, pair % self.hosts);
-        let current = self
+        // Parking is stripe-only, so the pair has a current path.
+        let path_dead = self
             .router
             .current_choice(src, dst)
-            .expect("parking is stripe-only");
-        {
-            let f = self.faults.as_ref().expect("fault path");
-            let live_now = self
-                .wiring
-                .path_is_live(src, dst, current, &f.link_up, &f.node_up);
-            if self.in_flight[pair] > 0 && !live_now {
-                return false; // still draining onto a dead path
-            }
+            .is_some_and(|current| !mask_contains(f.live_paths(&self.wiring, src, dst), current));
+        if self.in_flight[pair] > 0 && path_dead {
+            return false; // still draining onto a dead path
         }
-        loop {
-            let f = self.faults.as_mut().expect("fault path");
-            let Some(packet) = f.parked[pair].pop_front() else {
-                break;
-            };
+        let (src_node, in_port) = self.wiring.hosts[src];
+        while let Some(handle) = queue.pop_front() {
             f.parked_count -= 1;
-            let (src_node, in_port) = self.wiring.hosts[src];
             if !f.node_up[src_node] {
                 // The source node died while the packet was parked.
+                self.store.take(PacketHandle::from_raw(handle));
                 f.dropped_dead_node += 1;
                 continue;
             }
-            self.fill_live_mask(src, dst);
-            let mask = mem::take(&mut self.faults.as_mut().expect("fault path").live);
+            let mask = f.live_paths(&self.wiring, src, dst);
             let choice = self
                 .router
-                .choose(src, dst, self.in_flight[pair], Some(&mask));
-            self.faults.as_mut().expect("fault path").live = mask;
+                .choose(src, dst, self.in_flight[pair], Some(mask));
             let out = self.wiring.first_hop_port(src, dst, choice);
             self.in_flight[pair] += 1;
-            self.enqueue_at(src_node, in_port, out, packet);
+            let body = self.store.get(PacketHandle::from_raw(handle));
+            let (flow, arrival_slot) = (body.flow, body.arrival_slot);
+            self.enqueue_at(src_node, in_port, out, handle, flow, arrival_slot);
         }
         true
     }
@@ -667,23 +770,14 @@ impl Steppable for FabricWorld {
         self.label.clone()
     }
 
+    // lint: hot-path
     fn inject(&mut self, packet: Packet) {
         let src = packet.input();
         let dst = packet.output();
-        // Park the engine-visible identity; header fields go node-local
-        // until the packet surfaces at its destination host.
-        let id = packet.id as usize;
-        if id >= self.meta.len() {
-            self.meta.resize(id + 1, GlobalIdentity::default());
-        }
-        self.meta[id] = GlobalIdentity {
-            src,
-            dst,
-            voq_seq: packet.voq_seq,
-            arrival_slot: packet.arrival_slot,
-        };
         self.injected += 1;
         let (src_node, in_port) = self.wiring.hosts[src];
+        let pair = src * self.hosts + dst;
+        let in_flight = self.in_flight[pair];
         if let Some(f) = &mut self.faults {
             if !f.node_up[src_node] {
                 // Injection at a dead source node: the host's NIC has
@@ -692,55 +786,50 @@ impl Steppable for FabricWorld {
                 return;
             }
         }
-        let dst_node = self.wiring.host_node(dst);
-        let pair = src * self.hosts + dst;
-        let out = if src_node == dst_node {
+        let out = if src_node == self.wiring.host_node(dst) {
             // Same-node traffic never leaves the switch: no path choice.
             self.wiring.transit_port(src_node, dst)
-        } else if self.faults.is_some() {
-            // Striped pairs whose current path died must not re-randomize
-            // while packets are in flight: park the packet at the source
-            // host until the pair drains or the path recovers.  A non-empty
-            // parked queue parks unconditionally (FIFO order).
-            if let Some(current) = self.router.current_choice(src, dst) {
-                let in_flight = self.in_flight[pair];
-                let f = self.faults.as_ref().expect("fault path");
-                let must_park = !f.parked[pair].is_empty()
-                    || (in_flight > 0
-                        && !self
-                            .wiring
-                            .path_is_live(src, dst, current, &f.link_up, &f.node_up));
-                if must_park {
-                    let f = self.faults.as_mut().expect("fault path");
-                    if f.parked[pair].is_empty() {
-                        let pos = f.parked_pairs.binary_search(&pair).unwrap_err();
-                        f.parked_pairs.insert(pos, pair);
-                    }
-                    f.parked[pair].push_back(packet);
+        } else {
+            let mut live = None;
+            if let Some(f) = &mut self.faults {
+                // Striped pairs whose current path died must not
+                // re-randomize while packets are in flight: park the packet
+                // at the source host until the pair drains or the path
+                // recovers.  A non-empty parked queue parks unconditionally
+                // (FIFO order).
+                let queued = f.parked.contains_key(&pair);
+                let mask = f.live_paths(&self.wiring, src, dst);
+                let path_dead = self
+                    .router
+                    .current_choice(src, dst)
+                    .is_some_and(|current| !mask_contains(mask, current));
+                if queued || (in_flight > 0 && path_dead) {
+                    let handle = Self::admit(&mut self.store, &mut self.location, packet);
+                    f.parked.entry(pair).or_default().push_back(handle);
                     f.parked_count += 1;
                     return;
                 }
+                live = Some(mask);
             }
-            self.fill_live_mask(src, dst);
-            let mask = mem::take(&mut self.faults.as_mut().expect("fault path").live);
-            let choice = self
-                .router
-                .choose(src, dst, self.in_flight[pair], Some(&mask));
-            self.faults.as_mut().expect("fault path").live = mask;
-            self.wiring.first_hop_port(src, dst, choice)
-        } else {
-            let choice = self.router.choose(src, dst, self.in_flight[pair], None);
+            let choice = self.router.choose(src, dst, in_flight, live);
             self.wiring.first_hop_port(src, dst, choice)
         };
         self.in_flight[pair] += 1;
-        self.enqueue_at(src_node, in_port, out, packet);
+        let (flow, slot) = (packet.flow, packet.arrival_slot);
+        let handle = Self::admit(&mut self.store, &mut self.location, packet);
+        self.enqueue_at(src_node, in_port, out, handle, flow, slot);
     }
 
     fn advance(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        // Strictly slot at a time: fabric determinism does not depend on
-        // how the engine batches (each node's own empty-slot path is cheap).
-        for k in 0..u64::from(count) {
-            self.step_slot(first_slot + k, sink);
+        let end = first_slot + u64::from(count);
+        let mut slot = first_slot;
+        while slot < end {
+            if self.is_idle() {
+                self.idle_jump(slot, end);
+                return;
+            }
+            self.step_slot(slot, sink);
+            slot += 1;
         }
     }
 
@@ -755,6 +844,7 @@ impl Steppable for FabricWorld {
         let mut stats = SwitchStats {
             total_arrivals: self.injected,
             total_departures: self.delivered,
+            queued_at_intermediates: self.on_links,
             ..SwitchStats::default()
         };
         for node in &self.nodes {
@@ -762,9 +852,6 @@ impl Steppable for FabricWorld {
             stats.queued_at_inputs += s.queued_at_inputs;
             stats.queued_at_intermediates += s.queued_at_intermediates;
             stats.queued_at_outputs += s.queued_at_outputs;
-        }
-        for link in &self.links {
-            stats.queued_at_intermediates += link.ingress.len() + link.wire.len();
         }
         if let Some(f) = &self.faults {
             stats.total_dropped = f.total_dropped();
@@ -795,8 +882,50 @@ mod tests {
         let mut out = Vec::new();
         for slot in slots {
             world.step_slot(slot, &mut out);
+            assert_consistent(world);
         }
         out
+    }
+
+    /// Per-slot bookkeeping canary: the store holds exactly the in-flight
+    /// and parked packets, each of them is in one place — a node (by its
+    /// location tag), a link or a parked queue — and the running link
+    /// counters agree with the queues.  These tests run `oq` nodes, which
+    /// never pad, so a node's own occupancy is its tagged packets.
+    fn assert_consistent(world: &FabricWorld) {
+        let in_flight: u64 = world.in_flight.iter().sum();
+        let parked = world.faults.as_ref().map_or(0, |f| f.parked_count);
+        assert_eq!(world.store.live() as u64, in_flight + parked);
+        assert_eq!(world.location.len(), world.store.capacity());
+
+        let mut on_links = 0;
+        for (link_idx, link) in world.links.iter().enumerate() {
+            let held = link.ingress.len() + link.wire.len();
+            assert_eq!(world.active_links.contains(link_idx), held > 0);
+            on_links += held;
+        }
+        assert_eq!(world.on_links, on_links);
+        let mut in_nodes = 0;
+        for (node_idx, node) in world.nodes.iter().enumerate() {
+            let tagged = world
+                .location
+                .iter()
+                .filter(|&&at| at == node_idx as u32)
+                .count();
+            assert_eq!(node.switch.stats().total_queued(), tagged);
+            in_nodes += tagged;
+        }
+        assert_eq!((in_nodes + on_links) as u64, in_flight);
+        assert_eq!(world.is_idle(), world.store.live() == 0);
+        if let Some(f) = &world.faults {
+            assert!(f.parked.values().all(|queue| !queue.is_empty()));
+            let queued: usize = f.parked.values().map(VecDeque::len).sum();
+            assert_eq!(queued as u64, f.parked_count);
+            let open: Vec<usize> = (0..f.trackers.len())
+                .filter(|&t| f.trackers[t].reconverged_slot.is_none())
+                .collect();
+            assert_eq!(f.open, open);
+        }
     }
 
     #[test]
@@ -849,6 +978,7 @@ mod tests {
             }
             let mut out = Vec::new();
             world.step_slot(slot, &mut out);
+            assert_consistent(&world);
         }
         // Drain well past the last injection; every packet must surface.
         drive(&mut world, 32..2_000);
@@ -881,8 +1011,10 @@ mod tests {
     }
 
     /// Per-slot conservation canary: every injected packet is delivered,
-    /// dropped (typed), in flight, or parked — at every single slot.
+    /// dropped (typed), in flight, or parked — at every single slot — and
+    /// the store holds exactly the last two.
     fn assert_conserved(world: &FabricWorld) {
+        assert_consistent(world);
         let f = world.faults.as_ref().expect("faulted world");
         let in_flight: u64 = world.in_flight.iter().sum();
         assert_eq!(
@@ -949,6 +1081,111 @@ mod tests {
         let f = world.faults.as_ref().unwrap();
         assert_eq!(f.dropped_dead_node, 1);
         assert_conserved(&world);
+    }
+
+    #[test]
+    fn a_node_down_loses_what_the_node_holds_not_what_already_left_it() {
+        let topo = fat_tree(RoutingSpec::EcmpHash, 4);
+        let mut world = faulted_world(&topo, vec![event(2, FaultKind::NodeDown, 0)], 7);
+        // Remote packets leave edge 0 from slot 1 on and ride its uplinks
+        // (4 slots to the cores); two more packets enter the node at slot 1
+        // and are still buffered when it dies at slot 2.
+        world.inject(Packet::new(0, 6, 0, 0));
+        world.inject(Packet::new(1, 5, 1, 0));
+        drive(&mut world, 0..1);
+        world.inject(Packet::new(2, 7, 2, 1));
+        world.inject(Packet::new(3, 1, 3, 1));
+        drive(&mut world, 1..2);
+        let left = world.on_links;
+        let held = world.nodes[0].switch.stats().total_queued();
+        assert!(left >= 1, "a packet is already on an uplink");
+        assert!(held >= 2, "the slot-1 arrivals are still inside");
+        assert_eq!(left + held, 4);
+
+        let out = drive(&mut world, 2..32);
+        assert_eq!(out.len(), left, "what had left the node lands");
+        assert!(out
+            .iter()
+            .all(|d| d.packet.id < 2 && d.packet.output() >= 4));
+        let f = world.faults.as_ref().unwrap();
+        assert_eq!(f.dropped_node_failure, held as u64, "what it held is lost");
+        assert_eq!(f.total_dropped(), held as u64);
+        let report = world.fault_summary().unwrap().events[0];
+        assert_eq!((report.dropped, report.affected_pairs), (held as u64, held));
+        assert_eq!(
+            report.reconverged_slot, None,
+            "the losing pairs' hosts hang off the dead node"
+        );
+        assert!(world.in_flight.iter().all(|&f| f == 0));
+        assert_conserved(&world);
+    }
+
+    #[test]
+    fn packet_ids_are_payload_not_indices() {
+        // Ids are whatever the caller says — sparse, huge, unordered; the
+        // fabric must neither size anything by them nor confuse them with
+        // its own handles.  Each packet comes back as it went in.
+        let topo = fat_tree(RoutingSpec::Stripe, 2);
+        let mut world = faulted_world(&topo, vec![event(1, FaultKind::LinkDown, 1)], 7);
+        let ids = [0, 1 << 40, u64::MAX - 1];
+        for (k, &id) in ids.iter().enumerate() {
+            let mut p = Packet::new(k, 7 - k, id, 0).with_flow(1_000 + id % 7);
+            p.voq_seq = 50 + k as u64;
+            world.inject(p);
+        }
+        let out = drive(&mut world, 0..64);
+        assert_eq!(out.len() + world.counters().total_dropped as usize, 3);
+        assert!(!out.is_empty());
+        for d in &out {
+            let k = ids.iter().position(|&id| id == d.packet.id).unwrap();
+            assert_eq!((d.packet.input(), d.packet.output()), (k, 7 - k));
+            assert_eq!(d.packet.voq_seq, 50 + k as u64);
+            assert_eq!(d.packet.flow, 1_000 + ids[k] % 7);
+            assert_eq!(d.packet.arrival_slot, 0);
+        }
+        assert_eq!(world.store.capacity(), sprinklers_core::store::PAGE_SLOTS);
+        assert_conserved(&world);
+    }
+
+    #[test]
+    fn an_idle_fabric_jumps_between_fault_events_and_stays_in_step() {
+        // One world takes the quiet stretch in a single `advance`, its twin
+        // slot by slot; a node and a link fail and recover while nothing is
+        // resident.  Both must then carry the same traffic the same way.
+        let topo = fat_tree(RoutingSpec::Stripe, 2);
+        let events = || {
+            vec![
+                event(100, FaultKind::NodeDown, 2),
+                event(150, FaultKind::LinkDown, 3),
+                event(300, FaultKind::NodeUp, 2),
+                event(1_200, FaultKind::LinkDown, 0),
+            ]
+        };
+        let mut jumped = faulted_world(&topo, events(), 5);
+        let mut stepped = faulted_world(&topo, events(), 5);
+        let burst = |world: &mut FabricWorld, slot: u64| {
+            for src in 0..8usize {
+                let mut p = Packet::new(src, (src + 4) % 8, slot * 8 + src as u64, slot);
+                p.voq_seq = slot;
+                world.inject(p);
+            }
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for start in [0u64, 1_000] {
+            burst(&mut jumped, start);
+            burst(&mut stepped, start);
+            jumped.advance(start, 1_000, &mut a);
+            for slot in start..start + 1_000 {
+                stepped.advance(slot, 1, &mut b);
+            }
+            assert_consistent(&jumped);
+            assert_eq!(a, b);
+            assert_eq!(jumped.fault_summary(), stepped.fault_summary());
+            assert_eq!(jumped.counters(), stepped.counters());
+        }
+        assert!(jumped.is_idle());
+        assert_eq!(jumped.fault_summary().unwrap().events.len(), 4);
+        assert_eq!(a.len() as u64 + jumped.counters().total_dropped, 16);
     }
 
     #[test]
@@ -1020,7 +1257,7 @@ mod tests {
         world.inject(Packet::new(0, 6, 1, 3));
         let f = world.faults.as_ref().unwrap();
         assert_eq!(f.parked_count, 1, "injection parked behind the survivor");
-        assert_eq!(f.parked_pairs, vec![6]);
+        assert_eq!(f.parked.keys().copied().collect::<Vec<_>>(), vec![6]);
         assert_conserved(&world);
         // The survivor eventually hits the dead downlink and becomes a
         // typed loss; the pair drains, the parked packet releases onto the
@@ -1031,7 +1268,7 @@ mod tests {
         let f = world.faults.as_ref().unwrap();
         assert_eq!(f.dropped_dead_link, 1, "survivor died at the dead hop");
         assert_eq!(f.parked_count, 0);
-        assert!(f.parked_pairs.is_empty());
+        assert!(f.parked.is_empty());
         assert_eq!(
             world.router.current_choice(0, 6),
             Some(1 - current),

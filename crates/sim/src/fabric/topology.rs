@@ -300,31 +300,21 @@ impl Wiring {
     /// the host port when `dst` attaches here, else the (deterministic)
     /// next hop toward `dst`'s node.
     pub fn transit_port(&self, node: usize, dst: usize) -> usize {
+        // The attachment table, not `dst / hosts_per_node`: this runs once
+        // per packet per hop.
+        let (dst_node, dst_port) = self.hosts[dst];
+        if node == dst_node {
+            return dst_port;
+        }
         match self.shape {
-            Shape::FatTree2 {
-                edges,
-                hosts_per_edge,
-                ..
-            } => {
-                let dst_edge = dst / hosts_per_edge;
-                if node < edges {
-                    debug_assert_eq!(node, dst_edge, "edge transit must be at dst's edge");
-                    dst % hosts_per_edge
-                } else {
-                    // Core switch: one port per edge, indexed by edge.
-                    dst_edge
-                }
+            Shape::FatTree2 { edges, .. } => {
+                debug_assert!(node >= edges, "edge transit must be at dst's edge");
+                // Core switch: one port per edge, indexed by edge.
+                dst_node
             }
             Shape::Butterfly {
                 hosts_per_switch, ..
-            } => {
-                let dst_switch = dst / hosts_per_switch;
-                if node == dst_switch {
-                    dst % hosts_per_switch
-                } else {
-                    Self::peer_port(hosts_per_switch, node, dst_switch)
-                }
-            }
+            } => Self::peer_port(hosts_per_switch, node, dst_node),
         }
     }
 }

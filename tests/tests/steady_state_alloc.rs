@@ -16,6 +16,12 @@
 //! every VOQ's first delivery (the one that used to insert two B-tree nodes
 //! into the reordering detector) falls inside the measurement.
 //!
+//! Part 3 does the same for a whole faulted fabric — generator →
+//! `FabricWorld` → `MetricsSink` — over a stretch in which no fault event is
+//! due, and then checks the other half of "bounded memory": however long the
+//! run and however many packets the faults cost, the fabric's packet store is
+//! no larger at the end than after the first tenth.
+//!
 //! This file deliberately contains a single `#[test]`: the allocation
 //! counter is process-global, so a second concurrently-running test would
 //! pollute the measurement.
@@ -24,10 +30,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::switch::{CountingSink, DeliverySink, Switch};
+use sprinklers_core::store::PAGE_SLOTS;
+use sprinklers_core::switch::{CountingSink, DeliverySink, Steppable, Switch};
+use sprinklers_sim::engine::RunConfig;
+use sprinklers_sim::fabric::FabricWorld;
 use sprinklers_sim::metrics::sink::MetricsSink;
 use sprinklers_sim::registry;
-use sprinklers_sim::spec::SizingSpec;
+use sprinklers_sim::spec::{
+    FaultEventSpec, FaultKind, FaultSpec, LinkSpec, RoutingSpec, SizingSpec, TopologySpec,
+};
 use sprinklers_sim::traffic::bernoulli::BernoulliTraffic;
 use sprinklers_sim::traffic::TrafficGenerator;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -179,6 +190,130 @@ impl DeliverySink for FirstDeliveries {
     }
 }
 
+/// Part 3's fabric: 2 edges × 2 cores × 4 hosts with striped routing, so a
+/// failed link parks traffic, and a fault schedule that never rests — a link
+/// fails for 50 slots in every 100, the links taking turns, and a core is
+/// down for 300 slots in every 1 000 — except over `quiet`, which it leaves
+/// event-free with every link and node up.
+fn soak_fabric(slots: u64, quiet: std::ops::Range<u64>) -> FabricWorld {
+    let topo = TopologySpec::FatTree2 {
+        edges: 2,
+        cores: 2,
+        hosts_per_edge: 4,
+        routing: RoutingSpec::Stripe,
+        link: LinkSpec { latency: 2, gap: 1 },
+    };
+    let run = RunConfig {
+        slots,
+        warmup_slots: 0,
+        drain_slots: 0,
+    };
+    let mut events = Vec::new();
+    let mut fail = |kinds: (FaultKind, FaultKind), index: usize, down: u64, up: u64| {
+        if up < slots && !(down < quiet.end && up >= quiet.start) {
+            let event = |slot, kind| FaultEventSpec { slot, kind, index };
+            events.extend([event(down, kinds.0), event(up, kinds.1)]);
+        }
+    };
+    for k in 0..slots / 100 {
+        let link = (k % topo.link_count() as u64) as usize;
+        let kinds = (FaultKind::LinkDown, FaultKind::LinkUp);
+        fail(kinds, link, 100 * k + 10, 100 * k + 60);
+    }
+    for k in 0..slots / 1_000 {
+        let core = 2 + (k % 2) as usize;
+        let kinds = (FaultKind::NodeDown, FaultKind::NodeUp);
+        fail(kinds, core, 1_000 * k + 500, 1_000 * k + 800);
+    }
+    let faults = FaultSpec {
+        events,
+        random: None,
+    };
+    faults.validate(&topo, &run).unwrap();
+    FabricWorld::build(&topo, "oq", &SizingSpec::Matrix, 7, 0.5)
+        .unwrap()
+        .with_faults(&faults, &run)
+}
+
+/// Part 3's driver: the engine's inner loop around a fabric.
+fn drive_fabric(
+    world: &mut FabricWorld,
+    traffic: &mut BernoulliTraffic,
+    arrivals: &mut Vec<Packet>,
+    sink: &mut MetricsSink,
+    voq_seq: &mut [u64],
+    slots: std::ops::Range<u64>,
+) {
+    let hosts = world.ports();
+    for slot in slots {
+        arrivals.clear();
+        traffic.arrivals_into(slot, arrivals);
+        for mut p in arrivals.drain(..) {
+            let key = p.input() * hosts + p.output();
+            p.voq_seq = voq_seq[key];
+            voq_seq[key] += 1;
+            world.inject(p);
+        }
+        world.advance(slot, 1, sink);
+    }
+}
+
+/// Part 3: a faulted fabric allocates nothing while no event is due, and its
+/// store stops growing once it has seen the fabric at its fullest.
+fn fabric_is_allocation_free_between_faults_and_bounded_over_a_long_run() {
+    const SLOTS: u64 = 60_000;
+    let tenth = SLOTS / 10;
+    let quiet = tenth..tenth + 4_096;
+    let mut world = soak_fabric(SLOTS, quiet.clone());
+    let mut traffic = BernoulliTraffic::uniform(8, 0.5, 2014);
+    let mut arrivals = Vec::with_capacity(8);
+    let mut sink = MetricsSink::new(0, 8);
+    let mut voq_seq = vec![0u64; 64];
+    let mut drive = |world: &mut FabricWorld, slots| {
+        drive_fabric(
+            world,
+            &mut traffic,
+            &mut arrivals,
+            &mut sink,
+            &mut voq_seq,
+            slots,
+        );
+    };
+
+    drive(&mut world, 0..quiet.start);
+    let events_before = world.fault_summary().unwrap().events.len();
+    assert!(events_before > 100, "the warm-up is a faulted run");
+    let capacity = world.store_capacity();
+    assert_eq!(capacity, PAGE_SLOTS);
+
+    let before = allocations();
+    drive(&mut world, quiet.clone());
+    let new = allocations() - before;
+    assert_eq!(
+        new, 0,
+        "generator + faulted fabric + MetricsSink allocated {new} time(s) \
+         over 4096 slots with no fault event due"
+    );
+    let summary = world.fault_summary().unwrap();
+    assert_eq!(summary.events.len(), events_before, "the stretch was quiet");
+
+    drive(&mut world, quiet.end..SLOTS);
+    let summary = world.fault_summary().unwrap();
+    assert!(summary.events.len() > 10 * events_before / 2);
+    assert!(
+        summary.total_dropped() > 2 * PAGE_SLOTS as u64,
+        "one leaked slot per lost packet would have outgrown the first page"
+    );
+    assert_eq!(
+        world.store_capacity(),
+        capacity,
+        "the store grew after the first tenth of the run"
+    );
+    let stats = world.counters();
+    assert!(stats.total_departures > 9 * stats.total_arrivals / 10);
+    assert_eq!(sink.delivered_packets(), stats.total_departures);
+}
+
 #[test]
 fn hot_paths_do_not_allocate_in_steady_state() {
     // Every scheme must be allocation-free on the full arrive + step cycle.
@@ -299,4 +434,6 @@ fn hot_paths_do_not_allocate_in_steady_state() {
         );
         assert!(sink.metrics.delivered_packets() > 4_096);
     }
+
+    fabric_is_allocation_free_between_faults_and_bounded_over_a_long_run();
 }
