@@ -17,6 +17,11 @@
 //!
 //! `insert` and `take` happen only in serial code; the sharded fabric phases
 //! see `&PacketStore`.
+//!
+//! The multi-switch fabric in `sprinklers-sim` keeps one store of its own for
+//! the whole network by the same rule — a packet is written at injection and
+//! read at its destination host — and moves [`PacketHandle::raw`] numbers
+//! between nodes and links.
 
 use crate::packet::Packet;
 
