@@ -10,148 +10,53 @@
 //! different queueing delays, so departures can be badly out of order.  The
 //! paper uses it as the delay lower bound in Figures 6 and 7.
 
-use crate::fabric::{first_fabric_at, second_fabric_output_at};
-use crate::intermediate::SimpleIntermediate;
-use sprinklers_core::occupancy::OccupancySet;
-use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::switch::{step_batch_rotating, DeliverySink, Switch, SwitchStats};
+use crate::two_stage::{InputPolicy, Served, TwoStage};
+use sprinklers_core::packet::Packet;
 use std::collections::VecDeque;
 
 /// The baseline (unordered) load-balanced switch.
-pub struct BaselineLbSwitch {
-    n: usize,
+pub type BaselineLbSwitch = TwoStage<BaselineLb>;
+
+/// Baseline LB's input stage: one FIFO per input, head of line to whichever
+/// intermediate port is connected.
+pub struct BaselineLb {
     inputs: Vec<VecDeque<Packet>>,
-    intermediates: Vec<SimpleIntermediate>,
-    /// Inputs with a buffered packet / intermediates with any queued packet —
-    /// the only ports a step has to visit.
-    occupied_inputs: OccupancySet,
-    occupied_intermediates: OccupancySet,
-    /// Running totals so `stats()` is O(1) at every sampling boundary.
-    queued_inputs: usize,
-    queued_intermediates: usize,
-    arrivals: u64,
-    departures: u64,
 }
 
 impl BaselineLbSwitch {
     /// Create an `n`-port baseline load-balanced switch.  The input FIFOs
     /// are pre-sized so a lightly loaded warm-up never reallocates.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "a switch needs at least two ports");
-        sprinklers_core::packet::assert_ports_fit(n);
-        BaselineLbSwitch {
-            n,
-            inputs: (0..n)
-                .map(|_| VecDeque::with_capacity((2 * n).min(64)))
-                .collect(),
-            intermediates: (0..n).map(|l| SimpleIntermediate::new(l, n)).collect(),
-            occupied_inputs: OccupancySet::new(n),
-            occupied_intermediates: OccupancySet::new(n),
-            queued_inputs: 0,
-            queued_intermediates: 0,
-            arrivals: 0,
-            departures: 0,
-        }
-    }
-
-    /// Advance one slot whose fabric phase `t == slot mod N` is already
-    /// reduced (shared by `step` and the phase-rotating `step_batch`).
-    /// Both passes walk the occupancy bitsets in ascending port order, which
-    /// skips exactly the ports the dense loops probed to no effect.
-    // lint: hot-path
-    fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
-        // Second fabric first (store-and-forward).
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_intermediates.next_occupied_word(w) {
-            let mut bits = self.occupied_intermediates.word(wi);
-            while bits != 0 {
-                let l = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let output = second_fabric_output_at(l, t, self.n);
-                if let Some(packet) = self.intermediates[l].dequeue(output) {
-                    if self.intermediates[l].queued_packets() == 0 {
-                        self.occupied_intermediates.remove(l);
-                    }
-                    self.queued_intermediates -= 1;
-                    self.departures += 1;
-                    sink.deliver(DeliveredPacket::new(packet, slot));
-                }
-            }
-            w = wi + 1;
-        }
-        // First fabric: every backlogged input forwards its head-of-line
-        // packet to the intermediate port it is connected to in this slot.
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_inputs.next_occupied_word(w) {
-            let mut bits = self.occupied_inputs.word(wi);
-            while bits != 0 {
-                let i = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                // The occupancy bit guarantees a head-of-line packet; an
-                // empty queue here would be a bookkeeping bug, and skipping
-                // the port is the benign response.
-                let Some(mut packet) = self.inputs[i].pop_front() else {
-                    continue;
-                };
-                if self.inputs[i].is_empty() {
-                    self.occupied_inputs.remove(i);
-                }
-                let l = first_fabric_at(i, t, self.n);
-                packet.set_intermediate(l);
-                packet.set_stripe_size(1);
-                self.queued_inputs -= 1;
-                self.queued_intermediates += 1;
-                self.occupied_intermediates.insert(l);
-                self.intermediates[l].receive(packet);
-            }
-            w = wi + 1;
-        }
+        let inputs = (0..n)
+            .map(|_| VecDeque::with_capacity((2 * n).min(64)))
+            .collect();
+        TwoStage::with_policy(n, BaselineLb { inputs })
     }
 }
 
-impl Switch for BaselineLbSwitch {
-    fn n(&self) -> usize {
-        self.n
-    }
+impl InputPolicy for BaselineLb {
+    const NAME: &'static str = "baseline-lb";
 
-    fn name(&self) -> &'static str {
-        "baseline-lb"
-    }
-
-    fn arrive(&mut self, packet: Packet) {
-        debug_assert!(packet.input() < self.n && packet.output() < self.n);
-        self.arrivals += 1;
-        self.queued_inputs += 1;
-        self.occupied_inputs.insert(packet.input());
+    // lint: hot-path
+    #[inline]
+    fn arrive(&mut self, packet: Packet) -> bool {
         self.inputs[packet.input()].push_back(packet);
+        true
     }
 
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        let t = (slot % self.n as u64) as usize;
-        self.step_at(slot, t, sink);
-    }
-
-    fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        step_batch_rotating(self.n, first_slot, count, |slot, t| {
-            // An empty switch — the degenerate case of the per-port
-            // occupancy check — is a no-op to step; elide the rest of the
-            // batch.
-            if self.occupied_inputs.is_empty() && self.occupied_intermediates.is_empty() {
-                return false;
-            }
-            self.step_at(slot, t, sink);
-            true
-        });
-    }
-
-    fn stats(&self) -> SwitchStats {
-        SwitchStats {
-            queued_at_inputs: self.queued_inputs,
-            queued_at_intermediates: self.queued_intermediates,
-            queued_at_outputs: 0,
-            total_arrivals: self.arrivals,
-            total_departures: self.departures,
-            total_dropped: 0,
+    // lint: hot-path
+    #[inline]
+    fn serve(&mut self, input: usize, connected: usize, _slot: u64) -> Served {
+        let queue = &mut self.inputs[input];
+        let mut packet = queue.pop_front();
+        if let Some(packet) = &mut packet {
+            packet.set_intermediate(connected);
+            packet.set_stripe_size(1);
+        }
+        Served {
+            packet,
+            minted: 0,
+            servable: !queue.is_empty(),
         }
     }
 }
@@ -159,6 +64,16 @@ impl Switch for BaselineLbSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::two_stage::CheckInput;
+    use sprinklers_core::switch::Switch;
+
+    impl CheckInput for BaselineLb {
+        fn check_input(&self, input: usize, servable: bool) -> usize {
+            let held = self.inputs[input].len();
+            assert_eq!(servable, held > 0, "input {input} bit");
+            held
+        }
+    }
 
     fn pkt(input: usize, output: usize, seq: u64, slot: u64) -> Packet {
         Packet::new(input, output, seq, slot).with_voq_seq(seq)
@@ -196,18 +111,21 @@ mod tests {
         for k in 0..4 {
             sw.arrive(pkt(0, 2, k, 0));
         }
-        let mut counter = sprinklers_core::switch::CountingSink::default();
+        let mut delivered = Vec::new();
         for slot in 0..4 {
-            sw.step(slot, &mut counter);
+            sw.step(slot, &mut delivered);
         }
-        let delivered = counter.total() as usize;
-        // The four packets went to four distinct intermediate ports, so no
-        // port ever holds more than one of them; some may already have left.
-        for l in 0..4 {
-            assert!(sw.intermediates[l].queued_packets() <= 1);
+        // One packet left the input per slot; some may already have departed.
+        let stats = sw.stats();
+        assert_eq!(stats.queued_at_inputs, 0);
+        assert_eq!(stats.queued_at_intermediates + delivered.len(), 4);
+        for slot in 4..16 {
+            sw.step(slot, &mut delivered);
         }
-        let queued: usize = sw.intermediates.iter().map(|p| p.queued_packets()).sum();
-        assert_eq!(queued + delivered, 4);
+        // The four packets went through four distinct intermediate ports.
+        let mut ports: Vec<usize> = delivered.iter().map(|d| d.packet.intermediate()).collect();
+        ports.sort_unstable();
+        assert_eq!(ports, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -225,9 +143,11 @@ mod tests {
                 sent += 1;
             }
             sw.step(slot, &mut sprinklers_core::switch::NullSink);
+            sw.assert_consistent();
         }
         for slot in 100..2000u64 {
             sw.step(slot, &mut sprinklers_core::switch::NullSink);
+            sw.assert_consistent();
         }
         assert_eq!(sw.stats().total_departures, sent);
         assert_eq!(sw.stats().total_queued(), 0);

@@ -1,24 +1,20 @@
 //! The deterministic periodic connection patterns shared by every
 //! load-balanced switch in this workspace (Fig. 1 of the paper).
 //!
-//! * First fabric: at slot `t`, input `i` is connected to intermediate port
+//! Both take the fabric phase `t == slot mod N` already reduced: the kernel
+//! rotates `t` across a batch instead of recomputing a `u64` modulo once
+//! per port per slot.
+//!
+//! * First fabric: in phase `t`, input `i` is connected to intermediate port
 //!   `(i + t) mod N` (the "increasing" sequence).
-//! * Second fabric: at slot `t`, intermediate port `ℓ` is connected to output
-//!   `(ℓ − t) mod N` (the "decreasing" sequence), so output `j` receives from
-//!   intermediate port `(j + t) mod N`.
+//! * Second fabric: in phase `t`, intermediate port `ℓ` is connected to
+//!   output `(ℓ − t) mod N` (the "decreasing" sequence), so output `j`
+//!   receives from intermediate port `(j + t) mod N`.
 
-/// Intermediate port connected to `input` at slot `t` by the first fabric.
-pub fn first_fabric(input: usize, slot: u64, n: usize) -> usize {
-    first_fabric_at(input, (slot % n as u64) as usize, n)
-}
-
-/// [`first_fabric`] with the fabric phase `t == slot mod n` already reduced.
-///
-/// The batched `step_batch` paths rotate `t` across a batch instead of
-/// recomputing the `u64` modulo once per port per slot.
+/// Intermediate port connected to `input` in phase `t` by the first fabric.
 // lint: hot-path
 #[inline]
-pub fn first_fabric_at(input: usize, t: usize, n: usize) -> usize {
+pub(crate) fn first_fabric_at(input: usize, t: usize, n: usize) -> usize {
     debug_assert!(t < n);
     let l = input + t;
     if l >= n {
@@ -28,15 +24,10 @@ pub fn first_fabric_at(input: usize, t: usize, n: usize) -> usize {
     }
 }
 
-/// Output port connected to `intermediate` at slot `t` by the second fabric.
-pub fn second_fabric_output(intermediate: usize, slot: u64, n: usize) -> usize {
-    second_fabric_output_at(intermediate, (slot % n as u64) as usize, n)
-}
-
-/// [`second_fabric_output`] with the phase `t == slot mod n` already reduced.
+/// Output port connected to `intermediate` in phase `t` by the second fabric.
 // lint: hot-path
 #[inline]
-pub fn second_fabric_output_at(intermediate: usize, t: usize, n: usize) -> usize {
+pub(crate) fn second_fabric_output_at(intermediate: usize, t: usize, n: usize) -> usize {
     debug_assert!(t < n);
     let j = intermediate + n - t;
     if j >= n {
@@ -46,62 +37,38 @@ pub fn second_fabric_output_at(intermediate: usize, t: usize, n: usize) -> usize
     }
 }
 
-/// Intermediate port from which `output` receives at slot `t`.
-pub fn output_sweep_port(output: usize, slot: u64, n: usize) -> usize {
-    (output + (slot % n as u64) as usize) % n
-}
-
-/// The slot offset within a frame at which `input` is connected to
-/// intermediate port 0; frame-aligned schemes (UFS, PF) start frame
-/// transmission only at slots `t` with `t mod N == frame_start_offset`.
-pub fn frame_start_offset(input: usize, n: usize) -> u64 {
-    ((n - input % n) % n) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fabrics_are_permutations_every_slot() {
-        let n = 8;
-        for slot in 0..32u64 {
-            let mut seen_mid = vec![false; n];
-            let mut seen_out = vec![false; n];
-            for i in 0..n {
-                let l = first_fabric(i, slot, n);
-                assert!(!seen_mid[l]);
-                seen_mid[l] = true;
-                let j = second_fabric_output(i, slot, n);
-                assert!(!seen_out[j]);
-                seen_out[j] = true;
-            }
-        }
-    }
-
-    #[test]
-    fn phase_variants_agree_with_the_slot_variants() {
-        for n in [2usize, 8, 16] {
-            for slot in 0..3 * n as u64 {
-                let t = (slot % n as u64) as usize;
-                for p in 0..n {
-                    assert_eq!(first_fabric_at(p, t, n), first_fabric(p, slot, n));
-                    assert_eq!(
-                        second_fabric_output_at(p, t, n),
-                        second_fabric_output(p, slot, n)
-                    );
+        for n in [5usize, 8] {
+            for t in 0..n {
+                let mut seen_mid = vec![false; n];
+                let mut seen_out = vec![false; n];
+                for i in 0..n {
+                    let l = first_fabric_at(i, t, n);
+                    assert!(!seen_mid[l]);
+                    seen_mid[l] = true;
+                    let j = second_fabric_output_at(i, t, n);
+                    assert!(!seen_out[j]);
+                    seen_out[j] = true;
                 }
             }
         }
     }
 
+    /// Output `j` receives from intermediate `(j + t) mod N` — the first
+    /// fabric's pattern read from the output side.
     #[test]
     fn fabrics_are_consistent_with_each_other() {
-        let n = 16;
-        for slot in 0..64u64 {
-            for j in 0..n {
-                let l = output_sweep_port(j, slot, n);
-                assert_eq!(second_fabric_output(l, slot, n), j);
+        for n in [5usize, 16] {
+            for t in 0..n {
+                for j in 0..n {
+                    let l = first_fabric_at(j, t, n);
+                    assert_eq!(second_fabric_output_at(l, t, n), j);
+                }
             }
         }
     }
@@ -111,31 +78,40 @@ mod tests {
         let n = 8;
         for i in 0..n {
             let mut seen = vec![false; n];
-            for t in 0..n as u64 {
-                seen[first_fabric(i, t, n)] = true;
+            for t in 0..n {
+                seen[first_fabric_at(i, t, n)] = true;
             }
             assert!(seen.iter().all(|&s| s));
         }
     }
 
+    /// Frame-aligned schemes start a frame in the phase that connects the
+    /// input to intermediate port 0: `(N − i) mod N`, once per frame.
     #[test]
     fn frame_start_offset_connects_to_port_zero() {
-        let n = 8;
-        for i in 0..n {
-            let t = frame_start_offset(i, n);
-            assert_eq!(first_fabric(i, t, n), 0, "input {i}");
-            assert_eq!(first_fabric(i, t + n as u64, n), 0);
+        for n in [5usize, 8] {
+            for i in 0..n {
+                let starts: Vec<usize> =
+                    (0..n).filter(|&t| first_fabric_at(i, t, n) == 0).collect();
+                assert_eq!(starts, vec![(n - i) % n], "input {i}");
+            }
         }
     }
 
+    /// Each output sweeps the intermediate ports in increasing order, one
+    /// per slot, wrapping from phase `N − 1` back to phase 0.
     #[test]
     fn output_sweep_visits_ports_in_increasing_order() {
-        let n = 8;
-        for j in 0..n {
-            for t in 0..32u64 {
-                let a = output_sweep_port(j, t, n);
-                let b = output_sweep_port(j, t + 1, n);
-                assert_eq!((a + 1) % n, b);
+        for n in [5usize, 8] {
+            let feeder = |j: usize, t: usize| {
+                (0..n)
+                    .find(|&l| second_fabric_output_at(l, t, n) == j)
+                    .unwrap()
+            };
+            for j in 0..n {
+                for t in 0..n {
+                    assert_eq!((feeder(j, t) + 1) % n, feeder(j, (t + 1) % n));
+                }
             }
         }
     }

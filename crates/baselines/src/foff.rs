@@ -11,245 +11,79 @@
 //! the baseline load-balanced switch, but FOFF avoids UFS's frame-building
 //! delay at light load.
 
-use crate::fabric::{first_fabric_at, second_fabric_output_at};
-use crate::frame::{FrameInService, FrameVoq};
-use crate::intermediate::SimpleIntermediate;
-use crate::resequencer::Resequencer;
-use sprinklers_core::occupancy::OccupancySet;
-use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::switch::{step_batch_rotating, DeliverySink, Switch, SwitchStats};
-use std::collections::VecDeque;
+use crate::frame::FrameInputs;
+use crate::two_stage::{InputPolicy, Served, TwoStage};
+use sprinklers_core::packet::Packet;
 
-/// One FOFF input port.
-struct FoffInput {
-    voqs: Vec<FrameVoq>,
-    ready_frames: VecDeque<Vec<Packet>>,
-    in_service: Option<FrameInService>,
-    /// Round-robin pointer over VOQs for partial-frame service.
-    rr: usize,
-    /// Running packet count (VOQs + ready frames + frame in service), so the
-    /// occupancy bitset and `stats()` never rescan the n VOQs.
-    queued: usize,
+/// The Full Ordered Frames First switch.
+pub type FoffSwitch = TwoStage<Foff>;
+
+/// FOFF's input stage: full frames first, round-robin single packets
+/// otherwise.
+pub struct Foff {
+    frames: FrameInputs,
+    /// Per input, the VOQ the next round of partial-frame service starts at.
+    rr: Vec<usize>,
 }
 
-impl FoffInput {
-    fn new(n: usize) -> Self {
-        FoffInput {
-            voqs: (0..n).map(|_| FrameVoq::new()).collect(),
-            ready_frames: VecDeque::new(),
-            in_service: None,
-            rr: 0,
-            queued: 0,
-        }
+impl FoffSwitch {
+    /// Create an `n`-port FOFF switch.
+    pub fn new(n: usize) -> Self {
+        let policy = Foff {
+            frames: FrameInputs::new(n),
+            rr: vec![0; n],
+        };
+        TwoStage::with_policy(n, policy)
     }
+}
 
+impl Foff {
     /// Pop one packet from the next non-empty VOQ in round-robin order.
-    fn pop_round_robin(&mut self) -> Option<Packet> {
-        let n = self.voqs.len();
+    // lint: hot-path
+    #[inline]
+    fn pop_round_robin(&mut self, input: usize) -> Option<Packet> {
+        let n = self.frames.frame_size();
         for k in 0..n {
-            let idx = (self.rr + k) % n;
-            if let Some(p) = self.voqs[idx].pop_one() {
-                self.rr = (idx + 1) % n;
-                return Some(p);
+            let voq = (self.rr[input] + k) % n;
+            if let Some(packet) = self.frames.pop_one(input, voq) {
+                self.rr[input] = (voq + 1) % n;
+                return Some(packet);
             }
         }
         None
     }
 }
 
-/// The Full Ordered Frames First switch.
-pub struct FoffSwitch {
-    n: usize,
-    inputs: Vec<FoffInput>,
-    intermediates: Vec<SimpleIntermediate>,
-    resequencers: Vec<Resequencer>,
-    /// Inputs holding any packet (FOFF's round-robin partial service can
-    /// always move one), intermediates with queued packets, and outputs whose
-    /// resequencer buffers anything — the ports a step visits.
-    occupied_inputs: OccupancySet,
-    occupied_intermediates: OccupancySet,
-    occupied_outputs: OccupancySet,
-    /// Recycled frame buffers shared by every input (see [`crate::UfsSwitch`]).
-    frame_pool: Vec<Vec<Packet>>,
-    /// Running totals so `stats()` is O(1) at every sampling boundary.
-    queued_inputs: usize,
-    queued_intermediates: usize,
-    queued_outputs: usize,
-    arrivals: u64,
-    departures: u64,
-}
+impl InputPolicy for Foff {
+    const NAME: &'static str = "foff";
+    const RESEQUENCES: bool = true;
 
-impl FoffSwitch {
-    /// Create an `n`-port FOFF switch.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2);
-        sprinklers_core::packet::assert_ports_fit(n);
-        FoffSwitch {
-            n,
-            inputs: (0..n).map(|_| FoffInput::new(n)).collect(),
-            intermediates: (0..n).map(|l| SimpleIntermediate::new(l, n)).collect(),
-            resequencers: (0..n).map(|_| Resequencer::new(n)).collect(),
-            occupied_inputs: OccupancySet::new(n),
-            occupied_intermediates: OccupancySet::new(n),
-            occupied_outputs: OccupancySet::new(n),
-            frame_pool: Vec::new(),
-            queued_inputs: 0,
-            queued_intermediates: 0,
-            queued_outputs: 0,
-            arrivals: 0,
-            departures: 0,
-        }
-    }
-
-    /// Advance one slot whose fabric phase `t == slot mod N` is already
-    /// reduced (shared by `step` and the phase-rotating `step_batch`).
-    /// All three passes walk their occupancy bitsets in ascending port order.
+    /// Partial-frame service can always move a packet, so an input is
+    /// servable exactly while it holds one.
     // lint: hot-path
-    fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
-        // Second fabric: move packets into the output resequencers, then let
-        // each output release at most one in-order packet (its line rate).
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_intermediates.next_occupied_word(w) {
-            let mut bits = self.occupied_intermediates.word(wi);
-            while bits != 0 {
-                let l = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let output = second_fabric_output_at(l, t, self.n);
-                if let Some(packet) = self.intermediates[l].dequeue(output) {
-                    if self.intermediates[l].queued_packets() == 0 {
-                        self.occupied_intermediates.remove(l);
-                    }
-                    self.queued_intermediates -= 1;
-                    self.queued_outputs += 1;
-                    self.occupied_outputs.insert(output);
-                    self.resequencers[output].receive(packet);
-                }
+    #[inline]
+    fn arrive(&mut self, packet: Packet) -> bool {
+        self.frames.push(packet);
+        true
+    }
+
+    // lint: hot-path
+    #[inline]
+    fn serve(&mut self, input: usize, connected: usize, _slot: u64) -> Served {
+        let mut packet = self.frames.serve_frame(input, connected);
+        if packet.is_none() {
+            // No frame in flight: an uncommitted single packet goes to
+            // whatever port is connected.
+            packet = self.pop_round_robin(input);
+            if let Some(packet) = &mut packet {
+                packet.set_intermediate(connected);
+                packet.set_stripe_size(1);
             }
-            w = wi + 1;
         }
-        // A resequencer can be occupied and still release nothing: all of
-        // its buffered packets may be waiting for an earlier sequence number.
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_outputs.next_occupied_word(w) {
-            let mut bits = self.occupied_outputs.word(wi);
-            while bits != 0 {
-                let output = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if let Some(packet) = self.resequencers[output].release_one() {
-                    debug_assert_eq!(packet.output(), output);
-                    if self.resequencers[output].buffered_packets() == 0 {
-                        self.occupied_outputs.remove(output);
-                    }
-                    self.queued_outputs -= 1;
-                    self.departures += 1;
-                    sink.deliver(DeliveredPacket::new(packet, slot));
-                }
-            }
-            w = wi + 1;
-        }
-        // First fabric: full frames first, round-robin partial service
-        // otherwise.
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_inputs.next_occupied_word(w) {
-            let mut bits = self.occupied_inputs.word(wi);
-            while bits != 0 {
-                let i = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let connected = first_fabric_at(i, t, self.n);
-                let input = &mut self.inputs[i];
-                if input.in_service.is_none() && connected == 0 {
-                    if let Some(frame) = input.ready_frames.pop_front() {
-                        input.in_service = Some(FrameInService::new(frame));
-                    }
-                }
-                let mut sent = None;
-                if let Some(svc) = &mut input.in_service {
-                    debug_assert_eq!(svc.next_port(), connected);
-                    sent = Some(svc.serve_next());
-                    if svc.finished() {
-                        if let Some(done) = input.in_service.take() {
-                            self.frame_pool.push(done.recycle());
-                        }
-                    }
-                } else if let Some(mut packet) = input.pop_round_robin() {
-                    packet.set_intermediate(connected);
-                    packet.set_stripe_size(1);
-                    sent = Some(packet);
-                }
-                if let Some(packet) = sent {
-                    input.queued -= 1;
-                    if input.queued == 0 {
-                        self.occupied_inputs.remove(i);
-                    }
-                    self.queued_inputs -= 1;
-                    self.queued_intermediates += 1;
-                    self.occupied_intermediates.insert(connected);
-                    self.intermediates[connected].receive(packet);
-                }
-            }
-            w = wi + 1;
-        }
-    }
-}
-
-impl Switch for FoffSwitch {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        "foff"
-    }
-
-    fn arrive(&mut self, packet: Packet) {
-        debug_assert!(packet.input() < self.n && packet.output() < self.n);
-        self.arrivals += 1;
-        self.queued_inputs += 1;
-        // The output resequencer needs to know the arrival order of each VOQ.
-        self.resequencers[packet.output()].note_arrival(packet.input(), packet.voq_seq);
-        let i = packet.input();
-        let input = &mut self.inputs[i];
-        let output = packet.output();
-        input.queued += 1;
-        self.occupied_inputs.insert(i);
-        input.voqs[output].push(packet);
-        if input.voqs[output].len() >= self.n {
-            let mut frame = self.frame_pool.pop().unwrap_or_default();
-            let formed = input.voqs[output].pop_full_frame_into(self.n, &mut frame);
-            debug_assert!(formed);
-            input.ready_frames.push_back(frame);
-        }
-    }
-
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        let t = (slot % self.n as u64) as usize;
-        self.step_at(slot, t, sink);
-    }
-
-    fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        step_batch_rotating(self.n, first_slot, count, |slot, t| {
-            // All three occupancy bitsets empty — the degenerate case of the
-            // per-port check — means the switch holds nothing anywhere, so
-            // stepping is a no-op and the rest of the batch can be elided.
-            if self.occupied_inputs.is_empty()
-                && self.occupied_intermediates.is_empty()
-                && self.occupied_outputs.is_empty()
-            {
-                return false;
-            }
-            self.step_at(slot, t, sink);
-            true
-        });
-    }
-
-    fn stats(&self) -> SwitchStats {
-        SwitchStats {
-            queued_at_inputs: self.queued_inputs,
-            queued_at_intermediates: self.queued_intermediates,
-            queued_at_outputs: self.queued_outputs,
-            total_arrivals: self.arrivals,
-            total_departures: self.departures,
-            total_dropped: 0,
+        Served {
+            packet,
+            minted: 0,
+            servable: self.frames.queued(input) > 0,
         }
     }
 }
@@ -257,6 +91,16 @@ impl Switch for FoffSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::two_stage::CheckInput;
+    use sprinklers_core::switch::Switch;
+
+    impl CheckInput for Foff {
+        fn check_input(&self, input: usize, servable: bool) -> usize {
+            let held = self.frames.rescan(input);
+            assert_eq!(servable, held > 0, "input {input} bit");
+            held
+        }
+    }
 
     fn pkt(input: usize, output: usize, seq: u64, slot: u64) -> Packet {
         Packet::new(input, output, seq, slot).with_voq_seq(seq)
@@ -338,49 +182,6 @@ mod tests {
     /// port count past the bitsets' 64-port word boundary.
     #[test]
     fn occupancy_bitsets_agree_with_brute_force_scans() {
-        fn check(sw: &FoffSwitch, context: &str) {
-            for i in 0..sw.n {
-                assert_eq!(
-                    sw.occupied_inputs.contains(i),
-                    sw.inputs[i].queued > 0,
-                    "{context}: input {i} bit diverged"
-                );
-                let rescan = sw.inputs[i].voqs.iter().map(FrameVoq::len).sum::<usize>()
-                    + sw.inputs[i]
-                        .ready_frames
-                        .iter()
-                        .map(Vec::len)
-                        .sum::<usize>()
-                    + sw.inputs[i]
-                        .in_service
-                        .as_ref()
-                        .map_or(0, FrameInService::remaining);
-                assert_eq!(sw.inputs[i].queued, rescan, "{context}: input {i} counter");
-            }
-            for l in 0..sw.n {
-                assert_eq!(
-                    sw.occupied_intermediates.contains(l),
-                    sw.intermediates[l].queued_packets() > 0,
-                    "{context}: intermediate {l} bit diverged"
-                );
-            }
-            for j in 0..sw.n {
-                assert_eq!(
-                    sw.occupied_outputs.contains(j),
-                    sw.resequencers[j].buffered_packets() > 0,
-                    "{context}: output {j} bit diverged"
-                );
-            }
-            assert_eq!(
-                sw.queued_outputs,
-                sw.resequencers
-                    .iter()
-                    .map(Resequencer::buffered_packets)
-                    .sum::<usize>(),
-                "{context}: output counter diverged"
-            );
-        }
-
         for n in [6usize, 65] {
             let mut sw = FoffSwitch::new(n);
             let mut seqs = vec![0u64; n * n];
@@ -395,13 +196,13 @@ mod tests {
                 }
                 sw.step(slot, &mut sprinklers_core::switch::NullSink);
                 if slot % 7 == 0 {
-                    check(&sw, &format!("n={n} slot={slot}"));
+                    sw.assert_consistent();
                 }
             }
             for slot in (8 * n as u64)..(40 * n as u64) {
                 sw.step(slot, &mut sprinklers_core::switch::NullSink);
             }
-            check(&sw, &format!("n={n} post-drain"));
+            sw.assert_consistent();
         }
     }
 
@@ -422,9 +223,11 @@ mod tests {
                 }
             }
             sw.step(slot, &mut sprinklers_core::switch::NullSink);
+            sw.assert_consistent();
         }
         for slot in 200..4000u64 {
             sw.step(slot, &mut sprinklers_core::switch::NullSink);
+            sw.assert_consistent();
         }
         assert_eq!(sw.stats().total_departures, sent);
         assert_eq!(sw.stats().total_queued(), 0);

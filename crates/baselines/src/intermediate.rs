@@ -10,15 +10,13 @@ use sprinklers_core::packet::Packet;
 use std::collections::VecDeque;
 
 /// One intermediate port with per-output FIFO queues.
-#[derive(Debug, Clone)]
-pub struct SimpleIntermediate {
-    port_id: usize,
+pub(crate) struct SimpleIntermediate {
     queues: Vec<VecDeque<Packet>>,
     queued: usize,
 }
 
 impl SimpleIntermediate {
-    /// Create intermediate port `port_id` of an `n`-port switch.
+    /// Create one intermediate port of an `n`-port switch.
     ///
     /// The per-output FIFOs are pre-sized so warm-up never reallocates: a
     /// stable run keeps each queue shallow (the second fabric drains every
@@ -26,23 +24,18 @@ impl SimpleIntermediate {
     /// and the cap keeps the up-front cost bounded at large N (there are n²
     /// of these queues per switch, so an uncapped 2n would be cubic in
     /// ports).
-    pub fn new(port_id: usize, n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         let capacity = (2 * n).min((2048 / n.max(1)).max(4));
         SimpleIntermediate {
-            port_id,
             queues: (0..n).map(|_| VecDeque::with_capacity(capacity)).collect(),
             queued: 0,
         }
     }
 
-    /// This port's index.
-    pub fn port_id(&self) -> usize {
-        self.port_id
-    }
-
     /// Accept a packet from the first fabric.
     // lint: hot-path
-    pub fn receive(&mut self, packet: Packet) {
+    #[inline]
+    pub(crate) fn receive(&mut self, packet: Packet) {
         debug_assert!(packet.output() < self.queues.len());
         self.queues[packet.output()].push_back(packet);
         self.queued += 1;
@@ -50,7 +43,8 @@ impl SimpleIntermediate {
 
     /// Serve the output the second fabric currently connects this port to.
     // lint: hot-path
-    pub fn dequeue(&mut self, output: usize) -> Option<Packet> {
+    #[inline]
+    pub(crate) fn dequeue(&mut self, output: usize) -> Option<Packet> {
         let p = self.queues[output].pop_front();
         if p.is_some() {
             self.queued -= 1;
@@ -59,13 +53,8 @@ impl SimpleIntermediate {
     }
 
     /// Total packets buffered at this port.
-    pub fn queued_packets(&self) -> usize {
+    pub(crate) fn queued_packets(&self) -> usize {
         self.queued
-    }
-
-    /// Packets buffered for one output.
-    pub fn queued_for_output(&self, output: usize) -> usize {
-        self.queues[output].len()
     }
 }
 
@@ -73,18 +62,24 @@ impl SimpleIntermediate {
 mod tests {
     use super::*;
 
+    impl SimpleIntermediate {
+        /// Brute-force recount of [`Self::queued_packets`].
+        pub(crate) fn rescan(&self) -> usize {
+            self.queues.iter().map(VecDeque::len).sum()
+        }
+    }
+
     fn pkt(output: usize, id: u64) -> Packet {
         Packet::new(0, output, id, 0)
     }
 
     #[test]
     fn fifo_per_output() {
-        let mut port = SimpleIntermediate::new(3, 4);
+        let mut port = SimpleIntermediate::new(4);
         port.receive(pkt(1, 10));
         port.receive(pkt(1, 11));
         port.receive(pkt(2, 12));
         assert_eq!(port.queued_packets(), 3);
-        assert_eq!(port.queued_for_output(1), 2);
         assert_eq!(port.dequeue(1).unwrap().id, 10);
         assert_eq!(port.dequeue(2).unwrap().id, 12);
         assert_eq!(port.dequeue(1).unwrap().id, 11);
@@ -94,7 +89,7 @@ mod tests {
 
     #[test]
     fn empty_output_returns_none() {
-        let mut port = SimpleIntermediate::new(0, 4);
+        let mut port = SimpleIntermediate::new(4);
         assert!(port.dequeue(0).is_none());
     }
 }

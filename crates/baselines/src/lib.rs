@@ -14,11 +14,16 @@
 //! | Padded Frames (PF) | [`padded_frames`] | per VOQ | pads short frames with fake packets |
 //! | TCP hashing / AFBR | [`tcp_hash`] | per flow | not stable under adversarial flow mixes |
 //!
-//! Except for OQ (which idealizes the fabric away entirely), all schemes
-//! share the two-stage architecture and the deterministic periodic connection
-//! patterns of the generic load-balanced switch (Fig. 1 of the paper); they
-//! differ only in how input ports group and schedule packets and in what the
-//! intermediate and output stages must do to compensate.
+//! Except for OQ (which idealizes the fabric away entirely), the schemes are
+//! one machine — the generic load-balanced switch of Fig. 1 — and are built
+//! that way: a single private two-stage kernel owns the intermediate FIFOs,
+//! both periodic fabrics, FOFF's output resequencers, the occupancy bitsets,
+//! the counters and the one `impl Switch` (`step`, batched `step_batch` with
+//! idle elision, `stats`), and each module above supplies only an *input
+//! policy*: what an input does with an arrival, and which packet it hands
+//! the first fabric when connected to an intermediate port.  UFS, FOFF and
+//! PF further share one frame-forming input stage.  The `…Switch` names are
+//! the kernel instantiated with each policy.
 //!
 //! Every switch here delivers packets by pushing them into a
 //! [`sprinklers_core::switch::DeliverySink`] from its `step` method — see the
@@ -28,14 +33,15 @@
 #![warn(missing_docs)]
 
 pub mod baseline_lb;
-pub mod fabric;
+mod fabric;
 pub mod foff;
-pub mod frame;
-pub mod intermediate;
+mod frame;
+mod intermediate;
 pub mod oq;
 pub mod padded_frames;
-pub mod resequencer;
+mod resequencer;
 pub mod tcp_hash;
+mod two_stage;
 pub mod ufs;
 
 pub use baseline_lb::BaselineLbSwitch;
@@ -44,38 +50,3 @@ pub use oq::OutputQueuedSwitch;
 pub use padded_frames::PaddedFramesSwitch;
 pub use tcp_hash::TcpHashSwitch;
 pub use ufs::UfsSwitch;
-
-/// Construct every baseline switch (the four ordered schemes, the unordered
-/// baseline LB switch and the ideal OQ reference), for experiment sweeps that
-/// compare all schemes at once.
-pub fn all_baselines(n: usize, seed: u64) -> Vec<Box<dyn sprinklers_core::switch::Switch>> {
-    vec![
-        Box::new(OutputQueuedSwitch::new(n)),
-        Box::new(BaselineLbSwitch::new(n)),
-        Box::new(UfsSwitch::new(n)),
-        Box::new(FoffSwitch::new(n)),
-        Box::new(PaddedFramesSwitch::new(
-            n,
-            PaddedFramesSwitch::default_threshold(n),
-        )),
-        Box::new(TcpHashSwitch::new(n, seed)),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_baselines_builds_six_switches() {
-        let switches = all_baselines(8, 1);
-        assert_eq!(switches.len(), 6);
-        let names: Vec<&str> = switches.iter().map(|s| s.name()).collect();
-        assert!(names.contains(&"oq"));
-        assert!(names.contains(&"baseline-lb"));
-        assert!(names.contains(&"ufs"));
-        assert!(names.contains(&"foff"));
-        assert!(names.contains(&"padded-frames"));
-        assert!(names.contains(&"tcp-hash"));
-    }
-}

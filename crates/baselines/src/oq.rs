@@ -13,7 +13,7 @@
 //! the store-and-forward switches it is compared against, a packet arriving
 //! in slot `t` can depart no earlier than slot `t + 1`.
 
-use sprinklers_core::occupancy::OccupancySet;
+use sprinklers_core::occupancy::{OccupancySet, PortCursor};
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::switch::{step_batch_rotating, DeliverySink, Switch, SwitchStats};
 use std::collections::VecDeque;
@@ -67,29 +67,23 @@ impl Switch for OutputQueuedSwitch {
     fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
         // Walk only the backlogged outputs, in ascending order like the dense
         // loop did (empty queues were no-ops there).
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied.next_occupied_word(w) {
-            let mut bits = self.occupied.word(wi);
-            while bits != 0 {
-                let j = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let queue = &mut self.outputs[j];
-                // Store-and-forward: a packet needs at least one slot inside the
-                // switch, so same-slot arrivals are not eligible yet.
-                let eligible = queue
-                    .front()
-                    .is_some_and(|packet| packet.arrival_slot < slot);
-                if eligible {
-                    if let Some(packet) = queue.pop_front() {
-                        if queue.is_empty() {
-                            self.occupied.remove(j);
-                        }
-                        self.departures += 1;
-                        sink.deliver(DeliveredPacket::new(packet, slot));
+        let mut cursor = PortCursor::default();
+        while let Some(j) = self.occupied.next_port(&mut cursor) {
+            let queue = &mut self.outputs[j];
+            // Store-and-forward: a packet needs at least one slot inside the
+            // switch, so same-slot arrivals are not eligible yet.
+            let eligible = queue
+                .front()
+                .is_some_and(|packet| packet.arrival_slot < slot);
+            if eligible {
+                if let Some(packet) = queue.pop_front() {
+                    if queue.is_empty() {
+                        self.occupied.remove(j);
                     }
+                    self.departures += 1;
+                    sink.deliver(DeliveredPacket::new(packet, slot));
                 }
             }
-            w = wi + 1;
         }
     }
 

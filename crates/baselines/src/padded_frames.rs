@@ -9,78 +9,22 @@
 //! UFS's frame-accumulation delay at light load while preserving packet
 //! order (padding does not disturb the equal-queue-length invariant).
 
-use crate::fabric::{first_fabric_at, second_fabric_output_at};
-use crate::frame::{FrameInService, FrameVoq};
-use crate::intermediate::SimpleIntermediate;
-use sprinklers_core::occupancy::OccupancySet;
-use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::switch::{step_batch_rotating, DeliverySink, Switch, SwitchStats};
-use std::collections::VecDeque;
-
-/// One PF input port.
-struct PfInput {
-    voqs: Vec<FrameVoq>,
-    ready_frames: VecDeque<Vec<Packet>>,
-    in_service: Option<FrameInService>,
-    /// Running packet count with the same semantics the old O(N) rescan had
-    /// (VOQ data + ready frames + everything left in the frame in service,
-    /// padding included), so `stats()` is O(1).
-    queued: usize,
-    /// VOQs currently at or above the padding threshold.  Only they can
-    /// trigger a padded frame, so the count feeds [`Self::transmittable`].
-    ripe_voqs: usize,
-}
-
-impl PfInput {
-    fn new(n: usize) -> Self {
-        PfInput {
-            voqs: (0..n).map(|_| FrameVoq::new()).collect(),
-            ready_frames: VecDeque::new(),
-            in_service: None,
-            queued: 0,
-            ripe_voqs: 0,
-        }
-    }
-
-    /// True if a step could move a packet out of this input: a frame is in
-    /// flight or ready, or some VOQ has reached the padding threshold.  VOQs
-    /// below the threshold strand until more arrivals push them over it, so
-    /// an input holding only those is a provable no-op to visit — the
-    /// input-occupancy bitset criterion.
-    fn transmittable(&self) -> bool {
-        self.in_service.is_some() || !self.ready_frames.is_empty() || self.ripe_voqs > 0
-    }
-
-    /// Index and length of the longest VOQ.
-    fn longest_voq(&self) -> (usize, usize) {
-        self.voqs
-            .iter()
-            .enumerate()
-            .map(|(j, v)| (j, v.len()))
-            .max_by_key(|&(_, len)| len)
-            .unwrap_or((0, 0))
-    }
-}
+use crate::frame::FrameInputs;
+use crate::two_stage::{InputPolicy, Served, TwoStage};
+use sprinklers_core::packet::Packet;
 
 /// The Padded Frames switch.
-pub struct PaddedFramesSwitch {
-    n: usize,
+pub type PaddedFramesSwitch = TwoStage<PaddedFrames>;
+
+/// PF's input stage: full frames first, otherwise the longest VOQ padded up
+/// to a frame once it has reached the threshold.
+pub struct PaddedFrames {
     threshold: usize,
-    inputs: Vec<PfInput>,
-    intermediates: Vec<SimpleIntermediate>,
-    /// Inputs that could transmit (frame ready/in flight or a threshold-ripe
-    /// VOQ) and intermediates with queued packets — the ports a step visits.
-    occupied_inputs: OccupancySet,
-    occupied_intermediates: OccupancySet,
-    /// Recycled frame buffers shared by every input (see [`crate::UfsSwitch`]).
-    frame_pool: Vec<Vec<Packet>>,
-    /// Running totals so `stats()` is O(1) at every sampling boundary.
-    queued_inputs: usize,
-    queued_intermediates: usize,
-    arrivals: u64,
-    departures: u64,
+    frames: FrameInputs,
+    /// Per input, the VOQs currently at or above the padding threshold.
+    /// Only they can trigger a padded frame.
+    ripe_voqs: Vec<usize>,
     padding_sent: u64,
-    padding_delivered: u64,
 }
 
 impl PaddedFramesSwitch {
@@ -88,27 +32,17 @@ impl PaddedFramesSwitch {
     /// (a frame is padded only if the longest VOQ holds at least `threshold`
     /// packets).
     pub fn new(n: usize, threshold: usize) -> Self {
-        assert!(n >= 2);
-        sprinklers_core::packet::assert_ports_fit(n);
         assert!(
             threshold >= 1 && threshold <= n,
             "threshold must be in 1..=N"
         );
-        PaddedFramesSwitch {
-            n,
+        let policy = PaddedFrames {
             threshold,
-            inputs: (0..n).map(|_| PfInput::new(n)).collect(),
-            intermediates: (0..n).map(|l| SimpleIntermediate::new(l, n)).collect(),
-            occupied_inputs: OccupancySet::new(n),
-            occupied_intermediates: OccupancySet::new(n),
-            frame_pool: Vec::new(),
-            queued_inputs: 0,
-            queued_intermediates: 0,
-            arrivals: 0,
-            departures: 0,
+            frames: FrameInputs::new(n),
+            ripe_voqs: vec![0; n],
             padding_sent: 0,
-            padding_delivered: 0,
-        }
+        };
+        TwoStage::with_policy(n, policy)
     }
 
     /// The default padding threshold used by the experiments: `N/2`.
@@ -118,158 +52,55 @@ impl PaddedFramesSwitch {
 
     /// Number of fake packets transmitted so far.
     pub fn padding_sent(&self) -> u64 {
-        self.padding_sent
-    }
-
-    /// Advance one slot whose fabric phase `t == slot mod N` is already
-    /// reduced (shared by `step` and the phase-rotating `step_batch`).
-    /// Both passes walk the occupancy bitsets in ascending port order.
-    // lint: hot-path
-    fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_intermediates.next_occupied_word(w) {
-            let mut bits = self.occupied_intermediates.word(wi);
-            while bits != 0 {
-                let l = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let output = second_fabric_output_at(l, t, self.n);
-                if let Some(packet) = self.intermediates[l].dequeue(output) {
-                    if self.intermediates[l].queued_packets() == 0 {
-                        self.occupied_intermediates.remove(l);
-                    }
-                    self.queued_intermediates -= 1;
-                    if packet.is_padding() {
-                        self.padding_delivered += 1;
-                    } else {
-                        self.departures += 1;
-                    }
-                    sink.deliver(DeliveredPacket::new(packet, slot));
-                }
-            }
-            w = wi + 1;
-        }
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_inputs.next_occupied_word(w) {
-            let mut bits = self.occupied_inputs.word(wi);
-            while bits != 0 {
-                let i = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let connected = first_fabric_at(i, t, self.n);
-                let input = &mut self.inputs[i];
-                if input.in_service.is_none() && connected == 0 {
-                    // Full frames first; otherwise pad the longest VOQ if it has
-                    // reached the threshold.
-                    if let Some(frame) = input.ready_frames.pop_front() {
-                        input.in_service = Some(FrameInService::new(frame));
-                    } else {
-                        let (longest, len) = input.longest_voq();
-                        if len >= self.threshold {
-                            let mut frame = self.frame_pool.pop().unwrap_or_default();
-                            if input.voqs[longest]
-                                .pop_padded_frame_into(self.n, i, longest, slot, &mut frame)
-                            {
-                                let pad = frame.iter().filter(|p| p.is_padding()).count();
-                                self.padding_sent += pad as u64;
-                                // The padding now occupies the frame in service,
-                                // which the input-side occupancy stat covers; the
-                                // padded VOQ drops from >= threshold to empty.
-                                input.queued += pad;
-                                self.queued_inputs += pad;
-                                input.ripe_voqs -= 1;
-                                input.in_service = Some(FrameInService::new(frame));
-                            } else {
-                                self.frame_pool.push(frame);
-                            }
-                        }
-                    }
-                }
-                if let Some(svc) = &mut input.in_service {
-                    debug_assert_eq!(svc.next_port(), connected);
-                    let packet = svc.serve_next();
-                    input.queued -= 1;
-                    self.queued_inputs -= 1;
-                    self.queued_intermediates += 1;
-                    self.occupied_intermediates.insert(connected);
-                    self.intermediates[connected].receive(packet);
-                    if svc.finished() {
-                        if let Some(done) = input.in_service.take() {
-                            self.frame_pool.push(done.recycle());
-                        }
-                        if !input.transmittable() {
-                            self.occupied_inputs.remove(i);
-                        }
-                    }
-                }
-            }
-            w = wi + 1;
-        }
+        self.policy().padding_sent
     }
 }
 
-impl Switch for PaddedFramesSwitch {
-    fn n(&self) -> usize {
-        self.n
+impl PaddedFrames {
+    /// True if a step could move a packet out of this input: a frame is in
+    /// flight or ready, or some VOQ has reached the padding threshold.  VOQs
+    /// below the threshold strand until more arrivals push them over it.
+    fn servable(&self, input: usize) -> bool {
+        self.frames.has_frame(input) || self.ripe_voqs[input] > 0
     }
+}
 
-    fn name(&self) -> &'static str {
-        "padded-frames"
-    }
+impl InputPolicy for PaddedFrames {
+    const NAME: &'static str = "padded-frames";
 
-    fn arrive(&mut self, packet: Packet) {
-        debug_assert!(packet.input() < self.n && packet.output() < self.n);
-        self.arrivals += 1;
-        self.queued_inputs += 1;
-        let i = packet.input();
-        let input = &mut self.inputs[i];
-        let output = packet.output();
-        input.queued += 1;
-        input.voqs[output].push(packet);
-        if input.voqs[output].len() == self.threshold {
-            input.ripe_voqs += 1;
+    // lint: hot-path
+    #[inline]
+    fn arrive(&mut self, packet: Packet) -> bool {
+        let input = packet.input();
+        let len = self.frames.push(packet);
+        if len == self.threshold {
+            self.ripe_voqs[input] += 1;
         }
-        if input.voqs[output].len() >= self.n {
-            let mut frame = self.frame_pool.pop().unwrap_or_default();
-            let formed = input.voqs[output].pop_full_frame_into(self.n, &mut frame);
-            debug_assert!(formed);
-            input.ready_frames.push_back(frame);
-            // The drained VOQ drops from n (>= threshold) back below it.
-            input.ripe_voqs -= 1;
+        if len >= self.frames.frame_size() {
+            // The VOQ was cut into a frame: from n (>= threshold) to empty.
+            self.ripe_voqs[input] -= 1;
         }
-        if input.transmittable() {
-            self.occupied_inputs.insert(i);
-        }
+        self.servable(input)
     }
 
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        let t = (slot % self.n as u64) as usize;
-        self.step_at(slot, t, sink);
-    }
-
-    fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        step_batch_rotating(self.n, first_slot, count, |slot, t| {
-            // Empty bitsets ⇒ a step is a provable no-op: nothing is queued
-            // at the intermediate stage (padding included — fake packets set
-            // the same bits real ones do) and no input can transmit (any
-            // leftover VOQ residue is below the padding threshold, which
-            // only an arrival can change), so the rest of the batch can be
-            // elided.  Strictly stronger than the old conservation-counter
-            // check, which never fired while sub-threshold residue stranded.
-            if self.occupied_inputs.is_empty() && self.occupied_intermediates.is_empty() {
-                return false;
+    // lint: hot-path
+    #[inline]
+    fn serve(&mut self, input: usize, connected: usize, slot: u64) -> Served {
+        let mut minted = 0;
+        if connected == 0 && !self.frames.has_frame(input) {
+            // No full frame to start: pad the longest VOQ if it has reached
+            // the threshold.  It drops from >= threshold to empty.
+            let (longest, len) = self.frames.longest_voq(input);
+            if len >= self.threshold {
+                minted = self.frames.pad_frame(input, longest, slot);
+                self.padding_sent += minted as u64;
+                self.ripe_voqs[input] -= 1;
             }
-            self.step_at(slot, t, sink);
-            true
-        });
-    }
-
-    fn stats(&self) -> SwitchStats {
-        SwitchStats {
-            queued_at_inputs: self.queued_inputs,
-            queued_at_intermediates: self.queued_intermediates,
-            queued_at_outputs: 0,
-            total_arrivals: self.arrivals,
-            total_departures: self.departures,
-            total_dropped: 0,
+        }
+        Served {
+            packet: self.frames.serve_frame(input, connected),
+            minted,
+            servable: self.servable(input),
         }
     }
 }
@@ -277,6 +108,22 @@ impl Switch for PaddedFramesSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::two_stage::CheckInput;
+    use sprinklers_core::packet::DeliveredPacket;
+    use sprinklers_core::switch::Switch;
+
+    impl CheckInput for PaddedFrames {
+        fn check_input(&self, input: usize, servable: bool) -> usize {
+            assert_eq!(servable, self.servable(input), "input {input} bit");
+            let ripe = self
+                .frames
+                .voq_lens(input)
+                .filter(|&len| len >= self.threshold)
+                .count();
+            assert_eq!(self.ripe_voqs[input], ripe, "input {input} ripe count");
+            self.frames.rescan(input)
+        }
+    }
 
     fn pkt(input: usize, output: usize, seq: u64, slot: u64) -> Packet {
         Packet::new(input, output, seq, slot).with_voq_seq(seq)
@@ -356,37 +203,6 @@ mod tests {
     /// random interleaving, including past the 64-port word boundary.
     #[test]
     fn occupancy_bitsets_agree_with_brute_force_scans() {
-        fn check(sw: &PaddedFramesSwitch, context: &str) {
-            for i in 0..sw.n {
-                let input = &sw.inputs[i];
-                assert_eq!(
-                    sw.occupied_inputs.contains(i),
-                    input.transmittable(),
-                    "{context}: input {i} bit diverged"
-                );
-                let ripe = input
-                    .voqs
-                    .iter()
-                    .filter(|v| v.len() >= sw.threshold)
-                    .count();
-                assert_eq!(input.ripe_voqs, ripe, "{context}: input {i} ripe count");
-                let rescan = input.voqs.iter().map(FrameVoq::len).sum::<usize>()
-                    + input.ready_frames.iter().map(Vec::len).sum::<usize>()
-                    + input
-                        .in_service
-                        .as_ref()
-                        .map_or(0, FrameInService::remaining);
-                assert_eq!(input.queued, rescan, "{context}: input {i} counter");
-            }
-            for l in 0..sw.n {
-                assert_eq!(
-                    sw.occupied_intermediates.contains(l),
-                    sw.intermediates[l].queued_packets() > 0,
-                    "{context}: intermediate {l} bit diverged"
-                );
-            }
-        }
-
         for n in [8usize, 70] {
             let mut sw = PaddedFramesSwitch::new(n, PaddedFramesSwitch::default_threshold(n));
             let mut seqs = vec![0u64; n * n];
@@ -402,15 +218,13 @@ mod tests {
                     }
                 }
                 sw.step(slot, &mut sprinklers_core::switch::NullSink);
-                if slot % 5 == 0 {
-                    check(&sw, &format!("n={n} slot={slot}"));
-                }
+                sw.assert_consistent();
             }
             assert!(sw.padding_sent() > 0, "padding never triggered at n={n}");
             for slot in (8 * n as u64)..(40 * n as u64) {
                 sw.step(slot, &mut sprinklers_core::switch::NullSink);
+                sw.assert_consistent();
             }
-            check(&sw, &format!("n={n} post-drain"));
         }
     }
 

@@ -23,8 +23,7 @@ use std::collections::VecDeque;
 /// Packets of each VOQ must carry strictly increasing `voq_seq` values in
 /// arrival order (the simulation harness guarantees this); the resequencer
 /// releases them in exactly that order.
-#[derive(Debug, Clone)]
-pub struct Resequencer {
+pub(crate) struct Resequencer {
     /// Buffered out-of-order packets per input, sorted by **descending**
     /// `voq_seq` so the next candidate (the smallest) pops from the tail.
     pending: Vec<Vec<Packet>>,
@@ -43,7 +42,7 @@ impl Resequencer {
     /// uncommitted packets race across at most the `n` intermediate paths,
     /// so per-input displacement beyond that is rare and the usual fill /
     /// drain cycle never reallocates.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Resequencer {
             pending: (0..n).map(|_| Vec::with_capacity(2 * n)).collect(),
             expected: (0..n).map(|_| VecDeque::with_capacity(2 * n)).collect(),
@@ -57,18 +56,16 @@ impl Resequencer {
     /// Record that a packet with this `(input, voq_seq)` was accepted by the
     /// switch, so the resequencer knows the order in which to release packets
     /// of that VOQ.  Must be called in arrival order.
-    pub fn note_arrival(&mut self, input: usize, voq_seq: u64) {
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn note_arrival(&mut self, input: usize, voq_seq: u64) {
         self.expected[input].push_back(voq_seq);
     }
 
     /// Accept a (possibly out-of-order) packet from the second fabric.
     // lint: hot-path
-    pub fn receive(&mut self, packet: Packet) {
-        if packet.is_padding() {
-            // Padding never reaches a FOFF resequencer, but be permissive.
-            self.ready.push_back(packet);
-            return;
-        }
+    #[inline]
+    pub(crate) fn receive(&mut self, packet: Packet) {
         let input = packet.input();
         let pending = &mut self.pending[input];
         let pos = pending.partition_point(|p| p.voq_seq > packet.voq_seq);
@@ -80,16 +77,18 @@ impl Resequencer {
     /// Release at most one packet (the output line transmits one packet per
     /// slot).
     // lint: hot-path
-    pub fn release_one(&mut self) -> Option<Packet> {
+    #[inline]
+    pub(crate) fn release_one(&mut self) -> Option<Packet> {
         self.ready.pop_front()
     }
 
     /// Packets currently buffered (pending plus ready).
-    pub fn buffered_packets(&self) -> usize {
+    pub(crate) fn buffered_packets(&self) -> usize {
         self.buffered + self.ready.len()
     }
 
     // lint: hot-path
+    #[inline]
     fn promote(&mut self, input: usize) {
         let expected = &mut self.expected[input];
         let pending = &mut self.pending[input];

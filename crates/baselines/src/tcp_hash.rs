@@ -8,24 +8,33 @@
 //! load-aware, variable-size striping).  Per-VOQ order is *not* preserved:
 //! different flows of the same VOQ may take different paths.
 
-use crate::fabric::{first_fabric_at, second_fabric_output_at};
-use crate::intermediate::SimpleIntermediate;
-use sprinklers_core::occupancy::OccupancySet;
-use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::switch::{step_batch_rotating, DeliverySink, Switch, SwitchStats};
+use crate::two_stage::{InputPolicy, Served, TwoStage};
+use sprinklers_core::packet::Packet;
 use std::collections::VecDeque;
+
+/// The TCP-hashing (AFBR) switch.
+pub type TcpHashSwitch = TwoStage<TcpHash>;
 
 /// One TCP-hashing input port: a FIFO per intermediate port.
 struct HashInput {
     per_intermediate: Vec<VecDeque<Packet>>,
-    /// Running total across the per-path FIFOs, so the switch's occupancy
-    /// bitset and `stats()` never rescan the n queues.
+    /// Running total across the per-path FIFOs, so servability never rescans
+    /// the n queues.
     queued: usize,
 }
 
-impl HashInput {
-    fn new(n: usize) -> Self {
-        HashInput {
+/// TCP hashing's input stage: every flow pinned to the intermediate port its
+/// identifier hashes to.
+pub struct TcpHash {
+    n: usize,
+    seed: u64,
+    inputs: Vec<HashInput>,
+}
+
+impl TcpHashSwitch {
+    /// Create an `n`-port TCP-hashing switch; `seed` perturbs the flow hash.
+    pub fn new(n: usize, seed: u64) -> Self {
+        let input = || HashInput {
             // Pre-sized so the modest per-path queues of a stable run never
             // hit a first-time capacity growth on the hot arrive path.  The
             // cap keeps the up-front cost linear-per-queue at large N (there
@@ -35,47 +44,21 @@ impl HashInput {
                 .map(|_| VecDeque::with_capacity((2 * n).min(32)))
                 .collect(),
             queued: 0,
-        }
-    }
-}
-
-/// The TCP-hashing (AFBR) switch.
-pub struct TcpHashSwitch {
-    n: usize,
-    seed: u64,
-    inputs: Vec<HashInput>,
-    intermediates: Vec<SimpleIntermediate>,
-    /// Inputs/intermediates with any queued packet — the ports a step visits.
-    occupied_inputs: OccupancySet,
-    occupied_intermediates: OccupancySet,
-    /// Running totals so `stats()` is O(1) at every sampling boundary.
-    queued_inputs: usize,
-    queued_intermediates: usize,
-    arrivals: u64,
-    departures: u64,
-}
-
-impl TcpHashSwitch {
-    /// Create an `n`-port TCP-hashing switch; `seed` perturbs the flow hash.
-    pub fn new(n: usize, seed: u64) -> Self {
-        assert!(n >= 2);
-        sprinklers_core::packet::assert_ports_fit(n);
-        TcpHashSwitch {
-            n,
-            seed,
-            inputs: (0..n).map(|_| HashInput::new(n)).collect(),
-            intermediates: (0..n).map(|l| SimpleIntermediate::new(l, n)).collect(),
-            occupied_inputs: OccupancySet::new(n),
-            occupied_intermediates: OccupancySet::new(n),
-            queued_inputs: 0,
-            queued_intermediates: 0,
-            arrivals: 0,
-            departures: 0,
-        }
+        };
+        let inputs = (0..n).map(|_| input()).collect();
+        TwoStage::with_policy(n, TcpHash { n, seed, inputs })
     }
 
     /// The intermediate port a flow is pinned to.
     pub fn hash_flow(&self, flow: u64) -> usize {
+        self.policy().hash_flow(flow)
+    }
+}
+
+impl TcpHash {
+    // lint: hot-path
+    #[inline]
+    fn hash_flow(&self, flow: u64) -> usize {
         // SplitMix64-style avalanche; good enough to spread flow ids evenly.
         let mut x = flow ^ self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         x ^= x >> 30;
@@ -85,102 +68,37 @@ impl TcpHashSwitch {
         x ^= x >> 31;
         (x % self.n as u64) as usize
     }
-
-    /// Advance one slot whose fabric phase `t == slot mod N` is already
-    /// reduced (shared by `step` and the phase-rotating `step_batch`).
-    /// Both passes walk the occupancy bitsets in ascending port order.
-    // lint: hot-path
-    fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_intermediates.next_occupied_word(w) {
-            let mut bits = self.occupied_intermediates.word(wi);
-            while bits != 0 {
-                let l = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let output = second_fabric_output_at(l, t, self.n);
-                if let Some(packet) = self.intermediates[l].dequeue(output) {
-                    if self.intermediates[l].queued_packets() == 0 {
-                        self.occupied_intermediates.remove(l);
-                    }
-                    self.queued_intermediates -= 1;
-                    self.departures += 1;
-                    sink.deliver(DeliveredPacket::new(packet, slot));
-                }
-            }
-            w = wi + 1;
-        }
-        // An occupied input may still miss: its packets can be pinned to
-        // per-path FIFOs other than the one the fabric reaches this slot.
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_inputs.next_occupied_word(w) {
-            let mut bits = self.occupied_inputs.word(wi);
-            while bits != 0 {
-                let i = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let l = first_fabric_at(i, t, self.n);
-                if let Some(mut packet) = self.inputs[i].per_intermediate[l].pop_front() {
-                    self.inputs[i].queued -= 1;
-                    if self.inputs[i].queued == 0 {
-                        self.occupied_inputs.remove(i);
-                    }
-                    packet.set_intermediate(l);
-                    packet.set_stripe_size(1);
-                    self.queued_inputs -= 1;
-                    self.queued_intermediates += 1;
-                    self.occupied_intermediates.insert(l);
-                    self.intermediates[l].receive(packet);
-                }
-            }
-            w = wi + 1;
-        }
-    }
 }
 
-impl Switch for TcpHashSwitch {
-    fn n(&self) -> usize {
-        self.n
-    }
+impl InputPolicy for TcpHash {
+    const NAME: &'static str = "tcp-hash";
 
-    fn name(&self) -> &'static str {
-        "tcp-hash"
-    }
-
-    fn arrive(&mut self, packet: Packet) {
-        debug_assert!(packet.input() < self.n && packet.output() < self.n);
-        self.arrivals += 1;
-        self.queued_inputs += 1;
-        let l = self.hash_flow(packet.flow);
+    // lint: hot-path
+    #[inline]
+    fn arrive(&mut self, packet: Packet) -> bool {
+        let path = self.hash_flow(packet.flow);
         let input = &mut self.inputs[packet.input()];
         input.queued += 1;
-        self.occupied_inputs.insert(packet.input());
-        input.per_intermediate[l].push_back(packet);
+        input.per_intermediate[path].push_back(packet);
+        true
     }
 
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        let t = (slot % self.n as u64) as usize;
-        self.step_at(slot, t, sink);
-    }
-
-    fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        step_batch_rotating(self.n, first_slot, count, |slot, t| {
-            // An empty switch — both occupancy bitsets empty — is a no-op to
-            // step; elide the rest of the batch.
-            if self.occupied_inputs.is_empty() && self.occupied_intermediates.is_empty() {
-                return false;
-            }
-            self.step_at(slot, t, sink);
-            true
-        });
-    }
-
-    fn stats(&self) -> SwitchStats {
-        SwitchStats {
-            queued_at_inputs: self.queued_inputs,
-            queued_at_intermediates: self.queued_intermediates,
-            queued_at_outputs: 0,
-            total_arrivals: self.arrivals,
-            total_departures: self.departures,
-            total_dropped: 0,
+    /// A servable input may still miss: its packets can be pinned to
+    /// per-path FIFOs other than the one the fabric reaches this slot.
+    // lint: hot-path
+    #[inline]
+    fn serve(&mut self, input: usize, connected: usize, _slot: u64) -> Served {
+        let input = &mut self.inputs[input];
+        let mut packet = input.per_intermediate[connected].pop_front();
+        if let Some(packet) = &mut packet {
+            input.queued -= 1;
+            packet.set_intermediate(connected);
+            packet.set_stripe_size(1);
+        }
+        Served {
+            packet,
+            minted: 0,
+            servable: input.queued > 0,
         }
     }
 }
@@ -188,6 +106,18 @@ impl Switch for TcpHashSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::two_stage::CheckInput;
+    use sprinklers_core::switch::Switch;
+
+    impl CheckInput for TcpHash {
+        fn check_input(&self, input: usize, servable: bool) -> usize {
+            let port = &self.inputs[input];
+            let held: usize = port.per_intermediate.iter().map(VecDeque::len).sum();
+            assert_eq!(port.queued, held, "input {input}: running packet count");
+            assert_eq!(servable, held > 0, "input {input} bit");
+            held
+        }
+    }
 
     fn pkt(input: usize, output: usize, flow: u64, seq: u64) -> Packet {
         Packet::new(input, output, seq, 0)
@@ -268,9 +198,11 @@ mod tests {
                 sent += 1;
             }
             sw.step(slot, &mut sprinklers_core::switch::NullSink);
+            sw.assert_consistent();
         }
         for slot in 200..4000u64 {
             sw.step(slot, &mut sprinklers_core::switch::NullSink);
+            sw.assert_consistent();
         }
         assert_eq!(sw.stats().total_departures, sent);
     }

@@ -14,195 +14,48 @@
 //! packets (the O(N³) worst case the paper cites), which is exactly the
 //! behaviour Figures 6 and 7 show and Sprinklers is designed to avoid.
 
-use crate::fabric::{first_fabric_at, second_fabric_output_at};
-use crate::frame::{FrameInService, FrameVoq};
-use crate::intermediate::SimpleIntermediate;
-use sprinklers_core::occupancy::OccupancySet;
-use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::switch::{step_batch_rotating, DeliverySink, Switch, SwitchStats};
-use std::collections::VecDeque;
-
-/// One UFS input port.
-struct UfsInput {
-    voqs: Vec<FrameVoq>,
-    /// Full frames ready to transmit, FCFS.
-    ready_frames: VecDeque<Vec<Packet>>,
-    in_service: Option<FrameInService>,
-}
-
-impl UfsInput {
-    fn new(n: usize) -> Self {
-        UfsInput {
-            voqs: (0..n).map(|_| FrameVoq::new()).collect(),
-            ready_frames: VecDeque::new(),
-            in_service: None,
-        }
-    }
-
-    /// True if a step can move a packet out of this input: UFS only ever
-    /// transmits full frames, so packets still accumulating in partial VOQs
-    /// make the input a provable no-op to visit.  This is the input-occupancy
-    /// bitset criterion.
-    fn transmittable(&self) -> bool {
-        self.in_service.is_some() || !self.ready_frames.is_empty()
-    }
-}
+use crate::frame::FrameInputs;
+use crate::two_stage::{InputPolicy, Served, TwoStage};
+use sprinklers_core::packet::Packet;
 
 /// The Uniform Frame Spreading switch.
-pub struct UfsSwitch {
-    n: usize,
-    inputs: Vec<UfsInput>,
-    intermediates: Vec<SimpleIntermediate>,
-    /// Inputs with a frame ready or in flight / intermediates with queued
-    /// packets — the only ports a step has to visit.  At light load UFS
-    /// rarely completes a frame, so whole slots cost O(1).
-    occupied_inputs: OccupancySet,
-    occupied_intermediates: OccupancySet,
-    /// Recycled frame buffers: frames finished by any input return here and
-    /// are reused by the next frame formed, so steady-state frame formation
-    /// performs no heap allocation.
-    frame_pool: Vec<Vec<Packet>>,
-    /// Running totals so `stats()` is O(1) at every sampling boundary.
-    queued_inputs: usize,
-    queued_intermediates: usize,
-    arrivals: u64,
-    departures: u64,
+pub type UfsSwitch = TwoStage<Ufs>;
+
+/// UFS's input stage: full frames only, first come first served.
+pub struct Ufs {
+    frames: FrameInputs,
 }
 
 impl UfsSwitch {
     /// Create an `n`-port UFS switch.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 2);
-        sprinklers_core::packet::assert_ports_fit(n);
-        UfsSwitch {
-            n,
-            inputs: (0..n).map(|_| UfsInput::new(n)).collect(),
-            intermediates: (0..n).map(|l| SimpleIntermediate::new(l, n)).collect(),
-            occupied_inputs: OccupancySet::new(n),
-            occupied_intermediates: OccupancySet::new(n),
-            frame_pool: Vec::new(),
-            queued_inputs: 0,
-            queued_intermediates: 0,
-            arrivals: 0,
-            departures: 0,
-        }
-    }
-
-    /// Advance one slot whose fabric phase `t == slot mod N` is already
-    /// reduced (shared by `step` and the phase-rotating `step_batch`).
-    /// Both passes walk the occupancy bitsets in ascending port order.
-    // lint: hot-path
-    fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_intermediates.next_occupied_word(w) {
-            let mut bits = self.occupied_intermediates.word(wi);
-            while bits != 0 {
-                let l = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let output = second_fabric_output_at(l, t, self.n);
-                if let Some(packet) = self.intermediates[l].dequeue(output) {
-                    if self.intermediates[l].queued_packets() == 0 {
-                        self.occupied_intermediates.remove(l);
-                    }
-                    self.queued_intermediates -= 1;
-                    self.departures += 1;
-                    sink.deliver(DeliveredPacket::new(packet, slot));
-                }
-            }
-            w = wi + 1;
-        }
-        let mut w = 0usize;
-        while let Some(wi) = self.occupied_inputs.next_occupied_word(w) {
-            let mut bits = self.occupied_inputs.word(wi);
-            while bits != 0 {
-                let i = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let connected = first_fabric_at(i, t, self.n);
-                let input = &mut self.inputs[i];
-                // Start a new frame only when connected to intermediate port 0, so
-                // that packet k of every frame lands on intermediate port k.
-                if input.in_service.is_none() && connected == 0 {
-                    if let Some(frame) = input.ready_frames.pop_front() {
-                        input.in_service = Some(FrameInService::new(frame));
-                    }
-                }
-                if let Some(svc) = &mut input.in_service {
-                    debug_assert_eq!(svc.next_port(), connected);
-                    let packet = svc.serve_next();
-                    self.queued_inputs -= 1;
-                    self.queued_intermediates += 1;
-                    self.occupied_intermediates.insert(connected);
-                    self.intermediates[connected].receive(packet);
-                    if svc.finished() {
-                        if let Some(done) = input.in_service.take() {
-                            self.frame_pool.push(done.recycle());
-                        }
-                        if !input.transmittable() {
-                            self.occupied_inputs.remove(i);
-                        }
-                    }
-                }
-            }
-            w = wi + 1;
-        }
+        let frames = FrameInputs::new(n);
+        TwoStage::with_policy(n, Ufs { frames })
     }
 }
 
-impl Switch for UfsSwitch {
-    fn n(&self) -> usize {
-        self.n
+impl InputPolicy for Ufs {
+    const NAME: &'static str = "ufs";
+
+    /// UFS only ever transmits full frames, so an input is servable only
+    /// with a frame ready or in flight: packets still accumulating in
+    /// partial VOQs strand until an arrival completes their frame.  At
+    /// light load frames are rare, so whole slots cost O(1).
+    // lint: hot-path
+    #[inline]
+    fn arrive(&mut self, packet: Packet) -> bool {
+        let input = packet.input();
+        self.frames.push(packet);
+        self.frames.has_frame(input)
     }
 
-    fn name(&self) -> &'static str {
-        "ufs"
-    }
-
-    fn arrive(&mut self, packet: Packet) {
-        debug_assert!(packet.input() < self.n && packet.output() < self.n);
-        self.arrivals += 1;
-        self.queued_inputs += 1;
-        let i = packet.input();
-        let input = &mut self.inputs[i];
-        let output = packet.output();
-        input.voqs[output].push(packet);
-        if input.voqs[output].len() >= self.n {
-            let mut frame = self.frame_pool.pop().unwrap_or_default();
-            let formed = input.voqs[output].pop_full_frame_into(self.n, &mut frame);
-            debug_assert!(formed);
-            input.ready_frames.push_back(frame);
-            // A full frame makes the input worth visiting again.
-            self.occupied_inputs.insert(i);
-        }
-    }
-
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        let t = (slot % self.n as u64) as usize;
-        self.step_at(slot, t, sink);
-    }
-
-    fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        step_batch_rotating(self.n, first_slot, count, |slot, t| {
-            // Empty bitsets ⇒ a step is a provable no-op (any packets left
-            // are stranded in partial VOQs, which only an arrival can grow
-            // into a frame), so the rest of the batch can be elided.  This is
-            // strictly stronger than the old arrivals == departures check,
-            // which never fired while partial frames were stranded.
-            if self.occupied_inputs.is_empty() && self.occupied_intermediates.is_empty() {
-                return false;
-            }
-            self.step_at(slot, t, sink);
-            true
-        });
-    }
-
-    fn stats(&self) -> SwitchStats {
-        SwitchStats {
-            queued_at_inputs: self.queued_inputs,
-            queued_at_intermediates: self.queued_intermediates,
-            queued_at_outputs: 0,
-            total_arrivals: self.arrivals,
-            total_departures: self.departures,
-            total_dropped: 0,
+    // lint: hot-path
+    #[inline]
+    fn serve(&mut self, input: usize, connected: usize, _slot: u64) -> Served {
+        Served {
+            packet: self.frames.serve_frame(input, connected),
+            minted: 0,
+            servable: self.frames.has_frame(input),
         }
     }
 }
@@ -210,6 +63,15 @@ impl Switch for UfsSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::two_stage::CheckInput;
+    use sprinklers_core::switch::Switch;
+
+    impl CheckInput for Ufs {
+        fn check_input(&self, input: usize, servable: bool) -> usize {
+            assert_eq!(servable, self.frames.has_frame(input), "input {input} bit");
+            self.frames.rescan(input)
+        }
+    }
 
     fn pkt(input: usize, output: usize, seq: u64, slot: u64) -> Packet {
         Packet::new(input, output, seq, slot).with_voq_seq(seq)
@@ -264,10 +126,14 @@ mod tests {
         for k in 0..n as u64 {
             sw.arrive(pkt(0, 2, k, 0));
         }
+        // A partial frame strands at the input for the whole run.
+        sw.arrive(pkt(0, 3, 0, 0));
         let mut delivered = Vec::new();
         for slot in 0..64 {
             sw.step(slot, &mut delivered);
+            sw.assert_consistent();
         }
+        assert_eq!(sw.stats().total_queued(), 1);
         assert_eq!(delivered.len(), 2 * n);
         // The frame to output 1 was completed first, so it starts departing
         // before the frame to output 2 does.

@@ -5,17 +5,18 @@
 //! switch is almost empty — and the evaluation's most-simulated regimes (low
 //! load, drain tails, sparse traces) are exactly the almost-empty ones.  An
 //! [`OccupancySet`] tracks which ports currently hold work so the per-slot
-//! loops can walk only the set bits: one `u64` word covers 64 ports, and the
-//! step loops copy each word and pop set bits with `trailing_zeros`, so a
-//! step costs O(occupied ports) plus an O(N/64) word scan.  The whole-switch
+//! loops can walk only the set bits: one `u64` word covers 64 ports, and
+//! [`OccupancySet::next_port`] copies each word and pops its set bits with
+//! `trailing_zeros`, so a step costs O(occupied ports) plus an O(N/64) word
+//! scan.  The whole-switch
 //! empty-batch elision from the batched stepping work is the degenerate
 //! case: [`OccupancySet::is_empty`] is a single counter read.
 //!
 //! A summary level (one bit per level-0 word) is maintained alongside and
-//! backs the scalar word-scan fallback; the hot walks themselves go through
-//! [`OccupancySet::next_occupied_word`], a chunked scan that OR-reduces
-//! [`SCAN_CHUNK`] level-0 words at a time (a shape LLVM autovectorizes into
-//! one wide load + compare per chunk), and the fused
+//! backs the scalar word-scan fallback; the hot walks themselves find their
+//! next word with a chunked scan that OR-reduces [`SCAN_CHUNK`] level-0
+//! words at a time (a shape LLVM autovectorizes into one wide load + compare
+//! per chunk), and the fused
 //! [`OccupancySet::next_occupied_matching`] query intersects occupancy with a
 //! caller-supplied [`PortMask`] in the same chunked shape — the primitive the
 //! sharded parallel step uses to confine each worker to its port range
@@ -23,11 +24,10 @@
 //!
 //! The sets are plain indexes, deliberately decoupled from the containers
 //! they summarize: a switch inserts a port when it enqueues into it and
-//! removes it when a dequeue leaves the port empty.  Both the word walk and
-//! the cursor visit ports in ascending order — the same order the dense
-//! loops used, which the byte-identical golden nets rely on — and a pass may
-//! freely clear the bits of ports it has already visited (the walk reads a
-//! copied word).
+//! removes it when a dequeue leaves the port empty.  Every walk visits ports
+//! in ascending order — the same order the dense loops used, which the
+//! byte-identical golden nets rely on — and a pass may freely clear the bits
+//! of ports it has already visited (the walk reads a copied word).
 
 use serde::{Deserialize, Serialize};
 
@@ -126,37 +126,47 @@ impl OccupancySet {
         self.words[port >> 6] & (1u64 << (port & 63)) != 0
     }
 
-    /// Number of level-0 words (for the word-snapshot hot loops).
-    #[inline]
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
-    /// The `w`-th level-0 word.  The fabric passes iterate a *copy* of each
-    /// word with a `trailing_zeros` walk — about three instructions per
-    /// occupied port — which is safe because a pass only ever clears bits of
-    /// ports it has already visited (the copy is unaffected), and any insert
-    /// it performs targets a different set.
+    /// The next occupied port of the ascending walk `cursor` tracks, or
+    /// `None` once the walk is past the last one; start a walk from
+    /// `PortCursor::default()`.
+    ///
+    /// This is the step loops' walk: the cursor holds a *copy* of the word it
+    /// is in and pops its set bits with `trailing_zeros` — about three
+    /// instructions per occupied port — and asks the chunked scan for the
+    /// next non-zero word only when the copy runs out, so all-zero words
+    /// (most of them, in sparse regimes) are never visited.  Because the
+    /// word is a snapshot, the loop body may remove the port it was just
+    /// handed (or any earlier one) and may insert into another set freely; a
+    /// port inserted into *this* set mid-walk is seen only if it lands in a
+    /// word the cursor has not reached yet.
     // lint: hot-path
     #[inline]
-    pub fn word(&self, w: usize) -> u64 {
-        self.words[w]
+    pub fn next_port(&self, cursor: &mut PortCursor) -> Option<usize> {
+        if cursor.bits == 0 {
+            let w = self.next_occupied_word(cursor.end >> 6)?;
+            cursor.bits = self.words[w];
+            cursor.end = (w + 1) << 6;
+        }
+        let port = cursor.end - 64 + cursor.bits.trailing_zeros() as usize;
+        cursor.bits &= cursor.bits - 1;
+        Some(port)
     }
 
     /// The smallest index `>= from_word` of a non-zero level-0 word, or
-    /// `None`.  This is the step loops' word cursor: instead of visiting all
-    /// `word_count()` words (most of them zero in sparse regimes), a pass
-    /// asks for the next occupied word, pops its bits, and resumes from the
-    /// word after it.
+    /// `None` — the word half of [`Self::next_port`].
     ///
     /// Chunked scan: after a scalar prologue to a [`SCAN_CHUNK`] boundary,
     /// whole chunks are rejected with one OR-reduction each — a single wide
     /// load + compare once autovectorized — and only an occupied chunk is
-    /// re-scanned word by word.  Tiny domains (`word_count() <= SCAN_CHUNK`)
+    /// re-scanned word by word.  Tiny domains (at most [`SCAN_CHUNK`] words)
     /// take the summary-driven scalar path, which touches fewer cache lines.
+    ///
+    /// Deliberately out of line: a walk calls it once per occupied word and
+    /// once at its end, and with this body inlined [`Self::next_port`]
+    /// outgrows the inliner — every *port* of every walk then pays a call.
     // lint: hot-path
-    #[inline]
-    pub fn next_occupied_word(&self, from_word: usize) -> Option<usize> {
+    #[inline(never)]
+    fn next_occupied_word(&self, from_word: usize) -> Option<usize> {
         let count = self.words.len();
         if self.len == 0 || from_word >= count {
             return None;
@@ -191,8 +201,8 @@ impl OccupancySet {
         None
     }
 
-    /// Scalar reference for [`Self::next_occupied_word`]: walk the summary
-    /// level for the next non-zero word.  Kept public so the SIMD-vs-scalar
+    /// Scalar reference for the chunked word scan: walk the summary level
+    /// for the next non-zero word.  Kept public so the SIMD-vs-scalar
     /// parity nets can pin both paths against each other, and used directly
     /// for tiny domains where chunking cannot pay for itself.
     // lint: hot-path
@@ -305,6 +315,15 @@ impl OccupancySet {
     pub fn iter(&self) -> Iter<'_> {
         Iter { set: self, from: 0 }
     }
+}
+
+/// Where one ascending [`OccupancySet::next_port`] walk stands.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PortCursor {
+    /// Unvisited bits of the word being walked, as copied when it was entered.
+    bits: u64,
+    /// One past the last port of that word: where the next word starts.
+    end: usize,
 }
 
 /// A flat bitmask over ports `0..n` — the second operand of the fused
@@ -431,6 +450,14 @@ mod tests {
         }
         let got: Vec<usize> = s.iter().collect();
         assert_eq!(got, vec![0, 1, 63, 64, 65, 127, 128, 199]);
+        let mut cursor = PortCursor::default();
+        let walked: Vec<usize> = std::iter::from_fn(|| s.next_port(&mut cursor)).collect();
+        assert_eq!(walked, got);
+        assert_eq!(
+            s.next_port(&mut cursor),
+            None,
+            "a finished walk stays finished"
+        );
         assert_eq!(s.next_at_or_after(2), Some(63));
         assert_eq!(s.next_at_or_after(63), Some(63));
         assert_eq!(s.next_at_or_after(66), Some(127));
@@ -453,6 +480,23 @@ mod tests {
         }
         assert_eq!(visited, vec![3, 40, 70, 95]);
         assert!(s.is_empty());
+
+        // The step loops' walk: removing the port just handed out and
+        // inserting into another set both leave the walk intact.
+        let mut other = OccupancySet::new(96);
+        for p in [3usize, 40, 70, 95] {
+            s.insert(p);
+        }
+        let mut visited = Vec::new();
+        let mut cursor = PortCursor::default();
+        while let Some(p) = s.next_port(&mut cursor) {
+            visited.push(p);
+            s.remove(p);
+            other.insert(95 - p);
+        }
+        assert_eq!(visited, vec![3, 40, 70, 95]);
+        assert!(s.is_empty());
+        assert_eq!(other.len(), 4);
     }
 
     #[test]
@@ -527,8 +571,8 @@ mod tests {
                     *covered = true;
                 }
             }
-            for w in 0..=set.word_count() {
-                let brute = (w..set.word_count()).find(|&i| set.word(i) != 0);
+            for w in 0..=set.words.len() {
+                let brute = (w..set.words.len()).find(|&i| set.words[i] != 0);
                 prop_assert_eq!(set.next_occupied_word(w), brute);
                 prop_assert_eq!(set.next_occupied_word_scalar(w), brute);
             }
@@ -571,7 +615,11 @@ mod tests {
             let walked: Vec<usize> = set.iter().collect();
             let expected: Vec<usize> =
                 (0..n).filter(|&p| model[p]).collect();
-            prop_assert_eq!(walked, expected);
+            prop_assert_eq!(&walked, &expected);
+            let mut cursor = PortCursor::default();
+            let stepped: Vec<usize> =
+                std::iter::from_fn(|| set.next_port(&mut cursor)).collect();
+            prop_assert_eq!(stepped, expected);
             // And next_at_or_after agrees with the model from every origin.
             for from in 0..=n {
                 let want = (from..n).find(|&p| model[p]);

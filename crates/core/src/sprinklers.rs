@@ -16,7 +16,7 @@ use crate::input_port::SprinklersInputPort;
 use crate::intermediate_port::SprinklersIntermediatePort;
 use crate::lsf::Served;
 use crate::matrix::TrafficMatrix;
-use crate::occupancy::{OccupancySet, PortMask};
+use crate::occupancy::{OccupancySet, PortCursor, PortMask};
 use crate::ols::WeaklyUniformOls;
 use crate::packet::{DeliveredPacket, Packet};
 use crate::par::StepPool;
@@ -95,8 +95,8 @@ impl ParCtx {
 /// With a pool and at least [`PAR_MIN_OCCUPIED`] occupied ports the walk is
 /// sharded — each shard visits the occupied ports of its own contiguous range
 /// (via the fused occupancy-∩-range-mask query) and fills its own scratch
-/// vector; otherwise it is a serial `trailing_zeros` walk over a copy of each
-/// occupied word, filling `scratch[0]`.  Either way, reading the scratch
+/// vector; otherwise it is one serial [`OccupancySet::next_port`] walk
+/// filling `scratch[0]`.  Either way, reading the scratch
 /// vectors in order yields ascending port order.
 // lint: hot-path
 #[inline]
@@ -122,15 +122,9 @@ fn walk_occupied<P: Send, R: Send>(
         }
         _ => {
             let out = &mut scratch[0];
-            let mut w = 0usize;
-            while let Some(wi) = occupied.next_occupied_word(w) {
-                let mut bits = occupied.word(wi);
-                while bits != 0 {
-                    let p = (wi << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    visit(&mut ports[p], p, out);
-                }
-                w = wi + 1;
+            let mut cursor = PortCursor::default();
+            while let Some(p) = occupied.next_port(&mut cursor) {
+                visit(&mut ports[p], p, out);
             }
         }
     }

@@ -88,7 +88,7 @@ use crate::registry;
 use crate::report::{FaultEventReport, FaultSummary};
 use crate::spec::{FaultKind, FaultSpec, SizingSpec, SpecError, TopologySpec};
 use sprinklers_core::matrix::TrafficMatrix;
-use sprinklers_core::occupancy::OccupancySet;
+use sprinklers_core::occupancy::{OccupancySet, PortCursor};
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::store::{PacketHandle, PacketStore};
 use sprinklers_core::switch::{DeliverySink, Steppable, Switch, SwitchStats};
@@ -513,41 +513,35 @@ impl FabricWorld {
         self.release_parked();
         // Phase 1: packets whose wire latency elapsed enter the far node.
         // A link leaves the active set once this empties it.
-        let mut w = 0;
-        while let Some(wi) = self.active_links.next_occupied_word(w) {
-            let mut bits = self.active_links.word(wi);
-            while bits != 0 {
-                let link_idx = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (to_node, to_port) = {
-                    let link = &self.links[link_idx];
-                    (link.to_node, link.to_port)
-                };
-                while let Some(&(due, handle)) = self.links[link_idx].wire.front() {
-                    if due > slot {
-                        break;
-                    }
-                    self.links[link_idx].wire.pop_front();
-                    self.on_links -= 1;
-                    if let Some(f) = &mut self.faults {
-                        if !f.node_up[to_node] {
-                            // The wire delivered into a dead node: typed loss.
-                            f.dropped_dead_node += 1;
-                            Self::lose(&mut self.store, &mut self.in_flight, self.hosts, handle);
-                            continue;
-                        }
-                    }
-                    let body = self.store.get(PacketHandle::from_raw(handle));
-                    let (dst, flow) = (body.output(), body.flow);
-                    let out = self.wiring.transit_port(to_node, dst);
-                    self.enqueue_at(to_node, to_port, out, handle, flow, slot);
-                }
+        let mut cursor = PortCursor::default();
+        while let Some(link_idx) = self.active_links.next_port(&mut cursor) {
+            let (to_node, to_port) = {
                 let link = &self.links[link_idx];
-                if link.wire.is_empty() && link.ingress.is_empty() {
-                    self.active_links.remove(link_idx);
+                (link.to_node, link.to_port)
+            };
+            while let Some(&(due, handle)) = self.links[link_idx].wire.front() {
+                if due > slot {
+                    break;
                 }
+                self.links[link_idx].wire.pop_front();
+                self.on_links -= 1;
+                if let Some(f) = &mut self.faults {
+                    if !f.node_up[to_node] {
+                        // The wire delivered into a dead node: typed loss.
+                        f.dropped_dead_node += 1;
+                        Self::lose(&mut self.store, &mut self.in_flight, self.hosts, handle);
+                        continue;
+                    }
+                }
+                let body = self.store.get(PacketHandle::from_raw(handle));
+                let (dst, flow) = (body.output(), body.flow);
+                let out = self.wiring.transit_port(to_node, dst);
+                self.enqueue_at(to_node, to_port, out, handle, flow, slot);
             }
-            w = wi + 1;
+            let link = &self.links[link_idx];
+            if link.wire.is_empty() && link.ingress.is_empty() {
+                self.active_links.remove(link_idx);
+            }
         }
         // Phase 2: every node switches one slot; classify its deliveries.
         // Down nodes are skipped entirely: every scheme derives its phase
@@ -568,20 +562,15 @@ impl FabricWorld {
         // Phase 3: links admit at most one queued packet per `gap` slots.
         // A down link is never active: it was flushed at the event and
         // dispatch keeps it empty while down.
-        let mut w = 0;
-        while let Some(wi) = self.active_links.next_occupied_word(w) {
-            let mut bits = self.active_links.word(wi);
-            while bits != 0 {
-                let link = &mut self.links[(wi << 6) + bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-                if slot >= link.next_free {
-                    if let Some(handle) = link.ingress.pop_front() {
-                        link.wire.push_back((slot + link.latency, handle));
-                        link.next_free = slot + link.gap;
-                    }
+        let mut cursor = PortCursor::default();
+        while let Some(link_idx) = self.active_links.next_port(&mut cursor) {
+            let link = &mut self.links[link_idx];
+            if slot >= link.next_free {
+                if let Some(handle) = link.ingress.pop_front() {
+                    link.wire.push_back((slot + link.latency, handle));
+                    link.next_free = slot + link.gap;
                 }
             }
-            w = wi + 1;
         }
     }
 
