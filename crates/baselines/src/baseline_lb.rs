@@ -11,8 +11,8 @@
 //! paper uses it as the delay lower bound in Figures 6 and 7.
 
 use crate::two_stage::{InputPolicy, Served, TwoStage};
-use sprinklers_core::packet::Packet;
-use std::collections::VecDeque;
+use sprinklers_core::fifo::FifoGrid;
+use sprinklers_core::store::{PacketHandle, PacketStore};
 
 /// The baseline (unordered) load-balanced switch.
 pub type BaselineLbSwitch = TwoStage<BaselineLb>;
@@ -20,16 +20,14 @@ pub type BaselineLbSwitch = TwoStage<BaselineLb>;
 /// Baseline LB's input stage: one FIFO per input, head of line to whichever
 /// intermediate port is connected.
 pub struct BaselineLb {
-    inputs: Vec<VecDeque<Packet>>,
+    /// Queue `i` is input `i`'s FIFO; an entry is tagged with its output.
+    inputs: FifoGrid,
 }
 
 impl BaselineLbSwitch {
-    /// Create an `n`-port baseline load-balanced switch.  The input FIFOs
-    /// are pre-sized so a lightly loaded warm-up never reallocates.
+    /// Create an `n`-port baseline load-balanced switch.
     pub fn new(n: usize) -> Self {
-        let inputs = (0..n)
-            .map(|_| VecDeque::with_capacity((2 * n).min(64)))
-            .collect();
+        let inputs = FifoGrid::new(n);
         TwoStage::with_policy(n, BaselineLb { inputs })
     }
 }
@@ -39,24 +37,25 @@ impl InputPolicy for BaselineLb {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: Packet) -> bool {
-        self.inputs[packet.input()].push_back(packet);
+    fn arrive(&mut self, input: usize, output: usize, _flow: u64, handle: PacketHandle) -> bool {
+        self.inputs.push(input, handle, output as u32);
         true
     }
 
     // lint: hot-path
     #[inline]
-    fn serve(&mut self, input: usize, connected: usize, _slot: u64) -> Served {
-        let queue = &mut self.inputs[input];
-        let mut packet = queue.pop_front();
-        if let Some(packet) = &mut packet {
-            packet.set_intermediate(connected);
-            packet.set_stripe_size(1);
-        }
+    fn serve(
+        &mut self,
+        input: usize,
+        _connected: usize,
+        _slot: u64,
+        _store: &mut PacketStore,
+    ) -> Served {
         Served {
-            packet,
+            sent: self.inputs.pop(input),
+            framed: false,
             minted: 0,
-            servable: !queue.is_empty(),
+            servable: !self.inputs.is_empty(input),
         }
     }
 }
@@ -65,11 +64,12 @@ impl InputPolicy for BaselineLb {
 mod tests {
     use super::*;
     use crate::two_stage::CheckInput;
+    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
 
     impl CheckInput for BaselineLb {
         fn check_input(&self, input: usize, servable: bool) -> usize {
-            let held = self.inputs[input].len();
+            let held = self.inputs.len(input);
             assert_eq!(servable, held > 0, "input {input} bit");
             held
         }

@@ -13,7 +13,8 @@
 
 use crate::frame::FrameInputs;
 use crate::two_stage::{InputPolicy, Served, TwoStage};
-use sprinklers_core::packet::Packet;
+use sprinklers_core::occupancy::OccupancySet;
+use sprinklers_core::store::{PacketHandle, PacketStore};
 
 /// The Full Ordered Frames First switch.
 pub type FoffSwitch = TwoStage<Foff>;
@@ -22,6 +23,9 @@ pub type FoffSwitch = TwoStage<Foff>;
 /// otherwise.
 pub struct Foff {
     frames: FrameInputs,
+    /// Per input, its non-empty VOQs: the ones partial-frame service picks
+    /// among.
+    backlogged: Vec<OccupancySet>,
     /// Per input, the VOQ the next round of partial-frame service starts at.
     rr: Vec<usize>,
 }
@@ -31,6 +35,7 @@ impl FoffSwitch {
     pub fn new(n: usize) -> Self {
         let policy = Foff {
             frames: FrameInputs::new(n),
+            backlogged: vec![OccupancySet::new(n); n],
             rr: vec![0; n],
         };
         TwoStage::with_policy(n, policy)
@@ -41,16 +46,18 @@ impl Foff {
     /// Pop one packet from the next non-empty VOQ in round-robin order.
     // lint: hot-path
     #[inline]
-    fn pop_round_robin(&mut self, input: usize) -> Option<Packet> {
+    fn pop_round_robin(&mut self, input: usize) -> Option<(PacketHandle, u32)> {
         let n = self.frames.frame_size();
-        for k in 0..n {
-            let voq = (self.rr[input] + k) % n;
-            if let Some(packet) = self.frames.pop_one(input, voq) {
-                self.rr[input] = (voq + 1) % n;
-                return Some(packet);
-            }
+        let backlogged = &mut self.backlogged[input];
+        let voq = backlogged
+            .next_at_or_after(self.rr[input])
+            .or_else(|| backlogged.next_at_or_after(0))?;
+        let sent = self.frames.pop_one(input, voq);
+        if self.frames.voq_len(input, voq) == 0 {
+            backlogged.remove(voq);
         }
-        None
+        self.rr[input] = if voq + 1 == n { 0 } else { voq + 1 };
+        sent
     }
 }
 
@@ -62,26 +69,33 @@ impl InputPolicy for Foff {
     /// servable exactly while it holds one.
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: Packet) -> bool {
-        self.frames.push(packet);
+    fn arrive(&mut self, input: usize, output: usize, _flow: u64, handle: PacketHandle) -> bool {
+        let len = self.frames.push(input, output, handle);
+        if len == 1 {
+            self.backlogged[input].insert(output);
+        } else if len == self.frames.frame_size() {
+            // Cut into a frame: the VOQ is empty again.
+            self.backlogged[input].remove(output);
+        }
         true
     }
 
     // lint: hot-path
     #[inline]
-    fn serve(&mut self, input: usize, connected: usize, _slot: u64) -> Served {
-        let mut packet = self.frames.serve_frame(input, connected);
-        if packet.is_none() {
-            // No frame in flight: an uncommitted single packet goes to
-            // whatever port is connected.
-            packet = self.pop_round_robin(input);
-            if let Some(packet) = &mut packet {
-                packet.set_intermediate(connected);
-                packet.set_stripe_size(1);
-            }
-        }
+    fn serve(
+        &mut self,
+        input: usize,
+        connected: usize,
+        _slot: u64,
+        _store: &mut PacketStore,
+    ) -> Served {
+        let framed = self.frames.serve_frame(input, connected);
+        // No frame in flight: an uncommitted single packet goes to whatever
+        // port is connected.
+        let sent = framed.or_else(|| self.pop_round_robin(input));
         Served {
-            packet,
+            sent,
+            framed: framed.is_some(),
             minted: 0,
             servable: self.frames.queued(input) > 0,
         }
@@ -92,12 +106,17 @@ impl InputPolicy for Foff {
 mod tests {
     use super::*;
     use crate::two_stage::CheckInput;
+    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
 
     impl CheckInput for Foff {
         fn check_input(&self, input: usize, servable: bool) -> usize {
             let held = self.frames.rescan(input);
             assert_eq!(servable, held > 0, "input {input} bit");
+            let backlogged: Vec<usize> = self.backlogged[input].iter().collect();
+            let non_empty = self.frames.voq_lens(input).enumerate();
+            let non_empty: Vec<usize> = non_empty.filter(|v| v.1 > 0).map(|v| v.0).collect();
+            assert_eq!(backlogged, non_empty, "input {input} non-empty VOQs");
             held
         }
     }
@@ -141,7 +160,7 @@ mod tests {
             sw.step(slot, &mut delivered);
         }
         let mut last: std::collections::HashMap<(usize, usize), u64> = Default::default();
-        let mut count = sw.stats().total_departures;
+        let count = sw.stats().total_departures;
         assert!(
             count >= sent * 9 / 10,
             "most packets should drain: {count}/{sent}"
@@ -157,8 +176,6 @@ mod tests {
             }
             last.insert(voq, d.packet.voq_seq);
         }
-        count = 0;
-        let _ = count;
     }
 
     #[test]

@@ -8,115 +8,40 @@
 //! start in a slot where the input is connected to intermediate port 0 and
 //! then proceeds for N consecutive slots.
 //!
-//! [`FrameInputs`] is the whole input stage of such a scheme: per input the
-//! VOQs, the FCFS line of cut frames and the frame being spread, plus one
-//! pool of frame buffers shared by every input.  The three schemes differ
-//! only in what they do when no frame is in flight, which is what their
-//! policies add on top.
+//! [`FrameInputs`] is the whole input stage of such a scheme, as queues of
+//! packet handles in one [`FifoGrid`]: a VOQ per `(input, output)` pair and,
+//! per input, the *ready line* its cut frames wait on, first come first
+//! served.  A full frame is the whole VOQ at the moment it reaches N, so
+//! cutting one is a single splice of the VOQ onto the ready line; the line is
+//! then a run of whole frames, and "the frame in flight" is no more than a
+//! count of how many of its packets are still to be sent.  The three schemes
+//! differ only in what they do when no frame is in flight, which is what
+//! their policies add on top.
 
+use sprinklers_core::fifo::FifoGrid;
 use sprinklers_core::packet::Packet;
-use std::collections::VecDeque;
+use sprinklers_core::store::{PacketHandle, PacketStore};
 
-/// A frame's packets in transmission order.  Buffers cycle VOQ → ready line
-/// → in service → pool, so steady-state frame formation reuses capacity
-/// instead of allocating per frame.
-pub(crate) type Frame = VecDeque<Packet>;
-
-/// Pop a full frame of `frame_size` packets off the front of `voq` into a
-/// caller-provided (pooled) buffer, cleared first, returning whether a frame
-/// was available.
-pub(crate) fn pop_full_frame_into(
-    voq: &mut VecDeque<Packet>,
-    frame_size: usize,
-    frame: &mut Frame,
-) -> bool {
-    frame.clear();
-    if voq.len() < frame_size {
-        return false;
-    }
-    frame.extend(voq.drain(..frame_size));
-    true
-}
-
-/// Pop everything `voq` holds into a caller-provided (pooled) buffer and pad
-/// with fake packets up to `frame_size` (the Padded Frames operation).
-/// Returns false, leaving the buffer cleared, if the VOQ is empty.
-pub(crate) fn pop_padded_frame_into(
-    voq: &mut VecDeque<Packet>,
-    frame_size: usize,
-    input: usize,
-    output: usize,
-    now: u64,
-    frame: &mut Frame,
-) -> bool {
-    frame.clear();
-    if voq.is_empty() {
-        return false;
-    }
-    let take = voq.len().min(frame_size);
-    frame.extend(voq.drain(..take));
-    while frame.len() < frame_size {
-        frame.push_back(Packet::padding(input, output, now));
-    }
-    true
-}
-
-/// A frame in the middle of being spread across the intermediate ports.
-pub(crate) struct FrameInService {
-    packets: Frame,
-}
-
-impl FrameInService {
-    /// Start transmitting a frame.  Packet `k` is stamped for intermediate
-    /// port `k` and with frame (stripe) metadata.
-    pub(crate) fn new(mut packets: Frame) -> Self {
-        let size = packets.len();
-        for (k, p) in packets.iter_mut().enumerate() {
-            p.set_stripe_size(size);
-            p.set_stripe_index(k);
-            p.set_intermediate(k);
-        }
-        FrameInService { packets }
-    }
-
-    /// The next packet to transmit — packet `k` goes to intermediate port
-    /// `k` — or `None` once the frame is finished.
-    // lint: hot-path
-    #[inline]
-    pub(crate) fn serve_next(&mut self) -> Option<Packet> {
-        self.packets.pop_front()
-    }
-
-    /// True when every packet of the frame has been transmitted.
-    pub(crate) fn finished(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Tear down a finished frame and hand its empty buffer back for
-    /// pooling, so the next frame formed at this switch reuses the capacity.
-    pub(crate) fn recycle(self) -> Frame {
-        debug_assert!(self.finished());
-        self.packets
-    }
-}
-
-/// One input port of a frame-based scheme.
+/// One input port's running counts.
+#[derive(Clone, Default)]
 struct FrameInput {
-    voqs: Vec<VecDeque<Packet>>,
-    /// Cut frames (full, or padded by PF) waiting to be spread, FCFS.
-    ready: VecDeque<Frame>,
-    in_service: Option<FrameInService>,
-    /// Packets held anywhere at this input — VOQs, ready frames and what is
-    /// left of the frame in service, padding included.
+    /// Packets held anywhere at this input — VOQs and ready line, padding
+    /// included.
     queued: usize,
+    /// Packets of the frame in flight still to be sent; 0 between frames.
+    in_flight: usize,
 }
 
-/// The input stage of a frame-based scheme: every input's VOQs, ready frames
-/// and frame in service, plus the pool of recycled frame buffers they share.
+/// The input stage of a frame-based scheme: every input's VOQs and ready
+/// line.
 pub(crate) struct FrameInputs {
     n: usize,
+    /// Queue `i·n + j` is VOQ `(i, j)`; queue `n² + i` is input `i`'s ready
+    /// line.  Every entry is tagged with its output port.
+    queues: FifoGrid,
+    /// Length of every VOQ, indexed like its queue.
+    lens: Vec<u32>,
     inputs: Vec<FrameInput>,
-    pool: Vec<Frame>,
 }
 
 impl FrameInputs {
@@ -124,15 +49,9 @@ impl FrameInputs {
     pub(crate) fn new(n: usize) -> Self {
         FrameInputs {
             n,
-            inputs: (0..n)
-                .map(|_| FrameInput {
-                    voqs: (0..n).map(|_| VecDeque::new()).collect(),
-                    ready: VecDeque::new(),
-                    in_service: None,
-                    queued: 0,
-                })
-                .collect(),
-            pool: Vec::new(),
+            queues: FifoGrid::new(n * n + n),
+            lens: vec![0; n * n],
+            inputs: vec![FrameInput::default(); n],
         }
     }
 
@@ -141,30 +60,40 @@ impl FrameInputs {
         self.n
     }
 
+    fn ready_line(&self, input: usize) -> usize {
+        self.n * self.n + input
+    }
+
     /// Append an arriving packet to its VOQ, cutting a full frame onto the
     /// ready line when that makes N.  Returns the VOQ's length with the
     /// packet counted (N when a frame was cut).
     // lint: hot-path
     #[inline]
-    pub(crate) fn push(&mut self, packet: Packet) -> usize {
-        let input = &mut self.inputs[packet.input()];
-        let voq = &mut input.voqs[packet.output()];
-        voq.push_back(packet);
-        input.queued += 1;
-        let len = voq.len();
-        if len >= self.n {
-            let mut frame = self.pool.pop().unwrap_or_default();
-            let formed = pop_full_frame_into(voq, self.n, &mut frame);
-            debug_assert!(formed);
-            input.ready.push_back(frame);
+    pub(crate) fn push(&mut self, input: usize, output: usize, handle: PacketHandle) -> usize {
+        let voq = input * self.n + output;
+        self.queues.push(voq, handle, output as u32);
+        self.inputs[input].queued += 1;
+        let len = self.lens[voq] as usize + 1;
+        if len == self.n {
+            self.cut(input, voq);
+        } else {
+            self.lens[voq] = len as u32;
         }
         len
     }
 
+    /// Move everything in `voq` — a frame's worth — onto `input`'s ready line.
+    // lint: hot-path
+    #[inline]
+    fn cut(&mut self, input: usize, voq: usize) {
+        self.queues.splice(voq, self.ready_line(input));
+        self.lens[voq] = 0;
+    }
+
     /// True if `input` has a frame in flight or ready.
+    #[inline]
     pub(crate) fn has_frame(&self, input: usize) -> bool {
-        let input = &self.inputs[input];
-        input.in_service.is_some() || !input.ready.is_empty()
+        self.inputs[input].in_flight > 0 || !self.queues.is_empty(self.ready_line(input))
     }
 
     /// Packets held anywhere at `input`.
@@ -172,67 +101,85 @@ impl FrameInputs {
         self.inputs[input].queued
     }
 
+    /// Packets in VOQ `(input, output)`.
+    #[inline]
+    pub(crate) fn voq_len(&self, input: usize, output: usize) -> usize {
+        self.lens[input * self.n + output] as usize
+    }
+
     /// The frame half of a slot at `input`, connected to intermediate port
-    /// `connected`: start the next ready frame if none is in flight, send
-    /// the in-flight frame's next packet, and recycle the frame once spent.
-    /// `None` means no frame is in flight.
+    /// `connected`: start the next ready frame if none is in flight and send
+    /// the in-flight frame's next packet — its handle and output.  `None`
+    /// means no frame is in flight.
     // lint: hot-path
     #[inline]
-    pub(crate) fn serve_frame(&mut self, input: usize, connected: usize) -> Option<Packet> {
-        let input = &mut self.inputs[input];
-        // Start a new frame only when connected to intermediate port 0, so
-        // that packet k of every frame lands on intermediate port k.
-        if input.in_service.is_none() && connected == 0 {
-            if let Some(frame) = input.ready.pop_front() {
-                input.in_service = Some(FrameInService::new(frame));
+    pub(crate) fn serve_frame(
+        &mut self,
+        input: usize,
+        connected: usize,
+    ) -> Option<(PacketHandle, u32)> {
+        let line = self.ready_line(input);
+        let port = &mut self.inputs[input];
+        if port.in_flight == 0 {
+            // Start a new frame only when connected to intermediate port 0,
+            // so that packet k of every frame lands on intermediate port k.
+            if connected != 0 || self.queues.is_empty(line) {
+                return None;
             }
+            port.in_flight = self.n;
         }
-        let svc = input.in_service.as_mut()?;
-        let packet = svc.serve_next();
-        if svc.finished() {
-            if let Some(done) = input.in_service.take() {
-                self.pool.push(done.recycle());
-            }
-        }
-        input.queued -= usize::from(packet.is_some());
-        packet
+        debug_assert_eq!(self.n - port.in_flight, connected);
+        port.in_flight -= 1;
+        port.queued -= 1;
+        self.queues.pop(line)
     }
 
     /// Pop the oldest packet of one VOQ, outside any frame (FOFF).
     // lint: hot-path
     #[inline]
-    pub(crate) fn pop_one(&mut self, input: usize, output: usize) -> Option<Packet> {
-        let input = &mut self.inputs[input];
-        let packet = input.voqs[output].pop_front();
-        input.queued -= usize::from(packet.is_some());
-        packet
+    pub(crate) fn pop_one(&mut self, input: usize, output: usize) -> Option<(PacketHandle, u32)> {
+        let voq = input * self.n + output;
+        let sent = self.queues.pop(voq)?;
+        self.lens[voq] -= 1;
+        self.inputs[input].queued -= 1;
+        Some(sent)
     }
 
-    /// Index and length of the longest VOQ at `input` (PF).
+    /// Index and length of the longest VOQ at `input`, the last of equals
+    /// (PF).
     pub(crate) fn longest_voq(&self, input: usize) -> (usize, usize) {
-        self.inputs[input]
-            .voqs
+        self.lens[input * self.n..][..self.n]
             .iter()
             .enumerate()
-            .map(|(j, v)| (j, v.len()))
+            .map(|(j, &len)| (j, len as usize))
             .max_by_key(|&(_, len)| len)
             .unwrap_or((0, 0))
     }
 
-    /// Cut everything in VOQ `output` of `input` — which must hold a packet —
-    /// into a frame padded with fake packets up to N and put it on the ready
-    /// line (PF).  Returns the number of fake packets minted.
+    /// Pad VOQ `output` of `input` — which must hold a packet — with fake
+    /// packets up to N and cut it onto the ready line, data first (PF).
+    /// Returns the number of fake packets minted.
     // lint: hot-path
     #[inline]
-    pub(crate) fn pad_frame(&mut self, input: usize, output: usize, now: u64) -> usize {
-        let port = &mut self.inputs[input];
-        let mut frame = self.pool.pop().unwrap_or_default();
-        let voq = &mut port.voqs[output];
-        let formed = pop_padded_frame_into(voq, self.n, input, output, now, &mut frame);
-        debug_assert!(formed, "PF pads only a VOQ that reached its threshold");
-        let minted = frame.iter().filter(|p| p.is_padding()).count();
-        port.queued += minted;
-        port.ready.push_back(frame);
+    pub(crate) fn pad_frame(
+        &mut self,
+        input: usize,
+        output: usize,
+        now: u64,
+        store: &mut PacketStore,
+    ) -> usize {
+        let voq = input * self.n + output;
+        debug_assert!(
+            self.lens[voq] > 0,
+            "PF pads only a VOQ that reached its threshold"
+        );
+        let minted = self.n - self.lens[voq] as usize;
+        for _ in 0..minted {
+            let fake = store.insert(Packet::padding(input, output, now));
+            self.queues.push(voq, fake, output as u32);
+        }
+        self.inputs[input].queued += minted;
+        self.cut(input, voq);
         minted
     }
 }
@@ -240,107 +187,161 @@ impl FrameInputs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::padded_frames::PaddedFramesSwitch;
+    use crate::ufs::UfsSwitch;
+    use sprinklers_core::packet::DeliveredPacket;
+    use sprinklers_core::switch::Switch;
 
     impl FrameInputs {
-        /// Length of every VOQ at `input`, for the policies' own rescans.
+        /// Length of every VOQ at `input`, recounted from the queues and
+        /// checked against the running lengths, for the policies' rescans.
         pub(crate) fn voq_lens(&self, input: usize) -> impl Iterator<Item = usize> + '_ {
-            self.inputs[input].voqs.iter().map(VecDeque::len)
+            (0..self.n).map(move |j| {
+                let len = self.queues.len(input * self.n + j);
+                assert_eq!(self.voq_len(input, j), len, "VOQ ({input}, {j}) length");
+                len
+            })
         }
 
-        /// Brute-force recount of [`Self::queued`], asserting the two agree.
+        /// Brute-force recount of [`Self::queued`], asserting the two agree
+        /// and that the ready line is whole frames behind the one in flight.
         pub(crate) fn rescan(&self, input: usize) -> usize {
             let port = &self.inputs[input];
-            let held = self.voq_lens(input).sum::<usize>()
-                + port.ready.iter().map(Frame::len).sum::<usize>()
-                + port.in_service.as_ref().map_or(0, |svc| svc.packets.len());
+            let line = self.queues.len(self.ready_line(input));
+            assert_eq!(line % self.n, port.in_flight, "input {input}: ready line");
+            let held = self.voq_lens(input).sum::<usize>() + line;
             assert_eq!(port.queued, held, "input {input}: running packet count");
             held
         }
     }
 
-    fn pkt(seq: u64) -> Packet {
-        Packet::new(0, 1, seq, 0).with_voq_seq(seq)
+    fn h(seq: u32) -> PacketHandle {
+        PacketHandle::from_raw(seq)
+    }
+
+    fn pkt(output: usize, seq: u64) -> Packet {
+        Packet::new(0, output, seq, 0).with_voq_seq(seq)
+    }
+
+    /// Step `sw` over `slots` slots and return every delivery.
+    fn run(sw: &mut dyn Switch, slots: u64) -> Vec<DeliveredPacket> {
+        let mut delivered = Vec::new();
+        for slot in 0..slots {
+            sw.step(slot, &mut delivered);
+        }
+        delivered
     }
 
     #[test]
     fn full_frame_requires_enough_packets() {
-        let mut voq = VecDeque::new();
-        let mut frame = Frame::new();
-        for i in 0..3 {
-            voq.push_back(pkt(i));
+        let mut inputs = FrameInputs::new(4);
+        for seq in 0..3 {
+            assert_eq!(inputs.push(0, 1, h(seq)), seq as usize + 1);
         }
-        assert!(!pop_full_frame_into(&mut voq, 4, &mut frame));
-        assert_eq!(voq.len(), 3);
-        voq.push_back(pkt(3));
-        assert!(pop_full_frame_into(&mut voq, 4, &mut frame));
-        assert_eq!(frame.len(), 4);
-        assert_eq!(voq.len(), 0);
-        // Arrival order is preserved.
-        assert!(frame.iter().map(|p| p.voq_seq).eq(0..4));
+        assert!(!inputs.has_frame(0));
+        assert_eq!(inputs.serve_frame(0, 0), None);
+        assert_eq!(inputs.voq_len(0, 1), 3);
+        assert_eq!(inputs.push(0, 1, h(3)), 4);
+        assert!(inputs.has_frame(0));
+        assert_eq!(inputs.voq_len(0, 1), 0, "the whole VOQ became the frame");
+        assert_eq!(inputs.rescan(0), 4);
+        // A frame waits for intermediate port 0, then leaves in arrival
+        // order, packet k over port k.
+        assert_eq!(inputs.serve_frame(0, 2), None);
+        for k in 0..4 {
+            assert!(inputs.has_frame(0));
+            assert_eq!(inputs.serve_frame(0, k), Some((h(k as u32), 1)));
+            inputs.rescan(0);
+        }
+        assert!(!inputs.has_frame(0));
+        assert_eq!(inputs.serve_frame(0, 0), None);
+    }
+
+    #[test]
+    fn frames_leave_in_the_order_they_were_cut() {
+        let mut inputs = FrameInputs::new(2);
+        // VOQ 1 fills first although VOQ 0 got the first packet.
+        for (output, seq) in [(0, 0), (1, 1), (1, 2), (0, 3)] {
+            inputs.push(0, output, h(seq));
+        }
+        let order: Vec<_> = (0..4).map(|k| inputs.serve_frame(0, k % 2)).collect();
+        let expected = [(h(1), 1), (h(2), 1), (h(0), 0), (h(3), 0)].map(Some);
+        assert_eq!(order, expected);
     }
 
     #[test]
     fn padded_frame_fills_with_fakes() {
-        let mut voq = VecDeque::new();
-        let mut frame = Frame::new();
-        voq.push_back(pkt(0));
-        voq.push_back(pkt(1));
-        assert!(pop_padded_frame_into(&mut voq, 4, 0, 1, 99, &mut frame));
-        assert_eq!(frame.len(), 4);
+        let mut store = PacketStore::new();
+        let mut inputs = FrameInputs::new(4);
+        let data: Vec<_> = (0..2).map(|seq| store.insert(pkt(1, seq))).collect();
+        for &handle in &data {
+            inputs.push(0, 1, handle);
+        }
+        assert_eq!(inputs.pad_frame(0, 1, 99, &mut store), 2);
+        assert_eq!(inputs.voq_len(0, 1), 0);
+        assert_eq!(inputs.rescan(0), 4);
+        assert_eq!(store.live(), 4, "the fakes are stored like data");
         // Data first, in order, then the fakes.
-        let padding: Vec<bool> = frame.iter().map(Packet::is_padding).collect();
-        assert_eq!(padding, [false, false, true, true]);
-        assert_eq!(voq.len(), 0);
-        assert!(!pop_padded_frame_into(&mut voq, 4, 0, 1, 99, &mut frame));
+        for k in 0..4 {
+            let (handle, output) = inputs.serve_frame(0, k).unwrap();
+            assert_eq!(output, 1);
+            let packet = store.take(handle);
+            assert_eq!(packet.is_padding(), k >= 2);
+            match data.get(k) {
+                Some(&stored) => assert_eq!(handle, stored),
+                None => assert_eq!((packet.voq(), packet.arrival_slot), ((0, 1), 99)),
+            }
+        }
+    }
+
+    #[test]
+    fn longest_voq_prefers_the_last_of_equals() {
+        let mut inputs = FrameInputs::new(4);
+        assert_eq!(inputs.longest_voq(0), (3, 0));
+        for (output, seq) in [(2, 0), (0, 1), (2, 2), (0, 3), (1, 4)] {
+            inputs.push(1, output, h(seq));
+        }
+        assert_eq!(inputs.longest_voq(1), (2, 2));
+        assert_eq!(inputs.longest_voq(0), (3, 0), "inputs are independent");
     }
 
     #[test]
     fn frame_in_service_stamps_ports_and_metadata() {
-        let mut svc = FrameInService::new((0..4).map(pkt).collect());
-        for k in 0..4 {
-            assert!(!svc.finished());
-            let p = svc.serve_next().unwrap();
+        let n = 4;
+        let mut sw = UfsSwitch::new(n);
+        for k in 0..n as u64 {
+            sw.arrive(pkt(1, k));
+        }
+        let delivered = run(&mut sw, 16);
+        assert_eq!(delivered.len(), n);
+        for (k, d) in delivered.iter().enumerate() {
+            let p = &d.packet;
             assert_eq!(p.voq_seq, k as u64, "packets leave in frame order");
             assert_eq!(p.intermediate(), k);
             assert_eq!(p.stripe_index(), k);
-            assert_eq!(p.stripe_size(), 4);
+            assert_eq!(p.stripe_size(), n);
         }
-        assert!(svc.finished());
-        assert!(svc.serve_next().is_none());
-    }
-
-    #[test]
-    fn pooled_buffers_round_trip_through_frame_service() {
-        let mut voq = VecDeque::new();
-        for i in 0..4 {
-            voq.push_back(pkt(i));
+        // PF's fakes are the tail of their frame and stamped like the data.
+        let mut sw = PaddedFramesSwitch::new(n, 1);
+        sw.arrive(pkt(2, 0));
+        let delivered = run(&mut sw, 16);
+        assert_eq!(delivered.len(), n);
+        for (k, d) in delivered.iter().enumerate() {
+            let p = &d.packet;
+            assert_eq!(p.is_padding(), k > 0);
+            assert_eq!((p.intermediate(), p.stripe_index()), (k, k));
+            assert_eq!((p.voq(), p.stripe_size()), ((0, 2), n));
         }
-        let mut buf = Frame::with_capacity(4);
-        assert!(pop_full_frame_into(&mut voq, 4, &mut buf));
-        assert_eq!(buf.len(), 4);
-        let cap = buf.capacity();
-        let mut svc = FrameInService::new(buf);
-        while !svc.finished() {
-            svc.serve_next();
-        }
-        let recycled = svc.recycle();
-        assert!(recycled.is_empty());
-        assert_eq!(recycled.capacity(), cap, "capacity survives recycling");
-        // An empty VOQ leaves the buffer cleared and reports no frame.
-        let mut buf = recycled;
-        assert!(!pop_full_frame_into(&mut voq, 4, &mut buf));
-        assert!(!pop_padded_frame_into(&mut voq, 4, 0, 1, 0, &mut buf));
-        assert!(buf.is_empty());
     }
 
     #[test]
     fn pop_one_serves_in_fifo_order() {
         let mut inputs = FrameInputs::new(4);
-        inputs.push(pkt(5));
-        inputs.push(pkt(6));
-        assert_eq!(inputs.pop_one(0, 1).unwrap().voq_seq, 5);
+        inputs.push(0, 1, h(5));
+        inputs.push(0, 1, h(6));
+        assert_eq!(inputs.pop_one(0, 1), Some((h(5), 1)));
         assert_eq!(inputs.rescan(0), 1);
-        assert_eq!(inputs.pop_one(0, 1).unwrap().voq_seq, 6);
+        assert_eq!(inputs.pop_one(0, 1), Some((h(6), 1)));
         assert!(inputs.pop_one(0, 1).is_none());
         assert_eq!(inputs.rescan(0), 0);
     }

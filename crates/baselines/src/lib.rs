@@ -16,14 +16,16 @@
 //!
 //! Except for OQ (which idealizes the fabric away entirely), the schemes are
 //! one machine — the generic load-balanced switch of Fig. 1 — and are built
-//! that way: a single private two-stage kernel owns the intermediate FIFOs,
-//! both periodic fabrics, FOFF's output resequencers, the occupancy bitsets,
-//! the counters and the one `impl Switch` (`step`, batched `step_batch` with
-//! idle elision, `stats`), and each module above supplies only an *input
-//! policy*: what an input does with an arrival, and which packet it hands
-//! the first fabric when connected to an intermediate port.  UFS, FOFF and
-//! PF further share one frame-forming input stage.  The `…Switch` names are
-//! the kernel instantiated with each policy.
+//! that way: a single private two-stage kernel owns the packet store (a body
+//! is written once at arrival and read once at departure; every queue holds
+//! four-byte handles), the intermediate FIFOs, both periodic fabrics, FOFF's
+//! output resequencers, the occupancy bitsets, the counters and the one
+//! `impl Switch` (`step`, batched `step_batch` with idle elision, `stats`),
+//! and each module above supplies only an *input policy*: what an input does
+//! with an arrival, and which packet it hands the first fabric when
+//! connected to an intermediate port.  UFS, FOFF and PF further share one
+//! frame-forming input stage.  The `…Switch` names are the kernel
+//! instantiated with each policy.
 //!
 //! Every switch here delivers packets by pushing them into a
 //! [`sprinklers_core::switch::DeliverySink`] from its `step` method — see the
@@ -36,7 +38,6 @@ pub mod baseline_lb;
 mod fabric;
 pub mod foff;
 mod frame;
-mod intermediate;
 pub mod oq;
 pub mod padded_frames;
 mod resequencer;

@@ -11,7 +11,7 @@
 
 use crate::frame::FrameInputs;
 use crate::two_stage::{InputPolicy, Served, TwoStage};
-use sprinklers_core::packet::Packet;
+use sprinklers_core::store::{PacketHandle, PacketStore};
 
 /// The Padded Frames switch.
 pub type PaddedFramesSwitch = TwoStage<PaddedFrames>;
@@ -70,9 +70,8 @@ impl InputPolicy for PaddedFrames {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: Packet) -> bool {
-        let input = packet.input();
-        let len = self.frames.push(packet);
+    fn arrive(&mut self, input: usize, output: usize, _flow: u64, handle: PacketHandle) -> bool {
+        let len = self.frames.push(input, output, handle);
         if len == self.threshold {
             self.ripe_voqs[input] += 1;
         }
@@ -85,20 +84,27 @@ impl InputPolicy for PaddedFrames {
 
     // lint: hot-path
     #[inline]
-    fn serve(&mut self, input: usize, connected: usize, slot: u64) -> Served {
+    fn serve(
+        &mut self,
+        input: usize,
+        connected: usize,
+        slot: u64,
+        store: &mut PacketStore,
+    ) -> Served {
         let mut minted = 0;
         if connected == 0 && !self.frames.has_frame(input) {
             // No full frame to start: pad the longest VOQ if it has reached
             // the threshold.  It drops from >= threshold to empty.
             let (longest, len) = self.frames.longest_voq(input);
             if len >= self.threshold {
-                minted = self.frames.pad_frame(input, longest, slot);
+                minted = self.frames.pad_frame(input, longest, slot, store);
                 self.padding_sent += minted as u64;
                 self.ripe_voqs[input] -= 1;
             }
         }
         Served {
-            packet: self.frames.serve_frame(input, connected),
+            sent: self.frames.serve_frame(input, connected),
+            framed: true,
             minted,
             servable: self.servable(input),
         }
@@ -110,6 +116,7 @@ mod tests {
     use super::*;
     use crate::two_stage::CheckInput;
     use sprinklers_core::packet::DeliveredPacket;
+    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
 
     impl CheckInput for PaddedFrames {

@@ -9,44 +9,35 @@
 //! different flows of the same VOQ may take different paths.
 
 use crate::two_stage::{InputPolicy, Served, TwoStage};
-use sprinklers_core::packet::Packet;
-use std::collections::VecDeque;
+use sprinklers_core::fifo::FifoGrid;
+use sprinklers_core::store::{PacketHandle, PacketStore};
 
 /// The TCP-hashing (AFBR) switch.
 pub type TcpHashSwitch = TwoStage<TcpHash>;
-
-/// One TCP-hashing input port: a FIFO per intermediate port.
-struct HashInput {
-    per_intermediate: Vec<VecDeque<Packet>>,
-    /// Running total across the per-path FIFOs, so servability never rescans
-    /// the n queues.
-    queued: usize,
-}
 
 /// TCP hashing's input stage: every flow pinned to the intermediate port its
 /// identifier hashes to.
 pub struct TcpHash {
     n: usize,
     seed: u64,
-    inputs: Vec<HashInput>,
+    /// Queue `i·n + l` is input `i`'s FIFO for intermediate port `l`; an
+    /// entry is tagged with its output.
+    per_path: FifoGrid,
+    /// Per input, the running total across its per-path FIFOs, so
+    /// servability never rescans the n queues.
+    queued: Vec<usize>,
 }
 
 impl TcpHashSwitch {
     /// Create an `n`-port TCP-hashing switch; `seed` perturbs the flow hash.
     pub fn new(n: usize, seed: u64) -> Self {
-        let input = || HashInput {
-            // Pre-sized so the modest per-path queues of a stable run never
-            // hit a first-time capacity growth on the hot arrive path.  The
-            // cap keeps the up-front cost linear-per-queue at large N (there
-            // are n² queues per switch, so an uncapped 2n here would be
-            // cubic in ports).
-            per_intermediate: (0..n)
-                .map(|_| VecDeque::with_capacity((2 * n).min(32)))
-                .collect(),
-            queued: 0,
+        let policy = TcpHash {
+            n,
+            seed,
+            per_path: FifoGrid::new(n * n),
+            queued: vec![0; n],
         };
-        let inputs = (0..n).map(|_| input()).collect();
-        TwoStage::with_policy(n, TcpHash { n, seed, inputs })
+        TwoStage::with_policy(n, policy)
     }
 
     /// The intermediate port a flow is pinned to.
@@ -75,11 +66,11 @@ impl InputPolicy for TcpHash {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: Packet) -> bool {
-        let path = self.hash_flow(packet.flow);
-        let input = &mut self.inputs[packet.input()];
-        input.queued += 1;
-        input.per_intermediate[path].push_back(packet);
+    fn arrive(&mut self, input: usize, output: usize, flow: u64, handle: PacketHandle) -> bool {
+        let path = self.hash_flow(flow);
+        self.queued[input] += 1;
+        self.per_path
+            .push(input * self.n + path, handle, output as u32);
         true
     }
 
@@ -87,18 +78,20 @@ impl InputPolicy for TcpHash {
     /// per-path FIFOs other than the one the fabric reaches this slot.
     // lint: hot-path
     #[inline]
-    fn serve(&mut self, input: usize, connected: usize, _slot: u64) -> Served {
-        let input = &mut self.inputs[input];
-        let mut packet = input.per_intermediate[connected].pop_front();
-        if let Some(packet) = &mut packet {
-            input.queued -= 1;
-            packet.set_intermediate(connected);
-            packet.set_stripe_size(1);
-        }
+    fn serve(
+        &mut self,
+        input: usize,
+        connected: usize,
+        _slot: u64,
+        _store: &mut PacketStore,
+    ) -> Served {
+        let sent = self.per_path.pop(input * self.n + connected);
+        self.queued[input] -= usize::from(sent.is_some());
         Served {
-            packet,
+            sent,
+            framed: false,
             minted: 0,
-            servable: input.queued > 0,
+            servable: self.queued[input] > 0,
         }
     }
 }
@@ -107,13 +100,17 @@ impl InputPolicy for TcpHash {
 mod tests {
     use super::*;
     use crate::two_stage::CheckInput;
+    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
 
     impl CheckInput for TcpHash {
         fn check_input(&self, input: usize, servable: bool) -> usize {
-            let port = &self.inputs[input];
-            let held: usize = port.per_intermediate.iter().map(VecDeque::len).sum();
-            assert_eq!(port.queued, held, "input {input}: running packet count");
+            let paths = input * self.n..(input + 1) * self.n;
+            let held: usize = paths.map(|q| self.per_path.len(q)).sum();
+            assert_eq!(
+                self.queued[input], held,
+                "input {input}: running packet count"
+            );
             assert_eq!(servable, held > 0, "input {input} bit");
             held
         }

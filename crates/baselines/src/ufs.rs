@@ -16,7 +16,7 @@
 
 use crate::frame::FrameInputs;
 use crate::two_stage::{InputPolicy, Served, TwoStage};
-use sprinklers_core::packet::Packet;
+use sprinklers_core::store::{PacketHandle, PacketStore};
 
 /// The Uniform Frame Spreading switch.
 pub type UfsSwitch = TwoStage<Ufs>;
@@ -43,17 +43,23 @@ impl InputPolicy for Ufs {
     /// light load frames are rare, so whole slots cost O(1).
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: Packet) -> bool {
-        let input = packet.input();
-        self.frames.push(packet);
+    fn arrive(&mut self, input: usize, output: usize, _flow: u64, handle: PacketHandle) -> bool {
+        self.frames.push(input, output, handle);
         self.frames.has_frame(input)
     }
 
     // lint: hot-path
     #[inline]
-    fn serve(&mut self, input: usize, connected: usize, _slot: u64) -> Served {
+    fn serve(
+        &mut self,
+        input: usize,
+        connected: usize,
+        _slot: u64,
+        _store: &mut PacketStore,
+    ) -> Served {
         Served {
-            packet: self.frames.serve_frame(input, connected),
+            sent: self.frames.serve_frame(input, connected),
+            framed: true,
             minted: 0,
             servable: self.frames.has_frame(input),
         }
@@ -64,6 +70,7 @@ impl InputPolicy for Ufs {
 mod tests {
     use super::*;
     use crate::two_stage::CheckInput;
+    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
 
     impl CheckInput for Ufs {

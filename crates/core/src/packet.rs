@@ -18,10 +18,11 @@
 //!
 //! The size of the body still matters: the store's resident set is
 //! `48 B × packets in the switch` (about 10 MB on a dense n = 64 run), each
-//! delivery pulls one body through the cache, and the baseline switches
-//! still queue packets by value.  The struct is therefore packed to fit
-//! **48 bytes** (three packets per two cache lines) instead of the 80 bytes
-//! a naive all-`usize` layout costs:
+//! delivery pulls one body through the cache, and the output-queued
+//! reference still queues packets by value (the load-balanced baselines keep
+//! a store of their own and move handles).  The struct is therefore packed
+//! to fit **48 bytes** (three packets per two cache lines) instead of the 80
+//! bytes a naive all-`usize` layout costs:
 //!
 //! * the four identity counters stay `u64` (ids, slots and sequence numbers
 //!   genuinely need the range),

@@ -13,6 +13,15 @@
 //! pin the five original hand-written switches, not a re-derivation of them.
 //!
 //! `n = 5` exercises the non-power-of-two wrap of both periodic fabrics.
+//!
+//! A second set of constants — [`WIDE_PINS`] and [`DEEP_PINS`] — was captured
+//! on commit `5dbc38b` (the by-value `TwoStage` kernel), again before any
+//! source edit, ahead of that kernel's port onto the handle store:
+//! `n = 65` and `n = 130` put every occupancy bitset and FOFF's round-robin
+//! across one and two word boundaries, and `n = 32` at uniform load 0.9 over
+//! 20 000 + 12 000 slots holds full frames, PF padding and deep FOFF
+//! out-of-order buffering in one long stream.
+//!
 //! Every case is driven twice — one `step` per slot, and arrival-free runs
 //! of up to 64 slots per `step_batch` as the engine batches them — and both
 //! must produce the pinned hash.
@@ -27,9 +36,27 @@ use sprinklers_sim::traffic::bernoulli::BernoulliTraffic;
 use sprinklers_sim::traffic::flows::FlowTraffic;
 use sprinklers_sim::traffic::TrafficGenerator;
 
-const SLOTS: u64 = 1_200;
-const DRAIN: u64 = 1_200;
 const SEED: u64 = 2014;
+
+/// Slots with arrivals, then arrival-free slots to drain.
+#[derive(Clone, Copy)]
+struct Length {
+    slots: u64,
+    drain: u64,
+}
+
+const SHORT: Length = Length {
+    slots: 1_200,
+    drain: 1_200,
+};
+const WIDE: Length = Length {
+    slots: 2_600,
+    drain: 2_600,
+};
+const DEEP: Length = Length {
+    slots: 20_000,
+    drain: 12_000,
+};
 
 /// Appends every field of every delivery, little-endian.
 #[derive(Default)]
@@ -78,7 +105,13 @@ fn advance(sw: &mut dyn Switch, batch: u64, start: u64, len: u32, sink: &mut Byt
 /// slot's arrivals, then step it — and hash the delivery stream together
 /// with the counters at every frame boundary.  `batch` is the longest
 /// arrival-free run handed to one `step_batch`.
-fn run_hash(scheme: &str, n: usize, traffic: &mut dyn TrafficGenerator, batch: u64) -> u128 {
+fn run_hash(
+    scheme: &str,
+    n: usize,
+    traffic: &mut dyn TrafficGenerator,
+    length: Length,
+    batch: u64,
+) -> u128 {
     let matrix = TrafficMatrix::uniform(n, 0.5);
     let mut sw: Box<dyn Switch> =
         build_named(scheme, n, &SizingSpec::Matrix, &matrix, SEED).expect("registered scheme");
@@ -87,9 +120,9 @@ fn run_hash(scheme: &str, n: usize, traffic: &mut dyn TrafficGenerator, batch: u
     let mut voq_seq = vec![0u64; n * n];
     let mut next_id = 0u64;
     let (mut run_start, mut run_len) = (0u64, 0u32);
-    for slot in 0..SLOTS + DRAIN {
+    for slot in 0..length.slots + length.drain {
         arrivals.clear();
-        if slot < SLOTS {
+        if slot < length.slots {
             traffic.arrivals_into(slot, &mut arrivals);
         }
         let flush = !arrivals.is_empty() || u64::from(run_len) == batch;
@@ -130,11 +163,12 @@ fn check(
     name: &str,
     scheme: &str,
     n: usize,
+    length: Length,
     make: &dyn Fn() -> Box<dyn TrafficGenerator>,
     pinned: u128,
 ) {
     for batch in [1, 64] {
-        let hash = run_hash(scheme, n, make().as_mut(), batch);
+        let hash = run_hash(scheme, n, make().as_mut(), length, batch);
         assert_eq!(
             hash, pinned,
             "{name} batch={batch}: delivery stream changed (got {hash:#034x})"
@@ -241,6 +275,7 @@ fn baseline_delivery_streams_are_pinned() {
             &format!("{scheme} n={n} uniform 0.9"),
             scheme,
             n,
+            SHORT,
             &|| Box::new(BernoulliTraffic::uniform(n, 0.9, SEED)),
             uniform,
         );
@@ -248,6 +283,7 @@ fn baseline_delivery_streams_are_pinned() {
             &format!("{scheme} n={n} diagonal 0.6"),
             scheme,
             n,
+            SHORT,
             &|| Box::new(BernoulliTraffic::diagonal(n, 0.6, SEED)),
             diagonal,
         );
@@ -263,7 +299,112 @@ fn tcp_hash_multi_flow_stream_is_pinned() {
         "tcp-hash n=16 flows 0.8 mean_len=6",
         "tcp-hash",
         16,
+        SHORT,
         &|| Box::new(FlowTraffic::uniform(16, 0.8, 6.0, SEED)),
         0x05027d6d_aa057a13_a416f1dd_2db6ed11,
     );
+}
+
+const SCHEMES: [&str; 5] = ["baseline-lb", "ufs", "foff", "padded-frames", "tcp-hash"];
+
+/// `(n, [uniform 0.9, diagonal 0.6] per scheme of SCHEMES)`, 2 600 + 2 600
+/// slots: every bitset spans two (n = 65) or three (n = 130) words.
+const WIDE_PINS: [(usize, [(u128, u128); 5]); 2] = [
+    (
+        65,
+        [
+            (
+                0x0f51b8b4_3a02333a_41dc7f80_783e8c47,
+                0x5d2a74bf_6923cd60_588dc39e_ad45b662,
+            ),
+            (
+                0x20d8b0fe_e48aadc3_cfc8cccb_f7a898a5,
+                0x5b1a960e_61759a51_f9a6b8db_38d94198,
+            ),
+            (
+                0x28329300_9daf9734_b2729ac9_e6c42d19,
+                0xbe2dfef4_71fb1b6c_bd7d9c2d_ffcffd3c,
+            ),
+            (
+                0x9d811ffe_623ae39a_112bd22f_a0ddb117,
+                0xa3049904_2dfa0b91_7a9ba274_25dd1fe4,
+            ),
+            (
+                0x4338d216_0cc8bd22_1f63add6_dff76e62,
+                0xef64ab1e_e1aa39c8_c50ab97a_20d69d23,
+            ),
+        ],
+    ),
+    (
+        130,
+        [
+            (
+                0x68b4c557_870222bc_f637bf85_2ab9d3f8,
+                0x794370dc_abb60df9_d1d85a8f_957596e3,
+            ),
+            (
+                0x946fab05_f0365810_6aa65d40_949faf49,
+                0x4d7488d0_ad03b150_4c840f98_dc977a32,
+            ),
+            (
+                0x2c915bda_81646e4c_440c3e8e_7aa28cfd,
+                0x53ab9a60_792b2219_dd42c39f_cfb97445,
+            ),
+            (
+                0x946fab05_f0365810_6aa65d40_949faf49,
+                0xc363abe8_38c326ad_240a5782_7fe5e13b,
+            ),
+            (
+                0xea04c085_0eec2b15_2bec5a3c_e2731e61,
+                0xa4852ed4_55dac402_107ca34c_772533f2,
+            ),
+        ],
+    ),
+];
+
+/// Per scheme of SCHEMES: n = 32, uniform 0.9, 20 000 + 12 000 slots.
+const DEEP_PINS: [u128; 5] = [
+    0x0580cac3_f1c4e793_a9293364_f3d65cae,
+    0x9ff673ac_cf03ca8c_82242e04_b02b60a6,
+    0xadb8999b_d31d89ca_be6d2f3f_003de467,
+    0x17e72d3a_c0bb7bc9_1a90568b_507aa472,
+    0x2b7229fe_a94ec7ef_30fc8e31_adc4b310,
+];
+
+#[test]
+fn wide_delivery_streams_are_pinned() {
+    for (n, pins) in WIDE_PINS {
+        for (scheme, (uniform, diagonal)) in SCHEMES.into_iter().zip(pins) {
+            check(
+                &format!("{scheme} n={n} uniform 0.9"),
+                scheme,
+                n,
+                WIDE,
+                &|| Box::new(BernoulliTraffic::uniform(n, 0.9, SEED)),
+                uniform,
+            );
+            check(
+                &format!("{scheme} n={n} diagonal 0.6"),
+                scheme,
+                n,
+                WIDE,
+                &|| Box::new(BernoulliTraffic::diagonal(n, 0.6, SEED)),
+                diagonal,
+            );
+        }
+    }
+}
+
+#[test]
+fn deep_delivery_streams_are_pinned() {
+    for (scheme, pinned) in SCHEMES.into_iter().zip(DEEP_PINS) {
+        check(
+            &format!("{scheme} n=32 uniform 0.9 deep"),
+            scheme,
+            32,
+            DEEP,
+            &|| Box::new(BernoulliTraffic::uniform(32, 0.9, SEED)),
+            pinned,
+        );
+    }
 }

@@ -4,9 +4,9 @@
 //! contract — is "zero heap allocation in steady state".  This test makes
 //! that claim falsifiable: a counting global allocator wraps the system
 //! allocator, every switch is warmed up until all its internal containers
-//! (the Sprinklers packet store and chunk pools, intermediate FIFOs, the
-//! pooled frame buffers, the FOFF resequencer's flat per-input vectors) have
-//! reached their high-water capacity, and then a long measurement window of
+//! (the packet store and the index queues' chunk pools of the Sprinklers
+//! variants and of the load-balanced baselines, the FOFF resequencer's link
+//! table, OQ's output queues) have reached their high-water capacity, and then a long measurement window of
 //! the *same* deterministic workload must allocate exactly nothing.
 //!
 //! Part 1 hand-rolls its arrivals and counts deliveries, which isolates the
@@ -21,6 +21,12 @@
 //! due, and then checks the other half of "bounded memory": however long the
 //! run and however many packets the faults cost, the fabric's packet store is
 //! no larger at the end than after the first tenth.
+//!
+//! Part 4 is about construction rather than steady state: the allocator also
+//! sums the bytes requested, and building a load-balanced baseline at
+//! `n = 256` and running it lightly loaded must request memory in proportion
+//! to its n² queues and its resident packets — not reserve capacity for every
+//! queue up front, which for FOFF's resequencers used to be cubic in ports.
 //!
 //! This file deliberately contains a single `#[test]`: the allocation
 //! counter is process-global, so a second concurrently-running test would
@@ -47,20 +53,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested: every `alloc`'s size plus every `realloc`'s new size.
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: the allocator is a transparent pass-through to `System`, which
-// upholds the `GlobalAlloc` contract; the only added behavior is a relaxed
-// atomic counter bump, which never allocates and cannot unwind.
+// upholds the `GlobalAlloc` contract; the only added behavior is two relaxed
+// atomic counter bumps, which never allocate and cannot unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards the caller's layout to `System.alloc` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     // SAFETY: forwards the caller's pointer/layout to `System.realloc` unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -75,6 +85,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn requested_bytes() -> u64 {
+    REQUESTED.load(Ordering::Relaxed)
 }
 
 const N: usize = 16;
@@ -115,9 +129,9 @@ fn drive(
 /// hotspot per output, cycling over every output.  This drives every queue
 /// in the switch far past the depth the 30%-load measurement window can ever
 /// reach — and, because each VOQ receives 2N packets, it also forms a glut
-/// of simultaneous full frames, pre-populating the frame pools of the
-/// frame-based schemes — so a rare steady-state excursion can never trigger
-/// a first-time capacity growth mid-measurement.  Packets cycle through
+/// of simultaneous full frames at the frame-based schemes — so a rare
+/// steady-state excursion can never trigger a first-time capacity growth
+/// mid-measurement.  Packets cycle through
 /// `flows` flow ids.
 fn hotspot_burst(
     switch: &mut dyn Switch,
@@ -157,11 +171,12 @@ fn drive_generated(
     voq_seq: &mut [u64],
     slots: std::ops::Range<u64>,
 ) {
+    let n = switch.n();
     for slot in slots {
         arrivals.clear();
         traffic.arrivals_into(slot, arrivals);
         for mut p in arrivals.drain(..) {
-            let key = p.input() * N + p.output();
+            let key = p.input() * n + p.output();
             p.voq_seq = voq_seq[key];
             voq_seq[key] += 1;
             switch.arrive(p);
@@ -314,14 +329,47 @@ fn fabric_is_allocation_free_between_faults_and_bounded_over_a_long_run() {
     assert_eq!(sink.delivered_packets(), stats.total_departures);
 }
 
+/// Part 4: what a baseline asks the allocator for follows its queues (a few
+/// words each) and the packets it holds, never ports³.
+fn baselines_request_memory_in_proportion_to_queues_and_packets() {
+    const WIDE: usize = 256;
+    const SLOTS: u64 = 2_000;
+    let budget = (64 * WIDE * WIDE) as u64;
+    let matrix = TrafficMatrix::uniform(WIDE, 0.02);
+    for scheme in ["baseline-lb", "ufs", "foff", "padded-frames", "tcp-hash"] {
+        let mut traffic = BernoulliTraffic::diagonal(WIDE, 0.02, 2014);
+        let mut arrivals = Vec::with_capacity(WIDE);
+        let mut voq_seq = vec![0u64; WIDE * WIDE];
+        let mut sink = CountingSink::default();
+        let before = requested_bytes();
+        let mut switch =
+            registry::build_named(scheme, WIDE, &SizingSpec::Matrix, &matrix, 7).unwrap();
+        drive_generated(
+            switch.as_mut(),
+            &mut traffic,
+            &mut arrivals,
+            &mut sink,
+            &mut voq_seq,
+            0..SLOTS,
+        );
+        let requested = requested_bytes() - before;
+        assert!(switch.stats().total_arrivals > 4 * SLOTS);
+        assert!(
+            requested <= budget,
+            "{scheme} at n = {WIDE} requested {requested} bytes building and running \
+             {SLOTS} light-load slots; the budget is 64·n² = {budget}"
+        );
+    }
+}
+
 #[test]
 fn hot_paths_do_not_allocate_in_steady_state() {
     // Every scheme must be allocation-free on the full arrive + step cycle.
-    // For the baselines that includes frame formation (pooled frame buffers)
-    // and FOFF's resequencing (flat sorted-vector resequencer); for the four
-    // Sprinklers variants it includes stripe formation, which moves handles
-    // between index queues of a pooled grid instead of building a stripe on
-    // the heap, adaptive sizing's per-slot maintenance pass, and the
+    // For the baselines that includes frame formation (a splice of handle
+    // queues) and FOFF's resequencing (links in a table sized by the store);
+    // for the four Sprinklers variants it includes stripe formation, which
+    // moves handles between index queues of a pooled grid instead of
+    // building a stripe on the heap, adaptive sizing's per-slot maintenance pass, and the
     // stripe-complete release sort.
     let matrix = TrafficMatrix::uniform(N, LOAD);
     for scheme in [
@@ -340,15 +388,12 @@ fn hot_paths_do_not_allocate_in_steady_state() {
         let mut rng = StdRng::seed_from_u64(2014);
         let mut voq_seq = vec![0u64; N * N];
         let mut next_id = 0u64;
-        // The warm-up itself must stay cheap too: with the hot queues
-        // pre-sized at construction, filling every container to its
-        // high-water mark may still grow some of them past the heuristic
-        // capacity (deep per-VOQ frame accumulators, first-time pooled
-        // frames), but never anywhere near one allocation per packet.  Bound
-        // it at one allocation per 16 warm-up packets — the observed worst
-        // case (UFS, whose n² FrameVoq buffers all grow during the hotspot)
-        // sits ~3× under this, while a per-packet allocation regression
-        // overshoots it by an order of magnitude.
+        // The warm-up itself must stay cheap too: filling every container to
+        // its high-water mark grows the store a page at a time and the
+        // chunk pools by doubling, never anywhere near one allocation per
+        // packet.  Bound it at one allocation per 16 warm-up packets — a
+        // per-packet allocation regression overshoots that by an order of
+        // magnitude.
         let warmup_before = allocations();
         let warm_from = hotspot_burst(switch.as_mut(), &mut voq_seq, &mut next_id, 0, 64);
         drive(
@@ -436,4 +481,5 @@ fn hot_paths_do_not_allocate_in_steady_state() {
     }
 
     fabric_is_allocation_free_between_faults_and_bounded_over_a_long_run();
+    baselines_request_memory_in_proportion_to_queues_and_packets();
 }
