@@ -105,6 +105,21 @@ impl FifoGrid {
         }
     }
 
+    /// Read what the next [`push`](Self::push) onto queue `q` will: the
+    /// queue's header and, if it has one, its tail chunk.  Returns bits of
+    /// both so the loads cannot be optimized away; see
+    /// [`PacketStore::warm`](crate::store::PacketStore::warm) for why a
+    /// caller issues these ahead of the pushes.
+    // lint: hot-path
+    #[inline]
+    pub fn warm(&self, q: usize) -> u64 {
+        let [head, tail] = self.ends[q];
+        if head == 0 {
+            return 0;
+        }
+        u64::from(self.chunks[tail as usize].end)
+    }
+
     /// Remove and return the oldest entry of queue `q`.
     // lint: hot-path
     #[inline]

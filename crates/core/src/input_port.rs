@@ -113,6 +113,17 @@ impl SprinklersInputPort {
         self.release_stripes(output);
     }
 
+    /// Pull into cache what an [`arrive`](Self::arrive) for `output` reads
+    /// first: the VOQ record, its ready queue's header, that queue's tail
+    /// chunk — three loads, each addressed by the one before.  The switch
+    /// calls this for every arrival of a slot before arriving any of them,
+    /// so the chains of different packets overlap.
+    // lint: hot-path
+    #[inline]
+    pub fn warm_arrival(&self, output: usize) -> u64 {
+        self.voqs[output].warm(&self.queues)
+    }
+
     /// Serve the intermediate port the first fabric currently connects us to:
     /// the handle, output port and stripe level of the packet to send, if
     /// any.  Touches nothing outside this port.

@@ -28,6 +28,10 @@
 //! in ascending order — the same order the dense loops used, which the
 //! byte-identical golden nets rely on — and a pass may freely clear the bits
 //! of ports it has already visited (the walk reads a copied word).
+//!
+//! [`PhaseRows`] is the sharper index for a *periodic* fabric: one bit row
+//! per fabric phase, so a slot walks the ports that have a packet for the
+//! peer they face in that very slot instead of every port holding anything.
 
 use serde::{Deserialize, Serialize};
 
@@ -403,6 +407,127 @@ impl PortMask {
     }
 }
 
+/// Which ports have something to send at each phase of a periodic fabric:
+/// one flat bit row per phase, `n` rows of `⌈n/64⌉` words in one allocation
+/// (8 KiB at `n = 256`).
+///
+/// A periodic fabric connects a port to one peer per phase, so "does this
+/// port hold anything for the peer it faces now" is known when the packet is
+/// enqueued, not something to probe every slot: the enqueue sets the port's
+/// bit in the row of the phase that connects it to the packet's peer, the
+/// dequeue that empties that peer's queues clears it, and a slot walks only
+/// its own phase's row — every visit yields a packet.
+///
+/// Unlike [`OccupancySet`] a row carries no summary level and no length
+/// counter: a row is a handful of words, and whether the whole switch is
+/// empty is read from the packet counters instead.
+#[derive(Debug, Clone)]
+pub struct PhaseRows {
+    n: usize,
+    /// Words per row.
+    stride: usize,
+    /// Row `t` is `words[t * stride..][..stride]`.
+    words: Vec<u64>,
+}
+
+impl PhaseRows {
+    /// `n` all-clear rows over ports `0..n`.
+    pub fn new(n: usize) -> Self {
+        let stride = n.div_ceil(64).max(1);
+        PhaseRows {
+            n,
+            stride,
+            words: vec![0; n * stride],
+        }
+    }
+
+    #[inline]
+    fn row(&self, phase: usize) -> &[u64] {
+        debug_assert!(phase < self.n, "phase {phase} out of domain {}", self.n);
+        &self.words[phase * self.stride..][..self.stride]
+    }
+
+    /// Mark `port` ready at `phase`.
+    // lint: hot-path
+    #[inline]
+    pub fn set(&mut self, phase: usize, port: usize) {
+        debug_assert!(phase < self.n && port < self.n);
+        self.words[phase * self.stride + (port >> 6)] |= 1u64 << (port & 63);
+    }
+
+    /// Mark `port` not ready at `phase`.
+    // lint: hot-path
+    #[inline]
+    pub fn clear(&mut self, phase: usize, port: usize) {
+        debug_assert!(phase < self.n && port < self.n);
+        self.words[phase * self.stride + (port >> 6)] &= !(1u64 << (port & 63));
+    }
+
+    /// True if `port` is marked ready at `phase`.
+    #[inline]
+    pub fn contains(&self, phase: usize, port: usize) -> bool {
+        debug_assert!(port < self.n);
+        self.row(phase)[port >> 6] & (1u64 << (port & 63)) != 0
+    }
+
+    /// Number of ports ready at `phase`.
+    #[inline]
+    pub fn count(&self, phase: usize) -> usize {
+        self.row(phase)
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum()
+    }
+
+    /// The ports in `lo..hi` ready at `phase`, ascending.  The walk reads the
+    /// row as it goes, so the caller applies its clears after the walk (or to
+    /// ports the walk has already passed).
+    // lint: hot-path
+    #[inline]
+    pub fn ports(&self, phase: usize, lo: usize, hi: usize) -> RowPorts<'_> {
+        let hi = hi.min(self.n);
+        let row = &self.row(phase)[..hi.div_ceil(64)];
+        let w = lo >> 6;
+        RowPorts {
+            bits: row.get(w).map_or(0, |word| word & (!0u64 << (lo & 63))),
+            row,
+            w,
+            hi,
+        }
+    }
+}
+
+/// Ascending walk over the set bits of one [`PhaseRows`] row within a port
+/// range.
+#[derive(Debug, Clone)]
+pub struct RowPorts<'a> {
+    /// The row, cut after the word holding port `hi - 1`.
+    row: &'a [u64],
+    /// Unvisited bits of word `w`.
+    bits: u64,
+    w: usize,
+    hi: usize,
+}
+
+impl Iterator for RowPorts<'_> {
+    type Item = usize;
+
+    // lint: hot-path
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.w += 1;
+            self.bits = *self.row.get(self.w)?;
+        }
+        let port = (self.w << 6) + self.bits.trailing_zeros() as usize;
+        if port >= self.hi {
+            return None;
+        }
+        self.bits &= self.bits - 1;
+        Some(port)
+    }
+}
+
 /// Ascending iterator over the occupied ports of an [`OccupancySet`].
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
@@ -583,6 +708,56 @@ mod tests {
                     set.next_occupied_matching_scalar(from, &mask),
                     brute
                 );
+            }
+        }
+
+        /// The phase rows agree with a `Vec<Vec<bool>>` model under arbitrary
+        /// set/clear interleavings, with the range walk checked along the
+        /// way — for one-port, sub-word, exact-word and multi-word rows.
+        #[test]
+        fn phase_rows_match_brute_force_model(
+            size in 0usize..5,
+            ops in proptest::collection::vec(
+                (0usize..3, 0usize..128, 0usize..128, 0usize..130),
+                0..300,
+            ),
+        ) {
+            let n = [1usize, 63, 64, 65, 128][size];
+            let mut rows = PhaseRows::new(n);
+            let mut model = vec![vec![false; n]; n];
+            for (op, raw_phase, raw_port, raw_hi) in ops {
+                let (phase, port) = (raw_phase % n, raw_port % n);
+                match op {
+                    0 => {
+                        rows.set(phase, port);
+                        model[phase][port] = true;
+                    }
+                    1 => {
+                        rows.clear(phase, port);
+                        model[phase][port] = false;
+                    }
+                    _ => {
+                        // Walk `port..hi` of the row; `hi` may overshoot the
+                        // domain or fall below `lo`.
+                        let hi = raw_hi;
+                        let walked: Vec<usize> = rows.ports(phase, port, hi).collect();
+                        let expected: Vec<usize> = (port..hi.min(n))
+                            .filter(|&p| model[phase][p])
+                            .collect();
+                        prop_assert_eq!(walked, expected);
+                    }
+                }
+            }
+            for (phase, row) in model.iter().enumerate() {
+                for (port, &ready) in row.iter().enumerate() {
+                    prop_assert_eq!(rows.contains(phase, port), ready);
+                }
+                let expected: Vec<usize> = (0..n).filter(|&p| row[p]).collect();
+                prop_assert_eq!(rows.count(phase), expected.len());
+                let mut walk = rows.ports(phase, 0, n);
+                let walked: Vec<usize> = walk.by_ref().collect();
+                prop_assert_eq!(walked, expected);
+                prop_assert_eq!(walk.next(), None, "a finished walk stays finished");
             }
         }
 

@@ -16,7 +16,7 @@ use crate::input_port::SprinklersInputPort;
 use crate::intermediate_port::SprinklersIntermediatePort;
 use crate::lsf::Served;
 use crate::matrix::TrafficMatrix;
-use crate::occupancy::{OccupancySet, PortCursor, PortMask};
+use crate::occupancy::{OccupancySet, PhaseRows, PortCursor, PortMask};
 use crate::ols::WeaklyUniformOls;
 use crate::packet::{DeliveredPacket, Packet};
 use crate::par::StepPool;
@@ -27,7 +27,7 @@ use crate::switch::{DeliverySink, Switch, SwitchStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Minimum occupied ports in a fabric phase before the sharded parallel walk
+/// Minimum ports to visit in a fabric phase before the sharded parallel walk
 /// is worth its dispatch cost (two condvar round trips per phase); below it
 /// the serial walk runs.  Switching between the two walks is free of
 /// determinism risk because they collect the same entries in the same
@@ -37,8 +37,8 @@ const PAR_MIN_OCCUPIED: usize = 64;
 
 /// What the second-fabric walk collects from an intermediate port that has a
 /// packet for the output it is connected to: `(intermediate, handle, stripe
-/// level)`.
-type Delivery = (usize, PacketHandle, usize);
+/// level, that was the port's last packet for the output)`.
+type Delivery = (usize, PacketHandle, usize, bool);
 
 /// What the first-fabric walk collects from an input port that has a packet
 /// for the intermediate it is connected to: `(input, intermediate, served
@@ -89,8 +89,8 @@ impl ParCtx {
     }
 }
 
-/// The walk half of a fabric pass: call `visit(port, index, out)` for every
-/// occupied port in ascending order, collecting into `scratch`.
+/// The walk half of the first-fabric pass: call `visit(port, index, out)` for
+/// every occupied port in ascending order, collecting into `scratch`.
 ///
 /// With a pool and at least [`PAR_MIN_OCCUPIED`] occupied ports the walk is
 /// sharded — each shard visits the occupied ports of its own contiguous range
@@ -148,9 +148,16 @@ pub struct SprinklersSwitch {
     /// lightly loaded switch walks only the handful of inputs with plastered
     /// stripes instead of all N.
     occupied_inputs: OccupancySet,
-    /// Intermediate ports holding any packet (eligible or staged) — the ports
-    /// the second-fabric pass has to visit.
-    occupied_intermediates: OccupancySet,
+    /// Second-fabric readiness by phase: bit `l` of row `t` is set iff
+    /// intermediate `l` holds an eligible packet for output `(l − t) mod n`,
+    /// the one the fabric connects it to at phase `t`.  The intermediate
+    /// ports set bits as they enqueue; the second-fabric merge clears them.
+    /// Slot `t` walks row `t`, so every port it visits delivers.
+    ready: PhaseRows,
+    /// Intermediate ports with packets staged for stripe-complete alignment
+    /// (always empty under immediate alignment): the ports whose
+    /// `release_eligible` has to run before the walk reads `ready`.
+    staged_intermediates: OccupancySet,
     /// True for adaptive sizing, which observes idle slots (VOQs shrink) and
     /// therefore still needs the dense per-slot maintenance pass.
     adaptive: bool,
@@ -173,6 +180,10 @@ pub struct SprinklersSwitch {
     /// Sharded-stepping state, present when `set_threads(>= 2)` was applied.
     /// `None` means pure serial stepping — today's default.
     par: Option<ParCtx>,
+    /// Intermediate ports the second-fabric walks were sent to, to hold
+    /// against `departures`.
+    #[cfg(test)]
+    second_fabric_visits: u64,
 }
 
 impl SprinklersSwitch {
@@ -215,7 +226,8 @@ impl SprinklersSwitch {
             inputs,
             intermediates,
             occupied_inputs: OccupancySet::new(n),
-            occupied_intermediates: OccupancySet::new(n),
+            ready: PhaseRows::new(n),
+            staged_intermediates: OccupancySet::new(n),
             adaptive,
             queued_inputs: 0,
             queued_intermediates: 0,
@@ -225,6 +237,8 @@ impl SprinklersSwitch {
             deliveries: vec![Vec::with_capacity(n)],
             transfers: vec![Vec::with_capacity(n)],
             par: None,
+            #[cfg(test)]
+            second_fabric_visits: 0,
         }
     }
 
@@ -287,11 +301,12 @@ impl SprinklersSwitch {
     /// [`Switch::step_batch`] rotates it across the batch so the inner loop
     /// performs no `u64` modulo at all.
     ///
-    /// Both fabric passes walk the occupancy bitsets instead of `0..N`, so a
-    /// slot costs O(occupied ports): empty intermediate ports deliver nothing
-    /// and inputs without plastered stripes have nothing the fabric could
-    /// serve, exactly as in the dense loops — the bitsets only skip provable
-    /// no-op probes, which is what keeps the delivery stream byte-identical.
+    /// Neither fabric pass walks `0..N`.  The second walks row `t` of the
+    /// phase index — the intermediate ports holding a packet for the output
+    /// they face in this slot — so it costs O(deliveries); the first walks
+    /// the inputs with plastered stripes, O(occupied inputs).  Both only skip
+    /// probes that provably find nothing, in the dense loops' ascending port
+    /// order, which is what keeps the delivery stream byte-identical.
     ///
     /// Each pass has two halves.  The *walk* does the port-local work — pick
     /// the packet each occupied port sends over its current connection — and
@@ -328,32 +343,68 @@ impl SprinklersSwitch {
     // lint: hot-path
     fn second_fabric_pass(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
         let n = self.n;
-        let occupied = &self.occupied_intermediates;
-        // The port-local work of intermediate `l`: stripe-complete releases,
-        // then the head of the connected output's largest non-empty level.
+        // Stripe-complete alignment: stripes complete by this slot become
+        // eligible — and their ports ready — before the walk reads the index.
+        let mut cursor = PortCursor::default();
+        while let Some(l) = self.staged_intermediates.next_port(&mut cursor) {
+            let port = &mut self.intermediates[l];
+            port.release_eligible(slot, &mut self.ready);
+            if !port.has_staged() {
+                self.staged_intermediates.remove(l);
+            }
+        }
+
+        // The walk: row `t` lists exactly the ports with a packet for the
+        // output they are connected to, so the port-local work — pop the head
+        // of that output's largest non-empty level — never comes up empty.
+        let ready = &self.ready;
         let visit = |port: &mut SprinklersIntermediatePort, l: usize, out: &mut Vec<Delivery>| {
-            port.release_eligible(slot);
             let output = if l >= t { l - t } else { l + n - t };
-            if let Some((handle, level)) = port.dequeue(output) {
-                out.push((l, handle, level));
+            let served = port.dequeue(output);
+            debug_assert!(
+                served.is_some(),
+                "phase row {t} lists intermediate {l}, which holds nothing for output {output}"
+            );
+            if let Some((handle, level, last)) = served {
+                out.push((l, handle, level, last));
             }
         };
-        walk_occupied(
-            occupied,
-            self.par.as_ref(),
-            &mut self.intermediates,
-            &mut self.deliveries,
-            visit,
-        );
+        #[cfg(test)]
+        {
+            self.second_fabric_visits += ready.count(t) as u64;
+        }
+        match self.par.as_ref() {
+            // Sharded: each shard reads its own port range of the same row.
+            Some(par) if ready.count(t) >= PAR_MIN_OCCUPIED => {
+                let ranges = &par.ranges;
+                par.pool.run_on_ranges(
+                    &mut self.intermediates,
+                    ranges,
+                    &mut self.deliveries,
+                    |s, local, out| {
+                        let (lo, hi) = ranges[s];
+                        for l in ready.ports(t, lo, hi) {
+                            visit(&mut local[l - lo], l, out);
+                        }
+                    },
+                );
+            }
+            _ => {
+                let out = &mut self.deliveries[0];
+                for l in ready.ports(t, 0, n) {
+                    visit(&mut self.intermediates[l], l, out);
+                }
+            }
+        }
 
         // Merge, in ascending shard order, which is ascending port order.
         let mut deliveries = std::mem::take(&mut self.deliveries);
         self.store
-            .warm(deliveries.iter().flatten().map(|&(_, handle, _)| handle));
+            .warm(deliveries.iter().flatten().map(|&(_, handle, ..)| handle));
         for shard in &mut deliveries {
-            for (l, handle, level) in shard.drain(..) {
-                if self.intermediates[l].queued_packets() == 0 {
-                    self.occupied_intermediates.remove(l);
+            for (l, handle, level, last) in shard.drain(..) {
+                if last {
+                    self.ready.clear(t, l);
                 }
                 self.queued_intermediates -= 1;
                 self.deliver(l, handle, level, slot, sink);
@@ -418,7 +469,8 @@ impl SprinklersSwitch {
 
         // Merge: occupancy bits, counters and the intermediate-side receive.
         let mut transfers = std::mem::take(&mut self.transfers);
-        if self.config.alignment == AlignmentMode::StripeComplete {
+        let staging = self.config.alignment == AlignmentMode::StripeComplete;
+        if staging {
             // Stripe-complete staging reads each body's VOQ sequence number.
             self.store.warm(
                 transfers
@@ -434,8 +486,17 @@ impl SprinklersSwitch {
                 }
                 self.queued_inputs -= 1;
                 self.queued_intermediates += 1;
-                self.occupied_intermediates.insert(l);
-                self.intermediates[l].receive(&self.store, handle, i, output as usize, level, slot);
+                if staging {
+                    self.staged_intermediates.insert(l);
+                }
+                self.intermediates[l].receive(
+                    &self.store,
+                    &mut self.ready,
+                    handle,
+                    output as usize,
+                    level,
+                    slot,
+                );
             }
         }
         self.transfers = transfers;
@@ -467,6 +528,25 @@ impl Switch for SprinklersSwitch {
         }
     }
 
+    // lint: hot-path
+    fn arrive_batch(&mut self, packets: &[Packet]) {
+        // An arrival starts with three dependent loads — VOQ record, ready
+        // queue header, tail chunk — into tables far larger than the cache
+        // (N² VOQs), so at large N each is a likely miss and one packet's
+        // chain cannot overlap itself.  The chains of different packets can:
+        // touch them all first, with nothing waiting on the values, then
+        // arrive the packets in order.
+        let mut bits = 0u64;
+        for packet in packets {
+            bits ^= self.inputs[packet.input()].warm_arrival(packet.output());
+        }
+        std::hint::black_box(bits);
+        for packet in packets {
+            // lint: allow(hot-path) — a Packet is 48 plain bytes: the clone is a copy, not a heap allocation
+            self.arrive(packet.clone());
+        }
+    }
+
     fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
         let t = (slot % self.n as u64) as usize;
         self.step_at(slot, t, sink);
@@ -474,8 +554,9 @@ impl Switch for SprinklersSwitch {
 
     fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
         // Whole-switch elision is the degenerate case of the per-port
-        // occupancy check: when both bitsets are empty, a non-adaptive step
-        // is a provable no-op — both fabric passes have no port to visit, and
+        // occupancy check: with no servable input and nothing at the
+        // intermediate stage, a non-adaptive step is a provable no-op — both
+        // fabric passes have no port to visit, and
         // any packets still parked in VOQ ready queues (stranded partial
         // stripes) can only move on an arrive/delivery/resize event, none of
         // which happens mid-batch — so the rest of an arrival-free batch
@@ -483,8 +564,7 @@ impl Switch for SprinklersSwitch {
         // shrink), so it steps every slot.
         let elidable = !self.adaptive;
         crate::switch::step_batch_rotating(self.n, first_slot, count, |slot, t| {
-            if elidable && self.occupied_inputs.is_empty() && self.occupied_intermediates.is_empty()
-            {
+            if elidable && self.occupied_inputs.is_empty() && self.queued_intermediates == 0 {
                 return false;
             }
             self.step_at(slot, t, sink);
@@ -716,9 +796,10 @@ mod tests {
         }
     }
 
-    /// The occupancy bitsets and running counters must agree with brute-force
-    /// port scans at every point of a random arrive/step interleaving — at
-    /// n = 8 (single bitset word) and n = 128 (two words + summary level).
+    /// The occupancy bitsets, every row of the phase index and the running
+    /// counters must agree with brute-force port scans at every point of a
+    /// random arrive/step interleaving — at n = 8 (single bitset word) and
+    /// n = 128 (two words + summary level), under both alignments.
     #[test]
     fn occupancy_bitsets_agree_with_brute_force_scans() {
         use rand::rngs::StdRng;
@@ -732,13 +813,28 @@ mod tests {
                     "{context}: input {i} occupancy bit diverged from the scheduler scan"
                 );
             }
-            for l in 0..sw.n {
+            for (l, port) in sw.intermediates.iter().enumerate() {
+                for t in 0..sw.n {
+                    let output = sw.second_fabric(l, t as u64);
+                    assert_eq!(port.phase_of(output), t);
+                    assert_eq!(
+                        sw.ready.contains(t, l),
+                        port.has_eligible_for(output),
+                        "{context}: phase row {t} bit {l} diverged from the output_levels scan"
+                    );
+                }
                 assert_eq!(
-                    sw.occupied_intermediates.contains(l),
-                    sw.intermediates[l].queued_packets() > 0,
-                    "{context}: intermediate {l} occupancy bit diverged from the port scan"
+                    sw.staged_intermediates.contains(l),
+                    port.has_staged(),
+                    "{context}: intermediate {l} staged bit diverged from the port scan"
                 );
             }
+            // What batch elision reads in place of an intermediate bitset.
+            assert_eq!(
+                sw.queued_intermediates == 0,
+                sw.intermediates.iter().all(|p| p.queued_packets() == 0),
+                "{context}: elision disagrees with the port scan"
+            );
             assert_eq!(
                 sw.queued_inputs,
                 sw.inputs.iter().map(|p| p.queued_packets()).sum::<usize>(),
@@ -859,6 +955,46 @@ mod tests {
         sw.set_threads(10_000);
         sw.set_threads(0);
         sw.step(0, &mut crate::switch::NullSink);
+    }
+
+    /// The phase index sends the second-fabric walk only to ports that
+    /// deliver: on the wide, sparse cell where the per-port walk made about
+    /// twenty visits per delivery, visits and deliveries are the same number.
+    #[test]
+    fn second_fabric_visits_equal_deliveries() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let n = 256usize;
+        let matrix = TrafficMatrix::diagonal(n, 0.05);
+        let mut sw = SprinklersSwitch::new(
+            SprinklersConfig::new(n).with_sizing(SizingMode::FromMatrix(matrix)),
+            2014,
+        );
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut voq_seq = vec![0u64; n * n];
+        let mut id = 0u64;
+        let offered = 40 * n as u64;
+        for slot in 0..offered + 40 * n as u64 {
+            for input in 0..n {
+                if slot < offered && rng.gen_range(0.0..1.0) < 0.05 {
+                    // Quasi-diagonal: half to the input's own output.
+                    let output = if rng.gen_range(0.0..1.0) < 0.5 {
+                        input
+                    } else {
+                        rng.gen_range(0..n)
+                    };
+                    let key = input * n + output;
+                    sw.arrive(pkt(input, output, id, slot, voq_seq[key]));
+                    voq_seq[key] += 1;
+                    id += 1;
+                }
+            }
+            sw.step(slot, &mut crate::switch::NullSink);
+        }
+        let delivered = sw.stats().total_departures;
+        assert!(delivered > 10_000, "only {delivered} deliveries");
+        assert_eq!(sw.second_fabric_visits, delivered);
     }
 
     #[test]

@@ -155,6 +155,19 @@ pub trait Switch {
     /// order and call [`Switch::step`] with the matching slot afterwards.
     fn arrive(&mut self, packet: Packet);
 
+    /// Inject every packet arriving in one slot, in order.
+    ///
+    /// Semantically this is **exactly** `for p in packets { arrive(p) }`, and
+    /// the default implementation is that loop.  The batched form lets a
+    /// caller cross the `dyn Switch` boundary once per slot, and lets an
+    /// implementation look at the whole slot before it starts — to overlap
+    /// the cache misses of arrivals that touch unrelated queues, say.
+    fn arrive_batch(&mut self, packets: &[Packet]) {
+        for packet in packets {
+            self.arrive(packet.clone());
+        }
+    }
+
     /// Advance the switch by one time slot.  `slot` must increase by exactly 1
     /// between consecutive calls (starting from 0).  Every data packet (and,
     /// for padding-based schemes, padding packet) delivered to an output port
@@ -229,6 +242,15 @@ pub trait Steppable {
     /// call that advances past its arrival slot.
     fn inject(&mut self, packet: Packet);
 
+    /// Inject every packet arriving in one slot, in order: exactly
+    /// `for p in packets { inject(p) }`, which is the default implementation
+    /// (see [`Switch::arrive_batch`]).
+    fn inject_batch(&mut self, packets: &[Packet]) {
+        for packet in packets {
+            self.inject(packet.clone());
+        }
+    }
+
     /// Advance `count` consecutive slots starting at `first_slot`, pushing
     /// every external delivery into `sink`.  Semantically identical to
     /// advancing one slot at a time.
@@ -252,6 +274,9 @@ impl<S: Switch> Steppable for S {
     fn inject(&mut self, packet: Packet) {
         self.arrive(packet)
     }
+    fn inject_batch(&mut self, packets: &[Packet]) {
+        self.arrive_batch(packets)
+    }
     fn advance(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
         self.step_batch(first_slot, count, sink)
     }
@@ -272,6 +297,9 @@ impl<T: Switch + ?Sized> Switch for Box<T> {
     }
     fn arrive(&mut self, packet: Packet) {
         (**self).arrive(packet)
+    }
+    fn arrive_batch(&mut self, packets: &[Packet]) {
+        (**self).arrive_batch(packets)
     }
     fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
         (**self).step(slot, sink)
@@ -296,6 +324,9 @@ impl<T: Switch + ?Sized> Switch for &mut T {
     }
     fn arrive(&mut self, packet: Packet) {
         (**self).arrive(packet)
+    }
+    fn arrive_batch(&mut self, packets: &[Packet]) {
+        (**self).arrive_batch(packets)
     }
     fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
         (**self).step(slot, sink)
@@ -505,6 +536,75 @@ mod tests {
         });
         boxed.advance(0, 1, &mut NullSink);
         assert_eq!(boxed.label(), "slot-recorder");
+    }
+
+    #[test]
+    fn default_arrive_batch_is_the_sequential_arrive_loop() {
+        #[derive(Default)]
+        struct ArrivalRecorder(Vec<u64>);
+        impl Switch for ArrivalRecorder {
+            fn n(&self) -> usize {
+                2
+            }
+            fn name(&self) -> &'static str {
+                "arrival-recorder"
+            }
+            fn arrive(&mut self, packet: Packet) {
+                self.0.push(packet.id);
+            }
+            fn step(&mut self, _slot: u64, _sink: &mut dyn DeliverySink) {}
+            fn stats(&self) -> SwitchStats {
+                SwitchStats::default()
+            }
+        }
+        let slot: Vec<Packet> = (0..3).map(|id| Packet::new(0, 1, id, 0)).collect();
+        let mut sw = ArrivalRecorder::default();
+        sw.arrive_batch(&slot);
+        sw.inject_batch(&slot[1..]);
+        sw.arrive_batch(&[]);
+        assert_eq!(sw.0, vec![0, 1, 2, 1, 2]);
+    }
+
+    /// A missed forwarder would not change a single delivery — the default
+    /// loop is correct — it would only drop an implementation's batch path
+    /// without a trace, so pin that every wrapper reaches the override.
+    #[test]
+    fn boxed_borrowed_and_steppable_switches_forward_arrive_batch() {
+        /// Overrides the batch call: records batch sizes, and any packet
+        /// that came through `arrive` instead.
+        #[derive(Default)]
+        struct BatchRecorder {
+            batches: Vec<usize>,
+            singles: usize,
+        }
+        impl Switch for BatchRecorder {
+            fn n(&self) -> usize {
+                2
+            }
+            fn name(&self) -> &'static str {
+                "batch-recorder"
+            }
+            fn arrive(&mut self, _packet: Packet) {
+                self.singles += 1;
+            }
+            fn arrive_batch(&mut self, packets: &[Packet]) {
+                self.batches.push(packets.len());
+            }
+            fn step(&mut self, _slot: u64, _sink: &mut dyn DeliverySink) {}
+            fn stats(&self) -> SwitchStats {
+                SwitchStats::default()
+            }
+        }
+        let slot: Vec<Packet> = (0..3).map(|id| Packet::new(0, 1, id, 0)).collect();
+        let mut concrete = BatchRecorder::default();
+        fn through_bound<S: Switch>(mut switch: S, packets: &[Packet]) {
+            switch.arrive_batch(packets);
+        }
+        through_bound(&mut concrete, &slot);
+        through_bound(Box::new(&mut concrete) as Box<dyn Switch + '_>, &slot[..2]);
+        concrete.inject_batch(&slot[..1]);
+        assert_eq!(concrete.batches, vec![3, 2, 1]);
+        assert_eq!(concrete.singles, 0);
     }
 
     #[test]

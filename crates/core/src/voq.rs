@@ -116,6 +116,14 @@ impl Voq {
         self.ready_len += 1;
     }
 
+    /// Read what the next [`Voq::push`] will: this record, then the ready
+    /// queue's header and tail chunk (see [`FifoGrid::warm`]).
+    // lint: hot-path
+    #[inline]
+    pub fn warm(&self, grid: &FifoGrid) -> u64 {
+        u64::from(self.ready_len) ^ grid.warm(self.queue as usize)
+    }
+
     /// Release the next complete stripe at the head of the ready queue, if
     /// there is one: the entries stay in the grid for the scheduler to take.
     /// Call until it returns `None` — an arrival completes at most one

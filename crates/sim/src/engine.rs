@@ -51,7 +51,7 @@ use crate::report::SimReport;
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::traffic::TrafficGenerator;
 use serde::{Deserialize, Serialize};
-use sprinklers_core::packet::{Packet, MAX_PORTS};
+use sprinklers_core::packet::Packet;
 use sprinklers_core::switch::{Steppable, Switch};
 
 /// Default number of slots stepped per [`Switch::step_batch`] call when no
@@ -112,32 +112,11 @@ impl Engine {
     /// switch, or a [`FabricWorld`] when the spec carries a topology — and
     /// the traffic generator from the spec, simulate, and report.
     pub fn run(&mut self, spec: &ScenarioSpec) -> Result<SimReport, SpecError> {
-        // Validate the port count before anything touches it: degenerate
-        // sizes must surface as typed spec errors, not generator panics.
-        if spec.n < 2 {
-            return Err(SpecError::new(format!(
-                "port count n must be at least 2 (got {})",
-                spec.n
-            )));
-        }
-        if spec.n > MAX_PORTS {
-            return Err(SpecError::new(format!(
-                "port count n must be at most {MAX_PORTS} (got {})",
-                spec.n
-            )));
-        }
-        if spec.faults.is_some() && spec.topology.is_none() {
-            return Err(SpecError::new(
-                "fault injection requires a fabric topology (single switches \
-                 have no links or nodes to fail)"
-                    .to_string(),
-            ));
-        }
+        // Validate before anything touches the values: a degenerate size or
+        // an impossible load must surface as a typed spec error, not as a
+        // generator or sizing panic.
+        spec.validate()?;
         if let Some(topo) = &spec.topology {
-            topo.validate(spec.n)?;
-            if let Some(faults) = &spec.faults {
-                faults.validate(topo, &spec.run)?;
-            }
             let mut traffic = spec.build_traffic()?;
             let mut world = FabricWorld::build(
                 topo,
@@ -253,16 +232,19 @@ impl Engine {
                         }
                         run_start = s;
                         run_len = 0;
-                        for mut packet in self.arrival_buf.drain(..) {
+                        for packet in &mut self.arrival_buf {
                             packet.id = next_packet_id;
                             next_packet_id += 1;
                             packet.arrival_slot = s;
                             let key = packet.input() * n + packet.output();
                             packet.voq_seq = voq_seq[key];
                             voq_seq[key] += 1;
-                            offered += 1;
-                            world.inject(packet);
                         }
+                        offered += self.arrival_buf.len() as u64;
+                        // The whole slot in one call, so the world can look
+                        // at all of it before it starts (and a boxed switch
+                        // is entered once).
+                        world.inject_batch(&self.arrival_buf);
                     }
                 }
                 run_len += 1;

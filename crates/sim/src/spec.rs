@@ -22,6 +22,7 @@ use crate::traffic::trace_stream::TraceStream;
 use crate::traffic::TrafficGenerator;
 use serde::{Deserialize, Serialize};
 use sprinklers_core::matrix::TrafficMatrix;
+use sprinklers_core::packet::MAX_PORTS;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -141,9 +142,35 @@ impl TrafficSpec {
             .expect("trace specs need try_matrix for error handling")
     }
 
-    /// Instantiate the traffic generator.  Only trace replay can fail (the
-    /// file is opened and validated here); synthetic patterns always build.
+    /// Check the numbers a spec file, a `--load` flag or a suite's `--loads`
+    /// override put here.  The synthetic generators offer at most one packet
+    /// per input per slot, so an offered load (and a hot-spot fraction) is a
+    /// probability: finite and in `[0, 1]`.  A trace's `scale` is checked
+    /// where the file is opened.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let probability = |what: &str, value: f64| {
+            if (0.0..=1.0).contains(&value) {
+                Ok(())
+            } else {
+                Err(SpecError::new(format!(
+                    "traffic {what} must be a finite number in [0, 1] (got {value})"
+                )))
+            }
+        };
+        match self {
+            TrafficSpec::Trace { .. } => Ok(()),
+            TrafficSpec::Hotspot { load, hot_fraction } => {
+                probability("load", *load)?;
+                probability("hot_fraction", *hot_fraction)
+            }
+            synthetic => probability("load", synthetic.load()),
+        }
+    }
+
+    /// Instantiate the traffic generator, after [`Self::validate`].  Trace
+    /// replay can also fail on the file, which is opened and validated here.
     pub fn build(&self, n: usize, seed: u64) -> Result<Box<dyn TrafficGenerator>, SpecError> {
+        self.validate()?;
         Ok(match self {
             TrafficSpec::Uniform { load } => Box::new(BernoulliTraffic::uniform(n, *load, seed)),
             TrafficSpec::Diagonal { load } => Box::new(BernoulliTraffic::diagonal(n, *load, seed)),
@@ -856,6 +883,40 @@ impl ScenarioSpec {
     /// stream the engine would have generated.
     pub fn traffic_seed(&self) -> u64 {
         self.seed.wrapping_add(1)
+    }
+
+    /// Check everything about the scenario that can be checked without
+    /// building it: the port count, the topology and its fault schedule, the
+    /// traffic numbers.  [`crate::engine::Engine::run`] calls this first, so
+    /// a bad value from a spec file or a command line surfaces as a typed
+    /// error, never as a panic inside a generator or a sizing routine.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.n < 2 {
+            return Err(SpecError::new(format!(
+                "port count n must be at least 2 (got {})",
+                self.n
+            )));
+        }
+        if self.n > MAX_PORTS {
+            return Err(SpecError::new(format!(
+                "port count n must be at most {MAX_PORTS} (got {})",
+                self.n
+            )));
+        }
+        if self.faults.is_some() && self.topology.is_none() {
+            return Err(SpecError::new(
+                "fault injection requires a fabric topology (single switches \
+                 have no links or nodes to fail)"
+                    .to_string(),
+            ));
+        }
+        if let Some(topo) = &self.topology {
+            topo.validate(self.n)?;
+            if let Some(faults) = &self.faults {
+                faults.validate(topo, &self.run)?;
+            }
+        }
+        self.traffic.validate()
     }
 
     /// Instantiate this scenario's traffic generator (see
@@ -1806,6 +1867,108 @@ mod tests {
         assert_eq!(spec.n, 16);
         assert_eq!(spec.sizing, SizingSpec::Matrix);
         assert_eq!(spec.traffic.load(), 0.6);
+    }
+
+    /// Every synthetic pattern at `load`, for the load-validation tests.
+    fn synthetic_patterns(load: f64) -> Vec<TrafficSpec> {
+        vec![
+            TrafficSpec::Uniform { load },
+            TrafficSpec::Diagonal { load },
+            TrafficSpec::Hotspot {
+                load,
+                hot_fraction: 0.5,
+            },
+            TrafficSpec::Bursty {
+                load,
+                peak: 1.0,
+                mean_burst: 8.0,
+            },
+            TrafficSpec::Flows {
+                load,
+                mean_flow_len: 10.0,
+            },
+        ]
+    }
+
+    /// Assert that `traffic` is refused — by its own check, by the scenario's
+    /// and by the generator constructor — naming `what` and the value.
+    fn assert_traffic_rejected(traffic: TrafficSpec, what: &str) {
+        let message = traffic.validate().unwrap_err().to_string();
+        assert!(
+            message.contains(&format!("traffic {what} must be a finite number in [0, 1]")),
+            "{traffic:?}: {message}"
+        );
+        assert!(
+            traffic.build(8, 1).is_err(),
+            "{traffic:?} built a generator"
+        );
+        let spec = ScenarioSpec::new("sprinklers", 8).with_traffic(traffic);
+        assert_eq!(spec.validate().unwrap_err().to_string(), message);
+    }
+
+    #[test]
+    fn negative_load_is_a_typed_error() {
+        for traffic in synthetic_patterns(-0.1) {
+            assert_traffic_rejected(traffic, "load");
+        }
+    }
+
+    #[test]
+    fn non_finite_load_is_a_typed_error() {
+        for load in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for traffic in synthetic_patterns(load) {
+                assert_traffic_rejected(traffic, "load");
+            }
+        }
+    }
+
+    #[test]
+    fn load_above_one_is_a_typed_error() {
+        // One packet per input per slot is all a generator can offer.
+        for traffic in synthetic_patterns(1.5) {
+            assert_traffic_rejected(traffic, "load");
+        }
+    }
+
+    #[test]
+    fn hot_fraction_outside_the_unit_interval_is_a_typed_error() {
+        for hot_fraction in [-0.2, 1.01, f64::NAN] {
+            assert_traffic_rejected(
+                TrafficSpec::Hotspot {
+                    load: 0.5,
+                    hot_fraction,
+                },
+                "hot_fraction",
+            );
+        }
+    }
+
+    #[test]
+    fn load_validation_accepts_the_closed_unit_interval_and_trace_scales() {
+        for load in [0.0, 0.05, 1.0] {
+            for traffic in synthetic_patterns(load) {
+                assert!(traffic.validate().is_ok(), "{traffic:?}");
+            }
+        }
+        // A trace's load knob is its time scale, which may exceed 1.
+        assert!(TrafficSpec::trace("t.sprt")
+            .with_load(1.5)
+            .validate()
+            .is_ok());
+    }
+
+    #[test]
+    fn load_overrides_are_validated_where_the_case_runs() {
+        // A suite's `--loads` (and the CLI's `--load`) rewrite the spec after
+        // it was parsed; the engine's validation is what catches them.
+        let base = ScenarioSpec::new("oq", 8).with_run(RunConfig::quick());
+        let cases = SuiteSpec::new("unused")
+            .with_loads(vec![0.3, -0.1])
+            .expand("case", &base);
+        let mut engine = crate::engine::Engine::new();
+        assert!(engine.run(&cases[0].spec).is_ok());
+        let message = engine.run(&cases[1].spec).unwrap_err().to_string();
+        assert!(message.contains("traffic load"), "{message}");
     }
 
     #[test]

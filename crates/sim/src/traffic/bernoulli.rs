@@ -79,12 +79,18 @@ impl TrafficGenerator for BernoulliTraffic {
 
     // lint: hot-path
     fn arrivals_into(&mut self, slot: u64, out: &mut Vec<Packet>) {
+        // Draw from a local copy: `out.push` may reallocate, so with the
+        // state behind `self` every draw would reload and store its four
+        // words around the call instead of keeping them in registers.
+        // lint: allow(hot-path) — StdRng is four u64 words: the clone is a copy, not a heap allocation
+        let mut rng = self.rng.clone();
         for (input, &arrive) in self.arrive.iter().enumerate() {
-            if arrive != 0 && draw53(&mut self.rng) < arrive {
-                let output = self.rows.sample(input, draw53(&mut self.rng));
+            if arrive != 0 && draw53(&mut rng) < arrive {
+                let output = self.rows.sample(input, draw53(&mut rng));
                 out.push(Packet::new(input, output, 0, slot));
             }
         }
+        self.rng = rng;
     }
 
     fn rate_matrix(&self) -> TrafficMatrix {

@@ -85,6 +85,10 @@ impl TrafficGenerator for BurstyTraffic {
     // lint: hot-path
     fn arrivals_into(&mut self, slot: u64, out: &mut Vec<Packet>) {
         let (leave_on, leave_off) = (threshold(self.p_off), threshold(self.p_on));
+        // A local copy keeps the generator state in registers across
+        // `out.push` (see `BernoulliTraffic::arrivals_into`).
+        // lint: allow(hot-path) — StdRng is four u64 words: the clone is a copy, not a heap allocation
+        let mut rng = self.rng.clone();
         for input in 0..self.n {
             // Evolve the on/off chain.
             let leave = if self.state_on[input] {
@@ -92,17 +96,18 @@ impl TrafficGenerator for BurstyTraffic {
             } else {
                 leave_off
             };
-            if draw53(&mut self.rng) < leave {
+            if draw53(&mut rng) < leave {
                 self.state_on[input] = !self.state_on[input];
             }
             if !self.state_on[input] {
                 continue;
             }
-            if draw53(&mut self.rng) < self.arrive_in_burst[input] {
-                let output = self.rows.sample(input, draw53(&mut self.rng));
+            if draw53(&mut rng) < self.arrive_in_burst[input] {
+                let output = self.rows.sample(input, draw53(&mut rng));
                 out.push(Packet::new(input, output, 0, slot));
             }
         }
+        self.rng = rng;
     }
 
     fn rate_matrix(&self) -> TrafficMatrix {

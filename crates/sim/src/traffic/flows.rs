@@ -78,19 +78,24 @@ impl TrafficGenerator for FlowTraffic {
     // lint: hot-path
     fn arrivals_into(&mut self, slot: u64, out: &mut Vec<Packet>) {
         let end_flow = threshold(1.0 / self.mean_flow_len);
+        // A local copy keeps the generator state in registers across
+        // `out.push` (see `BernoulliTraffic::arrivals_into`).
+        // lint: allow(hot-path) — StdRng is four u64 words: the clone is a copy, not a heap allocation
+        let mut rng = self.rng.clone();
         for (input, &arrive) in self.arrive.iter().enumerate() {
-            if arrive != 0 && draw53(&mut self.rng) < arrive {
-                let output = self.rows.sample(input, draw53(&mut self.rng));
+            if arrive != 0 && draw53(&mut rng) < arrive {
+                let output = self.rows.sample(input, draw53(&mut rng));
                 let key = input * self.n + output;
                 let flow = self.current_flow[key];
                 out.push(Packet::new(input, output, 0, slot).with_flow(flow));
                 // End the flow with probability 1/mean_flow_len.
-                if draw53(&mut self.rng) < end_flow {
+                if draw53(&mut rng) < end_flow {
                     self.current_flow[key] = self.next_flow_id;
                     self.next_flow_id += 1;
                 }
             }
         }
+        self.rng = rng;
     }
 
     fn rate_matrix(&self) -> TrafficMatrix {

@@ -21,11 +21,14 @@
 
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::switch::{DeliverySink, Switch};
+use sprinklers_core::switch::{DeliverySink, Steppable, Switch, SwitchStats};
 use sprinklers_sim::engine::{Engine, RunConfig};
+use sprinklers_sim::fabric::FabricWorld;
 use sprinklers_sim::metrics::reorder::ReorderDetector;
 use sprinklers_sim::registry;
-use sprinklers_sim::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
+use sprinklers_sim::spec::{
+    LinkSpec, RoutingSpec, ScenarioSpec, SizingSpec, TopologySpec, TrafficSpec,
+};
 use sprinklers_sim::traffic::flows::FlowTraffic;
 use sprinklers_sim::traffic::TrafficGenerator;
 use std::collections::HashSet;
@@ -230,6 +233,96 @@ fn the_harness_detects_reordering_from_some_unordered_scheme() {
         total_reorders > 0,
         "none of {unordered:?} reordered at 90% load — detector broken?"
     );
+}
+
+/// One slot's worth of stamped arrivals per entry, as the engine would hand
+/// them over: flow-rich uniform traffic at `load` for `slots` slots.
+fn stamped_arrivals(n: usize, load: f64, seed: u64, slots: u64) -> Vec<Vec<Packet>> {
+    let mut traffic = FlowTraffic::uniform(n, load, 10.0, seed);
+    let mut voq_seq = vec![0u64; n * n];
+    let mut next_id = 0u64;
+    (0..slots)
+        .map(|slot| {
+            let mut arrivals = traffic.arrivals(slot);
+            for p in &mut arrivals {
+                let key = p.input() * n + p.output();
+                p.voq_seq = voq_seq[key];
+                voq_seq[key] += 1;
+                p.id = next_id;
+                next_id += 1;
+            }
+            arrivals
+        })
+        .collect()
+}
+
+/// Drive `world` over `arrivals` plus a drain, handing each slot over either
+/// in one `inject_batch` call or packet by packet.
+fn drive_injecting<W: Steppable>(
+    world: &mut W,
+    arrivals: &[Vec<Packet>],
+    drain: u64,
+    batched: bool,
+) -> (Vec<DeliveredPacket>, SwitchStats) {
+    let mut out = Vec::new();
+    for slot in 0..arrivals.len() as u64 + drain {
+        if let Some(packets) = arrivals.get(slot as usize) {
+            if batched {
+                world.inject_batch(packets);
+            } else {
+                for p in packets {
+                    world.inject(p.clone());
+                }
+            }
+        }
+        world.advance(slot, 1, &mut out);
+    }
+    (out, world.counters())
+}
+
+#[test]
+fn arrive_batch_is_the_arrive_loop_for_every_scheme() {
+    // n = 16 at load 0.8: several arrivals in nearly every slot, full
+    // stripes at the Sprinklers inputs, frames at the frame-based baselines.
+    let (n, load) = (16, 0.8);
+    let arrivals = stamped_arrivals(n, load, 23, 3_000);
+    for scheme in registry::schemes() {
+        let (reference, ref_stats) =
+            drive_injecting(&mut build(scheme, n, load, 11), &arrivals, 6_000, false);
+        let (got, stats) = drive_injecting(&mut build(scheme, n, load, 11), &arrivals, 6_000, true);
+        assert!(
+            reference.len() > 10_000,
+            "{scheme}: workload too small to compare anything"
+        );
+        assert_eq!(
+            got, reference,
+            "{scheme}: arrive_batch changed the deliveries"
+        );
+        assert_eq!(stats, ref_stats, "{scheme}: arrive_batch changed stats()");
+    }
+
+    // A composite world takes the slot through `Steppable::inject_batch`.
+    let topo = TopologySpec::FatTree2 {
+        edges: 2,
+        cores: 4,
+        hosts_per_edge: 4,
+        routing: RoutingSpec::EcmpHash,
+        link: LinkSpec { latency: 2, gap: 1 },
+    };
+    let hosts = topo.hosts();
+    let arrivals = stamped_arrivals(hosts, 0.5, 29, 2_000);
+    let world = || {
+        FabricWorld::build(&topo, "sprinklers", &SizingSpec::Matrix, 7, 0.5)
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
+    let (reference, ref_stats) = drive_injecting(&mut world(), &arrivals, 4_000, false);
+    let (got, stats) = drive_injecting(&mut world(), &arrivals, 4_000, true);
+    assert!(reference.len() > 5_000, "fabric workload too small");
+    assert_eq!(
+        got, reference,
+        "fabric: inject_batch changed the deliveries"
+    );
+    assert_eq!(stats, ref_stats, "fabric: inject_batch changed counters()");
 }
 
 #[test]
