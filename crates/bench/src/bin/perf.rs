@@ -14,14 +14,9 @@
 //!
 //! ```text
 //! perf [--schemes a,b,..] [--ns 64,256] [--loads 0.05,0.3,0.95]
-//!      [--batches 1,64] [--threads 1,4] [--slots 8192] [--drain 16384]
+//!      [--batches 1,64] [--slots 8192] [--drain 16384]
 //!      [--reps 3] [--json out.json] [--quick] [--fabric ExCxH]
 //! ```
-//!
-//! `--threads` is a grid dimension like `--batches`: each listed value runs
-//! every cell with that many intra-slot worker threads
-//! ([`Switch::set_threads`]).  Deliveries are byte-identical at any value;
-//! only the throughput column should move.
 //!
 //! `--fabric ExCxH` appends fat-tree fabric cells (E edge switches, C
 //! cores, H hosts per edge, stripe routing) after the single-switch grid:
@@ -47,21 +42,20 @@ perf — Mslots/s of the batched stepping hot path over a scheme x n x load x ba
 
 Usage:
   perf [--schemes a,b,..] [--ns 64,256] [--loads 0.05,0.3,0.95]
-       [--batches 1,64] [--threads 1,4] [--slots 8192] [--drain 16384]
+       [--batches 1,64] [--slots 8192] [--drain 16384]
        [--reps 3] [--json out.json] [--quick] [--fabric ExCxH]
 
 One CSV row per cell on stdout (best of --reps).  --quick shrinks the grid
-and the windows; --json also writes the machine-readable report; --threads
-and --batches are grid dimensions (deliveries are byte-identical at any
-value); --fabric appends fat-tree cells (E edges, C cores, H hosts per edge).";
+and the windows; --json also writes the machine-readable report; --batches
+is a grid dimension (deliveries are byte-identical at any value); --fabric
+appends fat-tree cells (E edges, C cores, H hosts per edge).";
 
 /// Flags that take a value, and bare flags.
-const VALUE_FLAGS: [&str; 10] = [
+const VALUE_FLAGS: [&str; 9] = [
     "--schemes",
     "--ns",
     "--loads",
     "--batches",
-    "--threads",
     "--slots",
     "--drain",
     "--reps",
@@ -98,7 +92,6 @@ struct Cell {
     n: usize,
     load: f64,
     batch: u32,
-    threads: u32,
     total_slots: u64,
     delivered: u64,
     mslots_per_sec: f64,
@@ -111,7 +104,6 @@ struct CellCfg<'a> {
     n: usize,
     load: f64,
     batch: u64,
-    threads: u32,
     /// When set, the cell times a whole fabric (n = its host count)
     /// instead of one switch.  Perf cells always run fault-free: the
     /// harness measures the steady-state hot path, and healthy fabrics
@@ -139,11 +131,8 @@ fn build_world(cfg: &CellCfg) -> Result<Box<dyn Steppable>, String> {
 /// Drive one cell once: inject + advance over offered + drain slots,
 /// timed.  Returns (seconds, delivered packets).
 fn drive(cfg: &CellCfg, arrivals: &[Arrival], offered_slots: u64, drain_slots: u64) -> (f64, u64) {
-    let &CellCfg {
-        n, batch, threads, ..
-    } = cfg;
+    let &CellCfg { n, batch, .. } = cfg;
     let mut world = build_world(cfg).unwrap_or_else(|e| sprinklers_bench::cli::fail(&e));
-    world.set_parallelism(threads as usize);
     let mut voq_seq = vec![0u64; n * n];
     let mut sink = CountingSink::default();
     let total = offered_slots + drain_slots;
@@ -214,57 +203,46 @@ fn main() {
         }
     });
     let batches = parse_list_flag::<u32>(&args, "--batches").unwrap_or_else(|| vec![1, 64]);
-    let threads_grid = parse_list_flag::<u32>(&args, "--threads").unwrap_or_else(|| vec![1]);
-    if threads_grid.contains(&0) {
-        sprinklers_bench::cli::fail("--threads values must be at least 1");
-    }
     let offered: u64 = parse_flag(&args, "--slots").unwrap_or(if quick { 2_048 } else { 8_192 });
     let drain: u64 = parse_flag(&args, "--drain").unwrap_or(if quick { 4_096 } else { 16_384 });
     let reps: u32 = parse_flag(&args, "--reps").unwrap_or(if quick { 1 } else { 3 });
     let json_path = sprinklers_bench::cli::arg_value(&args, "--json");
 
     let mut cells: Vec<Cell> = Vec::new();
-    println!("scheme,n,load,batch,threads,total_slots,delivered,mslots_per_sec");
+    println!("scheme,n,load,batch,total_slots,delivered,mslots_per_sec");
     for &n in &ns {
         for &load in &loads {
             let arrivals = schedule(n, load, offered, 2014);
             for scheme in &schemes {
                 for &batch in &batches {
-                    for &threads in &threads_grid {
-                        // Best-of-reps: throughput benchmarking wants the
-                        // least perturbed run, not the average.
-                        let mut best = f64::INFINITY;
-                        let mut delivered = 0u64;
-                        let cfg = CellCfg {
-                            scheme,
-                            n,
-                            load,
-                            batch: u64::from(batch),
-                            threads,
-                            fabric: None,
-                        };
-                        for _ in 0..reps {
-                            let (secs, d) = drive(&cfg, &arrivals, offered, drain);
-                            best = best.min(secs);
-                            delivered = d;
-                        }
-                        let total_slots = offered + drain;
-                        let mslots = total_slots as f64 / best / 1e6;
-                        println!(
-                            "{scheme},{n},{load},{batch},{threads},{total_slots},\
-                             {delivered},{mslots:.2}"
-                        );
-                        cells.push(Cell {
-                            scheme: scheme.clone(),
-                            n,
-                            load,
-                            batch,
-                            threads,
-                            total_slots,
-                            delivered,
-                            mslots_per_sec: mslots,
-                        });
+                    // Best-of-reps: throughput benchmarking wants the
+                    // least perturbed run, not the average.
+                    let mut best = f64::INFINITY;
+                    let mut delivered = 0u64;
+                    let cfg = CellCfg {
+                        scheme,
+                        n,
+                        load,
+                        batch: u64::from(batch),
+                        fabric: None,
+                    };
+                    for _ in 0..reps {
+                        let (secs, d) = drive(&cfg, &arrivals, offered, drain);
+                        best = best.min(secs);
+                        delivered = d;
                     }
+                    let total_slots = offered + drain;
+                    let mslots = total_slots as f64 / best / 1e6;
+                    println!("{scheme},{n},{load},{batch},{total_slots},{delivered},{mslots:.2}");
+                    cells.push(Cell {
+                        scheme: scheme.clone(),
+                        n,
+                        load,
+                        batch,
+                        total_slots,
+                        delivered,
+                        mslots_per_sec: mslots,
+                    });
                 }
             }
         }
@@ -281,46 +259,41 @@ fn main() {
             let arrivals = schedule(hosts, load, offered, 2014);
             for scheme in &schemes {
                 for &batch in &batches {
-                    for &threads in &threads_grid {
-                        let cfg = CellCfg {
-                            scheme,
-                            n: hosts,
-                            load,
-                            batch: u64::from(batch),
-                            threads,
-                            fabric: Some(&topo),
-                        };
-                        let label = match build_world(&cfg) {
-                            Ok(world) => world.label(),
-                            Err(e) => {
-                                eprintln!("skipping fabric cell for {scheme}: {e}");
-                                continue;
-                            }
-                        };
-                        let mut best = f64::INFINITY;
-                        let mut delivered = 0u64;
-                        for _ in 0..reps {
-                            let (secs, d) = drive(&cfg, &arrivals, offered, drain);
-                            best = best.min(secs);
-                            delivered = d;
+                    let cfg = CellCfg {
+                        scheme,
+                        n: hosts,
+                        load,
+                        batch: u64::from(batch),
+                        fabric: Some(&topo),
+                    };
+                    let label = match build_world(&cfg) {
+                        Ok(world) => world.label(),
+                        Err(e) => {
+                            eprintln!("skipping fabric cell for {scheme}: {e}");
+                            continue;
                         }
-                        let total_slots = offered + drain;
-                        let mslots = total_slots as f64 / best / 1e6;
-                        println!(
-                            "{label},{hosts},{load},{batch},{threads},{total_slots},\
-                             {delivered},{mslots:.2}"
-                        );
-                        cells.push(Cell {
-                            scheme: label,
-                            n: hosts,
-                            load,
-                            batch,
-                            threads,
-                            total_slots,
-                            delivered,
-                            mslots_per_sec: mslots,
-                        });
+                    };
+                    let mut best = f64::INFINITY;
+                    let mut delivered = 0u64;
+                    for _ in 0..reps {
+                        let (secs, d) = drive(&cfg, &arrivals, offered, drain);
+                        best = best.min(secs);
+                        delivered = d;
                     }
+                    let total_slots = offered + drain;
+                    let mslots = total_slots as f64 / best / 1e6;
+                    println!(
+                        "{label},{hosts},{load},{batch},{total_slots},{delivered},{mslots:.2}"
+                    );
+                    cells.push(Cell {
+                        scheme: label,
+                        n: hosts,
+                        load,
+                        batch,
+                        total_slots,
+                        delivered,
+                        mslots_per_sec: mslots,
+                    });
                 }
             }
         }
@@ -384,13 +357,11 @@ fn render_json(offered: u64, drain: u64, cells: &[Cell]) -> String {
         let _ = writeln!(
             out,
             "    {{\"scheme\": \"{}\", \"n\": {}, \"load\": {}, \"batch\": {}, \
-             \"threads\": {}, \"total_slots\": {}, \"delivered\": {}, \
-             \"mslots_per_sec\": {}}}{}",
+             \"total_slots\": {}, \"delivered\": {}, \"mslots_per_sec\": {}}}{}",
             c.scheme,
             c.n,
             c.load,
             c.batch,
-            c.threads,
             c.total_slots,
             c.delivered,
             json_mslots(c.mslots_per_sec),
@@ -475,7 +446,6 @@ mod tests {
             n: 64,
             load: 0.05,
             batch: 64,
-            threads: 4,
             total_slots: 6144,
             delivered: 19_000,
             mslots_per_sec: mslots,

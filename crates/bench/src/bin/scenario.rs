@@ -13,7 +13,9 @@
 //! cargo run --release -p sprinklers-bench --bin scenario -- --list-schemes
 //! ```
 
-use sprinklers_bench::cli::{arg_value, fail, has_flag, load_spec_file, parse_flag};
+use sprinklers_bench::cli::{
+    arg_value, check_flags, fail, has_flag, load_spec_file, note_ignored_threads, parse_flag,
+};
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::registry;
 use sprinklers_sim::report::SimReport;
@@ -23,10 +25,10 @@ const USAGE: &str = "\
 Run one simulation scenario described by a JSON ScenarioSpec.
 
 Usage:
-  scenario --spec <file.json> [--batch <slots>] [--threads <N>]
+  scenario --spec <file.json> [--batch <slots>]
   scenario [--scheme <name>] [--n <ports>] [--load <rho>]
            [--pattern uniform|diagonal] [--seed <u64>] [--quick]
-           [--batch <slots>] [--threads <N>]
+           [--batch <slots>]
   scenario [--scheme <name>] [--n <ports>] --trace <file.{csv,sprt}>
            [--repeat <copies>] [--scale <factor>] [--seed <u64>] [--quick]
   scenario --print-template    print a ScenarioSpec JSON template
@@ -53,7 +55,7 @@ A fabric spec may additionally carry a \"faults\" object: timed
 \"events\" ({\"slot\", \"kind\": link-down|link-up|node-down|node-up,
 \"link\"|\"node\": index}) plus an optional seeded \"random\" link-failure
 generator ({\"mtbf\", \"mttr\", \"seed\"}).  Faulted runs stay
-byte-identical at any batch/thread/worker setting; losses are typed and
+byte-identical at any batch/worker setting; losses are typed and
 reported (with per-event reconvergence times) in the metrics sidecar.
 See the README's \"Fault injection\" section for semantics.
 
@@ -61,11 +63,27 @@ See the README's \"Fault injection\" section for semantics.
 64; effectively capped at n by the occupancy-sampling period).  It is a
 pure performance knob: the report is byte-identical at any value.
 
---threads shards each simulated slot's fabric work across N worker threads
-(default 1 = serial; clamped to n by the switch).  Also a pure performance
-knob: the report is byte-identical at any value.
+Stepping is serial: a \"threads\" key in a spec file is accepted and ignored
+(with a note on stderr).  Parallelism is across cases: see suite --workers.
 
 Defaults: --scheme sprinklers --n 32 --load 0.6 --pattern uniform --seed 2014";
+
+/// Flags that take a value, and bare flags.
+const VALUE_FLAGS: [&str; 12] = [
+    "--spec",
+    "--scheme",
+    "--n",
+    "--load",
+    "--pattern",
+    "--seed",
+    "--trace",
+    "--repeat",
+    "--scale",
+    "--batch",
+    "--metrics",
+    "--metrics-out",
+];
+const BARE_FLAGS: [&str; 3] = ["--quick", "--list-schemes", "--print-template"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,6 +91,9 @@ fn main() {
     if has_flag(&args, "--help") || has_flag(&args, "-h") {
         println!("{USAGE}");
         return;
+    }
+    if let Err(e) = check_flags(&args, &VALUE_FLAGS, &BARE_FLAGS) {
+        fail(&e);
     }
     if has_flag(&args, "--list-schemes") {
         for scheme in registry::schemes() {
@@ -128,12 +149,7 @@ fn main() {
         }
         spec.batch = batch;
     }
-    if let Some(threads) = parse_flag::<u32>(&args, "--threads") {
-        if threads == 0 {
-            fail("--threads must be at least 1");
-        }
-        spec.threads = threads;
-    }
+    note_ignored_threads([&spec]);
 
     let metrics_out = match arg_value(&args, "--metrics").as_deref() {
         None => {

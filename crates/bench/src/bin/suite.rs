@@ -32,7 +32,9 @@
 //!     --cache .sprinklers-cache --metrics full --out merged.csv
 //! ```
 
-use sprinklers_bench::cli::{arg_value, fail, has_flag, parse_flag, parse_list_flag};
+use sprinklers_bench::cli::{
+    arg_value, check_flags, fail, has_flag, note_ignored_threads, parse_flag, parse_list_flag,
+};
 use sprinklers_sim::cache::{CachedRun, ExperimentCache};
 use sprinklers_sim::engine::RunConfig;
 use sprinklers_sim::parallel::{default_workers, run_specs_parallel};
@@ -53,28 +55,44 @@ Options:
   --loads <x,y,z>      re-run every (spec, scheme) once per offered load
   --batch <slots>      slots per Switch::step_batch call (perf knob, default
                        from each spec; results are identical at any value)
-  --threads <N>        intra-slot worker threads per run (perf knob, default
-                       from each spec; results are identical at any value)
   --quick              shrink every run to the quick RunConfig
   --out <file.csv>     write the merged CSV to a file instead of stdout
   --cache <dir>        reuse finished runs from (and store new runs into) a
                        content-addressed cache; keyed by each spec's
-                       scientific identity, so --workers/--batch/--threads
-                       never affect hits and output stays byte-identical
+                       scientific identity, so --workers/--batch never
+                       affect hits and output stays byte-identical
   --metrics full       also write a JSON metrics sidecar (delay histogram,
                        per-output throughput, Jain fairness, windowed series)
   --metrics-out <file> sidecar path (default: <out>.metrics.json; required
                        if --metrics full is used without --out)
 
 The merged CSV is deterministic: same specs + seeds give byte-identical
-output at any --workers, any --batch and any --threads value, and whether
-each cell came from the cache or a fresh run.";
+output at any --workers and any --batch value, and whether each cell came
+from the cache or a fresh run.  Stepping is serial: a \"threads\" key in a
+spec file is accepted and ignored (one note on stderr).";
+
+/// Flags that take a value, and bare flags.
+const VALUE_FLAGS: [&str; 9] = [
+    "--dir",
+    "--workers",
+    "--schemes",
+    "--loads",
+    "--batch",
+    "--out",
+    "--cache",
+    "--metrics",
+    "--metrics-out",
+];
+const BARE_FLAGS: [&str; 1] = ["--quick"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if has_flag(&args, "--help") || has_flag(&args, "-h") {
         println!("{USAGE}");
         return;
+    }
+    if let Err(e) = check_flags(&args, &VALUE_FLAGS, &BARE_FLAGS) {
+        fail(&e);
     }
 
     let dir = arg_value(&args, "--dir").unwrap_or_else(|| fail("--dir is required (see --help)"));
@@ -117,14 +135,9 @@ fn main() {
         }
         suite = suite.with_batch(batch);
     }
-    if let Some(threads) = parse_flag::<u32>(&args, "--threads") {
-        if threads == 0 {
-            fail("--threads must be at least 1");
-        }
-        suite = suite.with_threads(threads);
-    }
 
     let mut cases = suite.load_cases().unwrap_or_else(|e| fail(&e.to_string()));
+    note_ignored_threads(cases.iter().map(|case| &case.spec));
     if has_flag(&args, "--quick") {
         for case in &mut cases {
             case.spec.run = RunConfig::quick();

@@ -19,7 +19,7 @@
 //!               [--n <ports>]
 //! ```
 
-use sprinklers_bench::cli::{arg_value, fail, has_flag, load_spec_file, parse_flag};
+use sprinklers_bench::cli::{arg_value, check_flags, fail, has_flag, load_spec_file, parse_flag};
 use sprinklers_sim::spec::TrafficSpec;
 use sprinklers_sim::traffic::trace_io::{record_spec, TraceFormat, TraceReader, TraceWriter};
 use std::path::Path;
@@ -64,12 +64,21 @@ fn main() {
     }
 }
 
+/// Reject anything after the subcommand word that is not one of its flags
+/// (every `trace` flag takes a value).
+fn check_subcommand_flags(args: &[String], value_flags: &[&str]) {
+    if let Err(e) = check_flags(&args[1..], value_flags, &[]) {
+        fail(&e);
+    }
+}
+
 fn explicit_format(args: &[String], flag: &str) -> Option<TraceFormat> {
     arg_value(args, flag)
         .map(|name| TraceFormat::from_name(&name).unwrap_or_else(|e| fail(&e.to_string())))
 }
 
 fn record(args: &[String]) {
+    check_subcommand_flags(args, &["--spec", "--out", "--format", "--emit-spec"]);
     let spec_path =
         arg_value(args, "--spec").unwrap_or_else(|| fail("record needs --spec (see --help)"));
     let out = arg_value(args, "--out").unwrap_or_else(|| fail("record needs --out (see --help)"));
@@ -115,6 +124,7 @@ fn record(args: &[String]) {
 }
 
 fn info(args: &[String]) {
+    check_subcommand_flags(args, &["--in", "--in-format", "--format"]);
     let input = arg_value(args, "--in").unwrap_or_else(|| fail("info needs --in (see --help)"));
     let format = explicit_format(args, "--in-format").or_else(|| explicit_format(args, "--format"));
     let mut reader = TraceReader::open(&input, format).unwrap_or_else(|e| fail(&e.to_string()));
@@ -190,6 +200,10 @@ fn info(args: &[String]) {
 }
 
 fn convert(args: &[String]) {
+    check_subcommand_flags(
+        args,
+        &["--in", "--out", "--in-format", "--out-format", "--n"],
+    );
     let input = arg_value(args, "--in").unwrap_or_else(|| fail("convert needs --in (see --help)"));
     let out = arg_value(args, "--out").unwrap_or_else(|| fail("convert needs --out (see --help)"));
     let in_format = explicit_format(args, "--in-format");

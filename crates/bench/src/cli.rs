@@ -32,11 +32,21 @@ pub fn check_flags(
             if rest.next().is_none() {
                 return Err(format!("{arg} requires a value"));
             }
+        } else if arg == "--threads" {
+            return Err("--threads was removed: results were identical at every value".into());
         } else if !bare_flags.contains(&arg.as_str()) {
             return Err(format!("unknown argument '{arg}' (see --help)"));
         }
     }
     Ok(())
+}
+
+/// Print one stderr note if any loaded spec sets the inert `threads` field:
+/// spec files that carry it still load, the `--threads` flag is rejected.
+pub fn note_ignored_threads<'a>(specs: impl IntoIterator<Item = &'a ScenarioSpec>) {
+    if specs.into_iter().any(|spec| spec.threads != 1) {
+        eprintln!("note: \"threads\" in a spec file is ignored: stepping is serial");
+    }
 }
 
 /// Print an error and exit with status 2 (usage / input error).

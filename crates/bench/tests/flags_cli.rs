@@ -1,0 +1,129 @@
+//! A word the binary does not know is a usage error (exit 2, `error: …` on
+//! stderr, nothing on stdout), never a silently ignored one — which is also
+//! what the removed `--threads` flag now is.  A `"threads"` key in a spec
+//! file is the other half of that decision: still range-checked (see
+//! `spec::tests::zero_and_fractional_thread_counts_are_rejected`), otherwise
+//! accepted and ignored with one note on stderr.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const SCENARIO: &str = env!("CARGO_BIN_EXE_scenario");
+const SUITE: &str = env!("CARGO_BIN_EXE_suite");
+const TRACE: &str = env!("CARGO_BIN_EXE_trace");
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("binary runs")
+}
+
+/// A fresh directory holding one small `oq` spec per `(file, seed)`, each
+/// with `extra` spliced in as further top-level keys.
+fn spec_dir(tag: &str, files: &[(&str, u64)], extra: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("sprinklers-flags-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (file, seed) in files {
+        let spec = format!(
+            r#"{{"scheme":"oq","n":8,"traffic":{{"pattern":"uniform","load":0.5}},
+               "run":{{"slots":2000,"warmup_slots":200,"drain_slots":2000}},"seed":{seed}{extra}}}"#
+        );
+        std::fs::write(dir.join(file), spec).expect("write spec");
+    }
+    dir
+}
+
+fn utf8(path: &Path) -> &str {
+    path.to_str().expect("utf-8 path")
+}
+
+fn assert_usage_error(out: &Output, needle: &str, tag: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{tag}: {stderr}");
+    assert!(out.stdout.is_empty(), "{tag} must print nothing on stdout");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error: ") && l.contains(needle)),
+        "{tag}: expected an error naming '{needle}', got: {stderr}"
+    );
+}
+
+/// Exit 0, and how many `note:` lines about `"threads"` stderr carries.
+fn notes(out: &Output, tag: &str) -> usize {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{tag}: {stderr}");
+    stderr
+        .lines()
+        .filter(|l| l.starts_with("note: ") && l.contains("\"threads\""))
+        .count()
+}
+
+#[test]
+fn unknown_valueless_and_removed_flags_are_usage_errors() {
+    let dir = spec_dir("usage", &[("a.json", 3)], "");
+    let spec = dir.join("a.json");
+    let scenario = ["--scheme", "oq", "--n", "8", "--quick"];
+    let suite = ["--dir", utf8(&dir)];
+    let trace = ["info", "--in", utf8(&spec)];
+    let cases: [(&str, &[&str], &[&str], &str); 7] = [
+        (SCENARIO, &scenario, &["--lod", "0.9", "--bogus"], "--lod"),
+        (SCENARIO, &scenario, &["--load"], "--load requires a value"),
+        (
+            SCENARIO,
+            &scenario,
+            &["--threads", "4"],
+            "--threads was removed",
+        ),
+        (SUITE, &suite, &["--wrkers", "1"], "--wrkers"),
+        (SUITE, &suite, &["--workers"], "--workers requires a value"),
+        (SUITE, &suite, &["--threads", "4"], "--threads was removed"),
+        (TRACE, &trace, &["--bogus"], "--bogus"),
+    ];
+    for (bin, base, extra, needle) in cases {
+        let out = run(bin, &[base, extra].concat());
+        assert_usage_error(&out, needle, &format!("{bin} … {extra:?}"));
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+#[test]
+fn a_threads_key_in_a_spec_file_is_ignored_with_one_note() {
+    let files = [("a.json", 3), ("b.json", 4)];
+    let plain = spec_dir("plain", &files, "");
+    let threaded = spec_dir("threaded", &files, r#","threads":4"#);
+
+    // One scenario: same CSV row, same sidecar, one note.
+    let run_one = |dir: &Path| {
+        let sidecar = dir.join("a.metrics");
+        let out = run(
+            SCENARIO,
+            &[
+                "--spec",
+                utf8(&dir.join("a.json")),
+                "--metrics",
+                "full",
+                "--metrics-out",
+                utf8(&sidecar),
+            ],
+        );
+        (out, std::fs::read(&sidecar).expect("sidecar"))
+    };
+    let ((want, want_sidecar), (got, got_sidecar)) = (run_one(&plain), run_one(&threaded));
+    assert!(!want.stdout.is_empty());
+    assert_eq!(got.stdout, want.stdout, "threads moved the CSV row");
+    assert_eq!(got_sidecar, want_sidecar, "threads moved the sidecar");
+    assert_eq!((notes(&want, "plain"), notes(&got, "threaded")), (0, 1));
+
+    // A suite of two threaded specs: same merged CSV, still one note.
+    let run_suite = |dir: &Path| run(SUITE, &["--dir", utf8(dir), "--workers", "1"]);
+    let (want, got) = (run_suite(&plain), run_suite(&threaded));
+    assert_eq!(got.stdout, want.stdout, "threads moved the merged CSV");
+    assert_eq!(
+        (notes(&want, "plain suite"), notes(&got, "threaded suite")),
+        (0, 1)
+    );
+    for dir in [plain, threaded] {
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    }
+}

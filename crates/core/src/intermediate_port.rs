@@ -282,8 +282,8 @@ mod tests {
         assert_eq!(port.queued_for_output(4), 0);
         // Port 2 faces output 5 at phase (2 − 5) mod 8 = 5, and only then.
         assert_eq!(port.phase_of(5), 5);
-        assert_eq!(ready.ports(5, 0, 8).collect::<Vec<_>>(), vec![2]);
-        assert_eq!((0..8).map(|t| ready.count(t)).sum::<usize>(), 1);
+        assert_eq!(ready.ports(5).collect::<Vec<_>>(), vec![2]);
+        assert_eq!((0..8).map(|t| ready.ports(t).count()).sum::<usize>(), 1);
         assert_eq!(
             port.dequeue(5),
             Some((large, 3, false)),
@@ -334,7 +334,11 @@ mod tests {
             "not eligible before the frame boundary"
         );
         assert!(port.has_staged());
-        assert_eq!(ready.count(port.phase_of(6)), 0, "staged is not ready");
+        assert_eq!(
+            ready.ports(port.phase_of(6)).count(),
+            0,
+            "staged is not ready"
+        );
         port.release_eligible(16, &mut ready);
         assert!(!port.has_staged());
         assert!(ready.contains(port.phase_of(6), 4));

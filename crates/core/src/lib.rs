@@ -26,10 +26,6 @@
 //!   fabric loops visit only occupied ports, making a step O(occupied) instead
 //!   of O(N) in the sparse regimes (low load, drain tails) that dominate
 //!   simulated time.
-//! * [`par`] — a persistent worker pool ([`par::StepPool`]) for deterministic
-//!   intra-slot parallelism: the fabric phases shard by contiguous port range
-//!   and merge their effects in ascending port order, so any thread count
-//!   produces byte-identical output.
 //! * [`input_port`] / [`intermediate_port`] — the two scheduling stages.
 //! * [`sprinklers`] — the full two-stage switch, wiring the periodic connection
 //!   patterns of both fabrics to the per-port schedulers.
@@ -79,11 +75,7 @@
 //! sw.step(4 * n as u64, &mut NullSink);
 //! ```
 
-// Unsafe code is denied crate-wide; the single, lint-audited exception is
-// `par`, whose worker pool must erase one closure lifetime and split one
-// slice into disjoint per-shard sub-slices (every block carries a
-// `// SAFETY:` justification, enforced by `sprinklers-lint`).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -97,7 +89,6 @@ pub mod matrix;
 pub mod occupancy;
 pub mod ols;
 pub mod packet;
-pub mod par;
 pub mod perm;
 pub mod rate_estimator;
 pub mod schedule_view;

@@ -16,11 +16,7 @@
 //! backs the scalar word-scan fallback; the hot walks themselves find their
 //! next word with a chunked scan that OR-reduces [`SCAN_CHUNK`] level-0
 //! words at a time (a shape LLVM autovectorizes into one wide load + compare
-//! per chunk), and the fused
-//! [`OccupancySet::next_occupied_matching`] query intersects occupancy with a
-//! caller-supplied [`PortMask`] in the same chunked shape — the primitive the
-//! sharded parallel step uses to confine each worker to its port range
-//! without a per-port branch.
+//! per chunk).
 //!
 //! The sets are plain indexes, deliberately decoupled from the containers
 //! they summarize: a switch inserts a port when it enqueues into it and
@@ -254,67 +250,6 @@ impl OccupancySet {
         Some((w << 6) + word.trailing_zeros() as usize)
     }
 
-    /// The smallest port `>= from` that is occupied *and* set in `mask`, or
-    /// `None`.  The fused query the sharded step uses: a worker confined to a
-    /// contiguous port range intersects occupancy with its range mask chunk
-    /// by chunk instead of filtering ports one at a time, so an all-idle
-    /// foreign range is rejected [`SCAN_CHUNK`] words per compare.
-    ///
-    /// `mask` must cover the same domain; the walk visits matching ports in
-    /// ascending order under the same mid-walk mutation contract as
-    /// [`Self::next_at_or_after`].
-    // lint: hot-path
-    #[inline]
-    pub fn next_occupied_matching(&self, from: usize, mask: &PortMask) -> Option<usize> {
-        debug_assert_eq!(mask.n, self.n, "mask domain mismatch");
-        let count = self.words.len();
-        if self.len == 0 || from >= self.n {
-            return None;
-        }
-        // The word containing `from`, masked to bits at or above it.
-        let w0 = from >> 6;
-        let first = self.words[w0] & mask.words[w0] & (!0u64 << (from & 63));
-        if first != 0 {
-            return Some((w0 << 6) + first.trailing_zeros() as usize);
-        }
-        let mut w = w0 + 1;
-        while w < count && !w.is_multiple_of(SCAN_CHUNK) {
-            let word = self.words[w] & mask.words[w];
-            if word != 0 {
-                return Some((w << 6) + word.trailing_zeros() as usize);
-            }
-            w += 1;
-        }
-        while w + SCAN_CHUNK <= count {
-            let a = &self.words[w..w + SCAN_CHUNK];
-            let b = &mask.words[w..w + SCAN_CHUNK];
-            let m = [a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]];
-            if (m[0] | m[1]) | (m[2] | m[3]) != 0 {
-                for (k, &word) in m.iter().enumerate() {
-                    if word != 0 {
-                        return Some(((w + k) << 6) + word.trailing_zeros() as usize);
-                    }
-                }
-            }
-            w += SCAN_CHUNK;
-        }
-        while w < count {
-            let word = self.words[w] & mask.words[w];
-            if word != 0 {
-                return Some((w << 6) + word.trailing_zeros() as usize);
-            }
-            w += 1;
-        }
-        None
-    }
-
-    /// Scalar reference for [`Self::next_occupied_matching`] — a plain
-    /// port-at-a-time probe, kept public for the parity nets.
-    pub fn next_occupied_matching_scalar(&self, from: usize, mask: &PortMask) -> Option<usize> {
-        debug_assert_eq!(mask.n, self.n, "mask domain mismatch");
-        (from..self.n).find(|&p| self.contains(p) && mask.contains(p))
-    }
-
     /// Iterate occupied ports in ascending order (tests, cold paths).
     pub fn iter(&self) -> Iter<'_> {
         Iter { set: self, from: 0 }
@@ -328,83 +263,6 @@ pub struct PortCursor {
     bits: u64,
     /// One past the last port of that word: where the next word starts.
     end: usize,
-}
-
-/// A flat bitmask over ports `0..n` — the second operand of the fused
-/// [`OccupancySet::next_occupied_matching`] query.
-///
-/// Unlike [`OccupancySet`] it carries no summary level or length counter:
-/// masks are built once (e.g. one contiguous range per parallel shard) and
-/// then only read, so the maintenance cost would buy nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortMask {
-    n: usize,
-    /// One bit per port, same word layout as `OccupancySet::words`.
-    words: Vec<u64>,
-}
-
-impl PortMask {
-    /// Create an all-empty mask over ports `0..n`.
-    pub fn new(n: usize) -> Self {
-        PortMask {
-            n,
-            words: vec![0; n.div_ceil(64).max(1)],
-        }
-    }
-
-    /// Create a mask with every port in `0..n` set.
-    pub fn all(n: usize) -> Self {
-        let mut mask = PortMask::new(n);
-        mask.set_range(0, n);
-        mask
-    }
-
-    /// The port-index domain this mask covers.
-    pub fn domain(&self) -> usize {
-        self.n
-    }
-
-    /// Clear every port.
-    pub fn clear(&mut self) {
-        for word in &mut self.words {
-            *word = 0;
-        }
-    }
-
-    /// Set one port.
-    pub fn set(&mut self, port: usize) {
-        debug_assert!(port < self.n, "port {port} out of domain {}", self.n);
-        self.words[port >> 6] |= 1u64 << (port & 63);
-    }
-
-    /// Set every port in `[lo, hi)`.  `hi` is clamped to the domain and
-    /// `lo >= hi` sets nothing, so callers can pass raw shard bounds.
-    pub fn set_range(&mut self, lo: usize, hi: usize) {
-        let hi = hi.min(self.n);
-        if lo >= hi {
-            return;
-        }
-        let (wl, wh) = (lo >> 6, (hi - 1) >> 6);
-        let lo_mask = !0u64 << (lo & 63);
-        let hi_mask = !0u64 >> (63 - ((hi - 1) & 63));
-        if wl == wh {
-            self.words[wl] |= lo_mask & hi_mask;
-        } else {
-            self.words[wl] |= lo_mask;
-            for w in &mut self.words[wl + 1..wh] {
-                *w = !0u64;
-            }
-            self.words[wh] |= hi_mask;
-        }
-    }
-
-    /// True if the port is set.
-    // lint: hot-path
-    #[inline]
-    pub fn contains(&self, port: usize) -> bool {
-        debug_assert!(port < self.n);
-        self.words[port >> 6] & (1u64 << (port & 63)) != 0
-    }
 }
 
 /// Which ports have something to send at each phase of a periodic fabric:
@@ -470,43 +328,28 @@ impl PhaseRows {
         self.row(phase)[port >> 6] & (1u64 << (port & 63)) != 0
     }
 
-    /// Number of ports ready at `phase`.
-    #[inline]
-    pub fn count(&self, phase: usize) -> usize {
-        self.row(phase)
-            .iter()
-            .map(|word| word.count_ones() as usize)
-            .sum()
-    }
-
-    /// The ports in `lo..hi` ready at `phase`, ascending.  The walk reads the
-    /// row as it goes, so the caller applies its clears after the walk (or to
-    /// ports the walk has already passed).
+    /// The ports ready at `phase`, ascending.  The walk reads the row as it
+    /// goes, so the caller applies its clears after the walk (or to ports the
+    /// walk has already passed).
     // lint: hot-path
     #[inline]
-    pub fn ports(&self, phase: usize, lo: usize, hi: usize) -> RowPorts<'_> {
-        let hi = hi.min(self.n);
-        let row = &self.row(phase)[..hi.div_ceil(64)];
-        let w = lo >> 6;
+    pub fn ports(&self, phase: usize) -> RowPorts<'_> {
+        let row = self.row(phase);
         RowPorts {
-            bits: row.get(w).map_or(0, |word| word & (!0u64 << (lo & 63))),
+            bits: row[0],
             row,
-            w,
-            hi,
+            w: 0,
         }
     }
 }
 
-/// Ascending walk over the set bits of one [`PhaseRows`] row within a port
-/// range.
+/// Ascending walk over the set bits of one [`PhaseRows`] row.
 #[derive(Debug, Clone)]
 pub struct RowPorts<'a> {
-    /// The row, cut after the word holding port `hi - 1`.
     row: &'a [u64],
     /// Unvisited bits of word `w`.
     bits: u64,
     w: usize,
-    hi: usize,
 }
 
 impl Iterator for RowPorts<'_> {
@@ -520,9 +363,6 @@ impl Iterator for RowPorts<'_> {
             self.bits = *self.row.get(self.w)?;
         }
         let port = (self.w << 6) + self.bits.trailing_zeros() as usize;
-        if port >= self.hi {
-            return None;
-        }
         self.bits &= self.bits - 1;
         Some(port)
     }
@@ -633,99 +473,40 @@ mod tests {
         assert_eq!(s.next_at_or_after(2), None);
     }
 
-    #[test]
-    fn port_mask_ranges_cover_word_boundaries() {
-        let mut m = PortMask::new(300);
-        m.set_range(60, 70);
-        m.set_range(128, 128); // empty range: no-op
-        m.set_range(250, 1000); // hi clamps to the domain
-        for p in 0..300 {
-            let want = (60..70).contains(&p) || (250..300).contains(&p);
-            assert_eq!(m.contains(p), want, "port {p}");
-        }
-        m.clear();
-        assert!((0..300).all(|p| !m.contains(p)));
-        let all = PortMask::all(300);
-        assert!((0..300).all(|p| all.contains(p)));
-        assert_eq!(all.domain(), 300);
-    }
-
-    #[test]
-    fn fused_query_intersects_occupancy_with_the_mask() {
-        let mut s = OccupancySet::new(512);
-        for p in [0usize, 63, 64, 200, 255, 256, 300, 511] {
-            s.insert(p);
-        }
-        let mut m = PortMask::new(512);
-        m.set_range(64, 256);
-        assert_eq!(s.next_occupied_matching(0, &m), Some(64));
-        assert_eq!(s.next_occupied_matching(65, &m), Some(200));
-        assert_eq!(s.next_occupied_matching(201, &m), Some(255));
-        assert_eq!(s.next_occupied_matching(256, &m), None);
-        let empty = PortMask::new(512);
-        assert_eq!(s.next_occupied_matching(0, &empty), None);
-        let all = PortMask::all(512);
-        assert_eq!(s.next_occupied_matching(257, &all), Some(300));
-    }
-
     proptest! {
-        /// The chunked scans agree with their scalar references and with a
-        /// brute-force model, for domains that are not multiples of 64 and
-        /// masks whose ranges start/end exactly on word boundaries.
+        /// The chunked word scan agrees with its scalar reference and with a
+        /// brute-force model, for domains that are not multiples of 64.
         #[test]
         fn chunked_scans_match_scalar_references(
             n in 1usize..600,
             ports in proptest::collection::vec(0usize..600, 0..120),
-            ranges in proptest::collection::vec((0usize..10, 0usize..10), 0..4),
         ) {
             let mut set = OccupancySet::new(n);
-            let mut model = vec![false; n];
             for raw in ports {
-                let p = raw % n;
-                set.insert(p);
-                model[p] = true;
-            }
-            // Build a mask from word-granular ranges so boundaries land
-            // exactly on multiples of 64 (plus the clamped domain edge).
-            let mut mask = PortMask::new(n);
-            let mut mask_model = vec![false; n];
-            for (a, b) in ranges {
-                let (lo, hi) = (a * 64, b * 64 + 64);
-                mask.set_range(lo, hi);
-                for covered in mask_model.iter_mut().take(hi.min(n)).skip(lo) {
-                    *covered = true;
-                }
+                set.insert(raw % n);
             }
             for w in 0..=set.words.len() {
                 let brute = (w..set.words.len()).find(|&i| set.words[i] != 0);
                 prop_assert_eq!(set.next_occupied_word(w), brute);
                 prop_assert_eq!(set.next_occupied_word_scalar(w), brute);
             }
-            for from in 0..=n {
-                let brute = (from..n).find(|&p| model[p] && mask_model[p]);
-                prop_assert_eq!(set.next_occupied_matching(from, &mask), brute);
-                prop_assert_eq!(
-                    set.next_occupied_matching_scalar(from, &mask),
-                    brute
-                );
-            }
         }
 
         /// The phase rows agree with a `Vec<Vec<bool>>` model under arbitrary
-        /// set/clear interleavings, with the range walk checked along the
-        /// way — for one-port, sub-word, exact-word and multi-word rows.
+        /// set/clear interleavings, with the row walk checked along the way —
+        /// for one-port, sub-word, exact-word and multi-word rows.
         #[test]
         fn phase_rows_match_brute_force_model(
             size in 0usize..5,
             ops in proptest::collection::vec(
-                (0usize..3, 0usize..128, 0usize..128, 0usize..130),
+                (0usize..3, 0usize..128, 0usize..128),
                 0..300,
             ),
         ) {
             let n = [1usize, 63, 64, 65, 128][size];
             let mut rows = PhaseRows::new(n);
             let mut model = vec![vec![false; n]; n];
-            for (op, raw_phase, raw_port, raw_hi) in ops {
+            for (op, raw_phase, raw_port) in ops {
                 let (phase, port) = (raw_phase % n, raw_port % n);
                 match op {
                     0 => {
@@ -737,13 +518,9 @@ mod tests {
                         model[phase][port] = false;
                     }
                     _ => {
-                        // Walk `port..hi` of the row; `hi` may overshoot the
-                        // domain or fall below `lo`.
-                        let hi = raw_hi;
-                        let walked: Vec<usize> = rows.ports(phase, port, hi).collect();
-                        let expected: Vec<usize> = (port..hi.min(n))
-                            .filter(|&p| model[phase][p])
-                            .collect();
+                        let walked: Vec<usize> = rows.ports(phase).collect();
+                        let expected: Vec<usize> =
+                            (0..n).filter(|&p| model[phase][p]).collect();
                         prop_assert_eq!(walked, expected);
                     }
                 }
@@ -753,8 +530,7 @@ mod tests {
                     prop_assert_eq!(rows.contains(phase, port), ready);
                 }
                 let expected: Vec<usize> = (0..n).filter(|&p| row[p]).collect();
-                prop_assert_eq!(rows.count(phase), expected.len());
-                let mut walk = rows.ports(phase, 0, n);
+                let mut walk = rows.ports(phase);
                 let walked: Vec<usize> = walk.by_ref().collect();
                 prop_assert_eq!(walked, expected);
                 prop_assert_eq!(walk.next(), None, "a finished walk stays finished");

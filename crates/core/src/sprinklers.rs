@@ -16,24 +16,15 @@ use crate::input_port::SprinklersInputPort;
 use crate::intermediate_port::SprinklersIntermediatePort;
 use crate::lsf::Served;
 use crate::matrix::TrafficMatrix;
-use crate::occupancy::{OccupancySet, PhaseRows, PortCursor, PortMask};
+use crate::occupancy::{OccupancySet, PhaseRows, PortCursor};
 use crate::ols::WeaklyUniformOls;
 use crate::packet::{DeliveredPacket, Packet};
-use crate::par::StepPool;
 use crate::sizing::stripe_size;
 use crate::store::{PacketHandle, PacketStore};
 use crate::stripe::stamp_routing;
 use crate::switch::{DeliverySink, Switch, SwitchStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Minimum ports to visit in a fabric phase before the sharded parallel walk
-/// is worth its dispatch cost (two condvar round trips per phase); below it
-/// the serial walk runs.  Switching between the two walks is free of
-/// determinism risk because they collect the same entries in the same
-/// ascending port order for the one serial merge both feed, so this constant
-/// (like the `threads` knob itself) is a pure perf setting.
-const PAR_MIN_OCCUPIED: usize = 64;
 
 /// What the second-fabric walk collects from an intermediate port that has a
 /// packet for the output it is connected to: `(intermediate, handle, stripe
@@ -45,91 +36,6 @@ type Delivery = (usize, PacketHandle, usize, bool);
 /// packet, input still servable)`.
 type Transfer = (usize, usize, Served, bool);
 
-/// Pool and shard geometry for sharded stepping, present when the switch was
-/// hinted `threads >= 2` via [`Switch::set_threads`].
-struct ParCtx {
-    pool: StepPool,
-    /// Contiguous half-open port ranges, one per shard, covering `0..n`.
-    ranges: Vec<(usize, usize)>,
-    /// `ranges[s]` as a [`PortMask`], the operand of the fused
-    /// occupancy-∩-eligibility query each shard walks.
-    masks: Vec<PortMask>,
-}
-
-impl ParCtx {
-    fn new(n: usize, shards: usize) -> Self {
-        debug_assert!(shards >= 2 && shards <= n);
-        let base = n / shards;
-        let rem = n % shards;
-        let mut ranges = Vec::with_capacity(shards);
-        let mut lo = 0usize;
-        for s in 0..shards {
-            let width = base + usize::from(s < rem);
-            ranges.push((lo, lo + width));
-            lo += width;
-        }
-        debug_assert_eq!(lo, n);
-        let masks = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let mut mask = PortMask::new(n);
-                mask.set_range(lo, hi);
-                mask
-            })
-            .collect();
-        ParCtx {
-            pool: StepPool::new(shards - 1),
-            ranges,
-            masks,
-        }
-    }
-
-    fn shards(&self) -> usize {
-        self.ranges.len()
-    }
-}
-
-/// The walk half of the first-fabric pass: call `visit(port, index, out)` for
-/// every occupied port in ascending order, collecting into `scratch`.
-///
-/// With a pool and at least [`PAR_MIN_OCCUPIED`] occupied ports the walk is
-/// sharded — each shard visits the occupied ports of its own contiguous range
-/// (via the fused occupancy-∩-range-mask query) and fills its own scratch
-/// vector; otherwise it is one serial [`OccupancySet::next_port`] walk
-/// filling `scratch[0]`.  Either way, reading the scratch
-/// vectors in order yields ascending port order.
-// lint: hot-path
-#[inline]
-fn walk_occupied<P: Send, R: Send>(
-    occupied: &OccupancySet,
-    par: Option<&ParCtx>,
-    ports: &mut [P],
-    scratch: &mut [Vec<R>],
-    visit: impl Fn(&mut P, usize, &mut Vec<R>) + Sync,
-) {
-    match par {
-        Some(par) if occupied.len() >= PAR_MIN_OCCUPIED => {
-            let (ranges, masks) = (&par.ranges, &par.masks);
-            par.pool
-                .run_on_ranges(ports, ranges, scratch, |s, local, out| {
-                    let (lo, _hi) = ranges[s];
-                    let mut from = lo;
-                    while let Some(p) = occupied.next_occupied_matching(from, &masks[s]) {
-                        from = p + 1;
-                        visit(&mut local[p - lo], p, out);
-                    }
-                });
-        }
-        _ => {
-            let out = &mut scratch[0];
-            let mut cursor = PortCursor::default();
-            while let Some(p) = occupied.next_port(&mut cursor) {
-                visit(&mut ports[p], p, out);
-            }
-        }
-    }
-}
-
 /// A complete Sprinklers switch.
 pub struct SprinklersSwitch {
     config: SprinklersConfig,
@@ -137,8 +43,6 @@ pub struct SprinklersSwitch {
     ols: WeaklyUniformOls,
     /// Every resident packet's body.  `arrive` writes it, delivery reads and
     /// frees it, and all the queues of the ports below hold handles into it.
-    /// The sharded fabric phases never touch it: inserts and takes happen in
-    /// serial code only.
     store: PacketStore,
     inputs: Vec<SprinklersInputPort>,
     intermediates: Vec<SprinklersIntermediatePort>,
@@ -170,17 +74,13 @@ pub struct SprinklersSwitch {
     resizes: u64,
     arrivals: u64,
     departures: u64,
-    /// Second-fabric scratch: what each shard's walk dequeued this slot, for
-    /// the serial merge to deliver in ascending shard (= port) order.  One
-    /// shard unless `set_threads(>= 2)` was applied; every inner vector has
-    /// room for all `n` ports, so a step never grows it.
-    deliveries: Vec<Vec<Delivery>>,
+    /// Second-fabric scratch: what the walk dequeued this slot, in ascending
+    /// port order, for the merge to deliver.  It has room for all `n` ports,
+    /// so a step never grows it.
+    deliveries: Vec<Delivery>,
     /// First-fabric scratch, same shape.
-    transfers: Vec<Vec<Transfer>>,
-    /// Sharded-stepping state, present when `set_threads(>= 2)` was applied.
-    /// `None` means pure serial stepping — today's default.
-    par: Option<ParCtx>,
-    /// Intermediate ports the second-fabric walks were sent to, to hold
+    transfers: Vec<Transfer>,
+    /// Intermediate ports the second-fabric walk was sent to, to hold
     /// against `departures`.
     #[cfg(test)]
     second_fabric_visits: u64,
@@ -234,9 +134,8 @@ impl SprinklersSwitch {
             resizes: 0,
             arrivals: 0,
             departures: 0,
-            deliveries: vec![Vec::with_capacity(n)],
-            transfers: vec![Vec::with_capacity(n)],
-            par: None,
+            deliveries: Vec::with_capacity(n),
+            transfers: Vec::with_capacity(n),
             #[cfg(test)]
             second_fabric_visits: 0,
         }
@@ -310,12 +209,11 @@ impl SprinklersSwitch {
     ///
     /// Each pass has two halves.  The *walk* does the port-local work — pick
     /// the packet each occupied port sends over its current connection — and
-    /// only collects `(port, handle, …)` entries, so it can run serially or
-    /// sharded over a [`StepPool`]; the *merge* then applies every cross-port
-    /// effect serially, in ascending port order.  Splitting them also puts
-    /// the slot's packet-body reads (one per delivery — cold, the body was
-    /// written at arrival) side by side, where the merge can overlap them
-    /// instead of taking one cache miss per loop iteration.
+    /// only collects `(port, handle, …)` entries; the *merge* then applies
+    /// every cross-port effect, in the same ascending port order.  Splitting
+    /// them puts the slot's packet-body reads (one per delivery — cold, the
+    /// body was written at arrival) side by side, where the merge can overlap
+    /// them instead of taking one cache miss per loop iteration.
     // lint: hot-path
     fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
         self.second_fabric_pass(slot, t, sink);
@@ -357,58 +255,32 @@ impl SprinklersSwitch {
         // The walk: row `t` lists exactly the ports with a packet for the
         // output they are connected to, so the port-local work — pop the head
         // of that output's largest non-empty level — never comes up empty.
-        let ready = &self.ready;
-        let visit = |port: &mut SprinklersIntermediatePort, l: usize, out: &mut Vec<Delivery>| {
+        let mut deliveries = std::mem::take(&mut self.deliveries);
+        for l in self.ready.ports(t) {
+            #[cfg(test)]
+            {
+                self.second_fabric_visits += 1;
+            }
             let output = if l >= t { l - t } else { l + n - t };
-            let served = port.dequeue(output);
+            let served = self.intermediates[l].dequeue(output);
             debug_assert!(
                 served.is_some(),
                 "phase row {t} lists intermediate {l}, which holds nothing for output {output}"
             );
             if let Some((handle, level, last)) = served {
-                out.push((l, handle, level, last));
-            }
-        };
-        #[cfg(test)]
-        {
-            self.second_fabric_visits += ready.count(t) as u64;
-        }
-        match self.par.as_ref() {
-            // Sharded: each shard reads its own port range of the same row.
-            Some(par) if ready.count(t) >= PAR_MIN_OCCUPIED => {
-                let ranges = &par.ranges;
-                par.pool.run_on_ranges(
-                    &mut self.intermediates,
-                    ranges,
-                    &mut self.deliveries,
-                    |s, local, out| {
-                        let (lo, hi) = ranges[s];
-                        for l in ready.ports(t, lo, hi) {
-                            visit(&mut local[l - lo], l, out);
-                        }
-                    },
-                );
-            }
-            _ => {
-                let out = &mut self.deliveries[0];
-                for l in ready.ports(t, 0, n) {
-                    visit(&mut self.intermediates[l], l, out);
-                }
+                deliveries.push((l, handle, level, last));
             }
         }
 
-        // Merge, in ascending shard order, which is ascending port order.
-        let mut deliveries = std::mem::take(&mut self.deliveries);
+        // The merge, in the walk's ascending port order.
         self.store
-            .warm(deliveries.iter().flatten().map(|&(_, handle, ..)| handle));
-        for shard in &mut deliveries {
-            for (l, handle, level, last) in shard.drain(..) {
-                if last {
-                    self.ready.clear(t, l);
-                }
-                self.queued_intermediates -= 1;
-                self.deliver(l, handle, level, slot, sink);
+            .warm(deliveries.iter().map(|&(_, handle, ..)| handle));
+        for (l, handle, level, last) in deliveries.drain(..) {
+            if last {
+                self.ready.clear(t, l);
             }
+            self.queued_intermediates -= 1;
+            self.deliver(l, handle, level, slot, sink);
         }
         self.deliveries = deliveries;
     }
@@ -450,54 +322,42 @@ impl SprinklersSwitch {
     // lint: hot-path
     fn first_fabric_pass(&mut self, slot: u64, t: usize) {
         let n = self.n;
-        let occupied = &self.occupied_inputs;
-        // The port-local work of input `i`: the LSF dequeue for the connected
-        // intermediate.
-        let visit = |port: &mut SprinklersInputPort, i: usize, out: &mut Vec<Transfer>| {
+        // The walk: the port-local work of input `i` is the LSF dequeue for
+        // the connected intermediate.
+        let mut transfers = std::mem::take(&mut self.transfers);
+        let mut cursor = PortCursor::default();
+        while let Some(i) = self.occupied_inputs.next_port(&mut cursor) {
             let l = if i + t >= n { i + t - n } else { i + t };
+            let port = &mut self.inputs[i];
             if let Some(served) = port.dequeue(l) {
-                out.push((i, l, served, port.has_servable()));
+                transfers.push((i, l, served, port.has_servable()));
             }
-        };
-        walk_occupied(
-            occupied,
-            self.par.as_ref(),
-            &mut self.inputs,
-            &mut self.transfers,
-            visit,
-        );
+        }
 
         // Merge: occupancy bits, counters and the intermediate-side receive.
-        let mut transfers = std::mem::take(&mut self.transfers);
         let staging = self.config.alignment == AlignmentMode::StripeComplete;
         if staging {
             // Stripe-complete staging reads each body's VOQ sequence number.
-            self.store.warm(
-                transfers
-                    .iter()
-                    .flatten()
-                    .map(|&(_, _, served, _)| served.0),
-            );
+            self.store
+                .warm(transfers.iter().map(|&(_, _, served, _)| served.0));
         }
-        for shard in &mut transfers {
-            for (i, l, (handle, output, level), still_servable) in shard.drain(..) {
-                if !still_servable {
-                    self.occupied_inputs.remove(i);
-                }
-                self.queued_inputs -= 1;
-                self.queued_intermediates += 1;
-                if staging {
-                    self.staged_intermediates.insert(l);
-                }
-                self.intermediates[l].receive(
-                    &self.store,
-                    &mut self.ready,
-                    handle,
-                    output as usize,
-                    level,
-                    slot,
-                );
+        for (i, l, (handle, output, level), still_servable) in transfers.drain(..) {
+            if !still_servable {
+                self.occupied_inputs.remove(i);
             }
+            self.queued_inputs -= 1;
+            self.queued_intermediates += 1;
+            if staging {
+                self.staged_intermediates.insert(l);
+            }
+            self.intermediates[l].receive(
+                &self.store,
+                &mut self.ready,
+                handle,
+                output as usize,
+                level,
+                slot,
+            );
         }
         self.transfers = transfers;
     }
@@ -570,23 +430,6 @@ impl Switch for SprinklersSwitch {
             self.step_at(slot, t, sink);
             true
         });
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        // One shard needs at least one port; beyond `n` extra threads could
-        // only idle.  `threads <= 1` (and 0) means serial stepping, dropping
-        // any existing pool.
-        let shards = threads.max(1).min(self.n.max(1));
-        if shards <= 1 {
-            self.par = None;
-        } else if self.par.as_ref().is_none_or(|par| par.shards() != shards) {
-            self.par = Some(ParCtx::new(self.n, shards));
-        }
-        // One scratch vector per shard (between steps they are all empty).
-        let n = self.n;
-        self.deliveries
-            .resize_with(shards, || Vec::with_capacity(n));
-        self.transfers.resize_with(shards, || Vec::with_capacity(n));
     }
 
     fn stats(&self) -> SwitchStats {
@@ -887,74 +730,6 @@ mod tests {
                 check(&sw, &format!("n={n} {alignment:?} post-drain"));
             }
         }
-    }
-
-    /// The sharded parallel step must reproduce the serial delivery stream
-    /// byte for byte.  n = 256 at high load pushes both fabric phases well
-    /// past `PAR_MIN_OCCUPIED`, so the pool path (not just its serial
-    /// fallback) is what's being pinned; thread counts that do not divide n
-    /// exercise uneven shard ranges.
-    #[test]
-    fn parallel_stepping_is_byte_identical_to_serial() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let n = 256usize;
-        let build = || {
-            SprinklersSwitch::new(
-                SprinklersConfig::new(n).with_sizing(SizingMode::FixedSize(2)),
-                17,
-            )
-        };
-        // Pre-generate a dense arrival schedule shared by every run.
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut voq_seq = vec![0u64; n * n];
-        let mut arrivals: Vec<Vec<Packet>> = Vec::new();
-        let mut id = 0u64;
-        let offered = 3 * n as u64;
-        for slot in 0..offered {
-            let mut this_slot = Vec::new();
-            for input in 0..n {
-                if rng.gen_range(0.0..1.0) < 0.85 {
-                    let output = rng.gen_range(0..n);
-                    let key = input * n + output;
-                    this_slot.push(pkt(input, output, id, slot, voq_seq[key]));
-                    voq_seq[key] += 1;
-                    id += 1;
-                }
-            }
-            arrivals.push(this_slot);
-        }
-        let total = offered + 6 * n as u64;
-        let run = |threads: usize| -> (Vec<DeliveredPacket>, SwitchStats) {
-            let mut sw = build();
-            sw.set_threads(threads);
-            let mut out = Vec::new();
-            for slot in 0..total {
-                if let Some(batch) = arrivals.get(slot as usize) {
-                    for p in batch {
-                        sw.arrive(p.clone());
-                    }
-                }
-                sw.step(slot, &mut out);
-            }
-            (out, sw.stats())
-        };
-        let (reference, ref_stats) = run(1);
-        assert!(
-            reference.len() > 1000,
-            "workload too small to exercise the parallel path"
-        );
-        for threads in [2usize, 3, 4, 7] {
-            let (got, stats) = run(threads);
-            assert_eq!(got, reference, "threads={threads} diverged from serial");
-            assert_eq!(stats, ref_stats, "threads={threads} stats diverged");
-        }
-        // Oversized and degenerate hints are clamped, not errors.
-        let mut sw = build();
-        sw.set_threads(10_000);
-        sw.set_threads(0);
-        sw.step(0, &mut crate::switch::NullSink);
     }
 
     /// The phase index sends the second-fabric walk only to ports that

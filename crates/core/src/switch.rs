@@ -199,14 +199,8 @@ pub trait Switch {
         }
     }
 
-    /// Set the number of threads the switch may use *inside* one step.
-    ///
-    /// This is a pure performance knob, not part of a scenario's scientific
-    /// identity: for any value the delivery stream must stay byte-identical
-    /// to `threads = 1` (deterministic port sharding + ascending-port merge).
-    /// The default implementation ignores the hint — single-threaded stepping
-    /// is always a correct implementation of it.  Values are clamped by the
-    /// implementation; `0` is treated as `1`.
+    /// Inert: stepping is serial, nothing overrides or calls this; the next
+    /// `benchmark/`-only PR deletes it with its last caller there.
     fn set_threads(&mut self, _threads: usize) {}
 
     /// Current occupancy and throughput counters.
@@ -218,17 +212,16 @@ pub trait Switch {
 /// below) or a composite world such as a multi-switch fabric that routes
 /// packets across several internal switches before delivering them.
 ///
-/// The engine only ever needs six operations — how many externally visible
-/// ports there are, a label for reports, packet injection, batched stepping,
-/// the intra-slot parallelism hint, and the occupancy counters — so this
-/// trait is exactly that surface.  The method names are deliberately
-/// distinct from [`Switch`]'s (`ports`/`inject`/`advance` instead of
-/// `n`/`arrive`/`step_batch`) so a type implementing both traits never
-/// produces ambiguous method calls.
+/// The engine only ever needs five operations — how many externally visible
+/// ports there are, a label for reports, packet injection, batched stepping
+/// and the occupancy counters — so this trait is exactly that surface.  The
+/// method names are deliberately distinct from [`Switch`]'s
+/// (`ports`/`inject`/`advance` instead of `n`/`arrive`/`step_batch`) so a
+/// type implementing both traits never produces ambiguous method calls.
 ///
 /// Implementations must uphold the same determinism contract as [`Switch`]:
-/// `set_parallelism` is a pure performance knob, and `advance` over any
-/// batching of the same slots yields the identical delivery stream.
+/// `advance` over any batching of the same slots yields the identical
+/// delivery stream.
 pub trait Steppable {
     /// Number of externally visible ports (hosts, for a fabric).  Injected
     /// packets address this port space; delivered packets are reported in it.
@@ -256,9 +249,9 @@ pub trait Steppable {
     /// advancing one slot at a time.
     fn advance(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink);
 
-    /// Intra-slot worker-thread hint (see [`Switch::set_threads`]): any value
-    /// must yield a byte-identical delivery stream.
-    fn set_parallelism(&mut self, threads: usize);
+    /// Inert: stepping is serial, nothing overrides or calls this; the next
+    /// `benchmark/`-only PR deletes it with its last caller there.
+    fn set_parallelism(&mut self, _threads: usize) {}
 
     /// Aggregate occupancy/throughput counters over the whole world.
     fn counters(&self) -> SwitchStats;
@@ -279,9 +272,6 @@ impl<S: Switch> Steppable for S {
     }
     fn advance(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
         self.step_batch(first_slot, count, sink)
-    }
-    fn set_parallelism(&mut self, threads: usize) {
-        self.set_threads(threads)
     }
     fn counters(&self) -> SwitchStats {
         self.stats()
@@ -307,9 +297,6 @@ impl<T: Switch + ?Sized> Switch for Box<T> {
     fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
         (**self).step_batch(first_slot, count, sink)
     }
-    fn set_threads(&mut self, threads: usize) {
-        (**self).set_threads(threads)
-    }
     fn stats(&self) -> SwitchStats {
         (**self).stats()
     }
@@ -333,9 +320,6 @@ impl<T: Switch + ?Sized> Switch for &mut T {
     }
     fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
         (**self).step_batch(first_slot, count, sink)
-    }
-    fn set_threads(&mut self, threads: usize) {
-        (**self).set_threads(threads)
     }
     fn stats(&self) -> SwitchStats {
         (**self).stats()
@@ -417,7 +401,6 @@ mod tests {
     /// `step_batch` (and the blanket impls) to the slot-at-a-time semantics.
     struct SlotRecorder {
         slots: Vec<u64>,
-        threads: usize,
     }
 
     impl Switch for SlotRecorder {
@@ -432,56 +415,14 @@ mod tests {
             self.slots.push(slot);
             sink.deliver(DeliveredPacket::new(Packet::new(0, 1, slot, 0), slot));
         }
-        fn set_threads(&mut self, threads: usize) {
-            self.threads = threads;
-        }
         fn stats(&self) -> SwitchStats {
             SwitchStats::default()
         }
     }
 
     #[test]
-    fn set_threads_defaults_to_a_noop_and_forwards_through_blankets() {
-        // The default implementation is a no-op hint.
-        struct Minimal;
-        impl Switch for Minimal {
-            fn n(&self) -> usize {
-                1
-            }
-            fn name(&self) -> &'static str {
-                "minimal"
-            }
-            fn arrive(&mut self, _packet: Packet) {}
-            fn step(&mut self, _slot: u64, _sink: &mut dyn DeliverySink) {}
-            fn stats(&self) -> SwitchStats {
-                SwitchStats::default()
-            }
-        }
-        Minimal.set_threads(8);
-
-        // Box<T> and &mut T forward to the override.
-        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder {
-            slots: Vec::new(),
-            threads: 1,
-        });
-        boxed.set_threads(4);
-        let mut concrete = SlotRecorder {
-            slots: Vec::new(),
-            threads: 1,
-        };
-        fn hint<S: Switch>(mut switch: S) {
-            switch.set_threads(3);
-        }
-        hint(&mut concrete);
-        assert_eq!(concrete.threads, 3);
-    }
-
-    #[test]
     fn default_step_batch_is_the_sequential_step_loop() {
-        let mut sw = SlotRecorder {
-            slots: Vec::new(),
-            threads: 1,
-        };
+        let mut sw = SlotRecorder { slots: Vec::new() };
         let mut sink: Vec<DeliveredPacket> = Vec::new();
         sw.step_batch(10, 4, &mut sink);
         assert_eq!(sw.slots, vec![10, 11, 12, 13]);
@@ -491,10 +432,7 @@ mod tests {
 
     #[test]
     fn default_step_batch_of_zero_slots_is_a_noop() {
-        let mut sw = SlotRecorder {
-            slots: Vec::new(),
-            threads: 1,
-        };
+        let mut sw = SlotRecorder { slots: Vec::new() };
         sw.step_batch(7, 0, &mut NullSink);
         assert!(sw.slots.is_empty());
     }
@@ -515,14 +453,9 @@ mod tests {
 
     #[test]
     fn every_switch_is_steppable_through_the_blanket_impl() {
-        let mut sw = SlotRecorder {
-            slots: Vec::new(),
-            threads: 1,
-        };
+        let mut sw = SlotRecorder { slots: Vec::new() };
         assert_eq!(sw.ports(), 2);
         assert_eq!(sw.label(), "slot-recorder");
-        sw.set_parallelism(5);
-        assert_eq!(sw.threads, 5);
         sw.inject(Packet::new(0, 1, 0, 0));
         let mut sink: Vec<DeliveredPacket> = Vec::new();
         sw.advance(2, 3, &mut sink);
@@ -530,10 +463,7 @@ mod tests {
         assert_eq!(sw.counters(), SwitchStats::default());
         // Boxed trait objects are steppable too (`Box<dyn Switch>` is a
         // `Switch`, so the blanket impl covers it).
-        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder {
-            slots: Vec::new(),
-            threads: 1,
-        });
+        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder { slots: Vec::new() });
         boxed.advance(0, 1, &mut NullSink);
         assert_eq!(boxed.label(), "slot-recorder");
     }
@@ -609,10 +539,7 @@ mod tests {
 
     #[test]
     fn boxed_and_borrowed_switches_forward_step_batch() {
-        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder {
-            slots: Vec::new(),
-            threads: 1,
-        });
+        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder { slots: Vec::new() });
         boxed.step_batch(0, 3, &mut NullSink);
 
         // Drive through a generic bound so the `impl Switch for &mut T`
@@ -620,10 +547,7 @@ mod tests {
         fn drive<S: Switch>(mut switch: S) {
             switch.step_batch(3, 2, &mut NullSink);
         }
-        let mut concrete = SlotRecorder {
-            slots: Vec::new(),
-            threads: 1,
-        };
+        let mut concrete = SlotRecorder { slots: Vec::new() };
         drive(&mut concrete);
         assert_eq!(concrete.slots, vec![3, 4]);
     }

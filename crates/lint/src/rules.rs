@@ -82,9 +82,11 @@ impl Rule {
             }
             Rule::Unsafe => {
                 "Every `unsafe` block, fn or impl must be immediately preceded by a \
-                 `// SAFETY:` comment explaining why the invariants hold. (The \
-                 workspace currently compiles with #![forbid(unsafe_code)] everywhere; \
-                 this rule keeps any future exception audited.)"
+                 `// SAFETY:` comment explaining why the invariants hold. (Every \
+                 crate of the workspace compiles with #![forbid(unsafe_code)]; the one \
+                 `unsafe` outside this analyzer's fixtures is the counting allocator of \
+                 the `steady_state_alloc` integration test. This rule keeps that and any \
+                 future exception audited.)"
             }
             Rule::Marker => {
                 "Hygiene of the markers themselves: an allow marker must name a known \

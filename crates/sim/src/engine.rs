@@ -13,8 +13,7 @@
 //! a [`crate::fabric::FabricWorld`] is the multi-switch instance, selected
 //! when the scenario carries a `topology`.  Both run through the *same*
 //! batched loop below, so every determinism guarantee (byte-identical
-//! reports at any batch/thread/worker setting) holds for fabrics by
-//! construction.
+//! reports at any batch/worker setting) holds for fabrics by construction.
 //!
 //! The engine owns one reusable arrival buffer and feeds deliveries into a
 //! [`MetricsSink`], so the steady-state loop — generate arrivals, assign
@@ -23,7 +22,7 @@
 //!
 //! # Batched stepping
 //!
-//! The engine drives the switch through [`Switch::step_batch`] in batches of
+//! The engine drives the switch through [`Steppable::advance`] in batches of
 //! up to [`DEFAULT_BATCH`] slots (configurable per scenario via
 //! `ScenarioSpec::batch`), so long arrival-free stretches — the entire drain
 //! phase, empty slots at light load — cross the `dyn Switch` boundary once
@@ -52,9 +51,9 @@ use crate::spec::{ScenarioSpec, SpecError};
 use crate::traffic::TrafficGenerator;
 use serde::{Deserialize, Serialize};
 use sprinklers_core::packet::Packet;
-use sprinklers_core::switch::{Steppable, Switch};
+use sprinklers_core::switch::Steppable;
 
-/// Default number of slots stepped per [`Switch::step_batch`] call when no
+/// Default number of slots stepped per [`Steppable::advance`] call when no
 /// explicit batch size is configured.  Large enough to amortize the per-call
 /// dispatch, small enough that delivery consumers see packets promptly.
 pub const DEFAULT_BATCH: u32 = 64;
@@ -125,9 +124,6 @@ impl Engine {
                 spec.seed,
                 spec.traffic.load(),
             )?;
-            // Pure perf knob, applied after construction: any value yields
-            // a byte-identical report (see `ScenarioSpec::threads`).
-            world.set_parallelism(spec.threads as usize);
             if let Some(faults) = spec.faults.as_ref().filter(|f| !f.is_empty()) {
                 world = world.with_faults(faults, &spec.run);
             }
@@ -142,10 +138,7 @@ impl Engine {
         // and validating the file twice per run.
         let traffic = spec.build_traffic()?;
         let matrix = traffic.rate_matrix();
-        let mut switch =
-            registry::build_named(&spec.scheme, spec.n, &spec.sizing, &matrix, spec.seed)?;
-        // Pure perf knob (see above).
-        switch.set_threads(spec.threads as usize);
+        let switch = registry::build_named(&spec.scheme, spec.n, &spec.sizing, &matrix, spec.seed)?;
         Ok(self.run_parts_batched(switch, traffic, spec.run, spec.batch))
     }
 

@@ -5,8 +5,8 @@
 //! adds alternating up/down phases for every link that has *no* explicit
 //! events, each link from its own seed-derived RNG.  The result is a pure
 //! function of the spec — no wall clock, no global RNG — so the schedule,
-//! and therefore the whole faulted run, is byte-identical across `batch`,
-//! `threads` and worker counts.
+//! and therefore the whole faulted run, is byte-identical across `batch`
+//! and worker counts.
 
 use crate::engine::RunConfig;
 use crate::spec::{FaultKind, FaultSpec, RandomFaultSpec};

@@ -51,9 +51,9 @@
 //! in the store, no cell or padding in any node — no phase can move or
 //! deliver a packet, so the rest of the call collapses to the fault events
 //! at their slots plus one [`Switch::step_batch`] per node (whose contract
-//! is exactly that many single steps).  Batch size, per-node thread counts
-//! and suite worker counts are therefore pure performance knobs: the
-//! delivered packet stream is byte-identical at any setting.
+//! is exactly that many single steps).  Batch size and suite worker counts
+//! are therefore pure performance knobs: the delivered packet stream is
+//! byte-identical at any setting.
 //!
 //! # Fault injection
 //!
@@ -252,7 +252,6 @@ pub struct FabricWorld {
     sizing: SizingSpec,
     node_load: f64,
     seed: u64,
-    threads: usize,
     /// Fault machinery; `None` for failure-free runs (the legacy path).
     faults: Option<FaultState>,
 }
@@ -340,7 +339,6 @@ impl FabricWorld {
             sizing: *sizing,
             node_load,
             seed,
-            threads: 1,
             faults: None,
         })
     }
@@ -672,7 +670,6 @@ impl FabricWorld {
                 node.switch =
                     registry::build_named(&self.scheme, node.n, &self.sizing, &matrix, node_seed)
                         .expect("node scheme built once at construction");
-                node.switch.set_threads(self.threads);
                 node.voq_seq.fill(0);
             }
             FaultKind::NodeUp => f.node_up[event.index] = true,
@@ -819,13 +816,6 @@ impl Steppable for FabricWorld {
             }
             self.step_slot(slot, sink);
             slot += 1;
-        }
-    }
-
-    fn set_parallelism(&mut self, threads: usize) {
-        self.threads = threads;
-        for node in &mut self.nodes {
-            node.switch.set_threads(threads);
         }
     }
 

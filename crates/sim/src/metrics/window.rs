@@ -11,7 +11,7 @@
 //!
 //! Samples are taken at the same slots in slot-at-a-time and batched
 //! stepping, so the series — like every other report field — is
-//! byte-identical at any `batch`, `threads` or worker count.
+//! byte-identical at any `batch` or worker count.
 
 use serde::{Deserialize, Serialize};
 use sprinklers_core::switch::SwitchStats;

@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn batch_size_is_orthogonal_to_worker_count() {
-        // Batched stepping and thread sharding are both pure perf knobs; any
+        // Batched stepping and the worker count are both pure perf knobs; any
         // combination must reproduce the same reports in the same order.
         let specs_at = |batch: u32| {
             let mut specs = grid();

@@ -790,14 +790,10 @@ pub struct ScenarioSpec {
     /// batch at `n` (see the `engine` module docs), so values above `n`
     /// simply saturate.
     pub batch: u32,
-    /// Worker threads used *inside* each simulated slot (see
-    /// [`sprinklers_core::switch::Switch::set_threads`]).  Like `batch`,
-    /// purely a performance knob: the fabric phases shard by contiguous port
-    /// range and merge in ascending port order, so any value produces a
-    /// byte-identical report (the `thread-parity` CI job and the differential
-    /// property suite enforce this) and it is *not* part of the scenario's
-    /// scientific identity.  Switches clamp it to `[1, n]`; schemes without a
-    /// parallel path simply ignore it.
+    /// Inert: stepping is serial and nothing in the simulator reads this.
+    /// Still parsed, range-checked and emitted so spec files, `to_json` bytes
+    /// and cache identities written earlier stay valid; the next
+    /// `benchmark/`-only PR deletes it with its last reader there.
     pub threads: u32,
 }
 
@@ -866,14 +862,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn with_batch(mut self, batch: u32) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Set the intra-slot worker thread count (clamped to `[1, n]` by the
-    /// switch; 1 is the serial path).
-    #[must_use]
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -1129,11 +1117,6 @@ pub struct SuiteSpec {
     /// `batch-parity` CI job exercises — so, unlike the scheme and load
     /// overrides, it never appears in case names.
     pub batch: Option<u32>,
-    /// When set, every expanded case runs with this intra-slot worker thread
-    /// count (overriding each spec's own `threads`).  Like `batch`, a pure
-    /// performance knob enforced byte-identical by the `thread-parity` CI
-    /// job, so it never appears in case names either.
-    pub threads: Option<u32>,
 }
 
 /// One expanded member of a suite: a stable name (file stem plus any
@@ -1154,7 +1137,6 @@ impl SuiteSpec {
             schemes: None,
             loads: None,
             batch: None,
-            threads: None,
         }
     }
 
@@ -1176,13 +1158,6 @@ impl SuiteSpec {
     #[must_use]
     pub fn with_batch(mut self, batch: u32) -> Self {
         self.batch = Some(batch);
-        self
-    }
-
-    /// Run every expanded case with this intra-slot worker thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -1277,9 +1252,6 @@ impl SuiteSpec {
                 }
                 if let Some(batch) = self.batch {
                     spec.batch = batch;
-                }
-                if let Some(threads) = self.threads {
-                    spec.threads = threads;
                 }
                 cases.push(SuiteCase {
                     name: case_name,
@@ -2042,12 +2014,12 @@ mod tests {
 
     #[test]
     fn threads_round_trips_and_defaults() {
-        let spec = ScenarioSpec::new("sprinklers", 8).with_threads(4);
+        let mut spec = ScenarioSpec::new("sprinklers", 8);
+        spec.threads = 4;
         let parsed = ScenarioSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(parsed.threads, 4);
         assert_eq!(parsed, spec);
-        // Specs written before the threads knob existed parse to the serial
-        // default.
+        // Specs without the key parse to the default.
         let legacy = ScenarioSpec::from_json(r#"{"scheme": "oq", "n": 8}"#).unwrap();
         assert_eq!(legacy.threads, 1);
     }
@@ -2174,23 +2146,6 @@ mod tests {
         assert!(cases.iter().all(|c| c.spec.batch == 5));
         // Batch is a perf knob, not part of the case identity: names must be
         // stable so batch-parity runs can `cmp` their CSVs.
-        let without = SuiteSpec::new("unused")
-            .with_schemes(vec!["sprinklers".into(), "foff".into()])
-            .expand("base", &base);
-        let names = |cs: &[SuiteCase]| cs.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
-        assert_eq!(names(&cases), names(&without));
-    }
-
-    #[test]
-    fn suite_threads_override_reaches_every_case_but_not_the_names() {
-        let base = ScenarioSpec::new("oq", 8);
-        let suite = SuiteSpec::new("unused")
-            .with_schemes(vec!["sprinklers".into(), "foff".into()])
-            .with_threads(4);
-        let cases = suite.expand("base", &base);
-        assert!(cases.iter().all(|c| c.spec.threads == 4));
-        // Like batch, threads is a perf knob, not part of the case identity:
-        // names must be stable so thread-parity runs can `cmp` their CSVs.
         let without = SuiteSpec::new("unused")
             .with_schemes(vec!["sprinklers".into(), "foff".into()])
             .expand("base", &base);

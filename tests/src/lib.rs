@@ -84,14 +84,12 @@ pub fn run<S: Switch, G: TrafficGenerator>(switch: S, traffic: G, slots: u64) ->
 /// Drive a switch through a per-slot arrival schedule the way the engine
 /// does — `schedule[slot]` is injected before `slot` is stepped, and a
 /// `step_batch` call never spans an arrival-bearing slot — with the given
-/// `threads` and `batch` knobs.  Returns the delivery stream.
+/// `batch` knob.  Returns the delivery stream.
 pub fn drive_schedule(
     switch: &mut dyn Switch,
     schedule: &[Vec<Packet>],
-    threads: usize,
     batch: u64,
 ) -> Vec<DeliveredPacket> {
-    switch.set_threads(threads);
     let mut delivered = Vec::new();
     let total = schedule.len() as u64;
     let mut slot = 0u64;

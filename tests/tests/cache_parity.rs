@@ -4,7 +4,7 @@
 //! cold one: the merged CSV assembled from cached rows must be
 //! byte-identical to the one assembled from fresh reports, the stored
 //! summary scalars must be bit-exact, and the key must ignore exactly the
-//! two performance knobs (`batch`, `threads`) — nothing else.
+//! `batch` performance knob and the inert `threads` field — nothing else.
 
 use sprinklers_sim::cache::{CachedRun, ExperimentCache};
 use sprinklers_sim::engine::RunConfig;
@@ -43,16 +43,15 @@ fn temp_cache(name: &str) -> ExperimentCache {
 fn identity_hash_ignores_batch_and_threads_but_nothing_else() {
     let (_, base) = grid().remove(0);
     let hash = base.content_hash();
-    // Every (batch, threads) combination maps to the same experiment.
-    for (batch, threads) in [(1, 1), (64, 4), (1_000, 8)] {
-        assert_eq!(
-            base.clone()
-                .with_batch(batch)
-                .with_threads(threads)
-                .content_hash(),
-            hash
-        );
+    // Every batch size maps to the same experiment.
+    for batch in [1, 64, 1_000] {
+        assert_eq!(base.clone().with_batch(batch).content_hash(), hash);
     }
+    // So does the inert `threads` field: entries stored while it was a
+    // knob stay hits.
+    let mut threaded = base.clone();
+    threaded.threads = 8;
+    assert_eq!(threaded.content_hash(), hash);
     // Everything scientific separates.
     let variations = [
         base.clone().with_seed(base.seed + 1),
@@ -93,11 +92,11 @@ fn warm_cache_reproduces_the_cold_merged_csv_byte_for_byte() {
             .zip(cold_rows.iter().cloned()),
     );
 
-    // Warm pass: every cell must hit, at a *different* batch/thread
-    // configuration, and reproduce rows, scalars and metrics bit-exactly.
+    // Warm pass: every cell must hit, at a *different* batch size, and
+    // reproduce rows, scalars and metrics bit-exactly.
     let mut warm_rows = Vec::new();
     for ((_, spec), report) in cases.iter().zip(&reports) {
-        let retuned = spec.clone().with_batch(7).with_threads(3);
+        let retuned = spec.clone().with_batch(7);
         let hit = cache
             .load(retuned.content_hash())
             .expect("warm pass must not miss");

@@ -9,14 +9,14 @@
 //!    *end to end*, across both topology kinds, many seeds and loads.
 //! 2. **The metric engages** — per-packet random routing does reorder
 //!    under the same contention, so ordered fabrics aren't vacuous.
-//! 3. **Determinism** — worker count, per-node thread count and engine
-//!    batch size are pure performance knobs for fabrics too: the CSV row
-//!    and the full metrics JSON are byte-identical at every combination.
+//! 3. **Determinism** — worker count and engine batch size are pure
+//!    performance knobs for fabrics too: the CSV row and the full metrics
+//!    JSON are byte-identical at every combination.
 //! 4. **Reconvergence safety** — claims 1 and 3 survive fault injection:
 //!    striped fabrics stay reorder-free under random link-failure
 //!    schedules (survivor traffic is never inverted by a path change),
 //!    every loss is typed (delivered + dropped + residual == offered), and
-//!    faulted runs stay byte-identical across workers/threads/batch.
+//!    faulted runs stay byte-identical across workers/batch.
 
 use proptest::prelude::*;
 use sprinklers_sim::engine::RunConfig;
@@ -288,7 +288,7 @@ fn scripted_faults_report_typed_losses_and_reconvergence() {
 }
 
 #[test]
-fn faulted_fabrics_are_byte_identical_across_workers_threads_and_batch() {
+fn faulted_fabrics_are_byte_identical_across_workers_and_batch() {
     // Determinism is the whole point of *deterministic* fault injection:
     // a faulted run is as byte-stable as a healthy one at every perf-knob
     // combination, including the full metrics JSON (fault block included).
@@ -310,9 +310,7 @@ fn faulted_fabrics_are_byte_identical_across_workers_threads_and_batch() {
                 seed: 3,
             }),
         });
-    let reference = Engine::new()
-        .run(&base.clone().with_batch(1).with_threads(1))
-        .unwrap();
+    let reference = Engine::new().run(&base.clone().with_batch(1)).unwrap();
     assert!(
         reference.dropped_packets > 0,
         "the schedule must actually bite"
@@ -320,21 +318,19 @@ fn faulted_fabrics_are_byte_identical_across_workers_threads_and_batch() {
     let want_row = reference.csv_row();
     let want_json = reference.metrics_json();
     for workers in [1usize, 4] {
-        for threads in [1u32, 4] {
-            for batch in [1u32, 64] {
-                let spec = base.clone().with_batch(batch).with_threads(threads);
-                let got = &run_specs_parallel_ok(&[spec], workers).unwrap()[0];
-                assert_eq!(
-                    got.csv_row(),
-                    want_row,
-                    "csv diverged at workers={workers} threads={threads} batch={batch}"
-                );
-                assert_eq!(
-                    got.metrics_json(),
-                    want_json,
-                    "metrics diverged at workers={workers} threads={threads} batch={batch}"
-                );
-            }
+        for batch in [1u32, 64] {
+            let spec = base.clone().with_batch(batch);
+            let got = &run_specs_parallel_ok(&[spec], workers).unwrap()[0];
+            assert_eq!(
+                got.csv_row(),
+                want_row,
+                "csv diverged at workers={workers} batch={batch}"
+            );
+            assert_eq!(
+                got.metrics_json(),
+                want_json,
+                "metrics diverged at workers={workers} batch={batch}"
+            );
         }
     }
 }
@@ -342,10 +338,10 @@ fn faulted_fabrics_are_byte_identical_across_workers_threads_and_batch() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Workers × threads × batch are pure perf knobs for fabric scenarios:
+    /// Workers × batch are pure perf knobs for fabric scenarios:
     /// the merged CSV row and the full metrics JSON never move by a byte.
     #[test]
-    fn fabric_parity_across_workers_threads_and_batch(
+    fn fabric_parity_across_workers_and_batch(
         seed in 0u64..1_000,
         stripe in 0u32..2,
     ) {
@@ -353,31 +349,29 @@ proptest! {
         let base = fabric_spec(fat_tree(routing), "sprinklers", 0.45, seed)
             .with_run(RunConfig { slots: 1_500, warmup_slots: 150, drain_slots: 12_000 });
 
-        // Reference: serial, slot-at-a-time.
+        // Reference: one worker, slot-at-a-time.
         let reference = Engine::new()
-            .run(&base.clone().with_batch(1).with_threads(1))
+            .run(&base.clone().with_batch(1))
             .unwrap();
         let want_row = reference.csv_row();
         let want_json = reference.metrics_json();
 
         for workers in [1usize, 4] {
-            for threads in [1u32, 4] {
-                for batch in [1u32, 64] {
-                    let spec = base.clone().with_batch(batch).with_threads(threads);
-                    let got = &run_specs_parallel_ok(&[spec], workers).unwrap()[0];
-                    prop_assert_eq!(
-                        got.csv_row(),
-                        want_row.clone(),
-                        "csv diverged at workers={} threads={} batch={}",
-                        workers, threads, batch
-                    );
-                    prop_assert_eq!(
-                        got.metrics_json(),
-                        want_json.clone(),
-                        "metrics diverged at workers={} threads={} batch={}",
-                        workers, threads, batch
-                    );
-                }
+            for batch in [1u32, 64] {
+                let spec = base.clone().with_batch(batch);
+                let got = &run_specs_parallel_ok(&[spec], workers).unwrap()[0];
+                prop_assert_eq!(
+                    got.csv_row(),
+                    want_row.clone(),
+                    "csv diverged at workers={} batch={}",
+                    workers, batch
+                );
+                prop_assert_eq!(
+                    got.metrics_json(),
+                    want_json.clone(),
+                    "metrics diverged at workers={} batch={}",
+                    workers, batch
+                );
             }
         }
     }
