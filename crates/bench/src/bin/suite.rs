@@ -21,7 +21,7 @@
 //! Specs may carry fabric topologies and fault schedules (see the README's
 //! "Fabric topologies" and "Fault injection" sections); faulted runs merge
 //! byte-identically at any worker count just like healthy ones — the
-//! `fault-smoke` CI job pins this.
+//! `suite-smoke` CI job pins this.
 //!
 //! Usage:
 //! ```text

@@ -20,12 +20,14 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
 }
 
 /// Check that every argument is a known `--flag value` pair or a known bare
-/// flag, so a typo is a usage error instead of a silently ignored word.
+/// flag, each given at most once, so a typo or a repeat is a usage error
+/// instead of a silently ignored word ([`arg_value`] reads the first match).
 pub fn check_flags(
     args: &[String],
     value_flags: &[&str],
     bare_flags: &[&str],
 ) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if value_flags.contains(&arg.as_str()) {
@@ -37,6 +39,10 @@ pub fn check_flags(
         } else if !bare_flags.contains(&arg.as_str()) {
             return Err(format!("unknown argument '{arg}' (see --help)"));
         }
+        if seen.contains(&arg.as_str()) {
+            return Err(format!("{arg} given more than once"));
+        }
+        seen.push(arg);
     }
     Ok(())
 }
@@ -154,5 +160,9 @@ mod tests {
         assert!(err.contains("stray"), "{err}");
         let err = check_flags(&args(&["--ns"]), &value, &bare).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
+        let err = check_flags(&args(&["--ns", "64", "--ns", "256"]), &value, &bare).unwrap_err();
+        assert!(err.contains("--ns given more than once"), "{err}");
+        let err = check_flags(&args(&["--quick", "--quick"]), &value, &bare).unwrap_err();
+        assert!(err.contains("--quick given more than once"), "{err}");
     }
 }

@@ -6,13 +6,9 @@
 
 use sprinklers_analysis::chernoff;
 use sprinklers_analysis::markov;
-use sprinklers_core::matrix::TrafficMatrix;
-use sprinklers_core::switch::Switch;
 use sprinklers_sim::engine::{Engine, RunConfig};
-use sprinklers_sim::registry;
 use sprinklers_sim::report::SimReport;
 use sprinklers_sim::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
-use sprinklers_sim::traffic::bernoulli::BernoulliTraffic;
 
 /// Switch size used by the paper's delay simulations (§6).
 pub const PAPER_N: usize = 32;
@@ -27,19 +23,6 @@ pub enum TrafficKind {
 }
 
 impl TrafficKind {
-    /// The rate matrix of this pattern at load `rho`.
-    pub fn matrix(&self, n: usize, rho: f64) -> TrafficMatrix {
-        self.spec(rho).matrix(n)
-    }
-
-    /// A Bernoulli traffic generator for this pattern.
-    pub fn generator(&self, n: usize, rho: f64, seed: u64) -> BernoulliTraffic {
-        match self {
-            TrafficKind::Uniform => BernoulliTraffic::uniform(n, rho, seed),
-            TrafficKind::Diagonal => BernoulliTraffic::diagonal(n, rho, seed),
-        }
-    }
-
     /// The equivalent declarative [`TrafficSpec`].
     pub fn spec(&self, rho: f64) -> TrafficSpec {
         match self {
@@ -51,18 +34,6 @@ impl TrafficKind {
 
 /// The five schemes compared in Figures 6 and 7.
 pub const PAPER_SCHEMES: [&str; 5] = ["baseline-lb", "ufs", "foff", "padded-frames", "sprinklers"];
-
-/// Build a switch by scheme name through the `sprinklers-sim` registry.  The
-/// traffic matrix is used by Sprinklers for stripe sizing; the other schemes
-/// ignore it.
-///
-/// # Panics
-///
-/// Panics on a scheme name the registry does not know.
-pub fn build_switch(scheme: &str, n: usize, matrix: &TrafficMatrix, seed: u64) -> Box<dyn Switch> {
-    registry::build_named(scheme, n, &SizingSpec::Matrix, matrix, seed)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
 
 /// The scenario spec of one experiment point.
 pub fn point_spec(
@@ -331,23 +302,26 @@ mod tests {
     }
 
     #[test]
-    fn build_switch_knows_every_scheme() {
-        let m = TrafficMatrix::uniform(8, 0.5);
+    fn paper_schemes_are_all_registered() {
         for scheme in PAPER_SCHEMES {
-            let sw = build_switch(scheme, 8, &m, 1);
-            assert_eq!(sw.n(), 8);
+            assert!(
+                sprinklers_sim::registry::schemes().contains(&scheme),
+                "{scheme}"
+            );
         }
-        let sw = build_switch("tcp-hash", 8, &m, 1);
-        assert_eq!(sw.name(), "tcp-hash");
-        let sw = build_switch("oq", 8, &m, 1);
-        assert_eq!(sw.name(), "oq");
     }
 
     #[test]
     #[should_panic]
     fn unknown_scheme_panics() {
-        let m = TrafficMatrix::uniform(8, 0.5);
-        let _ = build_switch("does-not-exist", 8, &m, 1);
+        let _ = run_point(
+            "does-not-exist",
+            8,
+            0.5,
+            TrafficKind::Uniform,
+            RunConfig::quick(),
+            1,
+        );
     }
 
     #[test]

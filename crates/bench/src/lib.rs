@@ -10,13 +10,14 @@
 //! | Ablation: stripe sizing policy | [`experiments::ablation_sizing`] | `ablation_sizing` |
 //! | Any scheme × traffic × size (JSON `ScenarioSpec`) | — | `scenario` |
 //! | A directory of specs × scheme/load overrides, run in parallel | — | `suite` |
+//! | Record, inspect and convert arrival traces | — | `trace` |
 //!
-//! Each binary prints a CSV to stdout; `cargo bench` (the `experiments_quick`
-//! bench target) runs reduced-size versions of all of them so the whole
-//! evaluation can be smoke-tested in one command.  Every simulation point is
-//! a `sprinklers_sim::spec::ScenarioSpec` resolved by the scheme registry
-//! and executed by `sprinklers_sim::engine::Engine`, so the binaries, the
-//! benches and external spec files all describe runs the same way.
+//! Each table, figure and ablation binary prints a CSV to stdout; all but
+//! `table1` take `--quick` for a reduced-size run (CI checks the paper's
+//! qualitative claims on the quick Figure 6 and 7 grids).  Every simulation
+//! point is a `sprinklers_sim::spec::ScenarioSpec` resolved by the scheme
+//! registry and executed by `sprinklers_sim::engine::Engine`, so the
+//! binaries and external spec files all describe runs the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

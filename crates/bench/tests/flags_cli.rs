@@ -1,7 +1,8 @@
 //! A word the binary does not know is a usage error (exit 2, `error: …` on
 //! stderr, nothing on stdout), never a silently ignored one — which is also
-//! what the removed `--threads` flag now is.  A `"threads"` key in a spec
-//! file is the other half of that decision: still range-checked (see
+//! what the removed `--threads` flag and a repeated flag (only its first
+//! value would be read) now are.  A `"threads"` key in a spec file is the
+//! other half of that decision: still range-checked (see
 //! `spec::tests::zero_and_fractional_thread_counts_are_rejected`), otherwise
 //! accepted and ignored with one note on stderr.
 
@@ -66,7 +67,7 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
     let scenario = ["--scheme", "oq", "--n", "8", "--quick"];
     let suite = ["--dir", utf8(&dir)];
     let trace = ["info", "--in", utf8(&spec)];
-    let cases: [(&str, &[&str], &[&str], &str); 7] = [
+    let cases: [(&str, &[&str], &[&str], &str); 10] = [
         (SCENARIO, &scenario, &["--lod", "0.9", "--bogus"], "--lod"),
         (SCENARIO, &scenario, &["--load"], "--load requires a value"),
         (
@@ -79,6 +80,24 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
         (SUITE, &suite, &["--workers"], "--workers requires a value"),
         (SUITE, &suite, &["--threads", "4"], "--threads was removed"),
         (TRACE, &trace, &["--bogus"], "--bogus"),
+        (
+            SCENARIO,
+            &scenario,
+            &["--load", "0.3", "--load", "0.9"],
+            "--load given more than once",
+        ),
+        (
+            SUITE,
+            &suite,
+            &["--workers", "1", "--workers", "2"],
+            "--workers given more than once",
+        ),
+        (
+            TRACE,
+            &trace,
+            &["--in", utf8(&spec)],
+            "--in given more than once",
+        ),
     ];
     for (bin, base, extra, needle) in cases {
         let out = run(bin, &[base, extra].concat());

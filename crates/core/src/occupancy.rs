@@ -7,16 +7,14 @@
 //! [`OccupancySet`] tracks which ports currently hold work so the per-slot
 //! loops can walk only the set bits: one `u64` word covers 64 ports, and
 //! [`OccupancySet::next_port`] copies each word and pops its set bits with
-//! `trailing_zeros`, so a step costs O(occupied ports) plus an O(N/64) word
-//! scan.  The whole-switch
-//! empty-batch elision from the batched stepping work is the degenerate
-//! case: [`OccupancySet::is_empty`] is a single counter read.
+//! `trailing_zeros`, so a step costs O(occupied ports) plus a scan for the
+//! next non-zero word.  The whole-switch empty-batch elision from the
+//! batched stepping work is the degenerate case: [`OccupancySet::is_empty`]
+//! is a single counter read.
 //!
-//! A summary level (one bit per level-0 word) is maintained alongside and
-//! backs the scalar word-scan fallback; the hot walks themselves find their
-//! next word with a chunked scan that OR-reduces [`SCAN_CHUNK`] level-0
-//! words at a time (a shape LLVM autovectorizes into one wide load + compare
-//! per chunk).
+//! That scan reads a summary level (one bit per level-0 word) maintained
+//! alongside, so it costs one `trailing_zeros` per 64 words instead of a
+//! pass over every empty one.
 //!
 //! The sets are plain indexes, deliberately decoupled from the containers
 //! they summarize: a switch inserts a port when it enqueues into it and
@@ -30,12 +28,6 @@
 //! peer they face in that very slot instead of every port holding anything.
 
 use serde::{Deserialize, Serialize};
-
-/// Level-0 words scanned per chunk by the vectorized walks: four `u64`s, one
-/// 256-bit lane on AVX2/NEON-class hardware.  The OR-reduction over a fixed
-/// `[u64; SCAN_CHUNK]` window is the portable-SIMD idiom — no intrinsics, but
-/// a shape the autovectorizer reliably turns into wide loads.
-pub const SCAN_CHUNK: usize = 4;
 
 /// A two-level bitset over port indexes `0..n`.
 ///
@@ -132,7 +124,7 @@ impl OccupancySet {
     ///
     /// This is the step loops' walk: the cursor holds a *copy* of the word it
     /// is in and pops its set bits with `trailing_zeros` — about three
-    /// instructions per occupied port — and asks the chunked scan for the
+    /// instructions per occupied port — and asks the summary scan for the
     /// next non-zero word only when the copy runs out, so all-zero words
     /// (most of them, in sparse regimes) are never visited.  Because the
     /// word is a snapshot, the loop body may remove the port it was just
@@ -153,13 +145,9 @@ impl OccupancySet {
     }
 
     /// The smallest index `>= from_word` of a non-zero level-0 word, or
-    /// `None` — the word half of [`Self::next_port`].
-    ///
-    /// Chunked scan: after a scalar prologue to a [`SCAN_CHUNK`] boundary,
-    /// whole chunks are rejected with one OR-reduction each — a single wide
-    /// load + compare once autovectorized — and only an occupied chunk is
-    /// re-scanned word by word.  Tiny domains (at most [`SCAN_CHUNK`] words)
-    /// take the summary-driven scalar path, which touches fewer cache lines.
+    /// `None` — the word half of [`Self::next_port`] and
+    /// [`Self::next_at_or_after`].  Walks the summary level, so a run of 64
+    /// empty words costs one `trailing_zeros`.
     ///
     /// Deliberately out of line: a walk calls it once per occupied word and
     /// once at its end, and with this body inlined [`Self::next_port`]
@@ -167,47 +155,6 @@ impl OccupancySet {
     // lint: hot-path
     #[inline(never)]
     fn next_occupied_word(&self, from_word: usize) -> Option<usize> {
-        let count = self.words.len();
-        if self.len == 0 || from_word >= count {
-            return None;
-        }
-        if count <= SCAN_CHUNK {
-            return self.next_occupied_word_scalar(from_word);
-        }
-        let mut w = from_word;
-        while w < count && !w.is_multiple_of(SCAN_CHUNK) {
-            if self.words[w] != 0 {
-                return Some(w);
-            }
-            w += 1;
-        }
-        while w + SCAN_CHUNK <= count {
-            let c = &self.words[w..w + SCAN_CHUNK];
-            if (c[0] | c[1]) | (c[2] | c[3]) != 0 {
-                for (k, &word) in c.iter().enumerate() {
-                    if word != 0 {
-                        return Some(w + k);
-                    }
-                }
-            }
-            w += SCAN_CHUNK;
-        }
-        while w < count {
-            if self.words[w] != 0 {
-                return Some(w);
-            }
-            w += 1;
-        }
-        None
-    }
-
-    /// Scalar reference for the chunked word scan: walk the summary level
-    /// for the next non-zero word.  Kept public so the SIMD-vs-scalar
-    /// parity nets can pin both paths against each other, and used directly
-    /// for tiny domains where chunking cannot pay for itself.
-    // lint: hot-path
-    #[inline]
-    pub fn next_occupied_word_scalar(&self, from_word: usize) -> Option<usize> {
         if self.len == 0 || from_word >= self.words.len() {
             return None;
         }
@@ -244,7 +191,7 @@ impl OccupancySet {
         if word != 0 {
             return Some((w0 << 6) + word.trailing_zeros() as usize);
         }
-        let w = self.next_occupied_word_scalar(w0 + 1)?;
+        let w = self.next_occupied_word(w0 + 1)?;
         let word = self.words[w];
         debug_assert_ne!(word, 0, "summary bit set for an empty word");
         Some((w << 6) + word.trailing_zeros() as usize)
@@ -474,10 +421,10 @@ mod tests {
     }
 
     proptest! {
-        /// The chunked word scan agrees with its scalar reference and with a
-        /// brute-force model, for domains that are not multiples of 64.
+        /// The summary-word scan agrees with a brute-force model, for
+        /// domains that are not multiples of 64.
         #[test]
-        fn chunked_scans_match_scalar_references(
+        fn word_scan_matches_brute_force_model(
             n in 1usize..600,
             ports in proptest::collection::vec(0usize..600, 0..120),
         ) {
@@ -488,7 +435,6 @@ mod tests {
             for w in 0..=set.words.len() {
                 let brute = (w..set.words.len()).find(|&i| set.words[i] != 0);
                 prop_assert_eq!(set.next_occupied_word(w), brute);
-                prop_assert_eq!(set.next_occupied_word_scalar(w), brute);
             }
         }
 

@@ -49,7 +49,6 @@ pub mod parallel;
 pub mod registry;
 pub mod report;
 pub mod spec;
-pub mod sweep;
 pub mod traffic;
 
 /// Convenient re-exports of the most commonly used simulator types.
@@ -66,10 +65,6 @@ pub mod prelude {
     pub use crate::spec::{
         FaultEventSpec, FaultKind, FaultSpec, LinkSpec, RandomFaultSpec, RoutingSpec, ScenarioSpec,
         SizingSpec, SpecError, SuiteCase, SuiteSpec, TopologySpec, TrafficSpec,
-    };
-    pub use crate::sweep::{
-        grid_specs, paper_load_grid, sweep_loads, sweep_loads_with, sweep_schemes,
-        sweep_schemes_with, LoadSweepPoint,
     };
     pub use crate::traffic::bernoulli::BernoulliTraffic;
     pub use crate::traffic::bursty::BurstyTraffic;

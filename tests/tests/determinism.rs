@@ -3,15 +3,14 @@
 //! The parallel sweep's contract is that the merged CSV is *byte-identical*
 //! no matter how many workers ran it and how the OS scheduled them — the
 //! whole reproduction depends on figure runs being replayable.  These tests
-//! pin that down at the three layers a regression could creep in: raw spec
-//! execution (`run_specs_parallel_ok`), the sweep grid wrappers, and the
-//! suite-level merged CSV the `suite` binary emits.
+//! pin that down at the layers a regression could creep in: raw spec
+//! execution (`run_specs_parallel_ok`) and the suite-level merged CSV the
+//! `suite` binary emits, over a scheme × load grid and an override pair.
 
 use sprinklers_sim::engine::RunConfig;
 use sprinklers_sim::parallel::run_specs_parallel_ok;
 use sprinklers_sim::report::merge_csv;
 use sprinklers_sim::spec::{ScenarioSpec, SuiteSpec, TrafficSpec};
-use sprinklers_sim::sweep::sweep_schemes_with;
 
 /// A small but non-trivial scheme × load grid: ordered and unordered
 /// schemes, loads low and near saturation.
@@ -29,8 +28,13 @@ const GRID_SCHEMES: [&str; 4] = ["sprinklers", "oq", "baseline-lb", "foff"];
 const GRID_LOADS: [f64; 3] = [0.2, 0.6, 0.9];
 
 fn merged_grid_csv(workers: usize) -> String {
-    let points = sweep_schemes_with(&grid_base(), &GRID_SCHEMES, &GRID_LOADS, workers).unwrap();
-    merge_csv(points.iter().map(|p| (p.scheme.as_str(), &p.report)))
+    let cases = SuiteSpec::new("unused")
+        .with_schemes(GRID_SCHEMES.map(String::from).to_vec())
+        .with_loads(GRID_LOADS.to_vec())
+        .expand("grid", &grid_base());
+    let specs: Vec<ScenarioSpec> = cases.iter().map(|c| c.spec.clone()).collect();
+    let reports = run_specs_parallel_ok(&specs, workers).unwrap();
+    merge_csv(cases.iter().map(|c| c.name.as_str()).zip(&reports))
 }
 
 #[test]
@@ -52,7 +56,7 @@ fn csv_is_byte_identical_across_repeated_runs() {
 
 #[test]
 fn raw_parallel_execution_is_order_stable() {
-    // Below the sweep layer: run_specs_parallel itself must put every report
+    // Below the suite layer: run_specs_parallel itself must put every report
     // in its submission slot at any worker count.
     let specs: Vec<ScenarioSpec> = (0..6)
         .map(|i| {
