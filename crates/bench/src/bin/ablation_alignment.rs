@@ -7,7 +7,7 @@
 use sprinklers_bench::experiments::{ablation_alignment, points_to_csv};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = sprinklers_bench::cli::quick_flag();
     eprintln!("running alignment/discipline ablation, quick = {quick} ...");
     let points = ablation_alignment(quick);
     println!("# Ablation: Sprinklers scheduling variants (uniform traffic, N = 32)");

@@ -10,7 +10,7 @@
 use sprinklers_bench::experiments::{ablation_sizing, points_to_csv};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = sprinklers_bench::cli::quick_flag();
     eprintln!("running stripe-sizing ablation, quick = {quick} ...");
     let points = ablation_sizing(quick);
     println!("# Ablation: stripe sizing policies (uniform traffic, N = 32)");

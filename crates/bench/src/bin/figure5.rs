@@ -4,7 +4,7 @@
 //! Usage: `cargo run --release -p sprinklers-bench --bin figure5 [--quick]`
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = sprinklers_bench::cli::quick_flag();
     println!("# Figure 5: expected delay at the intermediate stage, rho = 0.9");
     print!("{}", sprinklers_bench::experiments::figure5_csv(quick));
 }

@@ -8,7 +8,7 @@ use sprinklers_bench::chart::{log_y_chart, points_to_series};
 use sprinklers_bench::experiments::{figure6, points_to_csv};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = sprinklers_bench::cli::quick_flag();
     eprintln!("running figure 6 (uniform traffic), quick = {quick} ...");
     let points = figure6(quick);
     println!("# Figure 6: average delay vs load, uniform traffic, N = 32");

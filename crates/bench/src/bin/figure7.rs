@@ -7,7 +7,7 @@ use sprinklers_bench::chart::{log_y_chart, points_to_series};
 use sprinklers_bench::experiments::{figure7, points_to_csv};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = sprinklers_bench::cli::quick_flag();
     eprintln!("running figure 7 (quasi-diagonal traffic), quick = {quick} ...");
     let points = figure7(quick);
     println!("# Figure 7: average delay vs load, quasi-diagonal traffic, N = 32");

@@ -14,7 +14,7 @@
 //! ```
 
 use sprinklers_bench::cli::{
-    arg_value, check_flags, fail, has_flag, load_spec_file, note_ignored_threads, parse_flag,
+    arg_value, check_flags, fail, has_flag, load_spec_file, note_inert_fields, parse_flag,
 };
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::registry;
@@ -25,10 +25,9 @@ const USAGE: &str = "\
 Run one simulation scenario described by a JSON ScenarioSpec.
 
 Usage:
-  scenario --spec <file.json> [--batch <slots>]
+  scenario --spec <file.json>
   scenario [--scheme <name>] [--n <ports>] [--load <rho>]
            [--pattern uniform|diagonal] [--seed <u64>] [--quick]
-           [--batch <slots>]
   scenario [--scheme <name>] [--n <ports>] --trace <file.{csv,sprt}>
            [--repeat <copies>] [--scale <factor>] [--seed <u64>] [--quick]
   scenario --print-template    print a ScenarioSpec JSON template
@@ -54,22 +53,21 @@ admission gap.  Metrics are end-to-end (host to host).  See the README's
 A fabric spec may additionally carry a \"faults\" object: timed
 \"events\" ({\"slot\", \"kind\": link-down|link-up|node-down|node-up,
 \"link\"|\"node\": index}) plus an optional seeded \"random\" link-failure
-generator ({\"mtbf\", \"mttr\", \"seed\"}).  Faulted runs stay
-byte-identical at any batch/worker setting; losses are typed and
-reported (with per-event reconvergence times) in the metrics sidecar.
-See the README's \"Fault injection\" section for semantics.
+generator ({\"mtbf\", \"mttr\", \"seed\"}).  Faulted runs are as
+deterministic as healthy ones; losses are typed and reported (with
+per-event reconvergence times) in the metrics sidecar.  See the README's
+\"Fault injection\" section for semantics.
 
---batch sets how many slots each Switch::step_batch call advances (default
-64; effectively capped at n by the occupancy-sampling period).  It is a
-pure performance knob: the report is byte-identical at any value.
-
-Stepping is serial: a \"threads\" key in a spec file is accepted and ignored
-(with a note on stderr).  Parallelism is across cases: see suite --workers.
+The engine steps each arrival-free run up to the next arrival or the next
+occupancy sample (every n slots) in one Switch::step_batch call; there is
+no knob.  Stepping is serial: \"batch\" and \"threads\" keys in a spec
+file are accepted and ignored (with a note on stderr).  Parallelism is
+across cases: see suite --workers.
 
 Defaults: --scheme sprinklers --n 32 --load 0.6 --pattern uniform --seed 2014";
 
 /// Flags that take a value, and bare flags.
-const VALUE_FLAGS: [&str; 12] = [
+const VALUE_FLAGS: [&str; 11] = [
     "--spec",
     "--scheme",
     "--n",
@@ -79,7 +77,6 @@ const VALUE_FLAGS: [&str; 12] = [
     "--trace",
     "--repeat",
     "--scale",
-    "--batch",
     "--metrics",
     "--metrics-out",
 ];
@@ -106,7 +103,7 @@ fn main() {
         return;
     }
 
-    let mut spec = if let Some(path) = arg_value(&args, "--spec") {
+    let spec = if let Some(path) = arg_value(&args, "--spec") {
         load_spec_file(&path)
     } else {
         let scheme = arg_value(&args, "--scheme").unwrap_or_else(|| "sprinklers".into());
@@ -143,13 +140,7 @@ fn main() {
             .with_run(run)
             .with_seed(seed)
     };
-    if let Some(batch) = parse_flag::<u32>(&args, "--batch") {
-        if batch == 0 {
-            fail("--batch must be at least 1");
-        }
-        spec.batch = batch;
-    }
-    note_ignored_threads([&spec]);
+    note_inert_fields([&spec]);
 
     let metrics_out = match arg_value(&args, "--metrics").as_deref() {
         None => {

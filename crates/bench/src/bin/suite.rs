@@ -33,7 +33,7 @@
 //! ```
 
 use sprinklers_bench::cli::{
-    arg_value, check_flags, fail, has_flag, note_ignored_threads, parse_flag, parse_list_flag,
+    arg_value, check_flags, fail, has_flag, note_inert_fields, parse_flag, parse_list_flag,
 };
 use sprinklers_sim::cache::{CachedRun, ExperimentCache};
 use sprinklers_sim::engine::RunConfig;
@@ -53,31 +53,29 @@ Options:
   --workers <N>        worker threads (default: one per core; 0 means that too)
   --schemes <a,b,c>    re-run every spec once per scheme (overrides the spec)
   --loads <x,y,z>      re-run every (spec, scheme) once per offered load
-  --batch <slots>      slots per Switch::step_batch call (perf knob, default
-                       from each spec; results are identical at any value)
   --quick              shrink every run to the quick RunConfig
   --out <file.csv>     write the merged CSV to a file instead of stdout
   --cache <dir>        reuse finished runs from (and store new runs into) a
                        content-addressed cache; keyed by each spec's
-                       scientific identity, so --workers/--batch never
-                       affect hits and output stays byte-identical
+                       scientific identity, so --workers never affects
+                       hits and output stays byte-identical
   --metrics full       also write a JSON metrics sidecar (delay histogram,
                        per-output throughput, Jain fairness, windowed series)
   --metrics-out <file> sidecar path (default: <out>.metrics.json; required
                        if --metrics full is used without --out)
 
 The merged CSV is deterministic: same specs + seeds give byte-identical
-output at any --workers and any --batch value, and whether each cell came
-from the cache or a fresh run.  Stepping is serial: a \"threads\" key in a
-spec file is accepted and ignored (one note on stderr).";
+output at any --workers value, and whether each cell came from the cache
+or a fresh run.  Stepping is serial and the engine picks its own stepping
+windows: \"batch\" and \"threads\" keys in a spec file are accepted and
+ignored (one note each on stderr).";
 
 /// Flags that take a value, and bare flags.
-const VALUE_FLAGS: [&str; 9] = [
+const VALUE_FLAGS: [&str; 8] = [
     "--dir",
     "--workers",
     "--schemes",
     "--loads",
-    "--batch",
     "--out",
     "--cache",
     "--metrics",
@@ -129,15 +127,9 @@ fn main() {
     if let Some(loads) = parse_list_flag::<f64>(&args, "--loads") {
         suite = suite.with_loads(loads);
     }
-    if let Some(batch) = parse_flag::<u32>(&args, "--batch") {
-        if batch == 0 {
-            fail("--batch must be at least 1");
-        }
-        suite = suite.with_batch(batch);
-    }
 
     let mut cases = suite.load_cases().unwrap_or_else(|e| fail(&e.to_string()));
-    note_ignored_threads(cases.iter().map(|case| &case.spec));
+    note_inert_fields(cases.iter().map(|case| &case.spec));
     if has_flag(&args, "--quick") {
         for case in &mut cases {
             case.spec.run = RunConfig::quick();

@@ -34,8 +34,10 @@ pub fn check_flags(
             if rest.next().is_none() {
                 return Err(format!("{arg} requires a value"));
             }
-        } else if arg == "--threads" {
-            return Err("--threads was removed: results were identical at every value".into());
+        } else if arg == "--threads" || arg == "--batch" {
+            return Err(format!(
+                "{arg} was removed: results were identical at every value"
+            ));
         } else if !bare_flags.contains(&arg.as_str()) {
             return Err(format!("unknown argument '{arg}' (see --help)"));
         }
@@ -47,12 +49,35 @@ pub fn check_flags(
     Ok(())
 }
 
-/// Print one stderr note if any loaded spec sets the inert `threads` field:
-/// spec files that carry it still load, the `--threads` flag is rejected.
-pub fn note_ignored_threads<'a>(specs: impl IntoIterator<Item = &'a ScenarioSpec>) {
-    if specs.into_iter().any(|spec| spec.threads != 1) {
+/// Print one stderr note per inert field (`batch`, `threads`) that any
+/// loaded spec sets away from its default: spec files that carry them still
+/// load, the `--batch` and `--threads` flags are rejected.
+pub fn note_inert_fields<'a>(specs: impl IntoIterator<Item = &'a ScenarioSpec>) {
+    let defaults = ScenarioSpec::new(String::new(), 0);
+    let (mut batch, mut threads) = (false, false);
+    for spec in specs {
+        batch |= spec.batch != defaults.batch;
+        threads |= spec.threads != defaults.threads;
+    }
+    if batch {
+        eprintln!(
+            "note: \"batch\" in a spec file is ignored: the engine steps to the \
+             next arrival or sample by itself"
+        );
+    }
+    if threads {
         eprintln!("note: \"threads\" in a spec file is ignored: stepping is serial");
     }
+}
+
+/// Check the arguments of a binary whose only flag is a bare `--quick`
+/// (exit 2 on anything else) and say whether it was given.
+pub fn quick_flag() -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args, &[], &["--quick"]) {
+        fail(&e);
+    }
+    has_flag(&args, "--quick")
 }
 
 /// Print an error and exit with status 2 (usage / input error).
@@ -164,5 +189,9 @@ mod tests {
         assert!(err.contains("--ns given more than once"), "{err}");
         let err = check_flags(&args(&["--quick", "--quick"]), &value, &bare).unwrap_err();
         assert!(err.contains("--quick given more than once"), "{err}");
+        for removed in ["--threads", "--batch"] {
+            let err = check_flags(&args(&[removed, "8"]), &value, &bare).unwrap_err();
+            assert!(err.starts_with(&format!("{removed} was removed")), "{err}");
+        }
     }
 }

@@ -1,12 +1,13 @@
 //! The experiment implementations behind every table and figure.
 //!
 //! All simulation experiments are expressed as [`ScenarioSpec`]s and executed
-//! by the shared [`Engine`], so a figure is nothing more than a grid of specs
-//! plus CSV formatting.
+//! by the suite executor ([`run_specs_parallel_ok`]), so a figure is nothing
+//! more than a grid of specs plus CSV formatting.
 
 use sprinklers_analysis::chernoff;
 use sprinklers_analysis::markov;
-use sprinklers_sim::engine::{Engine, RunConfig};
+use sprinklers_sim::engine::RunConfig;
+use sprinklers_sim::parallel::run_specs_parallel_ok;
 use sprinklers_sim::report::SimReport;
 use sprinklers_sim::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
 
@@ -87,47 +88,38 @@ impl SchemePoint {
     }
 }
 
-/// Run one scheme at one load against one traffic pattern.
-pub fn run_point(
-    scheme: &str,
-    n: usize,
-    load: f64,
-    kind: TrafficKind,
-    run: RunConfig,
-    seed: u64,
-) -> SchemePoint {
-    let spec = point_spec(scheme, n, load, kind, run, seed);
-    let report = Engine::new().run(&spec).unwrap_or_else(|e| panic!("{e}"));
-    SchemePoint {
-        scheme: scheme.to_string(),
-        load,
-        report,
-    }
+/// Run a grid of `(label, load)` points, one spec each, on the suite
+/// executor with one worker per core.  Points come back in grid order.
+///
+/// # Panics
+///
+/// Panics if any spec fails to run (the earliest failing one is named).
+fn run_grid(points: Vec<(String, f64)>, specs: &[ScenarioSpec]) -> Vec<SchemePoint> {
+    let reports = run_specs_parallel_ok(specs, 0).unwrap_or_else(|e| panic!("{e}"));
+    points
+        .into_iter()
+        .zip(reports)
+        .map(|((scheme, load), report)| SchemePoint {
+            scheme,
+            load,
+            report,
+        })
+        .collect()
 }
 
-/// Delay-vs-load sweep across a set of schemes.
-pub fn delay_vs_load(
-    schemes: &[&str],
-    n: usize,
-    loads: &[f64],
-    kind: TrafficKind,
-    run: RunConfig,
-    seed: u64,
-) -> Vec<SchemePoint> {
-    let mut engine = Engine::new();
-    let mut out = Vec::new();
+/// Delay-vs-load grid of the paper's figures, N = 32: every scheme at
+/// every load of [`paper_loads`], schemes outermost.
+fn paper_grid(schemes: &[&str], kind: TrafficKind, quick: bool, seed: u64) -> Vec<SchemePoint> {
+    let run = paper_run_config(quick);
+    let mut points = Vec::new();
+    let mut specs = Vec::new();
     for &scheme in schemes {
-        for &load in loads {
-            let spec = point_spec(scheme, n, load, kind, run, seed);
-            let report = engine.run(&spec).unwrap_or_else(|e| panic!("{e}"));
-            out.push(SchemePoint {
-                scheme: scheme.to_string(),
-                load,
-                report,
-            });
+        for load in paper_loads(quick) {
+            points.push((scheme.to_string(), load));
+            specs.push(point_spec(scheme, PAPER_N, load, kind, run, seed));
         }
     }
-    out
+    run_grid(points, &specs)
 }
 
 /// The load grid of Figures 6 and 7.
@@ -158,47 +150,25 @@ pub fn paper_run_config(quick: bool) -> RunConfig {
 
 /// Figure 6: average delay versus load under uniform traffic, N = 32.
 pub fn figure6(quick: bool) -> Vec<SchemePoint> {
-    delay_vs_load(
-        &PAPER_SCHEMES,
-        PAPER_N,
-        &paper_loads(quick),
-        TrafficKind::Uniform,
-        paper_run_config(quick),
-        2014,
-    )
+    paper_grid(&PAPER_SCHEMES, TrafficKind::Uniform, quick, 2014)
 }
 
 /// Figure 7: average delay versus load under quasi-diagonal traffic, N = 32.
 pub fn figure7(quick: bool) -> Vec<SchemePoint> {
-    delay_vs_load(
-        &PAPER_SCHEMES,
-        PAPER_N,
-        &paper_loads(quick),
-        TrafficKind::Diagonal,
-        paper_run_config(quick),
-        2014,
-    )
+    paper_grid(&PAPER_SCHEMES, TrafficKind::Diagonal, quick, 2014)
 }
 
 /// Ablation: every combination of input discipline and intermediate alignment
 /// for the Sprinklers switch, checking ordering and delay impact.
 pub fn ablation_alignment(quick: bool) -> Vec<SchemePoint> {
     let variants = ["sprinklers", "sprinklers-rowscan", "sprinklers-aligned"];
-    delay_vs_load(
-        &variants,
-        PAPER_N,
-        &paper_loads(quick),
-        TrafficKind::Uniform,
-        paper_run_config(quick),
-        99,
-    )
+    paper_grid(&variants, TrafficKind::Uniform, quick, 99)
 }
 
 /// Ablation: matrix-driven sizing vs adaptive (measured-rate) sizing vs the
 /// degenerate fixed sizes 1 and N.
 pub fn ablation_sizing(quick: bool) -> Vec<SchemePoint> {
     let n = PAPER_N;
-    let loads = paper_loads(quick);
     let run = paper_run_config(quick);
     let variants: [(&str, SizingSpec); 4] = [
         ("sizing-matrix", SizingSpec::Matrix),
@@ -206,21 +176,17 @@ pub fn ablation_sizing(quick: bool) -> Vec<SchemePoint> {
         ("sizing-fixed-1", SizingSpec::Fixed(1)),
         ("sizing-fixed-n", SizingSpec::Fixed(n)),
     ];
-    let mut engine = Engine::new();
-    let mut out = Vec::new();
-    for &load in &loads {
+    let mut points = Vec::new();
+    let mut specs = Vec::new();
+    for load in paper_loads(quick) {
         for (name, sizing) in variants {
-            let spec =
-                point_spec("sprinklers", n, load, TrafficKind::Uniform, run, 7).with_sizing(sizing);
-            let report = engine.run(&spec).unwrap_or_else(|e| panic!("{e}"));
-            out.push(SchemePoint {
-                scheme: name.to_string(),
-                load,
-                report,
-            });
+            points.push((name.to_string(), load));
+            specs.push(
+                point_spec("sprinklers", n, load, TrafficKind::Uniform, run, 7).with_sizing(sizing),
+            );
         }
     }
-    out
+    run_grid(points, &specs)
 }
 
 /// Table 1 as CSV: the single-queue overload bound for the paper's grid of
@@ -314,7 +280,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn unknown_scheme_panics() {
-        let _ = run_point(
+        let spec = point_spec(
             "does-not-exist",
             8,
             0.5,
@@ -322,22 +288,19 @@ mod tests {
             RunConfig::quick(),
             1,
         );
+        let _ = run_grid(vec![("does-not-exist".into(), 0.5)], &[spec]);
     }
 
     #[test]
-    fn run_point_produces_a_consistent_report() {
-        let p = run_point(
-            "sprinklers",
-            16,
-            0.4,
-            TrafficKind::Uniform,
-            RunConfig {
-                slots: 4_000,
-                warmup_slots: 500,
-                drain_slots: 4_000,
-            },
-            5,
-        );
+    fn a_grid_point_produces_a_consistent_report() {
+        let run = RunConfig {
+            slots: 4_000,
+            warmup_slots: 500,
+            drain_slots: 4_000,
+        };
+        let spec = point_spec("sprinklers", 16, 0.4, TrafficKind::Uniform, run, 5);
+        let p = run_grid(vec![("sprinklers".into(), 0.4)], &[spec]).remove(0);
+        assert_eq!(p.scheme, "sprinklers");
         assert_eq!(p.report.n, 16);
         assert!(p.report.reordering.is_ordered());
         assert!(p.report.delivery_ratio() > 0.9);

@@ -1,8 +1,9 @@
 //! A word the binary does not know is a usage error (exit 2, `error: …` on
 //! stderr, nothing on stdout), never a silently ignored one — which is also
-//! what the removed `--threads` flag and a repeated flag (only its first
-//! value would be read) now are.  A `"threads"` key in a spec file is the
-//! other half of that decision: still range-checked (see
+//! what the removed `--threads` and `--batch` flags and a repeated flag
+//! (only its first value would be read) now are, on every binary down to
+//! the figure drivers.  A `"threads"` or `"batch"` key in a spec file is
+//! the other half of that decision: still range-checked (see
 //! `spec::tests::zero_and_fractional_thread_counts_are_rejected`), otherwise
 //! accepted and ignored with one note on stderr.
 
@@ -12,6 +13,12 @@ use std::process::{Command, Output};
 const SCENARIO: &str = env!("CARGO_BIN_EXE_scenario");
 const SUITE: &str = env!("CARGO_BIN_EXE_suite");
 const TRACE: &str = env!("CARGO_BIN_EXE_trace");
+const FIGURE5: &str = env!("CARGO_BIN_EXE_figure5");
+const FIGURE6: &str = env!("CARGO_BIN_EXE_figure6");
+const FIGURE7: &str = env!("CARGO_BIN_EXE_figure7");
+const TABLE1: &str = env!("CARGO_BIN_EXE_table1");
+const ABLATION_ALIGNMENT: &str = env!("CARGO_BIN_EXE_ablation_alignment");
+const ABLATION_SIZING: &str = env!("CARGO_BIN_EXE_ablation_sizing");
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("binary runs")
@@ -50,14 +57,11 @@ fn assert_usage_error(out: &Output, needle: &str, tag: &str) {
     );
 }
 
-/// Exit 0, and how many `note:` lines about `"threads"` stderr carries.
+/// Exit 0, and how many `note:` lines stderr carries.
 fn notes(out: &Output, tag: &str) -> usize {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{tag}: {stderr}");
-    stderr
-        .lines()
-        .filter(|l| l.starts_with("note: ") && l.contains("\"threads\""))
-        .count()
+    stderr.lines().filter(|l| l.starts_with("note: ")).count()
 }
 
 #[test]
@@ -67,7 +71,7 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
     let scenario = ["--scheme", "oq", "--n", "8", "--quick"];
     let suite = ["--dir", utf8(&dir)];
     let trace = ["info", "--in", utf8(&spec)];
-    let cases: [(&str, &[&str], &[&str], &str); 10] = [
+    let cases: [(&str, &[&str], &[&str], &str); 20] = [
         (SCENARIO, &scenario, &["--lod", "0.9", "--bogus"], "--lod"),
         (SCENARIO, &scenario, &["--load"], "--load requires a value"),
         (
@@ -79,6 +83,31 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
         (SUITE, &suite, &["--wrkers", "1"], "--wrkers"),
         (SUITE, &suite, &["--workers"], "--workers requires a value"),
         (SUITE, &suite, &["--threads", "4"], "--threads was removed"),
+        (
+            SCENARIO,
+            &scenario,
+            &["--batch", "8"],
+            "--batch was removed",
+        ),
+        (SUITE, &suite, &["--batch", "8"], "--batch was removed"),
+        (FIGURE5, &[], &["--quik"], "--quik"),
+        (FIGURE6, &[], &["--quik"], "--quik"),
+        (FIGURE6, &[], &["--quick", "stray"], "stray"),
+        (
+            FIGURE7,
+            &[],
+            &["--quick", "--quick"],
+            "--quick given more than once",
+        ),
+        (TABLE1, &[], &["--quick"], "--quick"),
+        (ABLATION_ALIGNMENT, &[], &["--quik"], "--quik"),
+        (ABLATION_SIZING, &[], &["--quik"], "--quik"),
+        (
+            ABLATION_SIZING,
+            &[],
+            &["--batch", "8"],
+            "--batch was removed",
+        ),
         (TRACE, &trace, &["--bogus"], "--bogus"),
         (
             SCENARIO,
@@ -108,9 +137,20 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
 
 #[test]
 fn a_threads_key_in_a_spec_file_is_ignored_with_one_note() {
+    inert_key_is_ignored_with_one_note("threads", r#","threads":4"#);
+}
+
+#[test]
+fn a_batch_key_in_a_spec_file_is_ignored_with_one_note() {
+    inert_key_is_ignored_with_one_note("batch", r#","batch":1"#);
+}
+
+/// Specs that carry `extra` (one inert key) give the same CSV row, sidecar
+/// and merged CSV as specs without it, plus exactly one note.
+fn inert_key_is_ignored_with_one_note(key: &str, extra: &str) {
     let files = [("a.json", 3), ("b.json", 4)];
-    let plain = spec_dir("plain", &files, "");
-    let threaded = spec_dir("threaded", &files, r#","threads":4"#);
+    let plain = spec_dir(&format!("plain-{key}"), &files, "");
+    let keyed = spec_dir(key, &files, extra);
 
     // One scenario: same CSV row, same sidecar, one note.
     let run_one = |dir: &Path| {
@@ -128,21 +168,19 @@ fn a_threads_key_in_a_spec_file_is_ignored_with_one_note() {
         );
         (out, std::fs::read(&sidecar).expect("sidecar"))
     };
-    let ((want, want_sidecar), (got, got_sidecar)) = (run_one(&plain), run_one(&threaded));
+    let ((want, want_sidecar), (got, got_sidecar)) = (run_one(&plain), run_one(&keyed));
     assert!(!want.stdout.is_empty());
-    assert_eq!(got.stdout, want.stdout, "threads moved the CSV row");
-    assert_eq!(got_sidecar, want_sidecar, "threads moved the sidecar");
-    assert_eq!((notes(&want, "plain"), notes(&got, "threaded")), (0, 1));
+    assert_eq!(got.stdout, want.stdout, "{key} moved the CSV row");
+    assert_eq!(got_sidecar, want_sidecar, "{key} moved the sidecar");
+    assert_eq!((notes(&want, "plain"), notes(&got, key)), (0, 1));
+    assert!(String::from_utf8_lossy(&got.stderr).contains(&format!("note: \"{key}\"")));
 
-    // A suite of two threaded specs: same merged CSV, still one note.
+    // A suite of two such specs: same merged CSV, still one note.
     let run_suite = |dir: &Path| run(SUITE, &["--dir", utf8(dir), "--workers", "1"]);
-    let (want, got) = (run_suite(&plain), run_suite(&threaded));
-    assert_eq!(got.stdout, want.stdout, "threads moved the merged CSV");
-    assert_eq!(
-        (notes(&want, "plain suite"), notes(&got, "threaded suite")),
-        (0, 1)
-    );
-    for dir in [plain, threaded] {
+    let (want, got) = (run_suite(&plain), run_suite(&keyed));
+    assert_eq!(got.stdout, want.stdout, "{key} moved the merged CSV");
+    assert_eq!((notes(&want, "plain suite"), notes(&got, key)), (0, 1));
+    for dir in [plain, keyed] {
         std::fs::remove_dir_all(&dir).expect("remove temp dir");
     }
 }

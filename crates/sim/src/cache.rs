@@ -1,12 +1,10 @@
 //! Content-addressed experiment cache.
 //!
 //! Every [`ScenarioSpec`] has a *scientific identity*: the subset of its
-//! fields that can change the simulation's result.  `batch` is
-//! deliberately excluded — it is a pure performance knob whose
-//! byte-identical-output guarantee is enforced by the `batch-parity` CI job
-//! and the differential property suite — and so is the inert `threads`
-//! field, so entries written while it was a knob stay hits.  Hashing
-//! the identity (canonical JSON, FNV-1a 128) yields a stable key, and
+//! fields that can change the simulation's result.  The inert `batch` and
+//! `threads` fields are excluded, so entries written while they were
+//! performance knobs stay hits.  Hashing the identity (canonical JSON,
+//! FNV-1a 128) yields a stable key, and
 //! [`ExperimentCache`] maps that key to the finished run's CSV row, the
 //! summary scalars the suite prints, and optionally the full metrics
 //! sidecar line.
@@ -34,7 +32,6 @@
 //! because its output is unspecified across releases, and cache keys must
 //! be stable across builds.
 
-use crate::engine::DEFAULT_BATCH;
 use crate::report::SimReport;
 use crate::spec::ScenarioSpec;
 use std::fmt::Write as _;
@@ -62,13 +59,15 @@ pub fn fnv1a_128(bytes: &[u8]) -> u128 {
 
 impl ScenarioSpec {
     /// Canonical JSON for this scenario's *scientific identity*: the spec
-    /// with `batch` and `threads` normalised to their defaults, rendered
-    /// by the same writer that serialises spec files.  Two specs that can
-    /// only differ in performance knobs produce the same string.
+    /// with the inert `batch` and `threads` fields normalised to the values
+    /// [`ScenarioSpec::new`] gives them, rendered by the same writer that
+    /// serialises spec files.  Two specs that differ only in those fields
+    /// produce the same string.
     pub fn scientific_identity_json(&self) -> String {
+        let defaults = ScenarioSpec::new(String::new(), 0);
         let mut identity = self.clone();
-        identity.batch = DEFAULT_BATCH;
-        identity.threads = 1;
+        identity.batch = defaults.batch;
+        identity.threads = defaults.threads;
         identity.to_json()
     }
 
@@ -240,8 +239,11 @@ mod tests {
     fn content_hash_ignores_performance_knobs_only() {
         let base = ScenarioSpec::new("sprinklers", 8);
         let hash = base.content_hash();
-        assert_eq!(base.clone().with_batch(1).content_hash(), hash);
-        assert_eq!(base.clone().with_batch(4096).content_hash(), hash);
+        for batch in [1, 4096] {
+            let mut batched = base.clone();
+            batched.batch = batch;
+            assert_eq!(batched.content_hash(), hash);
+        }
 
         assert_ne!(base.clone().with_seed(2).content_hash(), hash);
         assert_ne!(ScenarioSpec::new("sprinklers", 16).content_hash(), hash);
@@ -293,12 +295,11 @@ mod tests {
             }),
         });
         assert_ne!(random.content_hash(), healthy);
-        // Fault fields are scientific identity, not perf knobs: they stay
+        // Fault fields are scientific identity, not inert fields: they stay
         // in the hash even as batch is canonicalized away.
-        assert_eq!(
-            faulted(100).with_batch(1).content_hash(),
-            faulted(100).content_hash()
-        );
+        let mut batched = faulted(100);
+        batched.batch = 1;
+        assert_eq!(batched.content_hash(), faulted(100).content_hash());
         assert!(faulted(100).scientific_identity_json().contains("faults"));
     }
 

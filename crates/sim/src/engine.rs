@@ -12,8 +12,8 @@
 //! trivial instance through the blanket `impl<S: Switch> Steppable for S`;
 //! a [`crate::fabric::FabricWorld`] is the multi-switch instance, selected
 //! when the scenario carries a `topology`.  Both run through the *same*
-//! batched loop below, so every determinism guarantee (byte-identical
-//! reports at any batch/worker setting) holds for fabrics by construction.
+//! loop below, so every determinism guarantee (byte-identical reports at
+//! any worker count) holds for fabrics by construction.
 //!
 //! The engine owns one reusable arrival buffer and feeds deliveries into a
 //! [`MetricsSink`], so the steady-state loop — generate arrivals, assign
@@ -24,24 +24,22 @@
 //!
 //! # Batched stepping
 //!
-//! The engine drives the switch through [`Steppable::advance`] in batches of
-//! up to [`DEFAULT_BATCH`] slots (configurable per scenario via
-//! `ScenarioSpec::batch`), so long arrival-free stretches — the entire drain
+//! The engine drives the world through [`Steppable::advance`] one
+//! arrival-free run at a time, so long empty stretches — the entire drain
 //! phase, empty slots at light load — cross the `dyn Switch` boundary once
-//! per batch instead of once per slot.  Batching never changes results: a
-//! batch is broken at every slot that has arrivals (packets must be injected
-//! before their slot is stepped) and at every occupancy sampling boundary
-//! (samples are taken between the same two steps as in slot-at-a-time mode),
-//! and `step_batch` itself is contractually identical to the sequential
-//! `step` loop.  The `batch_equivalence_prop` and `golden_metrics` suites in
-//! `tests/` plus the `batch-parity` CI job pin the byte-identical guarantee.
+//! instead of once per slot.  A run ends at whichever comes first:
 //!
-//! Because occupancy is sampled every N slots, the sampling boundaries cap
-//! the *effective* batch at N regardless of the configured value: at n = 8 a
-//! `batch` of 64 steps in windows of 8.  (Observing `stats()` only at the
-//! end of a longer window would read different occupancy values than the
-//! slot-at-a-time loop and break byte-parity.)  Batch values above N are
-//! accepted and harmless — they simply saturate at the sampling period.
+//! * the next arrival-bearing slot (its packets must be injected before the
+//!   call that steps it), or
+//! * the next occupancy sampling slot — every multiple of N — after which
+//!   `counters()` is read between the same two steps as in a
+//!   slot-at-a-time loop.
+//!
+//! There is no other cap, so a run is at most N slots long.  Fault events
+//! need no boundary here: a fabric applies them at their slots inside its
+//! own `advance` (`FabricWorld::idle_jump`).  `step_batch` is contractually
+//! identical to the sequential `step` loop, which `batch_equivalence_prop`
+//! and the switch-level delivery pins check at 1 and 64 slots per call.
 
 use crate::fabric::FabricWorld;
 use crate::metrics::occupancy::OccupancySampler;
@@ -54,11 +52,6 @@ use crate::traffic::TrafficGenerator;
 use serde::{Deserialize, Serialize};
 use sprinklers_core::packet::Packet;
 use sprinklers_core::switch::Steppable;
-
-/// Default number of slots stepped per [`Steppable::advance`] call when no
-/// explicit batch size is configured.  Large enough to amortize the per-call
-/// dispatch, small enough that delivery consumers see packets promptly.
-pub const DEFAULT_BATCH: u32 = 64;
 
 /// Parameters of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,7 +122,7 @@ impl Engine {
             if let Some(faults) = spec.faults.as_ref().filter(|f| !f.is_empty()) {
                 world = world.with_faults(faults, &spec.run);
             }
-            let mut report = self.run_loop(&mut world, &mut traffic, spec.run, spec.batch);
+            let mut report = self.run_loop(&mut world, &mut traffic, spec.run);
             report.faults = world.fault_summary();
             return Ok(report);
         }
@@ -147,12 +140,11 @@ impl Engine {
             &traffic.rate_matrix(),
             spec.seed,
         )?;
-        Ok(self.run_parts_batched(switch, traffic, spec.run, spec.batch))
+        Ok(self.run_parts(switch, traffic, spec.run))
     }
 
     /// Drive an explicit world (any [`Steppable`]: a bare switch, a boxed
-    /// one, or a fabric) against an explicit traffic generator with the
-    /// default batch size ([`DEFAULT_BATCH`]).
+    /// one, or a fabric) against an explicit traffic generator.
     ///
     /// # Panics
     ///
@@ -160,35 +152,21 @@ impl Engine {
     /// of ports.
     pub fn run_parts<W: Steppable, G: TrafficGenerator>(
         &mut self,
-        world: W,
-        traffic: G,
-        config: RunConfig,
-    ) -> SimReport {
-        self.run_parts_batched(world, traffic, config, DEFAULT_BATCH)
-    }
-
-    /// [`Engine::run_parts`] with an explicit batch size.  `batch == 1`
-    /// reproduces the historical slot-at-a-time loop; any other value yields
-    /// the same report byte for byte (see the module docs).
-    pub fn run_parts_batched<W: Steppable, G: TrafficGenerator>(
-        &mut self,
         mut world: W,
         mut traffic: G,
         config: RunConfig,
-        batch: u32,
     ) -> SimReport {
-        self.run_loop(&mut world, &mut traffic, config, batch)
+        self.run_loop(&mut world, &mut traffic, config)
     }
 
-    /// The batched driving loop shared by every entry point.  Borrows the
-    /// world so callers (the faulted-fabric path) can read world state —
-    /// the fault summary — after the run.
+    /// The driving loop shared by every entry point.  Borrows the world so
+    /// callers (the faulted-fabric path) can read world state — the fault
+    /// summary — after the run.
     fn run_loop<W: Steppable, G: TrafficGenerator>(
         &mut self,
         world: &mut W,
         traffic: &mut G,
         config: RunConfig,
-        batch: u32,
     ) -> SimReport {
         assert_eq!(
             world.ports(),
@@ -199,7 +177,6 @@ impl Engine {
         );
         let n = world.ports();
         let n_u64 = n as u64;
-        let batch = u64::from(batch.max(1));
         let mut next_packet_id = 0u64;
         let mut voq_seq = vec![0u64; n * n];
         let mut sink = MetricsSink::new(config.warmup_slots, n);
@@ -207,68 +184,65 @@ impl Engine {
         let mut windows = WindowSeries::new(n_u64);
         let mut offered = 0u64;
 
+        // The pending arrival-free run: slots `run_start..run_start + run_len`,
+        // not yet stepped.  It never spans a sampling slot, so it is at most
+        // N (≤ `MAX_PORTS`) slots long.
         let total_slots = config.slots + config.drain_slots;
-        let mut slot = 0u64;
-        while slot < total_slots {
-            // One window of up to `batch` slots.  Occupancy is sampled after
-            // stepping every slot that is a multiple of N, exactly as the
-            // slot-at-a-time loop did, so a window may end *on* a sampling
-            // slot but never cross one.
-            let until_sample = (n_u64 - slot % n_u64) % n_u64 + 1;
-            let window = batch.min(until_sample).min(total_slots - slot);
-
-            // Step the window in maximal arrival-free runs: a packet must be
-            // injected before the call that steps its arrival slot, so every
-            // arrival-bearing slot flushes the run accumulated so far and
-            // starts the next one.
-            let mut run_start = slot;
-            let mut run_len = 0u32;
-            for s in slot..slot + window {
-                if s < config.slots {
-                    self.arrival_buf.clear();
-                    traffic.arrivals_into(s, &mut self.arrival_buf);
-                    if !self.arrival_buf.is_empty() {
-                        if run_len > 0 {
-                            world.advance(run_start, run_len, &mut sink);
-                        }
-                        run_start = s;
-                        run_len = 0;
-                        for packet in &mut self.arrival_buf {
-                            packet.id = next_packet_id;
-                            next_packet_id += 1;
-                            packet.arrival_slot = s;
-                            let key = packet.input() * n + packet.output();
-                            packet.voq_seq = voq_seq[key];
-                            voq_seq[key] += 1;
-                        }
-                        offered += self.arrival_buf.len() as u64;
-                        sink.prime(&self.arrival_buf);
-                        // The whole slot in one call, so the world can look
-                        // at all of it before it starts (and a boxed switch
-                        // is entered once).
-                        world.inject_batch(&self.arrival_buf);
+        let mut run_start = 0u64;
+        let mut run_len = 0u32;
+        let mut next_sample = 0u64;
+        for slot in 0..total_slots {
+            if slot < config.slots {
+                self.arrival_buf.clear();
+                traffic.arrivals_into(slot, &mut self.arrival_buf);
+                if !self.arrival_buf.is_empty() {
+                    // A packet must be injected before the call that steps
+                    // its arrival slot: flush the run so far, start a new one.
+                    if run_len > 0 {
+                        world.advance(run_start, run_len, &mut sink);
                     }
+                    run_start = slot;
+                    run_len = 0;
+                    for packet in &mut self.arrival_buf {
+                        packet.id = next_packet_id;
+                        next_packet_id += 1;
+                        packet.arrival_slot = slot;
+                        let key = packet.input() * n + packet.output();
+                        packet.voq_seq = voq_seq[key];
+                        voq_seq[key] += 1;
+                    }
+                    offered += self.arrival_buf.len() as u64;
+                    sink.prime(&self.arrival_buf);
+                    // The whole slot in one call, so the world can look at
+                    // all of it before it starts (and a boxed switch is
+                    // entered once).
+                    world.inject_batch(&self.arrival_buf);
                 }
-                run_len += 1;
             }
-            if run_len > 0 {
-                world.advance(run_start, run_len, &mut sink);
-            }
+            run_len += 1;
 
-            slot += window;
-            if (slot - 1).is_multiple_of(n_u64) {
-                // One counters() snapshot feeds both the whole-run occupancy
-                // aggregate and the windowed series, so they always agree.
+            if slot == next_sample {
+                // Occupancy is sampled after stepping every slot that is a
+                // multiple of N, so the run ends here.  One counters()
+                // snapshot feeds both the whole-run occupancy aggregate and
+                // the windowed series, so they always agree.
+                world.advance(run_start, run_len, &mut sink);
+                run_start = slot + 1;
+                run_len = 0;
+                next_sample += n_u64;
                 let stats = world.counters();
                 occupancy.sample(&stats);
                 windows.record(
-                    slot,
+                    slot + 1,
                     offered,
                     sink.delivered_packets(),
                     sink.padding_packets(),
                     &stats,
                 );
             }
+        }
+        if run_len > 0 {
+            world.advance(run_start, run_len, &mut sink);
         }
         // A run whose length is not a multiple of the sampling period ends
         // between boundaries; capture the active remainder so window sums
@@ -427,36 +401,6 @@ mod tests {
                 });
             let report = engine.run(&spec).unwrap();
             assert!(report.delivery_ratio() > 0.9, "{scheme} stalled");
-        }
-    }
-
-    #[test]
-    fn batch_size_never_changes_the_report() {
-        // The whole point of batched stepping: a pure perf knob.  Compare the
-        // full CSV row (delay, reordering, occupancy, conservation) across
-        // batch sizes, including ones that straddle the sampling period.
-        for scheme in ["sprinklers", "oq", "foff", "baseline-lb", "tcp-hash"] {
-            let spec = |batch: u32| {
-                ScenarioSpec::new(scheme, 8)
-                    .with_traffic(TrafficSpec::Uniform { load: 0.7 })
-                    .with_run(RunConfig {
-                        slots: 3_000,
-                        warmup_slots: 300,
-                        drain_slots: 6_000,
-                    })
-                    .with_seed(42)
-                    .with_batch(batch)
-            };
-            let mut engine = Engine::new();
-            let baseline = engine.run(&spec(1)).unwrap().csv_row();
-            for batch in [2, 3, 7, 8, 64, 1000] {
-                let report = engine.run(&spec(batch)).unwrap();
-                assert_eq!(
-                    report.csv_row(),
-                    baseline,
-                    "{scheme} diverged at batch={batch}"
-                );
-            }
         }
     }
 

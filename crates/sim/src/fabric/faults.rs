@@ -5,8 +5,10 @@
 //! adds alternating up/down phases for every link that has *no* explicit
 //! events, each link from its own seed-derived RNG.  The result is a pure
 //! function of the spec — no wall clock, no global RNG — so the schedule,
-//! and therefore the whole faulted run, is byte-identical across `batch`
-//! and worker counts.
+//! and therefore the whole faulted run, is byte-identical at any worker
+//! count.  The engine never cuts a stepping window at a fault event: the
+//! fabric's `advance` applies each event at its slot, also across an idle
+//! jump (`FabricWorld::idle_jump`).
 
 use crate::engine::RunConfig;
 use crate::spec::{FaultKind, FaultSpec, RandomFaultSpec};

@@ -47,12 +47,13 @@
 //! admissions (ascending link index) — and draws randomness from a single
 //! seed-derived RNG in the router plus one derived seed per node.  While
 //! anything is resident [`Steppable::advance`] takes those phases strictly
-//! slot by slot however the engine batches; while *nothing* is — no packet
-//! in the store, no cell or padding in any node — no phase can move or
-//! deliver a packet, so the rest of the call collapses to the fault events
-//! at their slots plus one [`Switch::step_batch`] per node (whose contract
-//! is exactly that many single steps).  Batch size and suite worker counts
-//! are therefore pure performance knobs: the delivered packet stream is
+//! slot by slot however many slots the engine hands it; while *nothing*
+//! is — no packet in the store, no cell or padding in any node — no phase
+//! can move or deliver a packet, so the rest of the call collapses to the
+//! fault events at their slots plus one [`Switch::step_batch`] per node
+//! (whose contract is exactly that many single steps).  That is why the
+//! engine's windows need no fault-event boundary, and why the suite worker
+//! count is a pure performance knob: the delivered packet stream is
 //! byte-identical at any setting.
 //!
 //! # Fault injection

@@ -9,9 +9,10 @@
 //! fault-induced delivery dips are visible in the `--metrics full` sidecar
 //! without touching the CSV schema.
 //!
-//! Samples are taken at the same slots in slot-at-a-time and batched
-//! stepping, so the series — like every other report field — is
-//! byte-identical at any `batch` or worker count.
+//! The engine ends every stepping window at a sampling slot, so samples
+//! are taken between the same two steps as in slot-at-a-time stepping and
+//! the series — like every other report field — is byte-identical at any
+//! worker count.
 
 use serde::{Deserialize, Serialize};
 use sprinklers_core::switch::SwitchStats;

@@ -182,31 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_is_orthogonal_to_worker_count() {
-        // Batched stepping and the worker count are both pure perf knobs; any
-        // combination must reproduce the same reports in the same order.
-        let specs_at = |batch: u32| {
-            let mut specs = grid();
-            for spec in &mut specs {
-                spec.batch = batch;
-            }
-            specs
-        };
-        let baseline = run_specs_parallel(&specs_at(1), 1);
-        for (batch, workers) in [(64, 1), (1, 4), (64, 4), (7, 3)] {
-            let runs = run_specs_parallel(&specs_at(batch), workers);
-            for (a, b) in baseline.iter().zip(&runs) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(
-                    a.csv_row(),
-                    b.csv_row(),
-                    "batch={batch} workers={workers} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn failures_stay_in_their_slot() {
         let mut specs = grid();
         specs[4].scheme = "no-such-scheme".into();

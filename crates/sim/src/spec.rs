@@ -12,8 +12,13 @@
 //! hand-rolled JSON round-trip ([`ScenarioSpec::to_json`] /
 //! [`ScenarioSpec::from_json`]) so scenario files work regardless of which
 //! serde is linked.
+//!
+//! Two fields are inert: `batch` and `threads` were performance knobs that
+//! never changed a result.  They are still parsed, range-checked and
+//! emitted so old spec files load and cache keys do not move, but the
+//! engine reads neither; the CLIs print one note when a spec sets them.
 
-use crate::engine::{RunConfig, DEFAULT_BATCH};
+use crate::engine::RunConfig;
 use crate::traffic::bernoulli::BernoulliTraffic;
 use crate::traffic::bursty::BurstyTraffic;
 use crate::traffic::flows::FlowTraffic;
@@ -818,19 +823,13 @@ pub struct ScenarioSpec {
     pub run: RunConfig,
     /// Seed for the switch's and the traffic generator's randomness.
     pub seed: u64,
-    /// Slots per [`sprinklers_core::switch::Switch::step_batch`] call in the
-    /// engine's hot loop.  Purely a performance knob: any value produces a
-    /// byte-identical report (the `batch-parity` CI job and the differential
-    /// property suite enforce this), so it is *not* part of the scenario's
-    /// scientific identity even though it round-trips through JSON.  The
-    /// engine's occupancy-sampling boundaries additionally cap the effective
-    /// batch at `n` (see the `engine` module docs), so values above `n`
-    /// simply saturate.
+    /// Inert: the engine picks every stepping window itself (see the
+    /// `engine` module docs) and never reads this.  Still parsed,
+    /// range-checked and emitted so spec files, `to_json` bytes and cache
+    /// identities written while it was a knob stay valid.
     pub batch: u32,
-    /// Inert: stepping is serial and nothing in the simulator reads this.
-    /// Still parsed, range-checked and emitted so spec files, `to_json` bytes
-    /// and cache identities written earlier stay valid; the next
-    /// `benchmark/`-only PR deletes it with its last reader there.
+    /// Inert like `batch`: stepping is serial and nothing in the simulator
+    /// reads this.
     pub threads: u32,
 }
 
@@ -847,7 +846,9 @@ impl ScenarioSpec {
             traffic: TrafficSpec::Uniform { load: 0.6 },
             run: RunConfig::default(),
             seed: 1,
-            batch: DEFAULT_BATCH,
+            // The values these fields had as knobs, so `to_json` bytes and
+            // cache identities stay what they were.
+            batch: 64,
             threads: 1,
         }
     }
@@ -892,13 +893,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the stepping batch size (clamped to at least 1 by the engine).
-    #[must_use]
-    pub fn with_batch(mut self, batch: u32) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -1148,12 +1142,6 @@ pub struct SuiteSpec {
     /// When set, each (spec, scheme) pair is re-run once per load,
     /// overriding the spec traffic's load.
     pub loads: Option<Vec<f64>>,
-    /// When set, every expanded case runs with this stepping batch size
-    /// (overriding each spec's own `batch`).  Pure performance knob: the
-    /// merged CSV is byte-identical at any value, which is exactly what the
-    /// `batch-parity` CI job exercises — so, unlike the scheme and load
-    /// overrides, it never appears in case names.
-    pub batch: Option<u32>,
 }
 
 /// One expanded member of a suite: a stable name (file stem plus any
@@ -1173,7 +1161,6 @@ impl SuiteSpec {
             dir: dir.into(),
             schemes: None,
             loads: None,
-            batch: None,
         }
     }
 
@@ -1188,13 +1175,6 @@ impl SuiteSpec {
     #[must_use]
     pub fn with_loads(mut self, loads: Vec<f64>) -> Self {
         self.loads = Some(loads);
-        self
-    }
-
-    /// Run every expanded case with this stepping batch size.
-    #[must_use]
-    pub fn with_batch(mut self, batch: u32) -> Self {
-        self.batch = Some(batch);
         self
     }
 
@@ -1286,9 +1266,6 @@ impl SuiteSpec {
                     // rounded rendering: distinct loads must yield distinct
                     // case names or merged CSV rows become unattributable.
                     case_name.push_str(&format!("@{load}"));
-                }
-                if let Some(batch) = self.batch {
-                    spec.batch = batch;
                 }
                 cases.push(SuiteCase {
                     name: case_name,
@@ -2029,13 +2006,14 @@ mod tests {
 
     #[test]
     fn batch_round_trips_and_defaults() {
-        let spec = ScenarioSpec::new("sprinklers", 8).with_batch(17);
+        let mut spec = ScenarioSpec::new("sprinklers", 8);
+        spec.batch = 17;
         let parsed = ScenarioSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(parsed.batch, 17);
         assert_eq!(parsed, spec);
-        // Specs written before the batch knob existed parse to the default.
+        // Specs without the key parse to the default.
         let legacy = ScenarioSpec::from_json(r#"{"scheme": "oq", "n": 8}"#).unwrap();
-        assert_eq!(legacy.batch, crate::engine::DEFAULT_BATCH);
+        assert_eq!(legacy.batch, 64);
     }
 
     #[test]
@@ -2171,23 +2149,6 @@ mod tests {
         assert_eq!(cases[3].spec.traffic.load(), 0.9);
         // Everything not overridden is inherited from the base spec.
         assert!(cases.iter().all(|c| c.spec.n == 8 && c.spec.seed == 1));
-    }
-
-    #[test]
-    fn suite_batch_override_reaches_every_case_but_not_the_names() {
-        let base = ScenarioSpec::new("oq", 8);
-        let suite = SuiteSpec::new("unused")
-            .with_schemes(vec!["sprinklers".into(), "foff".into()])
-            .with_batch(5);
-        let cases = suite.expand("base", &base);
-        assert!(cases.iter().all(|c| c.spec.batch == 5));
-        // Batch is a perf knob, not part of the case identity: names must be
-        // stable so batch-parity runs can `cmp` their CSVs.
-        let without = SuiteSpec::new("unused")
-            .with_schemes(vec!["sprinklers".into(), "foff".into()])
-            .expand("base", &base);
-        let names = |cs: &[SuiteCase]| cs.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
-        assert_eq!(names(&cases), names(&without));
     }
 
     #[test]

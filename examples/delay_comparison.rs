@@ -6,8 +6,8 @@
 //! cargo run --release -p sprinklers-bench --example delay_comparison -- [load] [uniform|diagonal] [n]
 //! ```
 
-use sprinklers_bench::experiments::{run_point, TrafficKind, PAPER_SCHEMES};
-use sprinklers_sim::engine::RunConfig;
+use sprinklers_bench::experiments::{point_spec, TrafficKind, PAPER_SCHEMES};
+use sprinklers_sim::engine::{Engine, RunConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -32,18 +32,18 @@ fn main() {
     let mut schemes: Vec<&str> = vec!["oq"];
     schemes.extend(PAPER_SCHEMES);
     schemes.push("tcp-hash");
+    let mut engine = Engine::new();
     for scheme in schemes {
-        let point = run_point(scheme, n, load, kind, run, 7);
+        let report = engine
+            .run(&point_spec(scheme, n, load, kind, run, 7))
+            .unwrap_or_else(|e| panic!("{e}"));
         println!(
             "{:<16} {:>12.1} {:>12} {:>12} {:>14}",
-            point.scheme,
-            point.report.delay.mean(),
-            point.report.delay.percentile(0.99),
-            point.report.reordering.voq_reorder_events,
-            format!(
-                "{}/{}",
-                point.report.delivered_packets, point.report.offered_packets
-            ),
+            scheme,
+            report.delay.mean(),
+            report.delay.percentile(0.99),
+            report.reordering.voq_reorder_events,
+            format!("{}/{}", report.delivered_packets, report.offered_packets),
         );
     }
     println!();

@@ -4,7 +4,7 @@
 //! cold one: the merged CSV assembled from cached rows must be
 //! byte-identical to the one assembled from fresh reports, the stored
 //! summary scalars must be bit-exact, and the key must ignore exactly the
-//! `batch` performance knob and the inert `threads` field — nothing else.
+//! inert `batch` and `threads` fields — nothing else.
 
 use sprinklers_sim::cache::{CachedRun, ExperimentCache};
 use sprinklers_sim::engine::RunConfig;
@@ -43,12 +43,13 @@ fn temp_cache(name: &str) -> ExperimentCache {
 fn identity_hash_ignores_batch_and_threads_but_nothing_else() {
     let (_, base) = grid().remove(0);
     let hash = base.content_hash();
-    // Every batch size maps to the same experiment.
+    // The inert `batch` and `threads` fields map to the same experiment:
+    // entries stored while they were knobs stay hits.
     for batch in [1, 64, 1_000] {
-        assert_eq!(base.clone().with_batch(batch).content_hash(), hash);
+        let mut batched = base.clone();
+        batched.batch = batch;
+        assert_eq!(batched.content_hash(), hash);
     }
-    // So does the inert `threads` field: entries stored while it was a
-    // knob stay hits.
     let mut threaded = base.clone();
     threaded.threads = 8;
     assert_eq!(threaded.content_hash(), hash);
@@ -72,6 +73,29 @@ fn identity_hash_ignores_batch_and_threads_but_nothing_else() {
 }
 
 #[test]
+fn the_template_spec_keeps_its_bytes_and_its_cache_key() {
+    // Captured before `batch` stopped being a knob: spec files and cache
+    // entries written then must still be read as the same experiment.
+    let spec = ScenarioSpec::new("sprinklers", 32);
+    assert_eq!(
+        spec.to_json(),
+        concat!(
+            "{\n",
+            "  \"scheme\": \"sprinklers\",\n",
+            "  \"n\": 32,\n",
+            "  \"sizing\": {\"mode\":\"matrix\"},\n",
+            "  \"traffic\": {\"pattern\":\"uniform\",\"load\":0.6},\n",
+            "  \"run\": {\"slots\":100000,\"warmup_slots\":10000,\"drain_slots\":50000},\n",
+            "  \"seed\": 1,\n",
+            "  \"batch\": 64,\n",
+            "  \"threads\": 1\n",
+            "}"
+        )
+    );
+    assert_eq!(spec.content_hash(), 0xaf3d8c28ee05e11a555cdb6041f35b80);
+}
+
+#[test]
 fn warm_cache_reproduces_the_cold_merged_csv_byte_for_byte() {
     let cache = temp_cache("roundtrip");
     let cases = grid();
@@ -92,11 +116,12 @@ fn warm_cache_reproduces_the_cold_merged_csv_byte_for_byte() {
             .zip(cold_rows.iter().cloned()),
     );
 
-    // Warm pass: every cell must hit, at a *different* batch size, and
-    // reproduce rows, scalars and metrics bit-exactly.
+    // Warm pass: every cell must hit, with a *different* inert `batch`
+    // value, and reproduce rows, scalars and metrics bit-exactly.
     let mut warm_rows = Vec::new();
     for ((_, spec), report) in cases.iter().zip(&reports) {
-        let retuned = spec.clone().with_batch(7);
+        let mut retuned = spec.clone();
+        retuned.batch = 7;
         let hit = cache
             .load(retuned.content_hash())
             .expect("warm pass must not miss");

@@ -9,14 +9,15 @@
 //!    *end to end*, across both topology kinds, many seeds and loads.
 //! 2. **The metric engages** — per-packet random routing does reorder
 //!    under the same contention, so ordered fabrics aren't vacuous.
-//! 3. **Determinism** — worker count and engine batch size are pure
-//!    performance knobs for fabrics too: the CSV row and the full metrics
-//!    JSON are byte-identical at every combination.
+//! 3. **Determinism** — the worker count is a pure performance knob for
+//!    fabrics too: the CSV row and the full metrics JSON are byte-identical
+//!    at every value, with the engine's batched stepping (every
+//!    arrival-free run in one `advance` call) underneath.
 //! 4. **Reconvergence safety** — claims 1 and 3 survive fault injection:
 //!    striped fabrics stay reorder-free under random link-failure
 //!    schedules (survivor traffic is never inverted by a path change),
 //!    every loss is typed (delivered + dropped + residual == offered), and
-//!    faulted runs stay byte-identical across workers/batch.
+//!    faulted runs stay byte-identical across workers.
 
 use proptest::prelude::*;
 use sprinklers_sim::engine::RunConfig;
@@ -290,8 +291,8 @@ fn scripted_faults_report_typed_losses_and_reconvergence() {
 #[test]
 fn faulted_fabrics_are_byte_identical_across_workers_and_batch() {
     // Determinism is the whole point of *deterministic* fault injection:
-    // a faulted run is as byte-stable as a healthy one at every perf-knob
-    // combination, including the full metrics JSON (fault block included).
+    // a faulted run is as byte-stable as a healthy one at every worker
+    // count, including the full metrics JSON (fault block included).
     let base = fabric_spec(fat_tree(RoutingSpec::Stripe), "sprinklers", 0.45, 7)
         .with_run(RunConfig {
             slots: 1_500,
@@ -310,7 +311,7 @@ fn faulted_fabrics_are_byte_identical_across_workers_and_batch() {
                 seed: 3,
             }),
         });
-    let reference = Engine::new().run(&base.clone().with_batch(1)).unwrap();
+    let reference = Engine::new().run(&base).unwrap();
     assert!(
         reference.dropped_packets > 0,
         "the schedule must actually bite"
@@ -318,28 +319,21 @@ fn faulted_fabrics_are_byte_identical_across_workers_and_batch() {
     let want_row = reference.csv_row();
     let want_json = reference.metrics_json();
     for workers in [1usize, 4] {
-        for batch in [1u32, 64] {
-            let spec = base.clone().with_batch(batch);
-            let got = &run_specs_parallel_ok(&[spec], workers).unwrap()[0];
-            assert_eq!(
-                got.csv_row(),
-                want_row,
-                "csv diverged at workers={workers} batch={batch}"
-            );
-            assert_eq!(
-                got.metrics_json(),
-                want_json,
-                "metrics diverged at workers={workers} batch={batch}"
-            );
-        }
+        let got = &run_specs_parallel_ok(std::slice::from_ref(&base), workers).unwrap()[0];
+        assert_eq!(got.csv_row(), want_row, "csv diverged at workers={workers}");
+        assert_eq!(
+            got.metrics_json(),
+            want_json,
+            "metrics diverged at workers={workers}"
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Workers × batch are pure perf knobs for fabric scenarios:
-    /// the merged CSV row and the full metrics JSON never move by a byte.
+    /// Workers are a pure perf knob for fabric scenarios: the merged CSV
+    /// row and the full metrics JSON never move by a byte.
     #[test]
     fn fabric_parity_across_workers_and_batch(
         seed in 0u64..1_000,
@@ -349,30 +343,25 @@ proptest! {
         let base = fabric_spec(fat_tree(routing), "sprinklers", 0.45, seed)
             .with_run(RunConfig { slots: 1_500, warmup_slots: 150, drain_slots: 12_000 });
 
-        // Reference: one worker, slot-at-a-time.
-        let reference = Engine::new()
-            .run(&base.clone().with_batch(1))
-            .unwrap();
+        // Reference: one engine, no worker pool.
+        let reference = Engine::new().run(&base).unwrap();
         let want_row = reference.csv_row();
         let want_json = reference.metrics_json();
 
         for workers in [1usize, 4] {
-            for batch in [1u32, 64] {
-                let spec = base.clone().with_batch(batch);
-                let got = &run_specs_parallel_ok(&[spec], workers).unwrap()[0];
-                prop_assert_eq!(
-                    got.csv_row(),
-                    want_row.clone(),
-                    "csv diverged at workers={} batch={}",
-                    workers, batch
-                );
-                prop_assert_eq!(
-                    got.metrics_json(),
-                    want_json.clone(),
-                    "metrics diverged at workers={} batch={}",
-                    workers, batch
-                );
-            }
+            let got = &run_specs_parallel_ok(std::slice::from_ref(&base), workers).unwrap()[0];
+            prop_assert_eq!(
+                got.csv_row(),
+                want_row.clone(),
+                "csv diverged at workers={}",
+                workers
+            );
+            prop_assert_eq!(
+                got.metrics_json(),
+                want_json.clone(),
+                "metrics diverged at workers={}",
+                workers
+            );
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Reordering-free invariant fuzzer over the batched hot path.
 //!
 //! Every scheme that claims `is_reordering_free` must keep that promise for
-//! *any* admissible traffic and *any* stepping batch size — the batch path
-//! is exactly where a subtle ordering bug would creep in (a hoisted fabric
-//! phase off by one, a resequencer probed at the wrong slot).  This suite
-//! throws adversarial traffic — saturating on/off bursts and quasi-diagonal
-//! concentration, the patterns the paper uses to stress striping (§6) — at
-//! every ordered scheme through `Engine::run` with randomized batch sizes,
+//! *any* admissible traffic — and `Engine::run` steps every arrival-free
+//! run in one `step_batch` call, exactly where a subtle ordering bug would
+//! creep in (a hoisted fabric phase off by one, a resequencer probed at the
+//! wrong slot).  This suite throws adversarial traffic — saturating on/off
+//! bursts and quasi-diagonal concentration, the patterns the paper uses to
+//! stress striping (§6) — at every ordered scheme through `Engine::run`,
 //! and requires zero per-VOQ and per-flow inversions from the reorder
 //! metric, plus full drainage so the check covers every offered packet.
 
@@ -35,7 +35,6 @@ proptest! {
         load in 0.1f64..0.92,
         mean_burst in 2.0f64..48.0,
         seed in 0u64..u64::MAX,
-        batch in 1u32..128,
     ) {
         let mut engine = Engine::new();
         for scheme in registry::ORDERED_SCHEMES {
@@ -46,14 +45,13 @@ proptest! {
                     mean_burst,
                 })
                 .with_run(run_config())
-                .with_seed(seed)
-                .with_batch(batch);
+                .with_seed(seed);
             let report = engine.run(&spec).unwrap();
             prop_assert!(
                 report.reordering.is_ordered(),
-                "{} reordered under bursty load={:.2} burst={:.1} batch={}: \
+                "{} reordered under bursty load={:.2} burst={:.1}: \
                  {} VOQ / {} flow inversions",
-                scheme, load, mean_burst, batch,
+                scheme, load, mean_burst,
                 report.reordering.voq_reorder_events,
                 report.reordering.flow_reorder_events,
             );
@@ -74,7 +72,6 @@ proptest! {
         repeat in 1u32..4,
         scale_pct in 25u32..101,
         fmt in 0usize..2,
-        batch in 1u32..128,
     ) {
         // Trace-sourced arrivals through the full disk pipeline: build an
         // admissible random stream, write it to a real trace file (either
@@ -131,14 +128,13 @@ proptest! {
                     scale,
                 })
                 .with_run(run)
-                .with_seed(3)
-                .with_batch(batch);
+                .with_seed(3);
             let report = engine.run(&spec).unwrap();
             prop_assert!(
                 report.reordering.is_ordered(),
-                "{} reordered replaying a {} trace (repeat={} scale={} batch={}): \
+                "{} reordered replaying a {} trace (repeat={} scale={}): \
                  {} VOQ / {} flow inversions",
-                scheme, format.name(), repeat, scale, batch,
+                scheme, format.name(), repeat, scale,
                 report.reordering.voq_reorder_events,
                 report.reordering.flow_reorder_events,
             );
@@ -165,7 +161,6 @@ proptest! {
         load in 0.1f64..0.9,
         mean_burst in 2.0f64..32.0,
         seed in 0u64..u64::MAX,
-        batch in 1u32..192,
     ) {
         let mut engine = Engine::new();
         for scheme in registry::ORDERED_SCHEMES {
@@ -185,14 +180,13 @@ proptest! {
                     warmup_slots: 50,
                     drain_slots: 2_500,
                 })
-                .with_seed(seed)
-                .with_batch(batch);
+                .with_seed(seed);
             let report = engine.run(&spec).unwrap();
             prop_assert!(
                 report.reordering.is_ordered(),
-                "{} reordered at n=128 under bursty load={:.2} burst={:.1} batch={}: \
+                "{} reordered at n=128 under bursty load={:.2} burst={:.1}: \
                  {} VOQ / {} flow inversions",
-                scheme, load, mean_burst, batch,
+                scheme, load, mean_burst,
                 report.reordering.voq_reorder_events,
                 report.reordering.flow_reorder_events,
             );
@@ -212,21 +206,19 @@ proptest! {
     fn ordered_schemes_never_reorder_under_diagonal_batched_traffic(
         load in 0.1f64..0.92,
         seed in 0u64..u64::MAX,
-        batch in 1u32..128,
     ) {
         let mut engine = Engine::new();
         for scheme in registry::ORDERED_SCHEMES {
             let spec = ScenarioSpec::new(scheme, 16)
                 .with_traffic(TrafficSpec::Diagonal { load })
                 .with_run(run_config())
-                .with_seed(seed)
-                .with_batch(batch);
+                .with_seed(seed);
             let report = engine.run(&spec).unwrap();
             prop_assert!(
                 report.reordering.is_ordered(),
-                "{} reordered under diagonal load={:.2} batch={}: \
+                "{} reordered under diagonal load={:.2}: \
                  {} VOQ / {} flow inversions",
-                scheme, load, batch,
+                scheme, load,
                 report.reordering.voq_reorder_events,
                 report.reordering.flow_reorder_events,
             );

@@ -5,8 +5,8 @@
 //! n = 8 — flows so the TCP-hashing baseline's hash path is exercised too.
 //! This suite replays it through **all 10 registry schemes** and pins the
 //! merged report CSV byte for byte against
-//! `tests/fixtures/trace_golden.csv`, at workers {1, 2} and batch {1, 64},
-//! from both file formats.  Any change to the trace decoding, the replay
+//! `tests/fixtures/trace_golden.csv`, at workers {1, 2}, from both file
+//! formats.  Any change to the trace decoding, the replay
 //! stream, the metadata plumbing (label/matrix), or a scheme's behaviour
 //! under replayed traffic fails loudly here.
 //!
@@ -27,7 +27,7 @@ fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("fixtures/{name}"))
 }
 
-fn replay_specs(trace: &str, batch: u32) -> Vec<ScenarioSpec> {
+fn replay_specs(trace: &str) -> Vec<ScenarioSpec> {
     registry::schemes()
         .iter()
         .map(|scheme| {
@@ -41,13 +41,12 @@ fn replay_specs(trace: &str, batch: u32) -> Vec<ScenarioSpec> {
                     drain_slots: 4_000,
                 })
                 .with_seed(7)
-                .with_batch(batch)
         })
         .collect()
 }
 
-fn run_merged(trace: &str, workers: usize, batch: u32) -> String {
-    let specs = replay_specs(trace, batch);
+fn run_merged(trace: &str, workers: usize) -> String {
+    let specs = replay_specs(trace);
     let reports: Vec<SimReport> = run_specs_parallel(&specs, workers)
         .into_iter()
         .collect::<Result<_, _>>()
@@ -59,21 +58,18 @@ fn run_merged(trace: &str, workers: usize, batch: u32) -> String {
 fn all_schemes_reproduce_the_golden_trace_csv() {
     let golden_path = fixture("trace_golden.csv");
     if std::env::var_os("BLESS_TRACE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, run_merged("trace_flows.sprt", 1, 1)).unwrap();
+        std::fs::write(&golden_path, run_merged("trace_flows.sprt", 1)).unwrap();
         eprintln!("blessed {}", golden_path.display());
     }
     let golden = std::fs::read_to_string(&golden_path)
         .expect("fixtures/trace_golden.csv exists (regenerate with BLESS_TRACE_GOLDEN=1)");
     for workers in [1usize, 2] {
-        for batch in [1u32, 64] {
-            let csv = run_merged("trace_flows.sprt", workers, batch);
-            assert_eq!(
-                csv, golden,
-                "trace replay diverged from the golden CSV at \
-                 workers={workers} batch={batch}; if intentional, regenerate \
-                 (see module docs)"
-            );
-        }
+        let csv = run_merged("trace_flows.sprt", workers);
+        assert_eq!(
+            csv, golden,
+            "trace replay diverged from the golden CSV at workers={workers}; \
+             if intentional, regenerate (see module docs)"
+        );
     }
 }
 
@@ -84,7 +80,7 @@ fn the_csv_twin_replays_byte_identically_to_the_binary() {
     // simulation results.
     let golden = std::fs::read_to_string(fixture("trace_golden.csv"))
         .expect("fixtures/trace_golden.csv exists (regenerate with BLESS_TRACE_GOLDEN=1)");
-    let csv = run_merged("trace_flows.csv", 2, 64);
+    let csv = run_merged("trace_flows.csv", 2);
     assert_eq!(
         csv, golden,
         "CSV-format replay diverged from the .sprt golden"

@@ -9,8 +9,8 @@
 //!    arrival stream with `record_spec` and replaying it through
 //!    `TrafficSpec::Trace` reproduces the original `SimReport` byte for
 //!    byte (the full CSV row: delays, percentiles, reorders, occupancy),
-//!    at any stepping batch size and worker count.  This is what makes a
-//!    trace a faithful substitute for the generator it was recorded from.
+//!    at any worker count.  This is what makes a trace a faithful
+//!    substitute for the generator it was recorded from.
 
 use proptest::prelude::*;
 use sprinklers_sim::engine::{Engine, RunConfig};
@@ -95,7 +95,6 @@ proptest! {
         scheme in 0usize..3,
         load in 0.1f64..0.85,
         seed in 0u64..u64::MAX,
-        batch in 1u32..128,
         fmt in 0usize..2,
     ) {
         let traffic = match pattern {
@@ -114,8 +113,7 @@ proptest! {
 
         let replay_spec = spec
             .clone()
-            .with_traffic(TrafficSpec::trace(path.to_string_lossy().into_owned()))
-            .with_batch(batch);
+            .with_traffic(TrafficSpec::trace(path.to_string_lossy().into_owned()));
 
         let mut engine = Engine::new();
         let original = engine.run(&spec).unwrap();
@@ -123,8 +121,8 @@ proptest! {
         prop_assert_eq!(
             replay.csv_row(),
             original.csv_row(),
-            "{} replay diverged ({}, batch {})",
-            scheme, format.name(), batch
+            "{} replay diverged ({})",
+            scheme, format.name()
         );
         std::fs::remove_file(&path).ok();
     }
@@ -132,7 +130,7 @@ proptest! {
 
 /// The acceptance case, pinned as a plain test: `trace record` of
 /// `specs/smoke/sprinklers_uniform.json` then replay reproduces its report
-/// byte for byte at any worker count and batch size.
+/// byte for byte at any worker count.
 #[test]
 fn smoke_spec_record_replay_is_exact_at_any_workers_and_batch() {
     let spec_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -145,20 +143,15 @@ fn smoke_spec_record_replay_is_exact_at_any_workers_and_batch() {
         trace_path.to_string_lossy().into_owned(),
     ));
 
+    let pair = [spec, replay];
     for workers in [1usize, 2] {
-        for batch in [1u32, 64] {
-            let pair = [
-                spec.clone().with_batch(batch),
-                replay.clone().with_batch(batch),
-            ];
-            let results = run_specs_parallel(&pair, workers);
-            let original = results[0].as_ref().unwrap().csv_row();
-            let replayed = results[1].as_ref().unwrap().csv_row();
-            assert_eq!(
-                replayed, original,
-                "record→replay diverged at workers={workers} batch={batch}"
-            );
-        }
+        let results = run_specs_parallel(&pair, workers);
+        let original = results[0].as_ref().unwrap().csv_row();
+        let replayed = results[1].as_ref().unwrap().csv_row();
+        assert_eq!(
+            replayed, original,
+            "record→replay diverged at workers={workers}"
+        );
     }
     std::fs::remove_file(&trace_path).ok();
 }
