@@ -30,16 +30,15 @@ pub struct OutputQueuedSwitch {
 }
 
 impl OutputQueuedSwitch {
-    /// Create an `n`-port output-queued switch.  The per-output FIFOs are
-    /// pre-sized so a lightly loaded warm-up never reallocates.
+    /// Create an `n`-port output-queued switch.  The per-output FIFOs start
+    /// empty and grow to the deepest backlog they hold, so memory follows
+    /// what the run queues, not the port count.
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "a switch needs at least two ports");
         sprinklers_core::packet::assert_ports_fit(n);
         OutputQueuedSwitch {
             n,
-            outputs: (0..n)
-                .map(|_| VecDeque::with_capacity((2 * n).min(64)))
-                .collect(),
+            outputs: (0..n).map(|_| VecDeque::new()).collect(),
             occupied: OccupancySet::new(n),
             arrivals: 0,
             departures: 0,

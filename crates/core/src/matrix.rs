@@ -8,16 +8,42 @@
 //! Traffic matrices serve two purposes: traffic generators expose the matrix
 //! they draw from, and the Sprinklers switch can derive its stripe sizes
 //! directly from a known matrix (the assumption made by the paper's analysis).
+//!
+//! # Storage
+//!
+//! The three synthetic patterns — [`TrafficMatrix::uniform`],
+//! [`TrafficMatrix::diagonal`] and [`TrafficMatrix::hotspot`] — hold one
+//! distinguished entry per row and one value everywhere else, so they are
+//! stored as those two values, not as a table: at n = 1 024 a table is 8 MiB
+//! that every generator would keep for the whole run.  The two values are the
+//! exact `f64`s the dense construction loops computed (`rho / n` for uniform;
+//! `rho * 0.5` and `rho * (0.5 / (n − 1))` for diagonal; `base + rho * hot`
+//! and `base + 0.0` for hot-spot), so every [`TrafficMatrix::rate`] — and with
+//! it every load sum, sampler CDF and stripe size — is bit-identical to the
+//! table's.  [`TrafficMatrix::zero`], [`TrafficMatrix::from_rates`] and trace
+//! matrices are dense; [`TrafficMatrix::set`] and [`TrafficMatrix::scaled`]
+//! turn a synthetic matrix into a dense one.  Equality compares entries, not
+//! storage.
 
 use crate::error::SwitchError;
 use serde::{Deserialize, Serialize};
 
 /// An `N×N` matrix of normalized VOQ arrival rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrafficMatrix {
     n: usize,
-    /// Row-major rates: `rates[i * n + j]` is the rate from input `i` to output `j`.
-    rates: Vec<f64>,
+    entries: Entries,
+}
+
+/// How a [`TrafficMatrix`] holds its `n²` entries.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+enum Entries {
+    /// Row-major rates: `rates[i * n + j]` is the rate from input `i` to
+    /// output `j`.
+    Dense(Vec<f64>),
+    /// Entry `(i, (i + shift) mod n)` is `hot`, every other entry is `rest`.
+    /// `shift ≤ n`.
+    OnePerRow { shift: usize, hot: f64, rest: f64 },
 }
 
 impl TrafficMatrix {
@@ -25,7 +51,15 @@ impl TrafficMatrix {
     pub fn zero(n: usize) -> Self {
         TrafficMatrix {
             n,
-            rates: vec![0.0; n * n],
+            entries: Entries::Dense(vec![0.0; n * n]),
+        }
+    }
+
+    /// `hot` at `(i, (i + shift) mod n)` for every row `i`, `rest` elsewhere.
+    fn one_per_row(n: usize, shift: usize, hot: f64, rest: f64) -> Self {
+        TrafficMatrix {
+            n,
+            entries: Entries::OnePerRow { shift, hot, rest },
         }
     }
 
@@ -33,44 +67,23 @@ impl TrafficMatrix {
     ///
     /// This is the paper's first simulation scenario (§6).
     pub fn uniform(n: usize, rho: f64) -> Self {
-        let mut m = Self::zero(n);
         let r = rho / n as f64;
-        for i in 0..n {
-            for j in 0..n {
-                m.set(i, j, r);
-            }
-        }
-        m
+        Self::one_per_row(n, 0, r, r)
     }
 
     /// Quasi-diagonal traffic at total input load `rho`: a packet arriving at
     /// input `i` goes to output `i` with probability 1/2 and to every other
     /// output with probability `1/(2(N−1))` (§6, second scenario).
     pub fn diagonal(n: usize, rho: f64) -> Self {
-        let mut m = Self::zero(n);
-        for i in 0..n {
-            for j in 0..n {
-                let p = if i == j { 0.5 } else { 0.5 / (n as f64 - 1.0) };
-                m.set(i, j, rho * p);
-            }
-        }
-        m
+        Self::one_per_row(n, 0, rho * 0.5, rho * (0.5 / (n as f64 - 1.0)))
     }
 
     /// Hot-spot traffic: a fraction `hot_fraction` of each input's load goes to
     /// a single "hot" output (`(i + 1) mod N` to keep the matrix admissible),
     /// the rest is spread uniformly.
     pub fn hotspot(n: usize, rho: f64, hot_fraction: f64) -> Self {
-        let mut m = Self::zero(n);
-        for i in 0..n {
-            let hot = (i + 1) % n;
-            for j in 0..n {
-                let base = rho * (1.0 - hot_fraction) / n as f64;
-                let extra = if j == hot { rho * hot_fraction } else { 0.0 };
-                m.set(i, j, base + extra);
-            }
-        }
-        m
+        let base = rho * (1.0 - hot_fraction) / n as f64;
+        Self::one_per_row(n, 1, base + rho * hot_fraction, base + 0.0)
     }
 
     /// Build a matrix from explicit row-major rates.
@@ -86,7 +99,10 @@ impl TrafficMatrix {
                 return Err(SwitchError::InvalidRate { rate: r });
             }
         }
-        Ok(TrafficMatrix { n, rates })
+        Ok(TrafficMatrix {
+            n,
+            entries: Entries::Dense(rates),
+        })
     }
 
     /// Switch size N.
@@ -95,13 +111,42 @@ impl TrafficMatrix {
     }
 
     /// Rate of the VOQ from input `i` to output `j`.
+    #[inline]
     pub fn rate(&self, input: usize, output: usize) -> f64 {
-        self.rates[input * self.n + output]
+        debug_assert!(input < self.n && output < self.n);
+        match &self.entries {
+            Entries::Dense(rates) => rates[input * self.n + output],
+            Entries::OnePerRow { shift, hot, rest } => {
+                // The hot column is `input + shift`, less n when that wraps.
+                let hot_column = input + shift;
+                if output == hot_column || output + self.n == hot_column {
+                    *hot
+                } else {
+                    *rest
+                }
+            }
+        }
     }
 
-    /// Set the rate of the VOQ from input `i` to output `j`.
+    /// Set the rate of the VOQ from input `i` to output `j`.  A synthetic
+    /// matrix becomes dense first.
     pub fn set(&mut self, input: usize, output: usize, rate: f64) {
-        self.rates[input * self.n + output] = rate;
+        let n = self.n;
+        match &mut self.entries {
+            Entries::Dense(rates) => rates[input * n + output] = rate,
+            Entries::OnePerRow { .. } => {
+                let mut rates = self.row_major();
+                rates[input * n + output] = rate;
+                self.entries = Entries::Dense(rates);
+            }
+        }
+    }
+
+    /// Every entry, row-major.
+    fn row_major(&self) -> Vec<f64> {
+        (0..self.n)
+            .flat_map(|i| (0..self.n).map(move |j| self.rate(i, j)))
+            .collect()
     }
 
     /// Total load offered to input `i` (row sum).
@@ -132,12 +177,12 @@ impl TrafficMatrix {
         self.max_load() <= 1.0 + 1e-9
     }
 
-    /// Scale every rate by `factor`.
+    /// Scale every rate by `factor`.  The result is dense.
     #[must_use]
     pub fn scaled(&self, factor: f64) -> Self {
         TrafficMatrix {
             n: self.n,
-            rates: self.rates.iter().map(|r| r * factor).collect(),
+            entries: Entries::Dense(self.row_major().into_iter().map(|r| r * factor).collect()),
         }
     }
 
@@ -153,6 +198,14 @@ impl TrafficMatrix {
                 }
             })
         })
+    }
+}
+
+impl PartialEq for TrafficMatrix {
+    /// Same size and the same entry everywhere, however each side stores them.
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && (0..self.n).all(|i| (0..self.n).all(|j| self.rate(i, j) == other.rate(i, j)))
     }
 }
 
@@ -226,6 +279,157 @@ mod tests {
         for i in 0..4 {
             assert!((m.input_load(i) - 0.4).abs() < 1e-12);
         }
+    }
+
+    /// The dense construction loops the synthetic matrices used to run, kept
+    /// as the oracle for their compact form.
+    fn dense_uniform(n: usize, rho: f64) -> TrafficMatrix {
+        let mut m = TrafficMatrix::zero(n);
+        let r = rho / n as f64;
+        for i in 0..n {
+            for j in 0..n {
+                m.set(i, j, r);
+            }
+        }
+        m
+    }
+
+    fn dense_diagonal(n: usize, rho: f64) -> TrafficMatrix {
+        let mut m = TrafficMatrix::zero(n);
+        for i in 0..n {
+            for j in 0..n {
+                let p = if i == j { 0.5 } else { 0.5 / (n as f64 - 1.0) };
+                m.set(i, j, rho * p);
+            }
+        }
+        m
+    }
+
+    fn dense_hotspot(n: usize, rho: f64, hot_fraction: f64) -> TrafficMatrix {
+        let mut m = TrafficMatrix::zero(n);
+        for i in 0..n {
+            let hot = (i + 1) % n;
+            for j in 0..n {
+                let base = rho * (1.0 - hot_fraction) / n as f64;
+                let extra = if j == hot { rho * hot_fraction } else { 0.0 };
+                m.set(i, j, base + extra);
+            }
+        }
+        m
+    }
+
+    /// Call `check` with every synthetic matrix of ports ≤ `max_n` the pins
+    /// cover, beside its dense oracle (one pair at a time: at n = 1 024 a
+    /// dense matrix is 8 MiB).
+    fn for_each_synthetic(max_n: usize, mut check: impl FnMut(&str, TrafficMatrix, TrafficMatrix)) {
+        for n in [2, 3, 32, 1024].into_iter().filter(|&n| n <= max_n) {
+            for rho in [0.0, 0.01, 0.9, 1.0] {
+                check(
+                    &format!("uniform n={n} rho={rho}"),
+                    TrafficMatrix::uniform(n, rho),
+                    dense_uniform(n, rho),
+                );
+                check(
+                    &format!("diagonal n={n} rho={rho}"),
+                    TrafficMatrix::diagonal(n, rho),
+                    dense_diagonal(n, rho),
+                );
+                for hot in [0.0, 0.3, 1.0] {
+                    check(
+                        &format!("hotspot n={n} rho={rho} hot={hot}"),
+                        TrafficMatrix::hotspot(n, rho, hot),
+                        dense_hotspot(n, rho, hot),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn synthetic_matrices_are_bit_identical_to_the_dense_loops() {
+        for_each_synthetic(1024, |name, compact, dense| {
+            assert!(
+                matches!(compact.entries, Entries::OnePerRow { .. }),
+                "{name}"
+            );
+            let n = dense.n();
+            assert_eq!(compact.n(), n, "{name}");
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(
+                        compact.rate(i, j).to_bits(),
+                        dense.rate(i, j).to_bits(),
+                        "{name}: rate({i}, {j})"
+                    );
+                }
+                assert_eq!(
+                    compact.input_load(i).to_bits(),
+                    dense.input_load(i).to_bits(),
+                    "{name}: input_load({i})"
+                );
+                assert_eq!(
+                    compact.output_load(i).to_bits(),
+                    dense.output_load(i).to_bits(),
+                    "{name}: output_load({i})"
+                );
+            }
+            assert_eq!(
+                compact.max_load().to_bits(),
+                dense.max_load().to_bits(),
+                "{name}: max_load"
+            );
+        });
+    }
+
+    #[test]
+    fn set_on_a_synthetic_matrix_changes_only_that_entry() {
+        let n = 5;
+        let before = TrafficMatrix::hotspot(n, 0.9, 0.3);
+        let mut after = before.clone();
+        after.set(2, 4, 0.125);
+        assert!(matches!(after.entries, Entries::Dense(_)));
+        for i in 0..n {
+            for j in 0..n {
+                let want = if (i, j) == (2, 4) {
+                    0.125
+                } else {
+                    before.rate(i, j)
+                };
+                assert_eq!(after.rate(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_synthetic_matrices_match_the_dense_result() {
+        let bits =
+            |m: TrafficMatrix| -> Vec<u64> { m.row_major().iter().map(|r| r.to_bits()).collect() };
+        for_each_synthetic(32, |name, compact, dense| {
+            for factor in [0.0, 0.5, 3.0] {
+                assert_eq!(
+                    bits(compact.scaled(factor)),
+                    bits(dense.scaled(factor)),
+                    "{name} ×{factor}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn a_synthetic_matrix_equals_its_entries_as_a_dense_matrix() {
+        for_each_synthetic(32, |name, compact, dense| {
+            let rebuilt = TrafficMatrix::from_rates(compact.n(), compact.row_major()).unwrap();
+            assert_eq!(compact, rebuilt, "{name}");
+            assert_eq!(rebuilt, compact, "{name}");
+            assert_eq!(compact, dense, "{name}");
+        });
+        // One differing entry makes them unequal.
+        let uniform = TrafficMatrix::uniform(4, 0.8);
+        let mut dense = TrafficMatrix::from_rates(4, uniform.row_major()).unwrap();
+        dense.set(3, 1, 0.0);
+        assert_ne!(dense, uniform);
+        assert_ne!(uniform, dense);
+        assert_ne!(uniform, TrafficMatrix::uniform(8, 0.8));
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! The engine owns one reusable arrival buffer and feeds deliveries into a
 //! [`MetricsSink`], so the steady-state loop — generate arrivals, assign
 //! identities, `step` the switch, update metrics — performs no per-slot heap
-//! allocation.  A slot's stamped arrivals go to [`MetricsSink::prime`] just
-//! before they are injected, so the per-VOQ reorder records their deliveries
-//! will read are already cached when they do.
+//! allocation.  The engine assigns packet ids and arrival slots itself; the
+//! per-VOQ sequence numbers come from [`MetricsSink::stamp`], which writes
+//! them through the same per-VOQ record the packets' deliveries are checked
+//! against.  The run holds no n² table of its own, and stamping leaves that
+//! record cached for the delivery a few slots later.
 //!
 //! # Batched stepping
 //!
@@ -129,9 +131,9 @@ impl Engine {
         // Build the traffic first and size the switch from the *generator's*
         // rate matrix.  For synthetic patterns this is the identical matrix
         // `TrafficSpec::try_matrix` constructs (every generator clones the
-        // analytic matrix it was built from); for traces it avoids opening
-        // and validating the file twice per run.  The matrix copy is a
-        // temporary: at n = 1 024 it is 8 MiB that only construction reads.
+        // analytic matrix it was built from, which is stored as its few
+        // distinct entries, not as a table); for traces it avoids opening
+        // and validating the file twice per run.
         let traffic = spec.build_traffic()?;
         let switch = registry::build_named(
             &spec.scheme,
@@ -178,7 +180,6 @@ impl Engine {
         let n = world.ports();
         let n_u64 = n as u64;
         let mut next_packet_id = 0u64;
-        let mut voq_seq = vec![0u64; n * n];
         let mut sink = MetricsSink::new(config.warmup_slots, n);
         let mut occupancy = OccupancySampler::new();
         let mut windows = WindowSeries::new(n_u64);
@@ -207,12 +208,9 @@ impl Engine {
                         packet.id = next_packet_id;
                         next_packet_id += 1;
                         packet.arrival_slot = slot;
-                        let key = packet.input() * n + packet.output();
-                        packet.voq_seq = voq_seq[key];
-                        voq_seq[key] += 1;
                     }
+                    sink.stamp(&mut self.arrival_buf);
                     offered += self.arrival_buf.len() as u64;
-                    sink.prime(&self.arrival_buf);
                     // The whole slot in one call, so the world can look at
                     // all of it before it starts (and a boxed switch is
                     // entered once).

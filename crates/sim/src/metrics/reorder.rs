@@ -16,6 +16,14 @@
 //! tracked, which corresponds to the size of the resequencing buffer an
 //! output would need to repair the ordering (the quantity FOFF bounds by
 //! O(N²)).
+//!
+//! The detector also hands out the numbers it checks.  Each VOQ has one
+//! 16-byte record, `{ next_seq, high }`: [`ReorderDetector::stamp`] numbers
+//! arriving packets from `next_seq`, and [`ReorderDetector::observe`] checks
+//! deliveries against `high`.  Flow marks need no per-VOQ field: a VOQ that
+//! has carried only flow id 0 has the VOQ's own mark as its flow mark, and
+//! the first other flow id moves the VOQ's flows into a map (see
+//! [`ReorderDetector`]).
 
 use serde::{Deserialize, Serialize};
 use sprinklers_core::packet::Packet;
@@ -43,34 +51,42 @@ impl ReorderStats {
     }
 }
 
-/// Per-VOQ detector state, one table entry per `(input, output)` pair.
+/// Per-VOQ record, one table entry per `(input, output)` pair: both ends of
+/// the VOQ's sequence numbering in one 16-byte line.
 #[derive(Debug, Clone, Copy, Default)]
-struct VoqState {
+struct VoqRecord {
+    /// The `voq_seq` [`ReorderDetector::stamp`] gives the VOQ's next packet.
+    next_seq: u64,
     /// `voq_seq + 1` of the highest sequence number delivered so far;
     /// 0 = nothing delivered yet.
     high: u64,
-    /// The one flow id this VOQ has carried.  Meaningful once `high != 0`
-    /// and until the VOQ spills.
-    sole_flow: u64,
 }
 
 /// Flag: the VOQ has had at least one violation.
 const DIRTY: u8 = 1;
-/// Flag: the VOQ has carried a second flow id; its flows live in `flow_high`.
+/// Flag: the VOQ has carried a flow id other than 0; its flows live in
+/// `flow_high`.
 const SPILLED: u8 = 2;
 
-/// Streaming reordering detector for an `n`-port switch.
+/// Streaming reordering detector for an `n`-port switch, and the numbering
+/// it checks.
 ///
 /// All per-VOQ state sits in flat `n·n` tables sized once at construction,
-/// indexed `input · n + output`, so observing a packet is a couple of array
-/// accesses and no allocation.  Flow order needs no state of its own while a
-/// VOQ has carried a single flow id: that flow sees the VOQ's exact sequence
-/// under the same update rule, so its high-water mark *is* the VOQ's and the
-/// two event counters move together.  Only when a second flow id shows up
-/// does the VOQ *spill*: the first flow is entered into the
-/// `(input, output, flow)` map with the VOQ's high-water mark from before the
-/// packet at hand, and from then on every flow of that VOQ is tracked in the
-/// map.  Flowless traffic — every workload of the paper — never spills.
+/// indexed `input · n + output`, so stamping or observing a packet is a
+/// couple of array accesses and no allocation.  A VOQ's record holds the
+/// next sequence number to hand out and the highest one delivered, so
+/// the line [`Self::stamp`] writes as a packet enters the switch is the line
+/// [`Self::observe`] reads when it leaves: on a wide switch the delivery
+/// finds it cached.
+///
+/// Flow order needs no state of its own while a VOQ has carried only flow
+/// id 0 — every workload of the paper, whose packets carry no flow: that
+/// flow sees the VOQ's exact sequence under the same update rule, so its
+/// high-water mark *is* the VOQ's and the two event counters move together.
+/// The first packet with another flow id *spills* the VOQ: flow 0 is entered
+/// into the `(input, output, flow)` map with the VOQ's high-water mark from
+/// before the packet at hand (if anything was delivered), and from then on
+/// every flow of that VOQ is tracked in the map.
 ///
 /// The spill map is a `BTreeMap`, not a hash map, because the deterministic
 /// simulation core admits no container with a randomized hasher (the
@@ -80,7 +96,7 @@ const SPILLED: u8 = 2;
 #[derive(Debug, Clone)]
 pub struct ReorderDetector {
     n: usize,
-    voqs: Vec<VoqState>,
+    voqs: Vec<VoqRecord>,
     /// [`DIRTY`] | [`SPILLED`] per VOQ.
     flags: Vec<u8>,
     /// Highest `voq_seq` delivered so far per (input, output, flow), for the
@@ -94,10 +110,31 @@ impl ReorderDetector {
     pub fn new(n: usize) -> Self {
         ReorderDetector {
             n,
-            voqs: vec![VoqState::default(); n * n],
+            voqs: vec![VoqRecord::default(); n * n],
             flags: vec![0; n * n],
             flow_high: BTreeMap::new(),
             stats: ReorderStats::default(),
+        }
+    }
+
+    /// The VOQ record of `(input, output)`.  With the table's own bounds
+    /// check this rejects every port outside `0..n` instead of aliasing it
+    /// onto another VOQ's entry.
+    #[inline]
+    fn index(&self, input: usize, output: usize) -> usize {
+        assert!(output < self.n, "output {output} of an {}-port run", self.n);
+        input * self.n + output
+    }
+
+    /// Give each of `packets` the next sequence number of its VOQ, in slice
+    /// order: every VOQ counts from 0, independently of the others.
+    // lint: hot-path
+    pub fn stamp(&mut self, packets: &mut [Packet]) {
+        for packet in packets {
+            let idx = self.index(packet.input(), packet.output());
+            let voq = &mut self.voqs[idx];
+            packet.voq_seq = voq.next_seq;
+            voq.next_seq += 1;
         }
     }
 
@@ -108,10 +145,7 @@ impl ReorderDetector {
             return;
         }
         let (input, output) = packet.voq();
-        // With the table lookup's own bounds check this rejects every port
-        // outside `0..n` instead of aliasing it onto another VOQ's entry.
-        assert!(output < self.n, "output {output} of an {}-port run", self.n);
-        let idx = input * self.n + output;
+        let idx = self.index(input, output);
         let seq = packet.voq_seq;
         let voq = &mut self.voqs[idx];
         let flags = &mut self.flags[idx];
@@ -132,18 +166,15 @@ impl ReorderDetector {
         }
 
         // Flow order.
-        if prev == 0 {
-            voq.sole_flow = packet.flow;
-            return;
-        }
         if *flags & SPILLED == 0 {
-            if voq.sole_flow == packet.flow {
+            if packet.flow == 0 {
                 self.stats.flow_reorder_events += u64::from(late);
                 return;
             }
             *flags |= SPILLED;
-            self.flow_high
-                .insert((input, output, voq.sole_flow), prev - 1);
+            if prev != 0 {
+                self.flow_high.insert((input, output, 0), prev - 1);
+            }
         }
         match self.flow_high.get_mut(&(input, output, packet.flow)) {
             None => {
@@ -157,24 +188,6 @@ impl ReorderDetector {
                 }
             }
         }
-    }
-
-    /// Load the VOQ entries that `packets` will be observed against.
-    ///
-    /// The per-VOQ table has n² entries (16 MiB at n = 1 024), so the read
-    /// in [`Self::observe`] is a likely cache miss on wide switches, taken
-    /// one delivery at a time.  Called as the packets enter the switch, with
-    /// nothing waiting on the loads, it lets a slot's misses overlap and
-    /// leaves the lines cached for the deliveries a few slots later.  It
-    /// never panics; a port outside `0..n` is `observe`'s to reject.
-    // lint: hot-path
-    pub fn prime(&self, packets: &[Packet]) {
-        let mut bits = 0u64;
-        for packet in packets {
-            let idx = packet.input() * self.n + packet.output();
-            bits ^= self.voqs.get(idx).map_or(0, |voq| voq.high);
-        }
-        std::hint::black_box(bits);
     }
 
     /// The statistics accumulated so far.
@@ -258,5 +271,59 @@ mod tests {
         d.observe(&pkt(0, 1, 7, 5));
         d.observe(&Packet::padding(0, 1, 0));
         assert!(d.stats().is_ordered());
+    }
+
+    #[test]
+    fn stamp_numbers_each_voq_from_zero_on_its_own() {
+        let mut d = ReorderDetector::new(4);
+        let voqs = [(0, 1), (2, 1), (0, 1), (3, 3), (0, 1), (2, 1), (1, 0)];
+        let mut packets: Vec<Packet> = voqs
+            .iter()
+            .map(|&(i, o)| Packet::new(i, o, 0, 0).with_voq_seq(99))
+            .collect();
+        d.stamp(&mut packets[..3]);
+        d.stamp(&mut packets[3..]);
+        let seqs: Vec<u64> = packets.iter().map(|p| p.voq_seq).collect();
+        assert_eq!(seqs, [0, 0, 1, 0, 2, 1, 0]);
+        // Delivering them in stamp order is clean.
+        for p in &packets {
+            d.observe(p);
+        }
+        assert!(d.stats().is_ordered());
+    }
+
+    #[test]
+    fn a_voq_of_one_nonzero_flow_counts_flow_reorders_as_voq_reorders() {
+        let mut d = ReorderDetector::new(4);
+        for seq in [0, 3, 1, 4, 2, 2, 5, 0] {
+            d.observe(&pkt(1, 2, 7, seq));
+        }
+        let s = d.stats();
+        assert_eq!(s.voq_reorder_events, 4);
+        assert_eq!(s.flow_reorder_events, s.voq_reorder_events);
+        assert_eq!(s.max_voq_displacement, 5);
+    }
+
+    #[test]
+    fn a_second_flow_carries_flow_zeros_mark_into_the_map() {
+        // Counts the two-map detector of `reorder_oracle.rs` gives.
+        // A late flow-0 packet behind its own flow's newest packet: late in
+        // the VOQ and in flow 0.
+        let mut d = ReorderDetector::new(4);
+        for (flow, seq) in [(0, 0), (0, 2), (5, 3), (0, 1)] {
+            d.observe(&pkt(0, 1, flow, seq));
+        }
+        let s = d.stats();
+        assert_eq!((s.voq_reorder_events, s.flow_reorder_events), (1, 1));
+        assert_eq!((s.max_voq_displacement, s.reordered_voqs), (2, 1));
+
+        // Late only behind flow 5: late in the VOQ, in order in flow 0.
+        let mut d = ReorderDetector::new(4);
+        for (flow, seq) in [(0, 0), (5, 2), (0, 1), (5, 3), (0, 4)] {
+            d.observe(&pkt(0, 1, flow, seq));
+        }
+        let s = d.stats();
+        assert_eq!((s.voq_reorder_events, s.flow_reorder_events), (1, 0));
+        assert_eq!((s.max_voq_displacement, s.reordered_voqs), (1, 1));
     }
 }

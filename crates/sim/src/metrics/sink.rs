@@ -8,9 +8,14 @@
 //! thousandth — and a steady-state simulation slot performs no heap
 //! allocation end to end.  The two exceptions are by nature unbounded and
 //! off the paper's workloads: a delay at or above the histogram cap (65 536
-//! slots) is kept in a sorted overflow list, and a VOQ that carries more than
-//! one flow id tracks its flows in a map (see
+//! slots) is kept in a sorted overflow list, and a VOQ that carries a flow id
+//! other than 0 tracks its flows in a map (see
 //! [`ReorderDetector`](crate::metrics::reorder::ReorderDetector)).
+//!
+//! The sink also numbers the packets it will check: [`MetricsSink::stamp`]
+//! gives each arrival its `voq_seq` from the same per-VOQ record its delivery
+//! reads, so a run keeps one n² table of VOQ state, not one for the
+//! numbering and one for the checking.
 
 use crate::metrics::delay::DelayStats;
 use crate::metrics::reorder::{ReorderDetector, ReorderStats};
@@ -46,12 +51,12 @@ impl MetricsSink {
         }
     }
 
-    /// Warm the per-VOQ reordering records of packets about to enter the
-    /// switch, so their deliveries read cached lines (see
-    /// [`ReorderDetector::prime`]).  Changes no metric.
+    /// Give each of a slot's arrivals its per-VOQ sequence number (`voq_seq`)
+    /// as it enters the switch, through the record its delivery will be
+    /// checked against (see [`ReorderDetector::stamp`]).
     #[inline]
-    pub fn prime(&self, packets: &[Packet]) {
-        self.reorder.prime(packets);
+    pub fn stamp(&mut self, packets: &mut [Packet]) {
+        self.reorder.stamp(packets);
     }
 
     /// Data packets delivered so far.

@@ -33,7 +33,6 @@ fn main() {
 
     let mut light = BernoulliTraffic::uniform(n, 0.2, 3);
     let mut detector = ReorderDetector::new(n);
-    let mut voq_seq = vec![0u64; n * n];
     let mut offered = 0u64;
     let mut delivered = 0u64;
     // Reused across slots: a Vec is a DeliverySink, and clearing it each slot
@@ -53,10 +52,8 @@ fn main() {
                 arrivals.retain(|p| p.input() != hot_input);
                 arrivals.push(Packet::new(hot_input, hot_output, 0, slot));
             }
+            detector.stamp(&mut arrivals);
             for mut p in arrivals {
-                let key = p.input() * n + p.output();
-                p.voq_seq = voq_seq[key];
-                voq_seq[key] += 1;
                 p.arrival_slot = slot;
                 offered += 1;
                 switch.arrive(p);

@@ -26,13 +26,12 @@ fn stripe_sizes_grow_under_load_and_shrink_when_idle() {
     let n = 16;
     let mut sw = adaptive_switch(n, 256);
     let mut gen = BernoulliTraffic::uniform(n, 0.9, 17);
-    let mut voq_seq = vec![0u64; n * n];
+    let mut detector = ReorderDetector::new(n);
     // Phase 1: heavy uniform load.  Expected stripe size F(0.9/16) = 16.
     for slot in 0..20_000u64 {
-        for mut p in gen.arrivals(slot) {
-            let key = p.input() * n + p.output();
-            p.voq_seq = voq_seq[key];
-            voq_seq[key] += 1;
+        let mut arrivals = gen.arrivals(slot);
+        detector.stamp(&mut arrivals);
+        for p in arrivals {
             sw.arrive(p);
         }
         sw.step(slot, &mut NullSink);
@@ -61,22 +60,19 @@ fn no_reordering_across_a_load_shift() {
     let mut sw = adaptive_switch(n, 512);
     let mut detector = ReorderDetector::new(n);
     let mut deliveries = Vec::new();
-    let mut voq_seq = vec![0u64; n * n];
     let mut light = BernoulliTraffic::uniform(n, 0.15, 3);
     let mut heavy = BernoulliTraffic::uniform(n, 0.85, 4);
     let mut offered = 0u64;
     let mut delivered = 0u64;
     for slot in 0..90_000u64 {
         if slot < 60_000 {
-            let arrivals = if slot < 30_000 {
+            let mut arrivals = if slot < 30_000 {
                 light.arrivals(slot)
             } else {
                 heavy.arrivals(slot)
             };
+            detector.stamp(&mut arrivals);
             for mut p in arrivals {
-                let key = p.input() * n + p.output();
-                p.voq_seq = voq_seq[key];
-                voq_seq[key] += 1;
                 p.arrival_slot = slot;
                 offered += 1;
                 sw.arrive(p);
@@ -115,17 +111,15 @@ fn explicit_reconfiguration_preserves_order_mid_traffic() {
     let mut gen = BernoulliTraffic::uniform(n, 0.7, 12);
     let mut detector = ReorderDetector::new(n);
     let mut deliveries = Vec::new();
-    let mut voq_seq = vec![0u64; n * n];
     for slot in 0..30_000u64 {
         if slot == 10_000 {
             // Operator pushes a new traffic matrix while packets are in flight.
             sw.reconfigure_from_matrix(&TrafficMatrix::uniform(n, 0.7));
         }
         if slot < 20_000 {
-            for mut p in gen.arrivals(slot) {
-                let key = p.input() * n + p.output();
-                p.voq_seq = voq_seq[key];
-                voq_seq[key] += 1;
+            let mut arrivals = gen.arrivals(slot);
+            detector.stamp(&mut arrivals);
+            for mut p in arrivals {
                 p.arrival_slot = slot;
                 sw.arrive(p);
             }
@@ -158,12 +152,11 @@ fn adaptive_and_matrix_sizing_converge_to_the_same_sizes() {
     // Adaptive sizes after enough measurement windows.
     let mut sw = adaptive_switch(n, 256);
     let mut gen = BernoulliTraffic::uniform(n, load, 77);
-    let mut voq_seq = vec![0u64; n * n];
+    let mut detector = ReorderDetector::new(n);
     for slot in 0..40_000u64 {
-        for mut p in gen.arrivals(slot) {
-            let key = p.input() * n + p.output();
-            p.voq_seq = voq_seq[key];
-            voq_seq[key] += 1;
+        let mut arrivals = gen.arrivals(slot);
+        detector.stamp(&mut arrivals);
+        for p in arrivals {
             sw.arrive(p);
         }
         sw.step(slot, &mut NullSink);

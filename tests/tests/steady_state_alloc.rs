@@ -34,6 +34,11 @@
 //! before it — allocates.  This includes the widest benchmark cell's
 //! generator (n = 1 024, load 0.01).
 //!
+//! Part 6 is about construction again, at the widest benchmark cell: a short
+//! `Engine::run` of `oq` at n = 1 024 must request memory for the run's one
+//! per-VOQ record table and its sampler, not for n² tables that only restate
+//! the traffic pattern or duplicate that record.
+//!
 //! This file deliberately contains a single `#[test]`: the allocation
 //! counter is process-global, so a second concurrently-running test would
 //! pollute the measurement.
@@ -44,12 +49,13 @@ use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::store::PAGE_SLOTS;
 use sprinklers_core::switch::{CountingSink, DeliverySink, Steppable, Switch};
-use sprinklers_sim::engine::RunConfig;
+use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::fabric::FabricWorld;
 use sprinklers_sim::metrics::sink::MetricsSink;
 use sprinklers_sim::registry;
 use sprinklers_sim::spec::{
-    FaultEventSpec, FaultKind, FaultSpec, LinkSpec, RoutingSpec, SizingSpec, TopologySpec,
+    FaultEventSpec, FaultKind, FaultSpec, LinkSpec, RoutingSpec, ScenarioSpec, SizingSpec,
+    TopologySpec, TrafficSpec,
 };
 use sprinklers_sim::traffic::bernoulli::BernoulliTraffic;
 use sprinklers_sim::traffic::bursty::BurstyTraffic;
@@ -419,6 +425,33 @@ fn generators_allocate_nothing_after_construction() {
     }
 }
 
+/// Part 6: the `wide-oq` benchmark cell (`oq`, n = 1 024, diagonal load
+/// 0.01), run briefly end to end, requests at most 28 MiB in total.  What it
+/// needs is the reorder detector's per-VOQ records (16 MiB plus 1 MiB of
+/// flags) and the generator's sampler (8.5 MiB).  The same run requested
+/// 53.1 MiB when the generator, `Engine::run`'s copy of its matrix and the
+/// engine's own sequence table each held an 8 MiB n² table, and every OQ
+/// output reserved 64 packets up front.
+fn the_widest_cell_requests_only_the_tables_it_uses() {
+    let spec = ScenarioSpec::new("oq", 1024)
+        .with_traffic(TrafficSpec::Diagonal { load: 0.01 })
+        .with_run(RunConfig {
+            slots: 2_000,
+            warmup_slots: 200,
+            drain_slots: 1_000,
+        })
+        .with_seed(2014);
+    let before = requested_bytes();
+    let report = Engine::new().run(&spec).unwrap();
+    let requested = requested_bytes() - before;
+    assert!(report.delivered_packets > 10_000);
+    assert!(
+        requested <= 28 << 20,
+        "a 3 000-slot oq run at n = 1 024 requested {:.2} MiB; the budget is 28 MiB",
+        requested as f64 / f64::from(1 << 20)
+    );
+}
+
 #[test]
 fn hot_paths_do_not_allocate_in_steady_state() {
     // Every scheme must be allocation-free on the full arrive + step cycle.
@@ -540,4 +573,5 @@ fn hot_paths_do_not_allocate_in_steady_state() {
     fabric_is_allocation_free_between_faults_and_bounded_over_a_long_run();
     baselines_request_memory_in_proportion_to_queues_and_packets();
     generators_allocate_nothing_after_construction();
+    the_widest_cell_requests_only_the_tables_it_uses();
 }

@@ -115,7 +115,6 @@ fn drive_conformance(
     // other scheme ignores the flow ids.
     let mut traffic = FlowTraffic::uniform(n, load, 10.0, seed);
     let mut sink = ConformanceSink::new(n);
-    let mut voq_seq = vec![0u64; n * n];
     let mut arrivals: Vec<Packet> = Vec::with_capacity(n);
     let mut offered = 0u64;
     let mut next_id = 0u64;
@@ -123,10 +122,8 @@ fn drive_conformance(
         if slot < slots {
             arrivals.clear();
             traffic.arrivals_into(slot, &mut arrivals);
+            sink.reorder.stamp(&mut arrivals);
             for mut p in arrivals.drain(..) {
-                let key = p.input() * n + p.output();
-                p.voq_seq = voq_seq[key];
-                voq_seq[key] += 1;
                 p.id = next_id;
                 next_id += 1;
                 offered += 1;
@@ -239,15 +236,13 @@ fn the_harness_detects_reordering_from_some_unordered_scheme() {
 /// them over: flow-rich uniform traffic at `load` for `slots` slots.
 fn stamped_arrivals(n: usize, load: f64, seed: u64, slots: u64) -> Vec<Vec<Packet>> {
     let mut traffic = FlowTraffic::uniform(n, load, 10.0, seed);
-    let mut voq_seq = vec![0u64; n * n];
+    let mut detector = ReorderDetector::new(n);
     let mut next_id = 0u64;
     (0..slots)
         .map(|slot| {
             let mut arrivals = traffic.arrivals(slot);
+            detector.stamp(&mut arrivals);
             for p in &mut arrivals {
-                let key = p.input() * n + p.output();
-                p.voq_seq = voq_seq[key];
-                voq_seq[key] += 1;
                 p.id = next_id;
                 next_id += 1;
             }
