@@ -10,9 +10,11 @@
 //! different queueing delays, so departures can be badly out of order.  The
 //! paper uses it as the delay lower bound in Figures 6 and 7.
 
-use crate::two_stage::{InputPolicy, Served, TwoStage};
+use crate::NewSwitch;
 use sprinklers_core::fifo::FifoGrid;
+use sprinklers_core::packet::Packet;
 use sprinklers_core::store::{PacketHandle, PacketStore};
+use sprinklers_core::two_stage::{InputPolicy, Served, TwoStage};
 
 /// The baseline (unordered) load-balanced switch.
 pub type BaselineLbSwitch = TwoStage<BaselineLb>;
@@ -24,9 +26,9 @@ pub struct BaselineLb {
     inputs: FifoGrid,
 }
 
-impl BaselineLbSwitch {
+impl NewSwitch for BaselineLbSwitch {
     /// Create an `n`-port baseline load-balanced switch.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         let inputs = FifoGrid::new(n);
         TwoStage::with_policy(n, BaselineLb { inputs })
     }
@@ -37,8 +39,9 @@ impl InputPolicy for BaselineLb {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, input: usize, output: usize, _flow: u64, handle: PacketHandle) -> bool {
-        self.inputs.push(input, handle, output as u32);
+    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+        self.inputs
+            .push(packet.input(), handle, packet.output() as u32);
         true
     }
 
@@ -53,7 +56,7 @@ impl InputPolicy for BaselineLb {
     ) -> Served {
         Served {
             sent: self.inputs.pop(input),
-            framed: false,
+            stripe_size: 1,
             minted: 0,
             servable: !self.inputs.is_empty(input),
         }
@@ -63,9 +66,8 @@ impl InputPolicy for BaselineLb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_stage::CheckInput;
-    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
+    use sprinklers_core::two_stage::CheckInput;
 
     impl CheckInput for BaselineLb {
         fn check_input(&self, input: usize, servable: bool) -> usize {

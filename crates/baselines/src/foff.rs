@@ -12,9 +12,11 @@
 //! delay at light load.
 
 use crate::frame::FrameInputs;
-use crate::two_stage::{InputPolicy, Served, TwoStage};
+use crate::NewSwitch;
 use sprinklers_core::occupancy::OccupancySet;
+use sprinklers_core::packet::Packet;
 use sprinklers_core::store::{PacketHandle, PacketStore};
+use sprinklers_core::two_stage::{InputPolicy, Served, TwoStage};
 
 /// The Full Ordered Frames First switch.
 pub type FoffSwitch = TwoStage<Foff>;
@@ -30,9 +32,9 @@ pub struct Foff {
     rr: Vec<usize>,
 }
 
-impl FoffSwitch {
+impl NewSwitch for FoffSwitch {
     /// Create an `n`-port FOFF switch.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         let policy = Foff {
             frames: FrameInputs::new(n),
             backlogged: vec![OccupancySet::new(n); n],
@@ -69,7 +71,8 @@ impl InputPolicy for Foff {
     /// servable exactly while it holds one.
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, input: usize, output: usize, _flow: u64, handle: PacketHandle) -> bool {
+    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+        let (input, output) = packet.voq();
         let len = self.frames.push(input, output, handle);
         if len == 1 {
             self.backlogged[input].insert(output);
@@ -95,7 +98,11 @@ impl InputPolicy for Foff {
         let sent = framed.or_else(|| self.pop_round_robin(input));
         Served {
             sent,
-            framed: framed.is_some(),
+            stripe_size: if framed.is_some() {
+                self.frames.frame_size()
+            } else {
+                1
+            },
             minted: 0,
             servable: self.frames.queued(input) > 0,
         }
@@ -105,9 +112,8 @@ impl InputPolicy for Foff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_stage::CheckInput;
-    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
+    use sprinklers_core::two_stage::CheckInput;
 
     impl CheckInput for Foff {
         fn check_input(&self, input: usize, servable: bool) -> usize {

@@ -189,6 +189,7 @@ mod tests {
     use super::*;
     use crate::padded_frames::PaddedFramesSwitch;
     use crate::ufs::UfsSwitch;
+    use crate::{NewSwitch, NewSwitchWith};
     use sprinklers_core::packet::DeliveredPacket;
     use sprinklers_core::switch::Switch;
 

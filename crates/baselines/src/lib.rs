@@ -16,16 +16,16 @@
 //!
 //! Except for OQ (which idealizes the fabric away entirely), the schemes are
 //! one machine — the generic load-balanced switch of Fig. 1 — and are built
-//! that way: a single private two-stage kernel owns the packet store (a body
-//! is written once at arrival and read once at departure; every queue holds
-//! four-byte handles), the intermediate FIFOs, both periodic fabrics, FOFF's
-//! output resequencers, the occupancy bitsets, the counters and the one
-//! `impl Switch` (`step`, batched `step_batch` with idle elision, `stats`),
-//! and each module above supplies only an *input policy*: what an input does
-//! with an arrival, and which packet it hands the first fabric when
-//! connected to an intermediate port.  UFS, FOFF and PF further share one
-//! frame-forming input stage.  The `…Switch` names are the kernel
-//! instantiated with each policy.
+//! that way: they run on the two-stage kernel of `sprinklers-core`
+//! ([`TwoStage`](sprinklers_core::two_stage::TwoStage)), the same one
+//! Sprinklers runs on, which owns the packet store, the intermediate FIFOs,
+//! both periodic fabrics, FOFF's output resequencers, the occupancy bitsets,
+//! the counters and the one `impl Switch`.  Each module above supplies only
+//! an *input policy*: what an input does with an arrival, and which packet
+//! it hands the first fabric when connected to an intermediate port.  UFS,
+//! FOFF and PF further share one frame-forming input stage (`frame.rs`).
+//! The `…Switch` names are the kernel instantiated with each policy; their
+//! constructors are the [`NewSwitch`] and [`NewSwitchWith`] trait functions.
 //!
 //! Every switch here delivers packets by pushing them into a
 //! [`sprinklers_core::switch::DeliverySink`] from its `step` method — see the
@@ -35,15 +35,27 @@
 #![warn(missing_docs)]
 
 pub mod baseline_lb;
-mod fabric;
 pub mod foff;
 mod frame;
 pub mod oq;
 pub mod padded_frames;
-mod resequencer;
 pub mod tcp_hash;
-mod two_stage;
 pub mod ufs;
+
+/// `Switch::new(n)` for the baselines configured by their port count alone.
+/// Only `sprinklers-core`, the kernel's crate, may give a `…Switch` inherent
+/// functions, so the constructors are trait functions.
+pub trait NewSwitch {
+    /// An `n`-port switch.
+    fn new(n: usize) -> Self;
+}
+
+/// `Switch::new(n, parameter)` for the baselines with one more parameter:
+/// PF's padding threshold, TCP hashing's flow-hash seed.
+pub trait NewSwitchWith<T> {
+    /// An `n`-port switch.
+    fn new(n: usize, parameter: T) -> Self;
+}
 
 pub use baseline_lb::BaselineLbSwitch;
 pub use foff::FoffSwitch;

@@ -10,8 +10,10 @@
 //! order (padding does not disturb the equal-queue-length invariant).
 
 use crate::frame::FrameInputs;
-use crate::two_stage::{InputPolicy, Served, TwoStage};
+use crate::NewSwitchWith;
+use sprinklers_core::packet::Packet;
 use sprinklers_core::store::{PacketHandle, PacketStore};
+use sprinklers_core::two_stage::{InputPolicy, Served, TwoStage};
 
 /// The Padded Frames switch.
 pub type PaddedFramesSwitch = TwoStage<PaddedFrames>;
@@ -27,11 +29,11 @@ pub struct PaddedFrames {
     padding_sent: u64,
 }
 
-impl PaddedFramesSwitch {
+impl NewSwitchWith<usize> for PaddedFramesSwitch {
     /// Create an `n`-port PF switch with the given padding threshold
     /// (a frame is padded only if the longest VOQ holds at least `threshold`
     /// packets).
-    pub fn new(n: usize, threshold: usize) -> Self {
+    fn new(n: usize, threshold: usize) -> Self {
         assert!(
             threshold >= 1 && threshold <= n,
             "threshold must be in 1..=N"
@@ -44,7 +46,9 @@ impl PaddedFramesSwitch {
         };
         TwoStage::with_policy(n, policy)
     }
+}
 
+impl PaddedFrames {
     /// The default padding threshold used by the experiments: `N/2`.
     pub fn default_threshold(n: usize) -> usize {
         (n / 2).max(1)
@@ -52,11 +56,9 @@ impl PaddedFramesSwitch {
 
     /// Number of fake packets transmitted so far.
     pub fn padding_sent(&self) -> u64 {
-        self.policy().padding_sent
+        self.padding_sent
     }
-}
 
-impl PaddedFrames {
     /// True if a step could move a packet out of this input: a frame is in
     /// flight or ready, or some VOQ has reached the padding threshold.  VOQs
     /// below the threshold strand until more arrivals push them over it.
@@ -70,8 +72,9 @@ impl InputPolicy for PaddedFrames {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, input: usize, output: usize, _flow: u64, handle: PacketHandle) -> bool {
-        let len = self.frames.push(input, output, handle);
+    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+        let input = packet.input();
+        let len = self.frames.push(input, packet.output(), handle);
         if len == self.threshold {
             self.ripe_voqs[input] += 1;
         }
@@ -104,7 +107,7 @@ impl InputPolicy for PaddedFrames {
         }
         Served {
             sent: self.frames.serve_frame(input, connected),
-            framed: true,
+            stripe_size: self.frames.frame_size(),
             minted,
             servable: self.servable(input),
         }
@@ -114,10 +117,9 @@ impl InputPolicy for PaddedFrames {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_stage::CheckInput;
     use sprinklers_core::packet::DeliveredPacket;
-    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
+    use sprinklers_core::two_stage::CheckInput;
 
     impl CheckInput for PaddedFrames {
         fn check_input(&self, input: usize, servable: bool) -> usize {
@@ -166,7 +168,7 @@ mod tests {
         let padding = delivered.len() - data.len();
         assert_eq!(data.len(), 3);
         assert_eq!(padding, n - 3);
-        assert_eq!(sw.padding_sent(), (n - 3) as u64);
+        assert_eq!(sw.policy().padding_sent(), (n - 3) as u64);
         // In order.
         let seqs: Vec<u64> = data.iter().map(|d| d.packet.voq_seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
@@ -211,7 +213,7 @@ mod tests {
     #[test]
     fn occupancy_bitsets_agree_with_brute_force_scans() {
         for n in [8usize, 70] {
-            let mut sw = PaddedFramesSwitch::new(n, PaddedFramesSwitch::default_threshold(n));
+            let mut sw = PaddedFramesSwitch::new(n, PaddedFrames::default_threshold(n));
             let mut seqs = vec![0u64; n * n];
             for slot in 0..(8 * n as u64) {
                 for i in 0..n {
@@ -227,7 +229,10 @@ mod tests {
                 sw.step(slot, &mut sprinklers_core::switch::NullSink);
                 sw.assert_consistent();
             }
-            assert!(sw.padding_sent() > 0, "padding never triggered at n={n}");
+            assert!(
+                sw.policy().padding_sent() > 0,
+                "padding never triggered at n={n}"
+            );
             for slot in (8 * n as u64)..(40 * n as u64) {
                 sw.step(slot, &mut sprinklers_core::switch::NullSink);
                 sw.assert_consistent();
@@ -237,8 +242,8 @@ mod tests {
 
     #[test]
     fn default_threshold_is_half_the_ports() {
-        assert_eq!(PaddedFramesSwitch::default_threshold(32), 16);
-        assert_eq!(PaddedFramesSwitch::default_threshold(2), 1);
+        assert_eq!(PaddedFrames::default_threshold(32), 16);
+        assert_eq!(PaddedFrames::default_threshold(2), 1);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! load-aware, variable-size striping).  Per-VOQ order is *not* preserved:
 //! different flows of the same VOQ may take different paths.
 
-use crate::two_stage::{InputPolicy, Served, TwoStage};
+use crate::NewSwitchWith;
 use sprinklers_core::fifo::FifoGrid;
+use sprinklers_core::packet::Packet;
 use sprinklers_core::store::{PacketHandle, PacketStore};
+use sprinklers_core::two_stage::{InputPolicy, Served, TwoStage};
 
 /// The TCP-hashing (AFBR) switch.
 pub type TcpHashSwitch = TwoStage<TcpHash>;
@@ -28,9 +30,9 @@ pub struct TcpHash {
     queued: Vec<usize>,
 }
 
-impl TcpHashSwitch {
+impl NewSwitchWith<u64> for TcpHashSwitch {
     /// Create an `n`-port TCP-hashing switch; `seed` perturbs the flow hash.
-    pub fn new(n: usize, seed: u64) -> Self {
+    fn new(n: usize, seed: u64) -> Self {
         let policy = TcpHash {
             n,
             seed,
@@ -39,17 +41,13 @@ impl TcpHashSwitch {
         };
         TwoStage::with_policy(n, policy)
     }
-
-    /// The intermediate port a flow is pinned to.
-    pub fn hash_flow(&self, flow: u64) -> usize {
-        self.policy().hash_flow(flow)
-    }
 }
 
 impl TcpHash {
+    /// The intermediate port a flow is pinned to.
     // lint: hot-path
     #[inline]
-    fn hash_flow(&self, flow: u64) -> usize {
+    pub fn hash_flow(&self, flow: u64) -> usize {
         // SplitMix64-style avalanche; good enough to spread flow ids evenly.
         let mut x = flow ^ self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         x ^= x >> 30;
@@ -66,11 +64,12 @@ impl InputPolicy for TcpHash {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, input: usize, output: usize, flow: u64, handle: PacketHandle) -> bool {
-        let path = self.hash_flow(flow);
+    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+        let input = packet.input();
+        let path = self.hash_flow(packet.flow);
         self.queued[input] += 1;
         self.per_path
-            .push(input * self.n + path, handle, output as u32);
+            .push(input * self.n + path, handle, packet.output() as u32);
         true
     }
 
@@ -89,7 +88,7 @@ impl InputPolicy for TcpHash {
         self.queued[input] -= usize::from(sent.is_some());
         Served {
             sent,
-            framed: false,
+            stripe_size: 1,
             minted: 0,
             servable: self.queued[input] > 0,
         }
@@ -99,9 +98,8 @@ impl InputPolicy for TcpHash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_stage::CheckInput;
-    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
+    use sprinklers_core::two_stage::CheckInput;
 
     impl CheckInput for TcpHash {
         fn check_input(&self, input: usize, servable: bool) -> usize {
@@ -126,8 +124,8 @@ mod tests {
     fn hash_is_deterministic_and_in_range() {
         let sw = TcpHashSwitch::new(16, 7);
         for flow in 0..1000u64 {
-            let a = sw.hash_flow(flow);
-            let b = sw.hash_flow(flow);
+            let a = sw.policy().hash_flow(flow);
+            let b = sw.policy().hash_flow(flow);
             assert_eq!(a, b);
             assert!(a < 16);
         }
@@ -139,7 +137,7 @@ mod tests {
         let sw = TcpHashSwitch::new(n, 3);
         let mut counts = vec![0usize; n];
         for flow in 0..8000u64 {
-            counts[sw.hash_flow(flow)] += 1;
+            counts[sw.policy().hash_flow(flow)] += 1;
         }
         for (port, &c) in counts.iter().enumerate() {
             assert!(
@@ -180,7 +178,7 @@ mod tests {
         let n = 16;
         let sw = TcpHashSwitch::new(n, 9);
         let ports: std::collections::HashSet<usize> =
-            (0..64u64).map(|flow| sw.hash_flow(flow)).collect();
+            (0..64u64).map(|flow| sw.policy().hash_flow(flow)).collect();
         assert!(ports.len() > 1);
     }
 

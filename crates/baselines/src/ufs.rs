@@ -15,8 +15,10 @@
 //! behaviour Figures 6 and 7 show and Sprinklers is designed to avoid.
 
 use crate::frame::FrameInputs;
-use crate::two_stage::{InputPolicy, Served, TwoStage};
+use crate::NewSwitch;
+use sprinklers_core::packet::Packet;
 use sprinklers_core::store::{PacketHandle, PacketStore};
+use sprinklers_core::two_stage::{InputPolicy, Served, TwoStage};
 
 /// The Uniform Frame Spreading switch.
 pub type UfsSwitch = TwoStage<Ufs>;
@@ -26,9 +28,9 @@ pub struct Ufs {
     frames: FrameInputs,
 }
 
-impl UfsSwitch {
+impl NewSwitch for UfsSwitch {
     /// Create an `n`-port UFS switch.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         let frames = FrameInputs::new(n);
         TwoStage::with_policy(n, Ufs { frames })
     }
@@ -43,9 +45,9 @@ impl InputPolicy for Ufs {
     /// light load frames are rare, so whole slots cost O(1).
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, input: usize, output: usize, _flow: u64, handle: PacketHandle) -> bool {
-        self.frames.push(input, output, handle);
-        self.frames.has_frame(input)
+    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+        self.frames.push(packet.input(), packet.output(), handle);
+        self.frames.has_frame(packet.input())
     }
 
     // lint: hot-path
@@ -59,7 +61,7 @@ impl InputPolicy for Ufs {
     ) -> Served {
         Served {
             sent: self.frames.serve_frame(input, connected),
-            framed: true,
+            stripe_size: self.frames.frame_size(),
             minted: 0,
             servable: self.frames.has_frame(input),
         }
@@ -69,9 +71,8 @@ impl InputPolicy for Ufs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_stage::CheckInput;
-    use sprinklers_core::packet::Packet;
     use sprinklers_core::switch::Switch;
+    use sprinklers_core::two_stage::CheckInput;
 
     impl CheckInput for Ufs {
         fn check_input(&self, input: usize, servable: bool) -> usize {

@@ -2,7 +2,8 @@
 //! `--load` flag, a spec file, a suite's `--loads` override — it is a usage
 //! error (exit 2, `error: …` on stderr), never a panic and never a result row.
 //! The same holds for the other numbers of a traffic pattern: a bursty
-//! source's peak rate and mean burst, a flow source's mean flow length.
+//! source's peak rate and mean burst, a flow source's mean flow length — and
+//! for a fixed stripe size the switch cannot hold.
 
 use std::process::{Command, Output};
 
@@ -90,6 +91,29 @@ fn spec_files_and_suite_overrides_are_rejected_the_same_way() {
     assert!(
         stderr.contains("good@1.5"),
         "the error names the case: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+/// A fixed stripe wider than the switch is a usage error that names the
+/// stripe size, not the (valid) port count.
+#[test]
+fn an_oversized_fixed_stripe_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("sprinklers-sizing-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("wide-stripe.json");
+    std::fs::write(
+        &path,
+        r#"{"scheme":"sprinklers","n":32,"sizing":{"mode":"fixed","size":64},
+           "traffic":{"pattern":"uniform","load":0.5},
+           "run":{"slots":2000,"warmup_slots":200,"drain_slots":2000},"seed":3}"#,
+    )
+    .expect("write spec");
+    let out = scenario(&["--spec", path.to_str().expect("utf-8 path")]);
+    assert_usage_error(
+        &out,
+        "fixed stripe size 64 at n = 32",
+        "stripe size 64 is not a power of two in 1..=32",
     );
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

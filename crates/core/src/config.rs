@@ -156,18 +156,27 @@ impl SprinklersConfig {
                     }
                 }
             }
-            SizingMode::FixedSize(s) => {
-                if !s.is_power_of_two() || *s > self.n {
-                    return Err(SwitchError::PortCountNotPowerOfTwo { n: *s });
-                }
-            }
+            SizingMode::FixedSize(size) => self.check_stripe_size(*size)?,
             SizingMode::Adaptive(a) => {
-                if a.window == 0 || !(a.gamma > 0.0 && a.gamma <= 1.0) {
+                if a.window == 0 {
+                    return Err(SwitchError::ZeroWindow);
+                }
+                if !(a.gamma > 0.0 && a.gamma <= 1.0) {
                     return Err(SwitchError::InvalidRate { rate: a.gamma });
                 }
+                self.check_stripe_size(a.initial_size)?;
             }
         }
         Ok(())
+    }
+
+    /// A stripe size must be a power of two no larger than the switch.
+    fn check_stripe_size(&self, size: usize) -> Result<(), SwitchError> {
+        if size.is_power_of_two() && size <= self.n {
+            Ok(())
+        } else {
+            Err(SwitchError::StripeSizeOutOfRange { size, n: self.n })
+        }
     }
 }
 
@@ -217,6 +226,59 @@ mod tests {
         assert!(cfg.validate().is_err());
         let cfg = SprinklersConfig::new(8).with_sizing(SizingMode::FixedSize(4));
         assert!(cfg.validate().is_ok());
+    }
+
+    /// A stripe wider than the switch is named as such, not as a bad port
+    /// count (the switch size is fine).
+    #[test]
+    fn oversized_fixed_stripe_names_the_stripe_and_the_switch() {
+        for size in [0, 3, 64] {
+            let cfg = SprinklersConfig::new(32).with_sizing(SizingMode::FixedSize(size));
+            assert_eq!(
+                cfg.validate(),
+                Err(SwitchError::StripeSizeOutOfRange { size, n: 32 })
+            );
+        }
+        let message = SprinklersConfig::new(32)
+            .with_sizing(SizingMode::FixedSize(64))
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(message.contains("stripe size 64"), "{message}");
+    }
+
+    #[test]
+    fn zero_adaptive_window_is_its_own_error() {
+        let cfg = SprinklersConfig::new(8).with_sizing(SizingMode::Adaptive(AdaptiveSizing {
+            window: 0,
+            ..Default::default()
+        }));
+        assert_eq!(cfg.validate(), Err(SwitchError::ZeroWindow));
+        assert!(!cfg.validate().unwrap_err().to_string().contains("rate"));
+    }
+
+    /// An initial size the VOQs cannot take is a configuration error, not a
+    /// panic in the constructor.
+    #[test]
+    fn adaptive_initial_size_must_be_a_power_of_two_within_n() {
+        for size in [0, 3, 16] {
+            let cfg = SprinklersConfig::new(8).with_sizing(SizingMode::Adaptive(AdaptiveSizing {
+                initial_size: size,
+                ..Default::default()
+            }));
+            assert_eq!(
+                cfg.validate(),
+                Err(SwitchError::StripeSizeOutOfRange { size, n: 8 })
+            );
+            assert!(crate::SprinklersSwitch::try_new(cfg, 1).is_err());
+        }
+        for size in [1, 2, 8] {
+            let cfg = SprinklersConfig::new(8).with_sizing(SizingMode::Adaptive(AdaptiveSizing {
+                initial_size: size,
+                ..Default::default()
+            }));
+            assert!(cfg.validate().is_ok());
+        }
     }
 
     #[test]

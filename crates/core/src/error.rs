@@ -47,6 +47,15 @@ pub enum SwitchError {
         /// The offending rate.
         rate: f64,
     },
+    /// A stripe size was not a power of two in `1..=n`.
+    StripeSizeOutOfRange {
+        /// The offending stripe size.
+        size: usize,
+        /// The switch size, the largest stripe there is.
+        n: usize,
+    },
+    /// An adaptive measurement window of zero slots.
+    ZeroWindow,
 }
 
 impl fmt::Display for SwitchError {
@@ -79,6 +88,15 @@ impl fmt::Display for SwitchError {
             SwitchError::InvalidRate { rate } => {
                 write!(f, "rate {rate} is not a valid non-negative finite rate")
             }
+            SwitchError::StripeSizeOutOfRange { size, n } => {
+                write!(f, "stripe size {size} is not a power of two in 1..={n}")
+            }
+            SwitchError::ZeroWindow => {
+                write!(
+                    f,
+                    "the adaptive measurement window must be at least one slot"
+                )
+            }
         }
     }
 }
@@ -103,6 +121,9 @@ mod tests {
         assert!(e.to_string().contains('4'));
         let e = SwitchError::InvalidRate { rate: -1.0 };
         assert!(e.to_string().contains("-1"));
+        let e = SwitchError::StripeSizeOutOfRange { size: 64, n: 32 };
+        assert!(e.to_string().contains("stripe size 64"));
+        assert!(e.to_string().contains("32"));
         let e = SwitchError::PortCountTooSmall { n: 0 };
         assert!(e.to_string().contains('0'));
         let e = SwitchError::PortCountTooLarge {

@@ -26,9 +26,12 @@
 //!   fabric loops visit only occupied ports, making a step O(occupied) instead
 //!   of O(N) in the sparse regimes (low load, drain tails) that dominate
 //!   simulated time.
-//! * [`input_port`] / [`intermediate_port`] — the two scheduling stages.
-//! * [`sprinklers`] — the full two-stage switch, wiring the periodic connection
-//!   patterns of both fabrics to the per-port schedulers.
+//! * [`two_stage`] / [`intermediate_port`] — the two-stage switch of Fig. 1,
+//!   written once for every load-balanced scheme, and its intermediate stage.
+//!   A scheme is a [`two_stage::InputPolicy`] on it: Sprinklers here, the
+//!   five load-balanced baselines in `sprinklers-baselines`.
+//! * [`input_port`] / [`sprinklers`] — Sprinklers' input ports and policy;
+//!   `SprinklersSwitch` is the kernel run by that policy.
 //! * [`switch`] — the [`switch::Switch`] trait shared by Sprinklers and all the
 //!   baseline switches in `sprinklers-baselines`, plus the push-based
 //!   [`switch::DeliverySink`] that receives delivered packets.  The engine in
@@ -81,6 +84,7 @@
 pub mod config;
 pub mod dyadic;
 pub mod error;
+mod fabric;
 pub mod fifo;
 pub mod input_port;
 pub mod intermediate_port;
@@ -91,12 +95,13 @@ pub mod ols;
 pub mod packet;
 pub mod perm;
 pub mod rate_estimator;
-pub mod schedule_view;
+mod resequencer;
 pub mod sizing;
 pub mod sprinklers;
 pub mod store;
 pub mod stripe;
 pub mod switch;
+pub mod two_stage;
 pub mod voq;
 
 /// Convenient re-exports of the most commonly used types.

@@ -85,20 +85,9 @@ impl RowScanLsf {
         }
     }
 
-    /// Switch size N.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     #[inline]
     fn queue(&self, row: usize, level: usize) -> usize {
         self.base + row * self.levels + level
-    }
-
-    /// Occupancy of a single `(row, level)` FIFO, by walking it (exposed for
-    /// tests and the schedule view).
-    pub fn queue_len(&self, grid: &FifoGrid, row: usize, level: usize) -> usize {
-        grid.len(self.queue(row, level))
     }
 
     /// Insert a freshly released stripe ("plaster" it into the schedule): the
@@ -142,13 +131,6 @@ impl RowScanLsf {
     /// Total number of packets currently queued.
     pub fn queued_packets(&self) -> usize {
         self.queued
-    }
-
-    /// Number of queued packets destined to `row` (walks the row's FIFOs).
-    pub fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
-        (0..self.levels)
-            .map(|level| self.queue_len(grid, row, level))
-            .sum()
     }
 
     /// True if no packets are queued.
@@ -215,44 +197,11 @@ impl AtomicLsf {
         }
     }
 
-    /// Switch size N.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The grid queue of the level-`level` interval containing `row`.  Levels
     /// `0..level` hold `N + N/2 + … = 2N − (2N >> level)` queues.
     #[inline]
     fn queue(&self, row: usize, level: usize) -> usize {
         self.base + 2 * self.n - ((2 * self.n) >> level) + (row >> level)
-    }
-
-    /// Is a stripe currently mid-service?
-    pub fn stripe_in_service(&self) -> bool {
-        self.in_service.is_some()
-    }
-
-    /// Packets of interval queue `q` that the stripe in service has already
-    /// sent (0 unless `q` is the queue it heads).
-    fn sent_from(&self, q: usize) -> usize {
-        match self.in_service {
-            Some(svc) if svc.queue == q => (1 << svc.level) - svc.remaining,
-            _ => 0,
-        }
-    }
-
-    /// Number of queued stripes (not counting the one in service), by walking
-    /// every interval queue.
-    pub fn queued_stripes(&self, grid: &FifoGrid) -> usize {
-        let mut stripes = 0;
-        for level in 0..levels(self.n) {
-            for row in (0..self.n).step_by(1 << level) {
-                let q = self.queue(row, level);
-                // Round the in-service stripe's remainder away.
-                stripes += grid.len(q) >> level;
-            }
-        }
-        stripes
     }
 
     /// Insert a freshly released stripe behind the others of its interval.
@@ -327,23 +276,6 @@ impl AtomicLsf {
         self.queued
     }
 
-    /// Number of queued packets destined to `row` (walks the queues of the
-    /// intervals containing it).
-    pub fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
-        let mut count = 0;
-        for level in 0..levels(self.n) {
-            let q = self.queue(row, level);
-            // The queue holds whole stripes, except that the one in service
-            // has already sent its first `sent` offsets.
-            let sent = self.sent_from(q);
-            count += (grid.len(q) + sent) >> level;
-            if row & ((1 << level) - 1) < sent {
-                count -= 1;
-            }
-        }
-        count
-    }
-
     /// True if no packets are queued.
     pub fn is_empty(&self) -> bool {
         self.queued == 0
@@ -410,14 +342,6 @@ impl Lsf {
         }
     }
 
-    /// Number of queued packets destined to `row` (walks queues).
-    pub fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
-        match self {
-            Lsf::Atomic(s) => s.queued_in_row(grid, row),
-            Lsf::RowScan(s) => s.queued_in_row(grid, row),
-        }
-    }
-
     /// True if no packets are queued.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -430,6 +354,72 @@ mod tests {
     use super::*;
     use crate::voq::Voq;
     use proptest::prelude::*;
+
+    impl RowScanLsf {
+        /// Number of queued packets destined to `row` (walks the row's FIFOs).
+        fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
+            (0..self.levels)
+                .map(|level| grid.len(self.queue(row, level)))
+                .sum()
+        }
+    }
+
+    impl AtomicLsf {
+        /// Is a stripe currently mid-service?
+        fn stripe_in_service(&self) -> bool {
+            self.in_service.is_some()
+        }
+
+        /// Packets of interval queue `q` that the stripe in service has
+        /// already sent (0 unless `q` is the queue it heads).
+        fn sent_from(&self, q: usize) -> usize {
+            match self.in_service {
+                Some(svc) if svc.queue == q => (1 << svc.level) - svc.remaining,
+                _ => 0,
+            }
+        }
+
+        /// Number of queued stripes (not counting the one in service), by
+        /// walking every interval queue.
+        fn queued_stripes(&self, grid: &FifoGrid) -> usize {
+            let mut stripes = 0;
+            for level in 0..levels(self.n) {
+                for row in (0..self.n).step_by(1 << level) {
+                    let q = self.queue(row, level);
+                    // Round the in-service stripe's remainder away.
+                    stripes += grid.len(q) >> level;
+                }
+            }
+            stripes
+        }
+
+        /// Number of queued packets destined to `row` (walks the queues of
+        /// the intervals containing it).
+        fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
+            let mut count = 0;
+            for level in 0..levels(self.n) {
+                let q = self.queue(row, level);
+                // The queue holds whole stripes, except that the one in
+                // service has already sent its first `sent` offsets.
+                let sent = self.sent_from(q);
+                count += (grid.len(q) + sent) >> level;
+                if row & ((1 << level) - 1) < sent {
+                    count -= 1;
+                }
+            }
+            count
+        }
+    }
+
+    impl Lsf {
+        /// Number of queued packets destined to `row` (walks queues).
+        pub(crate) fn queued_in_row(&self, grid: &FifoGrid, row: usize) -> usize {
+            match self {
+                Lsf::Atomic(s) => s.queued_in_row(grid, row),
+                Lsf::RowScan(s) => s.queued_in_row(grid, row),
+            }
+        }
+    }
 
     /// A grid for an `n`-port scheduler at base 1, with queue 0 as the
     /// scratch VOQ queue the test stripes are released from.

@@ -203,7 +203,8 @@ impl OccupancySet {
     }
 }
 
-/// Where one ascending [`OccupancySet::next_port`] walk stands.
+/// Where one ascending [`OccupancySet::next_port`] or
+/// [`PhaseRows::next_port`] walk stands.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortCursor {
     /// Unvisited bits of the word being walked, as copied when it was entered.
@@ -275,42 +276,20 @@ impl PhaseRows {
         self.row(phase)[port >> 6] & (1u64 << (port & 63)) != 0
     }
 
-    /// The ports ready at `phase`, ascending.  The walk reads the row as it
-    /// goes, so the caller applies its clears after the walk (or to ports the
-    /// walk has already passed).
+    /// The next port ready at `phase` in the ascending walk `cursor` tracks
+    /// (start from `PortCursor::default()`), or `None` past the last one.
+    /// Like [`OccupancySet::next_port`] the cursor walks a copy of each
+    /// word, so the loop body may clear the bit of the port it was handed.
     // lint: hot-path
     #[inline]
-    pub fn ports(&self, phase: usize) -> RowPorts<'_> {
-        let row = self.row(phase);
-        RowPorts {
-            bits: row[0],
-            row,
-            w: 0,
+    pub fn next_port(&self, phase: usize, cursor: &mut PortCursor) -> Option<usize> {
+        while cursor.bits == 0 {
+            let w = cursor.end >> 6;
+            cursor.bits = *self.row(phase).get(w)?;
+            cursor.end += 64;
         }
-    }
-}
-
-/// Ascending walk over the set bits of one [`PhaseRows`] row.
-#[derive(Debug, Clone)]
-pub struct RowPorts<'a> {
-    row: &'a [u64],
-    /// Unvisited bits of word `w`.
-    bits: u64,
-    w: usize,
-}
-
-impl Iterator for RowPorts<'_> {
-    type Item = usize;
-
-    // lint: hot-path
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.bits == 0 {
-            self.w += 1;
-            self.bits = *self.row.get(self.w)?;
-        }
-        let port = (self.w << 6) + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
+        let port = cursor.end - 64 + cursor.bits.trailing_zeros() as usize;
+        cursor.bits &= cursor.bits - 1;
         Some(port)
     }
 }
@@ -336,6 +315,14 @@ impl Iterator for Iter<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl PhaseRows {
+        /// The ports ready at `phase`, ascending.
+        pub(crate) fn ports(&self, phase: usize) -> impl Iterator<Item = usize> + '_ {
+            let mut cursor = PortCursor::default();
+            std::iter::from_fn(move || self.next_port(phase, &mut cursor))
+        }
+    }
 
     #[test]
     fn insert_remove_contains_round_trip() {

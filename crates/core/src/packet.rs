@@ -7,20 +7,19 @@
 //!
 //! # Memory layout
 //!
-//! The Sprinklers core writes a packet once and reads it once: `arrive`
+//! The two-stage kernel writes a packet once and reads it once: `arrive`
 //! stores the body in the switch's [`PacketStore`](crate::store::PacketStore),
 //! delivery takes it out again, and every queue in between — VOQ ready
 //! queues, the LSF schedule, the intermediate FIFOs — holds a four-byte
 //! handle (see [`crate::fifo`]).  The three routing fields below are not
 //! even written while the packet is inside the switch; they are derived from
-//! the intermediate port and stripe level at delivery
+//! the intermediate port and stripe size at delivery
 //! ([`stamp_routing`](crate::stripe::stamp_routing)).
 //!
 //! The size of the body still matters: the store's resident set is
 //! `48 B × packets in the switch` (about 10 MB on a dense n = 64 run), each
 //! delivery pulls one body through the cache, and the output-queued
-//! reference still queues packets by value (the load-balanced baselines keep
-//! a store of their own and move handles).  The struct is therefore packed
+//! reference still queues packets by value.  The struct is therefore packed
 //! to fit **48 bytes** (three packets per two cache lines) instead of the 80
 //! bytes a naive all-`usize` layout costs:
 //!

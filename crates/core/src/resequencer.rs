@@ -13,15 +13,13 @@
 //! The head of a chain is the one packet of that VOQ its output may release.
 //! A packet that reaches its output while it is the head — in order — goes
 //! straight onto the output's ready queue and takes with it every successor
-//! already waiting; one that overtook the head is only marked as waiting.
+//! already waiting; one that overtook the head is only marked as waiting,
+//! by keeping its tag in its link entry.
 //! Nothing is sorted, searched or logged: every step is O(1) per packet,
 //! and memory is two words per VOQ plus two per packet slot of the store.
 
-use sprinklers_core::fifo::FifoGrid;
-use sprinklers_core::store::{PacketHandle, PAGE_SLOTS};
-
-/// Set in a waiting packet's link entry, above the bits of its tag.
-const WAITING: u32 = 1 << 31;
+use crate::fifo::FifoGrid;
+use crate::store::{PacketHandle, PAGE_SLOTS};
 
 /// The resequencing buffers of an `n`-port switch's outputs.
 ///
@@ -31,8 +29,8 @@ pub(crate) struct Resequencer {
     /// Per VOQ, at `output·n + input`: `[head, tail]` of its chain.  The
     /// tail — the latest arrival — is meaningful while there is a head.
     chains: Vec<[u32; 2]>,
-    /// Per handle slot: the next arrival of the same VOQ, and
-    /// `WAITING | tag` once the packet waits at its output out of order.
+    /// Per handle slot: the next arrival of the same VOQ, and `tag + 1` once
+    /// the packet waits at its output out of order (0 while it does not).
     links: Vec<[u32; 2]>,
     /// Per output: packets free to depart, in the order they became so.
     ready: FifoGrid,
@@ -72,7 +70,8 @@ impl Resequencer {
     }
 
     /// Accept a (possibly out-of-order) packet of VOQ `(input, output)` from
-    /// the second fabric; `tag` (31 bits) is handed back with it on release.
+    /// the second fabric; `tag` (any value but `u32::MAX`) is handed back
+    /// with it on release.
     /// Returns whether that made a packet of `output` ready to depart.
     // lint: hot-path
     #[inline]
@@ -83,11 +82,11 @@ impl Resequencer {
         handle: PacketHandle,
         tag: u32,
     ) -> bool {
-        debug_assert_eq!(tag & WAITING, 0);
+        debug_assert_ne!(tag, u32::MAX);
         let head = &mut self.chains[output * self.n + input][0];
         let link = &mut self.links[handle.raw() as usize];
         if *head != handle.raw() + 1 {
-            link[1] = WAITING | tag;
+            link[1] = tag + 1;
             return false;
         }
         self.ready.push(output, handle, tag);
@@ -95,11 +94,11 @@ impl Resequencer {
         let mut next = link[0];
         while next != 0 {
             let [after, state] = self.links[next as usize - 1];
-            if state & WAITING == 0 {
+            if state == 0 {
                 break;
             }
             let follower = PacketHandle::from_raw(next - 1);
-            self.ready.push(output, follower, state & !WAITING);
+            self.ready.push(output, follower, state - 1);
             next = after;
         }
         *head = next;
@@ -119,28 +118,27 @@ impl Resequencer {
     pub(crate) fn has_ready(&self, output: usize) -> bool {
         !self.ready.is_empty(output)
     }
+
+    /// Packets `output` holds, waiting or ready, by walking its chains (the
+    /// kernel's consistency check).
+    pub(crate) fn buffered_packets(&self, output: usize) -> usize {
+        let mut held = self.ready.len(output);
+        for chain in &self.chains[output * self.n..][..self.n] {
+            let mut next = chain[0];
+            while next != 0 {
+                let [after, state] = self.links[next as usize - 1];
+                held += usize::from(state != 0);
+                next = after;
+            }
+        }
+        held
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    impl Resequencer {
-        /// Packets `output` holds, waiting or ready, by walking its chains.
-        pub(crate) fn buffered_packets(&self, output: usize) -> usize {
-            let mut held = self.ready.len(output);
-            for chain in &self.chains[output * self.n..][..self.n] {
-                let mut next = chain[0];
-                while next != 0 {
-                    let [after, state] = self.links[next as usize - 1];
-                    held += usize::from(state & WAITING != 0);
-                    next = after;
-                }
-            }
-            held
-        }
-    }
 
     /// A resequencer for one output whose packets are identified by their
     /// `voq_seq`: the handle *is* the sequence number.
@@ -265,7 +263,7 @@ mod tests {
     /// bodies, logs every accepted `voq_seq` per input and releases a packet
     /// when its sequence number is at the front of that log.
     mod oracle {
-        use sprinklers_core::packet::Packet;
+        use crate::packet::Packet;
         use std::collections::VecDeque;
 
         pub(super) struct Resequencer {
@@ -357,7 +355,7 @@ mod tests {
                     let handle = PacketHandle::from_raw(slot as u32);
                     new.note_arrival(input, output, handle);
                     old[output].note_arrival(input, *seq);
-                    let body = sprinklers_core::packet::Packet::new(input, output, slot as u64, 0);
+                    let body = crate::packet::Packet::new(input, output, slot as u64, 0);
                     bodies.push(body.with_voq_seq(*seq));
                 }
                 for (k, &(input, output, _, late)) in packets.iter().enumerate() {

@@ -13,9 +13,9 @@
 //! is the run of `size` consecutive handles at the head of its VOQ's ready
 //! queue, described by a [`Stripe`] for the moment it takes to hand the run
 //! to the LSF scheduler.  Nor are the routing fields written at assembly: the
-//! intermediate port a packet crossed and the level of the FIFO it waited in
-//! determine all three, so [`stamp_routing`] fills them in once, on the copy
-//! that leaves the switch.
+//! intermediate port a packet crossed and the size of the stripe it travelled
+//! in determine all three, so [`stamp_routing`] fills them in once, on the
+//! copy that leaves the switch — for every scheme of the two-stage kernel.
 
 use crate::dyadic::DyadicInterval;
 use crate::packet::Packet;
@@ -52,14 +52,19 @@ impl Stripe {
 }
 
 /// Fill in a delivered packet's routing header from where it travelled: it
-/// crossed intermediate port `intermediate` in a stripe of size `2^level`,
-/// and since that stripe's interval is dyadic the packet's offset within it
-/// is `intermediate mod 2^level`.
+/// crossed intermediate port `intermediate` in a stripe of `size` packets.
+/// Packet `k` of a stripe crosses port `start + k` and every stripe starts
+/// at a multiple of its size — a dyadic interval, a frame from port 0, a
+/// lone packet anywhere — so the packet's offset is `intermediate mod size`.
+// lint: hot-path
 #[inline]
-pub fn stamp_routing(packet: &mut Packet, intermediate: usize, level: usize) {
-    let size = 1usize << level;
+pub fn stamp_routing(packet: &mut Packet, intermediate: usize, size: usize) {
     packet.set_stripe_size(size);
-    packet.set_stripe_index(intermediate & (size - 1));
+    packet.set_stripe_index(if size.is_power_of_two() {
+        intermediate & (size - 1)
+    } else {
+        intermediate % size
+    });
     packet.set_intermediate(intermediate);
 }
 
@@ -80,7 +85,7 @@ mod tests {
         assert_eq!(stripe.level(), 2);
         for offset in 0..4 {
             let mut p = Packet::new(2, 5, offset as u64, 10);
-            stamp_routing(&mut p, stripe.port_of_offset(offset), stripe.level());
+            stamp_routing(&mut p, stripe.port_of_offset(offset), stripe.size());
             assert_eq!(p.stripe_size(), 4);
             assert_eq!(p.stripe_index(), offset);
             assert_eq!(p.intermediate(), 8 + offset);
@@ -98,7 +103,7 @@ mod tests {
         assert_eq!(s.level(), 0);
         assert_eq!(s.port_of_offset(0), 5);
         let mut p = Packet::new(0, 0, 0, 0);
-        stamp_routing(&mut p, 5, 0);
+        stamp_routing(&mut p, 5, 1);
         assert_eq!(
             (p.stripe_size(), p.stripe_index(), p.intermediate()),
             (1, 0, 5)

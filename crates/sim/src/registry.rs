@@ -8,8 +8,10 @@
 //! the sink-based `step` path with no special cases.
 
 use crate::spec::{ScenarioSpec, SizingSpec, SpecError};
+use sprinklers_baselines::padded_frames::PaddedFrames;
 use sprinklers_baselines::{
-    BaselineLbSwitch, FoffSwitch, OutputQueuedSwitch, PaddedFramesSwitch, TcpHashSwitch, UfsSwitch,
+    BaselineLbSwitch, FoffSwitch, NewSwitch, NewSwitchWith, OutputQueuedSwitch, PaddedFramesSwitch,
+    TcpHashSwitch, UfsSwitch,
 };
 use sprinklers_core::config::{AlignmentMode, InputDiscipline, SizingMode, SprinklersConfig};
 use sprinklers_core::matrix::TrafficMatrix;
@@ -122,7 +124,7 @@ pub fn build_named(
         "foff" => Box::new(FoffSwitch::new(n)),
         "padded-frames" => Box::new(PaddedFramesSwitch::new(
             n,
-            PaddedFramesSwitch::default_threshold(n),
+            PaddedFrames::default_threshold(n),
         )),
         "tcp-hash" => Box::new(TcpHashSwitch::new(n, seed)),
         other => {

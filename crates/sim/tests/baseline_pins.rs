@@ -1,4 +1,5 @@
-//! Baseline delivery-stream pins: a fast failure ahead of the golden CSVs.
+//! Delivery-stream pins for every two-stage scheme: a fast failure ahead of
+//! the golden CSVs.
 //!
 //! The five load-balanced baselines (baseline LB, UFS, FOFF, Padded Frames,
 //! TCP hashing) are pure functions of their arrivals: the same packets in
@@ -21,6 +22,20 @@
 //! across one and two word boundaries, and `n = 32` at uniform load 0.9 over
 //! 20 000 + 12 000 slots holds full frames, PF padding and deep FOFF
 //! out-of-order buffering in one long stream.
+//!
+//! A third set — [`SPRINKLERS_PINS`] and [`WIDE_SPRINKLERS_PINS`] — pins
+//! Sprinklers and its three variants the same way.  They were captured on
+//! the commit before Sprinklers became an input policy on the two-stage
+//! kernel, before any source edit.  The matrix-sized variants take their
+//! stripes from the uniform 0.5 matrix `run_hash` builds with (8 at n = 16,
+//! 16 at n = 32, 128 at n = 256).  `sprinklers-adaptive` runs 8 192 + 4 096
+//! slots from unit stripes.  Under the default window (2 048 slots,
+//! patience 2) its VOQs commit their first resizes at slot 6 144, so the pin
+//! covers adaptive sizing and the clearance phase, which the reference model
+//! does not.  At n = 256, diagonal 0.05, the matrix-sized `sprinklers`
+//! stripes cannot fill within 2 600 slots, so that row pins only the
+//! counters.  The `sprinklers-adaptive` row beside it starts with unit
+//! stripes and delivers over every bitset word.
 //!
 //! Every case is driven twice — one `step` per slot, and arrival-free runs
 //! of up to 64 slots per `step_batch` as the engine batches them — and both
@@ -56,6 +71,10 @@ const WIDE: Length = Length {
 const DEEP: Length = Length {
     slots: 20_000,
     drain: 12_000,
+};
+const ADAPTIVE: Length = Length {
+    slots: 8_192,
+    drain: 4_096,
 };
 
 /// Appends every field of every delivery, little-endian.
@@ -404,6 +423,108 @@ fn deep_delivery_streams_are_pinned() {
             32,
             DEEP,
             &|| Box::new(BernoulliTraffic::uniform(32, 0.9, SEED)),
+            pinned,
+        );
+    }
+}
+
+/// `(scheme, n, length, uniform 0.9, diagonal 0.6)`.
+const SPRINKLERS_PINS: [(&str, usize, Length, u128, u128); 8] = [
+    (
+        "sprinklers",
+        16,
+        SHORT,
+        0x023912aa_971ffa2f_23c542f5_8edd7e96,
+        0x7aaaae1a_fa5a6f59_cd083705_a5ef7966,
+    ),
+    (
+        "sprinklers",
+        32,
+        SHORT,
+        0x12ac325f_0302a136_ba5d63a2_96e795ec,
+        0xc1f8cf1e_85d253ca_e9b678a4_d1446dbe,
+    ),
+    (
+        "sprinklers-adaptive",
+        16,
+        ADAPTIVE,
+        0x653a0625_d1bd9fa5_39d846ef_1639010a,
+        0x36840eaf_ca130d92_bffcfe96_e70d4040,
+    ),
+    (
+        "sprinklers-adaptive",
+        32,
+        ADAPTIVE,
+        0xf4bb0031_7f345db0_ea1190b7_fce41f92,
+        0x46c8cc08_f32b9f22_59a60f21_14791bfb,
+    ),
+    (
+        "sprinklers-rowscan",
+        16,
+        SHORT,
+        0xe1fbf228_0bbddaff_a411a542_93ffba09,
+        0x058aef51_bad19978_38229f88_d279d04d,
+    ),
+    (
+        "sprinklers-rowscan",
+        32,
+        SHORT,
+        0xe8434a82_87777c19_dc24566e_52fd271e,
+        0x635e6b84_16b82c0e_fc808ac3_b097865b,
+    ),
+    (
+        "sprinklers-aligned",
+        16,
+        SHORT,
+        0xf9aab43c_45f7bf15_a3e7f84d_f1ab4a9d,
+        0xb9598eef_ea1a6765_8380bb77_972ef7d3,
+    ),
+    (
+        "sprinklers-aligned",
+        32,
+        SHORT,
+        0x72915689_9edd4e82_ba966de3_f332b9dd,
+        0x1f3bd04e_3487bb58_5db468b6_95420266,
+    ),
+];
+
+#[test]
+fn sprinklers_delivery_streams_are_pinned() {
+    for (scheme, n, length, uniform, diagonal) in SPRINKLERS_PINS {
+        check(
+            &format!("{scheme} n={n} uniform 0.9"),
+            scheme,
+            n,
+            length,
+            &|| Box::new(BernoulliTraffic::uniform(n, 0.9, SEED)),
+            uniform,
+        );
+        check(
+            &format!("{scheme} n={n} diagonal 0.6"),
+            scheme,
+            n,
+            length,
+            &|| Box::new(BernoulliTraffic::diagonal(n, 0.6, SEED)),
+            diagonal,
+        );
+    }
+}
+
+/// `(scheme, diagonal 0.05)` at n = 256, 2 600 + 2 600 slots.
+const WIDE_SPRINKLERS_PINS: [(&str, u128); 2] = [
+    ("sprinklers", 0xcea48b82_bd29263f_f7355b40_ae1f55f1),
+    ("sprinklers-adaptive", 0x14921cbb_48fe2b9a_9071363b_5b98e7b8),
+];
+
+#[test]
+fn wide_sprinklers_delivery_streams_are_pinned() {
+    for (scheme, pinned) in WIDE_SPRINKLERS_PINS {
+        check(
+            &format!("{scheme} n=256 diagonal 0.05"),
+            scheme,
+            256,
+            WIDE,
+            &|| Box::new(BernoulliTraffic::diagonal(256, 0.05, SEED)),
             pinned,
         );
     }

@@ -19,6 +19,7 @@
 //! The checks observe the switch exclusively through a custom
 //! [`DeliverySink`], so they exercise exactly the interface the engine uses.
 
+use sprinklers_baselines::NewSwitch;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::switch::{DeliverySink, Steppable, Switch, SwitchStats};
