@@ -24,7 +24,6 @@
 //! around 10⁻²⁹/10⁻³⁰ — could represent with its non-log-space numerics).
 
 use crate::optimize::golden_section_min;
-use serde::{Deserialize, Serialize};
 
 /// `h(p, a) = p·e^{a(1−p)} + (1−p)·e^{−ap}` — the MGF-like function of
 /// Theorem 2 (the MGF of a centered Bernoulli(p) scaled by `a`).
@@ -63,7 +62,7 @@ pub fn optimal_exponent(rho: f64) -> (f64, f64) {
 }
 
 /// The result of evaluating the Theorem 2 bound for one `(N, ρ)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadBound {
     /// Switch size.
     pub n: usize,

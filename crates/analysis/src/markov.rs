@@ -17,8 +17,6 @@
 //!   for the same chain (used to validate the closed form and to expose the
 //!   full distribution, e.g. for tail percentiles).
 
-use serde::{Deserialize, Serialize};
-
 /// Closed-form expected stationary queue length (in packets, equivalently in
 /// service periods since the service rate is one packet per period):
 /// `E[Q] = ρ(N−1) / (2(1−ρ))`.
@@ -47,7 +45,7 @@ pub fn figure5_series(rho: f64, sizes: &[usize]) -> Vec<(usize, f64)> {
 }
 
 /// Numerical model of the intermediate-stage queue-length Markov chain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntermediateDelayModel {
     n: usize,
     rho: f64,

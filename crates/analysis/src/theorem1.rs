@@ -9,8 +9,6 @@
 //! the queue; this module reproduces both the threshold and that worst-case
 //! construction, which the tests then verify numerically.
 
-use serde::{Deserialize, Serialize};
-
 /// The threshold of Theorem 1: `2/3 + 1/(3N²)`.
 pub fn zero_overload_threshold(n: usize) -> f64 {
     let n = n as f64;
@@ -66,7 +64,7 @@ pub fn queue_arrival_rate(rates_by_position: &[f64], n: usize) -> f64 {
 /// Position `k` (0-indexed; the paper's `ℓ = k+1`) gets rate
 /// `2^⌈log₂(k+1)⌉ / N²` for `ℓ ≤ N/2`, position `N/2` gets rate `1/2`, and the
 /// rest get 0.  Its total load is exactly the Theorem 1 threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorstCaseRates {
     /// Rates indexed by distance from the tagged intermediate port.
     pub rates: Vec<f64>,

@@ -2,10 +2,9 @@
 
 use crate::error::SwitchError;
 use crate::matrix::TrafficMatrix;
-use serde::{Deserialize, Serialize};
 
 /// How each VOQ's stripe size is determined.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SizingMode {
     /// Derive stripe sizes from a known traffic matrix using the paper's rule
     /// `F(r) = min(N, 2^⌈log₂(r·N²)⌉)` (Eq. (1)).  This matches the assumption
@@ -23,7 +22,7 @@ pub enum SizingMode {
 }
 
 /// Parameters of the adaptive (measured-rate) sizing mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveSizing {
     /// Measurement window in slots.
     pub window: u64,
@@ -51,7 +50,7 @@ impl Default for AdaptiveSizing {
 ///
 /// Both are Largest-Stripe-First policies; they differ in how literally they
 /// follow the paper's Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InputDiscipline {
     /// Algorithm 1 of the paper, taken literally: a stripe may only *start*
     /// service in the slot in which the input port is connected to the first
@@ -69,7 +68,7 @@ pub enum InputDiscipline {
 
 /// When packets received by an intermediate port become eligible for the
 /// second switching fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignmentMode {
     /// A packet is eligible in the slot after it arrives (plain store-and-forward).
     Immediate,
@@ -83,7 +82,7 @@ pub enum AlignmentMode {
 }
 
 /// Full configuration of a Sprinklers switch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SprinklersConfig {
     /// Number of ports N (must be a power of two, at least 2).
     pub n: usize,

@@ -10,14 +10,12 @@
 //! allows the Largest-Stripe-First scheduler to serve every stripe in one
 //! contiguous burst without ever wasting service slots on partial overlaps.
 
-use serde::{Deserialize, Serialize};
-
 /// A dyadic interval `[start, start + size)` of intermediate-port indices.
 ///
 /// Invariants (enforced by the constructors):
 /// * `size` is a power of two and at least 1,
 /// * `start` is a multiple of `size`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DyadicInterval {
     start: usize,
     size: usize,

@@ -26,17 +26,16 @@
 //! storage.
 
 use crate::error::SwitchError;
-use serde::{Deserialize, Serialize};
 
 /// An `N×N` matrix of normalized VOQ arrival rates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrafficMatrix {
     n: usize,
     entries: Entries,
 }
 
 /// How a [`TrafficMatrix`] holds its `n²` entries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Entries {
     /// Row-major rates: `rates[i * n + j]` is the rate from input `i` to
     /// output `j`.

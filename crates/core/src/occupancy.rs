@@ -27,15 +27,13 @@
 //! per fabric phase, so a slot walks the ports that have a packet for the
 //! peer they face in that very slot instead of every port holding anything.
 
-use serde::{Deserialize, Serialize};
-
 /// A two-level bitset over port indexes `0..n`.
 ///
 /// Level 0 stores one bit per port in `u64` words; level 1 (`summary`)
 /// stores one bit per level-0 word, set iff that word is non-zero.  For the
 /// common `n ≤ 64` every operation touches a single word; the summary only
 /// starts paying for itself past the 64-port word boundary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccupancySet {
     n: usize,
     /// One bit per port.

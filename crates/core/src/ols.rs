@@ -22,13 +22,12 @@
 
 use crate::perm::Permutation;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A weakly uniform random Orthogonal Latin Square over `{0, …, N−1}`.
 ///
 /// Entry `(i, j)` is the primary intermediate port of the VOQ at input `i`
 /// destined to output `j`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeaklyUniformOls {
     n: usize,
     row_perm: Permutation,

@@ -36,8 +36,6 @@
 //! observe the layout (the trace formats serialize their own record structs,
 //! never `Packet` itself).  A compile-time assertion pins the 48-byte bound.
 
-use serde::{Deserialize, Serialize};
-
 /// Flag bit: the packet is padding injected by a frame-padding scheme.
 const FLAG_PADDING: u8 = 1;
 
@@ -68,7 +66,7 @@ pub fn assert_ports_fit(n: usize) {
 /// is grouped into a stripe and forwarded across the two fabrics; they model
 /// the small internal-use header the paper attaches to every packet
 /// (log₂log₂N bits for the stripe size, §3.4.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Globally unique packet identifier (assigned by the traffic generator).
     pub id: u64,
@@ -253,7 +251,7 @@ impl Packet {
 }
 
 /// A packet together with the time slot at which it reached its output port.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveredPacket {
     /// The delivered packet.
     pub packet: Packet,

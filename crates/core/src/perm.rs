@@ -7,10 +7,9 @@
 //! Sprinklers switch both use.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A permutation of `{0, 1, …, n−1}` with O(1) forward and inverse lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
     forward: Vec<usize>,
     inverse: Vec<usize>,

@@ -6,10 +6,8 @@
 //! estimator that counts arrivals over fixed windows of `window` slots and
 //! smooths the per-window rate with an exponentially weighted moving average.
 
-use serde::{Deserialize, Serialize};
-
 /// Windowed EWMA arrival-rate estimator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateEstimator {
     /// Window length in slots.
     window: u64,

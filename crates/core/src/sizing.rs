@@ -15,8 +15,6 @@
 //! `(1/(2N²), 1/N²]`, and for very hot VOQs (`r > 1/(2N)`) the stripe simply
 //! spans all N intermediate ports.
 
-use serde::{Deserialize, Serialize};
-
 /// The load-per-share threshold `α = 1/N²` the sizing rule targets.
 pub fn alpha(n: usize) -> f64 {
     1.0 / (n as f64 * n as f64)
@@ -78,7 +76,7 @@ pub fn max_rate_for_size(size: usize, n: usize) -> Option<f64> {
 /// should be delayed.  `SizeDecider` requires the target size suggested by the
 /// measured rate to differ from the current size for `patience` consecutive
 /// updates before committing to a change.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SizeDecider {
     n: usize,
     current: usize,

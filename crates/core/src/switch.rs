@@ -27,7 +27,6 @@
 //! same code path as a concrete switch.
 
 use crate::packet::{DeliveredPacket, Packet};
-use serde::{Deserialize, Serialize};
 
 /// Receives packets as they are delivered to output ports.
 ///
@@ -115,7 +114,7 @@ where
 }
 
 /// Aggregate occupancy/throughput counters a switch exposes for metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchStats {
     /// Packets currently buffered at input ports (including VOQ ready queues).
     pub queued_at_inputs: usize,

@@ -51,12 +51,11 @@ use crate::registry;
 use crate::report::SimReport;
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::traffic::TrafficGenerator;
-use serde::{Deserialize, Serialize};
 use sprinklers_core::packet::Packet;
 use sprinklers_core::switch::Steppable;
 
 /// Parameters of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// Number of slots during which traffic is offered.
     pub slots: u64,

@@ -9,7 +9,7 @@
 //!
 //! The crate is organized around four pieces:
 //!
-//! * [`spec::ScenarioSpec`] — a declarative, serde-able description of one
+//! * [`spec::ScenarioSpec`] — a declarative description of one
 //!   run: `{ scheme, n, sizing, traffic, run, seed }`, with a JSON
 //!   round-trip for scenario files.  [`spec::SuiteSpec`] lifts that to a
 //!   directory of spec files crossed with optional scheme/load overrides.
@@ -44,6 +44,7 @@
 pub mod cache;
 pub mod engine;
 pub mod fabric;
+pub mod json;
 pub mod metrics;
 pub mod parallel;
 pub mod registry;

@@ -4,10 +4,8 @@
 //! up to a configurable cap, plus an overflow bucket tracked by exact values),
 //! so means are exact and percentiles are exact up to the cap.
 
-use serde::{Deserialize, Serialize};
-
 /// Histogram-based delay statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DelayStats {
     /// `histogram[d]` counts packets with delay exactly `d` slots, `d < cap`.
     histogram: Vec<u64>,

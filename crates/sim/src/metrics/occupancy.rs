@@ -5,11 +5,10 @@
 //! The intermediate-stage mean is what §5's Markov model predicts, so the
 //! integration tests compare the two.
 
-use serde::{Deserialize, Serialize};
 use sprinklers_core::switch::SwitchStats;
 
 /// Aggregated occupancy statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OccupancyStats {
     /// Number of samples taken.
     pub samples: u64,

@@ -25,12 +25,11 @@
 //! the first other flow id moves the VOQ's flows into a map (see
 //! [`ReorderDetector`]).
 
-use serde::{Deserialize, Serialize};
 use sprinklers_core::packet::Packet;
 use std::collections::BTreeMap;
 
 /// Aggregate reordering statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReorderStats {
     /// Packets delivered with a `voq_seq` lower than one already delivered
     /// for the same VOQ.

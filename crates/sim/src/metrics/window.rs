@@ -14,12 +14,11 @@
 //! the series — like every other report field — is byte-identical at any
 //! worker count.
 
-use serde::{Deserialize, Serialize};
 use sprinklers_core::switch::SwitchStats;
 
 /// One window's activity: deltas since the previous sample plus the queue
 /// occupancy snapshot at the window's end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowSample {
     /// Exclusive end slot: the window covers `[previous end, end_slot)`.
     pub end_slot: u64,
@@ -43,7 +42,7 @@ pub struct WindowSample {
 /// A run's windowed activity series.  Window sums are conserved: the deltas
 /// across all samples add up exactly to the run totals (the differential
 /// test in `tests/` pins this for every registry scheme).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowSeries {
     /// Nominal window length in slots (the sampling period, N); the final
     /// tail window may be shorter.

@@ -7,19 +7,18 @@
 //! ([`SimReport::metrics_json`] / [`metrics_sidecar_json`]) so richer
 //! metrics never move a byte of the CSV.
 
+use crate::json::{self, ObjectWriter};
 use crate::metrics::delay::DelayStats;
 use crate::metrics::fairness::jain_index;
 use crate::metrics::occupancy::OccupancyStats;
 use crate::metrics::reorder::ReorderStats;
 use crate::metrics::window::WindowSeries;
-use crate::spec::{escape_json_string, FaultKind};
-use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use crate::spec::FaultKind;
 
 /// Per-kind breakdown of fault-injected packet losses plus the per-event
 /// reconvergence record.  Produced by faulted fabric runs only; `None` on
 /// the report means the run was failure-free (and therefore zero-drop).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Packets flushed off a link (ingress + wire) when it went down.
     pub dropped_link_failure: u64,
@@ -45,7 +44,7 @@ impl FaultSummary {
 }
 
 /// One applied fault event and how the fabric reconverged after it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEventReport {
     /// Slot the event was applied at.
     pub slot: u64,
@@ -66,7 +65,7 @@ pub struct FaultEventReport {
 }
 
 /// The result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Scheduling scheme name (from [`sprinklers_core::switch::Switch::name`]).
     pub switch_name: String,
@@ -185,158 +184,122 @@ impl SimReport {
     /// from the report alone.
     pub fn metrics_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\"schema\":\"sprinklers-metrics/1\"");
-        let _ = write!(
-            out,
-            ",\"switch\":\"{}\",\"traffic\":\"{}\",\"n\":{},\"slots\":{},\"warmup_slots\":{}",
-            escape_json_string(&self.switch_name),
-            escape_json_string(&self.traffic_label),
-            self.n,
-            self.slots,
-            self.warmup_slots,
-        );
-        let _ = write!(
-            out,
-            ",\"offered\":{},\"delivered\":{},\"padding\":{},\"residual\":{},\"dropped\":{}",
-            self.offered_packets,
-            self.delivered_packets,
-            self.padding_packets,
-            self.residual_packets,
-            self.dropped_packets,
-        );
-        let _ = write!(
-            out,
-            ",\"throughput\":{},\"delivery_ratio\":{}",
-            json_num(self.throughput()),
-            json_num(self.delivery_ratio()),
-        );
-        let _ = write!(
-            out,
-            ",\"delay\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\
-             \"histogram\":[",
-            self.delay.count(),
-            json_num(self.delay.mean()),
-            self.delay.percentile(0.50),
-            self.delay.percentile(0.95),
-            self.delay.percentile(0.99),
-            self.delay.max(),
-        );
-        for (i, (delay, count)) in self.delay.nonzero_buckets().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut m = ObjectWriter::compact(&mut out);
+        m.str("schema", "sprinklers-metrics/1")
+            .str("switch", &self.switch_name)
+            .str("traffic", &self.traffic_label)
+            .uint("n", self.n)
+            .uint("slots", self.slots)
+            .uint("warmup_slots", self.warmup_slots)
+            .uint("offered", self.offered_packets)
+            .uint("delivered", self.delivered_packets)
+            .uint("padding", self.padding_packets)
+            .uint("residual", self.residual_packets)
+            .uint("dropped", self.dropped_packets)
+            .f64("throughput", self.throughput())
+            .f64("delivery_ratio", self.delivery_ratio());
+        let delay = &self.delay;
+        m.object("delay", |d| {
+            d.uint("count", delay.count())
+                .f64("mean", delay.mean())
+                .uint("p50", delay.percentile(0.50))
+                .uint("p95", delay.percentile(0.95))
+                .uint("p99", delay.percentile(0.99))
+                .uint("max", delay.max())
+                .array("histogram", |h| {
+                    for (slots, count) in delay.nonzero_buckets() {
+                        h.array(|pair| {
+                            pair.uint(slots).uint(count);
+                        });
+                    }
+                });
+        });
+        let reordering = &self.reordering;
+        m.object("reordering", |r| {
+            r.uint("voq_reorder_events", reordering.voq_reorder_events)
+                .uint("flow_reorder_events", reordering.flow_reorder_events)
+                .uint("max_voq_displacement", reordering.max_voq_displacement)
+                .uint("reordered_voqs", reordering.reordered_voqs);
+        });
+        let occupancy = &self.occupancy;
+        m.object("occupancy", |o| {
+            o.uint("samples", occupancy.samples)
+                .f64("mean_input", occupancy.mean_input)
+                .f64("mean_intermediate", occupancy.mean_intermediate)
+                .f64("mean_output", occupancy.mean_output)
+                .uint("peak_input", occupancy.peak_input)
+                .uint("peak_intermediate", occupancy.peak_intermediate)
+                .uint("peak_output", occupancy.peak_output);
+        });
+        m.array("per_output_delivered", |a| {
+            for &delivered in &self.per_output_delivered {
+                a.uint(delivered);
             }
-            let _ = write!(out, "[{delay},{count}]");
-        }
-        let _ = write!(
-            out,
-            "]}},\"reordering\":{{\"voq_reorder_events\":{},\"flow_reorder_events\":{},\
-             \"max_voq_displacement\":{},\"reordered_voqs\":{}}}",
-            self.reordering.voq_reorder_events,
-            self.reordering.flow_reorder_events,
-            self.reordering.max_voq_displacement,
-            self.reordering.reordered_voqs,
-        );
-        let _ = write!(
-            out,
-            ",\"occupancy\":{{\"samples\":{},\"mean_input\":{},\"mean_intermediate\":{},\
-             \"mean_output\":{},\"peak_input\":{},\"peak_intermediate\":{},\"peak_output\":{}}}",
-            self.occupancy.samples,
-            json_num(self.occupancy.mean_input),
-            json_num(self.occupancy.mean_intermediate),
-            json_num(self.occupancy.mean_output),
-            self.occupancy.peak_input,
-            self.occupancy.peak_intermediate,
-            self.occupancy.peak_output,
-        );
-        out.push_str(",\"per_output_delivered\":[");
-        for (i, d) in self.per_output_delivered.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        });
+        m.array("per_output_utilization", |a| {
+            for utilization in self.per_output_utilization() {
+                a.f64(utilization);
             }
-            let _ = write!(out, "{d}");
-        }
-        out.push_str("],\"per_output_utilization\":[");
-        for (i, u) in self.per_output_utilization().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_num(*u));
-        }
-        let _ = write!(
-            out,
-            "],\"jain_fairness\":{}",
-            json_num(self.jain_fairness())
-        );
-        let _ = write!(
-            out,
-            ",\"windows\":{{\"stride_slots\":{},\"columns\":[\"end_slot\",\"offered\",\
-             \"delivered\",\"padding\",\"dropped\",\"queued_at_inputs\",\
-             \"queued_at_intermediates\",\"queued_at_outputs\"],\"samples\":[",
-            self.windows.stride(),
-        );
-        for (i, s) in self.windows.samples().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "[{},{},{},{},{},{},{},{}]",
-                s.end_slot,
-                s.offered,
-                s.delivered,
-                s.padding,
-                s.dropped,
-                s.queued_at_inputs,
-                s.queued_at_intermediates,
-                s.queued_at_outputs,
-            );
-        }
-        out.push_str("]}");
-        if let Some(faults) = &self.faults {
-            let _ = write!(
-                out,
-                ",\"faults\":{{\"dropped_by_cause\":{{\"link_failure\":{},\
-                 \"node_failure\":{},\"dead_link\":{},\"dead_node\":{}}},\"events\":[",
-                faults.dropped_link_failure,
-                faults.dropped_node_failure,
-                faults.dropped_dead_link,
-                faults.dropped_dead_node,
-            );
-            for (i, e) in faults.events.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        });
+        m.f64("jain_fairness", self.jain_fairness());
+        m.object("windows", |w| {
+            w.uint("stride_slots", self.windows.stride());
+            w.array("columns", |c| {
+                for column in [
+                    "end_slot",
+                    "offered",
+                    "delivered",
+                    "padding",
+                    "dropped",
+                    "queued_at_inputs",
+                    "queued_at_intermediates",
+                    "queued_at_outputs",
+                ] {
+                    c.str(column);
                 }
-                let reconvergence = match e.reconverged_slot {
-                    Some(s) => (s - e.slot).to_string(),
-                    None => "null".to_string(),
-                };
-                let _ = write!(
-                    out,
-                    "{{\"slot\":{},\"kind\":\"{}\",\"index\":{},\"dropped\":{},\
-                     \"affected_pairs\":{},\"reconvergence_slots\":{}}}",
-                    e.slot,
-                    e.kind.name(),
-                    e.index,
-                    e.dropped,
-                    e.affected_pairs,
-                    reconvergence,
-                );
-            }
-            out.push_str("]}");
+            });
+            w.array("samples", |a| {
+                for s in self.windows.samples() {
+                    a.array(|row| {
+                        row.uint(s.end_slot)
+                            .uint(s.offered)
+                            .uint(s.delivered)
+                            .uint(s.padding)
+                            .uint(s.dropped)
+                            .uint(s.queued_at_inputs)
+                            .uint(s.queued_at_intermediates)
+                            .uint(s.queued_at_outputs);
+                    });
+                }
+            });
+        });
+        if let Some(faults) = &self.faults {
+            m.object("faults", |f| {
+                f.object("dropped_by_cause", |c| {
+                    c.uint("link_failure", faults.dropped_link_failure)
+                        .uint("node_failure", faults.dropped_node_failure)
+                        .uint("dead_link", faults.dropped_dead_link)
+                        .uint("dead_node", faults.dropped_dead_node);
+                });
+                f.array("events", |events| {
+                    for e in &faults.events {
+                        events.object(|o| {
+                            o.uint("slot", e.slot)
+                                .str("kind", e.kind.name())
+                                .uint("index", e.index)
+                                .uint("dropped", e.dropped)
+                                .uint("affected_pairs", e.affected_pairs)
+                                .opt_uint(
+                                    "reconvergence_slots",
+                                    e.reconverged_slot.map(|s| s - e.slot),
+                                );
+                        });
+                    }
+                });
+            });
         }
-        out.push('}');
+        m.close();
         out
-    }
-}
-
-/// Render an `f64` as a JSON value: shortest round-trip decimal for finite
-/// values, `null` for NaN/infinity (which raw `Display` would emit as the
-/// invalid bare tokens `NaN`/`inf`).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -386,9 +349,9 @@ pub fn metrics_sidecar_json<'a>(cases: impl IntoIterator<Item = (&'a str, &'a st
         if i > 0 {
             out.push(',');
         }
-        out.push_str("\n{\"case\":\"");
-        out.push_str(&escape_json_string(case));
-        out.push_str("\",\"metrics\":");
+        out.push_str("\n{\"case\":");
+        json::write_str(&mut out, case);
+        out.push_str(",\"metrics\":");
         out.push_str(metrics);
         out.push('}');
     }
@@ -505,11 +468,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        // Balanced delimiters: a cheap structural check that the hand-rolled
-        // writer did not drop a bracket (no strings in the dummy contain
-        // braces, so raw counting is sound here).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json::Value::parse(&json).is_ok(), "{json}");
         // And it never leaks into the frozen CSV surface.
         assert_eq!(SimReport::csv_header().split(',').count(), 14);
     }
@@ -562,8 +521,7 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(!json.contains('\n'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json::Value::parse(&json).is_ok(), "{json}");
         // The frozen CSV surface is untouched by fault data.
         assert_eq!(SimReport::csv_header().split(',').count(), 14);
         assert_eq!(r.csv_row().split(',').count(), 14);
@@ -576,10 +534,11 @@ mod tests {
         let json = r.metrics_json();
         assert!(json.contains(r#"evil\"label\\with\nnewline"#));
         assert!(!json.contains('\n'));
-        // Non-finite derived values render as null, not invalid tokens.
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(f64::INFINITY), "null");
-        assert_eq!(json_num(0.25), "0.25");
+        // Non-finite values render as null, not invalid tokens.
+        r.occupancy.mean_input = f64::NAN;
+        let json = r.metrics_json();
+        assert!(json.contains("\"mean_input\":null"), "{json}");
+        assert!(json::Value::parse(&json).is_ok(), "{json}");
     }
 
     #[test]
@@ -592,6 +551,7 @@ mod tests {
         let second = doc.find("\"case\":\"second\"").unwrap();
         assert!(first < second);
         assert_eq!(doc.matches("\"case\":").count(), 2);
+        assert!(json::Value::parse(&doc).is_ok(), "{doc}");
         assert!(doc.ends_with("]}\n"));
     }
 }

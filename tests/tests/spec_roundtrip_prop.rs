@@ -1,13 +1,14 @@
 //! Property tests for the `ScenarioSpec` JSON round-trip.
 //!
-//! The scenario files the `suite` runner consumes are produced and parsed by
-//! the hand-rolled JSON in `spec.rs` (the offline serde shims are marker
-//! traits), so `parse(serialize(spec)) == spec` has to hold over the whole
-//! spec space, not just the handful of examples the unit tests pin.  These
-//! properties randomize every field — scheme (including hostile names),
-//! size, sizing mode, all five traffic patterns, run lengths and seeds —
-//! and also assert the *rejection* side: truncated or corrupted documents
-//! must fail to parse, never silently mis-parse.
+//! The scenario files the `suite` runner consumes are written and read by
+//! the simulator's own JSON module (`sprinklers_sim::json`), so
+//! `parse(serialize(spec)) == spec` has to hold over the whole spec space,
+//! not just the handful of examples the unit tests pin.  These properties
+//! randomize every field — scheme (including hostile names), size, sizing
+//! mode, all five traffic patterns, run lengths and seeds — and also assert
+//! the *rejection* side: truncated or corrupted documents must fail to
+//! parse, never silently mis-parse, and no edit of a document can make the
+//! reader or the validation behind it panic.
 
 use proptest::prelude::*;
 use sprinklers_sim::engine::RunConfig;
@@ -80,6 +81,43 @@ fn spec_from_draws(
             drain_slots: run.2,
         })
         .with_seed(seed)
+}
+
+/// What the fuzz splices into a document: JSON's structural characters, numbers
+/// at and past every bound the reader checks, and keys it knows.
+const SPLICES: [&str; 24] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    "\"",
+    ",",
+    ":",
+    "0",
+    "-",
+    ".",
+    "e",
+    "1e999",
+    "18446744073709551615",
+    "18446744073709551616",
+    "4294967296",
+    "null",
+    "true",
+    "\\",
+    "\\ud800",
+    " ",
+    "\"seed\": 1,",
+    "\"link\"",
+    "[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[",
+    "\u{e9}",
+];
+
+/// The largest character boundary of `text` at or below `at`.
+fn boundary(text: &str, at: usize) -> usize {
+    (0..=at.min(text.len()))
+        .rev()
+        .find(|&i| text.is_char_boundary(i))
+        .unwrap_or(0)
 }
 
 proptest! {
@@ -161,6 +199,51 @@ proptest! {
         let broken = json.replacen(key, "\"bogus_key\"", 1);
         prop_assert!(broken != json, "key {key} not present in {json}");
         prop_assert!(ScenarioSpec::from_json(&broken).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn edited_documents_are_typed_errors_or_round_trip(
+        scheme_idx in 0usize..14,
+        n in 2usize..64,
+        traffic_idx in 0usize..8,
+        load in 0.01f64..0.99,
+        edits in collection::vec((0.0f64..1.0, 0usize..SPLICES.len(), 0usize..3), 1..6),
+    ) {
+        // Random edits of a valid spec file (the faulted fat-tree smoke spec
+        // for one draw in eight): the reader returns an error or a spec,
+        // never a panic; what it accepts validates without panicking and
+        // survives its own round trip.
+        let mut doc = if traffic_idx == 7 {
+            include_str!("../../specs/smoke/fabric_faults.json").to_string()
+        } else {
+            spec_from_draws(
+                scheme_idx, n, 2, 4, traffic_idx, load, 0.5, 0.5, (1000, 100, 1000), 1,
+            )
+            .to_json()
+        };
+        for (at, splice, op) in edits {
+            let at = boundary(&doc, (doc.len() as f64 * at) as usize);
+            match op {
+                0 => doc.insert_str(at, SPLICES[splice]),
+                1 => {
+                    let end = boundary(&doc, at + 1 + splice % 4);
+                    doc.replace_range(at..end, SPLICES[splice]);
+                }
+                _ => {
+                    let end = boundary(&doc, at + 1 + splice % 4);
+                    doc.replace_range(at..end, "");
+                }
+            }
+        }
+        if let Ok(spec) = ScenarioSpec::from_json(&doc) {
+            let _ = spec.validate();
+            let _ = spec.label();
+            prop_assert_eq!(ScenarioSpec::from_json(&spec.to_json()).ok(), Some(spec));
+        }
     }
 }
 
