@@ -11,6 +11,7 @@
 use crate::NewSwitchWith;
 use sprinklers_core::fifo::FifoGrid;
 use sprinklers_core::packet::Packet;
+use sprinklers_core::rng;
 use sprinklers_core::store::{PacketHandle, PacketStore};
 use sprinklers_core::two_stage::{InputPolicy, Served, TwoStage};
 
@@ -48,13 +49,8 @@ impl TcpHash {
     // lint: hot-path
     #[inline]
     pub fn hash_flow(&self, flow: u64) -> usize {
-        // SplitMix64-style avalanche; good enough to spread flow ids evenly.
-        let mut x = flow ^ self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        // The SplitMix64 avalanche spreads flow ids evenly.
+        let x = rng::mix64(flow ^ self.seed.wrapping_mul(rng::GOLDEN_GAMMA));
         (x % self.n as u64) as usize
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p sprinklers-bench --bin scenario -- --spec scenario.json
+//! cargo run --release -p sprinklers-bench --bin scenario -- --spec scenario.json [--quick]
 //! cargo run --release -p sprinklers-bench --bin scenario -- \
 //!     --scheme sprinklers --n 32 --load 0.9 --pattern diagonal [--quick]
 //! cargo run --release -p sprinklers-bench --bin scenario -- --print-template
@@ -25,7 +25,7 @@ const USAGE: &str = "\
 Run one simulation scenario described by a JSON ScenarioSpec.
 
 Usage:
-  scenario --spec <file.json>
+  scenario --spec <file.json> [--quick]
   scenario [--scheme <name>] [--n <ports>] [--load <rho>]
            [--pattern uniform|diagonal] [--seed <u64>] [--quick]
   scenario [--scheme <name>] [--n <ports>] --trace <file.{csv,sprt}>
@@ -39,9 +39,14 @@ Sidecar:
       throughput and utilization, Jain fairness, windowed time series) to
       <file.json>; stdout stays the same two CSV lines either way
 
+A spec file sets the scheme, ports, traffic and seed: --scheme, --n,
+--load, --pattern, --seed and --trace are usage errors beside --spec, and
+--quick replaces the file's run config with the quick one (as suite --quick
+does).
+
 --trace replays a recorded trace file (see the `trace` binary) instead of a
 synthetic pattern; --repeat tiles it and --scale compresses (>1) or
-stretches (<1) its timebase.
+stretches (<1) its timebase.  Both are usage errors without --trace.
 
 A spec file may carry a \"topology\" object (kinds: fat-tree2, butterfly)
 to run a multi-switch fabric instead of one switch: the scheme is
@@ -103,8 +108,33 @@ fn main() {
         return;
     }
 
+    if arg_value(&args, "--trace").is_none() {
+        for flag in ["--repeat", "--scale"] {
+            if arg_value(&args, flag).is_some() {
+                fail(&format!("{flag} reshapes a --trace replay; there is none"));
+            }
+        }
+    }
     let spec = if let Some(path) = arg_value(&args, "--spec") {
-        load_spec_file(&path)
+        for flag in [
+            "--scheme",
+            "--n",
+            "--load",
+            "--pattern",
+            "--seed",
+            "--trace",
+        ] {
+            if arg_value(&args, flag).is_some() {
+                fail(&format!(
+                    "{flag} cannot override --spec: edit the spec file"
+                ));
+            }
+        }
+        let mut spec = load_spec_file(&path);
+        if has_flag(&args, "--quick") {
+            spec.run = RunConfig::quick();
+        }
+        spec
     } else {
         let scheme = arg_value(&args, "--scheme").unwrap_or_else(|| "sprinklers".into());
         let n: usize = parse_flag(&args, "--n").unwrap_or(32);

@@ -14,7 +14,7 @@
 //! ```text
 //! trace record --spec <file.json> --out <trace.{csv,sprt}> [--format csv|sprt]
 //!              [--emit-spec <replay.json>]
-//! trace info --in <trace> [--format csv|sprt]
+//! trace info --in <trace> [--in-format csv|sprt]
 //! trace convert --in <a> --out <b> [--in-format csv|sprt] [--out-format csv|sprt]
 //!               [--n <ports>]
 //! ```
@@ -41,14 +41,15 @@ Subcommands:
 Usage:
   trace record --spec <file.json> --out <trace.{csv,sprt}> [--format csv|sprt]
                [--emit-spec <replay.json>]
-  trace info --in <trace> [--format csv|sprt]
+  trace info --in <trace> [--in-format csv|sprt]
   trace convert --in <a> --out <b> [--in-format csv|sprt] [--out-format csv|sprt]
                 [--n <ports>]
 
 Formats default to the file extension (.sprt = binary, anything else CSV).
 --emit-spec writes a replay ScenarioSpec next to the trace: the recorded
 spec with its traffic block swapped for {\"kind\": \"trace\", ...}.
---n supplies a port count when converting a metadata-free CSV to .sprt.";
+--n supplies a port count when converting a metadata-free CSV to .sprt; a
+trace that declares its own n must not be given a different one.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -124,9 +125,9 @@ fn record(args: &[String]) {
 }
 
 fn info(args: &[String]) {
-    check_subcommand_flags(args, &["--in", "--in-format", "--format"]);
+    check_subcommand_flags(args, &["--in", "--in-format"]);
     let input = arg_value(args, "--in").unwrap_or_else(|| fail("info needs --in (see --help)"));
-    let format = explicit_format(args, "--in-format").or_else(|| explicit_format(args, "--format"));
+    let format = explicit_format(args, "--in-format");
     let mut reader = TraceReader::open(&input, format).unwrap_or_else(|e| fail(&e.to_string()));
 
     println!("path:    {input}");
@@ -212,12 +213,16 @@ fn convert(args: &[String]) {
 
     let mut reader = TraceReader::open(&input, in_format).unwrap_or_else(|e| fail(&e.to_string()));
     let mut meta = reader.meta().clone();
-    if meta.n.is_none() {
-        // Metadata-free CSVs can still become .sprt if the caller supplies n.
-        meta.n = parse_flag::<usize>(args, "--n");
-        if meta.n.is_none() && out_format == TraceFormat::Sprt {
-            fail("the input declares no port count; pass --n to convert to .sprt");
-        }
+    // Metadata-free CSVs can still become .sprt if the caller supplies n.
+    match (meta.n, parse_flag::<usize>(args, "--n")) {
+        (Some(declared), Some(given)) if given != declared => fail(&format!(
+            "--n {given} contradicts the n = {declared} the input declares"
+        )),
+        (None, given) => meta.n = given,
+        _ => {}
+    }
+    if meta.n.is_none() && out_format == TraceFormat::Sprt {
+        fail("the input declares no port count; pass --n to convert to .sprt");
     }
     let mut writer =
         TraceWriter::create(&out, out_format, &meta).unwrap_or_else(|e| fail(&e.to_string()));

@@ -135,6 +135,108 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
+/// A flag that would be silently outvoted is a usage error: an inline
+/// scenario flag beside `--spec`, a trace knob without `--trace`, the
+/// removed `trace info --format`, and a `trace convert --n` that contradicts
+/// the trace's own `n`.
+#[test]
+fn flags_a_run_would_ignore_are_usage_errors() {
+    let dir = spec_dir("ignored", &[("a.json", 3)], "");
+    let spec = dir.join("a.json");
+    let trace = dir.join("a.csv");
+    let (sprt_out, csv_out) = (dir.join("b.sprt"), dir.join("b.csv"));
+    let recorded = run(
+        TRACE,
+        &["record", "--spec", utf8(&spec), "--out", utf8(&trace)],
+    );
+    assert_eq!(recorded.status.code(), Some(0), "trace record");
+
+    let with_spec = ["--spec", utf8(&spec)];
+    let inline = ["--scheme", "oq", "--n", "8"];
+    let cases: [(&str, &[&str], &[&str], &str); 12] = [
+        (SCENARIO, &with_spec, &["--scheme", "foff"], "--scheme"),
+        (SCENARIO, &with_spec, &["--n", "64"], "--n"),
+        (SCENARIO, &with_spec, &["--load", "0.9"], "--load"),
+        (
+            SCENARIO,
+            &with_spec,
+            &["--pattern", "diagonal"],
+            "--pattern",
+        ),
+        (SCENARIO, &with_spec, &["--seed", "4"], "--seed"),
+        (SCENARIO, &with_spec, &["--trace", utf8(&trace)], "--trace"),
+        (SCENARIO, &with_spec, &["--repeat", "2"], "--repeat"),
+        (SCENARIO, &inline, &["--repeat", "2"], "--repeat"),
+        (SCENARIO, &inline, &["--scale", "0.5"], "--scale"),
+        (
+            TRACE,
+            &["info", "--in", utf8(&trace)],
+            &["--format", "csv"],
+            "--format",
+        ),
+        (
+            TRACE,
+            &["convert", "--in", utf8(&trace)],
+            &["--out", utf8(&sprt_out), "--n", "16"],
+            "--n 16",
+        ),
+        (
+            TRACE,
+            &["convert", "--in", utf8(&trace)],
+            &["--out", utf8(&csv_out), "--n", "4"],
+            "--n 4",
+        ),
+    ];
+    for (bin, base, extra, needle) in cases {
+        let out = run(bin, &[base, extra].concat());
+        assert_usage_error(&out, needle, &format!("{bin} {base:?} {extra:?}"));
+    }
+
+    // What stays accepted: the trace's own n, and --in-format on info.
+    let converted = run(
+        TRACE,
+        &[
+            "convert",
+            "--in",
+            utf8(&trace),
+            "--out",
+            utf8(&sprt_out),
+            "--n",
+            "8",
+        ],
+    );
+    assert_eq!(converted.status.code(), Some(0), "convert at the trace's n");
+    let info = run(TRACE, &["info", "--in", utf8(&trace), "--in-format", "csv"]);
+    assert_eq!(info.status.code(), Some(0), "info --in-format");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+/// `--quick` beside `--spec` swaps the file's run config for the quick one,
+/// as `suite --quick` does: the row is the inline quick run's.
+#[test]
+fn quick_replaces_the_run_config_of_a_spec_file() {
+    let dir = spec_dir("quick", &[("a.json", 3)], "");
+    let spec = dir.join("a.json");
+    let from_file = run(SCENARIO, &["--spec", utf8(&spec), "--quick"]);
+    let inline = run(
+        SCENARIO,
+        &[
+            "--scheme", "oq", "--n", "8", "--load", "0.5", "--seed", "3", "--quick",
+        ],
+    );
+    let as_written = run(SCENARIO, &["--spec", utf8(&spec)]);
+    for (out, tag) in [
+        (&from_file, "spec"),
+        (&inline, "inline"),
+        (&as_written, "file"),
+    ] {
+        assert_eq!(out.status.code(), Some(0), "{tag}");
+    }
+    assert_eq!(from_file.stdout, inline.stdout);
+    assert_ne!(from_file.stdout, as_written.stdout);
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
 #[test]
 fn a_threads_key_in_a_spec_file_is_ignored_with_one_note() {
     inert_key_is_ignored_with_one_note("threads", r#","threads":4"#);

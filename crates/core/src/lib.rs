@@ -14,6 +14,10 @@
 //!   random Orthogonal Latin Square* used to pick a primary intermediate port
 //!   for every one of the N² VOQs, so that both the row (per input) and the
 //!   column (per output) mappings are uniform random permutations.
+//! * [`rng`] — the workspace's one random stream ([`rng::SimRng`],
+//!   xoshiro256++ seeded through SplitMix64).  The OLS above, the simulator's
+//!   traffic generators and its fabrics all draw from it, so every pinned
+//!   result freezes its exact output.
 //! * [`store`] / [`fifo`] — the per-switch packet store (a body is written
 //!   once at arrival and read once at delivery) and the flat grids of index
 //!   queues that hold four-byte handles to it everywhere in between.
@@ -96,6 +100,7 @@ pub mod packet;
 pub mod perm;
 pub mod rate_estimator;
 mod resequencer;
+pub mod rng;
 pub mod sizing;
 pub mod sprinklers;
 pub mod store;

@@ -6,7 +6,7 @@
 //! wrapper with inverse lookup, which the Orthogonal Latin Square and the
 //! Sprinklers switch both use.
 
-use rand::Rng;
+use crate::rng::SimRng;
 
 /// A permutation of `{0, 1, …, n−1}` with O(1) forward and inverse lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,11 +25,11 @@ impl Permutation {
 
     /// Sample a permutation of `n` elements uniformly at random using the
     /// Fisher–Yates shuffle.
-    pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
+    pub fn random(n: usize, rng: &mut SimRng) -> Self {
         let mut forward: Vec<usize> = (0..n).collect();
         // Durstenfeld's in-place variant: O(n) time, n-1 random draws.
         for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
+            let j = rng.below(i as u64 + 1) as usize;
             forward.swap(i, j);
         }
         Self::from_mapping(forward).expect("shuffle of 0..n is a permutation")
@@ -107,8 +107,6 @@ impl Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::collections::HashSet;
 
     #[test]
@@ -130,7 +128,7 @@ mod tests {
 
     #[test]
     fn random_is_a_permutation_and_inverse_is_consistent() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::seed_from_u64(7);
         for n in [1usize, 2, 5, 16, 257] {
             let p = Permutation::random(n, &mut rng);
             let values: HashSet<usize> = (0..n).map(|i| p.apply(i)).collect();
@@ -146,7 +144,7 @@ mod tests {
     fn random_permutations_are_roughly_uniform() {
         // For n = 3 there are 6 permutations; with 6000 samples each should
         // appear ~1000 times.  A very loose tolerance keeps the test robust.
-        let mut rng = StdRng::seed_from_u64(1234);
+        let mut rng = SimRng::seed_from_u64(1234);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..6000 {
             let p = Permutation::random(3, &mut rng);
@@ -175,8 +173,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = Permutation::random(64, &mut StdRng::seed_from_u64(99));
-        let b = Permutation::random(64, &mut StdRng::seed_from_u64(99));
+        let a = Permutation::random(64, &mut SimRng::seed_from_u64(99));
+        let b = Permutation::random(64, &mut SimRng::seed_from_u64(99));
         assert_eq!(a, b);
     }
 }

@@ -17,12 +17,11 @@ use crate::input_port::SprinklersInputPort;
 use crate::matrix::TrafficMatrix;
 use crate::ols::WeaklyUniformOls;
 use crate::packet::Packet;
+use crate::rng::SimRng;
 use crate::sizing::stripe_size;
 use crate::store::{PacketHandle, PacketStore};
 use crate::switch::Switch;
 use crate::two_stage::{InputPolicy, Served, TwoStage};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A complete Sprinklers switch.
 pub type SprinklersSwitch = TwoStage<Sprinklers>;
@@ -52,7 +51,7 @@ impl SprinklersSwitch {
     /// Fallible constructor.
     pub fn try_new(config: SprinklersConfig, seed: u64) -> Result<Self, SwitchError> {
         config.validate()?;
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SimRng::seed_from_u64(seed);
         let ols = WeaklyUniformOls::random(config.n, &mut rng);
         Ok(Self::with_ols(config, ols))
     }
@@ -399,9 +398,6 @@ mod tests {
     /// n = 128 (two words + summary level), under both alignments.
     #[test]
     fn occupancy_bitsets_agree_with_brute_force_scans() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
         for n in [8usize, 128] {
             for alignment in [AlignmentMode::Immediate, AlignmentMode::StripeComplete] {
                 let mut sw = SprinklersSwitch::new(
@@ -410,13 +406,13 @@ mod tests {
                         .with_alignment(alignment),
                     3,
                 );
-                let mut rng = StdRng::seed_from_u64(42);
+                let mut rng = SimRng::seed_from_u64(42);
                 let mut voq_seq = vec![0u64; n * n];
                 let mut id = 0u64;
                 for slot in 0..(6 * n as u64) {
                     for input in 0..n {
-                        if rng.gen_range(0.0..1.0) < 0.3 {
-                            let output = rng.gen_range(0..n);
+                        if rng.unit_f64() < 0.3 {
+                            let output = rng.below(n as u64) as usize;
                             let key = input * n + output;
                             sw.arrive(pkt(input, output, id, slot, voq_seq[key]));
                             voq_seq[key] += 1;
@@ -441,27 +437,24 @@ mod tests {
     /// twenty visits per delivery, visits and deliveries are the same number.
     #[test]
     fn second_fabric_visits_equal_deliveries() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
         let n = 256usize;
         let matrix = TrafficMatrix::diagonal(n, 0.05);
         let mut sw = SprinklersSwitch::new(
             SprinklersConfig::new(n).with_sizing(SizingMode::FromMatrix(matrix)),
             2014,
         );
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::seed_from_u64(7);
         let mut voq_seq = vec![0u64; n * n];
         let mut id = 0u64;
         let offered = 40 * n as u64;
         for slot in 0..offered + 40 * n as u64 {
             for input in 0..n {
-                if slot < offered && rng.gen_range(0.0..1.0) < 0.05 {
+                if slot < offered && rng.unit_f64() < 0.05 {
                     // Quasi-diagonal: half to the input's own output.
-                    let output = if rng.gen_range(0.0..1.0) < 0.5 {
+                    let output = if rng.unit_f64() < 0.5 {
                         input
                     } else {
-                        rng.gen_range(0..n)
+                        rng.below(n as u64) as usize
                     };
                     let key = input * n + output;
                     sw.arrive(pkt(input, output, id, slot, voq_seq[key]));

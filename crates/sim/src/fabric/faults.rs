@@ -12,10 +12,7 @@
 
 use crate::engine::RunConfig;
 use crate::spec::{FaultKind, FaultSpec, RandomFaultSpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use super::SEED_MIX;
+use sprinklers_core::rng::{self, SimRng};
 
 /// One concrete scheduled event (spec events and generated events look the
 /// same once expanded).
@@ -108,14 +105,10 @@ fn generate_link_phases(
     total_slots: u64,
     events: &mut Vec<FaultEvent>,
 ) {
-    let mut rng = StdRng::seed_from_u64(
-        random
-            .seed
-            .wrapping_add(SEED_MIX.wrapping_mul(link as u64 + 1)),
-    );
-    let phase = |rng: &mut StdRng, mean: u64| {
+    let mut rng = SimRng::seed_from_u64(rng::derive(random.seed, link as u64));
+    let phase = |rng: &mut SimRng, mean: u64| {
         let hi = mean.saturating_mul(2).saturating_sub(1).max(1);
-        rng.gen_range(1..=hi)
+        1 + rng.below(hi)
     };
     let mut slot = 0u64;
     loop {

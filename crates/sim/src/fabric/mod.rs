@@ -91,16 +91,13 @@ use crate::spec::{FaultKind, FaultSpec, SizingSpec, SpecError, TopologySpec};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::occupancy::{OccupancySet, PortCursor};
 use sprinklers_core::packet::{DeliveredPacket, Packet};
+use sprinklers_core::rng;
 use sprinklers_core::store::{PacketHandle, PacketStore};
 use sprinklers_core::switch::{DeliverySink, Steppable, Switch, SwitchStats};
 
 use faults::{FaultEvent, FaultSchedule};
 use routing::{mask_contains, PathMasks, Router};
 use topology::{PortTarget, Wiring};
-
-/// Multiplier for deriving per-node seeds (the 64-bit golden ratio, the
-/// same mixing constant `SplitMix64` uses).
-const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// `location` tag of a handle whose packet is in no node: on a link,
 /// parked, or not in the fabric at all.
@@ -113,6 +110,32 @@ struct Node {
     n: usize,
     /// `voq_seq[in_port * n + out_port]`: next node-local sequence number.
     voq_seq: Vec<u64>,
+}
+
+/// What every node is built from, kept so a `node-down` rebuilds a node
+/// exactly as [`FabricWorld::build`] made it.
+struct NodeRecipe {
+    scheme: String,
+    sizing: SizingSpec,
+    /// Offered load of the uniform matrix matrix-sized schemes size from.
+    load: f64,
+    /// The scenario seed; node `idx` runs on `rng::derive(seed, idx)`.
+    seed: u64,
+}
+
+impl NodeRecipe {
+    /// A fresh node `idx` with `n` ports and no state.
+    fn node(&self, idx: usize, n: usize) -> Result<Node, SpecError> {
+        let matrix = TrafficMatrix::uniform(n, self.load);
+        let seed = rng::derive(self.seed, idx as u64);
+        let switch = registry::build_named(&self.scheme, n, &self.sizing, &matrix, seed)
+            .map_err(|e| e.context(format!("fabric node {idx} ({n} ports)")))?;
+        Ok(Node {
+            switch,
+            n,
+            voq_seq: vec![0; n * n],
+        })
+    }
 }
 
 /// One directed inter-switch link: an ingress queue feeding a fixed-latency
@@ -247,12 +270,7 @@ pub struct FabricWorld {
     delivered: u64,
     /// Reusable per-node delivery buffer (no steady-state allocation).
     scratch: Vec<DeliveredPacket>,
-    /// Node-rebuild parameters, kept so a `node-up` after a `node-down`
-    /// can reconstruct the switch exactly as [`FabricWorld::build`] did.
-    scheme: String,
-    sizing: SizingSpec,
-    node_load: f64,
-    seed: u64,
+    recipe: NodeRecipe,
     /// Fault machinery; `None` for failure-free runs (the legacy path).
     faults: Option<FaultState>,
 }
@@ -278,24 +296,22 @@ impl FabricWorld {
         assert!(wiring.nodes.len() < NOT_IN_NODE as usize);
         let hosts = wiring.hosts.len();
         let link_spec = topo.link();
-        let node_load = if load.is_finite() {
-            load.clamp(0.0, 1.0)
-        } else {
-            0.0
+        let recipe = NodeRecipe {
+            scheme: scheme.to_string(),
+            sizing: *sizing,
+            load: if load.is_finite() {
+                load.clamp(0.0, 1.0)
+            } else {
+                0.0
+            },
+            seed,
         };
-        let mut nodes = Vec::with_capacity(wiring.nodes.len());
-        for (idx, desc) in wiring.nodes.iter().enumerate() {
-            let n = desc.ports.len();
-            let node_seed = seed.wrapping_add(SEED_MIX.wrapping_mul(idx as u64 + 1));
-            let matrix = TrafficMatrix::uniform(n, node_load);
-            let switch = registry::build_named(scheme, n, sizing, &matrix, node_seed)
-                .map_err(|e| e.context(format!("fabric node {idx} ({n} ports)")))?;
-            nodes.push(Node {
-                switch,
-                n,
-                voq_seq: vec![0; n * n],
-            });
-        }
+        let nodes = wiring
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(idx, desc)| recipe.node(idx, desc.ports.len()))
+            .collect::<Result<Vec<Node>, SpecError>>()?;
         let links: Vec<Link> = wiring
             .links
             .iter()
@@ -313,7 +329,7 @@ impl FabricWorld {
             topo.routing(),
             hosts,
             wiring.path_choices(),
-            seed.wrapping_mul(SEED_MIX).wrapping_add(0xABCD),
+            seed.wrapping_mul(rng::GOLDEN_GAMMA).wrapping_add(0xABCD),
         );
         let label = format!(
             "fabric:{}[{}/{}]",
@@ -336,10 +352,7 @@ impl FabricWorld {
             injected: 0,
             delivered: 0,
             scratch: Vec::new(),
-            scheme: scheme.to_string(),
-            sizing: *sizing,
-            node_load,
-            seed,
+            recipe,
             faults: None,
         })
     }
@@ -660,18 +673,14 @@ impl FabricWorld {
                     }
                 }
                 f.dropped_node_failure += dropped;
-                // Rebuild the switch fresh from its derived seed: a
-                // rebooted switch keeps no state.  `node-up` just flips the
-                // flag back; the rebuilt switch has been idle since.
-                let node = &mut self.nodes[idx];
-                let node_seed = self
-                    .seed
-                    .wrapping_add(SEED_MIX.wrapping_mul(idx as u64 + 1));
-                let matrix = TrafficMatrix::uniform(node.n, self.node_load);
-                node.switch =
-                    registry::build_named(&self.scheme, node.n, &self.sizing, &matrix, node_seed)
-                        .expect("node scheme built once at construction");
-                node.voq_seq.fill(0);
+                // Rebuild the node fresh from its derived seed: a rebooted
+                // switch keeps no state.  `node-up` just flips the flag
+                // back; the rebuilt switch has been idle since.
+                let n = self.nodes[idx].n;
+                self.nodes[idx] = self
+                    .recipe
+                    .node(idx, n)
+                    .expect("node scheme built once at construction");
             }
             FaultKind::NodeUp => f.node_up[event.index] = true,
         }

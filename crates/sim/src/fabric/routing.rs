@@ -29,8 +29,7 @@
 //! packet.
 
 use crate::spec::RoutingSpec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use sprinklers_core::rng::SimRng;
 
 /// Striping state for one `(src, dst)` host pair.
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,7 +44,7 @@ struct StripeState {
 #[derive(Debug)]
 pub struct Router {
     kind: RoutingSpec,
-    rng: StdRng,
+    rng: SimRng,
     /// Hash salt so different seeds shuffle the ECMP pinning.
     salt: u64,
     /// Number of selectable paths.
@@ -152,7 +151,7 @@ fn fnv1a64(words: &[u64]) -> u64 {
 impl Router {
     /// Maximum stripe length the striping strategy draws (a power of two
     /// in `1..=16`, mirroring the single-switch stripe-size bounds).
-    const MAX_STRIPE_LOG2: u32 = 5;
+    const MAX_STRIPE_LOG2: u64 = 5;
 
     /// Create the router for a fabric with `hosts` hosts and `choices`
     /// selectable paths.
@@ -160,7 +159,7 @@ impl Router {
         debug_assert!(choices >= 1);
         Router {
             kind,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SimRng::seed_from_u64(seed),
             salt: seed,
             choices,
             hosts,
@@ -206,13 +205,13 @@ impl Router {
             RoutingSpec::EcmpHash => nth_live(
                 (fnv1a64(&[src as u64, dst as u64, self.salt]) % live_count as u64) as usize,
             ),
-            RoutingSpec::RandomPacket => nth_live(self.rng.gen_range(0..live_count)),
+            RoutingSpec::RandomPacket => nth_live(self.rng.below(live_count as u64) as usize),
             RoutingSpec::Stripe => {
                 let state = &mut self.stripe[src * self.hosts + dst];
                 let choice_dead = live.is_some_and(|mask| !mask_contains(mask, state.choice));
                 if in_flight == 0 && (state.budget == 0 || choice_dead) {
-                    state.choice = nth_live(self.rng.gen_range(0..live_count));
-                    state.budget = 1u64 << self.rng.gen_range(0..Self::MAX_STRIPE_LOG2);
+                    state.choice = nth_live(self.rng.below(live_count as u64) as usize);
+                    state.budget = 1u64 << self.rng.below(Self::MAX_STRIPE_LOG2);
                 }
                 if state.budget > 0 {
                     state.budget -= 1;

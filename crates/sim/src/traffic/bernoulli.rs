@@ -8,10 +8,9 @@
 //! Arbitrary admissible rate matrices are also supported.
 
 use super::{draw53, threshold, RowSampler, TrafficGenerator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::Packet;
+use sprinklers_core::rng::SimRng;
 
 /// Bernoulli i.i.d. traffic drawn from an arbitrary admissible rate matrix.
 pub struct BernoulliTraffic {
@@ -25,7 +24,7 @@ pub struct BernoulliTraffic {
     /// (see [`RowSampler::resolve`]).  Reserved to `n` up front: a slot has
     /// at most one arrival per input.
     draws: Vec<u64>,
-    rng: StdRng,
+    rng: SimRng,
     label: String,
 }
 
@@ -41,7 +40,7 @@ impl BernoulliTraffic {
             rows,
             arrive,
             draws: Vec::with_capacity(n),
-            rng: StdRng::seed_from_u64(seed),
+            rng: SimRng::seed_from_u64(seed),
             label: label.into(),
         }
     }
@@ -87,7 +86,7 @@ impl TrafficGenerator for BernoulliTraffic {
         // Draw from a local copy: `out.push` may reallocate, so with the
         // state behind `self` every draw would reload and store its four
         // words around the call instead of keeping them in registers.
-        // lint: allow(hot-path) — StdRng is four u64 words: the clone is a copy, not a heap allocation
+        // lint: allow(hot-path) — SimRng is four u64 words: the clone is a copy, not a heap allocation
         let mut rng = self.rng.clone();
         let first = out.len();
         self.draws.clear();
@@ -188,13 +187,12 @@ mod tests {
 
     #[test]
     fn idle_inputs_consume_no_draws() {
-        use rand::Rng;
         // Nothing offered: the generator's RNG is still at its seed state.
         let mut idle = BernoulliTraffic::uniform(4, 0.0, 9);
         for slot in 0..100 {
             assert!(idle.arrivals(slot).is_empty());
         }
-        assert_eq!(idle.rng.gen::<u64>(), StdRng::seed_from_u64(9).gen::<u64>());
+        assert_eq!(idle.rng, SimRng::seed_from_u64(9));
 
         // One saturated input between two idle ones: exactly two draws per
         // slot (arrival, destination), none for the idle inputs.
@@ -206,11 +204,11 @@ mod tests {
         for slot in 0..slots {
             assert_eq!(gen.arrivals(slot).len(), 1);
         }
-        let mut reference = StdRng::seed_from_u64(9);
+        let mut reference = SimRng::seed_from_u64(9);
         for _ in 0..2 * slots {
-            reference.gen::<u64>();
+            reference.next_u64();
         }
-        assert_eq!(gen.rng.gen::<u64>(), reference.gen::<u64>());
+        assert_eq!(gen.rng, reference);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! to check that the delay of the ordered schemes stays bounded under bursts.
 
 use super::{draw53, threshold, RowSampler, TrafficGenerator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::Packet;
+use sprinklers_core::rng::SimRng;
 
 /// Markov-modulated on/off traffic.
 pub struct BurstyTraffic {
@@ -29,7 +28,7 @@ pub struct BurstyTraffic {
     /// The destination draws of the slot being generated (see
     /// `BernoulliTraffic::draws`).
     draws: Vec<u64>,
-    rng: StdRng,
+    rng: SimRng,
 }
 
 impl BurstyTraffic {
@@ -71,7 +70,7 @@ impl BurstyTraffic {
             peak,
             state_on: vec![false; n],
             draws: Vec::with_capacity(n),
-            rng: StdRng::seed_from_u64(seed),
+            rng: SimRng::seed_from_u64(seed),
         }
     }
 
@@ -91,7 +90,7 @@ impl TrafficGenerator for BurstyTraffic {
         let (leave_on, leave_off) = (threshold(self.p_off), threshold(self.p_on));
         // A local copy keeps the generator state in registers across
         // `out.push` (see `BernoulliTraffic::arrivals_into`).
-        // lint: allow(hot-path) — StdRng is four u64 words: the clone is a copy, not a heap allocation
+        // lint: allow(hot-path) — SimRng is four u64 words: the clone is a copy, not a heap allocation
         let mut rng = self.rng.clone();
         let first = out.len();
         self.draws.clear();

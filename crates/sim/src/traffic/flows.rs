@@ -12,10 +12,9 @@
 //! heavy-traffic approximation of TCP flow-size distributions.
 
 use super::{draw53, threshold, RowSampler, TrafficGenerator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::Packet;
+use sprinklers_core::rng::SimRng;
 
 /// Bernoulli arrivals carrying geometric-size application flows.
 pub struct FlowTraffic {
@@ -34,7 +33,7 @@ pub struct FlowTraffic {
     draws: Vec<u64>,
     /// Per arrival of that slot: whether its flow ends after it.
     flow_ends: Vec<bool>,
-    rng: StdRng,
+    rng: SimRng,
 }
 
 impl FlowTraffic {
@@ -61,7 +60,7 @@ impl FlowTraffic {
             current_flow,
             draws: Vec::with_capacity(n),
             flow_ends: Vec::with_capacity(n),
-            rng: StdRng::seed_from_u64(seed),
+            rng: SimRng::seed_from_u64(seed),
         }
     }
 
@@ -87,7 +86,7 @@ impl TrafficGenerator for FlowTraffic {
         let end_flow = threshold(1.0 / self.mean_flow_len);
         // A local copy keeps the generator state in registers across
         // `out.push` (see `BernoulliTraffic::arrivals_into`).
-        // lint: allow(hot-path) — StdRng is four u64 words: the clone is a copy, not a heap allocation
+        // lint: allow(hot-path) — SimRng is four u64 words: the clone is a copy, not a heap allocation
         let mut rng = self.rng.clone();
         let first = out.len();
         self.draws.clear();

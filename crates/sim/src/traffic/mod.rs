@@ -22,10 +22,9 @@ pub mod trace;
 pub mod trace_io;
 pub mod trace_stream;
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{assert_ports_fit, Packet};
+use sprinklers_core::rng::SimRng;
 use std::cmp::Ordering;
 
 /// A source of packet arrivals for an N-port switch.
@@ -74,20 +73,20 @@ impl<T: TrafficGenerator + ?Sized> TrafficGenerator for Box<T> {
     }
 }
 
-/// `2^-53`: `rng.gen::<f64>()` is `x · 2^-53` for one 53-bit draw `x`.
+/// `2^-53`: [`SimRng::unit_f64`] is `x · 2^-53` for one 53-bit draw `x`.
 const DRAW_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 
-/// The 53-bit integer behind one `rng.gen::<f64>()`: the same single
+/// The 53-bit integer behind one [`SimRng::unit_f64`]: the same single
 /// `next_u64` call, minus the conversion to `f64`.  Every probability test
 /// and every destination in the seeded generators reads its randomness
 /// through this, so the draw sequence is the float form's, call for call.
 #[inline]
-pub(crate) fn draw53(rng: &mut StdRng) -> u64 {
-    rng.gen::<u64>() >> 11
+pub(crate) fn draw53(rng: &mut SimRng) -> u64 {
+    rng.next_u64() >> 11
 }
 
 /// The exact integer form of a probability test: for every `p`,
-/// `draw53(rng) < threshold(p)` is `rng.gen::<f64>() < p`.
+/// `draw53(rng) < threshold(p)` is `rng.unit_f64() < p`.
 ///
 /// `x · 2^-53 < p` ⇔ `x < p · 2^53` ⇔ `x < ⌈p · 2^53⌉` for an integer `x`,
 /// and scaling by a power of two is exact.  `p ≤ 0` and NaN give 0 (never),

@@ -31,7 +31,8 @@ pub struct TraceTraffic {
 }
 
 impl TraceTraffic {
-    /// Build a trace generator.  Entries are sorted by slot internally.
+    /// Build a trace generator.  Entries are sorted by slot internally
+    /// (stably: a slot's packets keep their given order).
     ///
     /// # Panics
     ///
@@ -39,19 +40,20 @@ impl TraceTraffic {
     /// slot, or if a port index is out of range.
     pub fn new(n: usize, mut entries: Vec<TraceEntry>) -> Self {
         entries.sort_by_key(|e| e.slot);
-        let mut last: Option<(u64, usize)> = None;
+        // Per input, the slot of its latest entry so far: slots only grow,
+        // so a repeat is a second packet in one slot.
+        let mut last_slot: Vec<Option<u64>> = vec![None; n];
         for e in &entries {
             assert!(
                 e.input < n && e.output < n,
                 "port out of range in trace entry {e:?}"
             );
-            if let Some((slot, input)) = last {
-                assert!(
-                    !(slot == e.slot && input == e.input),
-                    "two packets at input {input} in slot {slot}"
-                );
-            }
-            last = Some((e.slot, e.input));
+            assert!(
+                last_slot[e.input].replace(e.slot) != Some(e.slot),
+                "two packets at input {} in slot {}",
+                e.input,
+                e.slot
+            );
         }
         let horizon = entries.last().map(|e| e.slot + 1).unwrap_or(1);
         TraceTraffic {
@@ -188,6 +190,22 @@ mod tests {
                     output: 2,
                 },
             ],
+        );
+    }
+
+    /// The two packets at input 0 are not neighbours once sorted by slot.
+    #[test]
+    #[should_panic(expected = "two packets at input 0 in slot 5")]
+    fn rejects_double_arrival_split_by_another_input() {
+        let _ = TraceTraffic::new(
+            4,
+            [(5, 0, 1), (5, 1, 2), (5, 0, 3)]
+                .map(|(slot, input, output)| TraceEntry {
+                    slot,
+                    input,
+                    output,
+                })
+                .to_vec(),
         );
     }
 

@@ -9,10 +9,9 @@
 //! cargo run --release -p sprinklers-bench --example stripe_anatomy -- [n] [seed]
 //! ```
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sprinklers_core::dyadic::DyadicInterval;
 use sprinklers_core::ols::WeaklyUniformOls;
+use sprinklers_core::rng::SimRng;
 use sprinklers_core::sizing::{load_per_share, stripe_size};
 
 fn main() {
@@ -21,12 +20,12 @@ fn main() {
     let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2014);
     assert!(n.is_power_of_two(), "N must be a power of two");
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let ols = WeaklyUniformOls::random(n, &mut rng);
 
     // Draw some random VOQ rates for input port 0 (normalized so they sum to
     // ~0.9) — in a real switch these would be measured or known a priori.
-    let raw: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
+    let raw: Vec<f64> = (0..n).map(|_| rng.unit_f64()).collect();
     let total: f64 = raw.iter().sum();
     let rates: Vec<f64> = raw.iter().map(|r| 0.9 * r / total).collect();
 

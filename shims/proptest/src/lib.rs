@@ -16,8 +16,53 @@
 
 #![forbid(unsafe_code)]
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+/// The case generator: xoshiro256++ seeded through SplitMix64 — a private
+/// copy of the simulator's `sprinklers_core::rng::SimRng`, which this crate
+/// cannot depend on (the simulator's crates dev-depend on this one).  Same
+/// stream, so every property test keeps drawing the cases it always drew.
+#[derive(Debug, Clone)]
+pub struct CaseRng {
+    s: [u64; 4],
+}
+
+impl CaseRng {
+    fn seed_from_u64(seed: u64) -> Self {
+        let mut state = seed;
+        CaseRng {
+            s: [(); 4].map(|()| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }),
+        }
+    }
+
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform integer in `0..bound` (Lemire's method with rejection).
+    fn below(&mut self, bound: u64) -> u64 {
+        let zone = bound.wrapping_neg() % bound;
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(bound);
+            if m as u64 >= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+}
 
 /// Error type carried by `prop_assert!`-style macros.
 #[derive(Debug, Clone)]
@@ -52,21 +97,27 @@ pub trait Strategy {
     type Value;
 
     /// Draw one value.
-    fn generate(&self, rng: &mut StdRng) -> Self::Value;
+    fn generate(&self, rng: &mut CaseRng) -> Self::Value;
 }
 
 macro_rules! int_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for core::ops::Range<$t> {
             type Value = $t;
-            fn generate(&self, rng: &mut StdRng) -> $t {
-                rng.gen_range(self.clone())
+            fn generate(&self, rng: &mut CaseRng) -> $t {
+                assert!(self.start < self.end, "cannot sample from an empty range");
+                self.start + rng.below((self.end - self.start) as u64) as $t
             }
         }
         impl Strategy for core::ops::RangeInclusive<$t> {
             type Value = $t;
-            fn generate(&self, rng: &mut StdRng) -> $t {
-                rng.gen_range(self.clone())
+            fn generate(&self, rng: &mut CaseRng) -> $t {
+                let (lo, hi) = (*self.start(), *self.end());
+                assert!(lo <= hi, "cannot sample from an empty range");
+                match ((hi - lo) as u64).checked_add(1) {
+                    Some(span) => lo + rng.below(span) as $t,
+                    None => lo + rng.next_u64() as $t,
+                }
             }
         }
     )*};
@@ -76,8 +127,10 @@ int_range_strategy!(usize, u64, u32, i64, i32);
 
 impl Strategy for core::ops::Range<f64> {
     type Value = f64;
-    fn generate(&self, rng: &mut StdRng) -> f64 {
-        rng.gen_range(self.clone())
+    fn generate(&self, rng: &mut CaseRng) -> f64 {
+        assert!(self.start < self.end, "cannot sample from an empty range");
+        let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        self.start + unit * (self.end - self.start)
     }
 }
 
@@ -85,7 +138,7 @@ macro_rules! tuple_strategy {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            fn generate(&self, rng: &mut StdRng) -> Self::Value {
+            fn generate(&self, rng: &mut CaseRng) -> Self::Value {
                 ($(self.$idx.generate(rng),)+)
             }
         }
@@ -101,9 +154,7 @@ tuple_strategy! {
 
 /// Collection strategies (`proptest::collection`).
 pub mod collection {
-    use super::Strategy;
-    use rand::rngs::StdRng;
-    use rand::Rng;
+    use super::{CaseRng, Strategy};
 
     /// Length specification for [`vec`]: a fixed `usize` or a `Range<usize>`.
     #[derive(Debug, Clone)]
@@ -149,11 +200,11 @@ pub mod collection {
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
-        fn generate(&self, rng: &mut StdRng) -> Self::Value {
+        fn generate(&self, rng: &mut CaseRng) -> Self::Value {
             let len = if self.size.lo + 1 == self.size.hi_exclusive {
                 self.size.lo
             } else {
-                rng.gen_range(self.size.lo..self.size.hi_exclusive)
+                (self.size.lo..self.size.hi_exclusive).generate(rng)
             };
             (0..len).map(|_| self.element.generate(rng)).collect()
         }
@@ -190,7 +241,7 @@ impl ProptestConfig {
 
 /// Drives the cases of one property test.
 pub struct TestRunner {
-    rng: StdRng,
+    rng: CaseRng,
     cases: u32,
     name: &'static str,
 }
@@ -214,7 +265,7 @@ impl TestRunner {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| config.unwrap_or_default().cases);
         TestRunner {
-            rng: StdRng::seed_from_u64(seed),
+            rng: CaseRng::seed_from_u64(seed),
             cases,
             name,
         }
@@ -226,7 +277,7 @@ impl TestRunner {
     }
 
     /// The RNG for drawing the next case's inputs.
-    pub fn rng(&mut self) -> &mut StdRng {
+    pub fn rng(&mut self) -> &mut CaseRng {
         &mut self.rng
     }
 
@@ -384,12 +435,59 @@ mod tests {
         }
     }
 
+    /// The copy has not drifted from `SimRng`: seed 2014 starts with the
+    /// words that `sprinklers_core::rng`'s stream pin freezes.
+    #[test]
+    fn same_seed_same_stream() {
+        let mut rng = crate::CaseRng::seed_from_u64(2014);
+        let words = [0xc804_6072_714b_0034, 0x1b57_3798_43e4_b788];
+        assert_eq!(words.map(|_| rng.next_u64()), words);
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let mut a = crate::CaseRng::seed_from_u64(1);
+        let mut b = crate::CaseRng::seed_from_u64(2);
+        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        assert!(same < 4);
+    }
+
+    #[test]
+    fn f64_is_in_unit_interval_and_roughly_uniform() {
+        let mut rng = crate::CaseRng::seed_from_u64(7);
+        let mut sum = 0.0;
+        for _ in 0..10_000 {
+            let x = (0.0f64..1.0).generate(&mut rng);
+            assert!((0.0..1.0).contains(&x));
+            sum += x;
+        }
+        let mean = sum / 10_000.0;
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean} far from 0.5");
+    }
+
+    #[test]
+    fn gen_range_covers_inclusive_bounds() {
+        let mut rng = crate::CaseRng::seed_from_u64(3);
+        let mut seen = [false; 5];
+        for _ in 0..1000 {
+            seen[(0usize..=4).generate(&mut rng)] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "all values of 0..=4 should occur");
+    }
+
+    #[test]
+    fn gen_range_exclusive_never_hits_end() {
+        let mut rng = crate::CaseRng::seed_from_u64(9);
+        for _ in 0..1000 {
+            assert!((0usize..3).generate(&mut rng) < 3);
+        }
+    }
+
     #[test]
     fn runner_is_deterministic_per_name() {
         let mut a = TestRunner::new("some_test");
         let mut b = TestRunner::new("some_test");
-        use ::rand::Rng;
-        assert_eq!(a.rng().gen::<u64>(), b.rng().gen::<u64>());
+        assert_eq!(a.rng().next_u64(), b.rng().next_u64());
     }
 
     #[test]

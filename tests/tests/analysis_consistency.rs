@@ -3,11 +3,10 @@
 //! the analytical claims themselves.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sprinklers_analysis::chernoff;
 use sprinklers_analysis::theorem1;
 use sprinklers_core::ols::WeaklyUniformOls;
+use sprinklers_core::rng::SimRng;
 use sprinklers_core::sizing;
 
 #[test]
@@ -50,7 +49,7 @@ fn simulated_port_loads_match_the_chernoff_regime() {
     let rho = 0.9;
     let trials = 400;
     let mut overloads = 0usize;
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = SimRng::seed_from_u64(99);
     for _ in 0..trials {
         let ols = WeaklyUniformOls::random(n, &mut rng);
         // Uniform split: every VOQ gets rate ρ/N (stripe size F(ρ/N)).

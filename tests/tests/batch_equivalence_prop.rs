@@ -12,10 +12,9 @@
 //! two full `DeliveredPacket` streams must compare equal.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
+use sprinklers_core::rng::SimRng;
 use sprinklers_core::switch::Switch;
 use sprinklers_sim::registry;
 use sprinklers_sim::spec::SizingSpec;
@@ -40,7 +39,7 @@ fn arrival_schedule_for(
     seed: u64,
     load: f64,
 ) -> Vec<Vec<Packet>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut voq_seq = vec![0u64; n * n];
     let mut id = 0u64;
     let mut schedule = Vec::with_capacity(total_slots as usize);
@@ -48,11 +47,11 @@ fn arrival_schedule_for(
         let mut arrivals = Vec::new();
         if slot < offered_slots {
             for input in 0..n {
-                if rng.gen_range(0.0..1.0) < load {
-                    let output = rng.gen_range(0..n);
+                if rng.unit_f64() < load {
+                    let output = rng.below(n as u64) as usize;
                     let key = input * n + output;
                     let mut p = Packet::new(input, output, id, slot)
-                        .with_flow(rng.gen_range(0..3u64))
+                        .with_flow(rng.below(3))
                         .with_voq_seq(voq_seq[key]);
                     p.arrival_slot = slot;
                     voq_seq[key] += 1;
@@ -92,7 +91,7 @@ fn run_batched(
     split_seed: u64,
     max_chunk: u32,
 ) -> Vec<DeliveredPacket> {
-    let mut rng = StdRng::seed_from_u64(split_seed);
+    let mut rng = SimRng::seed_from_u64(split_seed);
     let mut delivered = Vec::new();
     let total = schedule.len() as u64;
     let mut slot = 0u64;
@@ -100,7 +99,7 @@ fn run_batched(
         for p in &schedule[slot as usize] {
             switch.arrive(p.clone());
         }
-        let chunk = u64::from(rng.gen_range(1..=max_chunk));
+        let chunk = 1 + rng.below(u64::from(max_chunk));
         let mut end = slot + 1;
         while end < total && end < slot + chunk && schedule[end as usize].is_empty() {
             end += 1;

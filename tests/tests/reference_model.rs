@@ -16,12 +16,11 @@
 //! against the values the reference stamped at assembly.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sprinklers_core::config::{AlignmentMode, InputDiscipline, SizingMode, SprinklersConfig};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::ols::WeaklyUniformOls;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
+use sprinklers_core::rng::SimRng;
 use sprinklers_core::sizing::stripe_size;
 use sprinklers_core::sprinklers::SprinklersSwitch;
 use sprinklers_core::switch::{Switch, SwitchStats};
@@ -91,7 +90,7 @@ impl ReferenceSprinklers {
         seed: u64,
         size_of: impl Fn(usize, usize) -> usize,
     ) -> Self {
-        let ols = WeaklyUniformOls::random(n, &mut StdRng::seed_from_u64(seed));
+        let ols = WeaklyUniformOls::random(n, &mut SimRng::seed_from_u64(seed));
         let levels = n.trailing_zeros() as usize + 1;
         let level_queues = || (0..levels).map(|_| VecDeque::new()).collect::<Vec<_>>();
         let inputs = (0..n)
@@ -322,20 +321,20 @@ fn skewed_matrix(n: usize) -> TrafficMatrix {
 /// Bernoulli arrivals concentrated on the four VOQs per input that
 /// [`skewed_matrix`] loads, so even size-N stripes fill within the horizon.
 fn schedule(n: usize, seed: u64, load: f64, offered: u64, total: u64) -> Vec<Vec<Packet>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut voq_seq = vec![0u64; n * n];
     let mut id = 0u64;
     (0..total)
         .map(|slot| {
             let mut arrivals = Vec::new();
             for input in 0..n {
-                if slot < offered && rng.gen_range(0.0..1.0) < load {
-                    let k = [0, 0, 0, 1, 1, 2, 2, 3][rng.gen_range(0..8usize)];
+                if slot < offered && rng.unit_f64() < load {
+                    let k = [0, 0, 0, 1, 1, 2, 2, 3][rng.below(8) as usize];
                     let output = (input + k) % n;
                     let key = input * n + output;
                     arrivals.push(
                         Packet::new(input, output, id, slot)
-                            .with_flow(rng.gen_range(0..5u64))
+                            .with_flow(rng.below(5))
                             .with_voq_seq(voq_seq[key]),
                     );
                     voq_seq[key] += 1;

@@ -43,10 +43,9 @@
 //! counter is process-global, so a second concurrently-running test would
 //! pollute the measurement.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
+use sprinklers_core::rng::SimRng;
 use sprinklers_core::store::PAGE_SLOTS;
 use sprinklers_core::switch::{CountingSink, DeliverySink, Steppable, Switch};
 use sprinklers_sim::engine::{Engine, RunConfig};
@@ -114,7 +113,7 @@ const LOAD: f64 = 0.3;
 /// measurement window continues the warm-up's exact packet sequence.
 fn drive(
     switch: &mut dyn Switch,
-    rng: &mut StdRng,
+    rng: &mut SimRng,
     voq_seq: &mut [u64],
     next_id: &mut u64,
     from_slot: u64,
@@ -123,13 +122,13 @@ fn drive(
     let mut sink = CountingSink::default();
     for slot in from_slot..from_slot + slots {
         for input in 0..N {
-            if rng.gen_range(0.0..1.0) >= LOAD {
+            if rng.unit_f64() >= LOAD {
                 continue;
             }
-            let output = rng.gen_range(0..N);
+            let output = rng.below(N as u64) as usize;
             let key = input * N + output;
             let p = Packet::new(input, output, *next_id, slot)
-                .with_flow(rng.gen_range(0..64u64))
+                .with_flow(rng.below(64))
                 .with_voq_seq(voq_seq[key]);
             voq_seq[key] += 1;
             *next_id += 1;
@@ -475,7 +474,7 @@ fn hot_paths_do_not_allocate_in_steady_state() {
         "tcp-hash",
     ] {
         let mut switch = registry::build_named(scheme, N, &SizingSpec::Matrix, &matrix, 7).unwrap();
-        let mut rng = StdRng::seed_from_u64(2014);
+        let mut rng = SimRng::seed_from_u64(2014);
         let mut voq_seq = vec![0u64; N * N];
         let mut next_id = 0u64;
         // The warm-up itself must stay cheap too: filling every container to
