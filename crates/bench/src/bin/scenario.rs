@@ -148,7 +148,6 @@ fn main() {
             }
             TrafficSpec::Trace {
                 path: trace,
-                format: None,
                 repeat: parse_flag(&args, "--repeat").unwrap_or(1),
                 scale: parse_flag(&args, "--scale").unwrap_or(1.0),
             }

@@ -8,20 +8,19 @@
 //! byte.  `trace info` validates a trace end to end and prints its header
 //! and summary statistics; `trace convert` transcodes between the
 //! human-editable CSV and the compact binary `.sprt` without loading the
-//! trace into memory.
+//! trace into memory.  A trace's encoding is read from its bytes; a written
+//! one is `.sprt` binary for a `.sprt` path and CSV otherwise.
 //!
 //! Usage:
 //! ```text
-//! trace record --spec <file.json> --out <trace.{csv,sprt}> [--format csv|sprt]
-//!              [--emit-spec <replay.json>]
-//! trace info --in <trace> [--in-format csv|sprt]
-//! trace convert --in <a> --out <b> [--in-format csv|sprt] [--out-format csv|sprt]
-//!               [--n <ports>]
+//! trace record --spec <file.json> --out <trace.{csv,sprt}> [--emit-spec <replay.json>]
+//! trace info --in <trace>
+//! trace convert --in <a> --out <b> [--n <ports>]
 //! ```
 
 use sprinklers_bench::cli::{arg_value, check_flags, fail, has_flag, load_spec_file, parse_flag};
 use sprinklers_sim::spec::TrafficSpec;
-use sprinklers_sim::traffic::trace_io::{record_spec, TraceFormat, TraceReader, TraceWriter};
+use sprinklers_sim::traffic::trace_io::{record_spec, TraceReader, TraceWriter};
 use std::path::Path;
 
 const USAGE: &str = "\
@@ -39,13 +38,13 @@ Subcommands:
            metadata is preserved).
 
 Usage:
-  trace record --spec <file.json> --out <trace.{csv,sprt}> [--format csv|sprt]
-               [--emit-spec <replay.json>]
-  trace info --in <trace> [--in-format csv|sprt]
-  trace convert --in <a> --out <b> [--in-format csv|sprt] [--out-format csv|sprt]
-                [--n <ports>]
+  trace record --spec <file.json> --out <trace.{csv,sprt}> [--emit-spec <replay.json>]
+  trace info --in <trace>
+  trace convert --in <a> --out <b> [--n <ports>]
 
-Formats default to the file extension (.sprt = binary, anything else CSV).
+A trace is read as binary when it opens with the SPRT magic, as CSV
+otherwise; one is written as binary when its path ends in .sprt, as CSV
+otherwise.
 --emit-spec writes a replay ScenarioSpec next to the trace: the recorded
 spec with its traffic block swapped for {\"kind\": \"trace\", ...}.
 --n supplies a port count when converting a metadata-free CSV to .sprt; a
@@ -73,25 +72,16 @@ fn check_subcommand_flags(args: &[String], value_flags: &[&str]) {
     }
 }
 
-fn explicit_format(args: &[String], flag: &str) -> Option<TraceFormat> {
-    arg_value(args, flag)
-        .map(|name| TraceFormat::from_name(&name).unwrap_or_else(|e| fail(&e.to_string())))
-}
-
 fn record(args: &[String]) {
-    check_subcommand_flags(args, &["--spec", "--out", "--format", "--emit-spec"]);
+    check_subcommand_flags(args, &["--spec", "--out", "--emit-spec"]);
     let spec_path =
         arg_value(args, "--spec").unwrap_or_else(|| fail("record needs --spec (see --help)"));
     let out = arg_value(args, "--out").unwrap_or_else(|| fail("record needs --out (see --help)"));
     let spec = load_spec_file(&spec_path);
-    let format = explicit_format(args, "--format")
-        .unwrap_or_else(|| TraceFormat::from_path(Path::new(&out)));
 
-    let (records, span) = record_spec(&spec, &out, format).unwrap_or_else(|e| fail(&e.to_string()));
+    let (records, span) = record_spec(&spec, &out).unwrap_or_else(|e| fail(&e.to_string()));
     eprintln!(
-        "recorded {} ({}): {records} packets over {span} slots from {}",
-        out,
-        format.name(),
+        "recorded {out}: {records} packets over {span} slots from {}",
         spec.label(),
     );
 
@@ -112,12 +102,7 @@ fn record(args: &[String]) {
                 .into_owned(),
         };
         let mut replay = spec.clone();
-        replay.traffic = TrafficSpec::Trace {
-            path: trace_ref,
-            format: Some(format),
-            repeat: 1,
-            scale: 1.0,
-        };
+        replay.traffic = TrafficSpec::trace(trace_ref);
         std::fs::write(&replay_path, replay.to_json())
             .unwrap_or_else(|e| fail(&format!("cannot write {replay_path}: {e}")));
         eprintln!("wrote replay spec {replay_path}");
@@ -125,13 +110,12 @@ fn record(args: &[String]) {
 }
 
 fn info(args: &[String]) {
-    check_subcommand_flags(args, &["--in", "--in-format"]);
+    check_subcommand_flags(args, &["--in"]);
     let input = arg_value(args, "--in").unwrap_or_else(|| fail("info needs --in (see --help)"));
-    let format = explicit_format(args, "--in-format");
-    let mut reader = TraceReader::open(&input, format).unwrap_or_else(|e| fail(&e.to_string()));
+    let mut reader = TraceReader::open(&input).unwrap_or_else(|e| fail(&e.to_string()));
 
     println!("path:    {input}");
-    println!("format:  {}", reader.format().name());
+    println!("format:  {}", reader.encoding());
     match reader.meta().n {
         Some(n) => println!("n:       {n}"),
         None => println!("n:       (not declared)"),
@@ -150,8 +134,8 @@ fn info(args: &[String]) {
     );
     let declared_slots = reader.meta().slots;
 
-    // Full validating scan: counts, span, and per-port peaks — also the
-    // cheapest way to lint a hand-edited trace for format errors.
+    // Full validating scan (the reader applies replay's file rules):
+    // counts, span, and per-port peaks.
     let mut records = 0u64;
     let mut first_slot = None;
     let mut last_slot = 0u64;
@@ -175,13 +159,6 @@ fn info(args: &[String]) {
             Err(e) => fail(&e.to_string()),
         }
     }
-    // Mirror the replay path's header check: a file `info` blesses must
-    // also open for replay.
-    if declared_slots > 0 && records > 0 && declared_slots <= last_slot {
-        fail(&format!(
-            "header declares {declared_slots} slots but the trace contains slot {last_slot}"
-        ));
-    }
     let span = declared_slots.max(if records > 0 { last_slot + 1 } else { 0 });
     println!("records: {records}");
     println!("slots:   {span} (declared {declared_slots})");
@@ -201,17 +178,11 @@ fn info(args: &[String]) {
 }
 
 fn convert(args: &[String]) {
-    check_subcommand_flags(
-        args,
-        &["--in", "--out", "--in-format", "--out-format", "--n"],
-    );
+    check_subcommand_flags(args, &["--in", "--out", "--n"]);
     let input = arg_value(args, "--in").unwrap_or_else(|| fail("convert needs --in (see --help)"));
     let out = arg_value(args, "--out").unwrap_or_else(|| fail("convert needs --out (see --help)"));
-    let in_format = explicit_format(args, "--in-format");
-    let out_format = explicit_format(args, "--out-format")
-        .unwrap_or_else(|| TraceFormat::from_path(Path::new(&out)));
 
-    let mut reader = TraceReader::open(&input, in_format).unwrap_or_else(|e| fail(&e.to_string()));
+    let mut reader = TraceReader::open(&input).unwrap_or_else(|e| fail(&e.to_string()));
     let mut meta = reader.meta().clone();
     // Metadata-free CSVs can still become .sprt if the caller supplies n.
     match (meta.n, parse_flag::<usize>(args, "--n")) {
@@ -221,11 +192,7 @@ fn convert(args: &[String]) {
         (None, given) => meta.n = given,
         _ => {}
     }
-    if meta.n.is_none() && out_format == TraceFormat::Sprt {
-        fail("the input declares no port count; pass --n to convert to .sprt");
-    }
-    let mut writer =
-        TraceWriter::create(&out, out_format, &meta).unwrap_or_else(|e| fail(&e.to_string()));
+    let mut writer = TraceWriter::create(&out, &meta).unwrap_or_else(|e| fail(&e.to_string()));
     loop {
         match reader.next_record() {
             Ok(Some(rec)) => writer.write(&rec).unwrap_or_else(|e| fail(&e.to_string())),
@@ -234,9 +201,5 @@ fn convert(args: &[String]) {
         }
     }
     let (records, span) = writer.finish().unwrap_or_else(|e| fail(&e.to_string()));
-    eprintln!(
-        "converted {input} ({}) -> {out} ({}): {records} packets over {span} slots",
-        reader.format().name(),
-        out_format.name(),
-    );
+    eprintln!("converted {input} -> {out}: {records} packets over {span} slots");
 }

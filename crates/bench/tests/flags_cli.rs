@@ -71,7 +71,9 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
     let scenario = ["--scheme", "oq", "--n", "8", "--quick"];
     let suite = ["--dir", utf8(&dir)];
     let trace = ["info", "--in", utf8(&spec)];
-    let cases: [(&str, &[&str], &[&str], &str); 20] = [
+    let record = ["record", "--spec", utf8(&spec), "--out", "unused.sprt"];
+    let convert = ["convert", "--in", utf8(&spec), "--out", "unused.sprt"];
+    let cases: [(&str, &[&str], &[&str], &str); 24] = [
         (SCENARIO, &scenario, &["--lod", "0.9", "--bogus"], "--lod"),
         (SCENARIO, &scenario, &["--load"], "--load requires a value"),
         (
@@ -109,6 +111,11 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
             "--batch was removed",
         ),
         (TRACE, &trace, &["--bogus"], "--bogus"),
+        // A trace's encoding is read from its bytes: the format flags went.
+        (TRACE, &record, &["--format", "csv"], "--format"),
+        (TRACE, &trace, &["--in-format", "csv"], "--in-format"),
+        (TRACE, &convert, &["--in-format", "csv"], "--in-format"),
+        (TRACE, &convert, &["--out-format", "csv"], "--out-format"),
         (
             SCENARIO,
             &scenario,
@@ -136,9 +143,9 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
 }
 
 /// A flag that would be silently outvoted is a usage error: an inline
-/// scenario flag beside `--spec`, a trace knob without `--trace`, the
-/// removed `trace info --format`, and a `trace convert --n` that contradicts
-/// the trace's own `n`.
+/// scenario flag beside `--spec`, a trace knob without `--trace`, a
+/// `trace info --format`, and a `trace convert --n` that contradicts the
+/// trace's own `n`.
 #[test]
 fn flags_a_run_would_ignore_are_usage_errors() {
     let dir = spec_dir("ignored", &[("a.json", 3)], "");
@@ -192,7 +199,7 @@ fn flags_a_run_would_ignore_are_usage_errors() {
         assert_usage_error(&out, needle, &format!("{bin} {base:?} {extra:?}"));
     }
 
-    // What stays accepted: the trace's own n, and --in-format on info.
+    // What stays accepted: the trace's own n.
     let converted = run(
         TRACE,
         &[
@@ -206,8 +213,6 @@ fn flags_a_run_would_ignore_are_usage_errors() {
         ],
     );
     assert_eq!(converted.status.code(), Some(0), "convert at the trace's n");
-    let info = run(TRACE, &["info", "--in", utf8(&trace), "--in-format", "csv"]);
-    assert_eq!(info.status.code(), Some(0), "info --in-format");
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 

@@ -4,7 +4,8 @@
 //! fields that can change the simulation's result.  The inert `batch` and
 //! `threads` fields are excluded, so entries written while they were
 //! performance knobs stay hits.  Hashing the identity (canonical JSON,
-//! FNV-1a 128) yields a stable key, and
+//! FNV-1a 128, plus a digest of a replayed trace's bytes) yields a stable
+//! key, and
 //! [`ExperimentCache`] maps that key to the finished run's CSV row, the
 //! summary scalars the suite prints, and optionally the full metrics
 //! sidecar line.
@@ -33,9 +34,10 @@
 //! be stable across builds.
 
 use crate::report::SimReport;
-use crate::spec::ScenarioSpec;
+use crate::spec::{ScenarioSpec, TrafficSpec};
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// FNV-1a offset basis for the 128-bit variant.
@@ -49,12 +51,32 @@ const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 /// dependency-free, and 128 bits wide so accidental collisions between
 /// distinct scenario identities are not a practical concern.
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
-    let mut hash = FNV128_OFFSET;
+    fnv1a_128_extend(FNV128_OFFSET, bytes)
+}
+
+/// Continue a 128-bit FNV-1a hash over more bytes.
+fn fnv1a_128_extend(mut hash: u128, bytes: &[u8]) -> u128 {
     for &b in bytes {
         hash ^= u128::from(b);
         hash = hash.wrapping_mul(FNV128_PRIME);
     }
     hash
+}
+
+/// [`fnv1a_128`] of a file's bytes, read in bounded chunks; `None` when the
+/// file cannot be read.
+fn file_digest(path: &str) -> Option<u128> {
+    let mut file = fs::File::open(path).ok()?;
+    let mut chunk = vec![0u8; 1 << 16];
+    let mut hash = FNV128_OFFSET;
+    loop {
+        match file.read(&mut chunk) {
+            Ok(0) => return Some(hash),
+            Ok(len) => hash = fnv1a_128_extend(hash, &chunk[..len]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return None,
+        }
+    }
 }
 
 impl ScenarioSpec {
@@ -71,14 +93,22 @@ impl ScenarioSpec {
         identity.to_json()
     }
 
-    /// 128-bit content hash of [`Self::scientific_identity_json`].  This
-    /// is the experiment cache key: it changes whenever any
-    /// result-affecting field changes (scheme, n, sizing, traffic, run
-    /// lengths, seed — including a trace's *path*, format, repeat and
-    /// scale, though not the trace file's contents) and stays fixed
-    /// across `batch`/`threads` values.
+    /// 128-bit content hash of [`Self::scientific_identity_json`], and for
+    /// a trace replay also of the trace file's bytes.  This is the
+    /// experiment cache key: it changes whenever any result-affecting field
+    /// changes (scheme, n, sizing, traffic, run lengths, seed — for a trace
+    /// its path, repeat, scale and contents) and stays fixed across
+    /// `batch`/`threads` values.  An unreadable trace mixes in a fixed
+    /// marker instead; running that spec fails on its own.
     pub fn content_hash(&self) -> u128 {
-        fnv1a_128(self.scientific_identity_json().as_bytes())
+        let hash = fnv1a_128(self.scientific_identity_json().as_bytes());
+        match &self.traffic {
+            TrafficSpec::Trace { path, .. } => {
+                let digest = file_digest(path).map_or(*b"unreadable trace", u128::to_le_bytes);
+                fnv1a_128_extend(hash, &digest)
+            }
+            _ => hash,
+        }
     }
 }
 

@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::traffic::flows::FlowTraffic;
     pub use crate::traffic::trace::TraceTraffic;
     pub use crate::traffic::trace_io::{
-        record_spec, TraceFormat, TraceMeta, TraceReader, TraceRecord, TraceWriter,
+        record_spec, TraceMeta, TraceReader, TraceRecord, TraceWriter,
     };
     pub use crate::traffic::trace_stream::TraceStream;
     pub use crate::traffic::TrafficGenerator;

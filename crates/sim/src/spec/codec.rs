@@ -17,7 +17,7 @@ use super::{
 };
 use crate::engine::RunConfig;
 use crate::json::{Fields, ObjectWriter, Value};
-use crate::traffic::trace_io::{TraceFormat, MAX_REPEAT};
+use crate::traffic::trace_io::MAX_REPEAT;
 
 impl ScenarioSpec {
     /// Render the spec as a spec file.
@@ -132,21 +132,18 @@ fn read_run(value: &Value) -> Result<RunConfig, SpecError> {
 }
 
 /// Synthetic patterns are written `{"pattern": ..., "load": ..., ...}`,
-/// trace replays `{"kind": "trace", "path": ..., ["format": ...,]
-/// "repeat": ..., "scale": ...}`.
+/// trace replays `{"kind": "trace", "path": ..., "repeat": ..., "scale": ...}`.
 fn write_traffic(o: &mut ObjectWriter<'_>, traffic: &TrafficSpec) {
     match *traffic {
         TrafficSpec::Trace {
             ref path,
-            format,
             repeat,
             scale,
         } => {
-            o.str("kind", "trace").str("path", path);
-            if let Some(format) = format {
-                o.str("format", format.name());
-            }
-            o.uint("repeat", repeat).f64("scale", scale);
+            o.str("kind", "trace")
+                .str("path", path)
+                .uint("repeat", repeat)
+                .f64("scale", scale);
         }
         ref synthetic => {
             o.str("pattern", synthetic.pattern_name())
@@ -236,10 +233,14 @@ fn read_traffic(value: &Value) -> Result<TrafficSpec, SpecError> {
         &["kind", "path", "format", "repeat", "scale"],
         "kind 'trace'",
     )?;
-    let format = traffic
-        .opt_str("format")?
-        .map(TraceFormat::from_name)
-        .transpose()?;
+    // Older writers named the encoding, which the file's bytes decide now:
+    // a known name is read and dropped.
+    let format = traffic.opt_str("format")?;
+    if let Some(other) = format.filter(|f| !matches!(*f, "csv" | "sprt")) {
+        return Err(SpecError::new(format!(
+            "unknown trace format '{other}' (known: csv, sprt)"
+        )));
+    }
     let repeat = match traffic.opt_u64("repeat")? {
         None => 1,
         Some(repeat) => u32::try_from(repeat)
@@ -263,7 +264,6 @@ fn read_traffic(value: &Value) -> Result<TrafficSpec, SpecError> {
     };
     Ok(TrafficSpec::Trace {
         path: traffic.str("path")?.to_string(),
-        format,
         repeat,
         scale,
     })

@@ -556,18 +556,15 @@ fn suite_rejects_duplicate_stems_across_subdirectories() {
 
 #[test]
 fn trace_specs_round_trip_through_json() {
-    use crate::traffic::trace_io::TraceFormat;
     for traffic in [
         TrafficSpec::trace("traces/capture.sprt"),
         TrafficSpec::Trace {
             path: "with \"quotes\"\\and\\slashes.csv".into(),
-            format: Some(TraceFormat::Csv),
             repeat: 7,
             scale: 1.75,
         },
         TrafficSpec::Trace {
             path: "/abs/path.sprt".into(),
-            format: Some(TraceFormat::Sprt),
             repeat: 1,
             scale: 0.25,
         },
@@ -575,6 +572,19 @@ fn trace_specs_round_trip_through_json() {
         let spec = ScenarioSpec::new("foff", 8).with_traffic(traffic);
         let parsed = ScenarioSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(parsed, spec, "json was: {}", spec.to_json());
+    }
+}
+
+#[test]
+fn an_old_format_key_is_read_and_dropped() {
+    for name in ["csv", "sprt"] {
+        let spec = ScenarioSpec::from_json(&format!(
+            r#"{{"scheme": "oq", "n": 8,
+                "traffic": {{"kind": "trace", "path": "t.sprt", "format": "{name}"}}}}"#
+        ))
+        .unwrap();
+        assert_eq!(spec.traffic, TrafficSpec::trace("t.sprt"));
+        assert!(!spec.to_json().contains("format"));
     }
 }
 
@@ -949,7 +959,6 @@ fn spec_file_bytes_are_pinned_for_every_block() {
         })
         .with_traffic(TrafficSpec::Trace {
             path: "dir/\"q\"\t.sprt".into(),
-            format: Some(crate::traffic::trace_io::TraceFormat::Sprt),
             repeat: 3,
             scale: 0.125,
         })
@@ -972,7 +981,7 @@ fn spec_file_bytes_are_pinned_for_every_block() {
             "{\"slot\":9,\"kind\":\"node-up\",\"node\":1}],",
             "\"random\":{\"mtbf\":100,\"mttr\":7,\"seed\":18446744073709551615}},\n",
             "  \"traffic\": {\"kind\":\"trace\",\"path\":\"dir/\\\"q\\\"\\t.sprt\",",
-            "\"format\":\"sprt\",\"repeat\":3,\"scale\":0.125},\n",
+            "\"repeat\":3,\"scale\":0.125},\n",
             "  \"run\": {\"slots\":10,\"warmup_slots\":1,\"drain_slots\":20},\n",
             "  \"seed\": 7,\n",
             "  \"batch\": 64,\n",

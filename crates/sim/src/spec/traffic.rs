@@ -5,7 +5,6 @@ use super::SpecError;
 use crate::traffic::bernoulli::BernoulliTraffic;
 use crate::traffic::bursty::BurstyTraffic;
 use crate::traffic::flows::FlowTraffic;
-use crate::traffic::trace_io::TraceFormat;
 use crate::traffic::trace_stream::TraceStream;
 use crate::traffic::TrafficGenerator;
 use sprinklers_core::matrix::TrafficMatrix;
@@ -55,8 +54,6 @@ pub enum TrafficSpec {
         /// against the spec file's directory by the loaders
         /// ([`super::ScenarioSpec::rebase_paths`]).
         path: String,
-        /// On-disk encoding; `None` selects by file extension.
-        format: Option<TraceFormat>,
         /// Number of back-to-back copies to replay (each offset by the
         /// recorded slot span).
         repeat: u32,
@@ -69,12 +66,10 @@ pub enum TrafficSpec {
 }
 
 impl TrafficSpec {
-    /// A trace replay at its recorded timebase (`repeat = 1`, `scale = 1`),
-    /// format chosen by file extension.
+    /// A trace replay at its recorded timebase (`repeat = 1`, `scale = 1`).
     pub fn trace(path: impl Into<String>) -> Self {
         TrafficSpec::Trace {
             path: path.into(),
-            format: None,
             repeat: 1,
             scale: 1.0,
         }
@@ -94,10 +89,9 @@ impl TrafficSpec {
             TrafficSpec::Flows { load, .. } => TrafficMatrix::uniform(n, *load),
             TrafficSpec::Trace {
                 path,
-                format,
                 repeat,
                 scale,
-            } => TraceStream::open(path, *format, n, *repeat, *scale)?.rate_matrix(),
+            } => TraceStream::open(path, n, *repeat, *scale)?.rate_matrix(),
         })
     }
 
@@ -195,10 +189,9 @@ impl TrafficSpec {
             } => Box::new(FlowTraffic::uniform(n, *load, *mean_flow_len, seed)),
             TrafficSpec::Trace {
                 path,
-                format,
                 repeat,
                 scale,
-            } => Box::new(TraceStream::open(path, *format, n, *repeat, *scale)?),
+            } => Box::new(TraceStream::open(path, n, *repeat, *scale)?),
         })
     }
 

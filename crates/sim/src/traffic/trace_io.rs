@@ -9,7 +9,9 @@
 //! it was captured from, so a recorded scenario reproduces its original
 //! report byte for byte.
 //!
-//! Two formats are supported, chosen by extension or explicitly:
+//! A file's encoding is read from its bytes: one that opens with the `SPRT`
+//! magic is binary, any other is CSV.  A writer picks binary for a `.sprt`
+//! path and CSV for any other.
 //!
 //! * **CSV** — `slot,input,output[,flow]` data lines preceded by `# key =
 //!   value` metadata comments.  Editable by hand; any line order quirks
@@ -22,16 +24,19 @@
 //!
 //! Reading is **streaming**: [`TraceReader`] holds one buffered file handle
 //! and a bounded line/record scratch, never the whole trace, so memory stays
-//! O(1) in the trace length.  [`TraceWriter`] is the mirror image and is
-//! what the `trace` CLI and [`record_spec`] use to emit traces.
+//! O(1) in the trace length.  It is also where a file's validity is decided,
+//! for every consumer alike (`trace info`, `trace convert`, replay): slots
+//! non-decreasing, ports in range, at most one packet per input per slot, no
+//! slot past a declared span, and the declared record count.
+//! [`TraceWriter`] is the mirror image and is what the `trace` CLI and
+//! [`record_spec`] use to emit traces.
 //!
-//! All failures — missing file, bad magic, truncated data, out-of-range
-//! ports, non-monotone slots, header/record-count mismatches — surface as
-//! typed [`SpecError`]s carrying the file path, never as panics.
+//! All failures — missing file, bad header, truncated data, out-of-range
+//! ports, non-monotone slots, input collisions, span and count mismatches —
+//! surface as typed [`SpecError`]s carrying the file path, never as panics.
 
 use crate::spec::{ScenarioSpec, SpecError};
 use sprinklers_core::matrix::TrafficMatrix;
-use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -49,52 +54,6 @@ pub const MAX_REPEAT: u32 = 4096;
 pub const MAX_TRACE_N: usize = 4096;
 /// Upper bound on the label block in a `.sprt` header (same rationale).
 const MAX_LABEL_BYTES: usize = 1 << 16;
-
-/// The two on-disk trace encodings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Human-editable `slot,input,output[,flow]` lines with `#` metadata.
-    Csv,
-    /// Compact binary: magic + header + delta-encoded varint records.
-    Sprt,
-}
-
-impl TraceFormat {
-    /// Choose a format from a path's extension: `.sprt` is binary,
-    /// everything else is CSV.
-    pub fn from_path(path: &Path) -> TraceFormat {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("sprt") => TraceFormat::Sprt,
-            _ => TraceFormat::Csv,
-        }
-    }
-
-    /// The format's canonical name (`csv` / `sprt`), as used in spec JSON
-    /// and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceFormat::Csv => "csv",
-            TraceFormat::Sprt => "sprt",
-        }
-    }
-
-    /// Parse a format name (the inverse of [`Self::name`]).
-    pub fn from_name(name: &str) -> Result<TraceFormat, SpecError> {
-        match name {
-            "csv" => Ok(TraceFormat::Csv),
-            "sprt" => Ok(TraceFormat::Sprt),
-            other => Err(SpecError::new(format!(
-                "unknown trace format '{other}' (known: csv, sprt)"
-            ))),
-        }
-    }
-}
-
-impl fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One recorded arrival: the identity fields the engine needs to reinject
 /// the packet exactly as the original generator offered it.
@@ -159,16 +118,20 @@ fn validate_label(path: &Path, label: &str) -> Result<(), SpecError> {
 // ---------------------------------------------------------------------------
 
 /// Streaming trace reader: yields [`TraceRecord`]s one at a time from a
-/// buffered file handle (memory stays bounded regardless of trace length),
-/// enforcing non-decreasing slots, in-range ports (when `n` is known) and —
-/// for the binary format — the header's record count.
+/// buffered file handle (memory stays bounded regardless of trace length)
+/// and refuses any record that breaks the file-level rules (module docs).
 #[derive(Debug)]
 pub struct TraceReader {
     path: PathBuf,
-    format: TraceFormat,
     meta: TraceMeta,
     inner: ReaderImpl,
+    /// Port bound records are checked against: the header's `n`, or the
+    /// one [`Self::require_n`] supplies.
+    ports: Option<usize>,
     prev_slot: Option<u64>,
+    /// Slot of each input's latest record (grown on demand, at most
+    /// [`MAX_TRACE_N`] entries), for the one-packet-per-input-per-slot rule.
+    input_slots: Vec<Option<u64>>,
     read_records: u64,
     /// Declared record count (`.sprt` header, or a CSV `# entries =` line).
     declared_entries: Option<u64>,
@@ -190,75 +153,81 @@ enum ReaderImpl {
 }
 
 impl TraceReader {
-    /// Open a trace file and parse its metadata header.  `format == None`
-    /// selects by extension ([`TraceFormat::from_path`]).
-    pub fn open(path: impl AsRef<Path>, format: Option<TraceFormat>) -> Result<Self, SpecError> {
+    /// Open a trace file and parse its metadata header.  The encoding is
+    /// read from the first bytes: the `SPRT` magic means binary, anything
+    /// else is CSV.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, SpecError> {
         let path = path.as_ref().to_path_buf();
-        let format = format.unwrap_or_else(|| TraceFormat::from_path(&path));
         let file = File::open(&path).map_err(|e| path_err(&path, format!("cannot open: {e}")))?;
         let mut reader = BufReader::new(file);
+        let io = |e: std::io::Error| path_err(&path, format!("read error: {e}"));
+        let mut head = Vec::with_capacity(SPRT_MAGIC.len());
+        (&mut reader)
+            .take(SPRT_MAGIC.len() as u64)
+            .read_to_end(&mut head)
+            .map_err(io)?;
+        let binary = head == SPRT_MAGIC;
+        if !binary {
+            reader.rewind().map_err(io)?;
+        }
         let mut meta = TraceMeta::default();
         let mut declared_entries = None;
-        let inner = match format {
-            TraceFormat::Csv => {
-                let mut line = String::new();
-                let mut offset = 0u64;
-                let mut line_no = 0u64;
-                // Metadata comments and the optional column-header line come
-                // before the first data line; remember where data starts so
-                // rewinds can seek straight back to it.
-                loop {
-                    let mark = offset;
-                    let mark_line = line_no;
-                    line.clear();
-                    let bytes = reader
-                        .read_line(&mut line)
-                        .map_err(|e| path_err(&path, format!("read error: {e}")))?;
-                    if bytes == 0 {
-                        break; // data-free trace (metadata only, or empty file)
-                    }
-                    offset += bytes as u64;
-                    line_no += 1;
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    if let Some(comment) = trimmed.strip_prefix('#') {
-                        parse_csv_meta(&path, comment, &mut meta, &mut declared_entries)?;
-                        continue;
-                    }
-                    if trimmed.split(',').next().map(str::trim) == Some("slot") {
-                        continue; // column-header line
-                    }
-                    // First data line: rewind one line and stop.
-                    reader
-                        .seek(SeekFrom::Start(mark))
-                        .map_err(|e| path_err(&path, format!("seek error: {e}")))?;
-                    offset = mark;
-                    line_no = mark_line;
-                    break;
+        let inner = if binary {
+            let (parsed_meta, entries, data_start) = read_sprt_header(&path, &mut reader)?;
+            meta = parsed_meta;
+            declared_entries = Some(entries);
+            ReaderImpl::Sprt { reader, data_start }
+        } else {
+            let mut line = String::new();
+            let mut offset = 0u64;
+            let mut line_no = 0u64;
+            // Metadata comments and the optional column-header line come
+            // before the first data line; remember where data starts so
+            // rewinds can seek straight back to it.
+            loop {
+                let mark = offset;
+                let mark_line = line_no;
+                line.clear();
+                let bytes = reader.read_line(&mut line).map_err(io)?;
+                if bytes == 0 {
+                    break; // data-free trace (metadata only, or empty file)
                 }
-                ReaderImpl::Csv {
-                    reader,
-                    line,
-                    line_no,
-                    data_start: offset,
-                    data_line_no: line_no,
+                offset += bytes as u64;
+                line_no += 1;
+                let trimmed = line.trim();
+                if trimmed.is_empty() {
+                    continue;
                 }
+                if let Some(comment) = trimmed.strip_prefix('#') {
+                    parse_csv_meta(&path, comment, &mut meta, &mut declared_entries)?;
+                    continue;
+                }
+                if trimmed.split(',').next().map(str::trim) == Some("slot") {
+                    continue; // column-header line
+                }
+                // First data line: rewind one line and stop.
+                reader
+                    .seek(SeekFrom::Start(mark))
+                    .map_err(|e| path_err(&path, format!("seek error: {e}")))?;
+                offset = mark;
+                line_no = mark_line;
+                break;
             }
-            TraceFormat::Sprt => {
-                let (parsed_meta, entries, data_start) = read_sprt_header(&path, &mut reader)?;
-                meta = parsed_meta;
-                declared_entries = Some(entries);
-                ReaderImpl::Sprt { reader, data_start }
+            ReaderImpl::Csv {
+                reader,
+                line,
+                line_no,
+                data_start: offset,
+                data_line_no: line_no,
             }
         };
         Ok(TraceReader {
             path,
-            format,
+            ports: meta.n,
             meta,
             inner,
             prev_slot: None,
+            input_slots: Vec::new(),
             read_records: 0,
             declared_entries,
         })
@@ -269,20 +238,27 @@ impl TraceReader {
         &self.meta
     }
 
-    /// The format this reader is decoding.
-    pub fn format(&self) -> TraceFormat {
-        self.format
+    /// The encoding being decoded: `"sprt"` or `"csv"`.
+    pub fn encoding(&self) -> &'static str {
+        match self.inner {
+            ReaderImpl::Csv { .. } => "csv",
+            ReaderImpl::Sprt { .. } => "sprt",
+        }
     }
 
-    /// The path being read (for error context in callers).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Declared record count, when the file states one (`.sprt` always
-    /// does; CSV only via an `# entries =` comment).
-    pub fn declared_entries(&self) -> Option<u64> {
-        self.declared_entries
+    /// Bind the trace to an `n`-port switch: a declared `n` must equal it,
+    /// and a trace that declares none has its ports checked against `n`.
+    pub fn require_n(&mut self, n: usize) -> Result<(), SpecError> {
+        match self.meta.n {
+            Some(declared) if declared != n => Err(path_err(
+                &self.path,
+                format!("trace was recorded for n = {declared} ports but the scenario has n = {n}"),
+            )),
+            _ => {
+                self.ports = Some(n);
+                Ok(())
+            }
+        }
     }
 
     /// Seek back to the first record, so the trace can be streamed again
@@ -305,6 +281,7 @@ impl TraceReader {
             .seek(SeekFrom::Start(start))
             .map_err(|e| path_err(&self.path, format!("seek error: {e}")))?;
         self.prev_slot = None;
+        self.input_slots.clear();
         self.read_records = 0;
         Ok(())
     }
@@ -384,23 +361,13 @@ impl TraceReader {
                     let slot = base.checked_add(delta).ok_or_else(|| {
                         path_err(&self.path, "slot delta overflows u64".to_string())
                     })?;
-                    // Bound untrusted ports before the usize cast (see
-                    // `parse_csv_record`); the meta.n check below tightens
-                    // this to the header's n.
-                    if input >= MAX_TRACE_N as u64 || output >= MAX_TRACE_N as u64 {
-                        return Err(path_err(
-                            &self.path,
-                            format!(
-                                "port out of range in record {}: input {input} output \
-                                 {output} (max n is {MAX_TRACE_N})",
-                                self.read_records + 1
-                            ),
-                        ));
-                    }
+                    // A binary header always declares n, so `check` bounds
+                    // the ports; one past usize saturates and fails there.
+                    let port = |p: u64| usize::try_from(p).unwrap_or(usize::MAX);
                     Some(TraceRecord {
                         slot,
-                        input: input as usize,
-                        output: output as usize,
+                        input: port(input),
+                        output: port(output),
                         flow,
                     })
                 }
@@ -409,34 +376,60 @@ impl TraceReader {
         let Some(record) = record else {
             return Ok(None);
         };
-        if let Some(prev) = self.prev_slot {
-            if record.slot < prev {
-                return Err(path_err(
-                    &self.path,
-                    format!(
-                        "non-monotone slots: record {} has slot {} after slot {prev}",
-                        self.read_records + 1,
-                        record.slot
-                    ),
-                ));
-            }
+        self.check(&record)?;
+        self.prev_slot = Some(record.slot);
+        self.read_records += 1;
+        Ok(Some(record))
+    }
+
+    /// The file-level rules a decoded record must meet.
+    fn check(&mut self, record: &TraceRecord) -> Result<(), SpecError> {
+        let number = self.read_records + 1;
+        if let Some(prev) = self.prev_slot.filter(|&prev| record.slot < prev) {
+            return Err(path_err(
+                &self.path,
+                format!(
+                    "non-monotone slots: record {number} has slot {} after slot {prev}",
+                    record.slot
+                ),
+            ));
         }
-        if let Some(n) = self.meta.n {
+        if let Some(n) = self.ports {
             if record.input >= n || record.output >= n {
                 return Err(path_err(
                     &self.path,
                     format!(
-                        "port out of range in record {}: input {} output {} but n = {n}",
-                        self.read_records + 1,
-                        record.input,
-                        record.output
+                        "port out of range in record {number}: input {} output {} but n = {n}",
+                        record.input, record.output
                     ),
                 ));
             }
         }
-        self.prev_slot = Some(record.slot);
-        self.read_records += 1;
-        Ok(Some(record))
+        let declared = self.meta.slots;
+        if declared > 0 && record.slot >= declared {
+            return Err(path_err(
+                &self.path,
+                format!(
+                    "header declares {declared} slots but the trace contains slot {}",
+                    record.slot
+                ),
+            ));
+        }
+        if record.input >= self.input_slots.len() {
+            self.input_slots.resize(record.input + 1, None);
+        }
+        let last = &mut self.input_slots[record.input];
+        if *last == Some(record.slot) {
+            return Err(path_err(
+                &self.path,
+                format!(
+                    "two packets at input {} in slot {}",
+                    record.input, record.slot
+                ),
+            ));
+        }
+        *last = Some(record.slot);
+        Ok(())
     }
 }
 
@@ -455,6 +448,9 @@ fn parse_csv_meta(
             let n: usize = value
                 .parse()
                 .map_err(|_| path_err(path, format!("bad '# n = {value}' metadata")))?;
+            if meta.matrix.is_some() {
+                return Err(path_err(path, "'# n =' must come before '# matrix ='"));
+            }
             if !(2..=MAX_TRACE_N).contains(&n) {
                 return Err(path_err(
                     path,
@@ -553,17 +549,8 @@ fn read_sprt_header(
     path: &Path,
     reader: &mut BufReader<File>,
 ) -> Result<(TraceMeta, u64, u64), SpecError> {
+    // `TraceReader::open` has read the magic.
     let truncated = |what: &str| path_err(path, format!("truncated header (reading {what})"));
-    let mut magic = [0u8; 4];
-    reader
-        .read_exact(&mut magic)
-        .map_err(|_| truncated("magic"))?;
-    if magic != SPRT_MAGIC {
-        return Err(path_err(
-            path,
-            format!("bad magic {magic:?}: not a .sprt trace"),
-        ));
-    }
     let version = read_u16(reader).map_err(|_| truncated("version"))?;
     if version != SPRT_VERSION {
         return Err(path_err(
@@ -648,7 +635,8 @@ fn read_sprt_header(
 #[derive(Debug)]
 pub struct TraceWriter {
     path: PathBuf,
-    format: TraceFormat,
+    /// `.sprt` output (else CSV).
+    binary: bool,
     n: Option<usize>,
     declared_slots: u64,
     writer: BufWriter<File>,
@@ -663,15 +651,12 @@ pub struct TraceWriter {
 const CSV_ENTRIES_WIDTH: usize = 20;
 
 impl TraceWriter {
-    /// Create a trace file and write its metadata header.  Binary traces
-    /// require `meta.n` (the header stores it); CSV traces emit whatever
-    /// metadata is present.
-    pub fn create(
-        path: impl AsRef<Path>,
-        format: TraceFormat,
-        meta: &TraceMeta,
-    ) -> Result<Self, SpecError> {
+    /// Create a trace file and write its metadata header: binary for a
+    /// `.sprt` path, CSV for any other.  Binary traces require `meta.n` (the
+    /// header stores it); CSV traces emit whatever metadata is present.
+    pub fn create(path: impl AsRef<Path>, meta: &TraceMeta) -> Result<Self, SpecError> {
         let path = path.as_ref().to_path_buf();
+        let binary = path.extension().is_some_and(|e| e == "sprt");
         if let Some(n) = meta.n {
             if !(2..=MAX_TRACE_N).contains(&n) {
                 return Err(path_err(
@@ -690,87 +675,84 @@ impl TraceWriter {
         let mut writer = BufWriter::new(file);
         let io = |e: std::io::Error| path_err(&path, format!("write error: {e}"));
         let mut csv_entries_offset = None;
-        match format {
-            TraceFormat::Csv => {
-                writeln!(writer, "# sprinklers trace v1").map_err(io)?;
-                if let Some(n) = meta.n {
-                    writeln!(writer, "# n = {n}").map_err(io)?;
-                }
-                if meta.slots > 0 {
-                    writeln!(writer, "# slots = {}", meta.slots).map_err(io)?;
-                }
-                if let Some(label) = &meta.label {
-                    // Validated newline-free above, so the header's line
-                    // framing is safe without silent rewriting.
-                    writeln!(writer, "# label = {label}").map_err(io)?;
-                }
-                if let Some(matrix) = &meta.matrix {
-                    let n = matrix.n();
-                    let mut line = String::from("# matrix =");
-                    for i in 0..n {
-                        for j in 0..n {
-                            line.push(' ');
-                            line.push_str(&format!("{}", matrix.rate(i, j)));
-                        }
-                    }
-                    writeln!(writer, "{line}").map_err(io)?;
-                }
-                // Fixed-width record count, patched by `finish`: a recorded
-                // CSV that later loses its tail at a line boundary must
-                // fail as "truncated", exactly like the binary header.
-                let position = writer.stream_position().map_err(io)?;
-                csv_entries_offset = Some(position + "# entries = ".len() as u64);
-                writeln!(writer, "# entries = {:>CSV_ENTRIES_WIDTH$}", 0).map_err(io)?;
-                writeln!(writer, "slot,input,output,flow").map_err(io)?;
-            }
-            TraceFormat::Sprt => {
-                let n = meta.n.ok_or_else(|| {
-                    path_err(
+        if binary {
+            let n = meta.n.ok_or_else(|| {
+                path_err(
+                    &path,
+                    "binary traces require a port count (meta.n)".to_string(),
+                )
+            })?;
+            if let Some(matrix) = &meta.matrix {
+                if matrix.n() != n {
+                    return Err(path_err(
                         &path,
-                        "binary traces require a port count (meta.n)".to_string(),
-                    )
-                })?;
-                if let Some(matrix) = &meta.matrix {
-                    if matrix.n() != n {
-                        return Err(path_err(
-                            &path,
-                            format!("matrix is {}x{} but n = {n}", matrix.n(), matrix.n()),
-                        ));
-                    }
+                        format!("matrix is {}x{} but n = {n}", matrix.n(), matrix.n()),
+                    ));
                 }
-                let mut flags = 0u8;
-                if meta.matrix.is_some() {
-                    flags |= 0b01;
-                }
-                if meta.label.is_some() {
-                    flags |= 0b10;
-                }
-                writer.write_all(&SPRT_MAGIC).map_err(io)?;
-                writer.write_all(&SPRT_VERSION.to_le_bytes()).map_err(io)?;
-                writer.write_all(&(n as u32).to_le_bytes()).map_err(io)?;
-                writer.write_all(&meta.slots.to_le_bytes()).map_err(io)?;
-                writer.write_all(&0u64.to_le_bytes()).map_err(io)?; // count, patched
-                writer.write_all(&[flags]).map_err(io)?;
-                if let Some(label) = &meta.label {
-                    writer
-                        .write_all(&(label.len() as u32).to_le_bytes())
-                        .map_err(io)?;
-                    writer.write_all(label.as_bytes()).map_err(io)?;
-                }
-                if let Some(matrix) = &meta.matrix {
-                    for i in 0..n {
-                        for j in 0..n {
-                            writer
-                                .write_all(&matrix.rate(i, j).to_le_bytes())
-                                .map_err(io)?;
-                        }
+            }
+            let mut flags = 0u8;
+            if meta.matrix.is_some() {
+                flags |= 0b01;
+            }
+            if meta.label.is_some() {
+                flags |= 0b10;
+            }
+            writer.write_all(&SPRT_MAGIC).map_err(io)?;
+            writer.write_all(&SPRT_VERSION.to_le_bytes()).map_err(io)?;
+            writer.write_all(&(n as u32).to_le_bytes()).map_err(io)?;
+            writer.write_all(&meta.slots.to_le_bytes()).map_err(io)?;
+            writer.write_all(&0u64.to_le_bytes()).map_err(io)?; // count, patched
+            writer.write_all(&[flags]).map_err(io)?;
+            if let Some(label) = &meta.label {
+                writer
+                    .write_all(&(label.len() as u32).to_le_bytes())
+                    .map_err(io)?;
+                writer.write_all(label.as_bytes()).map_err(io)?;
+            }
+            if let Some(matrix) = &meta.matrix {
+                for i in 0..n {
+                    for j in 0..n {
+                        writer
+                            .write_all(&matrix.rate(i, j).to_le_bytes())
+                            .map_err(io)?;
                     }
                 }
             }
+        } else {
+            writeln!(writer, "# sprinklers trace v1").map_err(io)?;
+            if let Some(n) = meta.n {
+                writeln!(writer, "# n = {n}").map_err(io)?;
+            }
+            if meta.slots > 0 {
+                writeln!(writer, "# slots = {}", meta.slots).map_err(io)?;
+            }
+            if let Some(label) = &meta.label {
+                // Validated newline-free above, so the header's line
+                // framing is safe without silent rewriting.
+                writeln!(writer, "# label = {label}").map_err(io)?;
+            }
+            if let Some(matrix) = &meta.matrix {
+                let n = matrix.n();
+                let mut line = String::from("# matrix =");
+                for i in 0..n {
+                    for j in 0..n {
+                        line.push(' ');
+                        line.push_str(&format!("{}", matrix.rate(i, j)));
+                    }
+                }
+                writeln!(writer, "{line}").map_err(io)?;
+            }
+            // Fixed-width record count, patched by `finish`: a recorded
+            // CSV that later loses its tail at a line boundary must
+            // fail as "truncated", exactly like the binary header.
+            let position = writer.stream_position().map_err(io)?;
+            csv_entries_offset = Some(position + "# entries = ".len() as u64);
+            writeln!(writer, "# entries = {:>CSV_ENTRIES_WIDTH$}", 0).map_err(io)?;
+            writeln!(writer, "slot,input,output,flow").map_err(io)?;
         }
         Ok(TraceWriter {
             path,
-            format,
+            binary,
             n: meta.n,
             declared_slots: meta.slots,
             writer,
@@ -805,22 +787,19 @@ impl TraceWriter {
             ));
         }
         let io = |e: std::io::Error| path_err(&self.path, format!("write error: {e}"));
-        match self.format {
-            TraceFormat::Csv => {
-                writeln!(
-                    self.writer,
-                    "{},{},{},{}",
-                    record.slot, record.input, record.output, record.flow
-                )
-                .map_err(io)?;
-            }
-            TraceFormat::Sprt => {
-                let base = self.prev_slot.unwrap_or(0);
-                write_varint(&mut self.writer, record.slot - base).map_err(io)?;
-                write_varint(&mut self.writer, record.input as u64).map_err(io)?;
-                write_varint(&mut self.writer, record.output as u64).map_err(io)?;
-                write_varint(&mut self.writer, record.flow).map_err(io)?;
-            }
+        if self.binary {
+            let base = self.prev_slot.unwrap_or(0);
+            write_varint(&mut self.writer, record.slot - base).map_err(io)?;
+            write_varint(&mut self.writer, record.input as u64).map_err(io)?;
+            write_varint(&mut self.writer, record.output as u64).map_err(io)?;
+            write_varint(&mut self.writer, record.flow).map_err(io)?;
+        } else {
+            writeln!(
+                self.writer,
+                "{},{},{},{}",
+                record.slot, record.input, record.output, record.flow
+            )
+            .map_err(io)?;
         }
         self.prev_slot = Some(record.slot);
         self.written += 1;
@@ -839,19 +818,16 @@ impl TraceWriter {
         let io = |e: std::io::Error| path_err(&self.path, format!("write error: {e}"));
         self.writer.flush().map_err(io)?;
         let file = self.writer.get_mut();
-        match self.format {
-            TraceFormat::Sprt => {
-                file.seek(SeekFrom::Start(10)).map_err(io)?;
-                file.write_all(&span.to_le_bytes()).map_err(io)?;
-                file.write_all(&self.written.to_le_bytes()).map_err(io)?;
-            }
-            TraceFormat::Csv => {
-                let offset = self
-                    .csv_entries_offset
-                    .expect("CSV writers always reserve an entries placeholder");
-                file.seek(SeekFrom::Start(offset)).map_err(io)?;
-                write!(file, "{:>CSV_ENTRIES_WIDTH$}", self.written).map_err(io)?;
-            }
+        if self.binary {
+            file.seek(SeekFrom::Start(10)).map_err(io)?;
+            file.write_all(&span.to_le_bytes()).map_err(io)?;
+            file.write_all(&self.written.to_le_bytes()).map_err(io)?;
+        } else {
+            let offset = self
+                .csv_entries_offset
+                .expect("CSV writers always reserve an entries placeholder");
+            file.seek(SeekFrom::Start(offset)).map_err(io)?;
+            write!(file, "{:>CSV_ENTRIES_WIDTH$}", self.written).map_err(io)?;
         }
         file.flush().map_err(io)?;
         Ok((self.written, span))
@@ -869,13 +845,10 @@ impl TraceWriter {
 ///
 /// Replaying the result with `TrafficSpec::Trace` under the same scheme,
 /// seed and run configuration reproduces the original report byte for byte;
-/// this is what the `trace record` CLI subcommand calls.  Returns
+/// this is what the `trace record` CLI subcommand calls.  The encoding
+/// follows `out`'s extension ([`TraceWriter::create`]).  Returns
 /// `(records_written, slot_span)`.
-pub fn record_spec(
-    spec: &ScenarioSpec,
-    out: impl AsRef<Path>,
-    format: TraceFormat,
-) -> Result<(u64, u64), SpecError> {
+pub fn record_spec(spec: &ScenarioSpec, out: impl AsRef<Path>) -> Result<(u64, u64), SpecError> {
     let mut traffic = spec.build_traffic()?;
     let meta = TraceMeta {
         n: Some(spec.n),
@@ -883,7 +856,7 @@ pub fn record_spec(
         label: Some(traffic.label()),
         matrix: Some(spec.traffic.try_matrix(spec.n)?),
     };
-    let mut writer = TraceWriter::create(out, format, &meta)?;
+    let mut writer = TraceWriter::create(out, &meta)?;
     let mut buf = Vec::new();
     for slot in 0..spec.run.slots {
         buf.clear();
@@ -997,16 +970,16 @@ mod tests {
         ]
     }
 
-    fn write_all(path: &Path, format: TraceFormat, meta: &TraceMeta, recs: &[TraceRecord]) {
-        let mut w = TraceWriter::create(path, format, meta).unwrap();
+    fn write_all(path: &Path, meta: &TraceMeta, recs: &[TraceRecord]) {
+        let mut w = TraceWriter::create(path, meta).unwrap();
         for r in recs {
             w.write(r).unwrap();
         }
         w.finish().unwrap();
     }
 
-    fn read_all(path: &Path, format: Option<TraceFormat>) -> Vec<TraceRecord> {
-        let mut r = TraceReader::open(path, format).unwrap();
+    fn read_all(path: &Path) -> Vec<TraceRecord> {
+        let mut r = TraceReader::open(path).unwrap();
         let mut out = Vec::new();
         while let Some(rec) = r.next_record().unwrap() {
             out.push(rec);
@@ -1022,10 +995,11 @@ mod tests {
             label: Some("bernoulli-uniform(rho=0.5)".into()),
             matrix: Some(TrafficMatrix::uniform(4, 0.5)),
         };
-        for format in [TraceFormat::Csv, TraceFormat::Sprt] {
-            let path = tmp(&format!("roundtrip.{}", format.name()));
-            write_all(&path, format, &meta, &sample_records());
-            let mut reader = TraceReader::open(&path, Some(format)).unwrap();
+        for format in ["csv", "sprt"] {
+            let path = tmp(&format!("roundtrip.{format}"));
+            write_all(&path, &meta, &sample_records());
+            let mut reader = TraceReader::open(&path).unwrap();
+            assert_eq!(reader.encoding(), format);
             assert_eq!(reader.meta(), &meta, "{format} metadata");
             let mut recs = Vec::new();
             while let Some(r) = reader.next_record().unwrap() {
@@ -1045,24 +1019,39 @@ mod tests {
 
     #[test]
     fn format_is_chosen_by_extension() {
-        assert_eq!(
-            TraceFormat::from_path(Path::new("a/b.sprt")),
-            TraceFormat::Sprt
-        );
-        assert_eq!(
-            TraceFormat::from_path(Path::new("a/b.csv")),
-            TraceFormat::Csv
-        );
-        assert_eq!(TraceFormat::from_path(Path::new("noext")), TraceFormat::Csv);
-        assert_eq!(TraceFormat::from_name("sprt").unwrap(), TraceFormat::Sprt);
-        assert!(TraceFormat::from_name("pcap").is_err());
+        // Writing: `.sprt` is binary, any other name (or none) is CSV.
+        let meta = TraceMeta {
+            n: Some(4),
+            ..TraceMeta::default()
+        };
+        let (sprt, csv, bare) = (tmp("ext.sprt"), tmp("ext.csv"), tmp("ext"));
+        for path in [&sprt, &csv, &bare] {
+            write_all(path, &meta, &sample_records());
+        }
+        assert!(std::fs::read(&sprt).unwrap().starts_with(&SPRT_MAGIC));
+        assert!(std::fs::read(&csv)
+            .unwrap()
+            .starts_with(b"# sprinklers trace"));
+        assert_eq!(std::fs::read(&bare).unwrap(), std::fs::read(&csv).unwrap());
+        // Reading goes by the bytes: a `.sprt` under any other name still
+        // reads as binary.
+        for name in ["ext-copy.bin", "ext-copy.csv"] {
+            let copy = tmp(name);
+            std::fs::copy(&sprt, &copy).unwrap();
+            assert_eq!(TraceReader::open(&copy).unwrap().encoding(), "sprt");
+            assert_eq!(read_all(&copy), sample_records(), "{name}");
+            std::fs::remove_file(&copy).ok();
+        }
+        for path in [&sprt, &csv, &bare] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]
     fn hand_written_csv_without_metadata_parses() {
         let path = tmp("hand.csv");
         std::fs::write(&path, "5,0,1\n7,1,0,42\n\n# trailing comment\n").unwrap();
-        let recs = read_all(&path, None);
+        let recs = read_all(&path);
         assert_eq!(recs.len(), 2);
         assert_eq!(
             recs[0],
@@ -1084,12 +1073,12 @@ mod tests {
             n: Some(4),
             ..TraceMeta::default()
         };
-        write_all(&path, TraceFormat::Sprt, &meta, &sample_records());
+        write_all(&path, &meta, &sample_records());
         let full = std::fs::read(&path).unwrap();
         // Chop off the last few bytes: the reader must report truncation
         // (the header still declares 5 records), not panic or return Ok.
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        let mut reader = TraceReader::open(&path, None).unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
         let err = loop {
             match reader.next_record() {
                 Ok(Some(_)) => continue,
@@ -1109,11 +1098,11 @@ mod tests {
             n: Some(4),
             ..TraceMeta::default()
         };
-        write_all(&path, TraceFormat::Sprt, &meta, &sample_records());
+        write_all(&path, &meta, &sample_records());
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.push(0x00);
         std::fs::write(&path, &bytes).unwrap();
-        let mut reader = TraceReader::open(&path, None).unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
         let err = loop {
             match reader.next_record() {
                 Ok(Some(_)) => continue,
@@ -1134,7 +1123,7 @@ mod tests {
             n: Some(4),
             ..TraceMeta::default()
         };
-        write_all(&path, TraceFormat::Csv, &meta, &sample_records());
+        write_all(&path, &meta, &sample_records());
         let text = std::fs::read_to_string(&path).unwrap();
         let shorter: String =
             text.lines()
@@ -1145,7 +1134,7 @@ mod tests {
                     acc
                 });
         std::fs::write(&path, shorter).unwrap();
-        let mut reader = TraceReader::open(&path, None).unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
         let err = loop {
             match reader.next_record() {
                 Ok(Some(_)) => continue,
@@ -1171,7 +1160,7 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.push(0b01);
         std::fs::write(&path, &bytes).unwrap();
-        let err = TraceReader::open(&path, None).unwrap_err().to_string();
+        let err = TraceReader::open(&path).unwrap_err().to_string();
         assert!(err.contains(&MAX_TRACE_N.to_string()), "{err}");
 
         // Plausible n but an absurd label length.
@@ -1184,14 +1173,33 @@ mod tests {
         bytes.push(0b10);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let err = TraceReader::open(&path, None).unwrap_err().to_string();
+        let err = TraceReader::open(&path).unwrap_err().to_string();
         assert!(err.contains("label length"), "{err}");
+
+        // A record's huge port index fails against the header's n.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&SPRT_MAGIC);
+        bytes.extend_from_slice(&SPRT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.push(0);
+        for v in [0, u64::MAX, 0, 0] {
+            write_varint(&mut bytes, v).unwrap();
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let err = TraceReader::open(&path)
+            .unwrap()
+            .next_record()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("out of range"), "{err}");
 
         // Huge port indices in a metadata-free CSV are typed errors too
         // (they used to size per-port bookkeeping in consumers).
         let csv = tmp("hostile.csv");
         std::fs::write(&csv, "0,18446744073709551615,0\n").unwrap();
-        let mut reader = TraceReader::open(&csv, None).unwrap();
+        let mut reader = TraceReader::open(&csv).unwrap();
         let err = reader.next_record().unwrap_err().to_string();
         assert!(err.contains("out of range"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -1200,25 +1208,39 @@ mod tests {
 
     #[test]
     fn bad_magic_is_a_typed_error() {
+        // Without the `SPRT` magic a file reads as CSV, whatever its name:
+        // text that is no record and bytes that are no text both fail as
+        // typed errors naming the file.
         let path = tmp("magic.sprt");
         std::fs::write(&path, b"NOPE-not-a-trace").unwrap();
-        let err = TraceReader::open(&path, None).unwrap_err().to_string();
-        assert!(err.contains("magic"), "{err}");
+        let mut reader = TraceReader::open(&path).unwrap();
+        assert_eq!(reader.encoding(), "csv");
+        let err = reader.next_record().unwrap_err().to_string();
+        assert!(err.contains("line 1"), "{err}");
         assert!(err.contains("magic.sprt"), "{err}");
+        std::fs::write(&path, [0xff, 0xfe, 0x00, 0x01, b'\n']).unwrap();
+        let err = TraceReader::open(&path).unwrap_err().to_string();
+        assert!(err.contains("magic.sprt"), "{err}");
+        // With the magic, the rest of the header is held to the format.
+        let mut bytes = SPRT_MAGIC.to_vec();
+        bytes.extend_from_slice(&(SPRT_VERSION + 1).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = TraceReader::open(&path).unwrap_err().to_string();
+        assert!(err.contains("unsupported .sprt version"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn newline_labels_are_rejected_at_write_time() {
-        for format in [TraceFormat::Csv, TraceFormat::Sprt] {
+        for format in ["csv", "sprt"] {
             for label in ["two\nlines", "carriage\rreturn"] {
-                let path = tmp(&format!("badlabel.{}", format.name()));
+                let path = tmp(&format!("badlabel.{format}"));
                 let meta = TraceMeta {
                     n: Some(4),
                     label: Some(label.to_string()),
                     ..TraceMeta::default()
                 };
-                let err = TraceWriter::create(&path, format, &meta)
+                let err = TraceWriter::create(&path, &meta)
                     .err()
                     .map(|e| e.to_string())
                     .unwrap_or_else(|| panic!("{format}: label {label:?} was accepted"));
@@ -1234,11 +1256,8 @@ mod tests {
             label: Some("bursty(peak=1,burst≈16)".into()),
             ..TraceMeta::default()
         };
-        write_all(&path, TraceFormat::Csv, &meta, &sample_records());
-        assert_eq!(
-            TraceReader::open(&path, None).unwrap().meta().label,
-            meta.label
-        );
+        write_all(&path, &meta, &sample_records());
+        assert_eq!(TraceReader::open(&path).unwrap().meta().label, meta.label);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1248,7 +1267,7 @@ mod tests {
         // would resurface verbatim inside CSV reports downstream.
         let path = tmp("crlabel.csv");
         std::fs::write(&path, "# label = split\rrow\n0,0,1\n").unwrap();
-        let err = TraceReader::open(&path, None).unwrap_err().to_string();
+        let err = TraceReader::open(&path).unwrap_err().to_string();
         assert!(err.contains("newline"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -1269,7 +1288,7 @@ mod tests {
         bytes.extend_from_slice(&(label.len() as u32).to_le_bytes());
         bytes.extend_from_slice(label);
         std::fs::write(&path, &bytes).unwrap();
-        let err = TraceReader::open(&path, None).unwrap_err().to_string();
+        let err = TraceReader::open(&path).unwrap_err().to_string();
         assert!(err.contains("newline"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -1278,7 +1297,7 @@ mod tests {
     fn out_of_range_ports_are_a_typed_error() {
         let path = tmp("range.csv");
         std::fs::write(&path, "# n = 4\n0,0,1\n1,9,0\n").unwrap();
-        let mut reader = TraceReader::open(&path, None).unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
         assert!(reader.next_record().unwrap().is_some());
         let err = reader.next_record().unwrap_err().to_string();
         assert!(err.contains("out of range"), "{err}");
@@ -1289,7 +1308,7 @@ mod tests {
     fn non_monotone_slots_are_a_typed_error() {
         let path = tmp("mono.csv");
         std::fs::write(&path, "4,0,1\n2,1,0\n").unwrap();
-        let mut reader = TraceReader::open(&path, None).unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
         assert!(reader.next_record().unwrap().is_some());
         let err = reader.next_record().unwrap_err().to_string();
         assert!(err.contains("non-monotone"), "{err}");
@@ -1300,7 +1319,7 @@ mod tests {
     fn csv_entry_count_mismatch_is_a_typed_error() {
         let path = tmp("count.csv");
         std::fs::write(&path, "# entries = 3\n0,0,1\n1,1,0\n").unwrap();
-        let mut reader = TraceReader::open(&path, None).unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
         assert!(reader.next_record().unwrap().is_some());
         assert!(reader.next_record().unwrap().is_some());
         let err = reader.next_record().unwrap_err().to_string();
@@ -1312,7 +1331,7 @@ mod tests {
     fn malformed_csv_lines_carry_line_numbers() {
         let path = tmp("badline.csv");
         std::fs::write(&path, "0,0,1\n1,zero,0\n").unwrap();
-        let mut reader = TraceReader::open(&path, None).unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
         assert!(reader.next_record().unwrap().is_some());
         let err = reader.next_record().unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
@@ -1321,7 +1340,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_typed_error_with_the_path() {
-        let err = TraceReader::open("/nonexistent/trace.sprt", None)
+        let err = TraceReader::open("/nonexistent/trace.sprt")
             .unwrap_err()
             .to_string();
         assert!(err.contains("/nonexistent/trace.sprt"), "{err}");
@@ -1334,7 +1353,7 @@ mod tests {
             n: Some(4),
             ..TraceMeta::default()
         };
-        let mut w = TraceWriter::create(&path, TraceFormat::Sprt, &meta).unwrap();
+        let mut w = TraceWriter::create(&path, &meta).unwrap();
         w.write(&TraceRecord {
             slot: 5,
             input: 0,
@@ -1363,7 +1382,7 @@ mod tests {
 
     #[test]
     fn binary_writer_requires_a_port_count() {
-        let err = TraceWriter::create(tmp("no-n.sprt"), TraceFormat::Sprt, &TraceMeta::default())
+        let err = TraceWriter::create(tmp("no-n.sprt"), &TraceMeta::default())
             .unwrap_err()
             .to_string();
         assert!(err.contains("port count"), "{err}");
@@ -1392,7 +1411,7 @@ mod tests {
             })
             .with_seed(11);
         let path = tmp("record.sprt");
-        let (written, span) = record_spec(&spec, &path, TraceFormat::Sprt).unwrap();
+        let (written, span) = record_spec(&spec, &path).unwrap();
         assert_eq!(span, 50);
         let mut gen = spec.build_traffic().unwrap();
         let mut expected = Vec::new();
@@ -1407,12 +1426,60 @@ mod tests {
             }
         }
         assert_eq!(written, expected.len() as u64);
-        let reader = TraceReader::open(&path, None).unwrap();
+        let reader = TraceReader::open(&path).unwrap();
         assert_eq!(reader.meta().n, Some(4));
         assert_eq!(reader.meta().slots, 50);
         assert!(reader.meta().label.is_some());
         assert!(reader.meta().matrix.is_some());
-        assert_eq!(read_all(&path, None), expected);
+        assert_eq!(read_all(&path), expected);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn two_packets_at_one_input_in_one_slot_are_a_typed_error() {
+        let path = tmp("collide.csv");
+        std::fs::write(&path, "0,1,2\n0,2,2\n0,1,3\n").unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
+        assert!(reader.next_record().unwrap().is_some());
+        assert!(reader.next_record().unwrap().is_some());
+        let err = reader.next_record().unwrap_err().to_string();
+        assert!(err.contains("two packets at input 1 in slot 0"), "{err}");
+        // The rule holds again after a rewind, not against the last pass.
+        reader.rewind().unwrap();
+        assert!(reader.next_record().unwrap().is_some());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_slot_past_the_declared_span_is_a_typed_error() {
+        let path = tmp("pastspan.csv");
+        std::fs::write(&path, "# slots = 1\n0,0,1\n3,0,1\n").unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
+        assert!(reader.next_record().unwrap().is_some());
+        let err = reader.next_record().unwrap_err().to_string();
+        assert!(
+            err.contains("header declares 1 slots but the trace contains slot 3"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn require_n_binds_ports_and_refuses_another_declared_n() {
+        let path = tmp("requiren.csv");
+        std::fs::write(&path, "0,0,1\n1,5,0\n").unwrap();
+        let mut reader = TraceReader::open(&path).unwrap();
+        reader.require_n(4).unwrap();
+        assert!(reader.next_record().unwrap().is_some());
+        let err = reader.next_record().unwrap_err().to_string();
+        assert!(err.contains("but n = 4"), "{err}");
+        std::fs::write(&path, "# n = 8\n0,0,1\n").unwrap();
+        let err = TraceReader::open(&path)
+            .unwrap()
+            .require_n(16)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("n = 8") && err.contains("n = 16"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -24,7 +24,7 @@
 //! starts; the replay loop itself then runs on a proven-clean file and never
 //! errors mid-run.
 
-use super::trace_io::{TraceFormat, TraceReader, TraceRecord, MAX_REPEAT};
+use super::trace_io::{TraceReader, TraceRecord, MAX_REPEAT};
 use super::TrafficGenerator;
 use crate::spec::SpecError;
 use sprinklers_core::matrix::TrafficMatrix;
@@ -115,11 +115,9 @@ impl TraceStream {
     /// Open a trace for replay into an `n`-port switch and validate the
     /// entire effective stream (see the module docs).
     ///
-    /// `format == None` selects by file extension.  `repeat` must be in
-    /// `1..=MAX_REPEAT` and `scale` finite and positive.
+    /// `repeat` must be in `1..=MAX_REPEAT` and `scale` finite and positive.
     pub fn open(
         path: impl AsRef<Path>,
-        format: Option<TraceFormat>,
         n: usize,
         repeat: u32,
         scale: f64,
@@ -135,73 +133,48 @@ impl TraceStream {
                 "trace scale must be finite and positive, got {scale}"
             )));
         }
-        let mut reader = TraceReader::open(path, format)?;
-        if let Some(meta_n) = reader.meta().n {
-            if meta_n != n {
-                return Err(SpecError::new(format!(
-                    "trace was recorded for n = {meta_n} ports but the scenario has n = {n}"
-                ))
-                .context(format!("trace file {}", path.display())));
-            }
-        }
-        if let Some(matrix) = &reader.meta().matrix {
-            if matrix.n() != n {
-                return Err(SpecError::new(format!(
-                    "trace matrix is {0}x{0} but the scenario has n = {n}",
-                    matrix.n()
-                ))
-                .context(format!("trace file {}", path.display())));
-            }
-        }
+        let mut reader = TraceReader::open(path)?;
+        reader.require_n(n)?;
 
-        // Validation pass: stream one copy, checking ports and gathering the
-        // span and (if the header lacks a matrix) empirical rates; then walk
-        // the remaining copies' collision structure without re-reading.
+        // Validation pass: the reader holds each record to the file's own
+        // rules (ports, slot order, one packet per input per slot, the
+        // declared span and count).  What replay adds is time compression:
+        // `scale > 1` can put two packets of one input in one slot, within a
+        // copy or across the seam between copies, so every copy is walked
+        // (one rewind + re-decode each).  At `scale <= 1` distinct slots
+        // stay distinct and copies cannot overlap, so one pass suffices.
         let path_ctx = || format!("trace file {}", path.display());
+        let compresses = scale > 1.0;
         let mut count_per_copy = 0u64;
-        let mut last_source_slot: Option<u64> = None;
+        let mut data_span = 0u64;
         let mut counts = vec![0u64; n * n];
-        // Per-input slot of the last emitted (scaled) packet, for collision
-        // detection under compression — O(n) state, not O(trace).
+        // Per-input slot of the last emitted (scaled) packet — O(n) state.
         let mut last_scaled: Vec<Option<u64>> = vec![None; n];
-        while let Some(rec) = reader.next_record()? {
-            if rec.input >= n || rec.output >= n {
-                return Err(SpecError::new(format!(
-                    "port out of range in record {}: input {} output {} but n = {n}",
-                    count_per_copy + 1,
-                    rec.input,
-                    rec.output
-                ))
-                .context(path_ctx()));
-            }
-            let slot = scaled_slot(rec.slot, scale);
+        let mut collide = |rec: &TraceRecord, slot: u64, copy: u64| {
             if last_scaled[rec.input] == Some(slot) {
+                let what = if copy == 0 {
+                    "the trace past line rate".to_string()
+                } else {
+                    format!("copy {} into copy {copy}", copy + 1)
+                };
                 return Err(SpecError::new(format!(
-                    "two packets at input {} in slot {slot}{}",
-                    rec.input,
-                    if scale > 1.0 {
-                        format!(" (scale {scale} compresses the trace past line rate)")
-                    } else {
-                        String::new()
-                    }
+                    "two packets at input {} in slot {slot} (scale {scale} compresses {what})",
+                    rec.input
                 ))
                 .context(path_ctx()));
             }
             last_scaled[rec.input] = Some(slot);
+            Ok(())
+        };
+        while let Some(rec) = reader.next_record()? {
+            if compresses {
+                collide(&rec, scaled_slot(rec.slot, scale), 0)?;
+            }
             counts[rec.input * n + rec.output] += 1;
-            last_source_slot = Some(rec.slot);
             count_per_copy += 1;
+            data_span = rec.slot.saturating_add(1);
         }
-        let declared = reader.meta().slots;
-        let data_span = last_source_slot.map_or(0, |s| s + 1);
-        if declared > 0 && declared < data_span {
-            return Err(SpecError::new(format!(
-                "header declares {declared} slots but the trace contains slot {}",
-                data_span - 1
-            ))
-            .context(path_ctx()));
-        }
-        let span = declared.max(data_span).max(1);
+        let span = reader.meta().slots.max(data_span).max(1);
         // The header span is untrusted; proving span*repeat fits u64 here
         // makes every later `rec.slot + copy * span` offset overflow-free
         // (rec.slot < span, copy < repeat ⇒ the sum stays below span*repeat).
@@ -211,29 +184,11 @@ impl TraceStream {
             ))
             .context(path_ctx())
         })?;
-
-        // Later copies replay the same source slots offset by k*span; under
-        // compression a copy's first packets can collide with the previous
-        // copy's last, and each copy's floor() phase differs — so every
-        // remaining copy is walked in full (one rewind + re-decode per copy;
-        // O(repeat × trace) I/O, paid only for this explicitly overloading
-        // scale > 1 + repeat > 1 configuration).
-        if repeat > 1 && scale > 1.0 {
+        if compresses {
             for copy in 1..u64::from(repeat) {
                 reader.rewind()?;
                 while let Some(rec) = reader.next_record()? {
-                    let slot = scaled_slot(rec.slot + copy * span, scale);
-                    if last_scaled[rec.input] == Some(slot) {
-                        return Err(SpecError::new(format!(
-                            "two packets at input {} in slot {slot} (scale {scale} \
-                             compresses copy {} into copy {})",
-                            rec.input,
-                            copy + 1,
-                            copy
-                        ))
-                        .context(path_ctx()));
-                    }
-                    last_scaled[rec.input] = Some(slot);
+                    collide(&rec, scaled_slot(rec.slot + copy * span, scale), copy)?;
                 }
             }
         }
@@ -378,8 +333,8 @@ mod tests {
         ))
     }
 
-    fn write_trace(path: &Path, format: TraceFormat, meta: &TraceMeta, recs: &[TraceRecord]) {
-        let mut w = TraceWriter::create(path, format, meta).unwrap();
+    fn write_trace(path: &Path, meta: &TraceMeta, recs: &[TraceRecord]) {
+        let mut w = TraceWriter::create(path, meta).unwrap();
         for r in recs {
             w.write(r).unwrap();
         }
@@ -423,8 +378,8 @@ mod tests {
             slots: 6,
             ..TraceMeta::default()
         };
-        write_trace(&path, TraceFormat::Sprt, &meta, &sample());
-        let mut stream = TraceStream::open(&path, None, 4, 1, 1.0).unwrap();
+        write_trace(&path, &meta, &sample());
+        let mut stream = TraceStream::open(&path, 4, 1, 1.0).unwrap();
         let mut memory = TraceTraffic::new(
             4,
             sample()
@@ -461,8 +416,8 @@ mod tests {
             slots: 6,
             ..TraceMeta::default()
         };
-        write_trace(&path, TraceFormat::Csv, &meta, &sample());
-        let mut stream = TraceStream::open(&path, None, 4, 3, 1.0).unwrap();
+        write_trace(&path, &meta, &sample());
+        let mut stream = TraceStream::open(&path, 4, 3, 1.0).unwrap();
         assert_eq!(stream.entries(), 12);
         let mut got = Vec::new();
         for slot in 0..20u64 {
@@ -487,8 +442,8 @@ mod tests {
             slots: 6,
             ..TraceMeta::default()
         };
-        write_trace(&path, TraceFormat::Csv, &meta, &sample());
-        let mut stream = TraceStream::open(&path, None, 4, 1, 0.5).unwrap();
+        write_trace(&path, &meta, &sample());
+        let mut stream = TraceStream::open(&path, 4, 1, 0.5).unwrap();
         let mut got = Vec::new();
         for slot in 0..16u64 {
             for p in stream.arrivals(slot) {
@@ -517,8 +472,8 @@ mod tests {
                 flow: 0,
             })
             .collect();
-        write_trace(&path, TraceFormat::Csv, &meta, &recs);
-        let mut stream = TraceStream::open(&path, None, 4, 1, 2.0).unwrap();
+        write_trace(&path, &meta, &recs);
+        let mut stream = TraceStream::open(&path, 4, 1, 2.0).unwrap();
         let mut slots = Vec::new();
         for slot in 0..16u64 {
             for _ in stream.arrivals(slot) {
@@ -535,10 +490,8 @@ mod tests {
                 flow: 0,
             })
             .collect();
-        write_trace(&path, TraceFormat::Csv, &meta, &burst);
-        let err = TraceStream::open(&path, None, 4, 1, 2.0)
-            .unwrap_err()
-            .to_string();
+        write_trace(&path, &meta, &burst);
+        let err = TraceStream::open(&path, 4, 1, 2.0).unwrap_err().to_string();
         assert!(err.contains("two packets at input 0"), "{err}");
         assert!(err.contains("scale"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -596,7 +549,7 @@ mod tests {
         let path = tmp("hugeslots.csv");
         let a = 1u64 << 53;
         std::fs::write(&path, format!("{a},0,1\n{},0,2\n", a + 1)).unwrap();
-        let mut stream = TraceStream::open(&path, None, 4, 1, 0.5).unwrap();
+        let mut stream = TraceStream::open(&path, 4, 1, 0.5).unwrap();
         let first = stream.next_transformed().unwrap();
         let second = stream.next_transformed().unwrap();
         assert_eq!(first.slot, 2 * a);
@@ -609,9 +562,7 @@ mod tests {
     fn duplicate_same_slot_same_input_is_a_typed_error() {
         let path = tmp("dup.csv");
         std::fs::write(&path, "1,0,1\n1,0,2\n").unwrap();
-        let err = TraceStream::open(&path, None, 4, 1, 1.0)
-            .unwrap_err()
-            .to_string();
+        let err = TraceStream::open(&path, 4, 1, 1.0).unwrap_err().to_string();
         assert!(err.contains("two packets at input 0"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -623,8 +574,8 @@ mod tests {
             n: Some(8),
             ..TraceMeta::default()
         };
-        write_trace(&path, TraceFormat::Sprt, &meta, &[]);
-        let err = TraceStream::open(&path, None, 16, 1, 1.0)
+        write_trace(&path, &meta, &[]);
+        let err = TraceStream::open(&path, 16, 1, 1.0)
             .unwrap_err()
             .to_string();
         assert!(err.contains("n = 8"), "{err}");
@@ -636,9 +587,7 @@ mod tests {
     fn out_of_range_port_without_metadata_is_a_typed_error() {
         let path = tmp("norange.csv");
         std::fs::write(&path, "0,0,1\n1,9,0\n").unwrap();
-        let err = TraceStream::open(&path, None, 4, 1, 1.0)
-            .unwrap_err()
-            .to_string();
+        let err = TraceStream::open(&path, 4, 1, 1.0).unwrap_err().to_string();
         assert!(err.contains("out of range"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -647,9 +596,7 @@ mod tests {
     fn declared_span_smaller_than_data_is_a_typed_error() {
         let path = tmp("span.csv");
         std::fs::write(&path, "# n = 4\n# slots = 3\n0,0,1\n9,1,0\n").unwrap();
-        let err = TraceStream::open(&path, None, 4, 1, 1.0)
-            .unwrap_err()
-            .to_string();
+        let err = TraceStream::open(&path, 4, 1, 1.0).unwrap_err().to_string();
         assert!(err.contains("declares 3 slots"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -658,12 +605,10 @@ mod tests {
     fn overflowing_span_times_repeat_is_a_typed_error() {
         let path = tmp("overflow.csv");
         std::fs::write(&path, format!("# n = 4\n# slots = {}\n0,0,1\n", u64::MAX)).unwrap();
-        let err = TraceStream::open(&path, None, 4, 2, 1.0)
-            .unwrap_err()
-            .to_string();
+        let err = TraceStream::open(&path, 4, 2, 1.0).unwrap_err().to_string();
         assert!(err.contains("overflows"), "{err}");
         // A single copy of the same huge declared span is representable.
-        assert!(TraceStream::open(&path, None, 4, 1, 1.0).is_ok());
+        assert!(TraceStream::open(&path, 4, 1, 1.0).is_ok());
         std::fs::remove_file(&path).ok();
     }
 
@@ -671,11 +616,11 @@ mod tests {
     fn bad_repeat_and_scale_are_rejected() {
         let path = tmp("knobs.csv");
         std::fs::write(&path, "0,0,1\n").unwrap();
-        assert!(TraceStream::open(&path, None, 4, 0, 1.0).is_err());
-        assert!(TraceStream::open(&path, None, 4, MAX_REPEAT + 1, 1.0).is_err());
-        assert!(TraceStream::open(&path, None, 4, 1, 0.0).is_err());
-        assert!(TraceStream::open(&path, None, 4, 1, -1.0).is_err());
-        assert!(TraceStream::open(&path, None, 4, 1, f64::INFINITY).is_err());
+        assert!(TraceStream::open(&path, 4, 0, 1.0).is_err());
+        assert!(TraceStream::open(&path, 4, MAX_REPEAT + 1, 1.0).is_err());
+        assert!(TraceStream::open(&path, 4, 1, 0.0).is_err());
+        assert!(TraceStream::open(&path, 4, 1, -1.0).is_err());
+        assert!(TraceStream::open(&path, 4, 1, f64::INFINITY).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -689,8 +634,8 @@ mod tests {
             matrix: Some(TrafficMatrix::uniform(4, 0.8)),
             ..TraceMeta::default()
         };
-        write_trace(&path, TraceFormat::Sprt, &meta, &sample());
-        let stream = TraceStream::open(&path, None, 4, 1, 0.5).unwrap();
+        write_trace(&path, &meta, &sample());
+        let stream = TraceStream::open(&path, 4, 1, 0.5).unwrap();
         let m = stream.rate_matrix();
         assert!((m.rate(0, 1) - 0.8 / 4.0 * 0.5).abs() < 1e-12);
         std::fs::remove_file(&path).ok();
@@ -698,7 +643,7 @@ mod tests {
         // No metadata at all: rates are empirical counts over the span.
         let path = tmp("empirical.csv");
         std::fs::write(&path, "0,1,2\n1,1,2\n2,1,2\n3,1,2\n").unwrap();
-        let stream = TraceStream::open(&path, None, 4, 1, 1.0).unwrap();
+        let stream = TraceStream::open(&path, 4, 1, 1.0).unwrap();
         assert!((stream.rate_matrix().rate(1, 2) - 1.0).abs() < 1e-12);
         std::fs::remove_file(&path).ok();
     }
@@ -712,10 +657,10 @@ mod tests {
             label: Some("bursty(peak=1)".into()),
             ..TraceMeta::default()
         };
-        write_trace(&path, TraceFormat::Csv, &meta, &sample());
-        let plain = TraceStream::open(&path, None, 4, 1, 1.0).unwrap();
+        write_trace(&path, &meta, &sample());
+        let plain = TraceStream::open(&path, 4, 1, 1.0).unwrap();
         assert_eq!(plain.label(), "bursty(peak=1)");
-        let knobbed = TraceStream::open(&path, None, 4, 2, 0.5).unwrap();
+        let knobbed = TraceStream::open(&path, 4, 2, 0.5).unwrap();
         assert_eq!(knobbed.label(), "bursty(peak=1)·r2·s0.5");
         std::fs::remove_file(&path).ok();
     }
@@ -728,8 +673,8 @@ mod tests {
             slots: 100,
             ..TraceMeta::default()
         };
-        write_trace(&path, TraceFormat::Sprt, &meta, &[]);
-        let mut stream = TraceStream::open(&path, None, 4, 2, 1.0).unwrap();
+        write_trace(&path, &meta, &[]);
+        let mut stream = TraceStream::open(&path, 4, 2, 1.0).unwrap();
         assert_eq!(stream.entries(), 0);
         for slot in 0..10 {
             assert!(stream.arrivals(slot).is_empty());

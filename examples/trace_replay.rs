@@ -14,7 +14,7 @@
 //! ```
 
 use sprinklers_sim::prelude::*;
-use sprinklers_sim::traffic::trace_io::{record_spec, TraceFormat};
+use sprinklers_sim::traffic::trace_io::record_spec;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("sprinklers-trace-replay-{}", std::process::id()));
@@ -37,11 +37,12 @@ fn main() {
     let original = Engine::new().run(&spec).expect("original run");
     println!("original : {}", original.csv_row());
 
-    // Record the exact arrival stream the engine injected, to both formats.
+    // Record the exact arrival stream the engine injected, to both formats
+    // (the extension picks the encoding).
     let sprt = dir.join("bursty.sprt");
     let csv = dir.join("bursty.csv");
-    let (packets, span) = record_spec(&spec, &sprt, TraceFormat::Sprt).expect("record sprt");
-    record_spec(&spec, &csv, TraceFormat::Csv).expect("record csv");
+    let (packets, span) = record_spec(&spec, &sprt).expect("record sprt");
+    record_spec(&spec, &csv).expect("record csv");
     println!(
         "recorded  : {packets} packets over {span} slots -> {} ({} bytes) and {} ({} bytes)",
         sprt.display(),
@@ -71,7 +72,6 @@ fn main() {
     // timebase and watch the run stretch while ordering holds.
     let reshaped_spec = spec.clone().with_traffic(TrafficSpec::Trace {
         path: sprt.to_string_lossy().into_owned(),
-        format: Some(TraceFormat::Sprt),
         repeat: 2,
         scale: 0.5,
     });

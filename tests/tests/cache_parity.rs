@@ -4,13 +4,15 @@
 //! cold one: the merged CSV assembled from cached rows must be
 //! byte-identical to the one assembled from fresh reports, the stored
 //! summary scalars must be bit-exact, and the key must ignore exactly the
-//! inert `batch` and `threads` fields — nothing else.
+//! inert `batch` and `threads` fields — nothing else.  A replayed trace's
+//! key covers the file's bytes, not just its path.
 
 use sprinklers_sim::cache::{CachedRun, ExperimentCache};
 use sprinklers_sim::engine::RunConfig;
 use sprinklers_sim::parallel::run_specs_parallel_ok;
 use sprinklers_sim::report::merge_csv_rows;
 use sprinklers_sim::spec::{ScenarioSpec, TrafficSpec};
+use sprinklers_sim::traffic::trace_io::record_spec;
 
 fn grid() -> Vec<(String, ScenarioSpec)> {
     let mut cases = Vec::new();
@@ -166,5 +168,54 @@ fn an_entry_stored_without_metrics_cannot_serve_a_metrics_run() {
         cache.load(spec.content_hash()).unwrap().metrics_json,
         Some(report.metrics_json())
     );
+    std::fs::remove_dir_all(cache.dir()).ok();
+}
+
+#[test]
+fn a_trace_key_follows_the_file_bytes_at_one_path() {
+    let cache = temp_cache("trace-bytes");
+    let trace = cache.dir().join("capture.sprt");
+    let run = RunConfig {
+        slots: 400,
+        warmup_slots: 40,
+        drain_slots: 2_048,
+    };
+    let record = |load| {
+        let source = ScenarioSpec::new("oq", 8)
+            .with_traffic(TrafficSpec::Uniform { load })
+            .with_run(run)
+            .with_seed(5);
+        record_spec(&source, &trace).unwrap();
+    };
+    let replay = ScenarioSpec::new("oq", 8)
+        .with_traffic(TrafficSpec::trace(trace.to_string_lossy().into_owned()))
+        .with_run(run);
+
+    record(0.5);
+    let first = replay.content_hash();
+    let report = run_specs_parallel_ok(std::slice::from_ref(&replay), 1)
+        .unwrap()
+        .remove(0);
+    cache
+        .store(first, &CachedRun::from_report(&report, false))
+        .unwrap();
+
+    // New bytes at the same path: a miss.
+    record(0.9);
+    let second = replay.content_hash();
+    assert_ne!(second, first);
+    assert!(cache.load(second).is_none(), "a re-recorded trace hit");
+
+    // The same bytes written again: a hit.
+    record(0.5);
+    assert_eq!(replay.content_hash(), first);
+    assert_eq!(cache.load(first).unwrap().csv_row, report.csv_row());
+
+    // An unreadable trace keys on a fixed marker: stable, and no stored
+    // entry's key.
+    std::fs::remove_file(&trace).unwrap();
+    let missing = replay.content_hash();
+    assert_eq!(replay.content_hash(), missing);
+    assert!(missing != first && missing != second);
     std::fs::remove_dir_all(cache.dir()).ok();
 }

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::registry;
 use sprinklers_sim::spec::{ScenarioSpec, TrafficSpec};
-use sprinklers_sim::traffic::trace_io::{TraceFormat, TraceMeta, TraceRecord, TraceWriter};
+use sprinklers_sim::traffic::trace_io::{TraceMeta, TraceRecord, TraceWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn run_config() -> RunConfig {
@@ -96,15 +96,15 @@ proptest! {
         // error (covered by unit tests), not a fuzzable replay.
         let scale = f64::from(scale_pct) / 100.0;
 
-        let format = [TraceFormat::Csv, TraceFormat::Sprt][fmt];
+        let format = ["csv", "sprt"][fmt];
         let path = std::env::temp_dir().join(format!(
             "sprinklers-reorder-fuzz-{}-{}.{}",
             std::process::id(),
             TRACE_CASE.fetch_add(1, Ordering::Relaxed),
-            format.name(),
+            format,
         ));
         let meta = TraceMeta { n: Some(n), slots: span, ..TraceMeta::default() };
-        let mut writer = TraceWriter::create(&path, format, &meta).unwrap();
+        let mut writer = TraceWriter::create(&path, &meta).unwrap();
         for rec in &records {
             writer.write(rec).unwrap();
         }
@@ -123,7 +123,6 @@ proptest! {
             let spec = ScenarioSpec::new(scheme, n)
                 .with_traffic(TrafficSpec::Trace {
                     path: path.to_string_lossy().into_owned(),
-                    format: Some(format),
                     repeat,
                     scale,
                 })
@@ -134,7 +133,7 @@ proptest! {
                 report.reordering.is_ordered(),
                 "{} reordered replaying a {} trace (repeat={} scale={}): \
                  {} VOQ / {} flow inversions",
-                scheme, format.name(), repeat, scale,
+                scheme, format, repeat, scale,
                 report.reordering.voq_reorder_events,
                 report.reordering.flow_reorder_events,
             );

@@ -62,12 +62,14 @@ fn spec_from_draws(
         5 => TrafficSpec::trace(format!("traces/capture-{fixed_size}.sprt")),
         _ => TrafficSpec::Trace {
             // Hostile path exercising the JSON string escaper.
-            path: format!("dir with \"quotes\"\\and\\tabs\t{fixed_size}.csv"),
-            format: Some(if fixed_size.is_multiple_of(2) {
-                sprinklers_sim::traffic::trace_io::TraceFormat::Csv
-            } else {
-                sprinklers_sim::traffic::trace_io::TraceFormat::Sprt
-            }),
+            path: format!(
+                "dir with \"quotes\"\\and\\tabs\t{fixed_size}.{}",
+                if fixed_size.is_multiple_of(2) {
+                    "csv"
+                } else {
+                    "sprt"
+                }
+            ),
             repeat: fixed_size as u32,
             scale: 0.25 + aux_b * 3.0,
         },

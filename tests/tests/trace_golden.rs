@@ -91,10 +91,36 @@ fn the_csv_twin_replays_byte_identically_to_the_binary() {
 fn the_fixture_trace_carries_full_provenance() {
     use sprinklers_sim::traffic::trace_io::TraceReader;
     for name in ["trace_flows.sprt", "trace_flows.csv"] {
-        let reader = TraceReader::open(fixture(name), None).unwrap();
+        let reader = TraceReader::open(fixture(name)).unwrap();
         assert_eq!(reader.meta().n, Some(8), "{name}");
         assert!(reader.meta().label.is_some(), "{name}");
         assert!(reader.meta().matrix.is_some(), "{name}");
         assert_eq!(reader.meta().slots, 800, "{name}");
+    }
+}
+
+#[test]
+fn a_spec_naming_the_old_format_key_replays_the_same_row() {
+    // Replay specs written before the encoding was read from the file carry
+    // `"format"` after the path; the key is read and dropped, whichever
+    // name it gives.
+    let spec = replay_specs("trace_flows.sprt").remove(0);
+    let expected = run_specs_parallel(std::slice::from_ref(&spec), 1)
+        .remove(0)
+        .expect("the fixture replays")
+        .csv_row();
+    for name in ["sprt", "csv"] {
+        let legacy = spec
+            .to_json()
+            .replace("\"repeat\":", &format!("\"format\":\"{name}\",\"repeat\":"));
+        assert!(legacy.contains("\"format\""), "{legacy}");
+        let parsed = ScenarioSpec::from_json(&legacy).expect("a legacy replay spec parses");
+        assert_eq!(parsed, spec, "{name}");
+        assert!(!parsed.to_json().contains("format"), "{name}");
+        let row = run_specs_parallel(std::slice::from_ref(&parsed), 1)
+            .remove(0)
+            .expect("a legacy replay spec runs")
+            .csv_row();
+        assert_eq!(row, expected, "{name}");
     }
 }

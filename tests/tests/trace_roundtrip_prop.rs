@@ -17,7 +17,7 @@ use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::parallel::run_specs_parallel;
 use sprinklers_sim::spec::{ScenarioSpec, TrafficSpec};
 use sprinklers_sim::traffic::trace_io::{
-    record_spec, TraceFormat, TraceMeta, TraceReader, TraceRecord, TraceWriter,
+    record_spec, TraceMeta, TraceReader, TraceRecord, TraceWriter,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,22 +69,23 @@ proptest! {
             label: Some("prop-stream".into()),
             matrix: None,
         };
-        for format in [TraceFormat::Csv, TraceFormat::Sprt] {
-            let path = tmp("roundtrip", format.name());
-            let mut writer = TraceWriter::create(&path, format, &meta).unwrap();
+        for format in ["csv", "sprt"] {
+            let path = tmp("roundtrip", format);
+            let mut writer = TraceWriter::create(&path, &meta).unwrap();
             for rec in &records {
                 writer.write(rec).unwrap();
             }
             let (written, _span) = writer.finish().unwrap();
             prop_assert_eq!(written, records.len() as u64);
 
-            let mut reader = TraceReader::open(&path, None).unwrap();
+            let mut reader = TraceReader::open(&path).unwrap();
+            prop_assert_eq!(reader.encoding(), format);
             prop_assert_eq!(reader.meta().n, Some(8));
             let mut back = Vec::new();
             while let Some(rec) = reader.next_record().unwrap() {
                 back.push(rec);
             }
-            prop_assert_eq!(&back, &records, "{} diverged", format.name());
+            prop_assert_eq!(&back, &records, "{} diverged", format);
             std::fs::remove_file(&path).ok();
         }
     }
@@ -107,9 +108,9 @@ proptest! {
             .with_traffic(traffic)
             .with_run(RunConfig { slots: 400, warmup_slots: 50, drain_slots: 2_000 })
             .with_seed(seed);
-        let format = [TraceFormat::Csv, TraceFormat::Sprt][fmt];
-        let path = tmp("replay", format.name());
-        record_spec(&spec, &path, format).unwrap();
+        let format = ["csv", "sprt"][fmt];
+        let path = tmp("replay", format);
+        record_spec(&spec, &path).unwrap();
 
         let replay_spec = spec
             .clone()
@@ -122,7 +123,7 @@ proptest! {
             replay.csv_row(),
             original.csv_row(),
             "{} replay diverged ({})",
-            scheme, format.name()
+            scheme, format
         );
         std::fs::remove_file(&path).ok();
     }
@@ -138,7 +139,7 @@ fn smoke_spec_record_replay_is_exact_at_any_workers_and_batch() {
     let spec = ScenarioSpec::from_json(&std::fs::read_to_string(spec_path).unwrap()).unwrap();
 
     let trace_path = tmp("smoke", "sprt");
-    record_spec(&spec, &trace_path, TraceFormat::Sprt).unwrap();
+    record_spec(&spec, &trace_path).unwrap();
     let replay = spec.clone().with_traffic(TrafficSpec::trace(
         trace_path.to_string_lossy().into_owned(),
     ));
@@ -170,12 +171,12 @@ fn format_conversion_is_lossless_end_to_end() {
         .with_seed(13);
     let sprt = tmp("convert", "sprt");
     let csv = tmp("convert", "csv");
-    record_spec(&spec, &sprt, TraceFormat::Sprt).unwrap();
+    record_spec(&spec, &sprt).unwrap();
 
     // Stream-convert sprt -> csv, exactly as the `trace convert` CLI does.
-    let mut reader = TraceReader::open(&sprt, None).unwrap();
+    let mut reader = TraceReader::open(&sprt).unwrap();
     let meta = reader.meta().clone();
-    let mut writer = TraceWriter::create(&csv, TraceFormat::Csv, &meta).unwrap();
+    let mut writer = TraceWriter::create(&csv, &meta).unwrap();
     while let Some(rec) = reader.next_record().unwrap() {
         writer.write(&rec).unwrap();
     }
