@@ -20,7 +20,10 @@
 //! `rho * 0.5` and `rho * (0.5 / (n − 1))` for diagonal; `base + rho * hot`
 //! and `base + 0.0` for hot-spot), so every [`TrafficMatrix::rate`] — and with
 //! it every load sum, sampler CDF and stripe size — is bit-identical to the
-//! table's.  [`TrafficMatrix::zero`], [`TrafficMatrix::from_rates`] and trace
+//! table's.  [`TrafficMatrix::one_entry_per_row`] exposes the two values, so
+//! the traffic generators can sample a synthetic matrix's rows in closed
+//! form and keep no n² table of their own either.
+//! [`TrafficMatrix::zero`], [`TrafficMatrix::from_rates`] and trace
 //! matrices are dense; [`TrafficMatrix::set`] and [`TrafficMatrix::scaled`]
 //! turn a synthetic matrix into a dense one.  Equality compares entries, not
 //! storage.
@@ -102,6 +105,17 @@ impl TrafficMatrix {
             n,
             entries: Entries::Dense(rates),
         })
+    }
+
+    /// `(shift, hot, rest)` of a matrix stored as one distinguished entry
+    /// per row: entry `(i, (i + shift) mod n)` is `hot`, every other entry
+    /// is `rest`, `shift ≤ n`.  `None` for a dense matrix, even one whose
+    /// entries happen to have that shape.
+    pub fn one_entry_per_row(&self) -> Option<(usize, f64, f64)> {
+        match self.entries {
+            Entries::Dense(_) => None,
+            Entries::OnePerRow { shift, hot, rest } => Some((shift, hot, rest)),
+        }
     }
 
     /// Switch size N.
@@ -377,6 +391,21 @@ mod tests {
                 dense.max_load().to_bits(),
                 "{name}: max_load"
             );
+        });
+    }
+
+    #[test]
+    fn one_entry_per_row_describes_every_entry_of_a_synthetic_matrix() {
+        for_each_synthetic(32, |name, compact, dense| {
+            assert_eq!(dense.one_entry_per_row(), None, "{name}");
+            let (shift, hot, rest) = compact.one_entry_per_row().unwrap();
+            let n = compact.n();
+            for i in 0..n {
+                for j in 0..n {
+                    let want = if j == (i + shift) % n { hot } else { rest };
+                    assert_eq!(compact.rate(i, j).to_bits(), want.to_bits(), "{name}");
+                }
+            }
         });
     }
 

@@ -3,12 +3,24 @@
 //! Delays are accumulated in an exact histogram (one bucket per slot of delay
 //! up to a configurable cap, plus an overflow bucket tracked by exact values),
 //! so means are exact and percentiles are exact up to the cap.
+//!
+//! The histogram is allocated at its cap, so recording never allocates.
+//! Once recording is done, [`DelayStats::shrink_to_fit`] cuts it to the
+//! delays seen: a report keeps its run's histogram and a sweep keeps every
+//! report until it merges them, so a cap-sized table (512 KiB at the default
+//! cap) per report would be most of a sweep's memory.  A cut histogram grows
+//! back, doubling up to the cap, if a merge or a record lands past its end.
 
 /// Histogram-based delay statistics.
 #[derive(Debug, Clone)]
 pub struct DelayStats {
-    /// `histogram[d]` counts packets with delay exactly `d` slots, `d < cap`.
+    /// `histogram[d]` counts packets with delay exactly `d` slots.  `cap`
+    /// buckets long until [`Self::shrink_to_fit`]; a bucket past its end is
+    /// an empty one.
     histogram: Vec<u64>,
+    /// Delays below `cap` are counted in `histogram`, the others in
+    /// `overflow`.
+    cap: usize,
     /// Delays `≥ cap`, as sorted `(delay, count)` pairs.  Exact like the
     /// histogram, but sized by *distinct* overflow values, so recording or
     /// merging a million copies of one pathological delay costs one entry —
@@ -29,8 +41,10 @@ impl DelayStats {
     /// Create delay statistics with the given histogram cap (delays above the
     /// cap are still counted exactly, just stored individually).
     pub fn new(cap: usize) -> Self {
+        let cap = cap.max(1);
         DelayStats {
-            histogram: vec![0; cap.max(1)],
+            histogram: vec![0; cap],
+            cap,
             overflow: Vec::new(),
             count: 0,
             sum: 0,
@@ -47,7 +61,42 @@ impl DelayStats {
         if (delay as usize) < self.histogram.len() {
             self.histogram[delay as usize] += 1;
         } else {
-            self.add_overflow(delay, 1);
+            self.add_past_end(delay, 1);
+        }
+    }
+
+    /// Cut the histogram to its last non-empty bucket and give the rest of
+    /// the table back, for statistics that are kept once recording is done.
+    /// Changes no result.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        let used = self
+            .histogram
+            .iter()
+            .rposition(|&c| c != 0)
+            .map_or(0, |d| d + 1);
+        self.histogram.truncate(used);
+        self.histogram.shrink_to_fit();
+    }
+
+    /// Count `count` packets of `delay` wherever it belongs.
+    fn add(&mut self, delay: u64, count: u64) {
+        match self.histogram.get_mut(delay as usize) {
+            Some(bucket) => *bucket += count,
+            None => self.add_past_end(delay, count),
+        }
+    }
+
+    /// Count `count` packets of a `delay` past the histogram's end: in a
+    /// histogram grown to cover it when it is below the cap, in `overflow`
+    /// otherwise.
+    #[cold]
+    fn add_past_end(&mut self, delay: u64, count: u64) {
+        if delay < self.cap as u64 {
+            let len = (delay as usize + 1).next_power_of_two().min(self.cap);
+            self.histogram.resize(len, 0);
+            self.histogram[delay as usize] += count;
+        } else {
+            self.add_overflow(delay, count);
         }
     }
 
@@ -133,21 +182,12 @@ impl DelayStats {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
         for (d, &c) in other.histogram.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if d < self.histogram.len() {
-                self.histogram[d] += c;
-            } else {
-                self.add_overflow(d as u64, c);
+            if c != 0 {
+                self.add(d as u64, c);
             }
         }
         for &(d, c) in &other.overflow {
-            if (d as usize) < self.histogram.len() {
-                self.histogram[d as usize] += c;
-            } else {
-                self.add_overflow(d, c);
-            }
+            self.add(d, c);
         }
     }
 }
@@ -287,6 +327,37 @@ mod tests {
         let buckets: Vec<(u64, u64)> = s.nonzero_buckets().collect();
         assert_eq!(buckets, vec![(1, 2), (3, 1), (7, 1), (100, 1)]);
         assert_eq!(buckets.iter().map(|&(_, c)| c).sum::<u64>(), s.count());
+    }
+
+    #[test]
+    fn a_cut_histogram_keeps_every_result_and_grows_back() {
+        let mut s = DelayStats::default();
+        for d in [3, 1500, 3, 70_000] {
+            s.record(d);
+        }
+        let whole = s.clone();
+        s.shrink_to_fit();
+        assert_eq!(s.histogram.len(), 1501);
+        let buckets: Vec<(u64, u64)> = s.nonzero_buckets().collect();
+        assert_eq!(buckets, whole.nonzero_buckets().collect::<Vec<_>>());
+        assert_eq!(buckets, [(3, 2), (1500, 1), (70_000, 1)]);
+        for p in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            assert_eq!(s.percentile(p), whole.percentile(p), "p={p}");
+        }
+
+        // Below the cap a later delay goes back into the histogram, which
+        // doubles to cover it; past the cap it still overflows.
+        s.record(2000);
+        s.record(65_535);
+        assert_eq!(s.histogram.len(), 1 << 16);
+        assert_eq!(s.overflow, [(70_000, 1)]);
+        let mut cut = DelayStats::new(4);
+        cut.shrink_to_fit();
+        assert!(cut.histogram.is_empty());
+        cut.merge(&whole);
+        assert_eq!(cut.histogram.len(), 4);
+        assert_eq!(cut.overflow, [(1500, 1), (70_000, 1)]);
+        assert_eq!(cut.percentile(0.5), 3);
     }
 
     #[test]

@@ -6,16 +6,20 @@
 //! detector.  Both are tables sized at construction — the detector's per-VOQ
 //! state included, so a VOQ's *first* delivery costs no more than its
 //! thousandth — and a steady-state simulation slot performs no heap
-//! allocation end to end.  The two exceptions are by nature unbounded and
-//! off the paper's workloads: a delay at or above the histogram cap (65 536
-//! slots) is kept in a sorted overflow list, and a VOQ that carries a flow id
-//! other than 0 tracks its flows in a map (see
+//! allocation end to end.  The exceptions are by nature unbounded and off
+//! the paper's workloads: a delay at or above the histogram cap (65 536
+//! slots) is kept in a sorted overflow list, a VOQ that carries a flow id
+//! other than 0 tracks its flows in a map, and so does a VOQ whose sequence
+//! numbers outgrow 31 bits (see
 //! [`ReorderDetector`](crate::metrics::reorder::ReorderDetector)).
+//! [`MetricsSink::into_parts`] cuts the histogram to the delays seen, since
+//! the report it goes into may be kept for a whole sweep.
 //!
 //! The sink also numbers the packets it will check: [`MetricsSink::stamp`]
 //! gives each arrival its `voq_seq` from the same per-VOQ record its delivery
-//! reads, so a run keeps one n² table of VOQ state, not one for the
-//! numbering and one for the checking.
+//! reads, so a run keeps one n² table of VOQ state — 8 bytes per VOQ,
+//! allocated zeroed so pairs that never carry a packet commit no page — not
+//! one for the numbering and one for the checking.
 
 use crate::metrics::delay::DelayStats;
 use crate::metrics::reorder::{ReorderDetector, ReorderStats};
@@ -84,9 +88,11 @@ impl MetricsSink {
         &self.delay
     }
 
-    /// Consume the sink, returning its accumulated pieces.
-    pub fn into_parts(self) -> SinkTotals {
+    /// Consume the sink, returning its accumulated pieces, the delay
+    /// histogram cut to the delays seen.
+    pub fn into_parts(mut self) -> SinkTotals {
         let reordering = self.reorder.stats();
+        self.delay.shrink_to_fit();
         SinkTotals {
             delay: self.delay,
             reordering,

@@ -98,7 +98,7 @@ pub(crate) fn threshold(p: f64) -> u64 {
 /// Sample a destination from a cumulative distribution over outputs by
 /// binary search.  The generators' original sampler; at run time it now
 /// serves only draws that land exactly on a CDF value (see
-/// [`RowSampler::sample`]), and the tests keep it as the oracle.
+/// [`first_at_least`]), and the tests keep it as the oracle.
 pub(crate) fn sample_from_cdf(cdf: &[f64], u: f64) -> usize {
     let located = cdf.binary_search_by(|probe| {
         if *probe < u {
@@ -115,20 +115,125 @@ pub(crate) fn sample_from_cdf(cdf: &[f64], u: f64) -> usize {
     }
 }
 
+/// The destination the table sampler picks for `u` from a row's CDF values:
+/// the first value `≥ u`, scanning from `from` (which must not be past it).
+/// That is the binary search's answer when the value is `> u`; when it
+/// equals `u` — and only duplicate values (zero-rate outputs) make that
+/// ambiguous — the binary search itself decides, so the two agree on ties as
+/// well.
+#[inline]
+fn first_at_least(row: &[f64], from: usize, u: f64) -> usize {
+    let mut k = from;
+    // Ends at `n - 1` at the latest: the last CDF value is 1 and `u < 1`.
+    while row[k] < u {
+        k += 1;
+    }
+    if row[k] == u {
+        return sample_from_cdf(row, u);
+    }
+    k
+}
+
+/// Row `input`'s destination CDF, conditioned on an arrival there:
+/// `visit(j, cdf[j])` for every output `j` in order, where
+/// `cdf[j] = Σ_{k≤j} rate(k) / load` for `j < n − 1` and the last value is
+/// forced to 1.  Both sampler forms build rows with this one loop, so their
+/// values cannot drift apart.
+fn for_each_cdf_value(
+    n: usize,
+    load: f64,
+    rate: impl Fn(usize) -> f64,
+    mut visit: impl FnMut(usize, f64),
+) {
+    let mut acc = 0.0;
+    for j in 0..n - 1 {
+        if load > 0.0 {
+            acc += rate(j) / load;
+        }
+        visit(j, acc);
+    }
+    visit(n - 1, 1.0);
+}
+
 /// Per-input loads and destination distributions of a rate matrix, laid out
-/// for sampling: every row's CDF in one flat table, plus a guide table that
-/// turns the top bits of a draw into a starting index a step or two short of
-/// the answer.
+/// for sampling.
 ///
-/// Row `i`'s CDF is conditioned on an arrival at input `i`
-/// (`cdf[j] = Σ_{k≤j} rate(i, k) / load(i)`, last entry forced to 1).  The
-/// unit interval is cut into `buckets` equal parts, a power of two near
+/// A matrix stored as one distinguished entry per row
+/// ([`TrafficMatrix::one_entry_per_row`]: uniform, diagonal, hot-spot, and
+/// with them every spec-built Bernoulli, bursty and flows generator) is
+/// sampled in closed form and costs three floats per row; any other matrix
+/// gets a flat n² CDF table.  Both forms pick, for every 53-bit draw, the
+/// destination the binary search over the row's CDF ([`sample_from_cdf`])
+/// picks, so which form a matrix gets never changes a stream.
+pub(crate) enum RowSampler {
+    Table(CdfTable),
+    OnePerRow(ClosedForm),
+}
+
+impl RowSampler {
+    /// The closed form for a matrix stored as one entry per row, the table
+    /// otherwise.  (The closed form's error bound needs non-negative rates,
+    /// which every admissible matrix has.)
+    pub(crate) fn new(matrix: &TrafficMatrix) -> Self {
+        match matrix.one_entry_per_row() {
+            Some((shift, hot, rest)) if hot >= 0.0 && rest >= 0.0 => {
+                RowSampler::OnePerRow(ClosedForm::new(matrix, shift, hot, rest))
+            }
+            _ => RowSampler::Table(CdfTable::new(matrix)),
+        }
+    }
+
+    /// Offered load of `input` (its row sum).
+    pub(crate) fn load(&self, input: usize) -> f64 {
+        match self {
+            RowSampler::Table(table) => table.loads[input],
+            RowSampler::OnePerRow(closed) => closed.rows[input][0],
+        }
+    }
+
+    /// Address a slot's new arrivals: packet `k` goes where the binary
+    /// search over its input's CDF sends `draws[k]`.
+    ///
+    /// The seeded generators draw a slot first, pushing each arrival with a
+    /// placeholder output and keeping its destination draw, and call this
+    /// once after their draw loop.  Sampling inside that loop would put the
+    /// sampler's loads on the RNG's dependency chain — with the table, two
+    /// dependent loads into n²-sized arrays, one likely cache miss after
+    /// another; here every packet's lookups are independent of the others',
+    /// so they overlap.  Which draws are made, and in which order, is
+    /// unaffected.
+    // lint: hot-path
+    pub(crate) fn resolve(&mut self, packets: &mut [Packet], draws: &[u64]) {
+        debug_assert_eq!(packets.len(), draws.len());
+        let pairs = packets.iter_mut().zip(draws);
+        // The form is matched once per slot, not once per packet.
+        match self {
+            RowSampler::Table(table) => {
+                for (packet, &draw) in pairs {
+                    let input = packet.input();
+                    packet.set_ports(input, table.sample(input, draw));
+                }
+            }
+            RowSampler::OnePerRow(closed) => {
+                for (packet, &draw) in pairs {
+                    let input = packet.input();
+                    packet.set_ports(input, closed.sample(input, draw));
+                }
+            }
+        }
+    }
+}
+
+/// Every row's CDF in one flat table, plus a guide table that turns the top
+/// bits of a draw into a starting index a step or two short of the answer.
+///
+/// The unit interval is cut into `buckets` equal parts, a power of two near
 /// `n / 4`; `guide[b]` is the first index whose CDF value reaches the
 /// bucket's lower edge `b / buckets`.  A draw's bucket is its top
 /// `log2(buckets)` bits, the destination is at or after `guide[bucket]`, and
 /// since buckets are equiprobable and a row has four entries per bucket, the
 /// forward scan is about two steps on average whatever the distribution.
-pub(crate) struct RowSampler {
+pub(crate) struct CdfTable {
     n: usize,
     buckets: usize,
     /// `draw >> bucket_shift` is the draw's bucket.
@@ -140,11 +245,11 @@ pub(crate) struct RowSampler {
     guide: Vec<u16>,
 }
 
-impl RowSampler {
+impl CdfTable {
     /// Build the tables in one pass over the matrix: each CDF value is
     /// pushed once, and the guide is filled by merging the ascending bucket
     /// edges into the ascending CDF as it is produced.
-    pub(crate) fn new(matrix: &TrafficMatrix) -> Self {
+    fn new(matrix: &TrafficMatrix) -> Self {
         let n = matrix.n();
         // Also what lets a guide entry be a `u16`.
         assert_ports_fit(n);
@@ -156,22 +261,17 @@ impl RowSampler {
         for input in 0..n {
             let load = matrix.input_load(input);
             loads.push(load);
-            let mut acc = 0.0;
             let mut bucket = 0;
-            for j in 0..n - 1 {
-                if load > 0.0 {
-                    acc += matrix.rate(input, j) / load;
-                }
-                cdf.push(acc);
-                while bucket < buckets && bucket as f64 * bucket_width <= acc {
+            let rate = |j| matrix.rate(input, j);
+            for_each_cdf_value(n, load, rate, |j, value| {
+                cdf.push(value);
+                while bucket < buckets && bucket as f64 * bucket_width <= value {
                     guide.push(j as u16);
                     bucket += 1;
                 }
-            }
-            cdf.push(1.0);
-            guide.resize((input + 1) * buckets, (n - 1) as u16);
+            });
         }
-        RowSampler {
+        CdfTable {
             n,
             buckets,
             bucket_shift: 53 - buckets.trailing_zeros(),
@@ -181,11 +281,6 @@ impl RowSampler {
         }
     }
 
-    /// Offered load of `input` (its row sum).
-    pub(crate) fn load(&self, input: usize) -> f64 {
-        self.loads[input]
-    }
-
     /// The destination CDF of `input`.
     fn row(&self, input: usize) -> &[f64] {
         &self.cdf[input * self.n..(input + 1) * self.n]
@@ -193,44 +288,134 @@ impl RowSampler {
 
     /// The destination the binary search picks for `u = draw · 2^-53`, for
     /// every 53-bit `draw`.
-    ///
-    /// The scan stops at the first CDF value `≥ u`, which is the binary
-    /// search's answer when it is `> u`.  When it equals `u` — and only a
-    /// CDF with duplicate values (zero-rate outputs) makes that ambiguous —
-    /// the binary search itself decides, so the two agree on ties as well.
     #[inline]
-    pub(crate) fn sample(&self, input: usize, draw: u64) -> usize {
-        let row = self.row(input);
-        let u = draw as f64 * DRAW_SCALE;
+    fn sample(&self, input: usize, draw: u64) -> usize {
         let bucket = (draw >> self.bucket_shift) as usize;
-        let mut k = usize::from(self.guide[input * self.buckets + bucket]);
-        // Ends at `n - 1` at the latest: the last CDF value is 1 and `u < 1`.
-        while row[k] < u {
-            k += 1;
+        let from = usize::from(self.guide[input * self.buckets + bucket]);
+        first_at_least(self.row(input), from, draw as f64 * DRAW_SCALE)
+    }
+}
+
+/// The rows of a matrix stored as one entry per row, sampled without a
+/// table.
+///
+/// Row `i`'s hot column is `h = (i + shift) mod n`.  Its CDF terms are
+/// `A = hot / load` at `h` and `B = rest / load` everywhere else — the very
+/// quotients the table's loop adds — so in exact arithmetic its CDF is
+/// `(j + 1)·B` for `j < h` and `j·B + A` for `h ≤ j < n − 1`, and the
+/// destination is found with a division instead of a scan.
+///
+/// The table's values are those sums rounded once per addition, at most
+/// `n − 1` roundings of a value below 2, so each lies within `n · 2⁻⁵³` of
+/// its exact value; evaluating the closed form rounds at most twice more.  A
+/// pick is therefore taken only when `u` lies farther than
+/// `(n + 4) · 2⁻⁵²` — more than twice that — from both neighbouring closed-form
+/// values: then the table's value below it is `< u` and the one at it is
+/// `> u`, which is exactly when the table sampler picks it too.  Otherwise
+/// (a draw on or within a few ulps of a CDF value, about one in 2³¹ at
+/// n = 1 024, or every tie of a zero-rate run) the row is rebuilt into
+/// `scratch` by the table's own loop and the table's rule applied to it.
+pub(crate) struct ClosedForm {
+    n: usize,
+    shift: usize,
+    hot: f64,
+    rest: f64,
+    /// Per input: `[load, A, B]`.
+    rows: Vec<[f64; 3]>,
+    /// `(n + 4) · 2⁻⁵²`.
+    margin: f64,
+    /// One row's CDF, rebuilt when a pick is too close to call.
+    scratch: Vec<f64>,
+}
+
+impl ClosedForm {
+    /// The rows of `matrix`, whose entries are `hot` at `(i, (i + shift) mod
+    /// n)` and `rest` elsewhere.
+    fn new(matrix: &TrafficMatrix, shift: usize, hot: f64, rest: f64) -> Self {
+        let n = matrix.n();
+        let rows = (0..n)
+            .map(|input| {
+                let load = matrix.input_load(input);
+                // The table's loop adds nothing to an idle row.
+                if load > 0.0 {
+                    [load, hot / load, rest / load]
+                } else {
+                    [load, 0.0, 0.0]
+                }
+            })
+            .collect();
+        ClosedForm {
+            n,
+            shift,
+            hot,
+            rest,
+            rows,
+            margin: (n + 4) as f64 * f64::EPSILON,
+            scratch: Vec::with_capacity(n),
         }
-        if row[k] == u {
-            return sample_from_cdf(row, u);
-        }
-        k
     }
 
-    /// Address a slot's new arrivals: packet `k` goes where
-    /// [`Self::sample`] sends `draws[k]` from its input.
-    ///
-    /// The seeded generators draw a slot first, pushing each arrival with a
-    /// placeholder output and keeping its destination draw, and call this
-    /// once after their draw loop.  Sampling inside that loop would put two
-    /// dependent loads into the n²-sized guide and CDF tables on the RNG's
-    /// dependency chain, one likely cache miss after another; here every
-    /// packet's lookups are independent of the others', so the misses
-    /// overlap.  Which draws are made, and in which order, is unaffected.
-    // lint: hot-path
-    pub(crate) fn resolve(&self, packets: &mut [Packet], draws: &[u64]) {
-        debug_assert_eq!(packets.len(), draws.len());
-        for (packet, &draw) in packets.iter_mut().zip(draws) {
-            let input = packet.input();
-            packet.set_ports(input, self.sample(input, draw));
+    /// Row `input`'s hot column.
+    #[inline]
+    fn hot_column(&self, input: usize) -> usize {
+        let h = input + self.shift;
+        if h >= self.n {
+            h - self.n
+        } else {
+            h
         }
+    }
+
+    /// The destination the binary search picks for `u = draw · 2^-53`, for
+    /// every 53-bit `draw`.
+    #[inline]
+    fn sample(&mut self, input: usize, draw: u64) -> usize {
+        let u = draw as f64 * DRAW_SCALE;
+        match self.pick(input, u) {
+            Some(k) => k,
+            None => self.exact(input, u),
+        }
+    }
+
+    /// The destination for `u` read off the closed-form CDF, or `None` when
+    /// `u` lies within the error margin of a neighbouring CDF value.
+    #[inline]
+    fn pick(&self, input: usize, u: f64) -> Option<usize> {
+        let n = self.n;
+        let [_, a, b] = self.rows[input];
+        let h = self.hot_column(input);
+        let cdf = |j: usize| {
+            if j < h {
+                (j + 1) as f64 * b
+            } else if j < n - 1 {
+                j as f64 * b + a
+            } else {
+                1.0
+            }
+        };
+        // A candidate only: the checks below decide.  `as` saturates, and
+        // maps the NaN of an idle row's `0 / 0` to 0.
+        let k = if u < h as f64 * b + a {
+            ((u / b) as usize).min(h)
+        } else {
+            (((u - a) / b + 1.0) as usize).min(n - 1)
+        };
+        let clear_below = k == 0 || cdf(k - 1) + self.margin < u;
+        let clear_above = k == n - 1 || u < cdf(k) - self.margin;
+        (clear_below && clear_above).then_some(k)
+    }
+
+    /// The table sampler's pick for `u`, from row `input` rebuilt by the
+    /// table's loop.
+    #[cold]
+    fn exact(&mut self, input: usize, u: f64) -> usize {
+        let (h, hot, rest) = (self.hot_column(input), self.hot, self.rest);
+        let rate = |j| if j == h { hot } else { rest };
+        self.scratch.clear();
+        for_each_cdf_value(self.n, self.rows[input][0], rate, |_, value| {
+            self.scratch.push(value);
+        });
+        first_at_least(&self.scratch, 0, u)
     }
 }
 
@@ -241,16 +426,26 @@ mod tests {
 
     const DRAW_MAX: u64 = (1 << 53) - 1;
 
-    /// A sampler whose row 0 has the given relative weights (the other rows
+    /// A table whose row 0 has the given relative weights (the other rows
     /// are idle), at a load that makes `rate / load` inexact.
-    fn sampler_for(weights: &[u32]) -> RowSampler {
+    fn sampler_for(weights: &[u32]) -> CdfTable {
         let n = weights.len();
         let total: u32 = weights.iter().sum();
         let mut matrix = TrafficMatrix::zero(n);
         for (j, &w) in weights.iter().enumerate() {
             matrix.set(0, j, 0.7 * f64::from(w) / f64::from(total));
         }
-        RowSampler::new(&matrix)
+        CdfTable::new(&matrix)
+    }
+
+    /// The draws at and one either side of every value of `cdf` (at and
+    /// above 1/2 a CDF value times 2^53 is an integer, so those draws hit it
+    /// exactly).
+    fn around_each_value(cdf: &[f64]) -> impl Iterator<Item = u64> + '_ {
+        cdf.iter().flat_map(|&c| {
+            let at = (c / DRAW_SCALE) as u64;
+            [at.saturating_sub(1), at, at + 1].map(|x| x.min(DRAW_MAX))
+        })
     }
 
     #[test]
@@ -264,8 +459,8 @@ mod tests {
 
     #[test]
     fn row_cdf_normalizes_the_row() {
-        let rows = RowSampler::new(&TrafficMatrix::diagonal(8, 0.8));
-        let (load, cdf) = (rows.load(3), rows.row(3));
+        let rows = CdfTable::new(&TrafficMatrix::diagonal(8, 0.8));
+        let (load, cdf) = (rows.loads[3], rows.row(3));
         assert!((load - 0.8).abs() < 1e-12);
         assert_eq!(cdf.len(), 8);
         assert!((cdf[7] - 1.0).abs() < 1e-12);
@@ -277,13 +472,16 @@ mod tests {
     fn row_cdf_of_idle_input_is_all_zero_probability() {
         let rows = RowSampler::new(&TrafficMatrix::zero(4));
         assert_eq!(rows.load(0), 0.0);
-        assert_eq!(rows.row(0), [0.0, 0.0, 0.0, 1.0]);
         assert_eq!(threshold(rows.load(0)), 0);
+        let RowSampler::Table(table) = rows else {
+            panic!("a zero matrix is dense");
+        };
+        assert_eq!(table.row(0), [0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn guide_points_at_the_first_value_reaching_each_bucket_edge() {
-        let rows = RowSampler::new(&TrafficMatrix::hotspot(64, 0.9, 0.6));
+        let rows = CdfTable::new(&TrafficMatrix::hotspot(64, 0.9, 0.6));
         assert_eq!(rows.buckets, 16);
         for input in 0..64 {
             let cdf = rows.row(input);
@@ -303,7 +501,7 @@ mod tests {
         for (j, rate) in [0.25, 0.0, 0.0, 0.25, 0.5].into_iter().enumerate() {
             matrix.set(0, j, rate);
         }
-        let rows = RowSampler::new(&matrix);
+        let rows = CdfTable::new(&matrix);
         assert_eq!(rows.row(0), [0.25, 0.25, 0.25, 0.5, 1.0]);
         let (quarter, half) = (1u64 << 51, 1u64 << 52);
         for tie in [quarter, half] {
@@ -369,33 +567,94 @@ mod tests {
             if weights.iter().all(|&w| w == 0) {
                 weights[n / 2] = 1;
             }
-            let rows = sampler_for(&weights);
-            let cdf = rows.row(0);
+            let table = sampler_for(&weights);
+            let cdf = table.row(0).to_vec();
 
             // Random draws, both ends of the range, and the draws on and
-            // beside every CDF value (at and above 1/2 a CDF value times
-            // 2^53 is an integer, so those draws hit it exactly).
+            // beside every CDF value.
             let mut probes = draws;
             probes.extend([0, DRAW_MAX]);
-            for &c in cdf {
-                let at = (c / DRAW_SCALE) as u64;
-                probes.extend([at.saturating_sub(1), at, at + 1].map(|x| x.min(DRAW_MAX)));
-            }
+            probes.extend(around_each_value(&cdf));
             for &x in &probes {
                 let u = x as f64 * DRAW_SCALE;
-                prop_assert_eq!(rows.sample(0, x), sample_from_cdf(cdf, u), "n={} x={}", n, x);
+                prop_assert_eq!(table.sample(0, x), sample_from_cdf(&cdf, u), "n={} x={}", n, x);
             }
 
             // The per-slot pass addresses each packet as the per-draw
             // sampler would, ties and zero-rate outputs included, and leaves
             // the input alone.
             let mut packets = vec![Packet::new(0, 0, 0, 0); probes.len()];
-            rows.resolve(&mut packets, &probes);
+            RowSampler::Table(table).resolve(&mut packets, &probes);
             for (packet, &x) in packets.iter().zip(&probes) {
                 let u = x as f64 * DRAW_SCALE;
                 prop_assert_eq!(packet.input(), 0);
-                prop_assert_eq!(packet.output(), sample_from_cdf(cdf, u), "n={} x={}", n, x);
+                prop_assert_eq!(packet.output(), sample_from_cdf(&cdf, u), "n={} x={}", n, x);
             }
+        }
+    }
+
+    proptest! {
+        // At n = 1 000 a case probes 9 000 draws on three rows, most of them
+        // on the exact path.
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The closed form against the table, both built from the same
+        /// synthetic matrix, on its first and last rows (the hot column of
+        /// a hot-spot wraps at the last) and a random one.
+        #[test]
+        fn closed_form_matches_the_table(
+            size in 0usize..6,
+            pattern in 0usize..3,
+            load_pick in 0usize..4,
+            rho in 0.0f64..1.0,
+            hot_pick in 0usize..3,
+            hot in 0.0f64..1.0,
+            random_row in 0usize..1000,
+            draws in collection::vec(0u64..=DRAW_MAX, 64),
+        ) {
+            let n = [2, 3, 63, 64, 65, 1000][size];
+            // 1.0 gives dyadic rows at a power-of-two n; the others make
+            // `rate / load` inexact.
+            let load = [1.0, 0.7, 0.01, rho][load_pick];
+            let hot_fraction = [hot, 1.0, 0.0][hot_pick];
+            let matrix = match pattern {
+                0 => TrafficMatrix::uniform(n, load),
+                1 => TrafficMatrix::diagonal(n, load),
+                _ => TrafficMatrix::hotspot(n, load, hot_fraction),
+            };
+            let table = CdfTable::new(&matrix);
+            let mut sampler = RowSampler::new(&matrix);
+            let RowSampler::OnePerRow(mut closed) = RowSampler::new(&matrix) else {
+                panic!("a synthetic matrix gets the closed form");
+            };
+            let mut fallbacks = 0;
+            for input in [0, n - 1, random_row % n] {
+                prop_assert_eq!(closed.rows[input][0].to_bits(), table.loads[input].to_bits());
+                let cdf = table.row(input);
+                let mut probes = draws.clone();
+                probes.extend([0, DRAW_MAX]);
+                probes.extend(around_each_value(cdf));
+                for &x in &probes {
+                    let u = x as f64 * DRAW_SCALE;
+                    fallbacks += usize::from(closed.pick(input, u).is_none());
+                    let want = table.sample(input, x);
+                    prop_assert_eq!(want, sample_from_cdf(cdf, u), "n={} x={}", n, x);
+                    prop_assert_eq!(
+                        closed.sample(input, x),
+                        want,
+                        "n={} pattern={} load={} hot={} input={} x={}",
+                        n, pattern, load, hot_fraction, input, x
+                    );
+                }
+                let mut packets = vec![Packet::new(input, 0, 0, 0); probes.len()];
+                sampler.resolve(&mut packets, &probes);
+                for (packet, &x) in packets.iter().zip(&probes) {
+                    prop_assert_eq!(packet.output(), table.sample(input, x));
+                }
+            }
+            // Draws on a CDF value always miss the margin, so the exact
+            // path has run.
+            prop_assert!(fallbacks > 0);
         }
     }
 }

@@ -7,9 +7,11 @@
 //! "something changed"; these hashes say "the generator changed" in a
 //! fraction of a second.  The first seven constants were captured on the
 //! commit *before* the generators moved from a per-row `Vec<f64>` binary
-//! search to the flat guide-table sampler, the last three on the commit
+//! search to the flat guide-table sampler, the next three on the commit
 //! before destinations moved out of the draw loop into one resolve pass per
-//! slot, so they pin the original streams, not a re-derivation of them.
+//! slot, and the last four on the commit before synthetic matrices were
+//! sampled in closed form, so they pin the original streams, not a
+//! re-derivation of them.
 
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_sim::cache::fnv1a_128;
@@ -129,6 +131,39 @@ fn wide_and_stateful_streams_are_pinned() {
                 9,
             )),
             0x1e1d5b26_2e632d85_7c70515c_3accd31e,
+        ),
+    ];
+    assert_pinned(cases);
+}
+
+#[test]
+fn one_entry_per_row_streams_are_pinned() {
+    // Captured on commit b9d9cedd1cc9800cba6940e2fd414711b38e56bb, before
+    // the synthetic patterns' destinations moved from the n²-sized CDF table
+    // to a closed form.  Cases: the hot column wrapping at row n − 1 on a
+    // wide switch; a hot-spot whose other outputs have rate 0, so the CDF is
+    // flat except at the hot column; a non-power-of-two n with inexact row
+    // loads; and a small uniform switch.
+    let cases: [(&str, Box<dyn TrafficGenerator>, u128); 4] = [
+        (
+            "hotspot n=1024 rho=0.3 hot=0.5 seed=10",
+            Box::new(BernoulliTraffic::hotspot(1024, 0.3, 0.5, 10)),
+            0xfdaa4c1f_2a0de31d_827b6537_8deeed9b,
+        ),
+        (
+            "hotspot n=64 rho=0.6 hot=1.0 seed=11",
+            Box::new(BernoulliTraffic::hotspot(64, 0.6, 1.0, 11)),
+            0x56b8c7b0_3e2f6e54_6dcb0bdb_21d3815b,
+        ),
+        (
+            "diagonal n=1000 rho=0.7 seed=12",
+            Box::new(BernoulliTraffic::diagonal(1000, 0.7, 12)),
+            0x69ead9f2_3ef71dff_27b91e7f_fc82bd8e,
+        ),
+        (
+            "uniform n=96 rho=0.8 seed=13",
+            Box::new(BernoulliTraffic::uniform(96, 0.8, 13)),
+            0x8a15175b_3ba8a7b4_323b1eba_3acdf51a,
         ),
     ];
     assert_pinned(cases);
