@@ -63,41 +63,34 @@ impl Switch for OutputQueuedSwitch {
     }
 
     // lint: hot-path
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        // Walk only the backlogged outputs, in ascending order like the dense
-        // loop did (empty queues were no-ops there).
-        let mut cursor = PortCursor::default();
-        while let Some(j) = self.occupied.next_port(&mut cursor) {
-            let queue = &mut self.outputs[j];
-            // Store-and-forward: a packet needs at least one slot inside the
-            // switch, so same-slot arrivals are not eligible yet.
-            let eligible = queue
-                .front()
-                .is_some_and(|packet| packet.arrival_slot < slot);
-            if eligible {
-                if let Some(packet) = queue.pop_front() {
-                    if queue.is_empty() {
-                        self.occupied.remove(j);
-                    }
-                    self.departures += 1;
-                    sink.deliver(DeliveredPacket::new(packet, slot));
-                }
-            }
-        }
-    }
-
     fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        // OQ has no fabric phase, so the rotated `t` goes unused; the
-        // override exists so a batch crosses the `dyn Switch` boundary once
-        // instead of once per slot and so an empty switch — the degenerate
-        // case of the per-output occupancy check — elides the rest of the
-        // batch.  The inner call is static dispatch on the concrete type,
-        // sharing the per-slot body with `step`.
+        // OQ has no fabric phase, so the rotated `t` goes unused; an empty
+        // switch — the degenerate case of the per-output occupancy check —
+        // elides the rest of the batch.
         step_batch_rotating(self.n, first_slot, count, |slot, _t| {
             if self.occupied.is_empty() {
                 return false;
             }
-            self.step(slot, sink);
+            // Walk only the backlogged outputs, in ascending order like the
+            // dense loop did (empty queues were no-ops there).
+            let mut cursor = PortCursor::default();
+            while let Some(j) = self.occupied.next_port(&mut cursor) {
+                let queue = &mut self.outputs[j];
+                // Store-and-forward: a packet needs at least one slot inside
+                // the switch, so same-slot arrivals are not eligible yet.
+                let eligible = queue
+                    .front()
+                    .is_some_and(|packet| packet.arrival_slot < slot);
+                if eligible {
+                    if let Some(packet) = queue.pop_front() {
+                        if queue.is_empty() {
+                            self.occupied.remove(j);
+                        }
+                        self.departures += 1;
+                        sink.deliver(DeliveredPacket::new(packet, slot));
+                    }
+                }
+            }
             true
         });
     }

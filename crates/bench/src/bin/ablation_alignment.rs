@@ -6,8 +6,19 @@
 
 use sprinklers_bench::experiments::{ablation_alignment, points_to_csv};
 
+const USAGE: &str = "\
+Ablation: how the input-port scheduling discipline (Algorithm 1 vs the row
+scan of section 3.4.2) and the intermediate-port eligibility rule affect
+packet ordering and delay (uniform traffic, N = 32).  CSV on stdout.
+
+Usage:
+  ablation_alignment [--quick]
+
+--quick  five loads and a 30 000-slot run per point instead of ten loads
+         and 200 000 slots";
+
 fn main() {
-    let quick = sprinklers_bench::cli::quick_flag();
+    let quick = sprinklers_bench::cli::quick_flag(USAGE);
     eprintln!("running alignment/discipline ablation, quick = {quick} ...");
     let points = ablation_alignment(quick);
     println!("# Ablation: Sprinklers scheduling variants (uniform traffic, N = 32)");

@@ -9,8 +9,18 @@
 
 use sprinklers_bench::experiments::{ablation_sizing, points_to_csv};
 
+const USAGE: &str = "\
+Ablation: stripe sizing policy (matrix-driven, adaptive, fixed 1, fixed N)
+under uniform traffic, N = 32.  CSV on stdout.
+
+Usage:
+  ablation_sizing [--quick]
+
+--quick  five loads and a 30 000-slot run per point instead of ten loads
+         and 200 000 slots";
+
 fn main() {
-    let quick = sprinklers_bench::cli::quick_flag();
+    let quick = sprinklers_bench::cli::quick_flag(USAGE);
     eprintln!("running stripe-sizing ablation, quick = {quick} ...");
     let points = ablation_sizing(quick);
     println!("# Ablation: stripe sizing policies (uniform traffic, N = 32)");

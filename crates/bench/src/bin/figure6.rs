@@ -7,8 +7,19 @@
 use sprinklers_bench::chart::{log_y_chart, points_to_series};
 use sprinklers_bench::experiments::{figure6, points_to_csv};
 
+const USAGE: &str = "\
+Regenerate Figure 6 of the paper: average delay versus load under uniform
+Bernoulli traffic, N = 32, for baseline-lb, UFS, FOFF, Padded Frames and
+Sprinklers.  CSV and a log-scale chart on stdout.
+
+Usage:
+  figure6 [--quick]
+
+--quick  five loads and a 30 000-slot run per point instead of ten loads
+         and 200 000 slots";
+
 fn main() {
-    let quick = sprinklers_bench::cli::quick_flag();
+    let quick = sprinklers_bench::cli::quick_flag(USAGE);
     eprintln!("running figure 6 (uniform traffic), quick = {quick} ...");
     let points = figure6(quick);
     println!("# Figure 6: average delay vs load, uniform traffic, N = 32");

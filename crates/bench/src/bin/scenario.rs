@@ -14,7 +14,8 @@
 //! ```
 
 use sprinklers_bench::cli::{
-    arg_value, check_flags, fail, has_flag, load_spec_file, note_inert_fields, parse_flag,
+    arg_value, check_distinct_paths, check_flags, exit_on_help, fail, has_flag, load_spec_file,
+    note_inert_fields, parse_flag,
 };
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::registry;
@@ -90,10 +91,7 @@ const BARE_FLAGS: [&str; 3] = ["--quick", "--list-schemes", "--print-template"];
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    if has_flag(&args, "--help") || has_flag(&args, "-h") {
-        println!("{USAGE}");
-        return;
-    }
+    exit_on_help(&args, USAGE);
     if let Err(e) = check_flags(&args, &VALUE_FLAGS, &BARE_FLAGS) {
         fail(&e);
     }
@@ -184,6 +182,16 @@ fn main() {
         ),
         Some(other) => fail(&format!("--metrics only understands 'full', got '{other}'")),
     };
+    let replayed = match &spec.traffic {
+        TrafficSpec::Trace { path, .. } => Some(path.as_str()),
+        _ => None,
+    };
+    check_distinct_paths(&[
+        ("--spec", arg_value(&args, "--spec").as_deref()),
+        ("the trace", replayed),
+        ("--metrics-out", metrics_out.as_deref()),
+    ])
+    .unwrap_or_else(|e| fail(&e));
 
     eprintln!("running scenario: {}", spec.label());
     eprintln!("{}", spec.to_json());

@@ -33,7 +33,8 @@
 //! ```
 
 use sprinklers_bench::cli::{
-    arg_value, check_flags, fail, has_flag, note_inert_fields, parse_flag, parse_list_flag,
+    arg_value, check_distinct_paths, check_flags, exit_on_help, fail, has_flag, note_inert_fields,
+    parse_flag, parse_list_flag,
 };
 use sprinklers_sim::cache::{CachedRun, ExperimentCache};
 use sprinklers_sim::engine::RunConfig;
@@ -85,10 +86,7 @@ const BARE_FLAGS: [&str; 1] = ["--quick"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if has_flag(&args, "--help") || has_flag(&args, "-h") {
-        println!("{USAGE}");
-        return;
-    }
+    exit_on_help(&args, USAGE);
     if let Err(e) = check_flags(&args, &VALUE_FLAGS, &BARE_FLAGS) {
         fail(&e);
     }
@@ -115,6 +113,11 @@ fn main() {
         }
         None
     };
+    check_distinct_paths(&[
+        ("--out", out.as_deref()),
+        ("--metrics-out", metrics_out.as_deref()),
+    ])
+    .unwrap_or_else(|e| fail(&e));
     let cache = arg_value(&args, "--cache").map(|dir| {
         ExperimentCache::open(&dir)
             .unwrap_or_else(|e| fail(&format!("cannot open cache directory {dir}: {e}")))

@@ -2,10 +2,18 @@
 //!
 //! Usage: `cargo run --release -p sprinklers-bench --bin table1`
 
-use sprinklers_bench::cli::{check_flags, fail};
+use sprinklers_bench::cli::{check_flags, exit_on_help, fail};
+
+const USAGE: &str = "\
+Regenerate Table 1 of the paper: worst-case upper bounds on the probability
+that a single queue is overloaded (Chernoff / Theorem 2), as CSV on stdout.
+
+Usage:
+  table1";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_help(&args, USAGE);
     if let Err(e) = check_flags(&args, &[], &[]) {
         fail(&e);
     }

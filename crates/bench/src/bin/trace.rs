@@ -18,7 +18,9 @@
 //! trace convert --in <a> --out <b> [--n <ports>]
 //! ```
 
-use sprinklers_bench::cli::{arg_value, check_flags, fail, has_flag, load_spec_file, parse_flag};
+use sprinklers_bench::cli::{
+    arg_value, check_distinct_paths, check_flags, exit_on_help, fail, load_spec_file, parse_flag,
+};
 use sprinklers_sim::spec::TrafficSpec;
 use sprinklers_sim::traffic::trace_io::{record_spec, TraceReader, TraceWriter};
 use std::path::Path;
@@ -52,10 +54,11 @@ trace that declares its own n must not be given a different one.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || has_flag(&args, "--help") || has_flag(&args, "-h") {
+    if args.is_empty() {
         println!("{USAGE}");
         return;
     }
+    exit_on_help(&args, USAGE);
     match args[0].as_str() {
         "record" => record(&args),
         "info" => info(&args),
@@ -77,7 +80,19 @@ fn record(args: &[String]) {
     let spec_path =
         arg_value(args, "--spec").unwrap_or_else(|| fail("record needs --spec (see --help)"));
     let out = arg_value(args, "--out").unwrap_or_else(|| fail("record needs --out (see --help)"));
+    let replay_path = arg_value(args, "--emit-spec");
     let spec = load_spec_file(&spec_path);
+    let replayed = match &spec.traffic {
+        TrafficSpec::Trace { path, .. } => Some(path.as_str()),
+        _ => None,
+    };
+    check_distinct_paths(&[
+        ("--spec", Some(&spec_path)),
+        ("the spec's trace", replayed),
+        ("--out", Some(&out)),
+        ("--emit-spec", replay_path.as_deref()),
+    ])
+    .unwrap_or_else(|e| fail(&e));
 
     let (records, span) = record_spec(&spec, &out).unwrap_or_else(|e| fail(&e.to_string()));
     eprintln!(
@@ -85,7 +100,7 @@ fn record(args: &[String]) {
         spec.label(),
     );
 
-    if let Some(replay_path) = arg_value(args, "--emit-spec") {
+    if let Some(replay_path) = replay_path {
         // The loaders rebase relative trace paths against the *spec file's*
         // directory, so reference the trace by bare file name when both live
         // in the same directory, and by absolute path otherwise (a cwd-
@@ -181,6 +196,8 @@ fn convert(args: &[String]) {
     check_subcommand_flags(args, &["--in", "--out", "--n"]);
     let input = arg_value(args, "--in").unwrap_or_else(|| fail("convert needs --in (see --help)"));
     let out = arg_value(args, "--out").unwrap_or_else(|| fail("convert needs --out (see --help)"));
+    check_distinct_paths(&[("--in", Some(&input)), ("--out", Some(&out))])
+        .unwrap_or_else(|e| fail(&e));
 
     let mut reader = TraceReader::open(&input).unwrap_or_else(|e| fail(&e.to_string()));
     let mut meta = reader.meta().clone();

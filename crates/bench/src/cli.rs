@@ -6,6 +6,7 @@
 //! the one place that reads a [`ScenarioSpec`] from a JSON file.
 
 use sprinklers_sim::spec::ScenarioSpec;
+use std::path::{Path, PathBuf};
 
 /// The value following `--flag`, if present.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -49,6 +50,43 @@ pub fn check_flags(
     Ok(())
 }
 
+/// Check that no two of a command's file paths name the same file, so that
+/// writing one cannot truncate or replace another that the command reads or
+/// writes.  `paths` pairs each flag with its value (`None` when absent);
+/// callers check before opening anything for writing.  Two paths are the
+/// same file when they resolve to one canonical path: `./x` and `x`, or a
+/// symlink and its target, collide.
+pub fn check_distinct_paths(paths: &[(&str, Option<&str>)]) -> Result<(), String> {
+    let given: Vec<(&str, &str, PathBuf)> = paths
+        .iter()
+        .filter_map(|&(flag, path)| path.map(|p| (flag, p, resolve(p))))
+        .collect();
+    for (i, (flag, path, file)) in given.iter().enumerate() {
+        if let Some((other, _, _)) = given[..i].iter().find(|(_, _, f)| f == file) {
+            return Err(format!(
+                "{other} and {flag} name the same file '{path}': writing one would destroy the other"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A path as one file: canonical if it exists, else its canonical directory
+/// joined with its file name (an output not yet written), else as given.
+fn resolve(path: &str) -> PathBuf {
+    let path = Path::new(path);
+    std::fs::canonicalize(path).unwrap_or_else(|_| {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        match (std::fs::canonicalize(dir), path.file_name()) {
+            (Ok(dir), Some(name)) => dir.join(name),
+            _ => path.to_path_buf(),
+        }
+    })
+}
+
 /// Print one stderr note per inert field (`batch`, `threads`) that any
 /// loaded spec sets away from its default: spec files that carry them still
 /// load, the `--batch` and `--threads` flags are rejected.
@@ -70,10 +108,21 @@ pub fn note_inert_fields<'a>(specs: impl IntoIterator<Item = &'a ScenarioSpec>) 
     }
 }
 
+/// Print `usage` and exit 0 when the arguments ask for help (`--help` or
+/// `-h`); every binary asks this before it checks its flags.
+pub fn exit_on_help(args: &[String], usage: &str) {
+    if has_flag(args, "--help") || has_flag(args, "-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+}
+
 /// Check the arguments of a binary whose only flag is a bare `--quick`
-/// (exit 2 on anything else) and say whether it was given.
-pub fn quick_flag() -> bool {
+/// (usage on `--help`, exit 2 on anything else) and say whether it was
+/// given.
+pub fn quick_flag(usage: &str) -> bool {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_help(&args, usage);
     if let Err(e) = check_flags(&args, &[], &["--quick"]) {
         fail(&e);
     }
@@ -125,7 +174,7 @@ pub fn load_spec_file(path: &str) -> ScenarioSpec {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("cannot read spec file {path}: {e}")));
     let mut spec = ScenarioSpec::from_json(&text).unwrap_or_else(|e| fail(&e.to_string()));
-    if let Some(parent) = std::path::Path::new(path).parent() {
+    if let Some(parent) = Path::new(path).parent() {
         spec.rebase_paths(parent);
     }
     spec
@@ -169,6 +218,30 @@ mod tests {
             Some(vec!["oq".to_string(), "foff".to_string()])
         );
         assert_eq!(parse_list_flag::<f64>(&a, "--absent"), None);
+    }
+
+    #[test]
+    fn check_distinct_paths_catches_one_file_under_two_names() {
+        let dir = std::env::temp_dir().join(format!("sprinklers-cli-paths-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("t.sprt");
+        std::fs::write(&file, "x").unwrap();
+        let file = file.to_str().unwrap();
+        let dotted = format!("{}/./t.sprt", dir.display());
+        let fresh = format!("{}/new.csv", dir.display());
+        let err =
+            check_distinct_paths(&[("--in", Some(file)), ("--out", Some(&dotted))]).unwrap_err();
+        assert!(
+            err.starts_with("--in and --out name the same file"),
+            "{err}"
+        );
+        // An output that does not exist yet still collides with itself.
+        let err = check_distinct_paths(&[("--out", Some(&fresh)), ("--emit-spec", Some(&fresh))])
+            .unwrap_err();
+        assert!(err.contains("--out and --emit-spec"), "{err}");
+        assert!(check_distinct_paths(&[("--in", Some(file)), ("--out", Some(&fresh))]).is_ok());
+        assert!(check_distinct_paths(&[("--in", Some(file)), ("--out", None)]).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! the figure drivers.  A `"threads"` or `"batch"` key in a spec file is
 //! the other half of that decision: still range-checked (see
 //! `spec::tests::zero_and_fractional_thread_counts_are_rejected`), otherwise
-//! accepted and ignored with one note on stderr.
+//! accepted and ignored with one note on stderr.  `--help` (or `-h`) is
+//! the one word every binary knows: it prints the usage and exits 0.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -146,6 +147,33 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
 /// scenario flag beside `--spec`, a trace knob without `--trace`, a
 /// `trace info --format`, and a `trace convert --n` that contradicts the
 /// trace's own `n`.
+#[test]
+fn help_prints_the_usage_and_exits_zero_on_every_binary() {
+    let binaries = [
+        ("scenario", SCENARIO),
+        ("suite", SUITE),
+        ("trace", TRACE),
+        ("figure5", FIGURE5),
+        ("figure6", FIGURE6),
+        ("figure7", FIGURE7),
+        ("table1", TABLE1),
+        ("ablation_alignment", ABLATION_ALIGNMENT),
+        ("ablation_sizing", ABLATION_SIZING),
+    ];
+    for (name, bin) in binaries {
+        for help in ["--help", "-h"] {
+            let out = run(bin, &[help]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{name} {help}: {stdout}");
+            assert!(out.stderr.is_empty(), "{name} {help} wrote to stderr");
+            assert!(
+                stdout.contains(&format!("Usage:\n  {name}")),
+                "{name} {help} printed no usage: {stdout}"
+            );
+        }
+    }
+}
+
 #[test]
 fn flags_a_run_would_ignore_are_usage_errors() {
     let dir = spec_dir("ignored", &[("a.json", 3)], "");

@@ -3,7 +3,9 @@
 //! error (exit 2, `error: …` on stderr), never a panic and never a result row.
 //! The same holds for the other numbers of a traffic pattern: a bursty
 //! source's peak rate and mean burst, a flow source's mean flow length — and
-//! for a fixed stripe size the switch cannot hold.
+//! for a fixed stripe size the switch cannot hold, a suite override that
+//! repeats a value, and an output path that names a file the command reads
+//! or writes already.
 
 use std::process::{Command, Output};
 
@@ -190,5 +192,86 @@ fn bad_bursty_and_flows_parameters_are_usage_errors() {
         stderr.contains("case@0.9"),
         "the error names the case: {stderr}"
     );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+/// A sidecar path that names the spec or the merged CSV is a usage error
+/// before anything is written: the file it names keeps its bytes.
+#[test]
+fn an_output_path_naming_an_input_or_another_output_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("sprinklers-paths-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = dir.join("case.json");
+    let spec_str = spec.to_str().expect("utf-8 path");
+    std::fs::write(
+        &spec,
+        spec_with_traffic(r#"{"pattern":"uniform","load":0.5}"#),
+    )
+    .expect("write spec");
+    let csv = std::env::temp_dir().join(format!("sprinklers-paths-cli-{}.csv", std::process::id()));
+    let csv_str = csv.to_str().expect("utf-8 path");
+    std::fs::write(&csv, "case,kept\n").expect("write csv");
+
+    let out = scenario(&[
+        "--spec",
+        spec_str,
+        "--metrics",
+        "full",
+        "--metrics-out",
+        spec_str,
+    ]);
+    let spec_before = spec_with_traffic(r#"{"pattern":"uniform","load":0.5}"#);
+    assert_usage_error(&out, "scenario --metrics-out <spec>", "name the same file");
+    assert_eq!(
+        std::fs::read_to_string(&spec).expect("read spec"),
+        spec_before
+    );
+
+    let out = Command::new(env!("CARGO_BIN_EXE_suite"))
+        .args([
+            "--dir",
+            dir.to_str().expect("utf-8 path"),
+            "--quick",
+            "--out",
+            csv_str,
+            "--metrics",
+            "full",
+            "--metrics-out",
+            csv_str,
+        ])
+        .output()
+        .expect("suite runs");
+    assert_usage_error(&out, "suite --out x --metrics-out x", "name the same file");
+    assert_eq!(
+        std::fs::read_to_string(&csv).expect("read csv"),
+        "case,kept\n"
+    );
+    std::fs::remove_file(&csv).expect("remove csv");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+/// A repeated `--schemes` name or `--loads` value would run one case twice
+/// under one name; it is a usage error instead, and so is a load written
+/// two ways.
+#[test]
+fn repeated_suite_override_values_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("sprinklers-repeat-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(
+        dir.join("case.json"),
+        spec_with_traffic(r#"{"pattern":"uniform","load":0.5}"#),
+    )
+    .expect("write spec");
+    let dir_str = dir.to_str().expect("utf-8 path");
+    for (flag, values, says) in [
+        ("--schemes", "oq,foff,oq", "(--schemes) name 'oq' twice"),
+        ("--loads", "0.3,0.30", "(--loads) give load 0.3 twice"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_suite"))
+            .args(["--dir", dir_str, "--quick", flag, values])
+            .output()
+            .expect("suite runs");
+        assert_usage_error(&out, &format!("suite {flag} {values}"), says);
+    }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

@@ -2,7 +2,8 @@
 //! read a trace through the same reader, so a file-level defect is the same
 //! usage error (exit 2, the same `error: …` line) from all three; and the
 //! encoding is read from the bytes, so a `.sprt` under another name
-//! replays exactly as it does under its own.
+//! replays exactly as it does under its own.  A command whose paths name
+//! one file twice is a usage error before anything is written.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -106,6 +107,59 @@ fn a_sprt_trace_replays_identically_under_any_name() {
         let out = replay("foff", &copy);
         assert_eq!(out.status.code(), Some(0), "replay {name}");
         assert_eq!(out.stdout, original.stdout, "{name} replayed differently");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+#[test]
+fn a_command_never_writes_over_a_file_it_reads_or_writes() {
+    let dir = temp_dir("same-file");
+    let spec = dir.join("source.json");
+    std::fs::write(
+        &spec,
+        r#"{"scheme":"oq","n":8,"traffic":{"pattern":"uniform","load":0.5},
+           "run":{"slots":300,"warmup_slots":30,"drain_slots":300},"seed":4}"#,
+    )
+    .expect("write spec");
+    let trace = dir.join("t.sprt");
+    let recorded = run(
+        TRACE,
+        &["record", "--spec", utf8(&spec), "--out", utf8(&trace)],
+    );
+    assert_eq!(recorded.status.code(), Some(0), "trace record");
+    let existing = dir.join("r.csv");
+    std::fs::write(&existing, "0,1,2\n").expect("write csv");
+    // The same file under its own name and under a `./` detour.
+    let dotted = format!("{}/./t.sprt", dir.display());
+    let cases: [(&[&str], &Path); 3] = [
+        (&["convert", "--in", utf8(&trace), "--out", &dotted], &trace),
+        (
+            &[
+                "record",
+                "--spec",
+                utf8(&spec),
+                "--out",
+                utf8(&existing),
+                "--emit-spec",
+                utf8(&existing),
+            ],
+            &existing,
+        ),
+        (
+            &["record", "--spec", utf8(&spec), "--out", utf8(&spec)],
+            &spec,
+        ),
+    ];
+    for (args, kept) in cases {
+        let before = std::fs::read(kept).expect("read input");
+        let line = error_line(&run(TRACE, args), &args.join(" "));
+        assert!(line.contains("name the same file"), "{line}");
+        assert_eq!(
+            std::fs::read(kept).expect("read input"),
+            before,
+            "{} changed",
+            kept.display()
+        );
     }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

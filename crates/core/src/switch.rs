@@ -1,14 +1,16 @@
-//! The `Switch` abstraction shared by Sprinklers and every baseline, and the
-//! push-based [`DeliverySink`] that receives delivered packets.
+//! The `Switch` abstraction shared by Sprinklers, every baseline and the
+//! multi-switch fabrics, and the push-based [`DeliverySink`] that receives
+//! delivered packets.
 //!
 //! A switch in this workspace is a synchronous, slotted-time N×N packet
 //! switch: packets are injected at input ports with [`Switch::arrive`] and the
-//! whole switch advances one time slot with [`Switch::step`], which *pushes*
-//! every packet that reaches an output port during that slot into a
-//! caller-provided [`DeliverySink`].  The engine in `sprinklers-sim` drives
+//! switch advances a run of time slots with [`Switch::step_batch`], which
+//! *pushes* every packet that reaches an output port during those slots into
+//! a caller-provided [`DeliverySink`].  The engine in `sprinklers-sim` drives
 //! any implementation of this trait, so Sprinklers and the baselines
 //! (baseline load-balanced switch, output-queued, UFS, FOFF, Padded Frames,
-//! TCP hashing) are directly comparable.
+//! TCP hashing) are directly comparable — and so is a fabric of them, which
+//! is a switch whose ports are its hosts.
 //!
 //! # Why a sink instead of a returned `Vec`?
 //!
@@ -139,19 +141,22 @@ impl SwitchStats {
     }
 }
 
-/// A synchronous slotted-time N×N switch.
+/// A synchronous slotted-time N×N switch: one scheme's switch, or a
+/// multi-switch fabric whose ports are its hosts.  The engine drives every
+/// world through this one trait.
 pub trait Switch {
-    /// Number of ports.
+    /// Number of externally visible ports (hosts, for a fabric).  Injected
+    /// packets address this port space; delivered packets are reported in it.
     fn n(&self) -> usize;
 
-    /// Short human-readable name of the scheduling scheme (used in reports
-    /// and as the scheme's key in the `sprinklers-sim` registry).
-    fn name(&self) -> &'static str;
+    /// Short human-readable name for reports: the scheme's key in the
+    /// `sprinklers-sim` registry, or a fabric's topology tag.
+    fn name(&self) -> &str;
 
     /// Inject a packet at its input port.  The packet's `arrival_slot` field
     /// is treated as the current time for rate-measurement purposes, so the
     /// caller should arrange `arrive` calls in nondecreasing `arrival_slot`
-    /// order and call [`Switch::step`] with the matching slot afterwards.
+    /// order and step the matching slot afterwards.
     fn arrive(&mut self, packet: Packet);
 
     /// Inject every packet arriving in one slot, in order.
@@ -167,121 +172,67 @@ pub trait Switch {
         }
     }
 
-    /// Advance the switch by one time slot.  `slot` must increase by exactly 1
-    /// between consecutive calls (starting from 0).  Every data packet (and,
-    /// for padding-based schemes, padding packet) delivered to an output port
-    /// during this slot is pushed into `sink`; at most one packet per output
-    /// can be delivered per slot.
-    ///
-    /// Implementations must not allocate on this path in steady state.
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink);
-
-    /// Advance the switch by `count` consecutive slots starting at
-    /// `first_slot`, pushing every delivery into `sink`.
-    ///
-    /// Semantically this is **exactly** `for k in 0..count { step(first_slot
-    /// + k, sink) }` — same packets, same order, same departure slots — and
-    /// the default implementation is that loop.  The batched form exists so
-    /// callers that step many slots with no interleaved [`Switch::arrive`]
-    /// calls (the engine's drain phase, empty arrival slots at light load)
-    /// cross the `dyn Switch` boundary once per batch instead of once per
-    /// slot, and so implementations can hoist per-slot setup — the
-    /// `slot mod N` fabric phase, schedule lookups — out of the inner loop.
-    ///
-    /// Callers must uphold the same contract as [`Switch::step`]: slots
-    /// advance by exactly 1 overall, and packets arriving at slot `s` are
-    /// injected before the call that steps `s` — so a batch may never span a
-    /// slot whose arrivals have not been injected yet.
-    fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        for k in 0..u64::from(count) {
-            self.step(first_slot + k, sink);
-        }
+    /// Advance the switch by one time slot: exactly
+    /// `step_batch(slot, 1, sink)`, which is the implementation.
+    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
+        self.step_batch(slot, 1, sink);
     }
 
-    /// Inert: stepping is serial, nothing overrides or calls this; the next
-    /// `benchmark/`-only PR deletes it with its last caller there.
+    /// Advance the switch by `count` consecutive slots starting at
+    /// `first_slot`, pushing every packet delivered to an output port in
+    /// those slots into `sink` (padding too, for padding-based schemes); at
+    /// most one packet per output is delivered per slot.
+    ///
+    /// Slots advance by exactly 1 overall, starting from 0, and packets
+    /// arriving at slot `s` are injected before the call that steps `s` —
+    /// so a batch may never span a slot whose arrivals have not been
+    /// injected yet.  How the slots are split into calls never changes a
+    /// delivery: one call over `k + m` slots is exactly a call over `k`
+    /// followed by one over `m` — same packets, same order, same departure
+    /// slots.  So a caller that steps many slots with no interleaved
+    /// [`Switch::arrive`] (the engine's drain, empty slots at light load)
+    /// crosses the `dyn Switch` boundary once per batch, and an
+    /// implementation hoists per-slot setup — the `slot mod N` fabric
+    /// phase — out of its inner loop and elides the rest of a batch once
+    /// nothing it holds can move.
+    ///
+    /// Implementations must not allocate on this path in steady state.
+    fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink);
+
+    /// Inert: stepping is serial and nothing overrides this; its last caller
+    /// is the benchmark harness, and it goes with that call.
     fn set_threads(&mut self, _threads: usize) {}
 
     /// Current occupancy and throughput counters.
     fn stats(&self) -> SwitchStats;
 }
 
-/// Anything the simulation engine can drive slot by slot: a single
-/// [`Switch`] (every switch is trivially steppable through the blanket impl
-/// below) or a composite world such as a multi-switch fabric that routes
-/// packets across several internal switches before delivering them.
-///
-/// The engine only ever needs five operations — how many externally visible
-/// ports there are, a label for reports, packet injection, batched stepping
-/// and the occupancy counters — so this trait is exactly that surface.  The
-/// method names are deliberately distinct from [`Switch`]'s
-/// (`ports`/`inject`/`advance` instead of `n`/`arrive`/`step_batch`) so a
-/// type implementing both traits never produces ambiguous method calls.
-///
-/// Implementations must uphold the same determinism contract as [`Switch`]:
-/// `advance` over any batching of the same slots yields the identical
-/// delivery stream.
-pub trait Steppable {
-    /// Number of externally visible ports (hosts, for a fabric).  Injected
-    /// packets address this port space; delivered packets are reported in it.
-    fn ports(&self) -> usize;
-
-    /// Human-readable label for reports (a scheme name, a topology tag).
-    fn label(&self) -> String;
-
-    /// Inject a packet at its (external) input port.  Same contract as
-    /// [`Switch::arrive`]: nondecreasing `arrival_slot`, injected before the
-    /// call that advances past its arrival slot.
-    fn inject(&mut self, packet: Packet);
-
-    /// Inject every packet arriving in one slot, in order: exactly
-    /// `for p in packets { inject(p) }`, which is the default implementation
-    /// (see [`Switch::arrive_batch`]).
-    fn inject_batch(&mut self, packets: &[Packet]) {
-        for packet in packets {
-            self.inject(packet.clone());
-        }
-    }
-
-    /// Advance `count` consecutive slots starting at `first_slot`, pushing
-    /// every external delivery into `sink`.  Semantically identical to
-    /// advancing one slot at a time.
-    fn advance(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink);
-
-    /// Inert: stepping is serial, nothing overrides or calls this; the next
-    /// `benchmark/`-only PR deletes it with its last caller there.
+/// [`Switch`] under the benchmark harness's names, plus the inert
+/// `set_parallelism`.  Every switch has it through the blanket impl; its one
+/// user is `benchmark/src/passes.rs`, and it goes when that loop does.
+#[rustfmt::skip]
+pub trait Steppable: Switch {
+    /// [`Switch::n`].
+    fn ports(&self) -> usize { self.n() }
+    /// [`Switch::name`], owned.
+    fn label(&self) -> String { self.name().to_string() }
+    /// [`Switch::arrive`].
+    fn inject(&mut self, packet: Packet) { self.arrive(packet) }
+    /// [`Switch::step_batch`].
+    fn advance(&mut self, first: u64, count: u32, sink: &mut dyn DeliverySink) { self.step_batch(first, count, sink) }
+    /// [`Switch::stats`].
+    fn counters(&self) -> SwitchStats { self.stats() }
+    /// Inert, like [`Switch::set_threads`].
     fn set_parallelism(&mut self, _threads: usize) {}
-
-    /// Aggregate occupancy/throughput counters over the whole world.
-    fn counters(&self) -> SwitchStats;
 }
 
-impl<S: Switch> Steppable for S {
-    fn ports(&self) -> usize {
-        self.n()
-    }
-    fn label(&self) -> String {
-        self.name().to_string()
-    }
-    fn inject(&mut self, packet: Packet) {
-        self.arrive(packet)
-    }
-    fn inject_batch(&mut self, packets: &[Packet]) {
-        self.arrive_batch(packets)
-    }
-    fn advance(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
-        self.step_batch(first_slot, count, sink)
-    }
-    fn counters(&self) -> SwitchStats {
-        self.stats()
-    }
-}
+impl<S: Switch + ?Sized> Steppable for S {}
 
 impl<T: Switch + ?Sized> Switch for Box<T> {
     fn n(&self) -> usize {
         (**self).n()
     }
-    fn name(&self) -> &'static str {
+    fn name(&self) -> &str {
         (**self).name()
     }
     fn arrive(&mut self, packet: Packet) {
@@ -289,9 +240,6 @@ impl<T: Switch + ?Sized> Switch for Box<T> {
     }
     fn arrive_batch(&mut self, packets: &[Packet]) {
         (**self).arrive_batch(packets)
-    }
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        (**self).step(slot, sink)
     }
     fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
         (**self).step_batch(first_slot, count, sink)
@@ -305,7 +253,7 @@ impl<T: Switch + ?Sized> Switch for &mut T {
     fn n(&self) -> usize {
         (**self).n()
     }
-    fn name(&self) -> &'static str {
+    fn name(&self) -> &str {
         (**self).name()
     }
     fn arrive(&mut self, packet: Packet) {
@@ -313,9 +261,6 @@ impl<T: Switch + ?Sized> Switch for &mut T {
     }
     fn arrive_batch(&mut self, packets: &[Packet]) {
         (**self).arrive_batch(packets)
-    }
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        (**self).step(slot, sink)
     }
     fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
         (**self).step_batch(first_slot, count, sink)
@@ -396,23 +341,26 @@ mod tests {
         assert_eq!(inner.data_packets, 1);
     }
 
-    /// A switch that records the slot of every step, to pin the default
-    /// `step_batch` (and the blanket impls) to the slot-at-a-time semantics.
+    /// A switch that records every `step_batch` call and delivers one packet
+    /// per slot, to pin the provided `step` (and the forwarding impls) to
+    /// one-slot batches.
     struct SlotRecorder {
-        slots: Vec<u64>,
+        calls: Vec<(u64, u32)>,
     }
 
     impl Switch for SlotRecorder {
         fn n(&self) -> usize {
             2
         }
-        fn name(&self) -> &'static str {
+        fn name(&self) -> &str {
             "slot-recorder"
         }
         fn arrive(&mut self, _packet: Packet) {}
-        fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-            self.slots.push(slot);
-            sink.deliver(DeliveredPacket::new(Packet::new(0, 1, slot, 0), slot));
+        fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
+            self.calls.push((first_slot, count));
+            for slot in first_slot..first_slot + u64::from(count) {
+                sink.deliver(DeliveredPacket::new(Packet::new(0, 1, slot, 0), slot));
+            }
         }
         fn stats(&self) -> SwitchStats {
             SwitchStats::default()
@@ -420,20 +368,15 @@ mod tests {
     }
 
     #[test]
-    fn default_step_batch_is_the_sequential_step_loop() {
-        let mut sw = SlotRecorder { slots: Vec::new() };
+    fn default_step_is_a_one_slot_step_batch() {
+        let mut sw = SlotRecorder { calls: Vec::new() };
         let mut sink: Vec<DeliveredPacket> = Vec::new();
-        sw.step_batch(10, 4, &mut sink);
-        assert_eq!(sw.slots, vec![10, 11, 12, 13]);
+        for slot in 10..13 {
+            sw.step(slot, &mut sink);
+        }
+        assert_eq!(sw.calls, vec![(10, 1), (11, 1), (12, 1)]);
         let departures: Vec<u64> = sink.iter().map(|d| d.departure_slot).collect();
-        assert_eq!(departures, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn default_step_batch_of_zero_slots_is_a_noop() {
-        let mut sw = SlotRecorder { slots: Vec::new() };
-        sw.step_batch(7, 0, &mut NullSink);
-        assert!(sw.slots.is_empty());
+        assert_eq!(departures, vec![10, 11, 12]);
     }
 
     #[test]
@@ -447,22 +390,35 @@ mod tests {
         });
         let slots: Vec<u64> = seen.iter().map(|&(s, _)| s).collect();
         assert_eq!(slots, vec![6, 7, 8, 9, 10], "stops after the false slot");
-        step_batch_rotating(n, 0, 0, |_, _| panic!("zero-slot batch must not step"));
+    }
+
+    #[test]
+    fn default_step_batch_of_zero_slots_is_a_noop() {
+        // The shared loop behind every scheme's `step_batch` steps nothing...
+        step_batch_rotating(4, 7, 0, |_, _| panic!("zero-slot batch must not step"));
+        // ...so a loaded switch neither delivers nor drains on a zero-slot batch.
+        let mut sw = crate::SprinklersSwitch::new(crate::SprinklersConfig::new(4), 3);
+        sw.arrive(Packet::new(0, 1, 0, 0));
+        let before = sw.stats();
+        let mut sink: Vec<DeliveredPacket> = Vec::new();
+        sw.step_batch(0, 0, &mut sink);
+        assert!(sink.is_empty());
+        assert_eq!(sw.stats(), before);
     }
 
     #[test]
     fn every_switch_is_steppable_through_the_blanket_impl() {
-        let mut sw = SlotRecorder { slots: Vec::new() };
+        let mut sw = SlotRecorder { calls: Vec::new() };
         assert_eq!(sw.ports(), 2);
         assert_eq!(sw.label(), "slot-recorder");
         sw.inject(Packet::new(0, 1, 0, 0));
         let mut sink: Vec<DeliveredPacket> = Vec::new();
         sw.advance(2, 3, &mut sink);
-        assert_eq!(sw.slots, vec![2, 3, 4]);
+        assert_eq!(sw.calls, vec![(2, 3)]);
         assert_eq!(sw.counters(), SwitchStats::default());
         // Boxed trait objects are steppable too (`Box<dyn Switch>` is a
         // `Switch`, so the blanket impl covers it).
-        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder { slots: Vec::new() });
+        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder { calls: Vec::new() });
         boxed.advance(0, 1, &mut NullSink);
         assert_eq!(boxed.label(), "slot-recorder");
     }
@@ -475,13 +431,13 @@ mod tests {
             fn n(&self) -> usize {
                 2
             }
-            fn name(&self) -> &'static str {
+            fn name(&self) -> &str {
                 "arrival-recorder"
             }
             fn arrive(&mut self, packet: Packet) {
                 self.0.push(packet.id);
             }
-            fn step(&mut self, _slot: u64, _sink: &mut dyn DeliverySink) {}
+            fn step_batch(&mut self, _first: u64, _count: u32, _sink: &mut dyn DeliverySink) {}
             fn stats(&self) -> SwitchStats {
                 SwitchStats::default()
             }
@@ -489,7 +445,7 @@ mod tests {
         let slot: Vec<Packet> = (0..3).map(|id| Packet::new(0, 1, id, 0)).collect();
         let mut sw = ArrivalRecorder::default();
         sw.arrive_batch(&slot);
-        sw.inject_batch(&slot[1..]);
+        sw.arrive_batch(&slot[1..]);
         sw.arrive_batch(&[]);
         assert_eq!(sw.0, vec![0, 1, 2, 1, 2]);
     }
@@ -510,7 +466,7 @@ mod tests {
             fn n(&self) -> usize {
                 2
             }
-            fn name(&self) -> &'static str {
+            fn name(&self) -> &str {
                 "batch-recorder"
             }
             fn arrive(&mut self, _packet: Packet) {
@@ -519,7 +475,7 @@ mod tests {
             fn arrive_batch(&mut self, packets: &[Packet]) {
                 self.batches.push(packets.len());
             }
-            fn step(&mut self, _slot: u64, _sink: &mut dyn DeliverySink) {}
+            fn step_batch(&mut self, _first: u64, _count: u32, _sink: &mut dyn DeliverySink) {}
             fn stats(&self) -> SwitchStats {
                 SwitchStats::default()
             }
@@ -531,23 +487,25 @@ mod tests {
         }
         through_bound(&mut concrete, &slot);
         through_bound(Box::new(&mut concrete) as Box<dyn Switch + '_>, &slot[..2]);
-        concrete.inject_batch(&slot[..1]);
+        (&mut concrete as &mut dyn Switch).arrive_batch(&slot[..1]);
         assert_eq!(concrete.batches, vec![3, 2, 1]);
         assert_eq!(concrete.singles, 0);
     }
 
     #[test]
     fn boxed_and_borrowed_switches_forward_step_batch() {
-        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder { slots: Vec::new() });
+        let mut boxed: Box<dyn Switch> = Box::new(SlotRecorder { calls: Vec::new() });
         boxed.step_batch(0, 3, &mut NullSink);
+        boxed.step(3, &mut NullSink);
 
         // Drive through a generic bound so the `impl Switch for &mut T`
         // blanket impl (not auto-deref) is the code path exercised.
         fn drive<S: Switch>(mut switch: S) {
             switch.step_batch(3, 2, &mut NullSink);
+            switch.step(5, &mut NullSink);
         }
-        let mut concrete = SlotRecorder { slots: Vec::new() };
+        let mut concrete = SlotRecorder { calls: Vec::new() };
         drive(&mut concrete);
-        assert_eq!(concrete.slots, vec![3, 4]);
+        assert_eq!(concrete.calls, vec![(3, 2), (5, 1)]);
     }
 }

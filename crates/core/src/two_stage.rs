@@ -208,10 +208,9 @@ impl<P: InputPolicy> TwoStage<P> {
         }
     }
 
-    /// Advance one slot whose fabric phase `t == slot mod N` is already
-    /// reduced (shared by `step` and the phase-rotating `step_batch`).  The
-    /// slot runs back to front, so a packet crosses at most one fabric per
-    /// slot.
+    /// Advance one slot whose fabric phase `t == slot mod N` the
+    /// phase-rotating `step_batch` has already reduced.  The slot runs back
+    /// to front, so a packet crosses at most one fabric per slot.
     // lint: hot-path
     fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
         self.second_fabric(slot, t);
@@ -376,11 +375,6 @@ impl<P: InputPolicy> Switch for TwoStage<P> {
             // lint: allow(hot-path) — a Packet is 48 plain bytes: the clone is a copy, not a heap allocation
             self.arrive(packet.clone());
         }
-    }
-
-    fn step(&mut self, slot: u64, sink: &mut dyn DeliverySink) {
-        let t = (slot % self.n as u64) as usize;
-        self.step_at(slot, t, sink);
     }
 
     fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {

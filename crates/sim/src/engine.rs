@@ -1,4 +1,4 @@
-//! The simulation engine: drives any steppable world against any traffic
+//! The simulation engine: drives any switch or fabric against any traffic
 //! source and gathers metrics through the sink path.
 //!
 //! [`Engine::run`] resolves a [`ScenarioSpec`] through the
@@ -7,10 +7,8 @@
 //! lower-level form for callers that already hold a switch and a traffic
 //! generator (trace-driven tests, hand-built variants).
 //!
-//! The engine is generic over [`Steppable`] — the minimal drive surface
-//! (inject packets, advance slots, read counters).  A single switch is the
-//! trivial instance through the blanket `impl<S: Switch> Steppable for S`;
-//! a [`crate::fabric::FabricWorld`] is the multi-switch instance, selected
+//! The engine is generic over [`Switch`]: a single scheme's switch, or a
+//! [`crate::fabric::FabricWorld`] — a switch whose ports are hosts —
 //! when the scenario carries a `topology`.  Both run through the *same*
 //! loop below, so every determinism guarantee (byte-identical reports at
 //! any worker count) holds for fabrics by construction.
@@ -28,7 +26,7 @@
 //!
 //! # Batched stepping
 //!
-//! The engine drives the world through [`Steppable::advance`] one
+//! The engine drives the world through [`Switch::step_batch`] one
 //! arrival-free run at a time, so long empty stretches — the entire drain
 //! phase, empty slots at light load — cross the `dyn Switch` boundary once
 //! instead of once per slot.  A run ends at whichever comes first:
@@ -36,13 +34,13 @@
 //! * the next arrival-bearing slot (its packets must be injected before the
 //!   call that steps it), or
 //! * the next occupancy sampling slot — every multiple of N — after which
-//!   `counters()` is read between the same two steps as in a
+//!   `stats()` is read between the same two steps as in a
 //!   slot-at-a-time loop.
 //!
 //! There is no other cap, so a run is at most N slots long.  Fault events
 //! need no boundary here: a fabric applies them at their slots inside its
-//! own `advance` (`FabricWorld::idle_jump`).  `step_batch` is contractually
-//! identical to the sequential `step` loop, which `batch_equivalence_prop`
+//! own `step_batch` (`FabricWorld::idle_jump`).  How slots are split into
+//! `step_batch` calls never changes a delivery, which `batch_equivalence_prop`
 //! and the switch-level delivery pins check at 1 and 64 slots per call.
 
 use crate::fabric::FabricWorld;
@@ -54,7 +52,7 @@ use crate::report::SimReport;
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::traffic::TrafficGenerator;
 use sprinklers_core::packet::Packet;
-use sprinklers_core::switch::Steppable;
+use sprinklers_core::switch::Switch;
 
 /// Parameters of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,14 +144,14 @@ impl Engine {
         Ok(self.run_parts(switch, traffic, spec.run))
     }
 
-    /// Drive an explicit world (any [`Steppable`]: a bare switch, a boxed
+    /// Drive an explicit world (any [`Switch`]: a bare switch, a boxed
     /// one, or a fabric) against an explicit traffic generator.
     ///
     /// # Panics
     ///
     /// Panics if the world and the traffic generator disagree on the number
     /// of ports.
-    pub fn run_parts<W: Steppable, G: TrafficGenerator>(
+    pub fn run_parts<W: Switch, G: TrafficGenerator>(
         &mut self,
         mut world: W,
         mut traffic: G,
@@ -165,20 +163,20 @@ impl Engine {
     /// The driving loop shared by every entry point.  Borrows the world so
     /// callers (the faulted-fabric path) can read world state — the fault
     /// summary — after the run.
-    fn run_loop<W: Steppable, G: TrafficGenerator>(
+    fn run_loop<W: Switch, G: TrafficGenerator>(
         &mut self,
         world: &mut W,
         traffic: &mut G,
         config: RunConfig,
     ) -> SimReport {
         assert_eq!(
-            world.ports(),
+            world.n(),
             traffic.n(),
             "world has {} ports but the traffic generator targets {}",
-            world.ports(),
+            world.n(),
             traffic.n()
         );
-        let n = world.ports();
+        let n = world.n();
         let n_u64 = n as u64;
         let mut next_packet_id = 0u64;
         let mut sink = MetricsSink::new(config.warmup_slots, n);
@@ -201,7 +199,7 @@ impl Engine {
                     // A packet must be injected before the call that steps
                     // its arrival slot: flush the run so far, start a new one.
                     if run_len > 0 {
-                        world.advance(run_start, run_len, &mut sink);
+                        world.step_batch(run_start, run_len, &mut sink);
                     }
                     run_start = slot;
                     run_len = 0;
@@ -215,21 +213,21 @@ impl Engine {
                     // The whole slot in one call, so the world can look at
                     // all of it before it starts (and a boxed switch is
                     // entered once).
-                    world.inject_batch(&self.arrival_buf);
+                    world.arrive_batch(&self.arrival_buf);
                 }
             }
             run_len += 1;
 
             if slot == next_sample {
                 // Occupancy is sampled after stepping every slot that is a
-                // multiple of N, so the run ends here.  One counters()
+                // multiple of N, so the run ends here.  One stats()
                 // snapshot feeds both the whole-run occupancy aggregate and
                 // the windowed series, so they always agree.
-                world.advance(run_start, run_len, &mut sink);
+                world.step_batch(run_start, run_len, &mut sink);
                 run_start = slot + 1;
                 run_len = 0;
                 next_sample += n_u64;
-                let stats = world.counters();
+                let stats = world.stats();
                 occupancy.sample(&stats);
                 windows.record(
                     slot + 1,
@@ -241,12 +239,12 @@ impl Engine {
             }
         }
         if run_len > 0 {
-            world.advance(run_start, run_len, &mut sink);
+            world.step_batch(run_start, run_len, &mut sink);
         }
         // A run whose length is not a multiple of the sampling period ends
         // between boundaries; capture the active remainder so window sums
         // equal the run totals.
-        let final_stats = world.counters();
+        let final_stats = world.stats();
         windows.finish(
             total_slots,
             offered,
@@ -258,7 +256,7 @@ impl Engine {
 
         let totals = sink.into_parts();
         SimReport {
-            switch_name: world.label(),
+            switch_name: world.name().to_string(),
             traffic_label: traffic.label(),
             n,
             slots: config.slots,

@@ -1,5 +1,5 @@
 //! Multi-switch fabrics: several switch nodes wired by latency/capacity
-//! links, driven as one [`Steppable`] world.
+//! links, driven as one [`Switch`] whose ports are the hosts.
 //!
 //! A [`FabricWorld`] instantiates one registry scheme per switch node of a
 //! [`TopologySpec`] (every node is an independent N×N switch with its own
@@ -36,7 +36,7 @@
 //! instead of per-hop bookkeeping.  Links that hold anything sit in one
 //! occupancy set, so the wire-arrival and admission phases visit those and
 //! no others, and running counts of link-resident and store-resident
-//! packets make [`Steppable::counters`] O(nodes) and "the fabric is empty"
+//! packets make [`Switch::stats`] O(nodes) and "the fabric is empty"
 //! O(1).
 //!
 //! # Determinism
@@ -46,7 +46,7 @@
 //! (ascending link index), node steps (ascending node index), link
 //! admissions (ascending link index) — and draws randomness from a single
 //! seed-derived RNG in the router plus one derived seed per node.  While
-//! anything is resident [`Steppable::advance`] takes those phases strictly
+//! anything is resident [`Switch::step_batch`] takes those phases strictly
 //! slot by slot however many slots the engine hands it; while *nothing*
 //! is — no packet in the store, no cell or padding in any node — no phase
 //! can move or deliver a packet, so the rest of the call collapses to the
@@ -61,7 +61,7 @@
 //! A [`FaultSpec`] (installed with [`FabricWorld::with_faults`]) expands to
 //! a deterministic event timeline applied at the *start* of each event's
 //! slot — after that slot's injections (the engine injects slot-`s` packets
-//! before the advance covering slot `s`), before the wire-arrival phase.
+//! before the `step_batch` covering slot `s`), before the wire-arrival phase.
 //! Losses are typed, never silent: packets flushed off a failing link or
 //! node, packets arriving at an already-dead link or node, and injections
 //! at a dead source node all decrement the pair's in-flight count and tick
@@ -93,7 +93,7 @@ use sprinklers_core::occupancy::{OccupancySet, PortCursor};
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::rng;
 use sprinklers_core::store::{PacketHandle, PacketStore};
-use sprinklers_core::switch::{DeliverySink, Steppable, Switch, SwitchStats};
+use sprinklers_core::switch::{DeliverySink, Switch, SwitchStats};
 
 use faults::{FaultEvent, FaultSchedule};
 use routing::{mask_contains, PathMasks, Router};
@@ -245,7 +245,7 @@ impl FaultState {
     }
 }
 
-/// A multi-switch fabric the engine drives through [`Steppable`].
+/// A multi-switch fabric: a [`Switch`] whose ports are the hosts.
 pub struct FabricWorld {
     wiring: Wiring,
     nodes: Vec<Node>,
@@ -599,7 +599,7 @@ impl FabricWorld {
             let faults = self.faults.as_ref();
             let next_event = faults.and_then(|f| f.schedule.next_slot());
             let until = next_event.map_or(end, |at| at.min(end));
-            // `advance` counts slots in a u32, so the stretch fits one.
+            // `step_batch` counts slots in a u32, so the stretch fits one.
             let count = (until - slot) as u32;
             for (node_idx, node) in self.nodes.iter_mut().enumerate() {
                 if faults.is_none_or(|f| f.node_up[node_idx]) {
@@ -757,17 +757,17 @@ impl FabricWorld {
     }
 }
 
-impl Steppable for FabricWorld {
-    fn ports(&self) -> usize {
+impl Switch for FabricWorld {
+    fn n(&self) -> usize {
         self.hosts
     }
 
-    fn label(&self) -> String {
-        self.label.clone()
+    fn name(&self) -> &str {
+        &self.label
     }
 
     // lint: hot-path
-    fn inject(&mut self, packet: Packet) {
+    fn arrive(&mut self, packet: Packet) {
         let src = packet.input();
         let dst = packet.output();
         self.injected += 1;
@@ -816,7 +816,7 @@ impl Steppable for FabricWorld {
         self.enqueue_at(src_node, in_port, out, handle, flow, slot);
     }
 
-    fn advance(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
+    fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink) {
         let end = first_slot + u64::from(count);
         let mut slot = first_slot;
         while slot < end {
@@ -829,7 +829,7 @@ impl Steppable for FabricWorld {
         }
     }
 
-    fn counters(&self) -> SwitchStats {
+    fn stats(&self) -> SwitchStats {
         let mut stats = SwitchStats {
             total_arrivals: self.injected,
             total_departures: self.delivered,
@@ -921,11 +921,11 @@ mod tests {
     fn local_packet_crosses_one_switch() {
         let topo = fat_tree(RoutingSpec::EcmpHash, 1);
         let mut world = FabricWorld::build(&topo, "oq", &SizingSpec::Matrix, 7, 0.5).unwrap();
-        assert_eq!(world.ports(), 8);
+        assert_eq!(world.n(), 8);
         // Host 1 -> host 2: same edge switch, one hop.
         let mut p = Packet::new(1, 2, 0, 0).with_flow(42);
         p.voq_seq = 9;
-        world.inject(p);
+        world.arrive(p);
         let out = drive(&mut world, 1..6);
         assert_eq!(out.len(), 1);
         let d = &out[0];
@@ -945,7 +945,7 @@ mod tests {
             let topo = fat_tree(RoutingSpec::EcmpHash, latency);
             let mut world = FabricWorld::build(&topo, "oq", &SizingSpec::Matrix, 7, 0.5).unwrap();
             // Host 0 -> host 6 (edge 0 -> edge 1).
-            world.inject(Packet::new(0, 6, 0, 0));
+            world.arrive(Packet::new(0, 6, 0, 0));
             let out = drive(&mut world, 1..64);
             assert_eq!(out.len(), 1, "latency {latency}");
             assert_eq!(out[0].delay(), 3 + 2 * latency, "latency {latency}");
@@ -962,7 +962,7 @@ mod tests {
                 let dst = (src + 3) % 8;
                 let mut p = Packet::new(src, dst, id, slot);
                 p.voq_seq = slot;
-                world.inject(p);
+                world.arrive(p);
                 id += 1;
             }
             let mut out = Vec::new();
@@ -971,7 +971,7 @@ mod tests {
         }
         // Drain well past the last injection; every packet must surface.
         drive(&mut world, 32..2_000);
-        let stats = world.counters();
+        let stats = world.stats();
         assert_eq!(stats.total_arrivals, 8 * 32);
         assert_eq!(stats.total_departures, stats.total_arrivals);
         assert_eq!(stats.total_queued(), 0, "fully drained");
@@ -1024,7 +1024,7 @@ mod tests {
         // ECMP pins pair (0, 6) to one core; find its uplink and cut it
         // right after injection, while the packet rides the wire.
         let mut world = faulted_world(&topo, vec![], 7);
-        world.inject(Packet::new(0, 6, 0, 0));
+        world.arrive(Packet::new(0, 6, 0, 0));
         drive(&mut world, 0..3); // through the edge switch, onto the wire
         let live_links: Vec<usize> = (0..world.links.len())
             .filter(|&l| world.links[l].ingress.len() + world.links[l].wire.len() > 0)
@@ -1033,12 +1033,12 @@ mod tests {
         let cut = live_links[0];
 
         let mut world = faulted_world(&topo, vec![event(3, FaultKind::LinkDown, cut)], 7);
-        world.inject(Packet::new(0, 6, 0, 0));
+        world.arrive(Packet::new(0, 6, 0, 0));
         let out = drive(&mut world, 0..64);
         assert!(out.is_empty(), "the only packet died on the cut link");
         let f = world.faults.as_ref().unwrap();
         assert_eq!(f.dropped_link_failure, 1);
-        assert_eq!(world.counters().total_dropped, 1);
+        assert_eq!(world.stats().total_dropped, 1);
         assert_conserved(&world);
         let summary = world.fault_summary().unwrap();
         assert_eq!(summary.events.len(), 1);
@@ -1056,7 +1056,7 @@ mod tests {
         // Node 0 is the edge switch of hosts 0..4.  Kill it with a packet
         // buffered inside, then inject at a dead host.
         let mut world = faulted_world(&topo, vec![event(1, FaultKind::NodeDown, 0)], 7);
-        world.inject(Packet::new(0, 2, 0, 0)); // local pair, buffered in node 0
+        world.arrive(Packet::new(0, 2, 0, 0)); // local pair, buffered in node 0
         world.step_slot(0, &mut Vec::new());
         let out = drive(&mut world, 1..8);
         assert!(out.is_empty());
@@ -1066,7 +1066,7 @@ mod tests {
             "buffered packet lost at node-down"
         );
         // An injection at a host of the dead node is a typed dead-node loss.
-        world.inject(Packet::new(1, 2, 1, 8));
+        world.arrive(Packet::new(1, 2, 1, 8));
         let f = world.faults.as_ref().unwrap();
         assert_eq!(f.dropped_dead_node, 1);
         assert_conserved(&world);
@@ -1079,11 +1079,11 @@ mod tests {
         // Remote packets leave edge 0 from slot 1 on and ride its uplinks
         // (4 slots to the cores); two more packets enter the node at slot 1
         // and are still buffered when it dies at slot 2.
-        world.inject(Packet::new(0, 6, 0, 0));
-        world.inject(Packet::new(1, 5, 1, 0));
+        world.arrive(Packet::new(0, 6, 0, 0));
+        world.arrive(Packet::new(1, 5, 1, 0));
         drive(&mut world, 0..1);
-        world.inject(Packet::new(2, 7, 2, 1));
-        world.inject(Packet::new(3, 1, 3, 1));
+        world.arrive(Packet::new(2, 7, 2, 1));
+        world.arrive(Packet::new(3, 1, 3, 1));
         drive(&mut world, 1..2);
         let left = world.on_links;
         let held = world.nodes[0].switch.stats().total_queued();
@@ -1120,10 +1120,10 @@ mod tests {
         for (k, &id) in ids.iter().enumerate() {
             let mut p = Packet::new(k, 7 - k, id, 0).with_flow(1_000 + id % 7);
             p.voq_seq = 50 + k as u64;
-            world.inject(p);
+            world.arrive(p);
         }
         let out = drive(&mut world, 0..64);
-        assert_eq!(out.len() + world.counters().total_dropped as usize, 3);
+        assert_eq!(out.len() + world.stats().total_dropped as usize, 3);
         assert!(!out.is_empty());
         for d in &out {
             let k = ids.iter().position(|&id| id == d.packet.id).unwrap();
@@ -1156,25 +1156,25 @@ mod tests {
             for src in 0..8usize {
                 let mut p = Packet::new(src, (src + 4) % 8, slot * 8 + src as u64, slot);
                 p.voq_seq = slot;
-                world.inject(p);
+                world.arrive(p);
             }
         };
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for start in [0u64, 1_000] {
             burst(&mut jumped, start);
             burst(&mut stepped, start);
-            jumped.advance(start, 1_000, &mut a);
+            jumped.step_batch(start, 1_000, &mut a);
             for slot in start..start + 1_000 {
-                stepped.advance(slot, 1, &mut b);
+                stepped.step_batch(slot, 1, &mut b);
             }
             assert_consistent(&jumped);
             assert_eq!(a, b);
             assert_eq!(jumped.fault_summary(), stepped.fault_summary());
-            assert_eq!(jumped.counters(), stepped.counters());
+            assert_eq!(jumped.stats(), stepped.stats());
         }
         assert!(jumped.is_idle());
         assert_eq!(jumped.fault_summary().unwrap().events.len(), 4);
-        assert_eq!(a.len() as u64 + jumped.counters().total_dropped, 16);
+        assert_eq!(a.len() as u64 + jumped.stats().total_dropped, 16);
     }
 
     #[test]
@@ -1189,7 +1189,7 @@ mod tests {
             7,
         );
         drive(&mut world, 0..12); // apply down + up with nothing in flight
-        world.inject(Packet::new(1, 2, 0, 12));
+        world.arrive(Packet::new(1, 2, 0, 12));
         let out = drive(&mut world, 12..20);
         assert_eq!(out.len(), 1, "rebuilt switch forwards again");
         assert_eq!(out[0].packet.output(), 2);
@@ -1210,7 +1210,7 @@ mod tests {
         // Open the stripe for pair (0, 6) and put the packet on its uplink
         // wire, then cut that uplink: the packet is flushed as a typed
         // loss and the pair is fully drained again.
-        world.inject(Packet::new(0, 6, 0, 0));
+        world.arrive(Packet::new(0, 6, 0, 0));
         let current = world.router.current_choice(0, 6).unwrap();
         drive(&mut world, 0..2); // edge forwards at slot 1, wire admits
         let uplink = world.wiring.link_between(0, 2 + current).unwrap();
@@ -1231,7 +1231,7 @@ mod tests {
         // Put pair (0, 6)'s first packet on its uplink wire, then cut the
         // *downlink* of the same path: the packet survives (it has not
         // reached the downlink yet) but the path is now dead.
-        world.inject(Packet::new(0, 6, 0, 0));
+        world.arrive(Packet::new(0, 6, 0, 0));
         let current = world.router.current_choice(0, 6).unwrap();
         drive(&mut world, 0..3); // on the uplink wire, due at slot 7
         let downlink = world.wiring.link_between(2 + current, 1).unwrap();
@@ -1243,7 +1243,7 @@ mod tests {
         assert_eq!(world.in_flight[6], 1, "the survivor is still in flight");
         // A new injection for the pair must park: re-randomizing now could
         // overtake the survivor.
-        world.inject(Packet::new(0, 6, 1, 3));
+        world.arrive(Packet::new(0, 6, 1, 3));
         let f = world.faults.as_ref().unwrap();
         assert_eq!(f.parked_count, 1, "injection parked behind the survivor");
         assert_eq!(f.parked.keys().copied().collect::<Vec<_>>(), vec![6]);
@@ -1276,7 +1276,7 @@ mod tests {
                 let dst = (src + 4) % 8; // all remote: every pair crosses a core
                 let mut p = Packet::new(src, dst, id, slot);
                 p.voq_seq = slot;
-                world.inject(p);
+                world.arrive(p);
                 id += 1;
             }
             world.step_slot(slot, &mut Vec::new());
@@ -1284,7 +1284,7 @@ mod tests {
         }
         drive(&mut world, 64..4_000);
         assert_conserved(&world);
-        let stats = world.counters();
+        let stats = world.stats();
         let f = world.faults.as_ref().unwrap();
         assert_eq!(stats.total_dropped, f.total_dropped());
         assert!(stats.total_dropped > 0, "a dead core must cost packets");

@@ -5,7 +5,8 @@
 //! binaries, examples and tests construct switches the same way: from a
 //! [`ScenarioSpec`] (or a name plus a traffic matrix) to a `Box<dyn Switch>`,
 //! which the blanket `impl Switch for Box<T>` lets the engine drive through
-//! the sink-based `step` path with no special cases.
+//! the sink-based `step_batch` path with no special cases — the same path a
+//! fabric of these switches takes.
 
 use crate::spec::{ScenarioSpec, SizingSpec, SpecError};
 use sprinklers_baselines::padded_frames::PaddedFrames;

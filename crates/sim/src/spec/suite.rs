@@ -66,8 +66,22 @@ impl SuiteSpec {
     /// Case names are file *stems*, so two spec files with the same stem in
     /// different subdirectories would silently share one merged-CSV case
     /// label; that collision is detected here and reported as a typed error
-    /// naming both paths.
+    /// naming both paths.  A scheme or load given twice in the overrides
+    /// would run every case twice under one label, and is an error too.
     pub fn load_cases(&self) -> Result<Vec<SuiteCase>, SpecError> {
+        if let Some(scheme) = first_repeat(self.schemes.as_deref().unwrap_or_default()) {
+            return Err(SpecError::new(format!(
+                "the scheme overrides (--schemes) name '{scheme}' twice: every \
+                 case would run twice under one label"
+            )));
+        }
+        // Loads compare as numbers, so `0.3` and `0.30` are one load.
+        if let Some(load) = first_repeat(self.loads.as_deref().unwrap_or_default()) {
+            return Err(SpecError::new(format!(
+                "the load overrides (--loads) give load {load} twice: every \
+                 case would run twice under one label"
+            )));
+        }
         let mut paths: Vec<std::path::PathBuf> = Vec::new();
         collect_spec_paths(&self.dir, &mut paths)?;
         paths.sort();
@@ -155,6 +169,13 @@ impl SuiteSpec {
         }
         cases
     }
+}
+
+/// The first value of `values` equal to an earlier one.
+fn first_repeat<T: PartialEq>(values: &[T]) -> Option<&T> {
+    (1..values.len())
+        .find(|&i| values[..i].contains(&values[i]))
+        .map(|i| &values[i])
 }
 
 /// Recursively collect every `*.json` file under `dir`.  Unsorted; the

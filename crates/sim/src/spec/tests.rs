@@ -555,6 +555,40 @@ fn suite_rejects_duplicate_stems_across_subdirectories() {
 }
 
 #[test]
+fn suite_rejects_repeated_override_values() {
+    // Regression: `--schemes oq,oq --loads 0.3,0.3` ran every case four
+    // times under one label.  A load written two ways is one load.
+    let dir = std::env::temp_dir().join(format!("sprinklers-repeat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("case.json"), ScenarioSpec::new("oq", 8).to_json()).unwrap();
+    let suite = SuiteSpec::new(&dir);
+    let schemes = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+
+    let err = suite
+        .clone()
+        .with_schemes(schemes(&["oq", "foff", "oq"]))
+        .load_cases()
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("name 'oq' twice"), "{err}");
+    let err = suite
+        .clone()
+        .with_loads(vec![0.3, 0.5, "0.30".parse().unwrap()])
+        .load_cases()
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("give load 0.3 twice"), "{err}");
+
+    let cases = suite
+        .with_schemes(schemes(&["oq", "foff"]))
+        .with_loads(vec![0.3, 0.5])
+        .load_cases()
+        .unwrap();
+    assert_eq!(cases.len(), 4);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn trace_specs_round_trip_through_json() {
     for traffic in [
         TrafficSpec::trace("traces/capture.sprt"),

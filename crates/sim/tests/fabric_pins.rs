@@ -12,12 +12,12 @@
 //! and a per-packet identity table to the handle store, so they pin the
 //! original streams, not a re-derivation of them.
 //!
-//! Every case is driven twice — one `advance` per slot, and arrival-free
+//! Every case is driven twice — one slot per `step_batch` call, and arrival-free
 //! runs of up to 64 slots per call as the engine batches them — and both
 //! must produce the pinned hash.
 
 use sprinklers_core::packet::DeliveredPacket;
-use sprinklers_core::switch::{DeliverySink, Steppable};
+use sprinklers_core::switch::{DeliverySink, Switch};
 use sprinklers_sim::cache::fnv1a_128;
 use sprinklers_sim::engine::RunConfig;
 use sprinklers_sim::fabric::FabricWorld;
@@ -119,7 +119,7 @@ fn random_faults() -> FaultSpec {
 
 /// Drive one case the way the engine does — ids and VOQ sequence numbers
 /// assigned at injection, arrival-free runs of at most `batch` slots per
-/// `advance` — and hash the delivery stream, the final counters and the
+/// `step_batch` — and hash the delivery stream, the final counters and the
 /// fault summary.
 fn run_hash(
     topo: &TopologySpec,
@@ -146,7 +146,7 @@ fn run_hash(
             traffic.arrivals_into(slot, &mut arrivals);
         }
         if run_len == batch || (run_len > 0 && !arrivals.is_empty()) {
-            world.advance(run_start, run_len, &mut sink);
+            world.step_batch(run_start, run_len, &mut sink);
             run_len = 0;
         }
         if run_len == 0 {
@@ -159,13 +159,13 @@ fn run_hash(
             let key = packet.input() * hosts + packet.output();
             packet.voq_seq = voq_seq[key];
             voq_seq[key] += 1;
-            world.inject(packet);
+            world.arrive(packet);
         }
         run_len += 1;
     }
-    world.advance(run_start, run_len, &mut sink);
+    world.step_batch(run_start, run_len, &mut sink);
 
-    let stats = world.counters();
+    let stats = world.stats();
     assert_eq!(stats.total_arrivals, next_id);
     assert!(stats.total_departures > next_id / 2, "the fabric stalled");
     sink.words(&[

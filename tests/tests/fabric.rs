@@ -12,7 +12,7 @@
 //! 3. **Determinism** — the worker count is a pure performance knob for
 //!    fabrics too: the CSV row and the full metrics JSON are byte-identical
 //!    at every value, with the engine's batched stepping (every
-//!    arrival-free run in one `advance` call) underneath.
+//!    arrival-free run in one `step_batch` call) underneath.
 //! 4. **Reconvergence safety** — claims 1 and 3 survive fault injection:
 //!    striped fabrics stay reorder-free under random link-failure
 //!    schedules (survivor traffic is never inverted by a path change),

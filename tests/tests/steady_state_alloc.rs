@@ -47,7 +47,7 @@ use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::rng::SimRng;
 use sprinklers_core::store::PAGE_SLOTS;
-use sprinklers_core::switch::{CountingSink, DeliverySink, Steppable, Switch};
+use sprinklers_core::switch::{CountingSink, DeliverySink, Switch};
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::fabric::FabricWorld;
 use sprinklers_sim::metrics::sink::MetricsSink;
@@ -272,7 +272,7 @@ fn drive_fabric(
     voq_seq: &mut [u64],
     slots: std::ops::Range<u64>,
 ) {
-    let hosts = world.ports();
+    let hosts = world.n();
     for slot in slots {
         arrivals.clear();
         traffic.arrivals_into(slot, arrivals);
@@ -280,9 +280,9 @@ fn drive_fabric(
             let key = p.input() * hosts + p.output();
             p.voq_seq = voq_seq[key];
             voq_seq[key] += 1;
-            world.inject(p);
+            world.arrive(p);
         }
-        world.advance(slot, 1, sink);
+        world.step_batch(slot, 1, sink);
     }
 }
 
@@ -337,7 +337,7 @@ fn fabric_is_allocation_free_between_faults_and_bounded_over_a_long_run() {
         capacity,
         "the store grew after the first tenth of the run"
     );
-    let stats = world.counters();
+    let stats = world.stats();
     assert!(stats.total_departures > 9 * stats.total_arrivals / 10);
     assert_eq!(sink.delivered_packets(), stats.total_departures);
 }

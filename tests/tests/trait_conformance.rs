@@ -22,7 +22,7 @@
 use sprinklers_baselines::NewSwitch;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::switch::{DeliverySink, Steppable, Switch, SwitchStats};
+use sprinklers_core::switch::{DeliverySink, Switch, SwitchStats};
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::fabric::FabricWorld;
 use sprinklers_sim::metrics::reorder::ReorderDetector;
@@ -159,43 +159,91 @@ fn registry_scheme_list_is_well_formed() {
     }
 }
 
+/// Assert the contract on one finished [`drive_conformance`] run: no
+/// per-slot violation, conservation against `stats()`, most packets out,
+/// and no VOQ reordering where `ordered` promises none.
+fn assert_contract(
+    what: &str,
+    world: &dyn Switch,
+    offered: u64,
+    sink: &ConformanceSink,
+    ordered: bool,
+) {
+    assert!(
+        sink.violations.is_empty(),
+        "{what}: {:?}",
+        &sink.violations[..sink.violations.len().min(5)]
+    );
+
+    // Conservation: delivered + still-queued == offered, nothing duplicated.
+    let stats = world.stats();
+    assert_eq!(
+        sink.delivered + stats.total_queued() as u64,
+        offered,
+        "{what} lost or duplicated packets"
+    );
+    assert_eq!(
+        stats.total_departures, sink.delivered,
+        "{what}: stats disagree with the sink"
+    );
+    assert!(
+        sink.delivered as f64 > offered as f64 * 0.8,
+        "{what} delivered only {}/{offered}",
+        sink.delivered
+    );
+    if ordered {
+        assert_eq!(
+            sink.reorder.stats().voq_reorder_events,
+            0,
+            "{what} promises reordering-free delivery but reordered"
+        );
+    }
+}
+
 #[test]
 fn every_scheme_satisfies_the_sink_contract() {
     let n = 8;
     for scheme in registry::schemes() {
         let mut switch = build(scheme, n, 0.6, 11);
         let (offered, sink) = drive_conformance(switch.as_mut(), 0.6, 31, 4_000, 12_000);
-
-        assert!(
-            sink.violations.is_empty(),
-            "{scheme}: {:?}",
-            &sink.violations[..sink.violations.len().min(5)]
-        );
-
-        // Conservation: delivered + still-queued == offered, nothing duplicated.
-        let stats = switch.stats();
-        assert_eq!(
-            sink.delivered + stats.total_queued() as u64,
-            offered,
-            "{scheme} lost or duplicated packets"
-        );
-        assert_eq!(
-            stats.total_departures, sink.delivered,
-            "{scheme}: stats disagree with the sink"
-        );
-        assert!(
-            sink.delivered as f64 > offered as f64 * 0.8,
-            "{scheme} delivered only {}/{offered}",
-            sink.delivered
-        );
-
         // The is_reordering_free claim, asserted per scheme through the sink.
-        if registry::is_reordering_free(scheme) {
-            assert_eq!(
-                sink.reorder.stats().voq_reorder_events,
-                0,
-                "{scheme} promises reordering-free delivery but reordered"
-            );
+        let ordered = registry::is_reordering_free(scheme);
+        assert_contract(scheme, switch.as_ref(), offered, &sink, ordered);
+    }
+}
+
+#[test]
+fn fabrics_satisfy_the_sink_contract() {
+    // A fabric is a `Switch` whose ports are its hosts, so the same harness
+    // drives it end to end.  Pair-pinned routing (ECMP hash) and striping
+    // both keep a host VOQ in order over reorder-free nodes.  One clause
+    // fails for padding node schemes (padded-frames), so none runs here: a
+    // fabric hands a node's padding to the sink with its node-local output
+    // port, and two nodes padding their local port 0 in one slot read as two
+    // deliveries to host 0 ("output line rate").
+    let link = LinkSpec { latency: 2, gap: 1 };
+    let topologies = [
+        TopologySpec::FatTree2 {
+            edges: 2,
+            cores: 4,
+            hosts_per_edge: 4,
+            routing: RoutingSpec::Stripe,
+            link,
+        },
+        TopologySpec::Butterfly {
+            switches: 5,
+            hosts_per_switch: 4,
+            routing: RoutingSpec::EcmpHash,
+            link,
+        },
+    ];
+    for topo in &topologies {
+        for scheme in ["oq", "sprinklers"] {
+            let mut world = FabricWorld::build(topo, scheme, &SizingSpec::Matrix, 13, 0.5)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let (offered, sink) = drive_conformance(&mut world, 0.5, 37, 2_000, 6_000);
+            assert!(offered > 5_000, "{}: workload too small", world.name());
+            assert_contract(world.name(), &world, offered, &sink, true);
         }
     }
 }
@@ -253,9 +301,9 @@ fn stamped_arrivals(n: usize, load: f64, seed: u64, slots: u64) -> Vec<Vec<Packe
 }
 
 /// Drive `world` over `arrivals` plus a drain, handing each slot over either
-/// in one `inject_batch` call or packet by packet.
-fn drive_injecting<W: Steppable>(
-    world: &mut W,
+/// in one `arrive_batch` call or packet by packet.
+fn drive_injecting(
+    world: &mut dyn Switch,
     arrivals: &[Vec<Packet>],
     drain: u64,
     batched: bool,
@@ -264,16 +312,16 @@ fn drive_injecting<W: Steppable>(
     for slot in 0..arrivals.len() as u64 + drain {
         if let Some(packets) = arrivals.get(slot as usize) {
             if batched {
-                world.inject_batch(packets);
+                world.arrive_batch(packets);
             } else {
                 for p in packets {
-                    world.inject(p.clone());
+                    world.arrive(p.clone());
                 }
             }
         }
-        world.advance(slot, 1, &mut out);
+        world.step(slot, &mut out);
     }
-    (out, world.counters())
+    (out, world.stats())
 }
 
 #[test]
@@ -297,7 +345,7 @@ fn arrive_batch_is_the_arrive_loop_for_every_scheme() {
         assert_eq!(stats, ref_stats, "{scheme}: arrive_batch changed stats()");
     }
 
-    // A composite world takes the slot through `Steppable::inject_batch`.
+    // A fabric takes the slot through the same `Switch::arrive_batch`.
     let topo = TopologySpec::FatTree2 {
         edges: 2,
         cores: 4,
@@ -316,9 +364,9 @@ fn arrive_batch_is_the_arrive_loop_for_every_scheme() {
     assert!(reference.len() > 5_000, "fabric workload too small");
     assert_eq!(
         got, reference,
-        "fabric: inject_batch changed the deliveries"
+        "fabric: arrive_batch changed the deliveries"
     );
-    assert_eq!(stats, ref_stats, "fabric: inject_batch changed counters()");
+    assert_eq!(stats, ref_stats, "fabric: arrive_batch changed stats()");
 }
 
 #[test]
