@@ -44,21 +44,6 @@ impl WeaklyUniformOls {
         }
     }
 
-    /// Build an OLS from two explicit permutations (useful for tests and for
-    /// reproducing a known configuration).
-    pub fn from_permutations(row_perm: Permutation, col_perm: Permutation) -> Self {
-        assert_eq!(
-            row_perm.len(),
-            col_perm.len(),
-            "row and column permutations must have the same order"
-        );
-        WeaklyUniformOls {
-            n: row_perm.len(),
-            row_perm,
-            col_perm,
-        }
-    }
-
     /// The identity-based OLS `a(i, j) = (i + j) mod N` (deterministic; used
     /// by tests and as a degenerate configuration).
     pub fn cyclic(n: usize) -> Self {

@@ -154,20 +154,6 @@ struct Link {
     next_free: u64,
 }
 
-/// The reconvergence record of one applied fault event: which pairs lost
-/// packets when it hit, and when the last of them delivered again.
-struct EventTracker {
-    slot: u64,
-    kind: FaultKind,
-    index: usize,
-    dropped: u64,
-    /// Affected pairs still awaiting their first post-event delivery
-    /// (sorted; drained by [`FaultState::note_delivery`]).
-    waiting: Vec<usize>,
-    affected_pairs: usize,
-    reconverged_slot: Option<u64>,
-}
-
 /// All fault machinery of one faulted run.  Absent (`None`) on healthy
 /// fabrics, which therefore pay nothing and keep their exact legacy RNG
 /// draw sequence.
@@ -179,11 +165,13 @@ struct FaultState {
     /// Live-path bitmasks per (source node, destination node), valid until
     /// the next applied event.
     masks: PathMasks,
-    /// Typed loss counters (see [`FaultSummary`]).
-    dropped_link_failure: u64,
-    dropped_node_failure: u64,
-    dropped_dead_link: u64,
-    dropped_dead_node: u64,
+    /// What the run reports: the typed loss counters and one record per
+    /// applied event, in application order.
+    summary: FaultSummary,
+    /// Per entry of `summary.events`: the affected pairs still awaiting
+    /// their first post-event delivery (sorted; drained by
+    /// [`FaultState::note_delivery`]).
+    waiting: Vec<Vec<usize>>,
     /// Striped traffic parked at the source host, by pair: filled while the
     /// pair's current path is dead with packets still in flight, drained —
     /// FIFO, ascending pair order — once the pair drains or the path
@@ -192,20 +180,11 @@ struct FaultState {
     parked_count: u64,
     /// Reusable scratch: the pairs an event cost packets.
     affected: Vec<usize>,
-    /// One tracker per applied event, in application order.
-    trackers: Vec<EventTracker>,
-    /// Indices of the trackers still waiting on some pair, ascending.
+    /// Indices of the events still waiting on some pair, ascending.
     open: Vec<usize>,
 }
 
 impl FaultState {
-    fn total_dropped(&self) -> u64 {
-        self.dropped_link_failure
-            + self.dropped_node_failure
-            + self.dropped_dead_link
-            + self.dropped_dead_node
-    }
-
     /// A pair delivered a packet at `slot`: strike it from every event
     /// still waiting on it; an event whose last waiting pair resumes marks
     /// its reconvergence slot.
@@ -215,13 +194,13 @@ impl FaultState {
         if self.open.is_empty() {
             return;
         }
-        let trackers = &mut self.trackers;
+        let (waiting, events) = (&mut self.waiting, &mut self.summary.events);
         self.open.retain(|&index| {
-            let tracker = &mut trackers[index];
-            if let Ok(pos) = tracker.waiting.binary_search(&pair) {
-                tracker.waiting.remove(pos);
-                if tracker.waiting.is_empty() {
-                    tracker.reconverged_slot = Some(slot);
+            let waiting = &mut waiting[index];
+            if let Ok(pos) = waiting.binary_search(&pair) {
+                waiting.remove(pos);
+                if waiting.is_empty() {
+                    events[index].reconverged_slot = Some(slot);
                     return false;
                 }
             }
@@ -368,14 +347,11 @@ impl FabricWorld {
             link_up: vec![true; self.links.len()],
             node_up: vec![true; nodes],
             masks: PathMasks::new(nodes * nodes, self.wiring.path_choices()),
-            dropped_link_failure: 0,
-            dropped_node_failure: 0,
-            dropped_dead_link: 0,
-            dropped_dead_node: 0,
+            summary: FaultSummary::default(),
+            waiting: Vec::new(),
             parked: BTreeMap::new(),
             parked_count: 0,
             affected: Vec::new(),
-            trackers: Vec::new(),
             open: Vec::new(),
         });
         self
@@ -384,24 +360,7 @@ impl FabricWorld {
     /// The fault-injection summary of this run (`None` when the world was
     /// built without faults).
     pub fn fault_summary(&self) -> Option<FaultSummary> {
-        self.faults.as_ref().map(|f| FaultSummary {
-            dropped_link_failure: f.dropped_link_failure,
-            dropped_node_failure: f.dropped_node_failure,
-            dropped_dead_link: f.dropped_dead_link,
-            dropped_dead_node: f.dropped_dead_node,
-            events: f
-                .trackers
-                .iter()
-                .map(|t| FaultEventReport {
-                    slot: t.slot,
-                    kind: t.kind,
-                    index: t.index,
-                    dropped: t.dropped,
-                    affected_pairs: t.affected_pairs,
-                    reconverged_slot: t.reconverged_slot,
-                })
-                .collect(),
-        })
+        self.faults.as_ref().map(|f| f.summary.clone())
     }
 
     /// Packets the store has room for without growing: its high-water mark
@@ -502,7 +461,7 @@ impl FabricWorld {
                     if !f.link_up[link_idx] {
                         // The node committed this packet to a link that is
                         // down: a typed loss, not a silent drop.
-                        f.dropped_dead_link += 1;
+                        f.summary.dropped_dead_link += 1;
                         Self::lose(&mut self.store, &mut self.in_flight, self.hosts, handle);
                         return;
                     }
@@ -540,7 +499,7 @@ impl FabricWorld {
                 if let Some(f) = &mut self.faults {
                     if !f.node_up[to_node] {
                         // The wire delivered into a dead node: typed loss.
-                        f.dropped_dead_node += 1;
+                        f.summary.dropped_dead_node += 1;
                         Self::lose(&mut self.store, &mut self.in_flight, self.hosts, handle);
                         continue;
                     }
@@ -631,8 +590,8 @@ impl FabricWorld {
     }
 
     /// Apply one fault event: flip the link/node state, flush in-flight
-    /// packets off the failing element as typed losses, and open a
-    /// reconvergence tracker over the pairs that lost packets.
+    /// packets off the failing element as typed losses, and record the
+    /// event, waiting on the pairs that lost packets to deliver again.
     fn apply_fault_event(&mut self, event: FaultEvent) {
         let Some(f) = &mut self.faults else { return };
         let hosts = self.hosts;
@@ -655,7 +614,7 @@ impl FabricWorld {
                 self.on_links -= flushed;
                 self.active_links.remove(event.index);
                 dropped = flushed as u64;
-                f.dropped_link_failure += dropped;
+                f.summary.dropped_link_failure += dropped;
             }
             FaultKind::LinkUp => f.link_up[event.index] = true,
             FaultKind::NodeDown => {
@@ -672,7 +631,7 @@ impl FabricWorld {
                         dropped += 1;
                     }
                 }
-                f.dropped_node_failure += dropped;
+                f.summary.dropped_node_failure += dropped;
                 // Rebuild the node fresh from its derived seed: a rebooted
                 // switch keeps no state.  `node-up` just flips the flag
                 // back; the rebuilt switch has been idle since.
@@ -689,14 +648,14 @@ impl FabricWorld {
         // Events that cost nothing reconverge trivially at their own slot.
         let reconverged_slot = f.affected.is_empty().then_some(event.slot);
         if reconverged_slot.is_none() {
-            f.open.push(f.trackers.len());
+            f.open.push(f.waiting.len());
         }
-        f.trackers.push(EventTracker {
+        f.waiting.push(f.affected.clone());
+        f.summary.events.push(FaultEventReport {
             slot: event.slot,
             kind: event.kind,
             index: event.index,
             dropped,
-            waiting: f.affected.clone(),
             affected_pairs: f.affected.len(),
             reconverged_slot,
         });
@@ -740,7 +699,7 @@ impl FabricWorld {
             if !f.node_up[src_node] {
                 // The source node died while the packet was parked.
                 self.store.take(PacketHandle::from_raw(handle));
-                f.dropped_dead_node += 1;
+                f.summary.dropped_dead_node += 1;
                 continue;
             }
             let mask = f.live_paths(&self.wiring, src, dst);
@@ -778,7 +737,7 @@ impl Switch for FabricWorld {
             if !f.node_up[src_node] {
                 // Injection at a dead source node: the host's NIC has
                 // nowhere to hand the packet.  Typed loss, never in flight.
-                f.dropped_dead_node += 1;
+                f.summary.dropped_dead_node += 1;
                 return;
             }
         }
@@ -843,7 +802,7 @@ impl Switch for FabricWorld {
             stats.queued_at_outputs += s.queued_at_outputs;
         }
         if let Some(f) = &self.faults {
-            stats.total_dropped = f.total_dropped();
+            stats.total_dropped = f.summary.total_dropped();
             // Parked packets wait at the source host, i.e. at the fabric's
             // input edge.
             stats.queued_at_inputs += f.parked_count as usize;
@@ -910,8 +869,8 @@ mod tests {
             assert!(f.parked.values().all(|queue| !queue.is_empty()));
             let queued: usize = f.parked.values().map(VecDeque::len).sum();
             assert_eq!(queued as u64, f.parked_count);
-            let open: Vec<usize> = (0..f.trackers.len())
-                .filter(|&t| f.trackers[t].reconverged_slot.is_none())
+            let open: Vec<usize> = (0..f.summary.events.len())
+                .filter(|&t| f.summary.events[t].reconverged_slot.is_none())
                 .collect();
             assert_eq!(f.open, open);
         }
@@ -1008,11 +967,11 @@ mod tests {
         let in_flight: u64 = world.in_flight.iter().sum();
         assert_eq!(
             world.injected,
-            world.delivered + f.total_dropped() + in_flight + f.parked_count,
+            world.delivered + f.summary.total_dropped() + in_flight + f.parked_count,
             "conservation violated: injected {} delivered {} dropped {} in_flight {} parked {}",
             world.injected,
             world.delivered,
-            f.total_dropped(),
+            f.summary.total_dropped(),
             in_flight,
             f.parked_count
         );
@@ -1037,7 +996,7 @@ mod tests {
         let out = drive(&mut world, 0..64);
         assert!(out.is_empty(), "the only packet died on the cut link");
         let f = world.faults.as_ref().unwrap();
-        assert_eq!(f.dropped_link_failure, 1);
+        assert_eq!(f.summary.dropped_link_failure, 1);
         assert_eq!(world.stats().total_dropped, 1);
         assert_conserved(&world);
         let summary = world.fault_summary().unwrap();
@@ -1062,13 +1021,13 @@ mod tests {
         assert!(out.is_empty());
         let f = world.faults.as_ref().unwrap();
         assert_eq!(
-            f.dropped_node_failure, 1,
+            f.summary.dropped_node_failure, 1,
             "buffered packet lost at node-down"
         );
         // An injection at a host of the dead node is a typed dead-node loss.
         world.arrive(Packet::new(1, 2, 1, 8));
         let f = world.faults.as_ref().unwrap();
-        assert_eq!(f.dropped_dead_node, 1);
+        assert_eq!(f.summary.dropped_dead_node, 1);
         assert_conserved(&world);
     }
 
@@ -1097,8 +1056,11 @@ mod tests {
             .iter()
             .all(|d| d.packet.id < 2 && d.packet.output() >= 4));
         let f = world.faults.as_ref().unwrap();
-        assert_eq!(f.dropped_node_failure, held as u64, "what it held is lost");
-        assert_eq!(f.total_dropped(), held as u64);
+        assert_eq!(
+            f.summary.dropped_node_failure, held as u64,
+            "what it held is lost"
+        );
+        assert_eq!(f.summary.total_dropped(), held as u64);
         let report = world.fault_summary().unwrap().events[0];
         assert_eq!((report.dropped, report.affected_pairs), (held as u64, held));
         assert_eq!(
@@ -1220,7 +1182,10 @@ mod tests {
             index: uplink,
         });
         assert_eq!(world.in_flight[6], 0, "flushed off the cut wire");
-        assert_eq!(world.faults.as_ref().unwrap().dropped_link_failure, 1);
+        assert_eq!(
+            world.faults.as_ref().unwrap().summary.dropped_link_failure,
+            1
+        );
         assert_conserved(&world);
     }
 
@@ -1255,7 +1220,10 @@ mod tests {
         assert_eq!(out.len(), 1, "only the released packet lands");
         assert_eq!(out[0].packet.output(), 6);
         let f = world.faults.as_ref().unwrap();
-        assert_eq!(f.dropped_dead_link, 1, "survivor died at the dead hop");
+        assert_eq!(
+            f.summary.dropped_dead_link, 1,
+            "survivor died at the dead hop"
+        );
         assert_eq!(f.parked_count, 0);
         assert!(f.parked.is_empty());
         assert_eq!(
@@ -1286,7 +1254,7 @@ mod tests {
         assert_conserved(&world);
         let stats = world.stats();
         let f = world.faults.as_ref().unwrap();
-        assert_eq!(stats.total_dropped, f.total_dropped());
+        assert_eq!(stats.total_dropped, f.summary.total_dropped());
         assert!(stats.total_dropped > 0, "a dead core must cost packets");
         assert_eq!(
             stats.total_arrivals,

@@ -7,9 +7,9 @@
 //! The histogram is allocated at its cap, so recording never allocates.
 //! Once recording is done, [`DelayStats::shrink_to_fit`] cuts it to the
 //! delays seen: a report keeps its run's histogram and a sweep keeps every
-//! report until it merges them, so a cap-sized table (512 KiB at the default
-//! cap) per report would be most of a sweep's memory.  A cut histogram grows
-//! back, doubling up to the cap, if a merge or a record lands past its end.
+//! report, so a cap-sized table (512 KiB at the default cap) per report
+//! would be most of a sweep's memory.  A cut histogram grows back, doubling
+//! up to the cap, if a record lands past its end.
 
 /// Histogram-based delay statistics.
 #[derive(Debug, Clone)]
@@ -22,9 +22,9 @@ pub struct DelayStats {
     /// `overflow`.
     cap: usize,
     /// Delays `≥ cap`, as sorted `(delay, count)` pairs.  Exact like the
-    /// histogram, but sized by *distinct* overflow values, so recording or
-    /// merging a million copies of one pathological delay costs one entry —
-    /// not a million — and percentile walks need no sort.
+    /// histogram, but sized by *distinct* overflow values, so recording a
+    /// million copies of one pathological delay costs one entry — not a
+    /// million — and percentile walks need no sort.
     overflow: Vec<(u64, u64)>,
     count: u64,
     sum: u128,
@@ -61,7 +61,7 @@ impl DelayStats {
         if (delay as usize) < self.histogram.len() {
             self.histogram[delay as usize] += 1;
         } else {
-            self.add_past_end(delay, 1);
+            self.add_past_end(delay);
         }
     }
 
@@ -78,34 +78,20 @@ impl DelayStats {
         self.histogram.shrink_to_fit();
     }
 
-    /// Count `count` packets of `delay` wherever it belongs.
-    fn add(&mut self, delay: u64, count: u64) {
-        match self.histogram.get_mut(delay as usize) {
-            Some(bucket) => *bucket += count,
-            None => self.add_past_end(delay, count),
-        }
-    }
-
-    /// Count `count` packets of a `delay` past the histogram's end: in a
+    /// Count one packet of a `delay` past the histogram's end: in a
     /// histogram grown to cover it when it is below the cap, in `overflow`
-    /// otherwise.
+    /// (kept sorted and deduplicated) otherwise.
     #[cold]
-    fn add_past_end(&mut self, delay: u64, count: u64) {
+    fn add_past_end(&mut self, delay: u64) {
         if delay < self.cap as u64 {
             let len = (delay as usize + 1).next_power_of_two().min(self.cap);
             self.histogram.resize(len, 0);
-            self.histogram[delay as usize] += count;
+            self.histogram[delay as usize] += 1;
         } else {
-            self.add_overflow(delay, count);
-        }
-    }
-
-    /// Count `count` packets of an above-cap `delay`, keeping `overflow`
-    /// sorted and deduplicated.
-    fn add_overflow(&mut self, delay: u64, count: u64) {
-        match self.overflow.binary_search_by_key(&delay, |&(d, _)| d) {
-            Ok(i) => self.overflow[i].1 += count,
-            Err(i) => self.overflow.insert(i, (delay, count)),
+            match self.overflow.binary_search_by_key(&delay, |&(d, _)| d) {
+                Ok(i) => self.overflow[i].1 += 1,
+                Err(i) => self.overflow.insert(i, (delay, 1)),
+            }
         }
     }
 
@@ -171,25 +157,6 @@ impl DelayStats {
             .map(|(d, &c)| (d as u64, c))
             .chain(self.overflow.iter().copied())
     }
-
-    /// Merge another set of statistics into this one.  Caps may differ:
-    /// `other`'s delays are re-bucketed against *this* histogram's cap, so
-    /// above-cap mass stays `(delay, count)`-compressed (never expanded one
-    /// entry per packet) and below-cap mass lands in the histogram where the
-    /// percentile walk expects it.
-    pub fn merge(&mut self, other: &DelayStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        for (d, &c) in other.histogram.iter().enumerate() {
-            if c != 0 {
-                self.add(d as u64, c);
-            }
-        }
-        for &(d, c) in &other.overflow {
-            self.add(d, c);
-        }
-    }
 }
 
 /// Exact `ceil(count · p)` where `p` is the rational value its `f64`
@@ -227,6 +194,7 @@ fn ceil_rank(count: u64, p: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_stats_are_zero() {
@@ -354,7 +322,9 @@ mod tests {
         let mut cut = DelayStats::new(4);
         cut.shrink_to_fit();
         assert!(cut.histogram.is_empty());
-        cut.merge(&whole);
+        for d in [3, 1500, 3, 70_000] {
+            cut.record(d);
+        }
         assert_eq!(cut.histogram.len(), 4);
         assert_eq!(cut.overflow, [(1500, 1), (70_000, 1)]);
         assert_eq!(cut.percentile(0.5), 3);
@@ -388,64 +358,35 @@ mod tests {
         assert_eq!(s.max(), 7);
     }
 
-    #[test]
-    fn merge_with_mismatched_caps_stays_compact_and_exact() {
-        // A million copies of one above-cap delay used to expand into a
-        // million overflow entries on merge; they must collapse into one
-        // (delay, count) pair, and percentiles must match stats recorded
-        // directly at the small cap.
-        let big_delay = 100_000u64;
-        let mut wide = DelayStats::new(1 << 20); // big_delay is in-histogram
-        for _ in 0..1_000_000 {
-            wide.record(big_delay);
+    proptest! {
+        /// Statistics cut to the delays seen (as a finished report keeps
+        /// them) and then recorded into again: a delay past the cut end
+        /// grows the histogram back below the cap and overflows at or above
+        /// it, and every percentile still equals the sorted delays' entry at
+        /// the exact rank.
+        #[test]
+        fn cut_histograms_that_grow_back_match_the_sorted_delays(
+            a in collection::vec(0u64..240, 1..120),
+            b in collection::vec(0u64..240, 1..120),
+            cap in 1usize..300,
+            p in 0.0f64..1.0,
+        ) {
+            let mut stats = DelayStats::new(cap);
+            for &d in &a {
+                stats.record(d);
+            }
+            stats.shrink_to_fit();
+            for &d in &b {
+                stats.record(d);
+            }
+            let mut sorted: Vec<u64> = a.iter().chain(&b).copied().collect();
+            sorted.sort_unstable();
+            let count = sorted.len() as u64;
+            prop_assert_eq!(stats.count(), count);
+            for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.9, 0.99, p, 1.0] {
+                let rank = ceil_rank(count, q).clamp(1, count);
+                prop_assert_eq!(stats.percentile(q), sorted[rank as usize - 1], "cap={} p={}", cap, q);
+            }
         }
-        wide.record(2);
-        let mut narrow = DelayStats::new(4);
-        narrow.record(1);
-        narrow.merge(&wide);
-        assert_eq!(narrow.count(), 1_000_002);
-        assert_eq!(narrow.overflow.len(), 1, "bounded by distinct values");
-
-        let mut direct = DelayStats::new(4);
-        direct.record(1);
-        for _ in 0..1_000_000 {
-            direct.record(big_delay);
-        }
-        direct.record(2);
-        for p in [0.0, 0.000001, 0.25, 0.5, 0.9, 0.999999, 1.0] {
-            assert_eq!(narrow.percentile(p), direct.percentile(p), "p = {p}");
-        }
-        assert_eq!(narrow.max(), direct.max());
-        assert!((narrow.mean() - direct.mean()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_rebuckets_overflow_that_fits_the_larger_cap() {
-        // Merging small-cap stats into large-cap stats must move the small
-        // side's overflow into the histogram, or the percentile walk would
-        // visit it out of order.
-        let mut narrow = DelayStats::new(4);
-        narrow.record(10);
-        narrow.record(10);
-        let mut wide = DelayStats::new(1000);
-        wide.record(20);
-        wide.merge(&narrow);
-        assert!(wide.overflow.is_empty());
-        assert_eq!(wide.count(), 3);
-        assert_eq!(wide.percentile(0.5), 10);
-        assert_eq!(wide.percentile(1.0), 20);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = DelayStats::new(100);
-        a.record(1);
-        a.record(2);
-        let mut b = DelayStats::new(100);
-        b.record(10);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 10);
-        assert!((a.mean() - 13.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -97,7 +97,8 @@ impl TrafficGenerator for BernoulliTraffic {
             }
         }
         self.rng = rng;
-        self.rows.resolve(&mut out[first..], &self.draws);
+        self.rows
+            .resolve(&self.matrix, &mut out[first..], &self.draws);
     }
 
     fn rate_matrix(&self) -> TrafficMatrix {
@@ -111,6 +112,7 @@ impl TrafficGenerator for BernoulliTraffic {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{assert_same_stream, dense_copy};
     use super::*;
 
     fn empirical_matrix(gen: &mut BernoulliTraffic, slots: u64) -> TrafficMatrix {
@@ -209,6 +211,22 @@ mod tests {
             reference.next_u64();
         }
         assert_eq!(gen.rng, reference);
+    }
+
+    #[test]
+    fn dense_storage_draws_the_same_stream() {
+        // The closed form against the exact path on every draw; a hot-spot
+        // with hot fraction 1 has zero-rate runs on both sides of its hot
+        // column.
+        for matrix in [
+            TrafficMatrix::diagonal(64, 0.9),
+            TrafficMatrix::hotspot(16, 0.7, 1.0),
+        ] {
+            let dense = dense_copy(&matrix);
+            let mut a = BernoulliTraffic::from_matrix(matrix, 3, "closed");
+            let mut b = BernoulliTraffic::from_matrix(dense, 3, "dense");
+            assert_same_stream(&mut a, &mut b, 2_000);
+        }
     }
 
     #[test]

@@ -113,7 +113,8 @@ impl TrafficGenerator for BurstyTraffic {
             }
         }
         self.rng = rng;
-        self.rows.resolve(&mut out[first..], &self.draws);
+        self.rows
+            .resolve(&self.matrix, &mut out[first..], &self.draws);
     }
 
     fn rate_matrix(&self) -> TrafficMatrix {
@@ -127,7 +128,17 @@ impl TrafficGenerator for BurstyTraffic {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{assert_same_stream, dense_copy};
     use super::*;
+
+    #[test]
+    fn dense_storage_draws_the_same_stream() {
+        let matrix = TrafficMatrix::diagonal(32, 0.4);
+        let dense = dense_copy(&matrix);
+        let mut a = BurstyTraffic::new(matrix, 0.9, 20.0, 6);
+        let mut b = BurstyTraffic::new(dense, 0.9, 20.0, 6);
+        assert_same_stream(&mut a, &mut b, 2_000);
+    }
 
     #[test]
     fn long_run_rate_is_close_to_the_matrix_load() {

@@ -101,7 +101,7 @@ impl TrafficGenerator for FlowTraffic {
         }
         self.rng = rng;
         let arrivals = &mut out[first..];
-        self.rows.resolve(arrivals, &self.draws);
+        self.rows.resolve(&self.matrix, arrivals, &self.draws);
         // Flow ids go out in input order, which decides who gets each new
         // id.  A slot has at most one arrival per input, so no two of its
         // packets share a VOQ's current flow.
@@ -126,8 +126,20 @@ impl TrafficGenerator for FlowTraffic {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{assert_same_stream, dense_copy};
     use super::*;
     use std::collections::BTreeMap;
+
+    #[test]
+    fn dense_storage_draws_the_same_stream() {
+        // Flow ids are handed out after the destinations are resolved, so
+        // they follow the destinations too.
+        let matrix = TrafficMatrix::hotspot(16, 0.8, 0.5);
+        let dense = dense_copy(&matrix);
+        let mut a = FlowTraffic::from_matrix(matrix, 6.0, 7);
+        let mut b = FlowTraffic::from_matrix(dense, 6.0, 7);
+        assert_same_stream(&mut a, &mut b, 2_000);
+    }
 
     #[test]
     fn packets_of_a_voq_share_flow_ids_in_runs() {

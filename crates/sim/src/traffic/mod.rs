@@ -23,7 +23,7 @@ pub mod trace_io;
 pub mod trace_stream;
 
 use sprinklers_core::matrix::TrafficMatrix;
-use sprinklers_core::packet::{assert_ports_fit, Packet};
+use sprinklers_core::packet::Packet;
 use sprinklers_core::rng::SimRng;
 use std::cmp::Ordering;
 
@@ -96,9 +96,9 @@ pub(crate) fn threshold(p: f64) -> u64 {
 }
 
 /// Sample a destination from a cumulative distribution over outputs by
-/// binary search.  The generators' original sampler; at run time it now
-/// serves only draws that land exactly on a CDF value (see
-/// [`first_at_least`]), and the tests keep it as the oracle.
+/// binary search: the sampler's exact path and the tests' oracle.  On a
+/// draw equal to a run of duplicate values (zero-rate outputs) the search
+/// itself decides, so it is also the tie-breaker every pick must match.
 pub(crate) fn sample_from_cdf(cdf: &[f64], u: f64) -> usize {
     let located = cdf.binary_search_by(|probe| {
         if *probe < u {
@@ -115,275 +115,142 @@ pub(crate) fn sample_from_cdf(cdf: &[f64], u: f64) -> usize {
     }
 }
 
-/// The destination the table sampler picks for `u` from a row's CDF values:
-/// the first value `≥ u`, scanning from `from` (which must not be past it).
-/// That is the binary search's answer when the value is `> u`; when it
-/// equals `u` — and only duplicate values (zero-rate outputs) make that
-/// ambiguous — the binary search itself decides, so the two agree on ties as
-/// well.
-#[inline]
-fn first_at_least(row: &[f64], from: usize, u: f64) -> usize {
-    let mut k = from;
-    // Ends at `n - 1` at the latest: the last CDF value is 1 and `u < 1`.
-    while row[k] < u {
-        k += 1;
-    }
-    if row[k] == u {
-        return sample_from_cdf(row, u);
-    }
-    k
-}
-
-/// Row `input`'s destination CDF, conditioned on an arrival there:
-/// `visit(j, cdf[j])` for every output `j` in order, where
-/// `cdf[j] = Σ_{k≤j} rate(k) / load` for `j < n − 1` and the last value is
-/// forced to 1.  Both sampler forms build rows with this one loop, so their
-/// values cannot drift apart.
-fn for_each_cdf_value(
-    n: usize,
-    load: f64,
-    rate: impl Fn(usize) -> f64,
-    mut visit: impl FnMut(usize, f64),
-) {
+/// Row `input`'s destination CDF, conditioned on an arrival there, into
+/// `cdf`: `cdf[j] = Σ_{k≤j} rate(k) / load` for `j < n − 1`, where `load` is
+/// the row's [`TrafficMatrix::input_load`], and the last value forced to 1.
+/// An idle row (load 0) is all zeros up to that 1.
+fn fill_row_cdf(matrix: &TrafficMatrix, input: usize, load: f64, cdf: &mut Vec<f64>) {
+    let n = matrix.n();
+    cdf.clear();
     let mut acc = 0.0;
     for j in 0..n - 1 {
         if load > 0.0 {
-            acc += rate(j) / load;
+            acc += matrix.rate(input, j) / load;
         }
-        visit(j, acc);
+        cdf.push(acc);
     }
-    visit(n - 1, 1.0);
+    cdf.push(1.0);
 }
 
-/// Per-input loads and destination distributions of a rate matrix, laid out
-/// for sampling.
+/// Picks each arrival's destination from its input's row of a rate matrix:
+/// for every 53-bit draw, the output the binary search over the row's CDF
+/// ([`sample_from_cdf`] after [`fill_row_cdf`]) picks.
 ///
 /// A matrix stored as one distinguished entry per row
 /// ([`TrafficMatrix::one_entry_per_row`]: uniform, diagonal, hot-spot, and
 /// with them every spec-built Bernoulli, bursty and flows generator) is
-/// sampled in closed form and costs three floats per row; any other matrix
-/// gets a flat n² CDF table.  Both forms pick, for every 53-bit draw, the
-/// destination the binary search over the row's CDF ([`sample_from_cdf`])
-/// picks, so which form a matrix gets never changes a stream.
-pub(crate) enum RowSampler {
-    Table(CdfTable),
-    OnePerRow(ClosedForm),
-}
-
-impl RowSampler {
-    /// The closed form for a matrix stored as one entry per row, the table
-    /// otherwise.  (The closed form's error bound needs non-negative rates,
-    /// which every admissible matrix has.)
-    pub(crate) fn new(matrix: &TrafficMatrix) -> Self {
-        match matrix.one_entry_per_row() {
-            Some((shift, hot, rest)) if hot >= 0.0 && rest >= 0.0 => {
-                RowSampler::OnePerRow(ClosedForm::new(matrix, shift, hot, rest))
-            }
-            _ => RowSampler::Table(CdfTable::new(matrix)),
-        }
-    }
-
-    /// Offered load of `input` (its row sum).
-    pub(crate) fn load(&self, input: usize) -> f64 {
-        match self {
-            RowSampler::Table(table) => table.loads[input],
-            RowSampler::OnePerRow(closed) => closed.rows[input][0],
-        }
-    }
-
-    /// Address a slot's new arrivals: packet `k` goes where the binary
-    /// search over its input's CDF sends `draws[k]`.
-    ///
-    /// The seeded generators draw a slot first, pushing each arrival with a
-    /// placeholder output and keeping its destination draw, and call this
-    /// once after their draw loop.  Sampling inside that loop would put the
-    /// sampler's loads on the RNG's dependency chain — with the table, two
-    /// dependent loads into n²-sized arrays, one likely cache miss after
-    /// another; here every packet's lookups are independent of the others',
-    /// so they overlap.  Which draws are made, and in which order, is
-    /// unaffected.
-    // lint: hot-path
-    pub(crate) fn resolve(&mut self, packets: &mut [Packet], draws: &[u64]) {
-        debug_assert_eq!(packets.len(), draws.len());
-        let pairs = packets.iter_mut().zip(draws);
-        // The form is matched once per slot, not once per packet.
-        match self {
-            RowSampler::Table(table) => {
-                for (packet, &draw) in pairs {
-                    let input = packet.input();
-                    packet.set_ports(input, table.sample(input, draw));
-                }
-            }
-            RowSampler::OnePerRow(closed) => {
-                for (packet, &draw) in pairs {
-                    let input = packet.input();
-                    packet.set_ports(input, closed.sample(input, draw));
-                }
-            }
-        }
-    }
-}
-
-/// Every row's CDF in one flat table, plus a guide table that turns the top
-/// bits of a draw into a starting index a step or two short of the answer.
+/// sampled in closed form at two floats per row.  Row `i`'s hot column is
+/// `h = (i + shift) mod n`; its CDF terms are `A = hot / load` at `h` and
+/// `B = rest / load` everywhere else — the very quotients [`fill_row_cdf`]
+/// adds — so in exact arithmetic its CDF is `(j + 1)·B` for `j < h` and
+/// `j·B + A` for `h ≤ j < n − 1`, and the destination is found with a
+/// division instead of a search.
 ///
-/// The unit interval is cut into `buckets` equal parts, a power of two near
-/// `n / 4`; `guide[b]` is the first index whose CDF value reaches the
-/// bucket's lower edge `b / buckets`.  A draw's bucket is its top
-/// `log2(buckets)` bits, the destination is at or after `guide[bucket]`, and
-/// since buckets are equiprobable and a row has four entries per bucket, the
-/// forward scan is about two steps on average whatever the distribution.
-pub(crate) struct CdfTable {
-    n: usize,
-    buckets: usize,
-    /// `draw >> bucket_shift` is the draw's bucket.
-    bucket_shift: u32,
-    loads: Vec<f64>,
-    /// Row-major `n × n`.
-    cdf: Vec<f64>,
-    /// Row-major `n × buckets`.
-    guide: Vec<u16>,
-}
-
-impl CdfTable {
-    /// Build the tables in one pass over the matrix: each CDF value is
-    /// pushed once, and the guide is filled by merging the ascending bucket
-    /// edges into the ascending CDF as it is produced.
-    fn new(matrix: &TrafficMatrix) -> Self {
-        let n = matrix.n();
-        // Also what lets a guide entry be a `u16`.
-        assert_ports_fit(n);
-        let buckets = (n / 4).max(1).next_power_of_two();
-        let bucket_width = 1.0 / buckets as f64;
-        let mut loads = Vec::with_capacity(n);
-        let mut cdf = Vec::with_capacity(n * n);
-        let mut guide = Vec::with_capacity(n * buckets);
-        for input in 0..n {
-            let load = matrix.input_load(input);
-            loads.push(load);
-            let mut bucket = 0;
-            let rate = |j| matrix.rate(input, j);
-            for_each_cdf_value(n, load, rate, |j, value| {
-                cdf.push(value);
-                while bucket < buckets && bucket as f64 * bucket_width <= value {
-                    guide.push(j as u16);
-                    bucket += 1;
-                }
-            });
-        }
-        CdfTable {
-            n,
-            buckets,
-            bucket_shift: 53 - buckets.trailing_zeros(),
-            loads,
-            cdf,
-            guide,
-        }
-    }
-
-    /// The destination CDF of `input`.
-    fn row(&self, input: usize) -> &[f64] {
-        &self.cdf[input * self.n..(input + 1) * self.n]
-    }
-
-    /// The destination the binary search picks for `u = draw · 2^-53`, for
-    /// every 53-bit `draw`.
-    #[inline]
-    fn sample(&self, input: usize, draw: u64) -> usize {
-        let bucket = (draw >> self.bucket_shift) as usize;
-        let from = usize::from(self.guide[input * self.buckets + bucket]);
-        first_at_least(self.row(input), from, draw as f64 * DRAW_SCALE)
-    }
-}
-
-/// The rows of a matrix stored as one entry per row, sampled without a
-/// table.
-///
-/// Row `i`'s hot column is `h = (i + shift) mod n`.  Its CDF terms are
-/// `A = hot / load` at `h` and `B = rest / load` everywhere else — the very
-/// quotients the table's loop adds — so in exact arithmetic its CDF is
-/// `(j + 1)·B` for `j < h` and `j·B + A` for `h ≤ j < n − 1`, and the
-/// destination is found with a division instead of a scan.
-///
-/// The table's values are those sums rounded once per addition, at most
+/// The row's real values are those sums rounded once per addition, at most
 /// `n − 1` roundings of a value below 2, so each lies within `n · 2⁻⁵³` of
 /// its exact value; evaluating the closed form rounds at most twice more.  A
 /// pick is therefore taken only when `u` lies farther than
-/// `(n + 4) · 2⁻⁵²` — more than twice that — from both neighbouring closed-form
-/// values: then the table's value below it is `< u` and the one at it is
-/// `> u`, which is exactly when the table sampler picks it too.  Otherwise
-/// (a draw on or within a few ulps of a CDF value, about one in 2³¹ at
-/// n = 1 024, or every tie of a zero-rate run) the row is rebuilt into
-/// `scratch` by the table's own loop and the table's rule applied to it.
-pub(crate) struct ClosedForm {
+/// `(n + 4) · 2⁻⁵²` — more than twice that — from both neighbouring
+/// closed-form values: then the real value below it is `< u` and the one at
+/// it is `> u`, which is exactly when the binary search picks it too.
+///
+/// Every other draw takes the exact path, which rebuilds the row from the
+/// matrix into `scratch` and runs the binary search: a draw on or within a
+/// few ulps of a CDF value (about one in 2³¹ at n = 1 024), every tie of a
+/// zero-rate run, and every draw from any other (dense) matrix.
+pub(crate) struct RowSampler {
     n: usize,
     shift: usize,
-    hot: f64,
-    rest: f64,
-    /// Per input: `[load, A, B]`.
-    rows: Vec<[f64; 3]>,
+    /// Per input: its offered load (row sum).
+    loads: Vec<f64>,
+    /// Per input: `[A, B]` of a matrix stored one entry per row; empty for
+    /// any other matrix.
+    rows: Vec<[f64; 2]>,
     /// `(n + 4) · 2⁻⁵²`.
     margin: f64,
-    /// One row's CDF, rebuilt when a pick is too close to call.
+    /// One row's CDF, rebuilt for each draw the closed form cannot call.
     scratch: Vec<f64>,
 }
 
-impl ClosedForm {
-    /// The rows of `matrix`, whose entries are `hot` at `(i, (i + shift) mod
-    /// n)` and `rest` elsewhere.
-    fn new(matrix: &TrafficMatrix, shift: usize, hot: f64, rest: f64) -> Self {
+impl RowSampler {
+    /// The sampler for `matrix`, which every later [`Self::resolve`] call
+    /// must pass back.  (The closed form's error bound needs non-negative
+    /// rates, which every admissible matrix has.)
+    pub(crate) fn new(matrix: &TrafficMatrix) -> Self {
         let n = matrix.n();
-        let rows = (0..n)
-            .map(|input| {
-                let load = matrix.input_load(input);
-                // The table's loop adds nothing to an idle row.
-                if load > 0.0 {
-                    [load, hot / load, rest / load]
-                } else {
-                    [load, 0.0, 0.0]
-                }
-            })
-            .collect();
-        ClosedForm {
+        let loads: Vec<f64> = (0..n).map(|input| matrix.input_load(input)).collect();
+        let (shift, rows) = match matrix.one_entry_per_row() {
+            Some((shift, hot, rest)) if hot >= 0.0 && rest >= 0.0 => {
+                // `fill_row_cdf` adds nothing to an idle row.
+                let row = |&load: &f64| {
+                    if load > 0.0 {
+                        [hot / load, rest / load]
+                    } else {
+                        [0.0, 0.0]
+                    }
+                };
+                (shift, loads.iter().map(row).collect())
+            }
+            _ => (0, Vec::new()),
+        };
+        RowSampler {
             n,
             shift,
-            hot,
-            rest,
+            loads,
             rows,
             margin: (n + 4) as f64 * f64::EPSILON,
             scratch: Vec::with_capacity(n),
         }
     }
 
-    /// Row `input`'s hot column.
-    #[inline]
-    fn hot_column(&self, input: usize) -> usize {
-        let h = input + self.shift;
-        if h >= self.n {
-            h - self.n
-        } else {
-            h
+    /// Offered load of `input` (its row sum).
+    pub(crate) fn load(&self, input: usize) -> f64 {
+        self.loads[input]
+    }
+
+    /// Address a slot's new arrivals: packet `k` goes where the binary
+    /// search over its input's row of `matrix` sends `draws[k]`.
+    ///
+    /// The seeded generators draw a slot first, pushing each arrival with a
+    /// placeholder output and keeping its destination draw, and call this
+    /// once after their draw loop.  Sampling inside that loop would put the
+    /// sampler's loads on the RNG's dependency chain; here every packet's
+    /// lookups are independent of the others', so they overlap.  Which
+    /// draws are made, and in which order, is unaffected.
+    // lint: hot-path
+    pub(crate) fn resolve(
+        &mut self,
+        matrix: &TrafficMatrix,
+        packets: &mut [Packet],
+        draws: &[u64],
+    ) {
+        debug_assert_eq!(packets.len(), draws.len());
+        for (packet, &draw) in packets.iter_mut().zip(draws) {
+            let input = packet.input();
+            packet.set_ports(input, self.sample(matrix, input, draw));
         }
     }
 
     /// The destination the binary search picks for `u = draw · 2^-53`, for
     /// every 53-bit `draw`.
     #[inline]
-    fn sample(&mut self, input: usize, draw: u64) -> usize {
+    fn sample(&mut self, matrix: &TrafficMatrix, input: usize, draw: u64) -> usize {
         let u = draw as f64 * DRAW_SCALE;
         match self.pick(input, u) {
             Some(k) => k,
-            None => self.exact(input, u),
+            None => self.exact(matrix, input, u),
         }
     }
 
     /// The destination for `u` read off the closed-form CDF, or `None` when
-    /// `u` lies within the error margin of a neighbouring CDF value.
+    /// the matrix has no closed form or `u` lies within the error margin of
+    /// a neighbouring CDF value.
     #[inline]
     fn pick(&self, input: usize, u: f64) -> Option<usize> {
         let n = self.n;
-        let [_, a, b] = self.rows[input];
-        let h = self.hot_column(input);
+        let &[a, b] = self.rows.get(input)?;
+        let h = input + self.shift;
+        let h = if h >= n { h - n } else { h };
         let cdf = |j: usize| {
             if j < h {
                 (j + 1) as f64 * b
@@ -405,17 +272,12 @@ impl ClosedForm {
         (clear_below && clear_above).then_some(k)
     }
 
-    /// The table sampler's pick for `u`, from row `input` rebuilt by the
-    /// table's loop.
+    /// The binary search's pick for `u` over row `input`, rebuilt from
+    /// `matrix`.
     #[cold]
-    fn exact(&mut self, input: usize, u: f64) -> usize {
-        let (h, hot, rest) = (self.hot_column(input), self.hot, self.rest);
-        let rate = |j| if j == h { hot } else { rest };
-        self.scratch.clear();
-        for_each_cdf_value(self.n, self.rows[input][0], rate, |_, value| {
-            self.scratch.push(value);
-        });
-        first_at_least(&self.scratch, 0, u)
+    fn exact(&mut self, matrix: &TrafficMatrix, input: usize, u: f64) -> usize {
+        fill_row_cdf(matrix, input, self.loads[input], &mut self.scratch);
+        sample_from_cdf(&self.scratch, u)
     }
 }
 
@@ -426,16 +288,11 @@ mod tests {
 
     const DRAW_MAX: u64 = (1 << 53) - 1;
 
-    /// A table whose row 0 has the given relative weights (the other rows
-    /// are idle), at a load that makes `rate / load` inexact.
-    fn sampler_for(weights: &[u32]) -> CdfTable {
-        let n = weights.len();
-        let total: u32 = weights.iter().sum();
-        let mut matrix = TrafficMatrix::zero(n);
-        for (j, &w) in weights.iter().enumerate() {
-            matrix.set(0, j, 0.7 * f64::from(w) / f64::from(total));
-        }
-        CdfTable::new(&matrix)
+    /// Row `input`'s CDF as the exact path builds it.
+    fn row_cdf(matrix: &TrafficMatrix, input: usize) -> Vec<f64> {
+        let mut cdf = Vec::new();
+        fill_row_cdf(matrix, input, matrix.input_load(input), &mut cdf);
+        cdf
     }
 
     /// The draws at and one either side of every value of `cdf` (at and
@@ -446,6 +303,40 @@ mod tests {
             let at = (c / DRAW_SCALE) as u64;
             [at.saturating_sub(1), at, at + 1].map(|x| x.min(DRAW_MAX))
         })
+    }
+
+    /// Assert that two generators emit the same `(slot, input, output,
+    /// flow)` tuples over their first `slots` slots.
+    pub(crate) fn assert_same_stream(
+        a: &mut dyn TrafficGenerator,
+        b: &mut dyn TrafficGenerator,
+        slots: u64,
+    ) {
+        let tuple = |p: &Packet| (p.arrival_slot, p.input(), p.output(), p.flow);
+        for slot in 0..slots {
+            let (pa, pb) = (a.arrivals(slot), b.arrivals(slot));
+            assert!(pa.iter().map(tuple).eq(pb.iter().map(tuple)), "slot {slot}");
+        }
+    }
+
+    /// A dense copy of a matrix stored one entry per row: every entry the
+    /// same `f64`, but no closed form.
+    pub(crate) fn dense_copy(matrix: &TrafficMatrix) -> TrafficMatrix {
+        let dense = matrix.scaled(1.0);
+        assert!(dense.one_entry_per_row().is_none());
+        assert_eq!(&dense, matrix);
+        dense
+    }
+
+    /// Random draws, both ends of the range, and the draws on and beside
+    /// every value of `cdf`, each once.
+    fn probes(draws: &[u64], cdf: &[f64]) -> Vec<u64> {
+        let mut probes = draws.to_vec();
+        probes.extend([0, DRAW_MAX]);
+        probes.extend(around_each_value(cdf));
+        probes.sort_unstable();
+        probes.dedup();
+        probes
     }
 
     #[test]
@@ -459,9 +350,9 @@ mod tests {
 
     #[test]
     fn row_cdf_normalizes_the_row() {
-        let rows = CdfTable::new(&TrafficMatrix::diagonal(8, 0.8));
-        let (load, cdf) = (rows.loads[3], rows.row(3));
-        assert!((load - 0.8).abs() < 1e-12);
+        let matrix = TrafficMatrix::diagonal(8, 0.8);
+        let cdf = row_cdf(&matrix, 3);
+        assert!((matrix.input_load(3) - 0.8).abs() < 1e-12);
         assert_eq!(cdf.len(), 8);
         assert!((cdf[7] - 1.0).abs() < 1e-12);
         // The diagonal entry owns half the probability mass.
@@ -470,27 +361,29 @@ mod tests {
 
     #[test]
     fn row_cdf_of_idle_input_is_all_zero_probability() {
-        let rows = RowSampler::new(&TrafficMatrix::zero(4));
+        let matrix = TrafficMatrix::zero(4);
+        let rows = RowSampler::new(&matrix);
         assert_eq!(rows.load(0), 0.0);
         assert_eq!(threshold(rows.load(0)), 0);
-        let RowSampler::Table(table) = rows else {
-            panic!("a zero matrix is dense");
-        };
-        assert_eq!(table.row(0), [0.0, 0.0, 0.0, 1.0]);
+        assert_eq!(row_cdf(&matrix, 0), [0.0, 0.0, 0.0, 1.0]);
+        // A dense matrix has no closed form: every draw is exact.
+        assert!(rows.rows.is_empty());
     }
 
     #[test]
-    fn guide_points_at_the_first_value_reaching_each_bucket_edge() {
-        let rows = CdfTable::new(&TrafficMatrix::hotspot(64, 0.9, 0.6));
-        assert_eq!(rows.buckets, 16);
-        for input in 0..64 {
-            let cdf = rows.row(input);
-            for b in 0..rows.buckets {
-                let edge = b as f64 / rows.buckets as f64;
-                let first = cdf.partition_point(|&c| c < edge);
-                assert_eq!(usize::from(rows.guide[input * rows.buckets + b]), first);
-            }
+    fn only_non_negative_one_entry_per_row_matrices_get_the_closed_form() {
+        for matrix in [
+            TrafficMatrix::uniform(8, 0.5),
+            TrafficMatrix::diagonal(8, 0.0),
+            TrafficMatrix::hotspot(8, 0.9, 1.0),
+        ] {
+            assert_eq!(RowSampler::new(&matrix).rows.len(), 8);
+            assert!(RowSampler::new(&dense_copy(&matrix)).rows.is_empty());
         }
+        // A negative rate voids the closed form's error bound.
+        let negative = TrafficMatrix::uniform(8, -0.5);
+        assert!(negative.one_entry_per_row().is_some());
+        assert!(RowSampler::new(&negative).rows.is_empty());
     }
 
     #[test]
@@ -501,20 +394,21 @@ mod tests {
         for (j, rate) in [0.25, 0.0, 0.0, 0.25, 0.5].into_iter().enumerate() {
             matrix.set(0, j, rate);
         }
-        let rows = CdfTable::new(&matrix);
-        assert_eq!(rows.row(0), [0.25, 0.25, 0.25, 0.5, 1.0]);
+        let cdf = row_cdf(&matrix, 0);
+        assert_eq!(cdf, [0.25, 0.25, 0.25, 0.5, 1.0]);
+        let mut rows = RowSampler::new(&matrix);
         let (quarter, half) = (1u64 << 51, 1u64 << 52);
         for tie in [quarter, half] {
             let u = tie as f64 * DRAW_SCALE;
-            assert!(rows.row(0).contains(&u));
-            assert_eq!(rows.sample(0, tie), sample_from_cdf(rows.row(0), u));
+            assert!(cdf.contains(&u));
+            assert_eq!(rows.sample(&matrix, 0, tie), sample_from_cdf(&cdf, u));
         }
         // Off a tie the zero-probability outputs 1 and 2 are never picked.
-        assert_eq!(rows.sample(0, 0), 0);
-        assert_eq!(rows.sample(0, quarter - 1), 0);
-        assert_eq!(rows.sample(0, quarter + 1), 3);
-        assert_eq!(rows.sample(0, half + 1), 4);
-        assert_eq!(rows.sample(0, DRAW_MAX), 4);
+        assert_eq!(rows.sample(&matrix, 0, 0), 0);
+        assert_eq!(rows.sample(&matrix, 0, quarter - 1), 0);
+        assert_eq!(rows.sample(&matrix, 0, quarter + 1), 3);
+        assert_eq!(rows.sample(&matrix, 0, half + 1), 4);
+        assert_eq!(rows.sample(&matrix, 0, DRAW_MAX), 4);
     }
 
     #[test]
@@ -554,41 +448,57 @@ mod tests {
             }
         }
 
+        /// Both ways a row is sampled, through the per-slot pass: a dense
+        /// matrix whose first row has runs of zero-rate outputs and whose
+        /// last row is all zeros (every draw exact), and the one-entry-per-row
+        /// matrices (closed form, exact on near-ties).
         #[test]
         fn sampler_matches_the_binary_search_oracle(
             size in 0usize..4,
+            shape in 0usize..4,
             raw in collection::vec(0u32..8, 1000),
+            rho in 0.0f64..1.0,
             draws in collection::vec(0u64..=DRAW_MAX, 64),
         ) {
-            // Half the outputs get weight 0, so the CDF has runs of
-            // duplicate values.
             let n = [2, 3, 64, 1000][size];
-            let mut weights: Vec<u32> = raw[..n].iter().map(|w| w.saturating_sub(3)).collect();
-            if weights.iter().all(|&w| w == 0) {
-                weights[n / 2] = 1;
-            }
-            let table = sampler_for(&weights);
-            let cdf = table.row(0).to_vec();
-
-            // Random draws, both ends of the range, and the draws on and
-            // beside every CDF value.
-            let mut probes = draws;
-            probes.extend([0, DRAW_MAX]);
-            probes.extend(around_each_value(&cdf));
-            for &x in &probes {
-                let u = x as f64 * DRAW_SCALE;
-                prop_assert_eq!(table.sample(0, x), sample_from_cdf(&cdf, u), "n={} x={}", n, x);
-            }
-
-            // The per-slot pass addresses each packet as the per-draw
-            // sampler would, ties and zero-rate outputs included, and leaves
-            // the input alone.
-            let mut packets = vec![Packet::new(0, 0, 0, 0); probes.len()];
-            RowSampler::Table(table).resolve(&mut packets, &probes);
-            for (packet, &x) in packets.iter().zip(&probes) {
-                let u = x as f64 * DRAW_SCALE;
-                prop_assert_eq!(packet.input(), 0);
-                prop_assert_eq!(packet.output(), sample_from_cdf(&cdf, u), "n={} x={}", n, x);
+            let matrix = match shape {
+                0 => {
+                    // Half the weights are 0, so the CDF has runs of
+                    // duplicate values.
+                    let mut weights: Vec<u32> =
+                        raw[..n].iter().map(|w| w.saturating_sub(3)).collect();
+                    if weights.iter().all(|&w| w == 0) {
+                        weights[n / 2] = 1;
+                    }
+                    // A load that makes `rate / load` inexact.
+                    let total: u32 = weights.iter().sum();
+                    let mut matrix = TrafficMatrix::zero(n);
+                    for (j, &w) in weights.iter().enumerate() {
+                        matrix.set(0, j, 0.7 * f64::from(w) / f64::from(total));
+                    }
+                    matrix
+                }
+                1 => TrafficMatrix::uniform(n, rho),
+                2 => TrafficMatrix::diagonal(n, rho),
+                _ => TrafficMatrix::hotspot(n, rho, 1.0),
+            };
+            let mut rows = RowSampler::new(&matrix);
+            prop_assert_eq!(rows.rows.is_empty(), shape == 0);
+            for input in [0, n - 1] {
+                let cdf = row_cdf(&matrix, input);
+                let probes = probes(&draws, &cdf);
+                let mut packets = vec![Packet::new(input, 0, 0, 0); probes.len()];
+                rows.resolve(&matrix, &mut packets, &probes);
+                for (packet, &x) in packets.iter().zip(&probes) {
+                    let u = x as f64 * DRAW_SCALE;
+                    prop_assert_eq!(packet.input(), input);
+                    prop_assert_eq!(
+                        packet.output(),
+                        sample_from_cdf(&cdf, u),
+                        "n={} shape={} input={} x={}",
+                        n, shape, input, x
+                    );
+                }
             }
         }
     }
@@ -598,9 +508,9 @@ mod tests {
         // on the exact path.
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The closed form against the table, both built from the same
-        /// synthetic matrix, on its first and last rows (the hot column of
-        /// a hot-spot wraps at the last) and a random one.
+        /// The closed form against the binary search over the row the exact
+        /// path builds, on the first and last rows (the hot column of a
+        /// hot-spot wraps at the last) and a random one.
         #[test]
         fn closed_form_matches_the_table(
             size in 0usize..6,
@@ -622,34 +532,21 @@ mod tests {
                 1 => TrafficMatrix::diagonal(n, load),
                 _ => TrafficMatrix::hotspot(n, load, hot_fraction),
             };
-            let table = CdfTable::new(&matrix);
-            let mut sampler = RowSampler::new(&matrix);
-            let RowSampler::OnePerRow(mut closed) = RowSampler::new(&matrix) else {
-                panic!("a synthetic matrix gets the closed form");
-            };
+            let mut rows = RowSampler::new(&matrix);
+            prop_assert_eq!(rows.rows.len(), n, "a synthetic matrix gets the closed form");
             let mut fallbacks = 0;
             for input in [0, n - 1, random_row % n] {
-                prop_assert_eq!(closed.rows[input][0].to_bits(), table.loads[input].to_bits());
-                let cdf = table.row(input);
-                let mut probes = draws.clone();
-                probes.extend([0, DRAW_MAX]);
-                probes.extend(around_each_value(cdf));
-                for &x in &probes {
+                prop_assert_eq!(rows.load(input).to_bits(), matrix.input_load(input).to_bits());
+                let cdf = row_cdf(&matrix, input);
+                for x in probes(&draws, &cdf) {
                     let u = x as f64 * DRAW_SCALE;
-                    fallbacks += usize::from(closed.pick(input, u).is_none());
-                    let want = table.sample(input, x);
-                    prop_assert_eq!(want, sample_from_cdf(cdf, u), "n={} x={}", n, x);
+                    fallbacks += usize::from(rows.pick(input, u).is_none());
                     prop_assert_eq!(
-                        closed.sample(input, x),
-                        want,
+                        rows.sample(&matrix, input, x),
+                        sample_from_cdf(&cdf, u),
                         "n={} pattern={} load={} hot={} input={} x={}",
                         n, pattern, load, hot_fraction, input, x
                     );
-                }
-                let mut packets = vec![Packet::new(input, 0, 0, 0); probes.len()];
-                sampler.resolve(&mut packets, &probes);
-                for (packet, &x) in packets.iter().zip(&probes) {
-                    prop_assert_eq!(packet.output(), table.sample(input, x));
                 }
             }
             // Draws on a CDF value always miss the margin, so the exact

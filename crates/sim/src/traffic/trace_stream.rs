@@ -147,7 +147,9 @@ impl TraceStream {
         let compresses = scale > 1.0;
         let mut count_per_copy = 0u64;
         let mut data_span = 0u64;
-        let mut counts = vec![0u64; n * n];
+        // Per-pair counts, needed only for a trace whose header carries no
+        // matrix (every recorded trace carries one).
+        let mut counts = reader.meta().matrix.is_none().then(|| vec![0u64; n * n]);
         // Per-input slot of the last emitted (scaled) packet — O(n) state.
         let mut last_scaled: Vec<Option<u64>> = vec![None; n];
         let mut collide = |rec: &TraceRecord, slot: u64, copy: u64| {
@@ -170,7 +172,9 @@ impl TraceStream {
             if compresses {
                 collide(&rec, scaled_slot(rec.slot, scale), 0)?;
             }
-            counts[rec.input * n + rec.output] += 1;
+            if let Some(counts) = &mut counts {
+                counts[rec.input * n + rec.output] += 1;
+            }
             count_per_copy += 1;
             data_span = rec.slot.saturating_add(1);
         }
@@ -195,12 +199,13 @@ impl TraceStream {
 
         let entries_total = count_per_copy * u64::from(repeat);
         let effective_horizon = scaled_slot(total_span, scale).max(1);
-        let matrix = match &reader.meta().matrix {
+        let matrix = match (&reader.meta().matrix, counts) {
             // The recorded analytic matrix, rescaled by the time compression
             // (repeat leaves long-run rates unchanged).
-            Some(m) => m.scaled(scale),
+            (Some(m), _) => m.scaled(scale),
             // Hand-written traces: empirical rates over the effective span.
-            None => {
+            (None, counts) => {
+                let counts = counts.expect("counted when the header has no matrix");
                 let mut m = TrafficMatrix::zero(n);
                 let horizon = effective_horizon as f64;
                 for i in 0..n {

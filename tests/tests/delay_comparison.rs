@@ -53,8 +53,9 @@ fn sprinklers_is_competitive_with_the_padded_frame_schemes() {
     // Figure 6/7: "our switch has similar delay performance with PF and FOFF".
     // Padded Frames is the directly comparable aggregation-based scheme (our
     // FOFF implementation resequences more cheaply than the paper's, so its
-    // absolute delay is lower — see EXPERIMENTS.md); Sprinklers must be in
-    // the same ballpark as PF and no worse than UFS.
+    // absolute delay is lower — run `figure6`/`figure7` as README
+    // "Reproducing the paper" shows); Sprinklers must be in the same
+    // ballpark as PF and no worse than UFS.
     let n = 32;
     let load = 0.6;
     let sprinklers = mean_delay("sprinklers", n, load, false, 60_000);

@@ -18,8 +18,8 @@ fn sprinklers_never_reorders_under_uniform_traffic() {
     // reorder.  The other variants are exercised for conservation/stability
     // only: our reproduction found that the "simplified" row-scan
     // implementation of §3.4.2 and naive frame-aligned staging both do
-    // reorder under concurrent traffic (documented in EXPERIMENTS.md and
-    // measured by the ablation_alignment experiment).
+    // reorder under concurrent traffic, at every load the `ablation_alignment`
+    // binary runs (README, "Reproducing the paper").
     let n = 16;
     for load in [0.3, 0.7, 0.92] {
         for (name, discipline, alignment) in SPRINKLERS_VARIANTS {
