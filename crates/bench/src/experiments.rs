@@ -158,10 +158,10 @@ pub fn figure7(quick: bool) -> Vec<SchemePoint> {
     paper_grid(&PAPER_SCHEMES, TrafficKind::Diagonal, quick, 2014)
 }
 
-/// Ablation: every combination of input discipline and intermediate alignment
-/// for the Sprinklers switch, checking ordering and delay impact.
-pub fn ablation_alignment(quick: bool) -> Vec<SchemePoint> {
-    let variants = ["sprinklers", "sprinklers-rowscan", "sprinklers-aligned"];
+/// Ablation: the two input disciplines of the Sprinklers switch (Algorithm 1
+/// and the row scan of §3.4.2), checking ordering and delay impact.
+pub fn ablation_discipline(quick: bool) -> Vec<SchemePoint> {
+    let variants = ["sprinklers", "sprinklers-rowscan"];
     paper_grid(&variants, TrafficKind::Uniform, quick, 99)
 }
 

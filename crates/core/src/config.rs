@@ -66,24 +66,6 @@ pub enum InputDiscipline {
     RowScan,
 }
 
-/// When packets received by an intermediate port become eligible for the
-/// second switching fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlignmentMode {
-    /// A packet is eligible in the slot after it arrives (plain store-and-forward).
-    Immediate,
-    /// A packet becomes eligible only once its entire stripe has reached the
-    /// intermediate stage, at the next frame boundary.  Every intermediate
-    /// port can compute this locally from the stripe size carried in the
-    /// packet header, so no extra coordination is needed.  It adds delay and
-    /// does not preserve order: `ablation_alignment --quick` (uniform, N = 32)
-    /// measures this variant, `sprinklers-aligned`, reordering at every load
-    /// (4 422 VOQ reorders at load 0.1, 410 781 at 0.9, against 0 for the
-    /// default `Immediate`), so `ORDERED_SCHEMES` leaves it out.  It is kept
-    /// as that ablation.
-    StripeComplete,
-}
-
 /// Full configuration of a Sprinklers switch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SprinklersConfig {
@@ -93,8 +75,6 @@ pub struct SprinklersConfig {
     pub sizing: SizingMode,
     /// Input-port scheduling discipline.
     pub input_discipline: InputDiscipline,
-    /// Intermediate-port eligibility rule.
-    pub alignment: AlignmentMode,
 }
 
 impl SprinklersConfig {
@@ -105,7 +85,6 @@ impl SprinklersConfig {
             n,
             sizing: SizingMode::Adaptive(AdaptiveSizing::default()),
             input_discipline: InputDiscipline::StripeAtomic,
-            alignment: AlignmentMode::Immediate,
         }
     }
 
@@ -120,13 +99,6 @@ impl SprinklersConfig {
     #[must_use]
     pub fn with_input_discipline(mut self, d: InputDiscipline) -> Self {
         self.input_discipline = d;
-        self
-    }
-
-    /// Set the intermediate-port alignment mode.
-    #[must_use]
-    pub fn with_alignment(mut self, a: AlignmentMode) -> Self {
-        self.alignment = a;
         self
     }
 
@@ -301,10 +273,8 @@ mod tests {
     fn builder_methods_set_fields() {
         let cfg = SprinklersConfig::new(16)
             .with_input_discipline(InputDiscipline::RowScan)
-            .with_alignment(AlignmentMode::StripeComplete)
             .with_sizing(SizingMode::FixedSize(4));
         assert_eq!(cfg.input_discipline, InputDiscipline::RowScan);
-        assert_eq!(cfg.alignment, AlignmentMode::StripeComplete);
         assert_eq!(cfg.sizing, SizingMode::FixedSize(4));
     }
 }

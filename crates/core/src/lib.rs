@@ -111,7 +111,7 @@ pub mod voq;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::config::{AlignmentMode, SizingMode, SprinklersConfig};
+    pub use crate::config::{SizingMode, SprinklersConfig};
     pub use crate::dyadic::DyadicInterval;
     pub use crate::matrix::TrafficMatrix;
     pub use crate::ols::WeaklyUniformOls;
@@ -121,7 +121,7 @@ pub mod prelude {
     pub use crate::switch::{CountingSink, DeliverySink, NullSink, Switch, SwitchStats};
 }
 
-pub use config::{AlignmentMode, SizingMode, SprinklersConfig};
+pub use config::{SizingMode, SprinklersConfig};
 pub use dyadic::DyadicInterval;
 pub use matrix::TrafficMatrix;
 pub use packet::{DeliveredPacket, Packet};

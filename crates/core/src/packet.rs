@@ -81,7 +81,8 @@ pub struct Packet {
     ///
     /// Packet order is preserved if and only if, at every output, packets of
     /// the same VOQ depart in increasing `voq_seq` order.  Per-flow order
-    /// follows because a flow is a subsequence of its VOQ.
+    /// follows because a flow is a subsequence of its VOQ.  No switch reads
+    /// it: only the metrics and the test oracles do.
     pub voq_seq: u64,
     /// Input port at which the packet arrived (`0..N`).
     input: u32,

@@ -11,7 +11,7 @@
 //! stepping with elision — is the kernel the baselines run on, which is the
 //! "comparable implementation cost" the paper claims for Sprinklers.
 
-use crate::config::{AlignmentMode, SizingMode, SprinklersConfig};
+use crate::config::{SizingMode, SprinklersConfig};
 use crate::error::SwitchError;
 use crate::input_port::SprinklersInputPort;
 use crate::matrix::TrafficMatrix;
@@ -119,10 +119,6 @@ impl InputPolicy for Sprinklers {
 
     fn levels(&self) -> usize {
         crate::lsf::levels(self.config.n)
-    }
-
-    fn aligns_stripes(&self) -> bool {
-        self.config.alignment == AlignmentMode::StripeComplete
     }
 
     /// Adaptive sizing observes idle slots: its VOQs shrink.
@@ -297,33 +293,27 @@ mod tests {
     fn voq_packets_depart_in_order() {
         // Hammer a single VOQ and check departures are in voq_seq order.
         for discipline in [InputDiscipline::StripeAtomic, InputDiscipline::RowScan] {
-            for alignment in [AlignmentMode::Immediate, AlignmentMode::StripeComplete] {
-                let mut sw = SprinklersSwitch::new(
-                    SprinklersConfig::new(8)
-                        .with_sizing(SizingMode::FixedSize(4))
-                        .with_input_discipline(discipline)
-                        .with_alignment(alignment),
-                    5,
-                );
-                let mut delivered = Vec::new();
-                for slot in 0..512u64 {
-                    // Two packets per slot to VOQ (2, 6) would oversubscribe;
-                    // one per slot is the maximum admissible rate.
-                    sw.arrive(pkt(2, 6, slot, slot, slot));
-                    sw.step(slot, &mut delivered);
-                }
-                for slot in 512..2048u64 {
-                    sw.step(slot, &mut delivered);
-                }
-                let seqs: Vec<u64> = delivered.iter().map(|d| d.packet.voq_seq).collect();
-                let mut sorted = seqs.clone();
-                sorted.sort_unstable();
-                assert_eq!(
-                    seqs, sorted,
-                    "reordering with discipline {discipline:?}, alignment {alignment:?}"
-                );
-                assert_eq!(delivered.len(), 512);
+            let mut sw = SprinklersSwitch::new(
+                SprinklersConfig::new(8)
+                    .with_sizing(SizingMode::FixedSize(4))
+                    .with_input_discipline(discipline),
+                5,
+            );
+            let mut delivered = Vec::new();
+            for slot in 0..512u64 {
+                // Two packets per slot to VOQ (2, 6) would oversubscribe;
+                // one per slot is the maximum admissible rate.
+                sw.arrive(pkt(2, 6, slot, slot, slot));
+                sw.step(slot, &mut delivered);
             }
+            for slot in 512..2048u64 {
+                sw.step(slot, &mut delivered);
+            }
+            let seqs: Vec<u64> = delivered.iter().map(|d| d.packet.voq_seq).collect();
+            let mut sorted = seqs.clone();
+            sorted.sort_unstable();
+            assert_eq!(seqs, sorted, "reordering with discipline {discipline:?}");
+            assert_eq!(delivered.len(), 512);
         }
     }
 
@@ -364,71 +354,61 @@ mod tests {
 
     #[test]
     fn step_batch_matches_slot_at_a_time_stepping() {
-        for alignment in [AlignmentMode::Immediate, AlignmentMode::StripeComplete] {
-            let config = || {
-                SprinklersConfig::new(8)
-                    .with_sizing(SizingMode::FixedSize(2))
-                    .with_alignment(alignment)
-            };
-            let mut reference = SprinklersSwitch::new(config(), 11);
-            let mut batched = SprinklersSwitch::new(config(), 11);
-            // Preload a mix of VOQs, then compare pure stepping.
-            for (k, (i, j)) in [(0, 3), (0, 3), (2, 5), (2, 5), (7, 1), (7, 1)]
-                .into_iter()
-                .enumerate()
-            {
-                let seq = (k % 2) as u64;
-                reference.arrive(pkt(i, j, k as u64, 0, seq));
-                batched.arrive(pkt(i, j, k as u64, 0, seq));
-            }
-            let expected = drain(&mut reference, 0, 40);
-            let mut got = Vec::new();
-            // Uneven splits, starting mid-frame after the first chunk.
-            for (start, count) in [(0u64, 1u32), (1, 7), (8, 13), (21, 19)] {
-                batched.step_batch(start, count, &mut got);
-            }
-            assert_eq!(got, expected, "alignment {alignment:?} diverged");
-            assert_eq!(batched.stats().total_queued(), 0);
+        let config = || SprinklersConfig::new(8).with_sizing(SizingMode::FixedSize(2));
+        let mut reference = SprinklersSwitch::new(config(), 11);
+        let mut batched = SprinklersSwitch::new(config(), 11);
+        // Preload a mix of VOQs, then compare pure stepping.
+        for (k, (i, j)) in [(0, 3), (0, 3), (2, 5), (2, 5), (7, 1), (7, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let seq = (k % 2) as u64;
+            reference.arrive(pkt(i, j, k as u64, 0, seq));
+            batched.arrive(pkt(i, j, k as u64, 0, seq));
         }
+        let expected = drain(&mut reference, 0, 40);
+        let mut got = Vec::new();
+        // Uneven splits, starting mid-frame after the first chunk.
+        for (start, count) in [(0u64, 1u32), (1, 7), (8, 13), (21, 19)] {
+            batched.step_batch(start, count, &mut got);
+        }
+        assert_eq!(got, expected);
+        assert_eq!(batched.stats().total_queued(), 0);
     }
 
     /// The occupancy bitsets, every row of the phase index and the running
     /// counters must agree with brute-force port scans at every point of a
     /// random arrive/step interleaving — at n = 8 (single bitset word) and
-    /// n = 128 (two words + summary level), under both alignments.
+    /// n = 128 (two words + summary level).
     #[test]
     fn occupancy_bitsets_agree_with_brute_force_scans() {
         for n in [8usize, 128] {
-            for alignment in [AlignmentMode::Immediate, AlignmentMode::StripeComplete] {
-                let mut sw = SprinklersSwitch::new(
-                    SprinklersConfig::new(n)
-                        .with_sizing(SizingMode::FixedSize(2))
-                        .with_alignment(alignment),
-                    3,
-                );
-                let mut rng = SimRng::seed_from_u64(42);
-                let mut voq_seq = vec![0u64; n * n];
-                let mut id = 0u64;
-                for slot in 0..(6 * n as u64) {
-                    for input in 0..n {
-                        if rng.unit_f64() < 0.3 {
-                            let output = rng.below(n as u64) as usize;
-                            let key = input * n + output;
-                            sw.arrive(pkt(input, output, id, slot, voq_seq[key]));
-                            voq_seq[key] += 1;
-                            id += 1;
-                        }
-                    }
-                    sw.step(slot, &mut crate::switch::NullSink);
-                    if slot % 5 == 0 {
-                        sw.assert_consistent();
+            let mut sw = SprinklersSwitch::new(
+                SprinklersConfig::new(n).with_sizing(SizingMode::FixedSize(2)),
+                3,
+            );
+            let mut rng = SimRng::seed_from_u64(42);
+            let mut voq_seq = vec![0u64; n * n];
+            let mut id = 0u64;
+            for slot in 0..(6 * n as u64) {
+                for input in 0..n {
+                    if rng.unit_f64() < 0.3 {
+                        let output = rng.below(n as u64) as usize;
+                        let key = input * n + output;
+                        sw.arrive(pkt(input, output, id, slot, voq_seq[key]));
+                        voq_seq[key] += 1;
+                        id += 1;
                     }
                 }
-                for slot in (6 * n as u64)..(20 * n as u64) {
-                    sw.step(slot, &mut crate::switch::NullSink);
+                sw.step(slot, &mut crate::switch::NullSink);
+                if slot % 5 == 0 {
+                    sw.assert_consistent();
                 }
-                sw.assert_consistent();
             }
+            for slot in (6 * n as u64)..(20 * n as u64) {
+                sw.step(slot, &mut crate::switch::NullSink);
+            }
+            sw.assert_consistent();
         }
     }
 

@@ -80,12 +80,6 @@ pub trait InputPolicy {
         1
     }
 
-    /// Whether intermediate ports hold a packet until its whole stripe has
-    /// arrived (stripe-complete alignment).
-    fn aligns_stripes(&self) -> bool {
-        false
-    }
-
     /// Whether [`Self::maintain`] has to run every slot; such a switch is
     /// never elided.
     fn maintains(&self) -> bool {
@@ -144,9 +138,6 @@ pub struct TwoStage<P> {
     intermediates: IntermediateStage,
     /// Sized for `n` outputs when `P::RESEQUENCES`, for none otherwise.
     resequencer: Resequencer,
-    /// What the first-fabric walk collected, `(handle, intermediate, output,
-    /// tag)`, for the merge to queue.
-    transfers: Vec<(PacketHandle, usize, u32, u32)>,
     /// The slot's departures, `(handle, tag)` with the intermediate port in
     /// the tag, between the pass that collects them and their delivery.
     departing: Vec<(PacketHandle, u32)>,
@@ -169,14 +160,13 @@ impl<P: InputPolicy> TwoStage<P> {
     pub fn with_policy(n: usize, policy: P) -> Self {
         assert!(n >= 2, "a switch needs at least two ports");
         assert_ports_fit(n);
-        let intermediates = IntermediateStage::new(n, policy.levels(), policy.aligns_stripes());
+        let intermediates = IntermediateStage::new(n, policy.levels());
         TwoStage {
             n,
             policy,
             store: PacketStore::new(),
             intermediates,
             resequencer: Resequencer::new(if P::RESEQUENCES { n } else { 0 }),
-            transfers: Vec::with_capacity(n),
             departing: Vec::with_capacity(n),
             occupied_inputs: OccupancySet::new(n),
             occupied_outputs: OccupancySet::new(n),
@@ -213,7 +203,7 @@ impl<P: InputPolicy> TwoStage<P> {
     /// to front, so a packet crosses at most one fabric per slot.
     // lint: hot-path
     fn step_at(&mut self, slot: u64, t: usize, sink: &mut dyn DeliverySink) {
-        self.second_fabric(slot, t);
+        self.second_fabric(t);
         if P::RESEQUENCES {
             self.release_outputs();
         }
@@ -226,10 +216,9 @@ impl<P: InputPolicy> TwoStage<P> {
 
     /// Second fabric: every intermediate port holding a packet for the
     /// output it faces in phase `t` sends one, into that output's resequencer
-    /// or straight out.  Stripes complete by this slot are queued first.
+    /// or straight out.
     // lint: hot-path
-    fn second_fabric(&mut self, slot: u64, t: usize) {
-        self.intermediates.release(slot);
+    fn second_fabric(&mut self, t: usize) {
         let mut cursor = PortCursor::default();
         while let Some(l) = self.intermediates.ready.next_port(t, &mut cursor) {
             #[cfg(test)]
@@ -298,11 +287,11 @@ impl<P: InputPolicy> TwoStage<P> {
         }
     }
 
-    /// First fabric: every servable input offers the intermediate port it is
-    /// connected to whatever its policy picks — the walk — and the merge
-    /// queues those packets at the intermediate stage.  An occupied input may
-    /// still send nothing: a frame waiting for port 0, a stripe waiting for
-    /// the first port of its interval, a flow pinned elsewhere.
+    /// First fabric: every servable input sends the intermediate port it is
+    /// connected to whatever its policy picks, which queues it at once.  An
+    /// occupied input may still send nothing: a frame waiting for port 0, a
+    /// stripe waiting for the first port of its interval, a flow pinned
+    /// elsewhere.
     // lint: hot-path
     fn first_fabric(&mut self, slot: u64, t: usize) {
         let mut cursor = PortCursor::default();
@@ -314,21 +303,12 @@ impl<P: InputPolicy> TwoStage<P> {
                 self.occupied_inputs.remove(i);
             }
             if let Some((handle, output)) = served.sent {
+                self.queued_inputs -= 1;
+                self.queued_intermediates += 1;
                 let entry = tag(i, served.stripe_size);
-                self.transfers.push((handle, connected, output, entry));
+                self.intermediates
+                    .receive(handle, connected, output as usize, entry);
             }
-        }
-        if self.intermediates.aligned {
-            // Stripe-complete staging reads each body's VOQ sequence number.
-            self.store
-                .warm(self.transfers.iter().map(|&(handle, ..)| handle));
-        }
-        for (handle, l, output, entry) in self.transfers.drain(..) {
-            self.queued_inputs -= 1;
-            self.queued_intermediates += 1;
-            let output = output as usize;
-            self.intermediates
-                .receive(&self.store, handle, l, output, entry, slot);
         }
     }
 }

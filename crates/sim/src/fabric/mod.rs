@@ -22,9 +22,9 @@
 //! interprets.  In between only the store's `u32` handle moves:
 //!
 //! * **inside a node** the switch holds a node-local *cell* — a [`Packet`]
-//!   whose `id` is the handle, whose ports, `voq_seq` and `arrival_slot`
-//!   are the hop's own and whose `flow` is the packet's (no scheme reads
-//!   `id`; `tcp-hash` reads `flow`).  Padding a node generates keeps
+//!   whose `id` is the handle, whose ports and `arrival_slot` are the hop's
+//!   own and whose `flow` is the packet's (no scheme reads `id` or
+//!   `voq_seq`; `tcp-hash` reads `flow`).  Padding a node generates keeps
 //!   `id == u64::MAX` and is never in the store;
 //! * **on a link** the ingress queue and the wire hold bare handles;
 //! * **parked** at its source host (see below) a packet is a handle in its
@@ -103,15 +103,6 @@ use topology::{PortTarget, Wiring};
 /// parked, or not in the fabric at all.
 const NOT_IN_NODE: u32 = u32::MAX;
 
-/// One switch node: the scheme instance plus its node-local VOQ sequence
-/// counters (each hop re-sequences packets in its own arrival order).
-struct Node {
-    switch: Box<dyn Switch>,
-    n: usize,
-    /// `voq_seq[in_port * n + out_port]`: next node-local sequence number.
-    voq_seq: Vec<u64>,
-}
-
 /// What every node is built from, kept so a `node-down` rebuilds a node
 /// exactly as [`FabricWorld::build`] made it.
 struct NodeRecipe {
@@ -124,17 +115,12 @@ struct NodeRecipe {
 }
 
 impl NodeRecipe {
-    /// A fresh node `idx` with `n` ports and no state.
-    fn node(&self, idx: usize, n: usize) -> Result<Node, SpecError> {
+    /// A fresh switch for node `idx` with `n` ports and no state.
+    fn node(&self, idx: usize, n: usize) -> Result<Box<dyn Switch>, SpecError> {
         let matrix = TrafficMatrix::uniform(n, self.load);
         let seed = rng::derive(self.seed, idx as u64);
-        let switch = registry::build_named(&self.scheme, n, &self.sizing, &matrix, seed)
-            .map_err(|e| e.context(format!("fabric node {idx} ({n} ports)")))?;
-        Ok(Node {
-            switch,
-            n,
-            voq_seq: vec![0; n * n],
-        })
+        registry::build_named(&self.scheme, n, &self.sizing, &matrix, seed)
+            .map_err(|e| e.context(format!("fabric node {idx} ({n} ports)")))
     }
 }
 
@@ -227,7 +213,8 @@ impl FaultState {
 /// A multi-switch fabric: a [`Switch`] whose ports are the hosts.
 pub struct FabricWorld {
     wiring: Wiring,
-    nodes: Vec<Node>,
+    /// One switch per node of the wiring.
+    nodes: Vec<Box<dyn Switch>>,
     links: Vec<Link>,
     /// Links with anything in their ingress queue or on their wire.
     active_links: OccupancySet,
@@ -290,7 +277,7 @@ impl FabricWorld {
             .iter()
             .enumerate()
             .map(|(idx, desc)| recipe.node(idx, desc.ports.len()))
-            .collect::<Result<Vec<Node>, SpecError>>()?;
+            .collect::<Result<Vec<_>, SpecError>>()?;
         let links: Vec<Link> = wiring
             .links
             .iter()
@@ -392,9 +379,9 @@ impl FabricWorld {
     }
 
     /// Hand the packet behind `handle` to `node`'s switch as a node-local
-    /// cell: local ports, a fresh node-local VOQ sequence number, zeroed
-    /// single-switch routing fields (each hop stripes afresh), the packet's
-    /// own `flow`, and `slot` — the hop-entry slot — as its arrival slot.
+    /// cell: local ports, zeroed single-switch routing fields (each hop
+    /// stripes afresh), the packet's own `flow`, and `slot` — the hop-entry
+    /// slot — as its arrival slot.
     // lint: hot-path
     #[inline]
     fn enqueue_at(
@@ -407,12 +394,8 @@ impl FabricWorld {
         slot: u64,
     ) {
         self.location[handle as usize] = node_idx as u32;
-        let node = &mut self.nodes[node_idx];
-        let mut cell = Packet::new(in_port, out_port, u64::from(handle), slot).with_flow(flow);
-        let seq = &mut node.voq_seq[in_port * node.n + out_port];
-        cell.voq_seq = *seq;
-        *seq += 1;
-        node.switch.arrive(cell);
+        let cell = Packet::new(in_port, out_port, u64::from(handle), slot).with_flow(flow);
+        self.nodes[node_idx].arrive(cell);
     }
 
     /// Route one delivery off a node: out to a host (as the packet the
@@ -428,9 +411,11 @@ impl FabricWorld {
         let target = self.wiring.nodes[node_idx].ports[delivered.packet.output()];
         if delivered.packet.is_padding() {
             // Padding is a node-local artifact (frame fill): the metrics
-            // sink counts it at a host port, and it never crosses a link —
-            // it has no destination.
-            if let PortTarget::Host(_) = target {
+            // sink counts it at the host its port faces, and it never
+            // crosses a link — it has no destination.
+            if let PortTarget::Host(host) = target {
+                let input = delivered.packet.input();
+                delivered.packet.set_ports(input, host);
                 sink.deliver(delivered);
             }
             return;
@@ -524,7 +509,7 @@ impl FabricWorld {
                 continue;
             }
             debug_assert!(scratch.is_empty());
-            self.nodes[node_idx].switch.step(slot, &mut scratch);
+            self.nodes[node_idx].step(slot, &mut scratch);
             for delivered in scratch.drain(..) {
                 self.dispatch(node_idx, delivered, sink);
             }
@@ -562,7 +547,7 @@ impl FabricWorld {
             let count = (until - slot) as u32;
             for (node_idx, node) in self.nodes.iter_mut().enumerate() {
                 if faults.is_none_or(|f| f.node_up[node_idx]) {
-                    node.switch.step_batch(slot, count, &mut self.scratch);
+                    node.step_batch(slot, count, &mut self.scratch);
                 }
             }
             debug_assert!(self.scratch.is_empty(), "an idle node delivered");
@@ -578,7 +563,7 @@ impl FabricWorld {
             && self.nodes.iter().enumerate().all(|(node_idx, node)| {
                 // A down node was rebuilt empty and takes no steps.
                 self.faults.as_ref().is_some_and(|f| !f.node_up[node_idx])
-                    || node.switch.stats().total_queued() == 0
+                    || node.stats().total_queued() == 0
             })
     }
 
@@ -635,7 +620,7 @@ impl FabricWorld {
                 // Rebuild the node fresh from its derived seed: a rebooted
                 // switch keeps no state.  `node-up` just flips the flag
                 // back; the rebuilt switch has been idle since.
-                let n = self.nodes[idx].n;
+                let n = self.nodes[idx].n();
                 self.nodes[idx] = self
                     .recipe
                     .node(idx, n)
@@ -796,7 +781,7 @@ impl Switch for FabricWorld {
             ..SwitchStats::default()
         };
         for node in &self.nodes {
-            let s = node.switch.stats();
+            let s = node.stats();
             stats.queued_at_inputs += s.queued_at_inputs;
             stats.queued_at_intermediates += s.queued_at_intermediates;
             stats.queued_at_outputs += s.queued_at_outputs;
@@ -860,7 +845,7 @@ mod tests {
                 .iter()
                 .filter(|&&at| at == node_idx as u32)
                 .count();
-            assert_eq!(node.switch.stats().total_queued(), tagged);
+            assert_eq!(node.stats().total_queued(), tagged);
             in_nodes += tagged;
         }
         assert_eq!((in_nodes + on_links) as u64, in_flight);
@@ -1045,7 +1030,7 @@ mod tests {
         world.arrive(Packet::new(3, 1, 3, 1));
         drive(&mut world, 1..2);
         let left = world.on_links;
-        let held = world.nodes[0].switch.stats().total_queued();
+        let held = world.nodes[0].stats().total_queued();
         assert!(left >= 1, "a packet is already on an uplink");
         assert!(held >= 2, "the slot-1 arrivals are still inside");
         assert_eq!(left + held, 4);

@@ -14,19 +14,18 @@ use sprinklers_baselines::{
     BaselineLbSwitch, FoffSwitch, NewSwitch, NewSwitchWith, OutputQueuedSwitch, PaddedFramesSwitch,
     TcpHashSwitch, UfsSwitch,
 };
-use sprinklers_core::config::{AlignmentMode, InputDiscipline, SizingMode, SprinklersConfig};
+use sprinklers_core::config::{InputDiscipline, SizingMode, SprinklersConfig};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::MAX_PORTS;
 use sprinklers_core::sprinklers::SprinklersSwitch;
 use sprinklers_core::switch::Switch;
 
-/// Every scheme the registry can build: Sprinklers (plus its three
-/// scheduling/sizing ablation variants) and the six baselines.
-pub const SCHEMES: [&str; 10] = [
+/// Every scheme the registry can build: Sprinklers (plus its adaptive-sizing
+/// and row-scan variants) and the six baselines.
+pub const SCHEMES: [&str; 9] = [
     "sprinklers",
     "sprinklers-adaptive",
     "sprinklers-rowscan",
-    "sprinklers-aligned",
     "oq",
     "baseline-lb",
     "ufs",
@@ -42,11 +41,10 @@ pub fn schemes() -> &'static [&'static str] {
 
 /// The schemes that guarantee per-VOQ in-order delivery.
 ///
-/// The `sprinklers-rowscan` and `sprinklers-aligned` ablation variants are
-/// deliberately absent: this reproduction found that the simplified row-scan
-/// discipline of §3.4.2 and naive frame-aligned staging both can reorder
-/// under concurrent traffic (see the `ablation_alignment` experiment), which
-/// is exactly why they are ablations and not the default.
+/// The `sprinklers-rowscan` ablation variant is deliberately absent: this
+/// reproduction found that the simplified row-scan discipline of §3.4.2 can
+/// reorder under concurrent traffic (see the `ablation_discipline`
+/// experiment), which is exactly why it is an ablation and not the default.
 pub const ORDERED_SCHEMES: [&str; 6] = [
     "sprinklers",
     "sprinklers-adaptive",
@@ -113,11 +111,6 @@ pub fn build_named(
             SprinklersConfig::new(n)
                 .with_sizing(sprinklers_sizing())
                 .with_input_discipline(InputDiscipline::RowScan),
-        )?,
-        "sprinklers-aligned" => sprinklers(
-            SprinklersConfig::new(n)
-                .with_sizing(sprinklers_sizing())
-                .with_alignment(AlignmentMode::StripeComplete),
         )?,
         "oq" => Box::new(OutputQueuedSwitch::new(n)),
         "baseline-lb" => Box::new(BaselineLbSwitch::new(n)),
@@ -189,10 +182,14 @@ mod tests {
 
     #[test]
     fn unknown_scheme_is_a_spec_error() {
-        let spec = ScenarioSpec::new("does-not-exist", 8);
-        let err = build(&spec).err().expect("unknown scheme must not build");
-        assert!(err.to_string().contains("does-not-exist"));
-        assert!(err.to_string().contains("sprinklers"));
+        // The second name was a registered ablation once: a spec that still
+        // names it fails like any other unknown name.
+        for scheme in ["does-not-exist", "sprinklers-aligned"] {
+            let spec = ScenarioSpec::new(scheme, 8);
+            let err = build(&spec).err().expect("unknown scheme must not build");
+            assert!(err.to_string().contains(scheme));
+            assert!(err.to_string().contains("sprinklers"));
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! out-of-order buffering in one long stream.
 //!
 //! A third set — [`SPRINKLERS_PINS`] and [`WIDE_SPRINKLERS_PINS`] — pins
-//! Sprinklers and its three variants the same way.  They were captured on
+//! Sprinklers and two of its variants the same way.  They were captured on
 //! the commit before Sprinklers became an input policy on the two-stage
 //! kernel, before any source edit.  The matrix-sized variants take their
 //! stripes from the uniform 0.5 matrix `run_hash` builds with (8 at n = 16,
@@ -429,7 +429,7 @@ fn deep_delivery_streams_are_pinned() {
 }
 
 /// `(scheme, n, length, uniform 0.9, diagonal 0.6)`.
-const SPRINKLERS_PINS: [(&str, usize, Length, u128, u128); 8] = [
+const SPRINKLERS_PINS: [(&str, usize, Length, u128, u128); 6] = [
     (
         "sprinklers",
         16,
@@ -471,20 +471,6 @@ const SPRINKLERS_PINS: [(&str, usize, Length, u128, u128); 8] = [
         SHORT,
         0xe8434a82_87777c19_dc24566e_52fd271e,
         0x635e6b84_16b82c0e_fc808ac3_b097865b,
-    ),
-    (
-        "sprinklers-aligned",
-        16,
-        SHORT,
-        0xf9aab43c_45f7bf15_a3e7f84d_f1ab4a9d,
-        0xb9598eef_ea1a6765_8380bb77_972ef7d3,
-    ),
-    (
-        "sprinklers-aligned",
-        32,
-        SHORT,
-        0x72915689_9edd4e82_ba966de3_f332b9dd,
-        0x1f3bd04e_3487bb58_5db468b6_95420266,
     ),
 ];
 

@@ -5,7 +5,7 @@
 //! `sprinklers-sim` registry and running short, seeded simulations with
 //! consistent metrics through the engine.
 
-use sprinklers_core::config::{AlignmentMode, InputDiscipline, SizingMode, SprinklersConfig};
+use sprinklers_core::config::{InputDiscipline, SizingMode, SprinklersConfig};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::sprinklers::SprinklersSwitch;
@@ -16,43 +16,25 @@ use sprinklers_sim::report::SimReport;
 use sprinklers_sim::spec::SizingSpec;
 use sprinklers_sim::traffic::TrafficGenerator;
 
-/// Every Sprinklers scheduling variant, for exhaustive ordering checks.
-pub const SPRINKLERS_VARIANTS: [(&str, InputDiscipline, AlignmentMode); 4] = [
-    (
-        "atomic+immediate",
-        InputDiscipline::StripeAtomic,
-        AlignmentMode::Immediate,
-    ),
-    (
-        "atomic+aligned",
-        InputDiscipline::StripeAtomic,
-        AlignmentMode::StripeComplete,
-    ),
-    (
-        "rowscan+immediate",
-        InputDiscipline::RowScan,
-        AlignmentMode::Immediate,
-    ),
-    (
-        "rowscan+aligned",
-        InputDiscipline::RowScan,
-        AlignmentMode::StripeComplete,
-    ),
+/// Every Sprinklers input discipline under its registry name, for
+/// exhaustive ordering checks.
+pub const SPRINKLERS_VARIANTS: [(&str, InputDiscipline); 2] = [
+    ("sprinklers", InputDiscipline::StripeAtomic),
+    ("sprinklers-rowscan", InputDiscipline::RowScan),
 ];
 
-/// Build a Sprinklers switch with matrix-driven sizing and the given variant.
+/// Build a Sprinklers switch with matrix-driven sizing and the given input
+/// discipline.
 pub fn sprinklers_variant(
     n: usize,
     matrix: &TrafficMatrix,
     discipline: InputDiscipline,
-    alignment: AlignmentMode,
     seed: u64,
 ) -> SprinklersSwitch {
     SprinklersSwitch::new(
         SprinklersConfig::new(n)
             .with_sizing(SizingMode::FromMatrix(matrix.clone()))
-            .with_input_discipline(discipline)
-            .with_alignment(alignment),
+            .with_input_discipline(discipline),
         seed,
     )
 }
@@ -64,8 +46,8 @@ pub fn switch_by_name(name: &str, n: usize, matrix: &TrafficMatrix, seed: u64) -
 }
 
 /// The schemes that promise per-VOQ in-order delivery (the paper's ordered
-/// comparison set; `registry::ORDERED_SCHEMES` additionally includes the
-/// Sprinklers ablation variants and the OQ reference).
+/// comparison set; `registry::ORDERED_SCHEMES` adds `sprinklers-adaptive`
+/// and the OQ reference, and leaves out every ablation variant).
 pub const ORDERED_SCHEMES: [&str; 4] = ["sprinklers", "ufs", "foff", "padded-frames"];
 
 /// Run a switch against a generator with a short, deterministic configuration.

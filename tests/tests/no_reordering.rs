@@ -13,20 +13,19 @@ use sprinklers_sim::traffic::flows::FlowTraffic;
 
 #[test]
 fn sprinklers_never_reorders_under_uniform_traffic() {
-    // The default configuration — stripe-atomic input scheduling (Algorithm 1
-    // taken literally) with immediate intermediate eligibility — must never
-    // reorder.  The other variants are exercised for conservation/stability
-    // only: our reproduction found that the "simplified" row-scan
-    // implementation of §3.4.2 and naive frame-aligned staging both do
-    // reorder under concurrent traffic, at every load the `ablation_alignment`
-    // binary runs (README, "Reproducing the paper").
+    // The default configuration — stripe-atomic input scheduling
+    // (Algorithm 1 taken literally) — must never reorder.  The row-scan
+    // variant is exercised for conservation/stability only: our reproduction
+    // found that the "simplified" row-scan implementation of §3.4.2 does
+    // reorder under concurrent traffic, at every load the
+    // `ablation_discipline` binary runs (README, "Reproducing the paper").
     let n = 16;
     for load in [0.3, 0.7, 0.92] {
-        for (name, discipline, alignment) in SPRINKLERS_VARIANTS {
+        for (name, discipline) in SPRINKLERS_VARIANTS {
             let matrix = TrafficMatrix::uniform(n, load);
-            let sw = sprinklers_variant(n, &matrix, discipline, alignment, 7);
+            let sw = sprinklers_variant(n, &matrix, discipline, 7);
             let report = run(sw, BernoulliTraffic::uniform(n, load, 1234), 30_000);
-            if name == "atomic+immediate" {
+            if name == "sprinklers" {
                 assert_eq!(
                     report.reordering.voq_reorder_events, 0,
                     "variant {name} reordered at load {load}"

@@ -6,8 +6,7 @@
 //! stripe is a `Vec<Packet>` whose routing header is written when the stripe
 //! is assembled, every per-slot loop is a dense `0..N`, and there are no
 //! occupancy bitsets, no batching, no packet store, no handles and no pools.
-//! It covers fixed and matrix-driven sizing with both input disciplines and
-//! both alignment modes.
+//! It covers fixed and matrix-driven sizing with both input disciplines.
 //!
 //! The property: for any arrival schedule, the production switch — at batch 1
 //! or 64 — delivers exactly the reference's `DeliveredPacket`s in exactly its
@@ -16,13 +15,12 @@
 //! against the values the reference stamped at assembly.
 
 use proptest::prelude::*;
-use sprinklers_core::config::{AlignmentMode, InputDiscipline, SizingMode, SprinklersConfig};
+use sprinklers_core::config::InputDiscipline;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::ols::WeaklyUniformOls;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::rng::SimRng;
 use sprinklers_core::sizing::stripe_size;
-use sprinklers_core::sprinklers::SprinklersSwitch;
 use sprinklers_core::switch::{Switch, SwitchStats};
 use sprinklers_integration_tests::{drive_schedule, SPRINKLERS_VARIANTS};
 use sprinklers_sim::registry;
@@ -57,23 +55,15 @@ struct RefInput {
     rows: Vec<Vec<VecDeque<Packet>>>,
 }
 
-struct RefStaged {
-    eligible_at: u64,
-    key: (usize, usize, u64),
-    packet: Packet,
-}
-
 struct RefIntermediate {
     /// `queues[output][level]`.
     queues: Vec<Vec<VecDeque<Packet>>>,
-    staged: Vec<RefStaged>,
 }
 
 struct ReferenceSprinklers {
     n: usize,
     levels: usize,
     discipline: InputDiscipline,
-    alignment: AlignmentMode,
     inputs: Vec<RefInput>,
     intermediates: Vec<RefIntermediate>,
     arrivals: u64,
@@ -86,7 +76,6 @@ impl ReferenceSprinklers {
     fn new(
         n: usize,
         discipline: InputDiscipline,
-        alignment: AlignmentMode,
         seed: u64,
         size_of: impl Fn(usize, usize) -> usize,
     ) -> Self {
@@ -116,14 +105,12 @@ impl ReferenceSprinklers {
         let intermediates = (0..n)
             .map(|_| RefIntermediate {
                 queues: (0..n).map(|_| level_queues()).collect(),
-                staged: Vec::new(),
             })
             .collect();
         ReferenceSprinklers {
             n,
             levels,
             discipline,
-            alignment,
             inputs,
             intermediates,
             arrivals: 0,
@@ -191,39 +178,9 @@ impl ReferenceSprinklers {
         }
     }
 
-    fn receive(&mut self, l: usize, packet: Packet, now: u64) {
-        let port = &mut self.intermediates[l];
-        match self.alignment {
-            AlignmentMode::Immediate => {
-                let level = packet.stripe_size().trailing_zeros() as usize;
-                port.queues[packet.output()][level].push_back(packet);
-            }
-            AlignmentMode::StripeComplete => {
-                // Eligible at the first frame boundary after the stripe's
-                // last packet has reached the intermediate stage.
-                let n = self.n as u64;
-                let last_arrival = now + (packet.stripe_size() - 1 - packet.stripe_index()) as u64;
-                let first_seq = packet.voq_seq.saturating_sub(packet.stripe_index() as u64);
-                port.staged.push(RefStaged {
-                    eligible_at: (last_arrival / n + 1) * n,
-                    key: (packet.input(), packet.output(), first_seq),
-                    packet,
-                });
-            }
-        }
-    }
-
-    fn release_eligible(&mut self, l: usize, now: u64) {
-        let port = &mut self.intermediates[l];
-        let (mut ready, waiting): (Vec<RefStaged>, Vec<RefStaged>) =
-            port.staged.drain(..).partition(|s| s.eligible_at <= now);
-        port.staged = waiting;
-        // Stable: ties keep staging order.
-        ready.sort_by_key(|s| (s.eligible_at, s.key));
-        for s in ready {
-            let level = s.packet.stripe_size().trailing_zeros() as usize;
-            port.queues[s.packet.output()][level].push_back(s.packet);
-        }
+    fn receive(&mut self, l: usize, packet: Packet) {
+        let level = packet.stripe_size().trailing_zeros() as usize;
+        self.intermediates[l].queues[packet.output()][level].push_back(packet);
     }
 
     fn step(&mut self, slot: u64, out: &mut Vec<DeliveredPacket>) {
@@ -231,7 +188,6 @@ impl ReferenceSprinklers {
         let t = (slot % n as u64) as usize;
         // Second fabric first, so no packet crosses both in one slot.
         for l in 0..n {
-            self.release_eligible(l, slot);
             let output = (l + n - t) % n;
             let queues = &mut self.intermediates[l].queues[output];
             if let Some(packet) = (0..self.levels)
@@ -246,7 +202,7 @@ impl ReferenceSprinklers {
             let l = (i + t) % n;
             if let Some(packet) = self.serve_input(i, l) {
                 assert_eq!(packet.intermediate(), l);
-                self.receive(l, packet, slot);
+                self.receive(l, packet);
             }
         }
     }
@@ -281,7 +237,6 @@ impl ReferenceSprinklers {
                     .flatten()
                     .map(VecDeque::len)
                     .sum::<usize>()
-                    + port.staged.len()
             })
             .sum();
         SwitchStats {
@@ -349,16 +304,14 @@ fn schedule(n: usize, seed: u64, load: f64, offered: u64, total: u64) -> Vec<Vec
 fn run_reference(
     n: usize,
     discipline: InputDiscipline,
-    alignment: AlignmentMode,
     sizing: &Sizing,
     seed: u64,
     schedule: &[Vec<Packet>],
 ) -> (Vec<DeliveredPacket>, SwitchStats) {
-    let mut reference =
-        ReferenceSprinklers::new(n, discipline, alignment, seed, |i, j| match sizing {
-            Sizing::Fixed(size) => *size,
-            Sizing::Matrix(matrix) => stripe_size(matrix.rate(i, j), n),
-        });
+    let mut reference = ReferenceSprinklers::new(n, discipline, seed, |i, j| match sizing {
+        Sizing::Fixed(size) => *size,
+        Sizing::Matrix(matrix) => stripe_size(matrix.rate(i, j), n),
+    });
     let mut out = Vec::new();
     for (slot, arrivals) in schedule.iter().enumerate() {
         for p in arrivals {
@@ -369,50 +322,21 @@ fn run_reference(
     (out, reference.stats())
 }
 
-/// The production switch: through the registry where the variant has a
-/// name, built from its configuration otherwise.
-fn build_production(
-    n: usize,
-    discipline: InputDiscipline,
-    alignment: AlignmentMode,
-    sizing: &Sizing,
-    seed: u64,
-) -> Box<dyn Switch> {
-    let scheme = match (discipline, alignment) {
-        (InputDiscipline::StripeAtomic, AlignmentMode::Immediate) => Some("sprinklers"),
-        (InputDiscipline::RowScan, AlignmentMode::Immediate) => Some("sprinklers-rowscan"),
-        (InputDiscipline::StripeAtomic, AlignmentMode::StripeComplete) => {
-            Some("sprinklers-aligned")
-        }
-        (InputDiscipline::RowScan, AlignmentMode::StripeComplete) => None,
-    };
-    match (scheme, sizing) {
-        (Some(scheme), Sizing::Fixed(size)) => registry::build_named(
+/// The production switch, built through the registry.
+fn build_production(scheme: &str, n: usize, sizing: &Sizing, seed: u64) -> Box<dyn Switch> {
+    match sizing {
+        Sizing::Fixed(size) => registry::build_named(
             scheme,
             n,
             &SizingSpec::Fixed(*size),
             &TrafficMatrix::zero(n),
             seed,
-        )
-        .expect("registry scheme builds"),
-        (Some(scheme), Sizing::Matrix(matrix)) => {
+        ),
+        Sizing::Matrix(matrix) => {
             registry::build_named(scheme, n, &SizingSpec::Matrix, matrix, seed)
-                .expect("registry scheme builds")
-        }
-        (None, sizing) => {
-            let mode = match sizing {
-                Sizing::Fixed(size) => SizingMode::FixedSize(*size),
-                Sizing::Matrix(matrix) => SizingMode::FromMatrix(matrix.clone()),
-            };
-            Box::new(SprinklersSwitch::new(
-                SprinklersConfig::new(n)
-                    .with_sizing(mode)
-                    .with_input_discipline(discipline)
-                    .with_alignment(alignment),
-                seed,
-            ))
         }
     }
+    .expect("registry scheme builds")
 }
 
 /// Every variant × batch size against the reference, on one schedule.
@@ -423,9 +347,8 @@ fn check_against_reference(
     schedule: &[Vec<Packet>],
     batches: &[u64],
 ) -> Result<(), TestCaseError> {
-    for (name, discipline, alignment) in SPRINKLERS_VARIANTS {
-        let (expected, expected_stats) =
-            run_reference(n, discipline, alignment, sizing, seed, schedule);
+    for (name, discipline) in SPRINKLERS_VARIANTS {
+        let (expected, expected_stats) = run_reference(n, discipline, sizing, seed, schedule);
         prop_assert!(
             expected.len() > n,
             "{} {:?}: the reference delivered {} packets — too few to compare",
@@ -434,7 +357,7 @@ fn check_against_reference(
             expected.len()
         );
         for &batch in batches {
-            let mut switch = build_production(n, discipline, alignment, sizing, seed);
+            let mut switch = build_production(name, n, sizing, seed);
             let got = drive_schedule(switch.as_mut(), schedule, batch);
             if let Some(k) = (0..got.len().min(expected.len())).find(|&k| got[k] != expected[k]) {
                 prop_assert!(
@@ -471,7 +394,7 @@ const BATCHES: [u64; 2] = [1, 64];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Small switches, every sizing: all four variants at batch 1/64 deliver
+    /// Small switches, every sizing: both variants at batch 1/64 deliver
     /// exactly what the reference delivers.
     #[test]
     fn production_matches_the_reference_model(

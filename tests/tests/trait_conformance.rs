@@ -216,11 +216,9 @@ fn every_scheme_satisfies_the_sink_contract() {
 fn fabrics_satisfy_the_sink_contract() {
     // A fabric is a `Switch` whose ports are its hosts, so the same harness
     // drives it end to end.  Pair-pinned routing (ECMP hash) and striping
-    // both keep a host VOQ in order over reorder-free nodes.  One clause
-    // fails for padding node schemes (padded-frames), so none runs here: a
-    // fabric hands a node's padding to the sink with its node-local output
-    // port, and two nodes padding their local port 0 in one slot read as two
-    // deliveries to host 0 ("output line rate").
+    // both keep a host VOQ in order over reorder-free nodes.  A node's
+    // padding reaches the sink addressed to the host its port faces, so a
+    // padding scheme keeps the output line rate too.
     let link = LinkSpec { latency: 2, gap: 1 };
     let topologies = [
         TopologySpec::FatTree2 {
@@ -238,7 +236,7 @@ fn fabrics_satisfy_the_sink_contract() {
         },
     ];
     for topo in &topologies {
-        for scheme in ["oq", "sprinklers"] {
+        for scheme in ["oq", "sprinklers", "padded-frames"] {
             let mut world = FabricWorld::build(topo, scheme, &SizingSpec::Matrix, 13, 0.5)
                 .unwrap_or_else(|e| panic!("{e}"));
             let (offered, sink) = drive_conformance(&mut world, 0.5, 37, 2_000, 6_000);
