@@ -107,16 +107,16 @@ fn run_grid(points: Vec<(String, f64)>, specs: &[ScenarioSpec]) -> Vec<SchemePoi
         .collect()
 }
 
-/// Delay-vs-load grid of the paper's figures, N = 32: every scheme at
-/// every load of [`paper_loads`], schemes outermost.
-fn paper_grid(schemes: &[&str], kind: TrafficKind, quick: bool, seed: u64) -> Vec<SchemePoint> {
+/// Delay-vs-load grid of the paper's figures, N = 32: every scheme of
+/// [`PAPER_SCHEMES`] at every load of [`paper_loads`], schemes outermost.
+fn paper_grid(kind: TrafficKind, quick: bool) -> Vec<SchemePoint> {
     let run = paper_run_config(quick);
     let mut points = Vec::new();
     let mut specs = Vec::new();
-    for &scheme in schemes {
+    for scheme in PAPER_SCHEMES {
         for load in paper_loads(quick) {
             points.push((scheme.to_string(), load));
-            specs.push(point_spec(scheme, PAPER_N, load, kind, run, seed));
+            specs.push(point_spec(scheme, PAPER_N, load, kind, run, 2014));
         }
     }
     run_grid(points, &specs)
@@ -150,19 +150,12 @@ pub fn paper_run_config(quick: bool) -> RunConfig {
 
 /// Figure 6: average delay versus load under uniform traffic, N = 32.
 pub fn figure6(quick: bool) -> Vec<SchemePoint> {
-    paper_grid(&PAPER_SCHEMES, TrafficKind::Uniform, quick, 2014)
+    paper_grid(TrafficKind::Uniform, quick)
 }
 
 /// Figure 7: average delay versus load under quasi-diagonal traffic, N = 32.
 pub fn figure7(quick: bool) -> Vec<SchemePoint> {
-    paper_grid(&PAPER_SCHEMES, TrafficKind::Diagonal, quick, 2014)
-}
-
-/// Ablation: the two input disciplines of the Sprinklers switch (Algorithm 1
-/// and the row scan of §3.4.2), checking ordering and delay impact.
-pub fn ablation_discipline(quick: bool) -> Vec<SchemePoint> {
-    let variants = ["sprinklers", "sprinklers-rowscan"];
-    paper_grid(&variants, TrafficKind::Uniform, quick, 99)
+    paper_grid(TrafficKind::Diagonal, quick)
 }
 
 /// Ablation: matrix-driven sizing vs adaptive (measured-rate) sizing vs the

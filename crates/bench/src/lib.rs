@@ -6,7 +6,6 @@
 //! | Figure 5 (intermediate-stage delay vs N) | [`experiments::figure5_csv`] | `figure5` |
 //! | Figure 6 (delay vs load, uniform traffic) | [`experiments::figure6`] | `figure6` |
 //! | Figure 7 (delay vs load, diagonal traffic) | [`experiments::figure7`] | `figure7` |
-//! | Ablation: input discipline | [`experiments::ablation_discipline`] | `ablation_discipline` |
 //! | Ablation: stripe sizing policy | [`experiments::ablation_sizing`] | `ablation_sizing` |
 //! | Any scheme × traffic × size (JSON `ScenarioSpec`) | — | `scenario` |
 //! | A directory of specs × scheme/load overrides, run in parallel | — | `suite` |

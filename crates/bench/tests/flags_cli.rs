@@ -18,7 +18,6 @@ const FIGURE5: &str = env!("CARGO_BIN_EXE_figure5");
 const FIGURE6: &str = env!("CARGO_BIN_EXE_figure6");
 const FIGURE7: &str = env!("CARGO_BIN_EXE_figure7");
 const TABLE1: &str = env!("CARGO_BIN_EXE_table1");
-const ABLATION_DISCIPLINE: &str = env!("CARGO_BIN_EXE_ablation_discipline");
 const ABLATION_SIZING: &str = env!("CARGO_BIN_EXE_ablation_sizing");
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -74,7 +73,7 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
     let trace = ["info", "--in", utf8(&spec)];
     let record = ["record", "--spec", utf8(&spec), "--out", "unused.sprt"];
     let convert = ["convert", "--in", utf8(&spec), "--out", "unused.sprt"];
-    let cases: [(&str, &[&str], &[&str], &str); 24] = [
+    let cases: [(&str, &[&str], &[&str], &str); 23] = [
         (SCENARIO, &scenario, &["--lod", "0.9", "--bogus"], "--lod"),
         (SCENARIO, &scenario, &["--load"], "--load requires a value"),
         (
@@ -103,7 +102,6 @@ fn unknown_valueless_and_removed_flags_are_usage_errors() {
             "--quick given more than once",
         ),
         (TABLE1, &[], &["--quick"], "--quick"),
-        (ABLATION_DISCIPLINE, &[], &["--quik"], "--quik"),
         (ABLATION_SIZING, &[], &["--quik"], "--quik"),
         (
             ABLATION_SIZING,
@@ -157,7 +155,6 @@ fn help_prints_the_usage_and_exits_zero_on_every_binary() {
         ("figure6", FIGURE6),
         ("figure7", FIGURE7),
         ("table1", TABLE1),
-        ("ablation_discipline", ABLATION_DISCIPLINE),
         ("ablation_sizing", ABLATION_SIZING),
     ];
     for (name, bin) in binaries {

@@ -46,26 +46,6 @@ impl Default for AdaptiveSizing {
     }
 }
 
-/// Stripe scheduling discipline used at the input ports.
-///
-/// Both are Largest-Stripe-First policies; they differ in how literally they
-/// follow the paper's Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputDiscipline {
-    /// Algorithm 1 of the paper, taken literally: a stripe may only *start*
-    /// service in the slot in which the input port is connected to the first
-    /// intermediate port of the stripe's interval, and once started it is
-    /// served to completion in consecutive slots.  This guarantees that every
-    /// stripe departs the input port in one contiguous burst.
-    StripeAtomic,
-    /// The simplified implementation of §3.4.2: at every slot, scan the
-    /// connected row of the FIFO grid from the largest stripe-size column to
-    /// the smallest and serve the head of the first non-empty queue.  This is
-    /// strictly work-conserving (never idles while a queued packet wants the
-    /// connected intermediate port).
-    RowScan,
-}
-
 /// Full configuration of a Sprinklers switch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SprinklersConfig {
@@ -73,18 +53,14 @@ pub struct SprinklersConfig {
     pub n: usize,
     /// Stripe sizing mode.
     pub sizing: SizingMode,
-    /// Input-port scheduling discipline.
-    pub input_discipline: InputDiscipline,
 }
 
 impl SprinklersConfig {
-    /// A default configuration for an `n`-port switch: adaptive sizing,
-    /// stripe-atomic input scheduling, immediate intermediate eligibility.
+    /// A default configuration for an `n`-port switch: adaptive sizing.
     pub fn new(n: usize) -> Self {
         SprinklersConfig {
             n,
             sizing: SizingMode::Adaptive(AdaptiveSizing::default()),
-            input_discipline: InputDiscipline::StripeAtomic,
         }
     }
 
@@ -92,13 +68,6 @@ impl SprinklersConfig {
     #[must_use]
     pub fn with_sizing(mut self, sizing: SizingMode) -> Self {
         self.sizing = sizing;
-        self
-    }
-
-    /// Set the input-port scheduling discipline.
-    #[must_use]
-    pub fn with_input_discipline(mut self, d: InputDiscipline) -> Self {
-        self.input_discipline = d;
         self
     }
 
@@ -271,10 +240,7 @@ mod tests {
 
     #[test]
     fn builder_methods_set_fields() {
-        let cfg = SprinklersConfig::new(16)
-            .with_input_discipline(InputDiscipline::RowScan)
-            .with_sizing(SizingMode::FixedSize(4));
-        assert_eq!(cfg.input_discipline, InputDiscipline::RowScan);
+        let cfg = SprinklersConfig::new(16).with_sizing(SizingMode::FixedSize(4));
         assert_eq!(cfg.sizing, SizingMode::FixedSize(4));
     }
 }

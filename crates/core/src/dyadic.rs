@@ -149,8 +149,7 @@ impl DyadicInterval {
     /// Enumerate every dyadic interval of an `n`-port switch, smallest first.
     ///
     /// For `n` a power of two there are exactly `2n − 1` of them — this is the
-    /// count of distinct FIFO queues the simplified input-port LSF
-    /// implementation needs (§3.4.2).
+    /// count of interval queues the input-port LSF scheduler keeps (§3.4.2).
     pub fn enumerate_all(n: usize) -> Vec<DyadicInterval> {
         assert!(
             n.is_power_of_two(),

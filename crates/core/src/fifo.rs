@@ -2,8 +2,8 @@
 //! pool of cache-line chunks.
 //!
 //! A Sprinklers port has far more queues than packets — `N` VOQ ready
-//! queues and `2N − 1` or `N·(log₂N+1)` LSF queues at an input,
-//! `N·(log₂N+1)` output FIFOs at an intermediate — and almost all of them are
+//! queues and `2N − 1` LSF queues at an input, `N·(log₂N+1)` output FIFOs
+//! at an intermediate — and almost all of them are
 //! empty or hold a handful of entries.  A [`FifoGrid`] therefore spends eight
 //! bytes on a queue (one zeroed, lazily committed array for the whole grid)
 //! and no capacity until a packet is pushed; entries then live in 64-byte

@@ -54,8 +54,8 @@ impl SprinklersInputPort {
         SprinklersInputPort {
             voqs,
             adaptive,
-            queues: FifoGrid::new(n + Lsf::queue_count(config.input_discipline, n)),
-            scheduler: Lsf::new(config.input_discipline, n, n),
+            queues: FifoGrid::new(n + Lsf::queue_count(n)),
+            scheduler: Lsf::new(n, n),
         }
     }
 
@@ -187,21 +187,14 @@ impl SprinklersInputPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AdaptiveSizing, InputDiscipline};
+    use crate::config::AdaptiveSizing;
     use crate::store::PacketStore;
 
     impl SprinklersInputPort {
         /// Every VOQ gets the same fixed stripe size and the primary ports
         /// come from the cyclic OLS.
-        fn with_fixed_size(
-            port_id: usize,
-            n: usize,
-            size: usize,
-            discipline: InputDiscipline,
-        ) -> Self {
-            let config = SprinklersConfig::new(n)
-                .with_sizing(SizingMode::FixedSize(size))
-                .with_input_discipline(discipline);
+        fn with_fixed_size(port_id: usize, n: usize, size: usize) -> Self {
+            let config = SprinklersConfig::new(n).with_sizing(SizingMode::FixedSize(size));
             Self::new(port_id, &config, &WeaklyUniformOls::cyclic(n))
         }
 
@@ -225,7 +218,7 @@ mod tests {
     #[test]
     fn packets_flow_through_voq_into_scheduler() {
         let mut store = PacketStore::new();
-        let mut port = SprinklersInputPort::with_fixed_size(0, 8, 2, InputDiscipline::StripeAtomic);
+        let mut port = SprinklersInputPort::with_fixed_size(0, 8, 2);
         port.store_and_arrive(&mut store, pkt(0, 3, 0, 0));
         assert_eq!(
             port.queued_packets(),
@@ -240,7 +233,7 @@ mod tests {
         // so its interval is [2, 4).
         assert_eq!(port.queued_for_intermediate(2), 1);
         assert_eq!(port.queued_for_intermediate(3), 1);
-        // The atomic scheduler serves the stripe starting at row 2, in VOQ
+        // The scheduler serves the stripe starting at row 2, in VOQ
         // order, tagged with output 3 and level 1.
         assert!(port.dequeue(1).is_none());
         let (first, output, level) = port.dequeue(2).unwrap();
@@ -251,21 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn row_scan_port_serves_any_covered_row() {
-        let mut store = PacketStore::new();
-        let mut port = SprinklersInputPort::with_fixed_size(0, 8, 2, InputDiscipline::RowScan);
-        port.store_and_arrive(&mut store, pkt(0, 3, 0, 0));
-        port.store_and_arrive(&mut store, pkt(0, 3, 1, 0));
-        // Row-scan can serve row 3 before row 2: that is the stripe's second
-        // packet.
-        let (handle, ..) = port.dequeue(3).unwrap();
-        assert_eq!(store.get(handle).voq_seq, 1);
-    }
-
-    #[test]
     fn delivery_notification_reaches_the_voq() {
         let mut store = PacketStore::new();
-        let mut port = SprinklersInputPort::with_fixed_size(0, 8, 1, InputDiscipline::StripeAtomic);
+        let mut port = SprinklersInputPort::with_fixed_size(0, 8, 1);
         port.store_and_arrive(&mut store, pkt(0, 5, 0, 0));
         assert_eq!(port.voq(5).in_flight(), 1);
         let (_, output, _) = port.dequeue(5).unwrap();

@@ -24,8 +24,9 @@
 //! * [`stripe`] / [`voq`] — chronological grouping of a VOQ's packets into
 //!   stripes, and the per-VOQ state machine (including adaptive resizing with a
 //!   clearance phase).
-//! * [`lsf`] — the N×(log₂N+1) grid of FIFO queues that implements the
-//!   Largest Stripe First policy in constant time per slot (§3.4.2, Fig. 4).
+//! * [`lsf`] — the Largest Stripe First scheduler of Algorithm 1: one FIFO per
+//!   dyadic interval, `2N − 1` in all (§3.4.2), serving each stripe in one
+//!   contiguous burst in constant time per slot.
 //! * [`occupancy`] — hierarchical port-occupancy bitsets that let the per-slot
 //!   fabric loops visit only occupied ports, making a step O(occupied) instead
 //!   of O(N) in the sparse regimes (low load, drain tails) that dominate

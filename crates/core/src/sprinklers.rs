@@ -182,7 +182,6 @@ impl InputPolicy for Sprinklers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::InputDiscipline;
     use crate::fabric::{first_fabric_at, second_fabric_output_at};
     use crate::packet::DeliveredPacket;
     use crate::two_stage::CheckInput;
@@ -292,29 +291,25 @@ mod tests {
     #[test]
     fn voq_packets_depart_in_order() {
         // Hammer a single VOQ and check departures are in voq_seq order.
-        for discipline in [InputDiscipline::StripeAtomic, InputDiscipline::RowScan] {
-            let mut sw = SprinklersSwitch::new(
-                SprinklersConfig::new(8)
-                    .with_sizing(SizingMode::FixedSize(4))
-                    .with_input_discipline(discipline),
-                5,
-            );
-            let mut delivered = Vec::new();
-            for slot in 0..512u64 {
-                // Two packets per slot to VOQ (2, 6) would oversubscribe;
-                // one per slot is the maximum admissible rate.
-                sw.arrive(pkt(2, 6, slot, slot, slot));
-                sw.step(slot, &mut delivered);
-            }
-            for slot in 512..2048u64 {
-                sw.step(slot, &mut delivered);
-            }
-            let seqs: Vec<u64> = delivered.iter().map(|d| d.packet.voq_seq).collect();
-            let mut sorted = seqs.clone();
-            sorted.sort_unstable();
-            assert_eq!(seqs, sorted, "reordering with discipline {discipline:?}");
-            assert_eq!(delivered.len(), 512);
+        let mut sw = SprinklersSwitch::new(
+            SprinklersConfig::new(8).with_sizing(SizingMode::FixedSize(4)),
+            5,
+        );
+        let mut delivered = Vec::new();
+        for slot in 0..512u64 {
+            // Two packets per slot to VOQ (2, 6) would oversubscribe; one per
+            // slot is the maximum admissible rate.
+            sw.arrive(pkt(2, 6, slot, slot, slot));
+            sw.step(slot, &mut delivered);
         }
+        for slot in 512..2048u64 {
+            sw.step(slot, &mut delivered);
+        }
+        let seqs: Vec<u64> = delivered.iter().map(|d| d.packet.voq_seq).collect();
+        let mut sorted = seqs.clone();
+        sorted.sort_unstable();
+        assert_eq!(seqs, sorted, "reordering");
+        assert_eq!(delivered.len(), 512);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! The paper's mechanism needs almost no per-packet state between the two
 //! fabrics — the stripe size in the header is the only coordination (§3.4.3)
 //! and the other routing fields follow from the dyadic interval — so the
-//! queues of a Sprinklers switch (VOQ ready queues, LSF interval/row queues,
+//! queues of a Sprinklers switch (VOQ ready queues, LSF interval queues,
 //! the intermediate `(output, level)` FIFOs; see [`crate::fifo`]) hold
 //! handles, not packets.
 //!

@@ -1,6 +1,6 @@
 //! The scheme registry: build any switch in the workspace by name.
 //!
-//! Every scheme — Sprinklers with its scheduling/sizing variants and all six
+//! Every scheme — Sprinklers with its adaptive-sizing variant and all six
 //! baselines — registers here under a stable string key, so sweeps, bench
 //! binaries, examples and tests construct switches the same way: from a
 //! [`ScenarioSpec`] (or a name plus a traffic matrix) to a `Box<dyn Switch>`,
@@ -14,18 +14,17 @@ use sprinklers_baselines::{
     BaselineLbSwitch, FoffSwitch, NewSwitch, NewSwitchWith, OutputQueuedSwitch, PaddedFramesSwitch,
     TcpHashSwitch, UfsSwitch,
 };
-use sprinklers_core::config::{InputDiscipline, SizingMode, SprinklersConfig};
+use sprinklers_core::config::{SizingMode, SprinklersConfig};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::MAX_PORTS;
 use sprinklers_core::sprinklers::SprinklersSwitch;
 use sprinklers_core::switch::Switch;
 
 /// Every scheme the registry can build: Sprinklers (plus its adaptive-sizing
-/// and row-scan variants) and the six baselines.
-pub const SCHEMES: [&str; 9] = [
+/// variant) and the six baselines.
+pub const SCHEMES: [&str; 8] = [
     "sprinklers",
     "sprinklers-adaptive",
-    "sprinklers-rowscan",
     "oq",
     "baseline-lb",
     "ufs",
@@ -39,12 +38,8 @@ pub fn schemes() -> &'static [&'static str] {
     &SCHEMES
 }
 
-/// The schemes that guarantee per-VOQ in-order delivery.
-///
-/// The `sprinklers-rowscan` ablation variant is deliberately absent: this
-/// reproduction found that the simplified row-scan discipline of §3.4.2 can
-/// reorder under concurrent traffic (see the `ablation_discipline`
-/// experiment), which is exactly why it is an ablation and not the default.
+/// The schemes that guarantee per-VOQ in-order delivery: every scheme but
+/// `baseline-lb` and `tcp-hash`.
 pub const ORDERED_SCHEMES: [&str; 6] = [
     "sprinklers",
     "sprinklers-adaptive",
@@ -107,11 +102,6 @@ pub fn build_named(
     let switch: Box<dyn Switch> = match scheme {
         "sprinklers" => sprinklers(SprinklersConfig::new(n).with_sizing(sprinklers_sizing()))?,
         "sprinklers-adaptive" => sprinklers(SprinklersConfig::new(n))?,
-        "sprinklers-rowscan" => sprinklers(
-            SprinklersConfig::new(n)
-                .with_sizing(sprinklers_sizing())
-                .with_input_discipline(InputDiscipline::RowScan),
-        )?,
         "oq" => Box::new(OutputQueuedSwitch::new(n)),
         "baseline-lb" => Box::new(BaselineLbSwitch::new(n)),
         "ufs" => Box::new(UfsSwitch::new(n)),
@@ -182,9 +172,9 @@ mod tests {
 
     #[test]
     fn unknown_scheme_is_a_spec_error() {
-        // The second name was a registered ablation once: a spec that still
-        // names it fails like any other unknown name.
-        for scheme in ["does-not-exist", "sprinklers-aligned"] {
+        // The last two names were registered ablations once: a spec that
+        // still names one fails like any other unknown name.
+        for scheme in ["does-not-exist", "sprinklers-aligned", "sprinklers-rowscan"] {
             let spec = ScenarioSpec::new(scheme, 8);
             let err = build(&spec).err().expect("unknown scheme must not build");
             assert!(err.to_string().contains(scheme));

@@ -24,9 +24,9 @@
 //! out-of-order buffering in one long stream.
 //!
 //! A third set — [`SPRINKLERS_PINS`] and [`WIDE_SPRINKLERS_PINS`] — pins
-//! Sprinklers and two of its variants the same way.  They were captured on
+//! Sprinklers and its adaptive variant the same way.  They were captured on
 //! the commit before Sprinklers became an input policy on the two-stage
-//! kernel, before any source edit.  The matrix-sized variants take their
+//! kernel, before any source edit.  Matrix-sized `sprinklers` takes its
 //! stripes from the uniform 0.5 matrix `run_hash` builds with (8 at n = 16,
 //! 16 at n = 32, 128 at n = 256).  `sprinklers-adaptive` runs 8 192 + 4 096
 //! slots from unit stripes.  Under the default window (2 048 slots,
@@ -429,7 +429,7 @@ fn deep_delivery_streams_are_pinned() {
 }
 
 /// `(scheme, n, length, uniform 0.9, diagonal 0.6)`.
-const SPRINKLERS_PINS: [(&str, usize, Length, u128, u128); 6] = [
+const SPRINKLERS_PINS: [(&str, usize, Length, u128, u128); 4] = [
     (
         "sprinklers",
         16,
@@ -457,20 +457,6 @@ const SPRINKLERS_PINS: [(&str, usize, Length, u128, u128); 6] = [
         ADAPTIVE,
         0xf4bb0031_7f345db0_ea1190b7_fce41f92,
         0x46c8cc08_f32b9f22_59a60f21_14791bfb,
-    ),
-    (
-        "sprinklers-rowscan",
-        16,
-        SHORT,
-        0xe1fbf228_0bbddaff_a411a542_93ffba09,
-        0x058aef51_bad19978_38229f88_d279d04d,
-    ),
-    (
-        "sprinklers-rowscan",
-        32,
-        SHORT,
-        0xe8434a82_87777c19_dc24566e_52fd271e,
-        0x635e6b84_16b82c0e_fc808ac3_b097865b,
     ),
 ];
 

@@ -5,39 +5,14 @@
 //! `sprinklers-sim` registry and running short, seeded simulations with
 //! consistent metrics through the engine.
 
-use sprinklers_core::config::{InputDiscipline, SizingMode, SprinklersConfig};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
-use sprinklers_core::sprinklers::SprinklersSwitch;
 use sprinklers_core::switch::Switch;
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::registry;
 use sprinklers_sim::report::SimReport;
 use sprinklers_sim::spec::SizingSpec;
 use sprinklers_sim::traffic::TrafficGenerator;
-
-/// Every Sprinklers input discipline under its registry name, for
-/// exhaustive ordering checks.
-pub const SPRINKLERS_VARIANTS: [(&str, InputDiscipline); 2] = [
-    ("sprinklers", InputDiscipline::StripeAtomic),
-    ("sprinklers-rowscan", InputDiscipline::RowScan),
-];
-
-/// Build a Sprinklers switch with matrix-driven sizing and the given input
-/// discipline.
-pub fn sprinklers_variant(
-    n: usize,
-    matrix: &TrafficMatrix,
-    discipline: InputDiscipline,
-    seed: u64,
-) -> SprinklersSwitch {
-    SprinklersSwitch::new(
-        SprinklersConfig::new(n)
-            .with_sizing(SizingMode::FromMatrix(matrix.clone()))
-            .with_input_discipline(discipline),
-        seed,
-    )
-}
 
 /// Build any registered switch by name with matrix-driven sizing.
 pub fn switch_by_name(name: &str, n: usize, matrix: &TrafficMatrix, seed: u64) -> Box<dyn Switch> {
@@ -47,7 +22,7 @@ pub fn switch_by_name(name: &str, n: usize, matrix: &TrafficMatrix, seed: u64) -
 
 /// The schemes that promise per-VOQ in-order delivery (the paper's ordered
 /// comparison set; `registry::ORDERED_SCHEMES` adds `sprinklers-adaptive`
-/// and the OQ reference, and leaves out every ablation variant).
+/// and the OQ reference).
 pub const ORDERED_SCHEMES: [&str; 4] = ["sprinklers", "ufs", "foff", "padded-frames"];
 
 /// Run a switch against a generator with a short, deterministic configuration.

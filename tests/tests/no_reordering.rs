@@ -1,41 +1,29 @@
 //! The headline invariant of the paper: a Sprinklers switch never reorders
-//! packets, under any admissible traffic pattern, for every scheduling
-//! variant — while the baseline load-balanced switch (which makes no such
-//! promise) visibly does reorder under the same traffic.
+//! packets, under any admissible traffic pattern, with matrix-driven or
+//! adaptive stripe sizing — while the baseline load-balanced switch (which
+//! makes no such promise) visibly does reorder under the same traffic.
 
 use sprinklers_core::matrix::TrafficMatrix;
-use sprinklers_integration_tests::{
-    run, sprinklers_variant, switch_by_name, ORDERED_SCHEMES, SPRINKLERS_VARIANTS,
-};
+use sprinklers_integration_tests::{run, switch_by_name, ORDERED_SCHEMES};
 use sprinklers_sim::traffic::bernoulli::BernoulliTraffic;
 use sprinklers_sim::traffic::bursty::BurstyTraffic;
 use sprinklers_sim::traffic::flows::FlowTraffic;
 
 #[test]
 fn sprinklers_never_reorders_under_uniform_traffic() {
-    // The default configuration — stripe-atomic input scheduling
-    // (Algorithm 1 taken literally) — must never reorder.  The row-scan
-    // variant is exercised for conservation/stability only: our reproduction
-    // found that the "simplified" row-scan implementation of §3.4.2 does
-    // reorder under concurrent traffic, at every load the
-    // `ablation_discipline` binary runs (README, "Reproducing the paper").
+    // The input ports run Algorithm 1: a stripe starts only at the first
+    // port of its dyadic interval and leaves in one contiguous burst, which
+    // is what keeps every VOQ in order at any load.
     let n = 16;
     for load in [0.3, 0.7, 0.92] {
-        for (name, discipline) in SPRINKLERS_VARIANTS {
-            let matrix = TrafficMatrix::uniform(n, load);
-            let sw = sprinklers_variant(n, &matrix, discipline, 7);
-            let report = run(sw, BernoulliTraffic::uniform(n, load, 1234), 30_000);
-            if name == "sprinklers" {
-                assert_eq!(
-                    report.reordering.voq_reorder_events, 0,
-                    "variant {name} reordered at load {load}"
-                );
-            }
-            assert!(
-                report.delivery_ratio() > 0.95,
-                "variant {name} stalled at load {load}"
-            );
-        }
+        let matrix = TrafficMatrix::uniform(n, load);
+        let sw = switch_by_name("sprinklers", n, &matrix, 7);
+        let report = run(sw, BernoulliTraffic::uniform(n, load, 1234), 30_000);
+        assert_eq!(
+            report.reordering.voq_reorder_events, 0,
+            "reordered at load {load}"
+        );
+        assert!(report.delivery_ratio() > 0.95, "stalled at load {load}");
     }
 }
 

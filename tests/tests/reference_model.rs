@@ -6,7 +6,7 @@
 //! stripe is a `Vec<Packet>` whose routing header is written when the stripe
 //! is assembled, every per-slot loop is a dense `0..N`, and there are no
 //! occupancy bitsets, no batching, no packet store, no handles and no pools.
-//! It covers fixed and matrix-driven sizing with both input disciplines.
+//! It covers fixed and matrix-driven sizing.
 //!
 //! The property: for any arrival schedule, the production switch — at batch 1
 //! or 64 — delivers exactly the reference's `DeliveredPacket`s in exactly its
@@ -15,14 +15,13 @@
 //! against the values the reference stamped at assembly.
 
 use proptest::prelude::*;
-use sprinklers_core::config::InputDiscipline;
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::ols::WeaklyUniformOls;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::rng::SimRng;
 use sprinklers_core::sizing::stripe_size;
 use sprinklers_core::switch::{Switch, SwitchStats};
-use sprinklers_integration_tests::{drive_schedule, SPRINKLERS_VARIANTS};
+use sprinklers_integration_tests::drive_schedule;
 use sprinklers_sim::registry;
 use sprinklers_sim::spec::SizingSpec;
 use std::collections::VecDeque;
@@ -47,12 +46,10 @@ struct RefVoq {
 
 struct RefInput {
     voqs: Vec<RefVoq>,
-    /// Stripe-atomic: `stripes[level][index]`, one FIFO per dyadic interval.
+    /// `stripes[level][index]`, one FIFO per dyadic interval.
     stripes: Vec<Vec<VecDeque<RefStripe>>>,
-    /// Stripe-atomic: the stripe being served and its next offset.
+    /// The stripe being served and its next offset.
     in_service: Option<(RefStripe, usize)>,
-    /// Row-scan: `rows[row][level]`.
-    rows: Vec<Vec<VecDeque<Packet>>>,
 }
 
 struct RefIntermediate {
@@ -63,7 +60,6 @@ struct RefIntermediate {
 struct ReferenceSprinklers {
     n: usize,
     levels: usize,
-    discipline: InputDiscipline,
     inputs: Vec<RefInput>,
     intermediates: Vec<RefIntermediate>,
     arrivals: u64,
@@ -73,12 +69,7 @@ struct ReferenceSprinklers {
 impl ReferenceSprinklers {
     /// `size_of(input, output)` is the VOQ's stripe size; primary ports come
     /// from the same seeded OLS the production constructor draws.
-    fn new(
-        n: usize,
-        discipline: InputDiscipline,
-        seed: u64,
-        size_of: impl Fn(usize, usize) -> usize,
-    ) -> Self {
+    fn new(n: usize, seed: u64, size_of: impl Fn(usize, usize) -> usize) -> Self {
         let ols = WeaklyUniformOls::random(n, &mut SimRng::seed_from_u64(seed));
         let levels = n.trailing_zeros() as usize + 1;
         let level_queues = || (0..levels).map(|_| VecDeque::new()).collect::<Vec<_>>();
@@ -99,7 +90,6 @@ impl ReferenceSprinklers {
                     .map(|level| (0..n >> level).map(|_| VecDeque::new()).collect())
                     .collect(),
                 in_service: None,
-                rows: (0..n).map(|_| level_queues()).collect(),
             })
             .collect();
         let intermediates = (0..n)
@@ -110,7 +100,6 @@ impl ReferenceSprinklers {
         ReferenceSprinklers {
             n,
             levels,
-            discipline,
             inputs,
             intermediates,
             arrivals: 0,
@@ -134,48 +123,32 @@ impl ReferenceSprinklers {
             p.set_intermediate(voq.start + offset);
         }
         let (start, level) = (voq.start, voq.size.trailing_zeros() as usize);
-        match self.discipline {
-            InputDiscipline::StripeAtomic => {
-                input.stripes[level][start >> level].push_back(RefStripe { start, packets });
-            }
-            InputDiscipline::RowScan => {
-                for (offset, p) in packets.into_iter().enumerate() {
-                    input.rows[start + offset][level].push_back(p);
-                }
-            }
-        }
+        input.stripes[level][start >> level].push_back(RefStripe { start, packets });
     }
 
     /// What input `i` sends to intermediate `row` in this slot.
     fn serve_input(&mut self, i: usize, row: usize) -> Option<Packet> {
         let input = &mut self.inputs[i];
-        match self.discipline {
-            InputDiscipline::RowScan => (0..self.levels)
+        if input.in_service.is_none() {
+            // Largest stripe whose interval starts at this row.
+            let stripe = (0..self.levels)
                 .rev()
-                .find_map(|level| input.rows[row][level].pop_front()),
-            InputDiscipline::StripeAtomic => {
-                if input.in_service.is_none() {
-                    // Largest stripe whose interval starts at this row.
-                    let stripe = (0..self.levels)
-                        .rev()
-                        .filter(|level| row.is_multiple_of(1 << level))
-                        .find_map(|level| input.stripes[level][row >> level].pop_front())?;
-                    input.in_service = Some((stripe, 0));
-                }
-                let (stripe, offset) = input.in_service.as_mut()?;
-                assert_eq!(
-                    stripe.start + *offset,
-                    row,
-                    "stripes are served contiguously"
-                );
-                let packet = stripe.packets[*offset].clone();
-                *offset += 1;
-                if *offset == stripe.packets.len() {
-                    input.in_service = None;
-                }
-                Some(packet)
-            }
+                .filter(|level| row.is_multiple_of(1 << level))
+                .find_map(|level| input.stripes[level][row >> level].pop_front())?;
+            input.in_service = Some((stripe, 0));
         }
+        let (stripe, offset) = input.in_service.as_mut()?;
+        assert_eq!(
+            stripe.start + *offset,
+            row,
+            "stripes are served contiguously"
+        );
+        let packet = stripe.packets[*offset].clone();
+        *offset += 1;
+        if *offset == stripe.packets.len() {
+            input.in_service = None;
+        }
+        Some(packet)
     }
 
     fn receive(&mut self, l: usize, packet: Packet) {
@@ -224,8 +197,7 @@ impl ReferenceSprinklers {
                     .in_service
                     .as_ref()
                     .map_or(0, |(s, offset)| s.packets.len() - offset);
-                let rows: usize = input.rows.iter().flatten().map(VecDeque::len).sum();
-                ready + stripes + in_service + rows
+                ready + stripes + in_service
             })
             .sum();
         let queued_at_intermediates = self
@@ -303,12 +275,11 @@ fn schedule(n: usize, seed: u64, load: f64, offered: u64, total: u64) -> Vec<Vec
 
 fn run_reference(
     n: usize,
-    discipline: InputDiscipline,
     sizing: &Sizing,
     seed: u64,
     schedule: &[Vec<Packet>],
 ) -> (Vec<DeliveredPacket>, SwitchStats) {
-    let mut reference = ReferenceSprinklers::new(n, discipline, seed, |i, j| match sizing {
+    let mut reference = ReferenceSprinklers::new(n, seed, |i, j| match sizing {
         Sizing::Fixed(size) => *size,
         Sizing::Matrix(matrix) => stripe_size(matrix.rate(i, j), n),
     });
@@ -323,23 +294,23 @@ fn run_reference(
 }
 
 /// The production switch, built through the registry.
-fn build_production(scheme: &str, n: usize, sizing: &Sizing, seed: u64) -> Box<dyn Switch> {
+fn build_production(n: usize, sizing: &Sizing, seed: u64) -> Box<dyn Switch> {
     match sizing {
         Sizing::Fixed(size) => registry::build_named(
-            scheme,
+            "sprinklers",
             n,
             &SizingSpec::Fixed(*size),
             &TrafficMatrix::zero(n),
             seed,
         ),
         Sizing::Matrix(matrix) => {
-            registry::build_named(scheme, n, &SizingSpec::Matrix, matrix, seed)
+            registry::build_named("sprinklers", n, &SizingSpec::Matrix, matrix, seed)
         }
     }
     .expect("registry scheme builds")
 }
 
-/// Every variant × batch size against the reference, on one schedule.
+/// Every batch size against the reference, on one schedule.
 fn check_against_reference(
     n: usize,
     sizing: &Sizing,
@@ -347,44 +318,28 @@ fn check_against_reference(
     schedule: &[Vec<Packet>],
     batches: &[u64],
 ) -> Result<(), TestCaseError> {
-    for (name, discipline) in SPRINKLERS_VARIANTS {
-        let (expected, expected_stats) = run_reference(n, discipline, sizing, seed, schedule);
-        prop_assert!(
-            expected.len() > n,
-            "{} {:?}: the reference delivered {} packets — too few to compare",
-            name,
-            sizing,
-            expected.len()
-        );
-        for &batch in batches {
-            let mut switch = build_production(name, n, sizing, seed);
-            let got = drive_schedule(switch.as_mut(), schedule, batch);
-            if let Some(k) = (0..got.len().min(expected.len())).find(|&k| got[k] != expected[k]) {
-                prop_assert!(
-                    false,
-                    "{} batch={}: delivery {} differs\n  production {:?}\n  reference  {:?}",
-                    name,
-                    batch,
-                    k,
-                    got[k],
-                    expected[k]
-                );
-            }
-            prop_assert_eq!(
-                got.len(),
-                expected.len(),
-                "{} batch={}: stream length",
-                name,
-                batch
-            );
-            prop_assert_eq!(
-                switch.stats(),
-                expected_stats,
-                "{} batch={}: stats",
-                name,
-                batch
+    let (expected, expected_stats) = run_reference(n, sizing, seed, schedule);
+    prop_assert!(
+        expected.len() > n,
+        "{:?}: the reference delivered {} packets — too few to compare",
+        sizing,
+        expected.len()
+    );
+    for &batch in batches {
+        let mut switch = build_production(n, sizing, seed);
+        let got = drive_schedule(switch.as_mut(), schedule, batch);
+        if let Some(k) = (0..got.len().min(expected.len())).find(|&k| got[k] != expected[k]) {
+            prop_assert!(
+                false,
+                "batch={}: delivery {} differs\n  production {:?}\n  reference  {:?}",
+                batch,
+                k,
+                got[k],
+                expected[k]
             );
         }
+        prop_assert_eq!(got.len(), expected.len(), "batch={}: stream length", batch);
+        prop_assert_eq!(switch.stats(), expected_stats, "batch={}: stats", batch);
     }
     Ok(())
 }
@@ -394,8 +349,8 @@ const BATCHES: [u64; 2] = [1, 64];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Small switches, every sizing: both variants at batch 1/64 deliver
-    /// exactly what the reference delivers.
+    /// Small switches, every sizing: the production switch at batch 1/64
+    /// delivers exactly what the reference delivers.
     #[test]
     fn production_matches_the_reference_model(
         seed in 0u64..u64::MAX,

@@ -459,7 +459,7 @@ fn hot_paths_do_not_allocate_in_steady_state() {
     // Every scheme must be allocation-free on the full arrive + step cycle.
     // For the baselines that includes frame formation (a splice of handle
     // queues) and FOFF's resequencing (links in a table sized by the store);
-    // for the three Sprinklers variants it includes stripe formation, which
+    // for both Sprinklers schemes it includes stripe formation, which
     // moves handles between index queues of a pooled grid instead of
     // building a stripe on the heap, and adaptive sizing's per-slot
     // maintenance pass.
@@ -467,7 +467,6 @@ fn hot_paths_do_not_allocate_in_steady_state() {
     for scheme in [
         "sprinklers",
         "sprinklers-adaptive",
-        "sprinklers-rowscan",
         "oq",
         "baseline-lb",
         "ufs",

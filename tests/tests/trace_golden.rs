@@ -3,7 +3,7 @@
 //! `tests/fixtures/trace_flows.sprt` (and its CSV twin
 //! `trace_flows.csv`) is a checked-in capture of flow-structured traffic at
 //! n = 8 — flows so the TCP-hashing baseline's hash path is exercised too.
-//! This suite replays it through **all 9 registry schemes** and pins the
+//! This suite replays it through **all 8 registry schemes** and pins the
 //! merged report CSV byte for byte against
 //! `tests/fixtures/trace_golden.csv`, at workers {1, 2}, from both file
 //! formats.  Any change to the trace decoding, the replay
