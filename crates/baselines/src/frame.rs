@@ -175,7 +175,7 @@ impl FrameInputs {
         );
         let minted = self.n - self.lens[voq] as usize;
         for _ in 0..minted {
-            let fake = store.insert(Packet::padding(input, output, now));
+            let fake = store.insert(&Packet::padding(input, output, now));
             self.queues.push(voq, fake, output as u32);
         }
         self.inputs[input].queued += minted;
@@ -274,7 +274,7 @@ mod tests {
     fn padded_frame_fills_with_fakes() {
         let mut store = PacketStore::new();
         let mut inputs = FrameInputs::new(4);
-        let data: Vec<_> = (0..2).map(|seq| store.insert(pkt(1, seq))).collect();
+        let data: Vec<_> = (0..2).map(|seq| store.insert(&pkt(1, seq))).collect();
         for &handle in &data {
             inputs.push(0, 1, handle);
         }

@@ -5,7 +5,9 @@
 //! queues and `2N − 1` LSF queues at an input, `N·(log₂N+1)` output FIFOs
 //! at an intermediate — and almost all of them are
 //! empty or hold a handful of entries.  A [`FifoGrid`] therefore spends eight
-//! bytes on a queue (one zeroed, lazily committed array for the whole grid)
+//! bytes on a queue (one zeroed, lazily committed array for the whole grid,
+//! so a page of headers costs memory only once one of its queues is used —
+//! the intermediate stage numbers its queues level by level for that reason)
 //! and no capacity until a packet is pushed; entries then live in 64-byte
 //! chunks of seven, taken from and returned to a free list private to the
 //! grid.  Consecutive entries of a queue share a cache line, pushes and pops

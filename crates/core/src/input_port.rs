@@ -200,8 +200,8 @@ mod tests {
 
         /// Store `packet` and arrive it.
         fn store_and_arrive(&mut self, store: &mut PacketStore, packet: Packet) -> bool {
-            let handle = store.insert(packet);
-            self.arrive(store.get(handle), handle)
+            let handle = store.insert(&packet);
+            self.arrive(&packet, handle)
         }
 
         /// Packets queued in the scheduler destined to a given intermediate
@@ -237,9 +237,9 @@ mod tests {
         // order, tagged with output 3 and level 1.
         assert!(port.dequeue(1).is_none());
         let (first, output, level) = port.dequeue(2).unwrap();
-        assert_eq!((store.get(first).voq_seq, output, level), (0, 3, 1));
+        assert_eq!((store.take(first).voq_seq, output, level), (0, 3, 1));
         let (second, output, level) = port.dequeue(3).unwrap();
-        assert_eq!((store.get(second).voq_seq, output, level), (1, 3, 1));
+        assert_eq!((store.take(second).voq_seq, output, level), (1, 3, 1));
         assert_eq!(port.queued_packets(), 0);
     }
 

@@ -6,11 +6,13 @@
 //! `log₂N + 1` levels these form output `j`'s virtual schedule grid
 //! (§3.4.3), with the baselines' one level a plain FIFO.  The stripe size a
 //! packet carries — the only coordination the paper requires — is the tag of
-//! its queue entry.  The `N·N·levels` FIFOs are one [`FifoGrid`], and a mask
-//! of non-empty levels per (port, output) pair makes "largest non-empty" one
-//! `leading_zeros`.  Port `ℓ` faces output `j` at one phase per frame, so a
-//! [`PhaseRows`] bit per pair is set exactly while its mask is non-zero, and
-//! the second-fabric walk visits the port only then.
+//! its queue entry.  The `N·N·levels` FIFOs are one [`FifoGrid`] laid out
+//! level by level, so its zeroed headers commit pages only for the levels a
+//! run uses, and a mask of non-empty levels per (port, output) pair makes
+//! "largest non-empty" one `leading_zeros`.  Port `ℓ` faces output `j` at
+//! one phase per frame, so a [`PhaseRows`] bit per pair is set exactly while
+//! its mask is non-zero, and the second-fabric walk visits the port only
+//! then.
 //!
 //! A packet is eligible for the second fabric from the slot after it
 //! arrives.
@@ -26,8 +28,8 @@ use crate::two_stage::untag;
 pub struct IntermediateStage {
     n: usize,
     levels: usize,
-    /// Queue `(port·n + output)·levels + level`: packets at `port` for
-    /// `output` of stripes of size `2^level`, in arrival order.
+    /// Queue `level·n² + port·n + output`: packets at `port` for `output` of
+    /// stripes of size `2^level`, in arrival order.
     queues: FifoGrid,
     /// Per `port·n + output`, the levels whose queue is non-empty.
     masks: Vec<u32>,
@@ -71,7 +73,7 @@ impl IntermediateStage {
             return None;
         }
         let level = top_level(mask);
-        let q = pair * self.levels + level;
+        let q = level * self.n * self.n + pair;
         let entry = self.queues.pop(q)?;
         if self.queues.is_empty(q) {
             self.masks[pair] = mask & !(1 << level);
@@ -91,7 +93,8 @@ impl IntermediateStage {
         // keeps the larger sizes in its last one.
         let level = (untag(tag).1.trailing_zeros() as usize).min(self.levels - 1);
         let pair = port * self.n + output;
-        self.queues.push(pair * self.levels + level, handle, tag);
+        let q = level * self.n * self.n + pair;
+        self.queues.push(q, handle, tag);
         if self.masks[pair] == 0 {
             self.ready.set(self.phase_of(port, output), port);
         }
@@ -109,7 +112,7 @@ impl IntermediateStage {
                 let pair = port * n + output;
                 let mut mask = 0u32;
                 for level in 0..self.levels {
-                    let len = self.queues.len(pair * self.levels + level);
+                    let len = self.queues.len(level * n * n + pair);
                     held += len;
                     mask |= u32::from(len > 0) << level;
                 }
@@ -135,6 +138,8 @@ impl IntermediateStage {
 mod tests {
     use super::*;
     use crate::two_stage::tag;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn ready_ports(stage: &IntermediateStage, phase: usize) -> Vec<usize> {
         stage.ready.ports(phase).collect()
@@ -178,5 +183,49 @@ mod tests {
         stage.receive(b, 0, 1, tag(3, 1));
         assert_eq!(stage.pop(0, 1), Some((a, tag(0, 4))));
         assert_eq!(stage.pop(0, 1), Some((b, tag(3, 1))));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Random receive / pop traffic agrees with one `VecDeque` per
+        /// (port, output, level) — a pop serves the highest non-empty level —
+        /// at small and wide switches, with one level and with `log₂N + 1`,
+        /// and every mask and phase bit stays consistent after each step.
+        #[test]
+        fn stage_agrees_with_a_vecdeque_per_level(
+            ops in proptest::collection::vec((0u32..3, 0usize..3, 0usize..3, 0usize..16), 1..32)
+        ) {
+            for n in [2usize, 8, 64, 256] {
+                for levels in [1, n.trailing_zeros() as usize + 1] {
+                    let mut stage = IntermediateStage::new(n, levels);
+                    let mut model: BTreeMap<(usize, usize, usize), VecDeque<(PacketHandle, u32)>> =
+                        BTreeMap::new();
+                    for (step, &(op, x, y, k)) in ops.iter().enumerate() {
+                        // A few (port, output) pairs spread over the switch,
+                        // so pops find what receives queued.
+                        let (port, output) = ((x * 97 + 5) % n, (y * 61 + 3) % n);
+                        if op < 2 {
+                            let size = 1 << (k % (n.trailing_zeros() as usize + 1));
+                            let handle = PacketHandle::from_raw(step as u32);
+                            let entry = tag(x, size);
+                            stage.receive(handle, port, output, entry);
+                            let level = (size.trailing_zeros() as usize).min(levels - 1);
+                            model
+                                .entry((port, output, level))
+                                .or_default()
+                                .push_back((handle, entry));
+                        } else {
+                            let expected = (0..levels).rev().find_map(|level| {
+                                model.get_mut(&(port, output, level))?.pop_front()
+                            });
+                            prop_assert_eq!(stage.pop(port, output), expected);
+                        }
+                        let held: usize = model.values().map(VecDeque::len).sum();
+                        prop_assert_eq!(stage.assert_consistent(), held);
+                    }
+                }
+            }
+        }
     }
 }

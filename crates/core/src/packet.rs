@@ -8,20 +8,18 @@
 //! # Memory layout
 //!
 //! The two-stage kernel writes a packet once and reads it once: `arrive`
-//! stores the body in the switch's [`PacketStore`](crate::store::PacketStore),
+//! stores it in the switch's [`PacketStore`](crate::store::PacketStore),
 //! delivery takes it out again, and every queue in between — VOQ ready
 //! queues, the LSF schedule, the intermediate FIFOs — holds a four-byte
 //! handle (see [`crate::fifo`]).  The three routing fields below are not
-//! even written while the packet is inside the switch; they are derived from
+//! even stored while the packet is inside the switch; they are derived from
 //! the intermediate port and stripe size at delivery
-//! ([`stamp_routing`](crate::stripe::stamp_routing)).
+//! ([`stamp_routing`](crate::stripe::stamp_routing)), and the store keeps
+//! a 32-byte body of its own.
 //!
-//! The size of the body still matters: the store's resident set is
-//! `48 B × packets in the switch` (about 10 MB on a dense n = 64 run), each
-//! delivery pulls one body through the cache, and the output-queued
-//! reference still queues packets by value.  The struct is therefore packed
-//! to fit **48 bytes** (three packets per two cache lines) instead of the 80
-//! bytes a naive all-`usize` layout costs:
+//! A `Packet` by value is what crosses the [`Switch`](crate::switch::Switch)
+//! API and what the output-queued reference queues, so it is packed to fit
+//! **48 bytes** instead of the 80 bytes a naive all-`usize` layout costs:
 //!
 //! * the four identity counters stay `u64` (ids, slots and sequence numbers
 //!   genuinely need the range),
@@ -39,7 +37,8 @@
 /// Flag bit: the packet is padding injected by a frame-padding scheme.
 const FLAG_PADDING: u8 = 1;
 
-/// Largest switch size the compact routing fields can address.  The
+/// Largest switch size the compact routing fields — and the `u16` ports of
+/// a stored body ([`crate::store`]) — can address.  The
 /// `intermediate` port index and the stripe fields are `u16`, and a
 /// stripe/frame can span up to `N` packets (UFS frames are exactly `N`), so
 /// every value the setters narrow is `≤ n`; bounding `n` by `u16::MAX` keeps
@@ -99,7 +98,7 @@ pub struct Packet {
     flags: u8,
 }
 
-// The whole point of the narrow fields: three packets per two cache lines.
+// The whole point of the narrow fields.
 const _: () = assert!(std::mem::size_of::<Packet>() <= 48);
 
 impl Packet {
@@ -165,14 +164,6 @@ impl Packet {
     #[inline]
     pub(crate) fn output_raw(&self) -> u32 {
         self.output
-    }
-
-    /// A value that depends on the first and the last bytes of the struct —
-    /// the two cache lines a 48-byte body can straddle (see
-    /// `PacketStore::warm`).
-    #[inline]
-    pub(crate) fn edge_bits(&self) -> u64 {
-        self.id ^ u64::from(self.flags)
     }
 
     /// Readdress the packet to a different `(input, output)` port pair.

@@ -185,6 +185,11 @@ impl<P: InputPolicy> TwoStage<P> {
         &self.policy
     }
 
+    /// The high-water mark of resident packets, rounded up to whole pages.
+    pub fn store_capacity(&self) -> usize {
+        self.store.capacity()
+    }
+
     /// Let `update` change the policy's state of every input in turn (a
     /// reconfiguration, the maintenance pass); it returns whether the input
     /// is servable afterwards.
@@ -195,6 +200,24 @@ impl<P: InputPolicy> TwoStage<P> {
             if update(&mut self.policy, i) {
                 self.occupied_inputs.insert(i);
             }
+        }
+    }
+
+    /// Store an arriving packet and queue its handle at its input.
+    // lint: hot-path
+    #[inline]
+    fn admit(&mut self, packet: &Packet) {
+        debug_assert!(packet.input() < self.n && packet.output() < self.n);
+        self.arrivals += 1;
+        self.queued_inputs += 1;
+        let handle = self.store.insert(packet);
+        if P::RESEQUENCES {
+            // The output resequencer needs the arrival order of each VOQ.
+            let (input, output) = packet.voq();
+            self.resequencer.note_arrival(input, output, handle);
+        }
+        if self.policy.arrive(packet, handle) {
+            self.occupied_inputs.insert(packet.input());
         }
     }
 
@@ -324,19 +347,7 @@ impl<P: InputPolicy> Switch for TwoStage<P> {
 
     // lint: hot-path
     fn arrive(&mut self, packet: Packet) {
-        debug_assert!(packet.input() < self.n && packet.output() < self.n);
-        self.arrivals += 1;
-        self.queued_inputs += 1;
-        let handle = self.store.insert(packet);
-        let packet = self.store.get(handle);
-        if P::RESEQUENCES {
-            // The output resequencer needs the arrival order of each VOQ.
-            let (input, output) = packet.voq();
-            self.resequencer.note_arrival(input, output, handle);
-        }
-        if self.policy.arrive(packet, handle) {
-            self.occupied_inputs.insert(packet.input());
-        }
+        self.admit(&packet);
     }
 
     // lint: hot-path
@@ -352,8 +363,7 @@ impl<P: InputPolicy> Switch for TwoStage<P> {
         }
         std::hint::black_box(bits);
         for packet in packets {
-            // lint: allow(hot-path) — a Packet is 48 plain bytes: the clone is a copy, not a heap allocation
-            self.arrive(packet.clone());
+            self.admit(packet);
         }
     }
 

@@ -360,7 +360,7 @@ impl FabricWorld {
     /// Write an injected packet's body into the store — the one write of
     /// its stay in the fabric — keeping `location` as long as the store.
     #[inline]
-    fn admit(store: &mut PacketStore, location: &mut Vec<u32>, packet: Packet) -> u32 {
+    fn admit(store: &mut PacketStore, location: &mut Vec<u32>, packet: &Packet) -> u32 {
         let handle = store.insert(packet).raw();
         if handle as usize >= location.len() {
             location.resize(store.capacity(), NOT_IN_NODE);
@@ -489,8 +489,8 @@ impl FabricWorld {
                         continue;
                     }
                 }
-                let body = self.store.get(PacketHandle::from_raw(handle));
-                let (dst, flow) = (body.output(), body.flow);
+                let stored = PacketHandle::from_raw(handle);
+                let (dst, flow) = (self.store.output(stored), self.store.flow(stored));
                 let out = self.wiring.transit_port(to_node, dst);
                 self.enqueue_at(to_node, to_port, out, handle, flow, slot);
             }
@@ -693,8 +693,8 @@ impl FabricWorld {
                 .choose(src, dst, self.in_flight[pair], Some(mask));
             let out = self.wiring.first_hop_port(src, dst, choice);
             self.in_flight[pair] += 1;
-            let body = self.store.get(PacketHandle::from_raw(handle));
-            let (flow, arrival_slot) = (body.flow, body.arrival_slot);
+            let stored = PacketHandle::from_raw(handle);
+            let (flow, arrival_slot) = (self.store.flow(stored), self.store.arrival_slot(stored));
             self.enqueue_at(src_node, in_port, out, handle, flow, arrival_slot);
         }
         true
@@ -744,7 +744,7 @@ impl Switch for FabricWorld {
                     .current_choice(src, dst)
                     .is_some_and(|current| !mask_contains(mask, current));
                 if queued || (in_flight > 0 && path_dead) {
-                    let handle = Self::admit(&mut self.store, &mut self.location, packet);
+                    let handle = Self::admit(&mut self.store, &mut self.location, &packet);
                     f.parked.entry(pair).or_default().push_back(handle);
                     f.parked_count += 1;
                     return;
@@ -756,7 +756,7 @@ impl Switch for FabricWorld {
         };
         self.in_flight[pair] += 1;
         let (flow, slot) = (packet.flow, packet.arrival_slot);
-        let handle = Self::admit(&mut self.store, &mut self.location, packet);
+        let handle = Self::admit(&mut self.store, &mut self.location, &packet);
         self.enqueue_at(src_node, in_port, out, handle, flow, slot);
     }
 

@@ -39,13 +39,19 @@
 //! per-VOQ record table and its sampler, not for n² tables that only restate
 //! the traffic pattern or duplicate that record.
 //!
+//! Part 7 bounds the packet store the same way, at the `wide-sprinklers`
+//! benchmark cell: a Sprinklers run at n = 256 requests 32 bytes per store
+//! slot beyond its grids.
+//!
 //! This file deliberately contains a single `#[test]`: the allocation
 //! counter is process-global, so a second concurrently-running test would
 //! pollute the measurement.
 
+use sprinklers_core::config::{SizingMode, SprinklersConfig};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::{DeliveredPacket, Packet};
 use sprinklers_core::rng::SimRng;
+use sprinklers_core::sprinklers::SprinklersSwitch;
 use sprinklers_core::store::PAGE_SLOTS;
 use sprinklers_core::switch::{CountingSink, DeliverySink, Switch};
 use sprinklers_sim::engine::{Engine, RunConfig};
@@ -454,6 +460,48 @@ fn the_widest_cell_requests_only_the_tables_it_uses() {
     );
 }
 
+/// Part 7: the `wide-sprinklers` benchmark cell (matrix-sized Sprinklers,
+/// n = 256, diagonal load 0.05) for 20 000 slots, by which time 183 k
+/// packets are resident.  Past what the switch requests at construction —
+/// its grids' queue headers and its VOQ records, 7.8 MiB — the run requests
+/// 32 bytes per store slot for the bodies (5.6 MiB) plus at most 13.5 MiB
+/// for the grids' chunk pools (11.7 MiB measured).  With 48-byte bodies and
+/// a 4-byte free-list entry per slot the same run requested 22.05 MiB, over
+/// its 19.09 MiB budget.
+fn the_wide_sprinklers_cell_stores_32_bytes_per_packet() {
+    const WIDE: usize = 256;
+    const SLOTS: u64 = 20_000;
+    let matrix = TrafficMatrix::diagonal(WIDE, 0.05);
+    let config = SprinklersConfig::new(WIDE).with_sizing(SizingMode::FromMatrix(matrix));
+    let mut traffic = BernoulliTraffic::diagonal(WIDE, 0.05, 2014);
+    let mut arrivals = Vec::with_capacity(WIDE);
+    let mut voq_seq = vec![0u64; WIDE * WIDE];
+    let mut sink = CountingSink::default();
+    let before = requested_bytes();
+    let mut switch = SprinklersSwitch::new(config, 7);
+    let built = requested_bytes() - before;
+    drive_generated(
+        &mut switch,
+        &mut traffic,
+        &mut arrivals,
+        &mut sink,
+        &mut voq_seq,
+        0..SLOTS,
+    );
+    let ran = requested_bytes() - before - built;
+    let bodies = 32 * switch.store_capacity() as u64;
+    assert!(switch.stats().total_queued() > 150_000);
+    assert!(
+        ran <= bodies + (27 << 19),
+        "{SLOTS} slots of matrix-sized sprinklers at n = {WIDE} requested {:.2} MiB past \
+         construction ({:.2} MiB); the budget is 32 B per store slot ({:.2} MiB) plus \
+         13.5 MiB of chunk pools",
+        ran as f64 / f64::from(1 << 20),
+        built as f64 / f64::from(1 << 20),
+        bodies as f64 / f64::from(1 << 20),
+    );
+}
+
 #[test]
 fn hot_paths_do_not_allocate_in_steady_state() {
     // Every scheme must be allocation-free on the full arrive + step cycle.
@@ -574,4 +622,5 @@ fn hot_paths_do_not_allocate_in_steady_state() {
     baselines_request_memory_in_proportion_to_queues_and_packets();
     generators_allocate_nothing_after_construction();
     the_widest_cell_requests_only_the_tables_it_uses();
+    the_wide_sprinklers_cell_stores_32_bytes_per_packet();
 }
