@@ -246,6 +246,52 @@ mod tests {
         assert_eq!(std::mem::align_of::<Body>(), 32);
     }
 
+    #[test]
+    fn bodies_round_trip_and_slots_are_recycled_lifo() {
+        let mut store = PacketStore::new();
+        assert_eq!(store.capacity(), 0, "no page before the first insert");
+        let a = store.insert(&pkt(10));
+        let b = store.insert(&pkt(11));
+        assert_ne!(a, b);
+        assert_eq!(store.live(), 2);
+        assert_eq!(store.arrival_slot(a), 10);
+        assert_eq!(store.take(a), pkt(10));
+        assert_eq!(store.live(), 1);
+        // The freed slot is the next one handed out.
+        let c = store.insert(&pkt(12));
+        assert_eq!(c, a);
+        assert_eq!(store.take(c), pkt(12));
+        assert_eq!(store.take(b), pkt(11));
+        assert_eq!(store.live(), 0);
+    }
+
+    #[test]
+    fn growth_adds_pages_without_moving_resident_packets() {
+        let mut store = PacketStore::new();
+        let first = store.insert(&pkt(0));
+        let address = &store.pages[0][0] as *const Body;
+        let handles: Vec<_> = (1..3 * PAGE_SLOTS as u64)
+            .map(|id| store.insert(&pkt(id)))
+            .collect();
+        assert_eq!(store.capacity(), 3 * PAGE_SLOTS);
+        assert_eq!(&store.pages[0][0] as *const Body, address);
+        assert_eq!(store.arrival_slot(first), 0);
+        for (k, h) in handles.iter().enumerate() {
+            assert_eq!(store.arrival_slot(*h), k as u64 + 1);
+        }
+        // Draining and refilling reuses the pages: no further growth, and
+        // the free chain hands the slots back last-freed first.
+        for &h in &handles {
+            store.take(h);
+        }
+        assert_eq!(store.live(), 1);
+        let refilled: Vec<_> = (0..handles.len() as u64)
+            .map(|id| store.insert(&pkt(id)))
+            .collect();
+        assert!(refilled.iter().eq(handles.iter().rev()));
+        assert_eq!(store.capacity(), 3 * PAGE_SLOTS);
+    }
+
     proptest! {
         /// Random insert / take traffic against a `Vec` model: `take` returns
         /// exactly the packet `insert` stored — data or padding, zero or
