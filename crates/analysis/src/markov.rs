@@ -35,15 +35,6 @@ pub fn empty_probability(n: usize, rho: f64) -> f64 {
     (1.0 - rho) / (1.0 - rho / n as f64)
 }
 
-/// The series plotted in Figure 5: expected delay (in periods) versus switch
-/// size, at fixed load.
-pub fn figure5_series(rho: f64, sizes: &[usize]) -> Vec<(usize, f64)> {
-    sizes
-        .iter()
-        .map(|&n| (n, expected_queue_length(n, rho)))
-        .collect()
-}
-
 /// Numerical model of the intermediate-stage queue-length Markov chain.
 #[derive(Debug, Clone)]
 pub struct IntermediateDelayModel {
@@ -157,7 +148,10 @@ mod tests {
 
     #[test]
     fn closed_form_is_linear_in_n() {
-        let s = figure5_series(0.9, &[8, 16, 32, 64, 128, 256, 512, 1024]);
+        let s: Vec<(usize, f64)> = [8, 16, 32, 64, 128, 256, 512, 1024]
+            .into_iter()
+            .map(|n| (n, expected_queue_length(n, 0.9)))
+            .collect();
         for w in s.windows(2) {
             let (n1, d1) = w[0];
             let (n2, d2) = w[1];

@@ -37,23 +37,6 @@ pub fn golden_section_min<F: Fn(f64) -> f64>(f: F, lo: f64, hi: f64, tol: f64) -
     (x, f(x))
 }
 
-/// Expand the search interval geometrically until the minimum of a convex
-/// function is bracketed, then run golden-section search.  Used when no a
-/// priori upper bound on the optimal θ is known.
-pub fn minimize_convex<F: Fn(f64) -> f64>(f: F, initial_hi: f64, tol: f64) -> (f64, f64) {
-    let mut hi = initial_hi.max(tol * 10.0);
-    // Grow the interval until the value at the right edge exceeds the value
-    // somewhere inside, guaranteeing the minimum is interior (or until the
-    // interval is absurdly large, in which case the function is decreasing and
-    // the right edge is as good as it gets).
-    let mut guard = 0;
-    while f(hi) < f(hi / 2.0) && guard < 200 {
-        hi *= 2.0;
-        guard += 1;
-    }
-    golden_section_min(f, 0.0, hi, tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,14 +52,6 @@ mod tests {
     fn handles_minimum_at_interval_edge() {
         let (x, _) = golden_section_min(|x| x, 1.0, 2.0, 1e-9);
         assert!((x - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn minimize_convex_expands_the_bracket() {
-        // Minimum at x = 1000, well outside the initial interval.
-        let (x, v) = minimize_convex(|x| (x - 1000.0).powi(2), 1.0, 1e-6);
-        assert!((x - 1000.0).abs() < 1e-2);
-        assert!(v < 1e-3);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The baseline load-balanced switch of Chang et al. (reference [2] of the
+//! The baseline load-balanced switch of Chang et al. (reference \[2\] of the
 //! paper).
 //!
 //! Each input keeps a single FIFO of arriving packets and, in every slot,

@@ -1,4 +1,4 @@
-//! Full Ordered Frames First (FOFF), reference [11] of the paper.
+//! Full Ordered Frames First (FOFF), reference \[11\] of the paper.
 //!
 //! FOFF keeps UFS's full-frame service but never lets the input idle waiting
 //! for frames: whenever no full frame is being transmitted, the input serves

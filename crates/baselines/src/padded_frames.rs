@@ -1,4 +1,4 @@
-//! Padded Frames (PF), reference [9] of the paper.
+//! Padded Frames (PF), reference \[9\] of the paper.
 //!
 //! PF behaves like UFS whenever a full frame is available.  When no full
 //! frame exists, it looks at the longest VOQ at the input; if that VOQ holds
@@ -26,7 +26,6 @@ pub struct PaddedFrames {
     /// Per input, the VOQs currently at or above the padding threshold.
     /// Only they can trigger a padded frame.
     ripe_voqs: Vec<usize>,
-    padding_sent: u64,
 }
 
 impl NewSwitchWith<usize> for PaddedFramesSwitch {
@@ -42,7 +41,6 @@ impl NewSwitchWith<usize> for PaddedFramesSwitch {
             threshold,
             frames: FrameInputs::new(n),
             ripe_voqs: vec![0; n],
-            padding_sent: 0,
         };
         TwoStage::with_policy(n, policy)
     }
@@ -52,11 +50,6 @@ impl PaddedFrames {
     /// The default padding threshold used by the experiments: `N/2`.
     pub fn default_threshold(n: usize) -> usize {
         (n / 2).max(1)
-    }
-
-    /// Number of fake packets transmitted so far.
-    pub fn padding_sent(&self) -> u64 {
-        self.padding_sent
     }
 
     /// True if a step could move a packet out of this input: a frame is in
@@ -101,7 +94,6 @@ impl InputPolicy for PaddedFrames {
             let (longest, len) = self.frames.longest_voq(input);
             if len >= self.threshold {
                 minted = self.frames.pad_frame(input, longest, slot, store);
-                self.padding_sent += minted as u64;
                 self.ripe_voqs[input] -= 1;
             }
         }
@@ -118,7 +110,7 @@ impl InputPolicy for PaddedFrames {
 mod tests {
     use super::*;
     use sprinklers_core::packet::DeliveredPacket;
-    use sprinklers_core::switch::Switch;
+    use sprinklers_core::switch::{CountingSink, Switch};
     use sprinklers_core::two_stage::CheckInput;
 
     impl CheckInput for PaddedFrames {
@@ -168,7 +160,6 @@ mod tests {
         let padding = delivered.len() - data.len();
         assert_eq!(data.len(), 3);
         assert_eq!(padding, n - 3);
-        assert_eq!(sw.policy().padding_sent(), (n - 3) as u64);
         // In order.
         let seqs: Vec<u64> = data.iter().map(|d| d.packet.voq_seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
@@ -215,6 +206,7 @@ mod tests {
         for n in [8usize, 70] {
             let mut sw = PaddedFramesSwitch::new(n, PaddedFrames::default_threshold(n));
             let mut seqs = vec![0u64; n * n];
+            let mut sink = CountingSink::default();
             for slot in 0..(8 * n as u64) {
                 for i in 0..n {
                     // Concentrate on a few outputs so thresholds are crossed
@@ -226,13 +218,10 @@ mod tests {
                         seqs[key] += 1;
                     }
                 }
-                sw.step(slot, &mut sprinklers_core::switch::NullSink);
+                sw.step(slot, &mut sink);
                 sw.assert_consistent();
             }
-            assert!(
-                sw.policy().padding_sent() > 0,
-                "padding never triggered at n={n}"
-            );
+            assert!(sink.padding_packets > 0, "padding never triggered at n={n}");
             for slot in (8 * n as u64)..(40 * n as u64) {
                 sw.step(slot, &mut sprinklers_core::switch::NullSink);
                 sw.assert_consistent();

@@ -1,4 +1,4 @@
-//! Uniform Frame Spreading (UFS), reference [11] of the paper.
+//! Uniform Frame Spreading (UFS), reference \[11\] of the paper.
 //!
 //! Each input accumulates packets in per-output VOQs and only transmits
 //! *full frames* of N packets, all destined to the same output.  A frame is

@@ -97,53 +97,9 @@ impl DyadicInterval {
         self.start < other.end() && other.start < self.end()
     }
 
-    /// The parent dyadic interval (twice the size), or `None` if growing the
-    /// interval would exceed `n` ports.
-    pub fn parent(&self, n: usize) -> Option<Self> {
-        let size = self.size * 2;
-        if size > n {
-            return None;
-        }
-        Some(DyadicInterval::containing(self.start, size))
-    }
-
-    /// The two children dyadic intervals (half the size), or `None` if the
-    /// interval is a single port.
-    pub fn children(&self) -> Option<(Self, Self)> {
-        if self.size == 1 {
-            return None;
-        }
-        let half = self.size / 2;
-        Some((
-            DyadicInterval {
-                start: self.start,
-                size: half,
-            },
-            DyadicInterval {
-                start: self.start + half,
-                size: half,
-            },
-        ))
-    }
-
     /// Iterate over the ports in the interval.
     pub fn ports(&self) -> impl Iterator<Item = usize> + '_ {
         self.start..self.end()
-    }
-
-    /// The offset of `port` within the interval, or `None` if it is outside.
-    pub fn offset_of(&self, port: usize) -> Option<usize> {
-        if self.contains(port) {
-            Some(port - self.start)
-        } else {
-            None
-        }
-    }
-
-    /// Index of this interval among the dyadic intervals of the same size:
-    /// `start / size`.
-    pub fn index(&self) -> usize {
-        self.start / self.size
     }
 
     /// Enumerate every dyadic interval of an `n`-port switch, smallest first.
@@ -216,26 +172,10 @@ mod tests {
     fn level_and_index_are_consistent() {
         let iv = DyadicInterval::new(12, 4);
         assert_eq!(iv.level(), 2);
-        assert_eq!(iv.index(), 3);
+        assert_eq!(iv.size(), 1 << iv.level());
         let iv = DyadicInterval::new(0, 1);
         assert_eq!(iv.level(), 0);
-        assert_eq!(iv.index(), 0);
-    }
-
-    #[test]
-    fn parent_and_children_roundtrip() {
-        let iv = DyadicInterval::new(8, 4);
-        let parent = iv.parent(16).unwrap();
-        assert_eq!(parent, DyadicInterval::new(8, 8));
-        let (lo, hi) = parent.children().unwrap();
-        assert_eq!(lo, DyadicInterval::new(8, 4));
-        assert_eq!(hi, DyadicInterval::new(12, 4));
-        assert!(parent.contains_interval(&iv));
-
-        // The whole interval has no parent within n.
-        assert!(DyadicInterval::new(0, 16).parent(16).is_none());
-        // A single port has no children.
-        assert!(DyadicInterval::new(5, 1).children().is_none());
+        assert_eq!(DyadicInterval::new(0, 1024).level(), 10);
     }
 
     #[test]
@@ -249,15 +189,6 @@ mod tests {
                 assert!(DyadicInterval::try_new(iv.start(), iv.size()).is_some());
             }
         }
-    }
-
-    #[test]
-    fn offset_of_ports() {
-        let iv = DyadicInterval::new(8, 4);
-        assert_eq!(iv.offset_of(8), Some(0));
-        assert_eq!(iv.offset_of(11), Some(3));
-        assert_eq!(iv.offset_of(12), None);
-        assert_eq!(iv.offset_of(0), None);
     }
 
     #[test]
@@ -301,18 +232,6 @@ mod tests {
             prop_assert!(iv.contains(port));
             prop_assert_eq!(iv.size(), size);
             prop_assert_eq!(iv.start() % size, 0);
-        }
-
-        /// The parent of an interval contains it; children partition it.
-        #[test]
-        fn parent_contains_children_partition(port in 0usize..1024, level in 1usize..10) {
-            let iv = DyadicInterval::containing(port, 1 << level);
-            let (lo, hi) = iv.children().unwrap();
-            prop_assert!(iv.contains_interval(&lo));
-            prop_assert!(iv.contains_interval(&hi));
-            prop_assert_eq!(lo.size() + hi.size(), iv.size());
-            prop_assert_eq!(lo.end(), hi.start());
-            prop_assert!(!lo.overlaps(&hi));
         }
 
         /// Every port of an n-port switch appears in exactly log2(n)+1 of the

@@ -28,13 +28,6 @@ pub enum SwitchError {
         /// The largest supported port count.
         max: usize,
     },
-    /// A packet referenced a port index outside `0..N`.
-    PortOutOfRange {
-        /// The offending port index.
-        port: usize,
-        /// The switch size.
-        n: usize,
-    },
     /// A traffic matrix had the wrong dimensions for the switch.
     MatrixDimensionMismatch {
         /// Dimension of the supplied matrix.
@@ -73,12 +66,6 @@ impl fmt::Display for SwitchError {
                     "switch size {n} exceeds the {max}-port bound of the compact packet layout"
                 )
             }
-            SwitchError::PortOutOfRange { port, n } => {
-                write!(
-                    f,
-                    "port index {port} is out of range for an {n}-port switch"
-                )
-            }
             SwitchError::MatrixDimensionMismatch { got, expected } => {
                 write!(
                     f,
@@ -111,9 +98,6 @@ mod tests {
     fn display_messages_are_informative() {
         let e = SwitchError::PortCountNotPowerOfTwo { n: 12 };
         assert!(e.to_string().contains("12"));
-        let e = SwitchError::PortOutOfRange { port: 9, n: 8 };
-        assert!(e.to_string().contains('9'));
-        assert!(e.to_string().contains('8'));
         let e = SwitchError::MatrixDimensionMismatch {
             got: 4,
             expected: 8,

@@ -47,14 +47,14 @@
 //! A switch advances one time slot with
 //! [`Switch::step(slot, &mut sink)`](switch::Switch::step): every packet that
 //! reaches its output port during the slot is *pushed* into the caller's
-//! [`DeliverySink`](switch::DeliverySink) instead of being returned in a
+//! [`DeliverySink`] instead of being returned in a
 //! freshly allocated `Vec`.  The steady-state simulation loop therefore does
 //! no per-slot heap allocation — the property that lets the constant-time LSF
 //! scheduler (§3.4.2 of the paper) actually run at hardware-like speed in the
 //! simulator.  `Vec<DeliveredPacket>` implements `DeliverySink` for tests and
 //! examples that want to inspect deliveries;
-//! [`NullSink`](switch::NullSink) discards them and
-//! [`CountingSink`](switch::CountingSink) tallies them.
+//! [`NullSink`] discards them and
+//! [`CountingSink`] tallies them.
 //!
 //! ## Quick example
 //!

@@ -56,11 +56,6 @@ impl OccupancySet {
         }
     }
 
-    /// The port-index domain this set covers.
-    pub fn domain(&self) -> usize {
-        self.n
-    }
-
     /// Number of occupied ports.
     pub fn len(&self) -> usize {
         self.len

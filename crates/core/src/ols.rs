@@ -54,11 +54,6 @@ impl WeaklyUniformOls {
         }
     }
 
-    /// Order of the square (the switch size N).
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Primary intermediate port of the VOQ at input `i` destined to output `j`.
     pub fn primary_port(&self, input: usize, output: usize) -> usize {
         (self.row_perm.apply(input) + self.col_perm.apply(output)) % self.n
@@ -72,15 +67,6 @@ impl WeaklyUniformOls {
     /// The full column for output `j`: `column(j)[i]` is the primary port of VOQ `(i, j)`.
     pub fn column(&self, output: usize) -> Vec<usize> {
         (0..self.n).map(|i| self.primary_port(i, output)).collect()
-    }
-
-    /// For a given input `i` and intermediate port `p`, the output `j` whose
-    /// VOQ `(i, j)` has `p` as its primary port.  This is the `σ⁻¹` the
-    /// stability analysis manipulates.
-    pub fn output_with_primary(&self, input: usize, port: usize) -> usize {
-        // (row_perm(i) + col_perm(j)) ≡ port  (mod n)
-        let target = (port + self.n - self.row_perm.apply(input) % self.n) % self.n;
-        self.col_perm.invert(target)
     }
 
     /// Check the defining OLS property: every row and every column is a
@@ -128,19 +114,6 @@ mod tests {
         for i in 0..n {
             assert!(Permutation::from_mapping(ols.row(i)).is_some());
             assert!(Permutation::from_mapping(ols.column(i)).is_some());
-        }
-    }
-
-    #[test]
-    fn output_with_primary_inverts_primary_port() {
-        let mut rng = SimRng::seed_from_u64(23);
-        let n = 32;
-        let ols = WeaklyUniformOls::random(n, &mut rng);
-        for i in 0..n {
-            for j in 0..n {
-                let p = ols.primary_port(i, j);
-                assert_eq!(ols.output_with_primary(i, p), j);
-            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Uniform random permutations (Fisher–Yates / Durstenfeld).
 //!
 //! The paper's stripe-interval generation requires sampling permutations of
-//! `{0, …, N−1}` uniformly at random (reference [7] of the paper, Durstenfeld's
+//! `{0, …, N−1}` uniformly at random (reference \[7\] of the paper, Durstenfeld's
 //! Algorithm 235).  This module provides that plus a small `Permutation`
 //! wrapper with inverse lookup, which the Orthogonal Latin Square and the
 //! Sprinklers switch both use.
@@ -78,23 +78,6 @@ impl Permutation {
         &self.forward
     }
 
-    /// Compose with another permutation: `(self ∘ other)(i) = self(other(i))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the permutations act on different numbers of elements.
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "cannot compose permutations of different sizes"
-        );
-        let mapping: Vec<usize> = (0..self.len())
-            .map(|i| self.apply(other.apply(i)))
-            .collect();
-        Self::from_mapping(mapping).expect("composition of permutations is a permutation")
-    }
-
     /// The inverse permutation as a new `Permutation`.
     pub fn inverse(&self) -> Permutation {
         Permutation {
@@ -162,13 +145,12 @@ mod tests {
     #[test]
     fn compose_and_inverse() {
         let p = Permutation::from_mapping(vec![2, 0, 1, 3]).unwrap();
-        let q = Permutation::from_mapping(vec![1, 2, 3, 0]).unwrap();
-        let pq = p.compose(&q);
+        let inverse = p.inverse();
         for i in 0..4 {
-            assert_eq!(pq.apply(i), p.apply(q.apply(i)));
+            assert_eq!(p.apply(inverse.apply(i)), i);
+            assert_eq!(inverse.apply(p.apply(i)), i);
         }
-        let id = p.compose(&p.inverse());
-        assert_eq!(id, Permutation::identity(4));
+        assert_eq!(inverse.inverse(), p);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl RateEstimator {
         self.estimate
     }
 
-    /// Current estimate without advancing time.
-    pub fn current_estimate(&self) -> f64 {
-        self.estimate
-    }
-
     /// Number of complete measurement windows observed.
     pub fn windows_seen(&self) -> u64 {
         self.windows_seen
@@ -160,7 +155,7 @@ mod tests {
         for slot in 0..6 {
             est.record_arrival(slot);
         }
-        assert_eq!(est.current_estimate(), 0.0);
+        assert_eq!(est.rate_at(5), 0.0);
         assert_eq!(est.rate_at(7), 0.0, "slot 7 is still inside window 0");
         assert_eq!(est.windows_seen(), 0);
         assert_eq!(est.rate_at(8), 0.75, "6 arrivals / 8 slots, exactly");

@@ -11,11 +11,11 @@
 //! this module's tests fails first.
 //!
 //! Sub-seeds for independent components (fabric nodes, fault-generating
-//! links) come from [`derive`], and [`mix64`] is the SplitMix64 finaliser
+//! links) come from [`derive()`], and [`mix64`] is the SplitMix64 finaliser
 //! that seeding uses, for callers that want a stateless hash.
 
 /// The 64-bit golden ratio: SplitMix64's state increment, and the
-/// multiplier of the [`derive`] sub-seed rule.
+/// multiplier of the [`derive()`] sub-seed rule.
 pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The SplitMix64 output finaliser: a bijective avalanche of one word.

@@ -57,18 +57,6 @@ pub fn load_per_share(rate: f64, n: usize) -> f64 {
     rate / stripe_size(rate, n) as f64
 }
 
-/// The largest rate that still maps to stripe size `size` (inclusive), i.e.
-/// the right edge of `F⁻¹({size})`, or `None` for `size == n` (unbounded above
-/// within admissible rates).
-pub fn max_rate_for_size(size: usize, n: usize) -> Option<f64> {
-    assert!(size.is_power_of_two() && size <= n);
-    if size == n {
-        None
-    } else {
-        Some(size as f64 / (n as f64 * n as f64))
-    }
-}
-
 /// A stripe-size decision with hysteresis, used by the adaptive sizing mode.
 ///
 /// §3.3.2 notes that to prevent a stripe size from thrashing between `2^k` and
@@ -180,18 +168,6 @@ mod tests {
         let n = 32;
         assert_eq!(stripe_size(0.5 / n as f64, n), 16);
         assert_eq!(stripe_size(1.0 / (n as f64 * n as f64), n), 1);
-    }
-
-    #[test]
-    fn max_rate_for_size_is_inverse_of_stripe_size() {
-        let n = 64;
-        for level in 0..6 {
-            let size = 1usize << level;
-            let max_rate = max_rate_for_size(size, n).unwrap();
-            assert_eq!(stripe_size(max_rate, n), size.max(1));
-            assert!(stripe_size(max_rate * 1.001, n) > size || size == n);
-        }
-        assert!(max_rate_for_size(n, n).is_none());
     }
 
     #[test]

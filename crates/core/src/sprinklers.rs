@@ -29,8 +29,8 @@ pub type SprinklersSwitch = TwoStage<Sprinklers>;
 /// Sprinklers' input stage: one [`SprinklersInputPort`] per input, and the
 /// switch-wide state its accessors report.
 pub struct Sprinklers {
-    config: SprinklersConfig,
-    ols: WeaklyUniformOls,
+    /// Adaptive sizing: idle slots shrink the VOQs' stripes.
+    adaptive: bool,
     inputs: Vec<SprinklersInputPort>,
     /// Committed stripe-size changes across all VOQs.
     resizes: u64,
@@ -51,36 +51,17 @@ impl SprinklersSwitch {
     /// Fallible constructor.
     pub fn try_new(config: SprinklersConfig, seed: u64) -> Result<Self, SwitchError> {
         config.validate()?;
-        let mut rng = SimRng::seed_from_u64(seed);
-        let ols = WeaklyUniformOls::random(config.n, &mut rng);
-        Ok(Self::with_ols(config, ols))
-    }
-
-    /// Build a switch with an explicitly provided OLS (useful for tests and
-    /// for reproducing a specific configuration).
-    pub fn with_ols(config: SprinklersConfig, ols: WeaklyUniformOls) -> Self {
-        assert_eq!(ols.order(), config.n);
         let n = config.n;
+        let ols = WeaklyUniformOls::random(n, &mut SimRng::seed_from_u64(seed));
         let inputs = (0..n)
             .map(|i| SprinklersInputPort::new(i, &config, &ols))
             .collect();
         let policy = Sprinklers {
-            config,
-            ols,
+            adaptive: matches!(config.sizing, SizingMode::Adaptive(_)),
             inputs,
             resizes: 0,
         };
-        TwoStage::with_policy(n, policy)
-    }
-
-    /// The switch's OLS (primary intermediate port of every VOQ).
-    pub fn ols(&self) -> &WeaklyUniformOls {
-        &self.policy().ols
-    }
-
-    /// The switch's configuration.
-    pub fn config(&self) -> &SprinklersConfig {
-        &self.policy().config
+        Ok(TwoStage::with_policy(n, policy))
     }
 
     /// Current stripe size of the VOQ at `input` destined to `output`.
@@ -118,12 +99,12 @@ impl InputPolicy for Sprinklers {
     const NAME: &'static str = "sprinklers";
 
     fn levels(&self) -> usize {
-        crate::lsf::levels(self.config.n)
+        crate::lsf::levels(self.inputs.len())
     }
 
     /// Adaptive sizing observes idle slots: its VOQs shrink.
     fn maintains(&self) -> bool {
-        matches!(self.config.sizing, SizingMode::Adaptive(_))
+        self.adaptive
     }
 
     /// The arrival may complete a stripe — or, under adaptive sizing, commit

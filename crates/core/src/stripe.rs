@@ -44,11 +44,6 @@ impl Stripe {
     pub fn level(&self) -> usize {
         self.interval.level()
     }
-
-    /// The intermediate port traversed by the packet at `offset`.
-    pub fn port_of_offset(&self, offset: usize) -> usize {
-        self.interval.start() + offset
-    }
 }
 
 /// Fill in a delivered packet's routing header from where it travelled: it
@@ -85,7 +80,7 @@ mod tests {
         assert_eq!(stripe.level(), 2);
         for offset in 0..4 {
             let mut p = Packet::new(2, 5, offset as u64, 10);
-            stamp_routing(&mut p, stripe.port_of_offset(offset), stripe.size());
+            stamp_routing(&mut p, stripe.interval.start() + offset, stripe.size());
             assert_eq!(p.stripe_size(), 4);
             assert_eq!(p.stripe_index(), offset);
             assert_eq!(p.intermediate(), 8 + offset);
@@ -101,7 +96,7 @@ mod tests {
         };
         assert_eq!(s.size(), 1);
         assert_eq!(s.level(), 0);
-        assert_eq!(s.port_of_offset(0), 5);
+        assert_eq!(s.interval.start(), 5);
         let mut p = Packet::new(0, 0, 0, 0);
         stamp_routing(&mut p, 5, 1);
         assert_eq!(

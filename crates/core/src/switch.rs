@@ -199,17 +199,14 @@ pub trait Switch {
     /// Implementations must not allocate on this path in steady state.
     fn step_batch(&mut self, first_slot: u64, count: u32, sink: &mut dyn DeliverySink);
 
-    /// Inert: stepping is serial and nothing overrides this; its last caller
-    /// is the benchmark harness, and it goes with that call.
-    fn set_threads(&mut self, _threads: usize) {}
-
     /// Current occupancy and throughput counters.
     fn stats(&self) -> SwitchStats;
 }
 
 /// [`Switch`] under the benchmark harness's names, plus the inert
-/// `set_parallelism`.  Every switch has it through the blanket impl; its one
-/// user is `benchmark/src/passes.rs`, and it goes when that loop does.
+/// `set_parallelism` and `set_threads` (stepping is serial).  Every switch
+/// has it through the blanket impl; its one user is
+/// `benchmark/src/passes.rs`, and it goes when that loop does.
 #[rustfmt::skip]
 pub trait Steppable: Switch {
     /// [`Switch::n`].
@@ -222,8 +219,10 @@ pub trait Steppable: Switch {
     fn advance(&mut self, first: u64, count: u32, sink: &mut dyn DeliverySink) { self.step_batch(first, count, sink) }
     /// [`Switch::stats`].
     fn counters(&self) -> SwitchStats { self.stats() }
-    /// Inert, like [`Switch::set_threads`].
+    /// Inert.
     fn set_parallelism(&mut self, _threads: usize) {}
+    /// Inert.
+    fn set_threads(&mut self, _threads: usize) {}
 }
 
 impl<S: Switch + ?Sized> Steppable for S {}

@@ -128,11 +128,9 @@ impl Engine {
             return Ok(report);
         }
         // Build the traffic first and size the switch from the *generator's*
-        // rate matrix.  For synthetic patterns this is the identical matrix
-        // `TrafficSpec::try_matrix` constructs (every generator clones the
-        // analytic matrix it was built from, which is stored as its few
-        // distinct entries, not as a table); for traces it avoids opening
-        // and validating the file twice per run.
+        // rate matrix: the analytic matrix a synthetic generator was built
+        // from (stored as its few distinct entries, not as a table), or a
+        // trace's, without opening and validating the file twice per run.
         let traffic = spec.build_traffic()?;
         let switch = registry::build_named(
             &spec.scheme,

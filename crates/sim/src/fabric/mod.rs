@@ -31,7 +31,7 @@
 //!   pair's queue.
 //!
 //! A `location` tag per handle names the node holding the cell (or none):
-//! [`FabricWorld::enqueue_at`] sets it, dispatch clears it, and a
+//! `FabricWorld::enqueue_at` sets it, dispatch clears it, and a
 //! `node-down` event finds what the node held by one walk over the tags
 //! instead of per-hop bookkeeping.  Links that hold anything sit in one
 //! occupancy set, so the wire-arrival and admission phases visit those and

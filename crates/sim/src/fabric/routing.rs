@@ -23,7 +23,7 @@
 //! slice set iff path choice `c` is alive): the live count is a popcount
 //! and the k-th live path a select, so a choice costs the same with or
 //! without failures.  Which paths are alive changes only when a fault event
-//! is applied, so the fabric keeps the masks in a [`PathMasks`] cache — one
+//! is applied, so the fabric keeps the masks in a `PathMasks` cache — one
 //! mask per (source node, destination node), filled on first use and
 //! invalidated as a whole by every event — instead of re-deriving them per
 //! packet.

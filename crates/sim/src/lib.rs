@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::metrics::sink::MetricsSink;
     pub use crate::parallel::{default_workers, run_specs_parallel, run_specs_parallel_ok};
     pub use crate::registry;
-    pub use crate::report::{merge_csv, merged_csv_header, SimReport};
+    pub use crate::report::{merged_csv_header, SimReport};
     pub use crate::spec::{
         FaultEventSpec, FaultKind, FaultSpec, LinkSpec, RandomFaultSpec, RoutingSpec, ScenarioSpec,
         SizingSpec, SpecError, SuiteCase, SuiteSpec, TopologySpec, TrafficSpec,

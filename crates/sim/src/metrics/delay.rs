@@ -5,7 +5,7 @@
 //! so means are exact and percentiles are exact up to the cap.
 //!
 //! The histogram is allocated at its cap, so recording never allocates.
-//! Once recording is done, [`DelayStats::shrink_to_fit`] cuts it to the
+//! Once recording is done, `DelayStats::shrink_to_fit` cuts it to the
 //! delays seen: a report keeps its run's histogram and a sweep keeps every
 //! report, so a cap-sized table (512 KiB at the default cap) per report
 //! would be most of a sweep's memory.  A cut histogram grows back, doubling

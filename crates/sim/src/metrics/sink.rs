@@ -11,7 +11,7 @@
 //! slots) is kept in a sorted overflow list, a VOQ that carries a flow id
 //! other than 0 tracks its flows in a map, and so does a VOQ whose sequence
 //! numbers outgrow 31 bits (see
-//! [`ReorderDetector`](crate::metrics::reorder::ReorderDetector)).
+//! [`ReorderDetector`]).
 //! [`MetricsSink::into_parts`] cuts the histogram to the delays seen, since
 //! the report it goes into may be kept for a whole sweep.
 //!

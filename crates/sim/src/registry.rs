@@ -3,12 +3,12 @@
 //! Every scheme — Sprinklers with its adaptive-sizing variant and all six
 //! baselines — registers here under a stable string key, so sweeps, bench
 //! binaries, examples and tests construct switches the same way: from a
-//! [`ScenarioSpec`] (or a name plus a traffic matrix) to a `Box<dyn Switch>`,
+//! name plus the traffic generator's rate matrix to a `Box<dyn Switch>`,
 //! which the blanket `impl Switch for Box<T>` lets the engine drive through
 //! the sink-based `step_batch` path with no special cases — the same path a
 //! fabric of these switches takes.
 
-use crate::spec::{ScenarioSpec, SizingSpec, SpecError};
+use crate::spec::{SizingSpec, SpecError};
 use sprinklers_baselines::padded_frames::PaddedFrames;
 use sprinklers_baselines::{
     BaselineLbSwitch, FoffSwitch, NewSwitch, NewSwitchWith, OutputQueuedSwitch, PaddedFramesSwitch,
@@ -54,18 +54,10 @@ pub fn is_reordering_free(scheme: &str) -> bool {
     ORDERED_SCHEMES.contains(&scheme)
 }
 
-/// Build the switch described by a [`ScenarioSpec`].
-///
-/// The sizing spec applies to the Sprinklers variants; `Matrix` sizing uses
-/// the rate matrix of the scenario's traffic pattern, exactly as the paper's
-/// evaluation assumes the matrix is known a priori.
-pub fn build(spec: &ScenarioSpec) -> Result<Box<dyn Switch>, SpecError> {
-    let matrix = spec.traffic.try_matrix(spec.n)?;
-    build_named(&spec.scheme, spec.n, &spec.sizing, &matrix, spec.seed)
-}
-
-/// Build a switch by name with an explicit traffic matrix (for callers that
-/// already have one, e.g. trace-driven tests).
+/// Build a switch by name.  The sizing spec applies to the Sprinklers
+/// variants; `Matrix` sizing uses `matrix`, the rate matrix of the
+/// scenario's traffic generator, exactly as the paper's evaluation assumes
+/// the matrix is known a priori.
 pub fn build_named(
     scheme: &str,
     n: usize,
@@ -124,6 +116,7 @@ pub fn build_named(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ScenarioSpec;
 
     #[test]
     fn registry_lists_sprinklers_and_six_baselines() {
@@ -154,7 +147,8 @@ mod tests {
     #[test]
     fn build_resolves_a_spec() {
         let spec = ScenarioSpec::new("padded-frames", 16);
-        let sw = build(&spec).unwrap();
+        let matrix = spec.build_traffic().unwrap().rate_matrix();
+        let sw = build_named(&spec.scheme, spec.n, &spec.sizing, &matrix, spec.seed).unwrap();
         assert_eq!(sw.name(), "padded-frames");
         assert_eq!(sw.n(), 16);
     }
@@ -174,9 +168,11 @@ mod tests {
     fn unknown_scheme_is_a_spec_error() {
         // The last two names were registered ablations once: a spec that
         // still names one fails like any other unknown name.
+        let matrix = TrafficMatrix::uniform(8, 0.5);
         for scheme in ["does-not-exist", "sprinklers-aligned", "sprinklers-rowscan"] {
-            let spec = ScenarioSpec::new(scheme, 8);
-            let err = build(&spec).err().expect("unknown scheme must not build");
+            let err = build_named(scheme, 8, &SizingSpec::Matrix, &matrix, 1)
+                .err()
+                .expect("unknown scheme must not build");
             assert!(err.to_string().contains(scheme));
             assert!(err.to_string().contains("sprinklers"));
         }

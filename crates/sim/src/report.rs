@@ -309,22 +309,14 @@ pub fn merged_csv_header() -> String {
     format!("case,{}", SimReport::csv_header())
 }
 
-/// Merge labeled reports into one CSV document — a single header plus one
-/// row per report, in input order.  This is what the `suite` binary emits;
-/// the determinism test asserts the output is byte-identical across worker
-/// counts, so keep the formatting free of anything run-dependent.
-pub fn merge_csv<'a>(rows: impl IntoIterator<Item = (&'a str, &'a SimReport)>) -> String {
-    merge_csv_rows(
-        rows.into_iter()
-            .map(|(case, report)| (case, report.csv_row())),
-    )
-}
-
-/// [`merge_csv`] over already-rendered CSV rows.  This is the layer the
-/// experiment cache reuses: a cached case contributes its stored
-/// [`SimReport::csv_row`] string and a recomputed case a fresh one, through
-/// the same formatting path — which is what makes cached and recomputed
-/// suite output byte-identical.
+/// Merge labeled, already-rendered [`SimReport::csv_row`] strings into one
+/// CSV document — a single header plus one row per case, in input order.
+/// This is what the `suite` binary emits, and the experiment cache reuses
+/// it: a cached case contributes its stored row and a recomputed case a
+/// fresh one, through the same formatting path — which is what makes cached
+/// and recomputed suite output byte-identical.  The determinism test asserts
+/// the output is byte-identical across worker counts, so keep the formatting
+/// free of anything run-dependent.
 pub fn merge_csv_rows<'a>(rows: impl IntoIterator<Item = (&'a str, String)>) -> String {
     let mut out = merged_csv_header();
     out.push('\n');
@@ -414,7 +406,7 @@ mod tests {
     #[test]
     fn merged_csv_has_one_header_and_one_row_per_report() {
         let (a, b) = (dummy(), dummy());
-        let csv = merge_csv([("case-a", &a), ("case-b", &b)]);
+        let csv = merge_csv_rows([("case-a", a.csv_row()), ("case-b", b.csv_row())]);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], merged_csv_header());
@@ -427,15 +419,20 @@ mod tests {
 
     #[test]
     fn merging_nothing_is_just_the_header() {
-        assert_eq!(merge_csv([]), format!("{}\n", merged_csv_header()));
+        assert_eq!(merge_csv_rows([]), format!("{}\n", merged_csv_header()));
     }
 
     #[test]
     fn merge_csv_rows_reproduces_merge_csv_byte_for_byte() {
         let (a, b) = (dummy(), dummy());
-        let direct = merge_csv([("case-a", &a), ("case-b", &b)]);
+        let expected = format!(
+            "{}\ncase-a,{}\ncase-b,{}\n",
+            merged_csv_header(),
+            a.csv_row(),
+            b.csv_row()
+        );
         let via_rows = merge_csv_rows([("case-a", a.csv_row()), ("case-b", b.csv_row())]);
-        assert_eq!(direct, via_rows);
+        assert_eq!(via_rows, expected);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::traffic::bursty::BurstyTraffic;
 use crate::traffic::flows::FlowTraffic;
 use crate::traffic::trace_stream::TraceStream;
 use crate::traffic::TrafficGenerator;
-use sprinklers_core::matrix::TrafficMatrix;
 
 /// The offered traffic pattern of a scenario: one of the synthetic
 /// generators, or a recorded trace replayed from disk.
@@ -73,37 +72,6 @@ impl TrafficSpec {
             repeat: 1,
             scale: 1.0,
         }
-    }
-
-    /// The long-run rate matrix of this pattern at size `n`.  For traces
-    /// this opens and validates the file: the recorded analytic matrix when
-    /// the header carries one, else empirical rates from the data.
-    pub fn try_matrix(&self, n: usize) -> Result<TrafficMatrix, SpecError> {
-        Ok(match self {
-            TrafficSpec::Uniform { load } => TrafficMatrix::uniform(n, *load),
-            TrafficSpec::Diagonal { load } => TrafficMatrix::diagonal(n, *load),
-            TrafficSpec::Hotspot { load, hot_fraction } => {
-                TrafficMatrix::hotspot(n, *load, *hot_fraction)
-            }
-            TrafficSpec::Bursty { load, .. } => TrafficMatrix::uniform(n, *load),
-            TrafficSpec::Flows { load, .. } => TrafficMatrix::uniform(n, *load),
-            TrafficSpec::Trace {
-                path,
-                repeat,
-                scale,
-            } => TraceStream::open(path, n, *repeat, *scale)?.rate_matrix(),
-        })
-    }
-
-    /// Infallible form of [`Self::try_matrix`] for the synthetic patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`TrafficSpec::Trace`] when the trace file cannot be read
-    /// or validated; fallible callers should use [`Self::try_matrix`].
-    pub fn matrix(&self, n: usize) -> TrafficMatrix {
-        self.try_matrix(n)
-            .expect("trace specs need try_matrix for error handling")
     }
 
     /// Check the numbers a spec file, a `--load` flag or a suite's `--loads`

@@ -18,10 +18,9 @@ pub struct BurstyTraffic {
     rows: RowSampler,
     /// Per input: `threshold` of the in-burst arrival probability.
     arrive_in_burst: Vec<u64>,
-    /// Probability of leaving the OFF state each slot.
-    p_on: f64,
-    /// Probability of leaving the ON state each slot.
-    p_off: f64,
+    /// Probability of leaving the current state (ON or OFF) each slot: the
+    /// chain is symmetric, so its duty cycle is 1/2.
+    p_flip: f64,
     /// Arrival probability while ON.
     peak: f64,
     state_on: Vec<bool>,
@@ -59,14 +58,12 @@ impl BurstyTraffic {
         let arrive_in_burst = (0..n)
             .map(|i| threshold((2.0 * rows.load(i)).min(peak)))
             .collect();
-        let p_off = 1.0 / mean_burst;
         BurstyTraffic {
             n,
             matrix,
             rows,
             arrive_in_burst,
-            p_on: p_off, // symmetric by default; duty cycle handled by thinning
-            p_off,
+            p_flip: 1.0 / mean_burst,
             peak,
             state_on: vec![false; n],
             draws: Vec::with_capacity(n),
@@ -87,7 +84,7 @@ impl TrafficGenerator for BurstyTraffic {
 
     // lint: hot-path
     fn arrivals_into(&mut self, slot: u64, out: &mut Vec<Packet>) {
-        let (leave_on, leave_off) = (threshold(self.p_off), threshold(self.p_on));
+        let flip = threshold(self.p_flip);
         // A local copy keeps the generator state in registers across
         // `out.push` (see `BernoulliTraffic::arrivals_into`).
         // lint: allow(hot-path) — SimRng is four u64 words: the clone is a copy, not a heap allocation
@@ -96,12 +93,7 @@ impl TrafficGenerator for BurstyTraffic {
         self.draws.clear();
         for input in 0..self.n {
             // Evolve the on/off chain.
-            let leave = if self.state_on[input] {
-                leave_on
-            } else {
-                leave_off
-            };
-            if draw53(&mut rng) < leave {
+            if draw53(&mut rng) < flip {
                 self.state_on[input] = !self.state_on[input];
             }
             if !self.state_on[input] {
@@ -122,7 +114,7 @@ impl TrafficGenerator for BurstyTraffic {
     }
 
     fn label(&self) -> String {
-        format!("bursty(peak={},burst≈{:.0})", self.peak, 1.0 / self.p_off)
+        format!("bursty(peak={},burst≈{:.0})", self.peak, 1.0 / self.p_flip)
     }
 }
 

@@ -69,11 +69,6 @@ impl FlowTraffic {
     pub fn uniform(n: usize, rho: f64, mean_flow_len: f64, seed: u64) -> Self {
         Self::from_matrix(TrafficMatrix::uniform(n, rho), mean_flow_len, seed)
     }
-
-    /// Mean flow length in packets.
-    pub fn mean_flow_len(&self) -> f64 {
-        self.mean_flow_len
-    }
 }
 
 impl TrafficGenerator for FlowTraffic {

@@ -29,7 +29,9 @@
 //! non-decreasing, ports in range, at most one packet per input per slot, no
 //! slot past a declared span, and the declared record count.
 //! [`TraceWriter`] is the mirror image and is what the `trace` CLI and
-//! [`record_spec`] use to emit traces.
+//! [`record_spec`] use to emit traces; it refuses a record under the
+//! reader's own per-record rules, so it never writes a file the reader
+//! refuses.
 //!
 //! All failures — missing file, bad header, truncated data, out-of-range
 //! ports, non-monotone slots, input collisions, span and count mismatches —
@@ -113,6 +115,95 @@ fn validate_label(path: &Path, label: &str) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// The per-record rules of a trace file (module docs), kept once for the
+/// reader, which refuses a file that breaks one, and the writer, which
+/// refuses to write such a record.
+#[derive(Debug)]
+struct RecordRules {
+    /// Port bound: the declared `n` (or the one [`TraceReader::require_n`]
+    /// supplies), else [`MAX_TRACE_N`].
+    ports: Option<usize>,
+    /// Declared slot span; 0 declares none.
+    slots: u64,
+    /// Slot of the latest record admitted.
+    prev_slot: Option<u64>,
+    /// Slot of each input's latest record (grown on demand, at most
+    /// [`MAX_TRACE_N`] entries), for the one-packet-per-input-per-slot rule.
+    input_slots: Vec<Option<u64>>,
+    /// Records admitted so far.
+    records: u64,
+}
+
+impl RecordRules {
+    fn new(ports: Option<usize>, slots: u64) -> Self {
+        RecordRules {
+            ports,
+            slots,
+            prev_slot: None,
+            input_slots: Vec::new(),
+            records: 0,
+        }
+    }
+
+    /// Admit the next record of the file at `path`, or say which rule it
+    /// breaks.
+    fn admit(&mut self, path: &Path, record: &TraceRecord) -> Result<(), SpecError> {
+        let number = self.records + 1;
+        if let Some(prev) = self.prev_slot.filter(|&prev| record.slot < prev) {
+            return Err(path_err(
+                path,
+                format!(
+                    "non-monotone slots: record {number} has slot {} after slot {prev}",
+                    record.slot
+                ),
+            ));
+        }
+        let n = self.ports.unwrap_or(MAX_TRACE_N);
+        if record.input >= n || record.output >= n {
+            return Err(path_err(
+                path,
+                format!(
+                    "port out of range in record {number}: input {} output {} but n = {n}",
+                    record.input, record.output
+                ),
+            ));
+        }
+        if self.slots > 0 && record.slot >= self.slots {
+            return Err(path_err(
+                path,
+                format!(
+                    "header declares {} slots but the trace contains slot {}",
+                    self.slots, record.slot
+                ),
+            ));
+        }
+        if record.input >= self.input_slots.len() {
+            self.input_slots.resize(record.input + 1, None);
+        }
+        let last = &mut self.input_slots[record.input];
+        if *last == Some(record.slot) {
+            return Err(path_err(
+                path,
+                format!(
+                    "two packets at input {} in slot {}",
+                    record.input, record.slot
+                ),
+            ));
+        }
+        *last = Some(record.slot);
+        self.prev_slot = Some(record.slot);
+        self.records += 1;
+        Ok(())
+    }
+
+    /// Start again at the first record.
+    fn restart(&mut self) {
+        self.prev_slot = None;
+        self.input_slots.clear();
+        self.records = 0;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
@@ -125,14 +216,7 @@ pub struct TraceReader {
     path: PathBuf,
     meta: TraceMeta,
     inner: ReaderImpl,
-    /// Port bound records are checked against: the header's `n`, or the
-    /// one [`Self::require_n`] supplies.
-    ports: Option<usize>,
-    prev_slot: Option<u64>,
-    /// Slot of each input's latest record (grown on demand, at most
-    /// [`MAX_TRACE_N`] entries), for the one-packet-per-input-per-slot rule.
-    input_slots: Vec<Option<u64>>,
-    read_records: u64,
+    rules: RecordRules,
     /// Declared record count (`.sprt` header, or a CSV `# entries =` line).
     declared_entries: Option<u64>,
 }
@@ -223,12 +307,9 @@ impl TraceReader {
         };
         Ok(TraceReader {
             path,
-            ports: meta.n,
+            rules: RecordRules::new(meta.n, meta.slots),
             meta,
             inner,
-            prev_slot: None,
-            input_slots: Vec::new(),
-            read_records: 0,
             declared_entries,
         })
     }
@@ -255,7 +336,7 @@ impl TraceReader {
                 format!("trace was recorded for n = {declared} ports but the scenario has n = {n}"),
             )),
             _ => {
-                self.ports = Some(n);
+                self.rules.ports = Some(n);
                 Ok(())
             }
         }
@@ -280,9 +361,7 @@ impl TraceReader {
         reader
             .seek(SeekFrom::Start(start))
             .map_err(|e| path_err(&self.path, format!("seek error: {e}")))?;
-        self.prev_slot = None;
-        self.input_slots.clear();
-        self.read_records = 0;
+        self.rules.restart();
         Ok(())
     }
 
@@ -301,13 +380,13 @@ impl TraceReader {
                     .map_err(|e| path_err(&self.path, format!("read error: {e}")))?;
                 if bytes == 0 {
                     if let Some(declared) = self.declared_entries {
-                        if declared != self.read_records {
+                        if declared != self.rules.records {
                             return Err(path_err(
                                 &self.path,
                                 format!(
                                     "truncated trace: header declares {declared} entries \
                                      but the file contains {}",
-                                    self.read_records
+                                    self.rules.records
                                 ),
                             ));
                         }
@@ -325,7 +404,7 @@ impl TraceReader {
                 let declared = self
                     .declared_entries
                     .expect("binary traces always declare a count");
-                if self.read_records == declared {
+                if self.rules.records == declared {
                     // Clean end; any trailing bytes mean the header count
                     // and the data disagree.
                     let mut probe = [0u8; 1];
@@ -343,14 +422,14 @@ impl TraceReader {
                         Err(e) => return Err(path_err(&self.path, format!("read error: {e}"))),
                     }
                 } else {
-                    let base = self.prev_slot.unwrap_or(0);
+                    let base = self.rules.prev_slot.unwrap_or(0);
                     let truncated = |what: &str| {
                         path_err(
                             &self.path,
                             format!(
                                 "truncated trace: file ended inside record {} of {declared} \
                                  (while reading {what})",
-                                self.read_records + 1
+                                self.rules.records + 1
                             ),
                         )
                     };
@@ -361,7 +440,7 @@ impl TraceReader {
                     let slot = base.checked_add(delta).ok_or_else(|| {
                         path_err(&self.path, "slot delta overflows u64".to_string())
                     })?;
-                    // A binary header always declares n, so `check` bounds
+                    // A binary header always declares n, so the rules bound
                     // the ports; one past usize saturates and fails there.
                     let port = |p: u64| usize::try_from(p).unwrap_or(usize::MAX);
                     Some(TraceRecord {
@@ -376,60 +455,8 @@ impl TraceReader {
         let Some(record) = record else {
             return Ok(None);
         };
-        self.check(&record)?;
-        self.prev_slot = Some(record.slot);
-        self.read_records += 1;
+        self.rules.admit(&self.path, &record)?;
         Ok(Some(record))
-    }
-
-    /// The file-level rules a decoded record must meet.
-    fn check(&mut self, record: &TraceRecord) -> Result<(), SpecError> {
-        let number = self.read_records + 1;
-        if let Some(prev) = self.prev_slot.filter(|&prev| record.slot < prev) {
-            return Err(path_err(
-                &self.path,
-                format!(
-                    "non-monotone slots: record {number} has slot {} after slot {prev}",
-                    record.slot
-                ),
-            ));
-        }
-        if let Some(n) = self.ports {
-            if record.input >= n || record.output >= n {
-                return Err(path_err(
-                    &self.path,
-                    format!(
-                        "port out of range in record {number}: input {} output {} but n = {n}",
-                        record.input, record.output
-                    ),
-                ));
-            }
-        }
-        let declared = self.meta.slots;
-        if declared > 0 && record.slot >= declared {
-            return Err(path_err(
-                &self.path,
-                format!(
-                    "header declares {declared} slots but the trace contains slot {}",
-                    record.slot
-                ),
-            ));
-        }
-        if record.input >= self.input_slots.len() {
-            self.input_slots.resize(record.input + 1, None);
-        }
-        let last = &mut self.input_slots[record.input];
-        if *last == Some(record.slot) {
-            return Err(path_err(
-                &self.path,
-                format!(
-                    "two packets at input {} in slot {}",
-                    record.input, record.slot
-                ),
-            ));
-        }
-        *last = Some(record.slot);
-        Ok(())
     }
 }
 
@@ -637,11 +664,8 @@ pub struct TraceWriter {
     path: PathBuf,
     /// `.sprt` output (else CSV).
     binary: bool,
-    n: Option<usize>,
-    declared_slots: u64,
     writer: BufWriter<File>,
-    prev_slot: Option<u64>,
-    written: u64,
+    rules: RecordRules,
     /// Byte offset of the CSV `# entries =` placeholder, patched by
     /// [`Self::finish`] so written CSVs are truncation-checked like `.sprt`.
     csv_entries_offset: Option<u64>,
@@ -753,42 +777,20 @@ impl TraceWriter {
         Ok(TraceWriter {
             path,
             binary,
-            n: meta.n,
-            declared_slots: meta.slots,
             writer,
-            prev_slot: None,
-            written: 0,
+            rules: RecordRules::new(meta.n, meta.slots),
             csv_entries_offset,
         })
     }
 
-    /// Append one record.  Slots must be non-decreasing and ports in range
-    /// (when `n` is known) — the same invariants readers enforce.
+    /// Append one record, which must meet the rules readers enforce:
+    /// slots non-decreasing, ports in range (of `n` when it is known), at
+    /// most one packet per input per slot, and no slot past a declared span.
     pub fn write(&mut self, record: &TraceRecord) -> Result<(), SpecError> {
-        if let Some(prev) = self.prev_slot {
-            if record.slot < prev {
-                return Err(path_err(
-                    &self.path,
-                    format!(
-                        "records must be slot-ordered: got slot {} after {prev}",
-                        record.slot
-                    ),
-                ));
-            }
-        }
-        let bound = self.n.unwrap_or(MAX_TRACE_N);
-        if record.input >= bound || record.output >= bound {
-            return Err(path_err(
-                &self.path,
-                format!(
-                    "port out of range: input {} output {} but n = {bound}",
-                    record.input, record.output
-                ),
-            ));
-        }
+        let base = self.rules.prev_slot.unwrap_or(0);
+        self.rules.admit(&self.path, record)?;
         let io = |e: std::io::Error| path_err(&self.path, format!("write error: {e}"));
         if self.binary {
-            let base = self.prev_slot.unwrap_or(0);
             write_varint(&mut self.writer, record.slot - base).map_err(io)?;
             write_varint(&mut self.writer, record.input as u64).map_err(io)?;
             write_varint(&mut self.writer, record.output as u64).map_err(io)?;
@@ -801,8 +803,6 @@ impl TraceWriter {
             )
             .map_err(io)?;
         }
-        self.prev_slot = Some(record.slot);
-        self.written += 1;
         Ok(())
     }
 
@@ -810,10 +810,10 @@ impl TraceWriter {
     /// (and the slot span, when it was created as 0 = "derive").  Returns
     /// `(records_written, slot_span)`.
     pub fn finish(mut self) -> Result<(u64, u64), SpecError> {
-        let span = if self.declared_slots > 0 {
-            self.declared_slots
+        let span = if self.rules.slots > 0 {
+            self.rules.slots
         } else {
-            self.prev_slot.map_or(0, |s| s + 1)
+            self.rules.prev_slot.map_or(0, |s| s + 1)
         };
         let io = |e: std::io::Error| path_err(&self.path, format!("write error: {e}"));
         self.writer.flush().map_err(io)?;
@@ -821,16 +821,17 @@ impl TraceWriter {
         if self.binary {
             file.seek(SeekFrom::Start(10)).map_err(io)?;
             file.write_all(&span.to_le_bytes()).map_err(io)?;
-            file.write_all(&self.written.to_le_bytes()).map_err(io)?;
+            file.write_all(&self.rules.records.to_le_bytes())
+                .map_err(io)?;
         } else {
             let offset = self
                 .csv_entries_offset
                 .expect("CSV writers always reserve an entries placeholder");
             file.seek(SeekFrom::Start(offset)).map_err(io)?;
-            write!(file, "{:>CSV_ENTRIES_WIDTH$}", self.written).map_err(io)?;
+            write!(file, "{:>CSV_ENTRIES_WIDTH$}", self.rules.records).map_err(io)?;
         }
         file.flush().map_err(io)?;
-        Ok((self.written, span))
+        Ok((self.rules.records, span))
     }
 }
 
@@ -841,7 +842,8 @@ impl TraceWriter {
 /// Record the arrival stream a scenario's traffic generator produces — the
 /// exact packets the engine would inject during the spec's arrival phase —
 /// into a trace file, with full provenance metadata (`n`, slot span, the
-/// generator's label and the spec's analytic rate matrix).
+/// generator's label and its rate matrix, the one `Engine::run` sizes the
+/// switch from).
 ///
 /// Replaying the result with `TrafficSpec::Trace` under the same scheme,
 /// seed and run configuration reproduces the original report byte for byte;
@@ -854,7 +856,7 @@ pub fn record_spec(spec: &ScenarioSpec, out: impl AsRef<Path>) -> Result<(u64, u
         n: Some(spec.n),
         slots: spec.run.slots,
         label: Some(traffic.label()),
-        matrix: Some(spec.traffic.try_matrix(spec.n)?),
+        matrix: Some(traffic.rate_matrix()),
     };
     let mut writer = TraceWriter::create(out, &meta)?;
     let mut buf = Vec::new();
@@ -1433,6 +1435,104 @@ mod tests {
         assert!(reader.meta().matrix.is_some());
         assert_eq!(read_all(&path), expected);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recorded_matrix_is_the_generators_for_every_pattern() {
+        use crate::spec::TrafficSpec;
+        let run = crate::engine::RunConfig {
+            slots: 40,
+            warmup_slots: 0,
+            drain_slots: 0,
+        };
+        let source = tmp("matrix-source.sprt");
+        let mut patterns = vec![
+            TrafficSpec::Uniform { load: 0.6 },
+            TrafficSpec::Diagonal { load: 0.7 },
+            TrafficSpec::Hotspot {
+                load: 0.5,
+                hot_fraction: 0.3,
+            },
+            TrafficSpec::Bursty {
+                load: 0.4,
+                peak: 0.9,
+                mean_burst: 8.0,
+            },
+            TrafficSpec::Flows {
+                load: 0.5,
+                mean_flow_len: 4.0,
+            },
+        ];
+        record_spec(
+            &ScenarioSpec::new("oq", 8)
+                .with_traffic(TrafficSpec::Diagonal { load: 0.3 })
+                .with_run(run),
+            &source,
+        )
+        .unwrap();
+        patterns.push(TrafficSpec::Trace {
+            path: source.to_string_lossy().into_owned(),
+            repeat: 2,
+            scale: 0.5,
+        });
+        for traffic in patterns {
+            let spec = ScenarioSpec::new("oq", 8)
+                .with_traffic(traffic)
+                .with_run(run)
+                .with_seed(5);
+            let expected = spec.build_traffic().unwrap().rate_matrix();
+            for format in ["csv", "sprt"] {
+                let path = tmp(&format!("matrix-pattern.{format}"));
+                record_spec(&spec, &path).unwrap();
+                let reader = TraceReader::open(&path).unwrap();
+                let recorded = reader.meta().matrix.as_ref().expect("a recorded matrix");
+                assert_eq!(recorded.n(), 8);
+                for i in 0..8 {
+                    for j in 0..8 {
+                        assert_eq!(
+                            recorded.rate(i, j).to_bits(),
+                            expected.rate(i, j).to_bits(),
+                            "{:?} {format} ({i}, {j})",
+                            spec.traffic
+                        );
+                    }
+                }
+                std::fs::remove_file(&path).ok();
+            }
+        }
+        std::fs::remove_file(&source).ok();
+    }
+
+    #[test]
+    fn writer_refuses_what_the_reader_refuses() {
+        let record = |slot, input| TraceRecord {
+            slot,
+            input,
+            output: 1,
+            flow: 0,
+        };
+        for format in ["csv", "sprt"] {
+            let path = tmp(&format!("wrules.{format}"));
+            let meta = TraceMeta {
+                n: Some(4),
+                slots: 3,
+                ..TraceMeta::default()
+            };
+            let mut w = TraceWriter::create(&path, &meta).unwrap();
+            w.write(&record(0, 1)).unwrap();
+            let err = w.write(&record(0, 1)).unwrap_err().to_string();
+            assert!(err.contains("two packets at input 1 in slot 0"), "{err}");
+            w.write(&record(2, 1)).unwrap();
+            let err = w.write(&record(3, 2)).unwrap_err().to_string();
+            assert!(
+                err.contains("header declares 3 slots but the trace contains slot 3"),
+                "{err}"
+            );
+            // What was written reads back whole.
+            assert_eq!(w.finish().unwrap(), (2, 3));
+            assert_eq!(read_all(&path), vec![record(0, 1), record(2, 1)]);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

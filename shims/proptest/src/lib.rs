@@ -156,7 +156,7 @@ tuple_strategy! {
 pub mod collection {
     use super::{CaseRng, Strategy};
 
-    /// Length specification for [`vec`]: a fixed `usize` or a `Range<usize>`.
+    /// Length specification for [`vec()`]: a fixed `usize` or a `Range<usize>`.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -9,7 +9,7 @@
 
 use sprinklers_sim::engine::RunConfig;
 use sprinklers_sim::parallel::run_specs_parallel_ok;
-use sprinklers_sim::report::merge_csv;
+use sprinklers_sim::report::{merge_csv_rows, SimReport};
 use sprinklers_sim::spec::{ScenarioSpec, SuiteSpec, TrafficSpec};
 
 /// A small but non-trivial scheme × load grid: ordered and unordered
@@ -34,7 +34,12 @@ fn merged_grid_csv(workers: usize) -> String {
         .expand("grid", &grid_base());
     let specs: Vec<ScenarioSpec> = cases.iter().map(|c| c.spec.clone()).collect();
     let reports = run_specs_parallel_ok(&specs, workers).unwrap();
-    merge_csv(cases.iter().map(|c| c.name.as_str()).zip(&reports))
+    merge_csv_rows(
+        cases
+            .iter()
+            .map(|c| c.name.as_str())
+            .zip(reports.iter().map(SimReport::csv_row)),
+    )
 }
 
 #[test]
@@ -98,8 +103,18 @@ fn suite_expansion_plus_parallel_run_is_deterministic() {
 
     let reports_w1 = run_specs_parallel_ok(&specs, 1).unwrap();
     let reports_w4 = run_specs_parallel_ok(&specs, 4).unwrap();
-    let csv_w1 = merge_csv(cases.iter().map(|c| c.name.as_str()).zip(reports_w1.iter()));
-    let csv_w4 = merge_csv(cases.iter().map(|c| c.name.as_str()).zip(reports_w4.iter()));
+    let csv_w1 = merge_csv_rows(
+        cases
+            .iter()
+            .map(|c| c.name.as_str())
+            .zip(reports_w1.iter().map(SimReport::csv_row)),
+    );
+    let csv_w4 = merge_csv_rows(
+        cases
+            .iter()
+            .map(|c| c.name.as_str())
+            .zip(reports_w4.iter().map(SimReport::csv_row)),
+    );
     assert_eq!(csv_w1, csv_w4);
     // Case labels make every row attributable.
     for case in &cases {

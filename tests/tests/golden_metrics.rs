@@ -20,7 +20,7 @@
 use sprinklers_sim::cache::fnv1a_128;
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::parallel::run_specs_parallel;
-use sprinklers_sim::report::{merge_csv, SimReport};
+use sprinklers_sim::report::{merge_csv_rows, SimReport};
 use sprinklers_sim::spec::{ScenarioSpec, SuiteSpec, TrafficSpec};
 
 const GOLDEN: &str = include_str!("../fixtures/smoke_quick.csv");
@@ -40,7 +40,12 @@ fn run_suite(suite: SuiteSpec, workers: usize) -> String {
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("every smoke case runs");
-    merge_csv(cases.iter().map(|c| c.name.as_str()).zip(reports.iter()))
+    merge_csv_rows(
+        cases
+            .iter()
+            .map(|c| c.name.as_str())
+            .zip(reports.iter().map(SimReport::csv_row)),
+    )
 }
 
 #[test]

@@ -19,7 +19,7 @@
 use sprinklers_sim::engine::RunConfig;
 use sprinklers_sim::parallel::run_specs_parallel;
 use sprinklers_sim::registry;
-use sprinklers_sim::report::{merge_csv, SimReport};
+use sprinklers_sim::report::{merge_csv_rows, SimReport};
 use sprinklers_sim::spec::{ScenarioSpec, TrafficSpec};
 use std::path::PathBuf;
 
@@ -51,7 +51,12 @@ fn run_merged(trace: &str, workers: usize) -> String {
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("every scheme replays the fixture trace");
-    merge_csv(registry::schemes().iter().copied().zip(reports.iter()))
+    merge_csv_rows(
+        registry::schemes()
+            .iter()
+            .copied()
+            .zip(reports.iter().map(SimReport::csv_row)),
+    )
 }
 
 #[test]
