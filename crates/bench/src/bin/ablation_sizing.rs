@@ -7,11 +7,12 @@
 //!
 //! Usage: `cargo run --release -p sprinklers-bench --bin ablation_sizing [--quick]`
 
-use sprinklers_bench::experiments::{ablation_sizing, points_to_csv};
+use sprinklers_bench::cli::{fail, quick_flag};
+use sprinklers_bench::experiments::{ablation_sizing_cases, run_cases};
 
 const USAGE: &str = "\
 Ablation: stripe sizing policy (matrix-driven, adaptive, fixed 1, fixed N)
-under uniform traffic, N = 32.  CSV on stdout.
+under uniform traffic, N = 32.  Suite CSV on stdout.
 
 Usage:
   ablation_sizing [--quick]
@@ -20,9 +21,10 @@ Usage:
          and 200 000 slots";
 
 fn main() {
-    let quick = sprinklers_bench::cli::quick_flag(USAGE);
+    let quick = quick_flag(USAGE);
     eprintln!("running stripe-sizing ablation, quick = {quick} ...");
-    let points = ablation_sizing(quick);
+    let (_, csv) =
+        run_cases(&ablation_sizing_cases(quick)).unwrap_or_else(|e| fail(&e.to_string()));
     println!("# Ablation: stripe sizing policies (uniform traffic, N = 32)");
-    print!("{}", points_to_csv(&points));
+    print!("{csv}");
 }

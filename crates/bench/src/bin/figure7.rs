@@ -4,12 +4,14 @@
 //! Usage: `cargo run --release -p sprinklers-bench --bin figure7 [--quick]`
 
 use sprinklers_bench::chart::{log_y_chart, points_to_series};
-use sprinklers_bench::experiments::{figure7, points_to_csv};
+use sprinklers_bench::cli::{fail, quick_flag};
+use sprinklers_bench::experiments::{figure_cases, run_cases};
+use sprinklers_sim::spec::TrafficSpec;
 
 const USAGE: &str = "\
 Regenerate Figure 7 of the paper: average delay versus load under
 quasi-diagonal Bernoulli traffic, N = 32, for baseline-lb, UFS, FOFF, Padded
-Frames and Sprinklers.  CSV and a log-scale chart on stdout.
+Frames and Sprinklers.  Suite CSV and a log-scale chart on stdout.
 
 Usage:
   figure7 [--quick]
@@ -18,12 +20,16 @@ Usage:
          and 200 000 slots";
 
 fn main() {
-    let quick = sprinklers_bench::cli::quick_flag(USAGE);
+    let quick = quick_flag(USAGE);
     eprintln!("running figure 7 (quasi-diagonal traffic), quick = {quick} ...");
-    let points = figure7(quick);
+    let cases = figure_cases("figure7", TrafficSpec::Diagonal { load: 0.5 }, quick);
+    let (reports, csv) = run_cases(&cases).unwrap_or_else(|e| fail(&e.to_string()));
     println!("# Figure 7: average delay vs load, quasi-diagonal traffic, N = 32");
-    print!("{}", points_to_csv(&points));
+    print!("{csv}");
     println!();
     println!("# mean delay (slots, log scale) vs offered load:");
-    print!("{}", log_y_chart(&points_to_series(&points), 60, 18));
+    print!(
+        "{}",
+        log_y_chart(&points_to_series(&cases, &reports), 60, 18)
+    );
 }

@@ -6,6 +6,8 @@
 //! be eyeballed straight from the terminal (who wins, by how much, where the
 //! curves cross) without any external tooling.
 
+use sprinklers_sim::report::SimReport;
+use sprinklers_sim::spec::SuiteCase;
 use std::collections::BTreeMap;
 
 /// One named series of (x, y) points.
@@ -98,14 +100,15 @@ pub fn log_y_chart(series: &[Series], width: usize, height: usize) -> String {
     out
 }
 
-/// Group delay-vs-load experiment points into chart series (one per scheme).
-pub fn points_to_series(points: &[crate::experiments::SchemePoint]) -> Vec<Series> {
-    let mut by_scheme: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
-    for p in points {
+/// Group a delay-vs-load grid into chart series, one per scheme: each
+/// case's offered load against its report's mean delay.
+pub fn points_to_series(cases: &[SuiteCase], reports: &[SimReport]) -> Vec<Series> {
+    let mut by_scheme: BTreeMap<&str, Vec<(f64, f64)>> = BTreeMap::new();
+    for (case, report) in cases.iter().zip(reports) {
         by_scheme
-            .entry(p.scheme.clone())
+            .entry(&case.spec.scheme)
             .or_default()
-            .push((p.load, p.report.delay.mean().max(1.0)));
+            .push((case.spec.traffic.load(), report.delay.mean().max(1.0)));
     }
     by_scheme
         .into_iter()

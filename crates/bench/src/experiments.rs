@@ -1,126 +1,25 @@
 //! The experiment implementations behind every table and figure.
 //!
-//! All simulation experiments are expressed as [`ScenarioSpec`]s and executed
-//! by the suite executor ([`run_specs_parallel_ok`]), so a figure is nothing
-//! more than a grid of specs plus CSV formatting.
+//! Figures 6 and 7 and the stripe-sizing ablation are suites: each is a
+//! base [`ScenarioSpec`] crossed with schemes and loads by
+//! [`SuiteSpec::expand`], run by [`run_specs_parallel_ok`] and printed by
+//! [`merge_csv_rows`] — the three calls the `suite` binary makes, so a
+//! figure's rows are the suite CSV of its base spec.  Table 1 and Figure 5
+//! are analytical and simulate nothing.
 
-use sprinklers_analysis::chernoff;
-use sprinklers_analysis::markov;
+use sprinklers_analysis::{chernoff, markov};
 use sprinklers_sim::engine::RunConfig;
 use sprinklers_sim::parallel::run_specs_parallel_ok;
-use sprinklers_sim::report::SimReport;
-use sprinklers_sim::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
+use sprinklers_sim::report::{merge_csv_rows, SimReport};
+use sprinklers_sim::spec::{
+    ScenarioSpec, SizingSpec, SpecError, SuiteCase, SuiteSpec, TrafficSpec,
+};
 
 /// Switch size used by the paper's delay simulations (§6).
 pub const PAPER_N: usize = 32;
 
-/// The traffic patterns of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficKind {
-    /// Uniform destinations (Figure 6).
-    Uniform,
-    /// Quasi-diagonal destinations (Figure 7).
-    Diagonal,
-}
-
-impl TrafficKind {
-    /// The equivalent declarative [`TrafficSpec`].
-    pub fn spec(&self, rho: f64) -> TrafficSpec {
-        match self {
-            TrafficKind::Uniform => TrafficSpec::Uniform { load: rho },
-            TrafficKind::Diagonal => TrafficSpec::Diagonal { load: rho },
-        }
-    }
-}
-
 /// The five schemes compared in Figures 6 and 7.
 pub const PAPER_SCHEMES: [&str; 5] = ["baseline-lb", "ufs", "foff", "padded-frames", "sprinklers"];
-
-/// The scenario spec of one experiment point.
-pub fn point_spec(
-    scheme: &str,
-    n: usize,
-    load: f64,
-    kind: TrafficKind,
-    run: RunConfig,
-    seed: u64,
-) -> ScenarioSpec {
-    ScenarioSpec::new(scheme, n)
-        .with_traffic(kind.spec(load))
-        .with_run(run)
-        .with_seed(seed)
-}
-
-/// One data point of a delay-vs-load experiment.
-#[derive(Debug, Clone)]
-pub struct SchemePoint {
-    /// Scheme name (or ablation variant label).
-    pub scheme: String,
-    /// Offered load.
-    pub load: f64,
-    /// The full simulation report.
-    pub report: SimReport,
-}
-
-impl SchemePoint {
-    /// CSV header shared by the figure binaries.
-    pub fn csv_header() -> &'static str {
-        "scheme,load,mean_delay,p50_delay,p99_delay,max_delay,voq_reorders,flow_reorders,\
-         delivered,offered,padding"
-    }
-
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{:.2},{:.2},{},{},{},{},{},{},{},{}",
-            self.scheme,
-            self.load,
-            self.report.delay.mean(),
-            self.report.delay.percentile(0.5),
-            self.report.delay.percentile(0.99),
-            self.report.delay.max(),
-            self.report.reordering.voq_reorder_events,
-            self.report.reordering.flow_reorder_events,
-            self.report.delivered_packets,
-            self.report.offered_packets,
-            self.report.padding_packets,
-        )
-    }
-}
-
-/// Run a grid of `(label, load)` points, one spec each, on the suite
-/// executor with one worker per core.  Points come back in grid order.
-///
-/// # Panics
-///
-/// Panics if any spec fails to run (the earliest failing one is named).
-fn run_grid(points: Vec<(String, f64)>, specs: &[ScenarioSpec]) -> Vec<SchemePoint> {
-    let reports = run_specs_parallel_ok(specs, 0).unwrap_or_else(|e| panic!("{e}"));
-    points
-        .into_iter()
-        .zip(reports)
-        .map(|((scheme, load), report)| SchemePoint {
-            scheme,
-            load,
-            report,
-        })
-        .collect()
-}
-
-/// Delay-vs-load grid of the paper's figures, N = 32: every scheme of
-/// [`PAPER_SCHEMES`] at every load of [`paper_loads`], schemes outermost.
-fn paper_grid(kind: TrafficKind, quick: bool) -> Vec<SchemePoint> {
-    let run = paper_run_config(quick);
-    let mut points = Vec::new();
-    let mut specs = Vec::new();
-    for scheme in PAPER_SCHEMES {
-        for load in paper_loads(quick) {
-            points.push((scheme.to_string(), load));
-            specs.push(point_spec(scheme, PAPER_N, load, kind, run, 2014));
-        }
-    }
-    run_grid(points, &specs)
-}
 
 /// The load grid of Figures 6 and 7.
 pub fn paper_loads(quick: bool) -> Vec<f64> {
@@ -148,38 +47,56 @@ pub fn paper_run_config(quick: bool) -> RunConfig {
     }
 }
 
-/// Figure 6: average delay versus load under uniform traffic, N = 32.
-pub fn figure6(quick: bool) -> Vec<SchemePoint> {
-    paper_grid(TrafficKind::Uniform, quick)
+/// Figure 6 (`name` "figure6", uniform `traffic`) or Figure 7 ("figure7",
+/// quasi-diagonal): a Sprinklers base spec at N = 32, seed 2014, crossed
+/// with [`PAPER_SCHEMES`] and [`paper_loads`], schemes outermost.  Each
+/// case replaces the load of `traffic`.
+pub fn figure_cases(name: &str, traffic: TrafficSpec, quick: bool) -> Vec<SuiteCase> {
+    let base = ScenarioSpec::new("sprinklers", PAPER_N)
+        .with_traffic(traffic)
+        .with_run(paper_run_config(quick))
+        .with_seed(2014);
+    SuiteSpec::default()
+        .with_schemes(PAPER_SCHEMES.map(String::from).to_vec())
+        .with_loads(paper_loads(quick))
+        .expand(name, &base)
 }
 
-/// Figure 7: average delay versus load under quasi-diagonal traffic, N = 32.
-pub fn figure7(quick: bool) -> Vec<SchemePoint> {
-    paper_grid(TrafficKind::Diagonal, quick)
-}
-
-/// Ablation: matrix-driven sizing vs adaptive (measured-rate) sizing vs the
-/// degenerate fixed sizes 1 and N.
-pub fn ablation_sizing(quick: bool) -> Vec<SchemePoint> {
-    let n = PAPER_N;
-    let run = paper_run_config(quick);
-    let variants: [(&str, SizingSpec); 4] = [
+/// The stripe-sizing ablation under uniform traffic, N = 32, seed 7: one
+/// Sprinklers base spec per sizing (matrix-driven, adaptive, and the
+/// degenerate fixed sizes 1 and N), each crossed with [`paper_loads`].
+pub fn ablation_sizing_cases(quick: bool) -> Vec<SuiteCase> {
+    let loads = SuiteSpec::default().with_loads(paper_loads(quick));
+    [
         ("sizing-matrix", SizingSpec::Matrix),
         ("sizing-adaptive", SizingSpec::Adaptive),
         ("sizing-fixed-1", SizingSpec::Fixed(1)),
-        ("sizing-fixed-n", SizingSpec::Fixed(n)),
-    ];
-    let mut points = Vec::new();
-    let mut specs = Vec::new();
-    for load in paper_loads(quick) {
-        for (name, sizing) in variants {
-            points.push((name.to_string(), load));
-            specs.push(
-                point_spec("sprinklers", n, load, TrafficKind::Uniform, run, 7).with_sizing(sizing),
-            );
-        }
-    }
-    run_grid(points, &specs)
+        ("sizing-fixed-n", SizingSpec::Fixed(PAPER_N)),
+    ]
+    .into_iter()
+    .flat_map(|(stem, sizing)| {
+        let base = ScenarioSpec::new("sprinklers", PAPER_N)
+            .with_sizing(sizing)
+            .with_run(paper_run_config(quick))
+            .with_seed(7);
+        loads.expand(stem, &base)
+    })
+    .collect()
+}
+
+/// Run `cases` with one worker per core and return their reports, in case
+/// order, with the merged suite CSV.  The earliest failing case's error is
+/// returned instead.
+pub fn run_cases(cases: &[SuiteCase]) -> Result<(Vec<SimReport>, String), SpecError> {
+    let specs: Vec<ScenarioSpec> = cases.iter().map(|case| case.spec.clone()).collect();
+    let reports = run_specs_parallel_ok(&specs, 0)?;
+    let csv = merge_csv_rows(
+        cases
+            .iter()
+            .zip(&reports)
+            .map(|(case, report)| (case.name.as_str(), report.csv_row())),
+    );
+    Ok((reports, csv))
 }
 
 /// Table 1 as CSV: the single-queue overload bound for the paper's grid of
@@ -225,17 +142,6 @@ pub fn figure5_csv(quick: bool) -> String {
     out
 }
 
-/// Render a set of [`SchemePoint`]s as CSV.
-pub fn points_to_csv(points: &[SchemePoint]) -> String {
-    let mut out = String::from(SchemePoint::csv_header());
-    out.push('\n');
-    for p in points {
-        out.push_str(&p.csv_row());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,18 +176,66 @@ mod tests {
         }
     }
 
+    /// Write each case stem's spec (its first case; the suite's overrides
+    /// replace its scheme and load) as `<stem>.json` into a fresh directory
+    /// and load that directory back as a suite over the paper's loads and,
+    /// if `schemes`, its schemes.
+    fn reload_as_suite(
+        tag: &str,
+        cases: &[SuiteCase],
+        schemes: bool,
+        quick: bool,
+    ) -> Vec<SuiteCase> {
+        let dir = std::env::temp_dir().join(format!(
+            "sprinklers-figure-suite-{}-{tag}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        for case in cases {
+            let stem = case.name.split(['+', '@']).next().unwrap();
+            let path = dir.join(format!("{stem}.json"));
+            if !path.exists() {
+                std::fs::write(path, case.spec.to_json()).unwrap();
+            }
+        }
+        let mut suite = SuiteSpec::new(&dir).with_loads(paper_loads(quick));
+        if schemes {
+            suite = suite.with_schemes(PAPER_SCHEMES.map(String::from).to_vec());
+        }
+        let loaded = suite.load_cases();
+        std::fs::remove_dir_all(&dir).unwrap();
+        loaded.unwrap()
+    }
+
     #[test]
-    #[should_panic]
-    fn unknown_scheme_panics() {
-        let spec = point_spec(
-            "does-not-exist",
-            8,
-            0.5,
-            TrafficKind::Uniform,
-            RunConfig::quick(),
-            1,
-        );
-        let _ = run_grid(vec![("does-not-exist".into(), 0.5)], &[spec]);
+    fn figures_are_suites_of_their_base_specs() {
+        for quick in [true, false] {
+            for (name, traffic) in [
+                ("figure6", TrafficSpec::Uniform { load: 0.5 }),
+                ("figure7", TrafficSpec::Diagonal { load: 0.5 }),
+            ] {
+                let cases = figure_cases(name, traffic, quick);
+                assert_eq!(cases.len(), 5 * paper_loads(quick).len());
+                assert_eq!(cases[0].name, format!("{name}+baseline-lb@0.1"));
+                let tag = format!("{name}-{quick}");
+                assert_eq!(reload_as_suite(&tag, &cases, true, quick), cases, "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_sizing_ablation_is_a_suite_of_four_base_specs() {
+        for quick in [true, false] {
+            let mut cases = ablation_sizing_cases(quick);
+            assert_eq!(cases.len(), 4 * paper_loads(quick).len());
+            assert_eq!(cases[0].name, "sizing-matrix@0.1");
+            let mut loaded = reload_as_suite(&format!("ablation-{quick}"), &cases, false, quick);
+            // A suite directory runs its files in name order; the ablation
+            // lists its variants matrix first.
+            cases.sort_by(|a, b| a.name.cmp(&b.name));
+            loaded.sort_by(|a, b| a.name.cmp(&b.name));
+            assert_eq!(loaded, cases);
+        }
     }
 
     #[test]
@@ -291,29 +245,33 @@ mod tests {
             warmup_slots: 500,
             drain_slots: 4_000,
         };
-        let spec = point_spec("sprinklers", 16, 0.4, TrafficKind::Uniform, run, 5);
-        let p = run_grid(vec![("sprinklers".into(), 0.4)], &[spec]).remove(0);
-        assert_eq!(p.scheme, "sprinklers");
-        assert_eq!(p.report.n, 16);
-        assert!(p.report.reordering.is_ordered());
-        assert!(p.report.delivery_ratio() > 0.9);
-        // CSV row matches the header's column count.
-        assert_eq!(
-            p.csv_row().split(',').count(),
-            SchemePoint::csv_header().split(',').count()
-        );
+        let spec = ScenarioSpec::new("sprinklers", 16)
+            .with_traffic(TrafficSpec::Uniform { load: 0.4 })
+            .with_run(run)
+            .with_seed(5);
+        let case = SuiteCase {
+            name: "point".into(),
+            spec,
+        };
+        let (reports, csv) = run_cases(&[case]).unwrap();
+        let report = &reports[0];
+        assert_eq!(report.n, 16);
+        assert!(report.reordering.is_ordered());
+        assert!(report.delivery_ratio() > 0.9);
+        // One suite row under the suite header, column counts matching.
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[1], format!("point,{}", report.csv_row()));
+        assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
     }
 
     #[test]
-    fn point_spec_round_trips_through_json() {
-        let spec = point_spec(
-            "foff",
-            32,
-            0.8,
-            TrafficKind::Diagonal,
-            paper_run_config(true),
-            2014,
-        );
-        assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
+    fn an_unknown_scheme_is_an_error() {
+        let case = SuiteCase {
+            name: "bad".into(),
+            spec: ScenarioSpec::new("does-not-exist", 8).with_run(RunConfig::quick()),
+        };
+        let err = run_cases(&[case]).unwrap_err();
+        assert!(err.to_string().contains("does-not-exist"), "{err}");
     }
 }

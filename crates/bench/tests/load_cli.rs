@@ -3,7 +3,8 @@
 //! error (exit 2, `error: …` on stderr), never a panic and never a result row.
 //! The same holds for the other numbers of a traffic pattern: a bursty
 //! source's peak rate and mean burst, a flow source's mean flow length — and
-//! for a fixed stripe size the switch cannot hold, a suite override that
+//! for a fixed stripe size the switch cannot hold or a scheme that sizes its
+//! stripes from measured rates would drop, a suite override that
 //! repeats a value, and an output path that names a file the command reads
 //! or writes already.
 
@@ -116,6 +117,29 @@ fn an_oversized_fixed_stripe_is_a_usage_error() {
         &out,
         "fixed stripe size 64 at n = 32",
         "stripe size 64 is not a power of two in 1..=32",
+    );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+/// `sprinklers-adaptive` sizes its stripes from measured rates: a fixed
+/// size is refused, naming the scheme that honours it, rather than dropped.
+#[test]
+fn fixed_sizing_on_adaptive_sprinklers_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("sprinklers-adaptive-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("adaptive-fixed.json");
+    std::fs::write(
+        &path,
+        r#"{"scheme":"sprinklers-adaptive","n":16,"sizing":{"mode":"fixed","size":4},
+           "traffic":{"pattern":"uniform","load":0.5},
+           "run":{"slots":2000,"warmup_slots":200,"drain_slots":2000},"seed":3}"#,
+    )
+    .expect("write spec");
+    let out = scenario(&["--spec", path.to_str().expect("utf-8 path")]);
+    assert_usage_error(
+        &out,
+        "sprinklers-adaptive with fixed sizing",
+        r#"use scheme 'sprinklers' with sizing {"mode":"fixed","size":4}"#,
     );
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

@@ -3,24 +3,23 @@
 //! The paper's stripe-interval generation requires sampling permutations of
 //! `{0, …, N−1}` uniformly at random (reference \[7\] of the paper, Durstenfeld's
 //! Algorithm 235).  This module provides that plus a small `Permutation`
-//! wrapper with inverse lookup, which the Orthogonal Latin Square and the
-//! Sprinklers switch both use.
+//! wrapper, which the Orthogonal Latin Square and the Sprinklers switch both
+//! use.
 
 use crate::rng::SimRng;
 
-/// A permutation of `{0, 1, …, n−1}` with O(1) forward and inverse lookup.
+/// A permutation of `{0, 1, …, n−1}` with O(1) lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
     forward: Vec<usize>,
-    inverse: Vec<usize>,
 }
 
 impl Permutation {
     /// The identity permutation on `n` elements.
     pub fn identity(n: usize) -> Self {
-        let forward: Vec<usize> = (0..n).collect();
-        let inverse = forward.clone();
-        Permutation { forward, inverse }
+        Permutation {
+            forward: (0..n).collect(),
+        }
     }
 
     /// Sample a permutation of `n` elements uniformly at random using the
@@ -40,17 +39,14 @@ impl Permutation {
     /// Returns `None` if `mapping` is not a permutation of `0..mapping.len()`.
     pub fn from_mapping(mapping: Vec<usize>) -> Option<Self> {
         let n = mapping.len();
-        let mut inverse = vec![usize::MAX; n];
-        for (i, &v) in mapping.iter().enumerate() {
-            if v >= n || inverse[v] != usize::MAX {
+        let mut seen = vec![false; n];
+        for &v in &mapping {
+            if v >= n || seen[v] {
                 return None;
             }
-            inverse[v] = i;
+            seen[v] = true;
         }
-        Some(Permutation {
-            forward: mapping,
-            inverse,
-        })
+        Some(Permutation { forward: mapping })
     }
 
     /// Number of elements the permutation acts on.
@@ -67,24 +63,6 @@ impl Permutation {
     pub fn apply(&self, i: usize) -> usize {
         self.forward[i]
     }
-
-    /// Apply the inverse permutation: `σ⁻¹(v)`.
-    pub fn invert(&self, v: usize) -> usize {
-        self.inverse[v]
-    }
-
-    /// The forward mapping as a slice.
-    pub fn as_slice(&self) -> &[usize] {
-        &self.forward
-    }
-
-    /// The inverse permutation as a new `Permutation`.
-    pub fn inverse(&self) -> Permutation {
-        Permutation {
-            forward: self.inverse.clone(),
-            inverse: self.forward.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +75,6 @@ mod tests {
         let p = Permutation::identity(8);
         for i in 0..8 {
             assert_eq!(p.apply(i), i);
-            assert_eq!(p.invert(i), i);
         }
     }
 
@@ -114,12 +91,10 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(7);
         for n in [1usize, 2, 5, 16, 257] {
             let p = Permutation::random(n, &mut rng);
+            // A bijection on 0..n: n distinct images, all in range.
             let values: HashSet<usize> = (0..n).map(|i| p.apply(i)).collect();
             assert_eq!(values.len(), n);
-            for i in 0..n {
-                assert_eq!(p.invert(p.apply(i)), i);
-                assert_eq!(p.apply(p.invert(i)), i);
-            }
+            assert!(values.iter().all(|&v| v < n));
         }
     }
 
@@ -131,7 +106,8 @@ mod tests {
         let mut counts = std::collections::HashMap::new();
         for _ in 0..6000 {
             let p = Permutation::random(3, &mut rng);
-            *counts.entry(p.as_slice().to_vec()).or_insert(0usize) += 1;
+            let mapping: Vec<usize> = (0..3).map(|i| p.apply(i)).collect();
+            *counts.entry(mapping).or_insert(0usize) += 1;
         }
         assert_eq!(counts.len(), 6);
         for (_, c) in counts {
@@ -140,17 +116,6 @@ mod tests {
                 "count {c} is implausible for a uniform sampler"
             );
         }
-    }
-
-    #[test]
-    fn compose_and_inverse() {
-        let p = Permutation::from_mapping(vec![2, 0, 1, 3]).unwrap();
-        let inverse = p.inverse();
-        for i in 0..4 {
-            assert_eq!(p.apply(inverse.apply(i)), i);
-            assert_eq!(inverse.apply(p.apply(i)), i);
-        }
-        assert_eq!(inverse.inverse(), p);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl RateEstimator {
         self.estimate
     }
 
-    /// Number of complete measurement windows observed.
-    pub fn windows_seen(&self) -> u64 {
-        self.windows_seen
-    }
-
     fn roll_to(&mut self, slot: u64) {
         // Compare `slot - window_start >= window` instead of
         // `slot >= window_start + window`: the sum overflows u64 once
@@ -110,7 +105,7 @@ mod tests {
         est.record_arrival(20);
         assert_eq!(est.rate_at(500), 0.0);
         assert!(est.rate_at(1000) > 0.0);
-        assert_eq!(est.windows_seen(), 1);
+        assert_eq!(est.windows_seen, 1);
     }
 
     #[test]
@@ -142,7 +137,7 @@ mod tests {
     fn empty_windows_are_counted() {
         let mut est = RateEstimator::new(10, 0.5);
         assert_eq!(est.rate_at(100), 0.0);
-        assert_eq!(est.windows_seen(), 10);
+        assert_eq!(est.windows_seen, 10);
     }
 
     #[test]
@@ -157,9 +152,9 @@ mod tests {
         }
         assert_eq!(est.rate_at(5), 0.0);
         assert_eq!(est.rate_at(7), 0.0, "slot 7 is still inside window 0");
-        assert_eq!(est.windows_seen(), 0);
+        assert_eq!(est.windows_seen, 0);
         assert_eq!(est.rate_at(8), 0.75, "6 arrivals / 8 slots, exactly");
-        assert_eq!(est.windows_seen(), 1);
+        assert_eq!(est.windows_seen, 1);
     }
 
     #[test]
@@ -175,7 +170,7 @@ mod tests {
         }
         assert_eq!(est.rate_at(10), 1.0);
         assert_eq!(est.rate_at(20), 0.875);
-        assert_eq!(est.windows_seen(), 2);
+        assert_eq!(est.windows_seen, 2);
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         est.record_arrival(0);
         let expected = 1.0 / (1u64 << 63) as f64;
         assert_eq!(est.rate_at(u64::MAX), expected);
-        assert_eq!(est.windows_seen(), 1);
+        assert_eq!(est.windows_seen, 1);
         // Querying again (and further ahead) stays stable and panic-free.
         assert_eq!(est.rate_at(u64::MAX), expected);
     }

@@ -14,7 +14,7 @@
 //!   round-trip for scenario files.  [`spec::SuiteSpec`] lifts that to a
 //!   directory of spec files crossed with optional scheme/load overrides.
 //! * [`registry`] — builds any scheme by name (`registry::schemes()` lists
-//!   Sprinklers, its ablation variants, and all six baselines) as a
+//!   Sprinklers, its adaptive-sizing variant, and all six baselines) as a
 //!   `Box<dyn Switch>`.
 //! * [`engine::Engine`] — runs a spec (or an explicit switch + traffic pair)
 //!   and produces a [`report::SimReport`].  Deliveries flow through the

@@ -54,10 +54,12 @@ pub fn is_reordering_free(scheme: &str) -> bool {
     ORDERED_SCHEMES.contains(&scheme)
 }
 
-/// Build a switch by name.  The sizing spec applies to the Sprinklers
-/// variants; `Matrix` sizing uses `matrix`, the rate matrix of the
-/// scenario's traffic generator, exactly as the paper's evaluation assumes
-/// the matrix is known a priori.
+/// Build a switch by name.  The sizing spec applies to `sprinklers`;
+/// `Matrix` sizing uses `matrix`, the rate matrix of the scenario's traffic
+/// generator, exactly as the paper's evaluation assumes the matrix is known
+/// a priori.  `sprinklers-adaptive` always sizes from measured rates: it
+/// takes `Matrix` (every spec's default) or `Adaptive`, and `Fixed` is an
+/// error.
 pub fn build_named(
     scheme: &str,
     n: usize,
@@ -93,7 +95,18 @@ pub fn build_named(
     };
     let switch: Box<dyn Switch> = match scheme {
         "sprinklers" => sprinklers(SprinklersConfig::new(n).with_sizing(sprinklers_sizing()))?,
-        "sprinklers-adaptive" => sprinklers(SprinklersConfig::new(n))?,
+        "sprinklers-adaptive" => {
+            // Adaptive stripes follow measured rates; a fixed size would be
+            // silently dropped, so the run would not be the one asked for.
+            if let SizingSpec::Fixed(size) = *sizing {
+                return Err(SpecError::new(format!(
+                    "'sprinklers-adaptive' sizes stripes from measured rates and \
+                     cannot take fixed sizing; for fixed stripes of {size} use \
+                     scheme 'sprinklers' with sizing {{\"mode\":\"fixed\",\"size\":{size}}}"
+                )));
+            }
+            sprinklers(SprinklersConfig::new(n))?
+        }
         "oq" => Box::new(OutputQueuedSwitch::new(n)),
         "baseline-lb" => Box::new(BaselineLbSwitch::new(n)),
         "ufs" => Box::new(UfsSwitch::new(n)),
@@ -185,6 +198,20 @@ mod tests {
         assert_eq!(sw.name(), "sprinklers");
         // Boxed switches still expose stats through the blanket impl.
         assert_eq!(sw.stats().total_arrivals, 0);
+    }
+
+    #[test]
+    fn adaptive_sprinklers_rejects_fixed_sizing() {
+        let matrix = TrafficMatrix::uniform(16, 0.5);
+        let err = build_named("sprinklers-adaptive", 16, &SizingSpec::Fixed(4), &matrix, 3)
+            .err()
+            .expect("fixed sizing must not build an adaptive switch");
+        let msg = err.to_string();
+        assert!(msg.contains("'sprinklers'"), "{msg}");
+        assert!(msg.contains(r#"{"mode":"fixed","size":4}"#), "{msg}");
+        for sizing in [SizingSpec::Matrix, SizingSpec::Adaptive] {
+            assert!(build_named("sprinklers-adaptive", 16, &sizing, &matrix, 3).is_ok());
+        }
     }
 
     #[test]

@@ -6,19 +6,20 @@
 //! cargo run --release -p sprinklers-bench --example delay_comparison -- [load] [uniform|diagonal] [n]
 //! ```
 
-use sprinklers_bench::experiments::{point_spec, TrafficKind, PAPER_SCHEMES};
+use sprinklers_bench::experiments::PAPER_SCHEMES;
 use sprinklers_sim::engine::{Engine, RunConfig};
+use sprinklers_sim::spec::{ScenarioSpec, TrafficSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let load: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.6);
-    let kind = match args.get(2).map(String::as_str) {
-        Some("diagonal") => TrafficKind::Diagonal,
-        _ => TrafficKind::Uniform,
+    let (pattern, traffic) = match args.get(2).map(String::as_str) {
+        Some("diagonal") => ("diagonal", TrafficSpec::Diagonal { load }),
+        _ => ("uniform", TrafficSpec::Uniform { load }),
     };
     let n: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(32);
 
-    println!("delay comparison at load {load}, {kind:?} traffic, N = {n}");
+    println!("delay comparison at load {load}, {pattern} traffic, N = {n}");
     println!(
         "{:<16} {:>12} {:>12} {:>12} {:>14}",
         "scheme", "mean delay", "p99 delay", "reorders", "delivered"
@@ -35,7 +36,12 @@ fn main() {
     let mut engine = Engine::new();
     for scheme in schemes {
         let report = engine
-            .run(&point_spec(scheme, n, load, kind, run, 7))
+            .run(
+                &ScenarioSpec::new(scheme, n)
+                    .with_traffic(traffic.clone())
+                    .with_run(run)
+                    .with_seed(7),
+            )
             .unwrap_or_else(|e| panic!("{e}"));
         println!(
             "{:<16} {:>12.1} {:>12} {:>12} {:>14}",

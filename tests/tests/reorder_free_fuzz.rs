@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::registry;
-use sprinklers_sim::spec::{ScenarioSpec, TrafficSpec};
+use sprinklers_sim::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
 use sprinklers_sim::traffic::trace_io::{TraceMeta, TraceRecord, TraceWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -166,9 +166,15 @@ proptest! {
             // Fixed(4) stripes so Sprinklers actually completes stripes in
             // the short window (matrix sizing at n=128 would ask for
             // full-span stripes no VOQ can fill here); the frame-based
-            // baselines ignore the sizing spec.
+            // baselines ignore the sizing spec, and adaptive Sprinklers,
+            // which sizes from measured rates, refuses a fixed size.
+            let sizing = if scheme == "sprinklers-adaptive" {
+                SizingSpec::Adaptive
+            } else {
+                SizingSpec::Fixed(4)
+            };
             let spec = ScenarioSpec::new(scheme, 128)
-                .with_sizing(sprinklers_sim::spec::SizingSpec::Fixed(4))
+                .with_sizing(sizing)
                 .with_traffic(TrafficSpec::Bursty {
                     load,
                     peak: 1.0,
