@@ -210,13 +210,18 @@ fn main() {
 fn print_report(report: &SimReport) {
     println!("{}", SimReport::csv_header());
     println!("{}", report.csv_row());
+    // The CSV row keeps its 0 for an empty mean; the summary does not
+    // pass it off as a measurement.
+    let delay = if report.delay.count() == 0 {
+        "mean delay undefined (no measured packet delivered)".to_string()
+    } else {
+        format!("mean delay {:.1} slots", report.delay.mean())
+    };
     eprintln!(
-        "delivered {}/{} packets ({:.1}%), mean delay {:.1} slots, \
-         VOQ reorders {}, flow reorders {}",
+        "delivered {}/{} packets ({:.1}%), {delay}, VOQ reorders {}, flow reorders {}",
         report.delivered_packets,
         report.offered_packets,
         report.delivery_ratio() * 100.0,
-        report.delay.mean(),
         report.reordering.voq_reorder_events,
         report.reordering.flow_reorder_events,
     );

@@ -6,7 +6,9 @@
 //! for a fixed stripe size the switch cannot hold or a scheme that sizes its
 //! stripes from measured rates would drop, a suite override that
 //! repeats a value, and an output path that names a file the command reads
-//! or writes already.
+//! or writes already.  A valid run that measured nothing is no error, but
+//! its stderr summary says the mean delay is undefined instead of printing
+//! the CSV row's placeholder 0 as a measurement.
 
 use std::process::{Command, Output};
 
@@ -141,6 +143,41 @@ fn fixed_sizing_on_adaptive_sprinklers_is_a_usage_error() {
         "sprinklers-adaptive with fixed sizing",
         r#"use scheme 'sprinklers' with sizing {"mode":"fixed","size":4}"#,
     );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+/// Sprinklers at n = 128 under diagonal load 0.05 sends a VOQ's first
+/// stripe only after thousands of slots, so a 500-slot run with no drain
+/// delivers none of its packets.
+#[test]
+fn a_run_that_delivers_nothing_calls_its_mean_delay_undefined() {
+    let dir = std::env::temp_dir().join(format!("sprinklers-empty-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("empty.json");
+    std::fs::write(
+        &path,
+        r#"{"scheme":"sprinklers","n":128,"traffic":{"pattern":"diagonal","load":0.05},
+           "run":{"slots":500,"warmup_slots":50,"drain_slots":0},"seed":3}"#,
+    )
+    .expect("write spec");
+    let out = scenario(&["--spec", path.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let summary = stderr.lines().last().expect("a summary line");
+    assert!(summary.starts_with("delivered 0/"), "{summary}");
+    assert!(
+        summary.contains(", mean delay undefined (no measured packet delivered),"),
+        "{summary}"
+    );
+    // The CSV row is unchanged: its delay columns still read 0.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row: Vec<&str> = stdout
+        .lines()
+        .nth(1)
+        .expect("a CSV row")
+        .split(',')
+        .collect();
+    assert_eq!(row[5..7], ["0", "0.000"]);
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 

@@ -3,7 +3,9 @@
 //! Every [`ScenarioSpec`] has a *scientific identity*: the subset of its
 //! fields that can change the simulation's result.  The inert `batch` and
 //! `threads` fields are excluded, so entries written while they were
-//! performance knobs stay hits.  Hashing the identity (canonical JSON,
+//! performance knobs stay hits, and so is the sizing of
+//! `sprinklers-adaptive`, which runs one switch for `matrix` and `adaptive`
+//! alike.  Hashing the identity (canonical JSON,
 //! FNV-1a 128, plus a digest of a replayed trace's bytes) yields a stable
 //! key, and
 //! [`ExperimentCache`] maps that key to the finished run's CSV row, the
@@ -34,7 +36,7 @@
 //! be stable across builds.
 
 use crate::report::SimReport;
-use crate::spec::{ScenarioSpec, TrafficSpec};
+use crate::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Read;
@@ -84,12 +86,18 @@ impl ScenarioSpec {
     /// with the inert `batch` and `threads` fields normalised to the values
     /// [`ScenarioSpec::new`] gives them, rendered by the same writer that
     /// serialises spec files.  Two specs that differ only in those fields
-    /// produce the same string.
+    /// produce the same string.  So do two `sprinklers-adaptive` specs that
+    /// differ only in `matrix` vs `adaptive` sizing: that scheme builds the
+    /// same switch for both, so its sizing is written as `matrix`, the
+    /// default.
     pub fn scientific_identity_json(&self) -> String {
         let defaults = ScenarioSpec::new(String::new(), 0);
         let mut identity = self.clone();
         identity.batch = defaults.batch;
         identity.threads = defaults.threads;
+        if identity.scheme == "sprinklers-adaptive" && identity.sizing == SizingSpec::Adaptive {
+            identity.sizing = defaults.sizing;
+        }
         identity.to_json()
     }
 

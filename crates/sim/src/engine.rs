@@ -19,7 +19,7 @@
 //! allocation.  The engine assigns packet ids and arrival slots itself; the
 //! per-VOQ sequence numbers come from [`MetricsSink::stamp`], which writes
 //! them through the same per-VOQ record the packets' deliveries are checked
-//! against.  Outside the switch, that 8-byte record per VOQ is the run's one
+//! against.  Outside the switch, that 4-byte record per VOQ is the run's one
 //! n² table: the engine holds none of its own, the synthetic patterns'
 //! matrices and samplers are closed forms, and stamping leaves the record
 //! cached for the delivery a few slots later.

@@ -18,13 +18,14 @@
 //! O(N²)).
 //!
 //! The detector also hands out the numbers it checks.  Each VOQ has one
-//! 8-byte record of two `u32` words, `[next_seq, high]`:
-//! [`ReorderDetector::stamp`] numbers arriving packets from `next_seq`, and
-//! [`ReorderDetector::observe`] checks deliveries against `high`.  Each
-//! word's top bit is a flag, so a VOQ's whole state is one record.  Flow
-//! marks need no per-VOQ field: a VOQ that has carried only flow id 0 has
-//! the VOQ's own mark as its flow mark, and the first other flow id moves
-//! the VOQ's flows into a map (see [`ReorderDetector`]).
+//! 4-byte record: [`ReorderDetector::stamp`] numbers arriving packets from
+//! its `next_seq` count, and [`ReorderDetector::observe`] checks deliveries
+//! against its `high` count.  The record also holds the VOQ's two flags, so
+//! a VOQ's whole state is one `u32`; a VOQ whose counts outgrow the record
+//! keeps them in a side table of `u64`s instead.  Flow marks need no per-VOQ
+//! field: a VOQ that has carried only flow id 0 has the VOQ's own mark as
+//! its flow mark, and the first other flow id moves the VOQ's flows into a
+//! map (see [`ReorderDetector`]).
 
 use sprinklers_core::packet::Packet;
 use std::collections::BTreeMap;
@@ -51,30 +52,47 @@ impl ReorderStats {
     }
 }
 
-/// A VOQ's record: `[next_seq, high]`, one table entry per
-/// `(input, output)` pair.  The low 31 bits of `NEXT` are the `voq_seq`
-/// [`ReorderDetector::stamp`] gives the VOQ's next packet; those of `HIGH`
-/// are `voq_seq + 1` of the highest sequence number delivered so far (0 =
-/// nothing delivered yet).  The top bits are [`SPILLED`] and [`DIRTY`].
-type VoqRecord = [u32; 2];
+/// A VOQ's record, one table entry per `(input, output)` pair.
+///
+/// *Narrow* (top bit clear), from the top: [`DIRTY`], [`SPILLED`], a 15-bit
+/// `high` and a 14-bit `next_seq`.  `next_seq` is the `voq_seq`
+/// [`ReorderDetector::stamp`] gives the VOQ's next packet; `high` is
+/// `voq_seq + 1` of the highest sequence number delivered so far (0 =
+/// nothing delivered yet).  All zero is a fresh VOQ.
+///
+/// *Wide* ([`WIDE`] set): the low 31 bits index the VOQ's [`WideVoq`] in
+/// the side table, which holds both counts and both flags.
+type VoqRecord = u32;
 
-/// Word of a [`VoqRecord`] holding `next_seq` and [`SPILLED`].
-const NEXT: usize = 0;
-/// Word of a [`VoqRecord`] holding `high` and [`DIRTY`].
-const HIGH: usize = 1;
-/// Flag in the `NEXT` word: the VOQ has carried a flow id other than 0; its
-/// flows live in `flow_high`.
-const SPILLED: u32 = 1 << 31;
-/// Flag in the `HIGH` word: the VOQ has had at least one violation.
-const DIRTY: u32 = 1 << 31;
-/// The count bits of both words.  A `NEXT` count of `WIDE` itself marks a
-/// VOQ whose counts have outgrown the record and live in `wide` instead.
-const WIDE: u32 = (1 << 31) - 1;
+/// Record bit: the VOQ's state lives in the side table.
+const WIDE: u32 = 1 << 31;
+/// Flag: the VOQ has had at least one violation.
+const DIRTY: u32 = 1 << 30;
+/// Flag: the VOQ has carried a flow id other than 0; its flows live in
+/// `flow_high`.
+const SPILLED: u32 = 1 << 29;
+/// A narrow record's `next_seq` bits.  A count of `NEXT_MASK` itself is
+/// full: the VOQ moves to the side table at its next stamp.
+const NEXT_MASK: u32 = (1 << 14) - 1;
+/// Shift of a narrow record's `high` count.
+const HIGH_SHIFT: u32 = 14;
+/// A narrow record's `high` count, once shifted down: a delivered
+/// `voq_seq` below `HIGH_MASK` is checked in the record.
+const HIGH_MASK: u32 = (1 << 15) - 1;
+
+/// The exact state of a VOQ whose counts have outgrown its record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WideVoq {
+    next_seq: u64,
+    high: u64,
+    /// [`DIRTY`] and [`SPILLED`], as in a narrow record.
+    flags: u32,
+}
 
 /// Streaming reordering detector for an `n`-port switch, and the numbering
 /// it checks.
 ///
-/// All per-VOQ state sits in one flat `n·n` table of 8-byte records sized
+/// All per-VOQ state sits in one flat `n·n` table of 4-byte records sized
 /// once at construction, indexed `input · n + output`, so stamping or
 /// observing a packet is one record access and no allocation.  The table is
 /// allocated zeroed, so the pages of VOQs that never see a packet are never
@@ -83,10 +101,14 @@ const WIDE: u32 = (1 << 31) - 1;
 /// enters the switch is the line [`Self::observe`] reads when it leaves: on
 /// a wide switch the delivery finds it cached.
 ///
-/// The record counts in 31 bits.  A VOQ whose `next_seq` reaches `2³¹ − 1`,
-/// or that is delivered a `voq_seq` of `2³¹ − 1` or more, moves both counts
-/// into a `u64` map at its next stamp or delivery and keeps them there, so
-/// numbering and checking stay exact at any run length.
+/// A record counts `next_seq` in 14 bits and `high` in 15.  A VOQ that is
+/// stamped its 16 384th packet, or delivered a `voq_seq` of `2¹⁵ − 1` or
+/// more, moves both counts and its flags into one flat side table of `u64`
+/// counts and keeps them there; its record then holds the entry's index.
+/// Numbering and checking thus stay exact at any run length, and the side
+/// table grows only with the VOQs that have carried that many packets —
+/// none on the paper's workloads.  Violations and spilling never move a
+/// VOQ.
 ///
 /// Flow order needs no state of its own while a VOQ has carried only flow
 /// id 0 — every workload of the paper, whose packets carry no flow: that
@@ -97,18 +119,18 @@ const WIDE: u32 = (1 << 31) - 1;
 /// before the packet at hand (if anything was delivered), and from then on
 /// every flow of that VOQ is tracked in the map.
 ///
-/// Both maps are `BTreeMap`s, not hash maps, because the deterministic
+/// The flow map is a `BTreeMap`, not a hash map, because the deterministic
 /// simulation core admits no container with a randomized hasher (the
-/// repo-wide rule `sprinklers-lint` enforces); nothing iterates them.
+/// repo-wide rule `sprinklers-lint` enforces); nothing iterates it.
 ///
 /// `voq_seq` must be below `u64::MAX`, which is the padding marker.
 #[derive(Debug, Clone)]
 pub struct ReorderDetector {
     n: usize,
     voqs: Vec<VoqRecord>,
-    /// `[next_seq, high]` of the VOQs whose `NEXT` count is [`WIDE`], by
-    /// table index.
-    wide: BTreeMap<usize, [u64; 2]>,
+    /// The state of the VOQs whose record is [`WIDE`], in the order they
+    /// moved.
+    wide: Vec<WideVoq>,
     /// Highest `voq_seq` delivered so far per (input, output, flow), for the
     /// flows of spilled VOQs only.
     flow_high: BTreeMap<(usize, usize, u64), u64>,
@@ -120,8 +142,8 @@ impl ReorderDetector {
     pub fn new(n: usize) -> Self {
         ReorderDetector {
             n,
-            voqs: vec![[0; 2]; n * n],
-            wide: BTreeMap::new(),
+            voqs: vec![0; n * n],
+            wide: Vec::new(),
             flow_high: BTreeMap::new(),
             stats: ReorderStats::default(),
         }
@@ -136,14 +158,46 @@ impl ReorderDetector {
         input * self.n + output
     }
 
-    /// The `u64` counts `[next_seq, high]` of the VOQ at `idx`, moved out of
-    /// its record on first use.  Marking the record [`WIDE`] keeps its flag.
+    /// The side-table entry of the VOQ at `idx`, moved out of its record on
+    /// first use.
+    fn wide_voq(&mut self, idx: usize) -> &mut WideVoq {
+        let record = self.voqs[idx];
+        let slot = if record & WIDE == 0 {
+            self.widen(idx)
+        } else {
+            (record & !WIDE) as usize
+        };
+        &mut self.wide[slot]
+    }
+
+    /// Move the narrow record at `idx` into a new side-table entry, point
+    /// the record at it and return its index.
     #[cold]
-    fn wide(&mut self, idx: usize) -> &mut [u64; 2] {
-        let record = &mut self.voqs[idx];
-        let counts = [record[NEXT] & WIDE, record[HIGH] & WIDE].map(u64::from);
-        record[NEXT] |= WIDE;
-        self.wide.entry(idx).or_insert(counts)
+    fn widen(&mut self, idx: usize) -> usize {
+        let record = self.voqs[idx];
+        let slot = self.wide.len();
+        let tag = u32::try_from(slot)
+            .ok()
+            .filter(|&tag| tag & WIDE == 0)
+            .expect("side-table index fits a record");
+        self.wide.push(WideVoq {
+            next_seq: u64::from(record & NEXT_MASK),
+            high: u64::from((record >> HIGH_SHIFT) & HIGH_MASK),
+            flags: record & (DIRTY | SPILLED),
+        });
+        self.voqs[idx] = WIDE | tag;
+        slot
+    }
+
+    /// The word holding the flags of the VOQ at `idx`: its record, or its
+    /// side-table entry once wide.
+    fn flags(&mut self, idx: usize) -> &mut u32 {
+        let record = self.voqs[idx];
+        if record & WIDE == 0 {
+            &mut self.voqs[idx]
+        } else {
+            &mut self.wide[(record & !WIDE) as usize].flags
+        }
     }
 
     /// Give each of `packets` the next sequence number of its VOQ, in slice
@@ -152,16 +206,15 @@ impl ReorderDetector {
     pub fn stamp(&mut self, packets: &mut [Packet]) {
         for packet in packets {
             let idx = self.index(packet.input(), packet.output());
-            let next = &mut self.voqs[idx][NEXT];
-            let seq = *next & WIDE;
-            if seq < WIDE {
-                packet.voq_seq = u64::from(seq);
-                // Below `WIDE`, so the flag bit is untouched.
-                *next += 1;
+            let record = &mut self.voqs[idx];
+            // Below `NEXT_MASK` only for a narrow record with room left.
+            if *record & (WIDE | NEXT_MASK) < NEXT_MASK {
+                packet.voq_seq = u64::from(*record & NEXT_MASK);
+                *record += 1;
             } else {
-                let counts = self.wide(idx);
-                packet.voq_seq = counts[NEXT];
-                counts[NEXT] += 1;
+                let voq = self.wide_voq(idx);
+                packet.voq_seq = voq.next_seq;
+                voq.next_seq += 1;
             }
         }
     }
@@ -178,39 +231,40 @@ impl ReorderDetector {
         let record = self.voqs[idx];
 
         // VOQ order.  `prev` is the high-water mark before this packet.
-        let prev = if record[NEXT] & WIDE < WIDE && seq < u64::from(WIDE) {
-            let prev = u64::from(record[HIGH] & WIDE);
+        let (prev, flags) = if record & WIDE == 0 && seq < u64::from(HIGH_MASK) {
+            let prev = u64::from((record >> HIGH_SHIFT) & HIGH_MASK);
             if seq + 1 >= prev {
-                // `seq + 1 ≤ WIDE`, so the count stays clear of the flag.
-                self.voqs[idx][HIGH] = (record[HIGH] & DIRTY) | (seq as u32 + 1);
+                // `seq + 1 ≤ HIGH_MASK`, so the count stays in its field.
+                self.voqs[idx] =
+                    (record & !(HIGH_MASK << HIGH_SHIFT)) | ((seq as u32 + 1) << HIGH_SHIFT);
             }
-            prev
+            (prev, record)
         } else {
-            let counts = self.wide(idx);
-            let prev = counts[HIGH];
+            let voq = self.wide_voq(idx);
+            let prev = voq.high;
             if seq + 1 >= prev {
-                counts[HIGH] = seq + 1;
+                voq.high = seq + 1;
             }
-            prev
+            (prev, voq.flags)
         };
         let late = seq + 1 < prev;
         if late {
             self.stats.voq_reorder_events += 1;
             let displacement = prev - 1 - seq;
             self.stats.max_voq_displacement = self.stats.max_voq_displacement.max(displacement);
-            if record[HIGH] & DIRTY == 0 {
-                self.voqs[idx][HIGH] |= DIRTY;
+            if flags & DIRTY == 0 {
+                *self.flags(idx) |= DIRTY;
                 self.stats.reordered_voqs += 1;
             }
         }
 
         // Flow order.
-        if record[NEXT] & SPILLED == 0 {
+        if flags & SPILLED == 0 {
             if packet.flow == 0 {
                 self.stats.flow_reorder_events += u64::from(late);
                 return;
             }
-            self.voqs[idx][NEXT] |= SPILLED;
+            *self.flags(idx) |= SPILLED;
             if prev != 0 {
                 self.flow_high.insert((input, output, 0), prev - 1);
             }
@@ -240,8 +294,8 @@ mod tests {
     use super::*;
 
     /// The detector's rules on `u64` counts for one VOQ, with one map entry
-    /// per flow and no spilling: the model the record's 31-bit limit is
-    /// checked against.
+    /// per flow and no spilling: the model the record's limits are checked
+    /// against.
     #[derive(Default)]
     struct U64Model {
         next_seq: u64,
@@ -291,13 +345,14 @@ mod tests {
         Raw(u64, u64),
     }
 
-    /// Run `script` on a detector whose VOQ (1, 2) starts at `start` and on
-    /// the model, comparing every stamped number and the stats after every
-    /// step; returns the detector.
+    /// Run `script` on a detector whose VOQ (1, 2) starts numbering at
+    /// `start` (a narrow count) and on the model, comparing every stamped
+    /// number and the stats after every step; returns the detector.
     fn run_against_the_model(start: u32, script: &[Step]) -> ReorderDetector {
+        assert!(start <= NEXT_MASK);
         let mut d = ReorderDetector::new(4);
         let idx = d.index(1, 2);
-        d.voqs[idx][NEXT] = start;
+        d.voqs[idx] = start;
         let mut model = U64Model {
             next_seq: u64::from(start),
             ..U64Model::default()
@@ -323,20 +378,32 @@ mod tests {
             }
             assert_eq!(d.stats(), model.stats, "step {at}");
         }
-        // The other VOQs kept their compact records.
-        assert!(d.wide.keys().all(|&k| k == idx));
+        // The other VOQs kept their narrow records.
+        assert!(d.wide.len() <= 1);
+        assert!(d
+            .voqs
+            .iter()
+            .enumerate()
+            .all(|(k, &record)| k == idx || record & WIDE == 0));
         d
+    }
+
+    /// The side-table entry of VOQ (1, 2), which must have moved.
+    fn wide_entry(d: &ReorderDetector) -> WideVoq {
+        let record = d.voqs[d.index(1, 2)];
+        assert_eq!(record & WIDE, WIDE, "VOQ (1, 2) is still narrow");
+        d.wide[(record & !WIDE) as usize]
     }
 
     #[test]
     fn numbering_and_checking_stay_exact_across_the_record_limit() {
         use Step::*;
-        // `2³¹ − 2`: the last number the record holds, so the VOQ moves at
-        // its next stamp or delivery.
-        let start = WIDE - 1;
+        // `2¹⁴ − 2`: the last number the record hands out, so the VOQ moves
+        // at its second stamp.
+        let start = NEXT_MASK - 1;
         // In order across the limit, then a late packet, then a second flow
-        // id after the VOQ has moved to the map, then a late flow-0 packet
-        // behind it.
+        // id after the VOQ has moved to the side table, then a late flow-0
+        // packet behind it.
         let d = run_against_the_model(
             start,
             &[
@@ -358,10 +425,15 @@ mod tests {
                 Deliver(7),
             ],
         );
-        let idx = d.index(1, 2);
-        assert_eq!(d.wide[&idx], [u64::from(start) + 8, u64::from(start) + 8]);
-        assert_eq!(d.voqs[idx][NEXT], SPILLED | WIDE);
-        assert_eq!(d.voqs[idx][HIGH] & DIRTY, DIRTY);
+        let end = u64::from(start) + 8;
+        assert_eq!(
+            wide_entry(&d),
+            WideVoq {
+                next_seq: end,
+                high: end,
+                flags: DIRTY | SPILLED,
+            }
+        );
         let s = d.stats();
         assert_eq!((s.voq_reorder_events, s.flow_reorder_events), (2, 1));
         assert_eq!((s.max_voq_displacement, s.reordered_voqs), (1, 1));
@@ -370,10 +442,11 @@ mod tests {
     #[test]
     fn the_move_carries_the_mark_of_deliveries_made_before_it() {
         use Step::*;
-        // Three numbers left in the record: the second is delivered before
-        // the move, the first only after it, behind the carried mark.
+        // Two numbers left in the record: the second is delivered before
+        // the third stamp moves the VOQ, the first only after it, behind
+        // the carried mark.
         let d = run_against_the_model(
-            WIDE - 3,
+            NEXT_MASK - 2,
             &[
                 Stamp(0),
                 Stamp(0),
@@ -383,6 +456,7 @@ mod tests {
                 Deliver(2),
             ],
         );
+        assert_eq!(wide_entry(&d).flags, DIRTY);
         let s = d.stats();
         assert_eq!((s.voq_reorder_events, s.max_voq_displacement), (1, 1));
     }
@@ -390,7 +464,8 @@ mod tests {
     #[test]
     fn a_delivered_number_past_the_limit_moves_a_fresh_voq_to_the_map() {
         use Step::*;
-        let limit = u64::from(WIDE);
+        // `2¹⁵ − 1`: the first delivered number the record cannot hold.
+        let limit = u64::from(HIGH_MASK);
         let d = run_against_the_model(
             0,
             &[
@@ -404,9 +479,24 @@ mod tests {
                 Stamp(9),
             ],
         );
-        let idx = d.index(1, 2);
-        assert_eq!(d.wide[&idx], [2, (1 << 40) + 1]);
+        let entry = wide_entry(&d);
+        assert_eq!((entry.next_seq, entry.high), (2, (1 << 40) + 1));
         assert_eq!(d.stats().max_voq_displacement, (1 << 40) - limit - 1);
+    }
+
+    #[test]
+    fn violations_and_spilling_keep_a_voq_narrow() {
+        let mut d = ReorderDetector::new(4);
+        for (flow, seq) in [(0, 9), (0, 2), (7, 5), (0, 1), (7, 3)] {
+            d.observe(&pkt(2, 3, flow, seq));
+        }
+        let mut packets = [Packet::new(2, 3, 0, 0)];
+        d.stamp(&mut packets);
+        assert_eq!(
+            d.voqs[d.index(2, 3)],
+            DIRTY | SPILLED | (10 << HIGH_SHIFT) | 1
+        );
+        assert!(d.wide.is_empty());
     }
 
     fn pkt(input: usize, output: usize, flow: u64, seq: u64) -> Packet {

@@ -9,15 +9,15 @@
 //! allocation end to end.  The exceptions are by nature unbounded and off
 //! the paper's workloads: a delay at or above the histogram cap (65 536
 //! slots) is kept in a sorted overflow list, a VOQ that carries a flow id
-//! other than 0 tracks its flows in a map, and so does a VOQ whose sequence
-//! numbers outgrow 31 bits (see
+//! other than 0 tracks its flows in a map, and a VOQ whose sequence numbers
+//! outgrow its 4-byte record moves its counts into a side table (see
 //! [`ReorderDetector`]).
 //! [`MetricsSink::into_parts`] cuts the histogram to the delays seen, since
 //! the report it goes into may be kept for a whole sweep.
 //!
 //! The sink also numbers the packets it will check: [`MetricsSink::stamp`]
 //! gives each arrival its `voq_seq` from the same per-VOQ record its delivery
-//! reads, so a run keeps one n² table of VOQ state — 8 bytes per VOQ,
+//! reads, so a run keeps one n² table of VOQ state — 4 bytes per VOQ,
 //! allocated zeroed so pairs that never carry a packet commit no page — not
 //! one for the numbering and one for the checking.
 

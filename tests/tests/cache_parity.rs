@@ -8,10 +8,10 @@
 //! key covers the file's bytes, not just its path.
 
 use sprinklers_sim::cache::{CachedRun, ExperimentCache};
-use sprinklers_sim::engine::RunConfig;
+use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::parallel::run_specs_parallel_ok;
 use sprinklers_sim::report::merge_csv_rows;
-use sprinklers_sim::spec::{ScenarioSpec, TrafficSpec};
+use sprinklers_sim::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
 use sprinklers_sim::traffic::trace_io::record_spec;
 
 fn grid() -> Vec<(String, ScenarioSpec)> {
@@ -72,6 +72,32 @@ fn identity_hash_ignores_batch_and_threads_but_nothing_else() {
     hashes.sort_unstable();
     hashes.dedup();
     assert_eq!(hashes.len(), variations.len() + 1, "hash collision in grid");
+}
+
+#[test]
+fn adaptive_sprinklers_keys_one_run_under_either_sizing() {
+    // `sprinklers-adaptive` sizes stripes from measured rates whatever the
+    // spec says, so `matrix` and `adaptive` sizing are one run and one
+    // cache entry; under `sprinklers` they are two runs.
+    let specs = |scheme: &str| {
+        let base = ScenarioSpec::new(scheme, 16)
+            .with_run(RunConfig {
+                slots: 2_000,
+                warmup_slots: 200,
+                drain_slots: 1_000,
+            })
+            .with_seed(3);
+        [SizingSpec::Matrix, SizingSpec::Adaptive].map(|sizing| base.clone().with_sizing(sizing))
+    };
+    let [matrix, adaptive] = specs("sprinklers-adaptive");
+    assert_eq!(matrix.content_hash(), adaptive.content_hash());
+    let [row, same] = [&matrix, &adaptive].map(|spec| {
+        let report = Engine::new().run(spec).unwrap();
+        (report.csv_row(), report.metrics_json())
+    });
+    assert_eq!(row, same, "one key must mean one run");
+    let [matrix, adaptive] = specs("sprinklers");
+    assert_ne!(matrix.content_hash(), adaptive.content_hash());
 }
 
 #[test]

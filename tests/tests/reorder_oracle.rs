@@ -163,3 +163,83 @@ proptest! {
         prop_assert!(stats.flow_reorder_events <= stats.voq_reorder_events);
     }
 }
+
+/// Where a VOQ's numbers start: a dozen below 2¹⁴ (the most a record
+/// stamps), 2¹⁵ (the highest delivered number a record holds) or 2³¹ (the
+/// limit of the 8-byte record the 4-byte one replaced).
+fn start_of(input: usize, output: usize) -> u64 {
+    [(1 << 14) - 12, (1 << 15) - 12, (1 << 31) - 12][(input + 2 * output) % 3]
+}
+
+#[test]
+fn stamping_past_the_record_limit_counts_on_exactly() {
+    // One busy VOQ of a 2-port detector takes 40 000 numbers, its
+    // neighbours a few each, in slots of up to four packets.
+    const PACKETS: usize = 40_000;
+    let mut detector = ReorderDetector::new(2);
+    let mut counters = [0u64; 4];
+    let mut stamped = Vec::with_capacity(PACKETS);
+    let mut slot = Vec::new();
+    for k in 0..PACKETS {
+        let (input, output) = if k % 7 == 3 {
+            (k % 2, (k / 2) % 2)
+        } else {
+            (1, 0)
+        };
+        slot.push(Packet::new(input, output, 0, 0).with_voq_seq(u64::MAX - 1));
+        if slot.len() == 1 + k % 4 || k + 1 == PACKETS {
+            detector.stamp(&mut slot);
+            for packet in slot.drain(..) {
+                let counter = &mut counters[packet.input() * 2 + packet.output()];
+                assert_eq!(packet.voq_seq, *counter, "packet {k}");
+                *counter += 1;
+                stamped.push(packet);
+            }
+        }
+    }
+    assert!(counters[2] > 1 << 15);
+    // Delivered in stamp order, every VOQ is in order; one packet of the
+    // busy VOQ from before the limit, delivered again last, is late.
+    for packet in &stamped {
+        detector.observe(packet);
+    }
+    assert!(detector.stats().is_ordered());
+    let early = stamped
+        .iter()
+        .rfind(|p| p.voq() == (1, 0) && p.voq_seq == 9_000);
+    detector.observe(early.unwrap());
+    let stats = detector.stats();
+    assert_eq!((stats.voq_reorder_events, stats.reordered_voqs), (1, 1));
+    assert_eq!(stats.max_voq_displacement, counters[2] - 1 - 9_000);
+}
+
+proptest! {
+    /// Each VOQ counts up across one of the record's limits: now and then a
+    /// packet is delivered a few places late or repeats the last number, one
+    /// packet in twelve is padding, and most VOQs carry a second flow.
+    #[test]
+    fn numbers_across_the_record_limits_match_the_oracle(
+        raw in collection::vec((0usize..N, 0usize..N, 0usize..48, 0u64..4), 0..600),
+    ) {
+        let mut next_seq = [0u64; N * N];
+        let stream: Vec<Packet> = raw
+            .into_iter()
+            .map(|(input, output, pick, back)| {
+                if pick / 4 == 0 {
+                    return Packet::padding(input, output, 0);
+                }
+                let next = &mut next_seq[input * N + output];
+                // One packet in twelve repeats the last number.
+                if pick / 4 != 1 {
+                    *next += 1;
+                }
+                // One packet in twelve falls `back` places behind.
+                let offset = if pick / 4 == 2 { next.saturating_sub(back) } else { *next };
+                let flow = FLOWS[pick % flows_of(input, output)];
+                data(input, output, flow, start_of(input, output) + offset)
+            })
+            .collect();
+        let stats = check(&stream)?;
+        prop_assert!(stats.flow_reorder_events <= stats.voq_reorder_events);
+    }
+}

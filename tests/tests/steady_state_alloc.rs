@@ -431,15 +431,16 @@ fn generators_allocate_nothing_after_construction() {
 }
 
 /// Part 6: the `wide-oq` benchmark cell (`oq`, n = 1 024, diagonal load
-/// 0.01), run briefly end to end, requests at most 12 MiB in total (8.8 MiB
-/// measured).  Its one n² table is the reorder detector's 8-byte per-VOQ
-/// records (8 MiB); the generator samples the diagonal matrix in closed
-/// form, three floats per row (24 KiB).  The same run requested 26.3 MiB
-/// when the records were 16 bytes plus a flag byte (17 MiB) and the sampler
-/// held an n² CDF and its guide (8.5 MiB), and 53.1 MiB when the generator,
-/// `Engine::run`'s copy of its matrix and the engine's own sequence table
-/// each held an 8 MiB n² table, and every OQ output reserved 64 packets up
-/// front.  A second n² table of 8-byte entries takes it past the budget.
+/// 0.01), run briefly end to end, requests at most 6 MiB in total (4.78 MiB
+/// measured).  Its one n² table is the reorder detector's 4-byte per-VOQ
+/// records (4 MiB); the generator samples the diagonal matrix in closed
+/// form, three floats per row (24 KiB).  The same run requested 8.78 MiB
+/// when the records were 8 bytes, 26.3 MiB when they were 16 bytes plus a
+/// flag byte (17 MiB) and the sampler held an n² CDF and its guide
+/// (8.5 MiB), and 53.1 MiB when the generator, `Engine::run`'s copy of its
+/// matrix and the engine's own sequence table each held an 8 MiB n² table,
+/// and every OQ output reserved 64 packets up front.  A second n² table of
+/// 4-byte entries takes it past the budget.
 fn the_widest_cell_requests_only_the_tables_it_uses() {
     let spec = ScenarioSpec::new("oq", 1024)
         .with_traffic(TrafficSpec::Diagonal { load: 0.01 })
@@ -454,8 +455,8 @@ fn the_widest_cell_requests_only_the_tables_it_uses() {
     let requested = requested_bytes() - before;
     assert!(report.delivered_packets > 10_000);
     assert!(
-        requested <= 12 << 20,
-        "a 3 000-slot oq run at n = 1 024 requested {:.2} MiB; the budget is 12 MiB",
+        requested <= 6 << 20,
+        "a 3 000-slot oq run at n = 1 024 requested {:.2} MiB; the budget is 6 MiB",
         requested as f64 / f64::from(1 << 20)
     );
 }
