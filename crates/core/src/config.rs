@@ -93,10 +93,8 @@ impl SprinklersConfig {
                         expected: self.n,
                     });
                 }
-                for (_, _, r) in m.iter_nonzero() {
-                    if !r.is_finite() || r < 0.0 {
-                        return Err(SwitchError::InvalidRate { rate: r });
-                    }
+                if let Some(rate) = m.invalid_rate() {
+                    return Err(SwitchError::InvalidRate { rate });
                 }
             }
             SizingMode::FixedSize(size) => self.check_stripe_size(*size)?,
@@ -159,6 +157,22 @@ mod tests {
                 expected: 8
             })
         ));
+    }
+
+    #[test]
+    fn negative_nan_and_infinite_matrix_rates_are_rejected() {
+        let reject = |m: TrafficMatrix| {
+            let cfg = SprinklersConfig::new(4).with_sizing(SizingMode::FromMatrix(m));
+            matches!(cfg.validate(), Err(SwitchError::InvalidRate { .. }))
+        };
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
+            assert!(reject(TrafficMatrix::uniform(4, bad)), "uniform {bad}");
+            assert!(reject(TrafficMatrix::diagonal(4, bad)), "diagonal {bad}");
+            let mut dense = TrafficMatrix::zero(4);
+            dense.set(2, 3, bad);
+            assert!(reject(dense), "dense {bad}");
+        }
+        assert!(!reject(TrafficMatrix::diagonal(4, 0.5).scaled(0.5)));
     }
 
     #[test]

@@ -4,17 +4,20 @@
 //! A Sprinklers port has far more queues than packets — `N` VOQ ready
 //! queues and `2N − 1` LSF queues at an input, `N·(log₂N+1)` output FIFOs
 //! at an intermediate — and almost all of them are
-//! empty or hold a handful of entries.  A [`FifoGrid`] therefore spends eight
-//! bytes on a queue (one zeroed, lazily committed array for the whole grid,
-//! so a page of headers costs memory only once one of its queues is used —
-//! the intermediate stage numbers its queues level by level for that reason)
-//! and no capacity until a packet is pushed; entries then live in 64-byte
-//! chunks of seven, taken from and returned to a free list private to the
-//! grid.  Consecutive entries of a queue share a cache line, pushes and pops
-//! touch nothing but that line and the queue's header, and a whole queue can
-//! be spliced behind another in O(1) — which is how a completed stripe moves
-//! from its VOQ into the LSF schedule without any of its entries being
-//! touched.
+//! empty or hold a handful of entries.  A queue therefore costs its two
+//! [`Ends`] (eight bytes, all zero while it is empty) and no capacity until
+//! a packet is pushed; entries then live in 64-byte chunks of seven, taken
+//! from and returned to a free list private to the grid.  A [`FifoGrid`]
+//! keeps the ends of the queues it numbers in one zeroed, lazily committed
+//! array, so a page of them costs memory only once one of its queues is
+//! used — the intermediate stage numbers its queues level by level for that
+//! reason.  A queue whose ends live elsewhere draws on the same pool through
+//! the `_at` methods: a Sprinklers VOQ keeps its ready queue's ends in its
+//! own record.  Consecutive entries of a queue share a cache line, pushes
+//! and pops touch nothing but that line and the queue's ends, and a whole
+//! queue can be spliced behind another in O(1) — which is how a completed
+//! stripe moves from its VOQ into the LSF schedule without any of its
+//! entries being touched.
 //!
 //! An entry is a [`PacketHandle`] plus one `u32` tag for whatever the queue's
 //! consumer needs without reading the packet body (the input stage tags each
@@ -49,14 +52,25 @@ const EMPTY_CHUNK: Chunk = Chunk {
     end: 0,
 };
 
-/// A flat array of FIFO queues of `(handle, tag)` entries.
+/// The two ends of a queue, `[head chunk, tail chunk]`.  A head of 0 means
+/// the queue is empty (its tail is then stale), so all zero is an empty
+/// queue.
+pub type Ends = [u32; 2];
+
+/// A flat array of FIFO queues of `(handle, tag)` entries, and the chunk
+/// pool of any queue kept outside it.
 #[derive(Debug, Clone)]
 pub struct FifoGrid {
-    /// `[head chunk, tail chunk]` per queue; head 0 means empty (the tail is
-    /// then stale).
-    ends: Vec<[u32; 2]>,
-    /// The chunk pool.  Chunk 0 is a placeholder so that index 0 can mean
-    /// "none"; it is created with the first push.
+    /// The ends of queue `q` are `ends[q]`.
+    ends: Vec<Ends>,
+    pool: Pool,
+}
+
+/// The chunks of a grid's queues.
+#[derive(Debug, Clone)]
+struct Pool {
+    /// Chunk 0 is a placeholder so that index 0 can mean "none"; it is
+    /// created with the first push.
     chunks: Vec<Chunk>,
     /// Head of the free-chunk list.
     free: u32,
@@ -67,8 +81,10 @@ impl FifoGrid {
     pub fn new(count: usize) -> Self {
         FifoGrid {
             ends: vec![[0; 2]; count],
-            chunks: Vec::new(),
-            free: 0,
+            pool: Pool {
+                chunks: Vec::new(),
+                free: 0,
+            },
         }
     }
 
@@ -82,8 +98,89 @@ impl FifoGrid {
     // lint: hot-path
     #[inline]
     pub fn push(&mut self, q: usize, handle: PacketHandle, tag: u32) {
+        self.pool.push(&mut self.ends[q], handle, tag);
+    }
+
+    /// Append an entry to the queue whose ends are `ends`.
+    // lint: hot-path
+    #[inline]
+    pub fn push_at(&mut self, ends: &mut Ends, handle: PacketHandle, tag: u32) {
+        self.pool.push(ends, handle, tag);
+    }
+
+    /// Read what the next [`push_at`](Self::push_at) onto the queue whose
+    /// ends are `ends` will: its tail chunk, if it has one.  Returns bits of
+    /// it so the load cannot be optimized away; see
+    /// [`PacketStore::warm`](crate::store::PacketStore::warm) for why a
+    /// caller issues these ahead of the pushes.
+    // lint: hot-path
+    #[inline]
+    pub fn warm_at(&self, ends: Ends) -> u64 {
+        let [head, tail] = ends;
+        if head == 0 {
+            return 0;
+        }
+        u64::from(self.pool.chunks[tail as usize].end)
+    }
+
+    /// Remove and return the oldest entry of queue `q`.
+    // lint: hot-path
+    #[inline]
+    pub fn pop(&mut self, q: usize) -> Option<(PacketHandle, u32)> {
+        self.pool.pop(&mut self.ends[q])
+    }
+
+    /// Remove and return the oldest entry of the queue whose ends are
+    /// `ends`.
+    // lint: hot-path
+    #[inline]
+    pub fn pop_at(&mut self, ends: &mut Ends) -> Option<(PacketHandle, u32)> {
+        self.pool.pop(ends)
+    }
+
+    /// Move everything in queue `from` behind the entries of queue `to`, in
+    /// O(1) and without touching an entry.
+    // lint: hot-path
+    #[inline]
+    pub fn splice(&mut self, from: usize, to: usize) {
+        debug_assert_ne!(from, to);
+        let moved = std::mem::take(&mut self.ends[from]);
+        self.pool.append(moved, &mut self.ends[to]);
+    }
+
+    /// Move everything in the queue whose ends are `from` behind the entries
+    /// of queue `to`, as [`splice`](Self::splice) does.
+    // lint: hot-path
+    #[inline]
+    pub fn splice_at(&mut self, from: &mut Ends, to: usize) {
+        let moved = std::mem::take(from);
+        self.pool.append(moved, &mut self.ends[to]);
+    }
+
+    /// Length of queue `q`, by walking its chunks (diagnostics and tests).
+    pub fn len(&self, q: usize) -> usize {
+        self.len_at(self.ends[q])
+    }
+
+    /// Length of the queue whose ends are `ends`, by walking its chunks.
+    pub fn len_at(&self, ends: Ends) -> usize {
+        let mut len = 0;
+        let mut cursor = ends[0];
+        while cursor != 0 {
+            let chunk = &self.pool.chunks[cursor as usize];
+            len += usize::from(chunk.end - chunk.start);
+            cursor = chunk.next;
+        }
+        len
+    }
+}
+
+impl Pool {
+    // lint: hot-path
+    #[inline]
+    fn push(&mut self, ends: &mut Ends, handle: PacketHandle, tag: u32) {
         let entry = [handle.raw(), tag];
-        let [head, tail] = self.ends[q];
+        let [head, tail] = *ends;
         if head != 0 {
             let chunk = &mut self.chunks[tail as usize];
             let end = usize::from(chunk.end);
@@ -100,33 +197,17 @@ impl FifoGrid {
         chunk.start = 0;
         chunk.end = 1;
         if head == 0 {
-            self.ends[q] = [fresh, fresh];
+            *ends = [fresh, fresh];
         } else {
             self.chunks[tail as usize].next = fresh;
-            self.ends[q][1] = fresh;
+            ends[1] = fresh;
         }
     }
 
-    /// Read what the next [`push`](Self::push) onto queue `q` will: the
-    /// queue's header and, if it has one, its tail chunk.  Returns bits of
-    /// both so the loads cannot be optimized away; see
-    /// [`PacketStore::warm`](crate::store::PacketStore::warm) for why a
-    /// caller issues these ahead of the pushes.
     // lint: hot-path
     #[inline]
-    pub fn warm(&self, q: usize) -> u64 {
-        let [head, tail] = self.ends[q];
-        if head == 0 {
-            return 0;
-        }
-        u64::from(self.chunks[tail as usize].end)
-    }
-
-    /// Remove and return the oldest entry of queue `q`.
-    // lint: hot-path
-    #[inline]
-    pub fn pop(&mut self, q: usize) -> Option<(PacketHandle, u32)> {
-        let head = self.ends[q][0];
+    fn pop(&mut self, ends: &mut Ends) -> Option<(PacketHandle, u32)> {
+        let head = ends[0];
         if head == 0 {
             return None;
         }
@@ -134,30 +215,26 @@ impl FifoGrid {
         let [raw, tag] = chunk.entries[usize::from(chunk.start)];
         chunk.start += 1;
         if chunk.start == chunk.end {
-            self.ends[q][0] = chunk.next;
+            ends[0] = chunk.next;
             chunk.next = self.free;
             self.free = head;
         }
         Some((PacketHandle::from_raw(raw), tag))
     }
 
-    /// Move everything in queue `from` behind the entries of queue `to`, in
-    /// O(1) and without touching an entry.
+    /// Link the queue `moved` (already detached from its ends) behind `to`.
     // lint: hot-path
     #[inline]
-    pub fn splice(&mut self, from: usize, to: usize) {
-        debug_assert_ne!(from, to);
-        let [head, tail] = self.ends[from];
+    fn append(&mut self, moved: Ends, to: &mut Ends) {
+        let [head, tail] = moved;
         if head == 0 {
             return;
         }
-        self.ends[from][0] = 0;
-        let [to_head, to_tail] = self.ends[to];
-        if to_head == 0 {
-            self.ends[to] = [head, tail];
+        if to[0] == 0 {
+            *to = [head, tail];
         } else {
-            self.chunks[to_tail as usize].next = head;
-            self.ends[to][1] = tail;
+            self.chunks[to[1] as usize].next = head;
+            to[1] = tail;
         }
     }
 
@@ -186,18 +263,6 @@ impl FifoGrid {
         let index = u32::try_from(self.chunks.len()).expect("chunk pool outgrew u32 indices");
         self.chunks.push(EMPTY_CHUNK);
         index
-    }
-
-    /// Length of queue `q`, by walking its chunks (diagnostics and tests).
-    pub fn len(&self, q: usize) -> usize {
-        let mut len = 0;
-        let mut cursor = self.ends[q][0];
-        while cursor != 0 {
-            let chunk = &self.chunks[cursor as usize];
-            len += usize::from(chunk.end - chunk.start);
-            cursor = chunk.next;
-        }
-        len
     }
 }
 
@@ -233,11 +298,11 @@ mod tests {
         assert_eq!(grid.pop(0), None);
         assert_eq!(grid.len(2), 20);
         // A drained queue accepts pushes again, reusing freed chunks.
-        let pool = grid.chunks.len();
+        let pool = grid.pool.chunks.len();
         for k in 0..20u32 {
             grid.push(0, h(k), 0);
         }
-        assert_eq!(grid.chunks.len(), pool, "freed chunks are reused");
+        assert_eq!(grid.pool.chunks.len(), pool, "freed chunks are reused");
     }
 
     #[test]
@@ -265,6 +330,37 @@ mod tests {
         grid.splice(0, 1);
         assert_eq!(grid.pop(1), Some((h(7), 0)));
         assert_eq!(grid.pop(1), None);
+    }
+
+    #[test]
+    fn queues_outside_the_grid_share_its_pool() {
+        let mut grid = FifoGrid::new(1);
+        let mut outside: Ends = [0; 2];
+        assert_eq!(grid.warm_at(outside), 0);
+        for k in 0..10u32 {
+            grid.push_at(&mut outside, h(k), k);
+        }
+        grid.push(0, h(100), 0);
+        assert_eq!(grid.len_at(outside), 10);
+        assert_eq!(
+            grid.warm_at(outside),
+            3,
+            "the tail chunk holds 10 − 7 entries"
+        );
+        assert_eq!(grid.pop_at(&mut outside), Some((h(0), 0)));
+        grid.splice_at(&mut outside, 0);
+        assert_eq!(outside, [0; 2]);
+        assert_eq!(grid.pop_at(&mut outside), None);
+        let order: Vec<u32> = std::iter::from_fn(|| grid.pop(0))
+            .map(|(handle, _)| handle.raw())
+            .collect();
+        assert_eq!(order, [100, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        // Both queues' chunks went back to the one pool.
+        let pool = grid.pool.chunks.len();
+        for k in 0..14u32 {
+            grid.push_at(&mut outside, h(k), 0);
+        }
+        assert_eq!(grid.pool.chunks.len(), pool);
     }
 
     proptest! {

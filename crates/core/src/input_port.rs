@@ -1,62 +1,60 @@
 //! A Sprinklers input port: N VOQs feeding a Largest-Stripe-First scheduler.
 //!
-//! The input port owns one [`Voq`] record per output (which groups packets
-//! into stripes) and one LSF scheduler (which decides, whenever the first
-//! fabric connects this input to an intermediate port, which queued packet to
-//! send).  Both queue handles into the switch's
-//! [`PacketStore`](crate::store::PacketStore) in one [`FifoGrid`] — queues
-//! `0..N` are the VOQ ready queues, the rest belong to the scheduler — and
-//! the port never touches a packet body.
+//! The input port owns its [`Voqs`] (which group packets into stripes) and
+//! one LSF scheduler (which decides, whenever the first fabric connects this
+//! input to an intermediate port, which queued packet to send).  Both queue
+//! handles into the switch's [`PacketStore`](crate::store::PacketStore)
+//! through one [`FifoGrid`]: its numbered queues are the scheduler's
+//! `2N − 1`, and each VOQ's ready queue keeps its ends in the VOQ's record
+//! and its entries in the grid's chunk pool.  The port never touches a
+//! packet body.
 //!
-//! The calls that can commit a stripe-size change return whether they did,
-//! for the Sprinklers policy's running resize count.
+//! A VOQ's primary intermediate port is not stored: the port derives it
+//! from the OLS, which the Sprinklers policy keeps once for every port,
+//! when the VOQ releases a stripe.  The calls that can release one take the
+//! OLS for that; those that can commit a stripe-size change return whether
+//! they did, for the Sprinklers policy's running resize count.
 
-use crate::config::{SizingMode, SprinklersConfig};
+use crate::config::AdaptiveSizing;
 use crate::fifo::FifoGrid;
 use crate::lsf::{Lsf, Served};
 use crate::ols::WeaklyUniformOls;
 use crate::packet::Packet;
-use crate::sizing::stripe_size;
 use crate::store::PacketHandle;
-use crate::voq::{AdaptiveVoq, Voq};
+use crate::voq::{AdaptiveVoq, StartLevels, Voqs};
 
 /// One Sprinklers input port.
 pub struct SprinklersInputPort {
-    voqs: Vec<Voq>,
-    /// Per-VOQ rate measurement, indexed like `voqs`; empty unless the
-    /// sizing mode is adaptive.
+    /// This port's index: its row of the OLS.
+    id: usize,
+    voqs: Voqs,
+    /// Per-VOQ rate measurement, indexed by output; empty unless the sizing
+    /// mode is adaptive.
     adaptive: Vec<AdaptiveVoq>,
-    /// Every queue of this port: VOQ `output`'s ready queue is queue
-    /// `output`, the scheduler's queues follow from `n`.
+    /// The scheduler's queues, and the chunks of every queue of the port.
     queues: FifoGrid,
     scheduler: Lsf,
 }
 
 impl SprinklersInputPort {
-    /// Build input port `port_id` of a switch with the given configuration and
-    /// OLS-assigned primary intermediate ports.
-    pub fn new(port_id: usize, config: &SprinklersConfig, ols: &WeaklyUniformOls) -> Self {
-        let n = config.n;
-        let voqs = (0..n)
-            .map(|output| {
-                let size = match &config.sizing {
-                    SizingMode::FromMatrix(matrix) => stripe_size(matrix.rate(port_id, output), n),
-                    SizingMode::FixedSize(size) => *size,
-                    SizingMode::Adaptive(params) => params.initial_size,
-                };
-                Voq::new(n, output, ols.primary_port(port_id, output), size)
-            })
-            .collect();
-        let adaptive = match &config.sizing {
-            SizingMode::Adaptive(params) => vec![AdaptiveVoq::new(n, params); n],
-            _ => Vec::new(),
-        };
+    /// Build input port `id` of an `n`-port switch whose VOQs start at the
+    /// levels of `start`; `adaptive` gives every VOQ a rate measurement.
+    /// Writes no VOQ record: the work is O(1) plus zeroed tables (and O(N)
+    /// for adaptive measurement state).
+    pub fn new(id: usize, n: usize, start: StartLevels, adaptive: Option<&AdaptiveSizing>) -> Self {
         SprinklersInputPort {
-            voqs,
-            adaptive,
-            queues: FifoGrid::new(n + Lsf::queue_count(n)),
-            scheduler: Lsf::new(n, n),
+            id,
+            voqs: Voqs::new(n, start),
+            adaptive: adaptive.map_or_else(Vec::new, |params| vec![AdaptiveVoq::new(n, params); n]),
+            queues: FifoGrid::new(Lsf::queue_count(n)),
+            scheduler: Lsf::new(n, 0),
         }
+    }
+
+    /// Start VOQ `output`, which has seen no packet, at stripe size `size`
+    /// instead of its start level.
+    pub fn start_at(&mut self, output: usize, size: usize) {
+        self.voqs.start_at(output, size);
     }
 
     /// Accept an arriving packet, already stored under `handle`: the handle
@@ -65,27 +63,33 @@ impl SprinklersInputPort {
     /// committed a resize on the way.
     // lint: hot-path
     #[inline]
-    pub fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+    pub fn arrive(
+        &mut self,
+        packet: &Packet,
+        handle: PacketHandle,
+        ols: &WeaklyUniformOls,
+    ) -> bool {
         let now = packet.arrival_slot;
         let output = packet.output();
         if let Some(sizing) = self.adaptive.get_mut(output) {
             sizing.record_arrival(now);
         }
-        self.voqs[output].push(&mut self.queues, handle, packet.output_raw());
+        self.voqs
+            .push(&mut self.queues, output, handle, packet.output_raw());
         let resized = self.tick_sizing(output, now);
-        self.release_stripes(output);
+        self.release_stripes(output, ols);
         resized
     }
 
     /// Pull into cache what an [`arrive`](Self::arrive) for `output` reads
-    /// first: the VOQ record, its ready queue's header, that queue's tail
-    /// chunk — three loads, each addressed by the one before.  The switch
-    /// calls this for every arrival of a slot before arriving any of them,
-    /// so the chains of different packets overlap.
+    /// first: the VOQ's record, then its ready queue's tail chunk — two
+    /// loads, the second addressed by the first.  The switch calls this for
+    /// every arrival of a slot before arriving any of them, so the chains of
+    /// different packets overlap.
     // lint: hot-path
     #[inline]
     pub fn warm_arrival(&self, output: usize) -> u64 {
-        self.voqs[output].warm(&self.queues)
+        self.voqs.warm(&self.queues, output)
     }
 
     /// Serve the intermediate port the first fabric currently connects us to:
@@ -106,10 +110,10 @@ impl SprinklersInputPort {
     /// there is no sizing clock, and complete stripes are always collected at
     /// the call that completed them, so the switch skips the whole pass for
     /// non-adaptive configurations.
-    pub fn maintain(&mut self, slot: u64) -> bool {
-        let idx = (slot % self.voqs.len() as u64) as usize;
+    pub fn maintain(&mut self, slot: u64, ols: &WeaklyUniformOls) -> bool {
+        let idx = (slot % self.voqs.outputs() as u64) as usize;
         let resized = self.tick_sizing(idx, slot);
-        self.release_stripes(idx);
+        self.release_stripes(idx, ols);
         resized
     }
 
@@ -118,10 +122,10 @@ impl SprinklersInputPort {
     /// which may release stripes that were held back.
     // lint: hot-path
     #[inline]
-    pub fn packet_delivered(&mut self, output: usize) -> bool {
-        let resized = self.voqs[output].packet_delivered();
+    pub fn packet_delivered(&mut self, output: usize, ols: &WeaklyUniformOls) -> bool {
+        let resized = self.voqs.packet_delivered(output);
         if resized {
-            self.release_stripes(output);
+            self.release_stripes(output, ols);
         }
         resized
     }
@@ -133,9 +137,9 @@ impl SprinklersInputPort {
     /// VOQ's ready backlog can already fill are released right here — so no
     /// deferred stripe-collection work is left for the per-slot maintenance
     /// pass, which non-adaptive configurations skip entirely.
-    pub fn request_resize(&mut self, output: usize, size: usize) -> bool {
-        let resized = self.voqs[output].request_resize(size);
-        self.release_stripes(output);
+    pub fn request_resize(&mut self, output: usize, size: usize, ols: &WeaklyUniformOls) -> bool {
+        let resized = self.voqs.request_resize(output, size);
+        self.release_stripes(output, ols);
         resized
     }
 
@@ -143,7 +147,7 @@ impl SprinklersInputPort {
     /// O(N) scan: the kernel keeps the running count, and checks it against
     /// this.
     pub fn queued_packets(&self) -> usize {
-        self.scheduler.queued_packets() + self.voqs.iter().map(Voq::ready_len).sum::<usize>()
+        self.scheduler.queued_packets() + self.voqs.ready_total() as usize
     }
 
     /// True if the scheduler holds at least one servable packet — the
@@ -156,11 +160,17 @@ impl SprinklersInputPort {
         !self.scheduler.is_empty()
     }
 
-    /// Access a VOQ (used by tests and the switch for inspection).  Mutation
-    /// goes through [`Self::request_resize`] so stripe plastering stays in
-    /// sync.
-    pub fn voq(&self, output: usize) -> &Voq {
-        &self.voqs[output]
+    /// The port's VOQs (used by tests and the switch for inspection).
+    /// Mutation goes through [`Self::request_resize`] so stripe plastering
+    /// stays in sync.
+    pub fn voqs(&self) -> &Voqs {
+        &self.voqs
+    }
+
+    /// The primary intermediate port of VOQ `output`, from the OLS.
+    #[inline]
+    pub fn primary_port(&self, output: usize, ols: &WeaklyUniformOls) -> usize {
+        ols.primary_port(self.id, output)
     }
 
     /// Advance one VOQ's adaptive sizing clock (nothing to do, and nothing
@@ -168,8 +178,8 @@ impl SprinklersInputPort {
     /// resize committed.
     #[inline]
     fn tick_sizing(&mut self, output: usize, now: u64) -> bool {
-        match self.adaptive.get_mut(output) {
-            Some(sizing) => sizing.tick(&mut self.voqs[output], now),
+        match self.adaptive.get_mut(output).and_then(|s| s.tick(now)) {
+            Some(size) => self.voqs.request_resize(output, size),
             None => false,
         }
     }
@@ -177,9 +187,14 @@ impl SprinklersInputPort {
     /// Plaster every stripe VOQ `output` can release into the scheduler.
     // lint: hot-path
     #[inline]
-    fn release_stripes(&mut self, output: usize) {
-        while let Some(stripe) = self.voqs[output].release_stripe() {
-            self.scheduler.insert(&mut self.queues, stripe);
+    fn release_stripes(&mut self, output: usize, ols: &WeaklyUniformOls) {
+        let id = self.id;
+        while let Some(stripe) = self
+            .voqs
+            .release_stripe(output, || ols.primary_port(id, output))
+        {
+            self.scheduler
+                .insert(&mut self.queues, self.voqs.ready_queue(output), stripe);
         }
     }
 }
@@ -187,21 +202,23 @@ impl SprinklersInputPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AdaptiveSizing;
     use crate::store::PacketStore;
 
     impl SprinklersInputPort {
-        /// Every VOQ gets the same fixed stripe size and the primary ports
-        /// come from the cyclic OLS.
+        /// Every VOQ gets the same fixed stripe size.
         fn with_fixed_size(port_id: usize, n: usize, size: usize) -> Self {
-            let config = SprinklersConfig::new(n).with_sizing(SizingMode::FixedSize(size));
-            Self::new(port_id, &config, &WeaklyUniformOls::cyclic(n))
+            Self::new(port_id, n, StartLevels::uniform(size), None)
         }
 
-        /// Store `packet` and arrive it.
+        /// Store `packet` and arrive it; the primary ports come from the
+        /// cyclic OLS.
         fn store_and_arrive(&mut self, store: &mut PacketStore, packet: Packet) -> bool {
             let handle = store.insert(&packet);
-            self.arrive(&packet, handle)
+            self.arrive(
+                &packet,
+                handle,
+                &WeaklyUniformOls::cyclic(self.voqs.outputs()),
+            )
         }
 
         /// Packets queued in the scheduler destined to a given intermediate
@@ -248,29 +265,34 @@ mod tests {
         let mut store = PacketStore::new();
         let mut port = SprinklersInputPort::with_fixed_size(0, 8, 1);
         port.store_and_arrive(&mut store, pkt(0, 5, 0, 0));
-        assert_eq!(port.voq(5).in_flight(), 1);
+        assert_eq!(port.voqs().in_flight(5), 1);
         let (_, output, _) = port.dequeue(5).unwrap();
         assert_eq!(output, 5);
-        assert!(!port.packet_delivered(5), "no resize was pending");
-        assert_eq!(port.voq(5).in_flight(), 0);
+        assert!(
+            !port.packet_delivered(5, &WeaklyUniformOls::cyclic(8)),
+            "no resize was pending"
+        );
+        assert_eq!(port.voqs().in_flight(5), 0);
     }
 
     #[test]
     fn maintain_visits_voqs_round_robin() {
         // An adaptive port with zero traffic must shrink all its VOQs back to
         // size 1 eventually purely through maintenance calls.
-        let config = SprinklersConfig::new(8).with_sizing(SizingMode::Adaptive(AdaptiveSizing {
+        let params = AdaptiveSizing {
             window: 16,
             gamma: 1.0,
             patience: 0,
             initial_size: 8,
-        }));
+        };
         let ols = WeaklyUniformOls::cyclic(8);
-        let mut port = SprinklersInputPort::new(0, &config, &ols);
-        let resizes = (0..1024u64).filter(|&slot| port.maintain(slot)).count();
+        let mut port = SprinklersInputPort::new(0, 8, StartLevels::uniform(8), Some(&params));
+        let resizes = (0..1024u64)
+            .filter(|&slot| port.maintain(slot, &ols))
+            .count();
         for output in 0..8 {
             assert_eq!(
-                port.voq(output).stripe_size(),
+                port.voqs().stripe_size(output),
                 1,
                 "idle VOQ {output} should shrink"
             );

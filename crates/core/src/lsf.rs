@@ -10,13 +10,13 @@
 //! one contiguous burst, which is what keeps every VOQ in order.
 //!
 //! The scheduler owns no queue storage: its queues are a contiguous range of
-//! the input port's [`FifoGrid`], the same grid that holds the VOQ ready
-//! queues, so a stripe enters the schedule by moving entries between queues
-//! of one grid (usually one O(1) splice).  It keeps a bitmask of non-empty
+//! the input port's [`FifoGrid`], whose chunk pool the VOQ ready queues
+//! share, so a stripe enters the schedule by moving entries between queues
+//! of one pool (usually one O(1) splice).  It keeps a bitmask of non-empty
 //! levels per start row, so "largest first" is one `leading_zeros` instead
 //! of a scan over the levels.
 
-use crate::fifo::FifoGrid;
+use crate::fifo::{Ends, FifoGrid};
 use crate::store::PacketHandle;
 use crate::stripe::Stripe;
 
@@ -98,19 +98,20 @@ impl Lsf {
         self.base + 2 * self.n - ((2 * self.n) >> level) + (row >> level)
     }
 
-    /// Insert a freshly released stripe behind the others of its interval.
+    /// Insert a freshly released stripe, the head of the ready queue whose
+    /// ends are `source`, behind the others of its interval.
     // lint: hot-path
     #[inline]
-    pub fn insert(&mut self, grid: &mut FifoGrid, stripe: Stripe) {
+    pub fn insert(&mut self, grid: &mut FifoGrid, source: &mut Ends, stripe: Stripe) {
         let level = stripe.level();
         let start = stripe.interval.start();
         debug_assert!(stripe.interval.end() <= self.n);
         let q = self.queue(start, level);
         if stripe.drains_source {
-            grid.splice(stripe.source, q);
+            grid.splice_at(source, q);
         } else {
             for _ in 0..stripe.size() {
-                let Some((handle, output)) = grid.pop(stripe.source) else {
+                let Some((handle, output)) = grid.pop_at(source) else {
                     debug_assert!(false, "a released stripe is at the head of its source");
                     break;
                 };
@@ -181,7 +182,7 @@ impl Lsf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::voq::Voq;
+    use crate::voq::{StartLevels, Voqs};
     use proptest::prelude::*;
 
     impl Lsf {
@@ -231,21 +232,30 @@ mod tests {
         }
     }
 
-    /// A grid for an `n`-port scheduler at base 1, with queue 0 as the
-    /// scratch VOQ queue the test stripes are released from.
+    /// A grid for an `n`-port scheduler at base 1 (queue 0 stays unused).
     fn grid_for(queue_count: usize) -> FifoGrid {
         FifoGrid::new(1 + queue_count)
     }
 
     /// Have a VOQ over `[start, start + size)` release a stripe of packets
-    /// whose handles are `seq·100 + offset`.
-    fn mk_stripe(grid: &mut FifoGrid, n: usize, start: usize, size: usize, seq: u32) -> Stripe {
+    /// whose handles are `seq·100 + offset`; returns it with the ends of the
+    /// VOQ's ready queue.
+    fn mk_stripe(
+        grid: &mut FifoGrid,
+        n: usize,
+        start: usize,
+        size: usize,
+        seq: u32,
+    ) -> (Stripe, Ends) {
         assert!(start + size <= n);
-        let mut voq = Voq::new(n, 0, start, size);
+        let mut voqs = Voqs::new(n, StartLevels::uniform(size));
         for offset in 0..size as u32 {
-            voq.push(grid, PacketHandle::from_raw(seq * 100 + offset), 1);
+            voqs.push(grid, 0, PacketHandle::from_raw(seq * 100 + offset), 1);
         }
-        voq.release_stripe().expect("size packets fill a stripe")
+        let stripe = voqs
+            .release_stripe(0, || start)
+            .expect("size packets fill a stripe");
+        (stripe, *voqs.ready_queue(0))
     }
 
     /// The stripe size a served packet reports.
@@ -257,8 +267,8 @@ mod tests {
     fn atomic_starts_only_at_interval_start() {
         let mut grid = grid_for(Lsf::queue_count(8));
         let mut s = Lsf::new(8, 1);
-        let stripe = mk_stripe(&mut grid, 8, 0, 4, 0);
-        s.insert(&mut grid, stripe);
+        let (stripe, mut source) = mk_stripe(&mut grid, 8, 0, 4, 0);
+        s.insert(&mut grid, &mut source, stripe);
         assert_eq!(s.queued_stripes(&grid), 1);
         // Rows 1..4 cannot start the stripe.
         assert!(s.serve(&mut grid, 1).is_none());
@@ -278,8 +288,8 @@ mod tests {
     fn atomic_serves_stripe_contiguously_in_offset_order() {
         let mut grid = grid_for(Lsf::queue_count(8));
         let mut s = Lsf::new(8, 1);
-        let stripe = mk_stripe(&mut grid, 8, 4, 4, 3);
-        s.insert(&mut grid, stripe);
+        let (stripe, mut source) = mk_stripe(&mut grid, 8, 4, 4, 3);
+        s.insert(&mut grid, &mut source, stripe);
         for (offset, row) in (4..8).enumerate() {
             let (handle, output, level) = s.serve(&mut grid, row).unwrap();
             assert_eq!((output, level), (1, 2));
@@ -291,10 +301,10 @@ mod tests {
     fn atomic_prefers_largest_stripe_at_start_row() {
         let mut grid = grid_for(Lsf::queue_count(8));
         let mut s = Lsf::new(8, 1);
-        let small = mk_stripe(&mut grid, 8, 0, 2, 0);
-        s.insert(&mut grid, small);
-        let large = mk_stripe(&mut grid, 8, 0, 8, 1);
-        s.insert(&mut grid, large);
+        let (small, mut source) = mk_stripe(&mut grid, 8, 0, 2, 0);
+        s.insert(&mut grid, &mut source, small);
+        let (large, mut source) = mk_stripe(&mut grid, 8, 0, 8, 1);
+        s.insert(&mut grid, &mut source, large);
         let p = s.serve(&mut grid, 0).unwrap();
         assert_eq!(size_of(p), 8);
         // The size-2 stripe must wait until the size-8 stripe finishes and the
@@ -311,10 +321,10 @@ mod tests {
     fn atomic_fcfs_within_same_interval() {
         let mut grid = grid_for(Lsf::queue_count(4));
         let mut s = Lsf::new(4, 1);
-        let first = mk_stripe(&mut grid, 4, 0, 2, 0);
-        s.insert(&mut grid, first);
-        let second = mk_stripe(&mut grid, 4, 0, 2, 1);
-        s.insert(&mut grid, second);
+        let (first, mut source) = mk_stripe(&mut grid, 4, 0, 2, 0);
+        s.insert(&mut grid, &mut source, first);
+        let (second, mut source) = mk_stripe(&mut grid, 4, 0, 2, 1);
+        s.insert(&mut grid, &mut source, second);
         let (first, ..) = s.serve(&mut grid, 0).unwrap();
         s.serve(&mut grid, 1).unwrap();
         let (second, ..) = s.serve(&mut grid, 0).unwrap();
@@ -329,8 +339,8 @@ mod tests {
         let mut grid = grid_for(Lsf::queue_count(8));
         let mut s = Lsf::new(8, 1);
         for (start, size, seq) in [(0, 2, 0), (0, 8, 1)] {
-            let stripe = mk_stripe(&mut grid, 8, start, size, seq);
-            s.insert(&mut grid, stripe);
+            let (stripe, mut source) = mk_stripe(&mut grid, 8, start, size, seq);
+            s.insert(&mut grid, &mut source, stripe);
         }
         for (row, expected) in [(0, 2), (1, 2), (5, 1)] {
             assert_eq!(s.queued_in_row(&grid, row), expected);
@@ -365,8 +375,8 @@ mod tests {
             for (seq, (port, level)) in starts.into_iter().enumerate() {
                 let size = 1usize << level;
                 let start = (port / size) * size;
-                let stripe = mk_stripe(&mut grid, n, start, size, seq as u32);
-                s.insert(&mut grid, stripe);
+                let (stripe, mut source) = mk_stripe(&mut grid, n, start, size, seq as u32);
+                s.insert(&mut grid, &mut source, stripe);
                 inserted += size;
             }
             // (slot, handle, row) of every served packet.

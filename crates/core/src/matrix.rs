@@ -118,6 +118,17 @@ impl TrafficMatrix {
         }
     }
 
+    /// The first stored rate that is negative, NaN or infinite, if any: of
+    /// every entry of a dense matrix, of the two values of a synthetic one
+    /// (O(1)).
+    pub fn invalid_rate(&self) -> Option<f64> {
+        let invalid = |r: &f64| !r.is_finite() || *r < 0.0;
+        match &self.entries {
+            Entries::Dense(rates) => rates.iter().copied().find(|r| invalid(r)),
+            Entries::OnePerRow { hot, rest, .. } => [*hot, *rest].into_iter().find(|r| invalid(r)),
+        }
+    }
+
     /// Switch size N.
     pub fn n(&self) -> usize {
         self.n

@@ -54,9 +54,17 @@ impl WeaklyUniformOls {
         }
     }
 
-    /// Primary intermediate port of the VOQ at input `i` destined to output `j`.
+    /// Primary intermediate port of the VOQ at input `i` destined to output
+    /// `j`: both terms are below `N`, so one conditional subtract does the
+    /// `mod N`.
+    #[inline]
     pub fn primary_port(&self, input: usize, output: usize) -> usize {
-        (self.row_perm.apply(input) + self.col_perm.apply(output)) % self.n
+        let port = self.row_perm.apply(input) + self.col_perm.apply(output);
+        if port >= self.n {
+            port - self.n
+        } else {
+            port
+        }
     }
 
     /// The full row for input `i`: `row(i)[j]` is the primary port of VOQ `(i, j)`.
@@ -136,6 +144,20 @@ mod tests {
                 (*c as i64 - expected as i64).unsigned_abs() < (expected as u64) / 3,
                 "port {port} appeared {c} times, expected ≈{expected}"
             );
+        }
+    }
+
+    #[test]
+    fn primary_port_is_the_sum_of_the_permutations_mod_n() {
+        let mut rng = SimRng::seed_from_u64(9);
+        for n in [2usize, 8, 64] {
+            let ols = WeaklyUniformOls::random(n, &mut rng);
+            for i in 0..n {
+                for j in 0..n {
+                    let sum = ols.row_perm.apply(i) + ols.col_perm.apply(j);
+                    assert_eq!(ols.primary_port(i, j), sum % n, "n = {n}, ({i}, {j})");
+                }
+            }
         }
     }
 

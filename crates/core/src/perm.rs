@@ -60,6 +60,7 @@ impl Permutation {
     }
 
     /// Apply the permutation: `σ(i)`.
+    #[inline]
     pub fn apply(&self, i: usize) -> usize {
         self.forward[i]
     }

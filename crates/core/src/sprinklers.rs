@@ -22,18 +22,52 @@ use crate::sizing::stripe_size;
 use crate::store::{PacketHandle, PacketStore};
 use crate::switch::Switch;
 use crate::two_stage::{InputPolicy, Served, TwoStage};
+use crate::voq::StartLevels;
 
 /// A complete Sprinklers switch.
 pub type SprinklersSwitch = TwoStage<Sprinklers>;
 
-/// Sprinklers' input stage: one [`SprinklersInputPort`] per input, and the
-/// switch-wide state its accessors report.
+/// Sprinklers' input stage: one [`SprinklersInputPort`] per input, the OLS
+/// their VOQs derive their primary ports from, and the switch-wide state
+/// its accessors report.
 pub struct Sprinklers {
     /// Adaptive sizing: idle slots shrink the VOQs' stripes.
     adaptive: bool,
+    /// The weakly uniform random OLS: two permutations, O(N), from which a
+    /// VOQ's primary port is derived each time it releases a stripe.
+    ols: WeaklyUniformOls,
     inputs: Vec<SprinklersInputPort>,
     /// Committed stripe-size changes across all VOQs.
     resizes: u64,
+}
+
+/// [`stripe_size`] of a stream of rates, computed once per value unless
+/// the value is neither of the last two seen: a row of a synthetic matrix
+/// holds two values, and the rows of a dense one mostly repeat theirs.
+struct RateSizes {
+    n: usize,
+    /// `(rate bits, size)` of the last two distinct rates, newest first.
+    seen: [(u64, usize); 2],
+}
+
+impl RateSizes {
+    fn new(n: usize) -> Self {
+        // All ones is a NaN's bits, and no validated rate is a NaN.
+        RateSizes {
+            n,
+            seen: [(u64::MAX, 0); 2],
+        }
+    }
+
+    fn of(&mut self, rate: f64) -> usize {
+        let bits = rate.to_bits();
+        if self.seen[1].0 == bits {
+            self.seen.swap(0, 1);
+        } else if self.seen[0].0 != bits {
+            self.seen = [(bits, stripe_size(rate, self.n)), self.seen[0]];
+        }
+        self.seen[0].1
+    }
 }
 
 impl SprinklersSwitch {
@@ -49,15 +83,55 @@ impl SprinklersSwitch {
     }
 
     /// Fallible constructor.
+    ///
+    /// Construction does O(N) work plus zeroed allocations: the sizing
+    /// rule is evaluated once per distinct rate — one fixed size, adaptive
+    /// sizing's initial size, or the two values of a synthetic matrix — and
+    /// becomes each port's [`StartLevels`], so no VOQ record is written.
+    /// Only a dense matrix pays one pass over its entries.
     pub fn try_new(config: SprinklersConfig, seed: u64) -> Result<Self, SwitchError> {
         config.validate()?;
         let n = config.n;
         let ols = WeaklyUniformOls::random(n, &mut SimRng::seed_from_u64(seed));
-        let inputs = (0..n)
-            .map(|i| SprinklersInputPort::new(i, &config, &ols))
-            .collect();
+        let uniform = |start: StartLevels, adaptive| -> Vec<SprinklersInputPort> {
+            (0..n)
+                .map(|i| SprinklersInputPort::new(i, n, start, adaptive))
+                .collect()
+        };
+        let inputs = match &config.sizing {
+            SizingMode::FixedSize(size) => uniform(StartLevels::uniform(*size), None),
+            SizingMode::Adaptive(params) => uniform(
+                StartLevels::uniform(params.initial_size.clamp(1, n)),
+                Some(params),
+            ),
+            SizingMode::FromMatrix(matrix) => match matrix.one_entry_per_row() {
+                Some((shift, hot, rest)) => {
+                    let (hot, rest) = (stripe_size(hot, n), stripe_size(rest, n));
+                    (0..n)
+                        .map(|i| {
+                            let start = StartLevels::one_hot((i + shift) % n, hot, rest);
+                            SprinklersInputPort::new(i, n, start, None)
+                        })
+                        .collect()
+                }
+                None => {
+                    let mut sizes = RateSizes::new(n);
+                    (0..n)
+                        .map(|i| {
+                            let mut port =
+                                SprinklersInputPort::new(i, n, StartLevels::uniform(1), None);
+                            for j in 0..n {
+                                port.start_at(j, sizes.of(matrix.rate(i, j)));
+                            }
+                            port
+                        })
+                        .collect()
+                }
+            },
+        };
         let policy = Sprinklers {
             adaptive: matches!(config.sizing, SizingMode::Adaptive(_)),
+            ols,
             inputs,
             resizes: 0,
         };
@@ -66,7 +140,7 @@ impl SprinklersSwitch {
 
     /// Current stripe size of the VOQ at `input` destined to `output`.
     pub fn voq_stripe_size(&self, input: usize, output: usize) -> usize {
-        self.policy().inputs[input].voq(output).stripe_size()
+        self.policy().inputs[input].voqs().stripe_size(output)
     }
 
     /// Reconfigure every VOQ's stripe size from a new traffic matrix.  Each
@@ -76,11 +150,12 @@ impl SprinklersSwitch {
     pub fn reconfigure_from_matrix(&mut self, matrix: &TrafficMatrix) {
         let n = self.n();
         assert_eq!(matrix.n(), n);
+        let mut sizes = RateSizes::new(n);
         self.update_inputs(|policy, input| {
             let port = &mut policy.inputs[input];
             for output in 0..n {
-                let size = stripe_size(matrix.rate(input, output), n);
-                policy.resizes += u64::from(port.request_resize(output, size));
+                let size = sizes.of(matrix.rate(input, output));
+                policy.resizes += u64::from(port.request_resize(output, size, &policy.ols));
             }
             // Immediately-committed resizes can release backlogged stripes
             // into the scheduler.
@@ -113,7 +188,7 @@ impl InputPolicy for Sprinklers {
     #[inline]
     fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
         let port = &mut self.inputs[packet.input()];
-        self.resizes += u64::from(port.arrive(packet, handle));
+        self.resizes += u64::from(port.arrive(packet, handle, &self.ols));
         port.has_servable()
     }
 
@@ -149,13 +224,13 @@ impl InputPolicy for Sprinklers {
     #[inline]
     fn delivered(&mut self, packet: &Packet) -> bool {
         let port = &mut self.inputs[packet.input()];
-        self.resizes += u64::from(port.packet_delivered(packet.output()));
+        self.resizes += u64::from(port.packet_delivered(packet.output(), &self.ols));
         port.has_servable()
     }
 
     fn maintain(&mut self, input: usize, slot: u64) -> bool {
         let port = &mut self.inputs[input];
-        self.resizes += u64::from(port.maintain(slot));
+        self.resizes += u64::from(port.maintain(slot, &self.ols));
         port.has_servable()
     }
 }
@@ -310,6 +385,69 @@ mod tests {
         );
         // 0.1/32 * 32² = 3.2 → size 4.
         assert_eq!(sw.voq_stripe_size(5, 17), 4);
+    }
+
+    /// Construction writes no VOQ record, yet every VOQ reads back the
+    /// sizing rule's stripe size and the OLS's primary port — under each
+    /// sizing, at n = 2, 64 and 256, and again after a reconfiguration.
+    #[test]
+    fn derived_voq_fields_match_the_sizing_rule_and_the_ols() {
+        use crate::config::AdaptiveSizing;
+        for n in [2usize, 64, 256] {
+            let hotspot = TrafficMatrix::hotspot(n, 0.6, 0.3);
+            let sizings = [
+                SizingMode::FromMatrix(TrafficMatrix::uniform(n, 0.3)),
+                SizingMode::FromMatrix(TrafficMatrix::diagonal(n, 0.05)),
+                SizingMode::FromMatrix(hotspot.clone()),
+                SizingMode::FromMatrix(TrafficMatrix::diagonal(n, 0.5).scaled(1.0)),
+                SizingMode::FixedSize(2),
+                SizingMode::Adaptive(AdaptiveSizing {
+                    initial_size: n / 2,
+                    ..AdaptiveSizing::default()
+                }),
+            ];
+            for (k, sizing) in sizings.into_iter().enumerate() {
+                let seed = 40 + k as u64;
+                let expected: Box<dyn Fn(usize, usize) -> usize> = match &sizing {
+                    SizingMode::FromMatrix(m) => {
+                        let m = m.clone();
+                        Box::new(move |i, j| stripe_size(m.rate(i, j), n))
+                    }
+                    SizingMode::FixedSize(size) => {
+                        let size = *size;
+                        Box::new(move |_, _| size)
+                    }
+                    SizingMode::Adaptive(params) => {
+                        let size = params.initial_size;
+                        Box::new(move |_, _| size)
+                    }
+                };
+                let mut sw =
+                    SprinklersSwitch::new(SprinklersConfig::new(n).with_sizing(sizing), seed);
+                let ols = WeaklyUniformOls::random(n, &mut SimRng::seed_from_u64(seed));
+                let check = |sw: &SprinklersSwitch, size: &dyn Fn(usize, usize) -> usize| {
+                    for i in 0..n {
+                        for j in 0..n {
+                            assert_eq!(
+                                sw.voq_stripe_size(i, j),
+                                size(i, j),
+                                "n {n} case {k} ({i}, {j})"
+                            );
+                            assert_eq!(sw.policy().ols.primary_port(i, j), ols.primary_port(i, j));
+                        }
+                    }
+                };
+                check(&sw, &*expected);
+                // Nothing is in flight, so every resize commits at once.
+                let next = if k == 2 {
+                    TrafficMatrix::diagonal(n, 0.9)
+                } else {
+                    hotspot.clone()
+                };
+                sw.reconfigure_from_matrix(&next);
+                check(&sw, &|i, j| stripe_size(next.rate(i, j), n));
+            }
+        }
     }
 
     #[test]

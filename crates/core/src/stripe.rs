@@ -21,16 +21,13 @@ use crate::dyadic::DyadicInterval;
 use crate::packet::Packet;
 
 /// A full stripe of one VOQ, ready to be scheduled: the `interval.size()`
-/// oldest entries of queue `source` in the input port's
-/// [`FifoGrid`](crate::fifo::FifoGrid).
+/// oldest entries of the VOQ's ready queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stripe {
     /// The dyadic interval of intermediate ports the stripe is spread over.
     pub interval: DyadicInterval,
-    /// The grid queue (the VOQ's ready queue) whose head the stripe is.
-    pub source: usize,
-    /// True if the stripe is everything `source` holds, so it can be spliced
-    /// out whole instead of popped entry by entry.
+    /// True if the stripe is everything the ready queue holds, so it can be
+    /// spliced out whole instead of popped entry by entry.
     pub drains_source: bool,
 }
 
@@ -73,7 +70,6 @@ mod tests {
         // [8, 12) is what the stamp derives from (port, level) alone.
         let stripe = Stripe {
             interval: DyadicInterval::new(8, 4),
-            source: 0,
             drains_source: true,
         };
         assert_eq!(stripe.size(), 4);
@@ -91,7 +87,6 @@ mod tests {
     fn unit_stripe_is_valid() {
         let s = Stripe {
             interval: DyadicInterval::new(5, 1),
-            source: 3,
             drains_source: false,
         };
         assert_eq!(s.size(), 1);

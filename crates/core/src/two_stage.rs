@@ -353,7 +353,7 @@ impl<P: InputPolicy> Switch for TwoStage<P> {
     // lint: hot-path
     fn arrive_batch(&mut self, packets: &[Packet]) {
         // An arrival can start with dependent loads into tables far larger
-        // than the cache (a Sprinklers VOQ record, its ready queue header and
+        // than the cache (a Sprinklers VOQ record, then its ready queue's
         // tail chunk), so one packet's chain cannot overlap itself but the
         // chains of different packets can: touch them all first, with
         // nothing waiting on the values, then arrive the packets in order.

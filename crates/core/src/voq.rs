@@ -8,190 +8,367 @@
 //! once every packet striped under the old size has left the switch, which is
 //! what keeps resizing from reintroducing reordering.
 //!
-//! A [`Voq`] is a 20-byte record — an input port keeps its `N` of them in one
-//! flat array — and its ready queue is one queue of the port's
-//! [`FifoGrid`], so releasing a stripe moves no packet.  The measurement
-//! state adaptive sizing needs lives in a separate [`AdaptiveVoq`], which
-//! fixed and matrix-driven switches never allocate.
+//! A VOQ stores only what changes.  Its output is its index in the port's
+//! table, `log₂N` is one value for the whole port, and its primary
+//! intermediate port is `(σ_R(i) + σ_C(j)) mod N`, which the caller derives
+//! from the OLS only when a stripe is released.  What varies — the ready
+//! queue's two ends (its entries live in the port's [`FifoGrid`] pool, so
+//! releasing a stripe moves no packet), the ready and in-flight counts, the
+//! level and the pending level — is one 16-byte record in [`Voqs`], a table
+//! allocated zeroed.  A level is stored relative to the port's
+//! [`StartLevels`], the sizing rule's level for each output, so an all-zero
+//! record is an empty VOQ at the rule's level and building a port writes no
+//! record.  A VOQ whose counts outgrow their bits moves them into a side
+//! table of `u64`s.  The measurement state adaptive sizing needs lives in a
+//! separate [`AdaptiveVoq`], which fixed and matrix-driven switches never
+//! allocate.
 
 use crate::config::AdaptiveSizing;
 use crate::dyadic::DyadicInterval;
-use crate::fifo::FifoGrid;
+use crate::fifo::{Ends, FifoGrid};
 use crate::rate_estimator::RateEstimator;
 use crate::sizing::SizeDecider;
 use crate::store::PacketHandle;
 use crate::stripe::Stripe;
 
-/// `pending_level` value meaning "no resize pending".
-const NO_PENDING: u8 = u8::MAX;
+/// A VOQ's record: its ready queue's ends, then its count word and its
+/// flight word.
+///
+/// * Count word, from the top: [`WIDE`]; the level XOR the port's start
+///   level for the output (4 bits); `ready_len` (27 bits) — or, when `WIDE`
+///   is set, the index of the VOQ's counts in the side table.
+/// * Flight word, from the top: the pending level XOR the level (4 bits;
+///   0 = no resize pending, since a pending level always differs from the
+///   current one); `in_flight` (28 bits; 0 when `WIDE` is set).
+///
+/// All zero is an empty VOQ at its start level with no resize pending.
+type Record = [[u32; 2]; 2];
 
-/// `log₂` of a power-of-two stripe size, as the `u8` a [`Voq`] stores.
-fn level_of(size: usize) -> u8 {
+/// Count-word bit: the VOQ's counts live in the side table.
+const WIDE: u32 = 1 << 31;
+/// Shift of the level bits in the count word.
+const LEVEL_SHIFT: u32 = 27;
+/// A narrow record's `ready_len` bits.  A count of `READY_MASK` itself is
+/// full: the next push moves the VOQ to the side table.
+const READY_MASK: u32 = (1 << LEVEL_SHIFT) - 1;
+/// Shift of the pending bits in the flight word.
+const PENDING_SHIFT: u32 = 28;
+/// A narrow record's `in_flight` bits.
+const FLIGHT_MASK: u32 = (1 << PENDING_SHIFT) - 1;
+/// The four bits of a level (or of two levels XORed).
+const LEVEL_BITS: u32 = 0xf;
+/// The largest level a record holds: a Sprinklers port count is a power of
+/// two no larger than [`MAX_PORTS`](crate::packet::MAX_PORTS) = 2¹⁶ − 1, so
+/// at most 2¹⁵.
+const MAX_LEVEL: u32 = 15;
+
+/// `log₂` of a power-of-two stripe size.
+fn level_of(size: usize) -> u32 {
     assert!(
         size.is_power_of_two(),
         "stripe size {size} must be a power of two"
     );
-    u8::try_from(size.trailing_zeros()).expect("a usize has fewer than 256 bits")
+    size.trailing_zeros()
 }
 
-/// A single Virtual Output Queue at an input port.
-#[derive(Debug, Clone)]
-pub struct Voq {
-    /// The grid queue holding the packets waiting to fill the next stripe,
-    /// in arrival order.
-    queue: u32,
-    ready_len: u32,
-    /// Packets that have been released in stripes but have not yet been
-    /// reported as delivered at the output.
-    in_flight: u32,
-    /// Primary intermediate port assigned by the OLS; the stripe interval is
-    /// always the dyadic interval of the current size containing this port.
-    primary_port: u32,
-    /// `log₂` of the current stripe size.
-    level: u8,
-    /// `log₂` of a stripe size waiting for the clearance phase to finish, or
-    /// [`NO_PENDING`].
-    pending_level: u8,
-    /// `log₂ N`: the largest level a resize may request.
-    max_level: u8,
+/// The stripe size each VOQ of one input port starts at — the sizing
+/// rule's, computed once per distinct rate: `hot` for one output, `rest`
+/// for every other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StartLevels {
+    hot_output: usize,
+    hot: u32,
+    rest: u32,
 }
 
-impl Voq {
-    /// Create a VOQ of an `n`-port switch whose ready queue is grid queue
-    /// `queue`, with the given primary intermediate port and initial stripe
-    /// size (clamped to `1..=n`).
-    pub fn new(n: usize, queue: usize, primary_port: usize, size: usize) -> Self {
-        assert!(
-            primary_port < n,
-            "primary port {primary_port} outside 0..{n}"
-        );
-        Voq {
-            queue: u32::try_from(queue).expect("queue indices fit u32"),
-            ready_len: 0,
-            in_flight: 0,
-            primary_port: u32::try_from(primary_port).expect("port counts fit u32"),
-            level: level_of(size.clamp(1, n)),
-            pending_level: NO_PENDING,
-            max_level: level_of(n),
+impl StartLevels {
+    /// Every VOQ at stripe size `size`.
+    pub fn uniform(size: usize) -> Self {
+        Self::one_hot(0, size, size)
+    }
+
+    /// VOQ `hot_output` at stripe size `hot`, every other VOQ at `rest`.
+    pub fn one_hot(hot_output: usize, hot: usize, rest: usize) -> Self {
+        StartLevels {
+            hot_output,
+            hot: level_of(hot),
+            rest: level_of(rest),
         }
     }
 
-    /// The VOQ's primary intermediate port.
-    pub fn primary_port(&self) -> usize {
-        self.primary_port as usize
+    /// The start level of VOQ `output`.
+    #[inline]
+    fn of(&self, output: usize) -> u32 {
+        if output == self.hot_output {
+            self.hot
+        } else {
+            self.rest
+        }
+    }
+}
+
+/// The `N` VOQs of one input port.
+#[derive(Debug, Clone)]
+pub struct Voqs {
+    /// VOQ `output`'s record is `records[output]`.
+    records: Vec<Record>,
+    /// `[ready_len, in_flight]` of each VOQ whose counts outgrew its record,
+    /// in the order they moved.  A VOQ moves at most once, so this holds at
+    /// most `N` entries.
+    wide: Vec<[u64; 2]>,
+    start: StartLevels,
+    /// `log₂ N`: the largest level a resize may request.
+    max_level: u32,
+}
+
+impl Voqs {
+    /// `n` empty VOQs, each at its level of `start`.
+    pub fn new(n: usize, start: StartLevels) -> Self {
+        assert!(
+            n.is_power_of_two() && n <= 1 << MAX_LEVEL,
+            "a VOQ table has a power-of-two size up to 2^{MAX_LEVEL}, not {n}"
+        );
+        let max_level = n.trailing_zeros();
+        assert!(
+            start.hot.max(start.rest) <= max_level,
+            "start levels {start:?} above log2({n})"
+        );
+        Voqs {
+            records: vec![[[0; 2]; 2]; n],
+            wide: Vec::new(),
+            start,
+            max_level,
+        }
     }
 
-    /// The VOQ's current stripe size.
-    pub fn stripe_size(&self) -> usize {
-        1 << self.level
+    /// Start VOQ `output`, which has seen no packet, at stripe size `size`
+    /// (clamped to `1..=N`) instead of its start level.
+    pub fn start_at(&mut self, output: usize, size: usize) {
+        let level = level_of(size.clamp(1, 1 << self.max_level));
+        let bits = (level ^ self.start.of(output)) << LEVEL_SHIFT;
+        let count = &mut self.records[output][1][0];
+        debug_assert_eq!(*count & READY_MASK, 0, "VOQ {output} has seen packets");
+        // A VOQ left at its start level keeps its record untouched (and its
+        // page, if no other VOQ on it moves, uncommitted).
+        if *count & (LEVEL_BITS << LEVEL_SHIFT) != bits {
+            *count = (*count & !(LEVEL_BITS << LEVEL_SHIFT)) | bits;
+        }
     }
 
-    /// The VOQ's current stripe interval.
-    pub fn interval(&self) -> DyadicInterval {
-        DyadicInterval::containing(self.primary_port(), self.stripe_size())
+    /// `log₂` of VOQ `output`'s current stripe size.
+    #[inline]
+    fn level(&self, output: usize) -> u32 {
+        ((self.records[output][1][0] >> LEVEL_SHIFT) & LEVEL_BITS) ^ self.start.of(output)
     }
 
-    /// Number of packets waiting in the ready queue (not yet in a stripe).
-    pub fn ready_len(&self) -> usize {
-        self.ready_len as usize
+    /// VOQ `output`'s current stripe size.
+    pub fn stripe_size(&self, output: usize) -> usize {
+        1 << self.level(output)
     }
 
-    /// Number of packets released in stripes and not yet delivered.
-    pub fn in_flight(&self) -> u64 {
-        u64::from(self.in_flight)
+    /// `[ready_len, in_flight]` of VOQ `output`.
+    fn counts(&self, output: usize) -> [u64; 2] {
+        let [count, flight] = self.records[output][1];
+        if count & WIDE == 0 {
+            [
+                u64::from(count & READY_MASK),
+                u64::from(flight & FLIGHT_MASK),
+            ]
+        } else {
+            self.wide[(count & READY_MASK) as usize]
+        }
     }
 
-    /// Is a stripe-size change waiting for the clearance phase?
-    pub fn resize_pending(&self) -> bool {
-        self.pending_level != NO_PENDING
+    /// Number of packets waiting in VOQ `output`'s ready queue (not yet in
+    /// a stripe).
+    pub fn ready_len(&self, output: usize) -> u64 {
+        self.counts(output)[0]
+    }
+
+    /// Number of VOQ `output`'s packets released in stripes and not yet
+    /// delivered.
+    pub fn in_flight(&self, output: usize) -> u64 {
+        self.counts(output)[1]
+    }
+
+    /// The ends of VOQ `output`'s ready queue, for the scheduler to take a
+    /// released stripe from.
+    #[inline]
+    pub fn ready_queue(&mut self, output: usize) -> &mut Ends {
+        &mut self.records[output][0]
+    }
+
+    /// Number of VOQs, `N`.
+    pub fn outputs(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Packets waiting in every ready queue, by an O(N) scan.
+    pub fn ready_total(&self) -> u64 {
+        (0..self.outputs()).map(|o| self.ready_len(o)).sum()
     }
 
     /// Append an arriving (already stored) packet, tagged with its output
-    /// port, to the ready queue.  Call [`Voq::release_stripe`] afterwards to
-    /// collect what became complete.
+    /// port, to VOQ `output`'s ready queue.  Call [`Voqs::release_stripe`]
+    /// afterwards to collect what became complete.
     // lint: hot-path
     #[inline]
-    pub fn push(&mut self, grid: &mut FifoGrid, handle: PacketHandle, output: u32) {
-        grid.push(self.queue as usize, handle, output);
-        self.ready_len += 1;
+    pub fn push(&mut self, grid: &mut FifoGrid, output: usize, handle: PacketHandle, tag: u32) {
+        let record = &mut self.records[output];
+        grid.push_at(&mut record[0], handle, tag);
+        let count = &mut record[1][0];
+        // Below `READY_MASK` only for a narrow record with room left.
+        if *count & (WIDE | READY_MASK) < READY_MASK {
+            *count += 1;
+        } else {
+            self.wide_counts(output)[0] += 1;
+        }
     }
 
-    /// Read what the next [`Voq::push`] will: this record, then the ready
-    /// queue's header and tail chunk (see [`FifoGrid::warm`]).
+    /// Read what the next [`Voqs::push`] onto VOQ `output` will: its record,
+    /// then its ready queue's tail chunk (see [`FifoGrid::warm_at`]).
     // lint: hot-path
     #[inline]
-    pub fn warm(&self, grid: &FifoGrid) -> u64 {
-        u64::from(self.ready_len) ^ grid.warm(self.queue as usize)
+    pub fn warm(&self, grid: &FifoGrid, output: usize) -> u64 {
+        let [ends, [count, _]] = self.records[output];
+        u64::from(count) ^ grid.warm_at(ends)
     }
 
-    /// Release the next complete stripe at the head of the ready queue, if
-    /// there is one: the entries stay in the grid for the scheduler to take.
-    /// Call until it returns `None` — an arrival completes at most one
-    /// stripe, but a committed shrink can free several at once — handing
-    /// each stripe to the scheduler before asking for the next.
+    /// Release the next complete stripe at the head of VOQ `output`'s ready
+    /// queue, if there is one: the entries stay in the queue for the
+    /// scheduler to take.  `primary` gives the VOQ's primary intermediate
+    /// port and is called only when a stripe is released.  Call until it
+    /// returns `None` — an arrival completes at most one stripe, but a
+    /// committed shrink can free several at once — handing each stripe to
+    /// the scheduler before asking for the next.
     ///
     /// While a resize is pending (clearance phase), no new stripes are formed:
     /// arrivals keep accumulating so that old-size and new-size stripes never
     /// coexist in the switch.
     // lint: hot-path
     #[inline]
-    pub fn release_stripe(&mut self) -> Option<Stripe> {
-        let size = 1u32 << self.level;
-        if self.ready_len < size || self.resize_pending() {
+    pub fn release_stripe(
+        &mut self,
+        output: usize,
+        primary: impl FnOnce() -> usize,
+    ) -> Option<Stripe> {
+        let level = self.level(output);
+        let size = 1u32 << level;
+        let [count, flight] = self.records[output][1];
+        if flight >> PENDING_SHIFT != 0 {
             return None;
         }
-        self.ready_len -= size;
-        self.in_flight += size;
+        let drains = 'counted: {
+            if count & WIDE == 0 {
+                let ready = count & READY_MASK;
+                if ready < size {
+                    return None;
+                }
+                // No resize is pending, so `flight` is the bare count.
+                if flight + size <= FLIGHT_MASK {
+                    self.records[output][1] = [count - size, flight + size];
+                    break 'counted ready == size;
+                }
+            }
+            let counts = self.wide_counts(output);
+            if counts[0] < u64::from(size) {
+                return None;
+            }
+            counts[0] -= u64::from(size);
+            counts[1] += u64::from(size);
+            counts[0] == 0
+        };
         Some(Stripe {
-            interval: self.interval(),
-            source: self.queue as usize,
-            drains_source: self.ready_len == 0,
+            interval: DyadicInterval::containing(primary(), 1 << level),
+            drains_source: drains,
         })
     }
 
-    /// Report that one of this VOQ's packets reached its output port.
+    /// Report that one of VOQ `output`'s packets reached its output port.
     /// Returns true if that ended a clearance phase and the pending resize
     /// committed — the ready backlog may then hold complete stripes.
     // lint: hot-path
     #[inline]
-    pub fn packet_delivered(&mut self) -> bool {
-        debug_assert!(
-            self.in_flight > 0,
-            "delivered more packets than were in flight"
-        );
-        self.in_flight = self.in_flight.saturating_sub(1);
-        self.in_flight == 0 && self.commit_resize()
+    pub fn packet_delivered(&mut self, output: usize) -> bool {
+        let [count, flight] = self.records[output][1];
+        let cleared = if count & WIDE == 0 {
+            let in_flight = flight & FLIGHT_MASK;
+            debug_assert!(in_flight > 0, "delivered more packets than were in flight");
+            if in_flight > 0 {
+                self.records[output][1][1] = flight - 1;
+            }
+            in_flight <= 1
+        } else {
+            let counts = self.wide_counts(output);
+            debug_assert!(counts[1] > 0, "delivered more packets than were in flight");
+            counts[1] = counts[1].saturating_sub(1);
+            counts[1] == 0
+        };
+        cleared && self.commit_resize(output)
     }
 
-    /// Request a stripe-size change (used by the matrix-driven and fixed
-    /// sizing modes when reconfiguring, and by the adaptive mode).
+    /// Request a stripe-size change of VOQ `output` (used by the
+    /// matrix-driven and fixed sizing modes when reconfiguring, and by the
+    /// adaptive mode).
     ///
     /// The change is applied immediately if nothing is in flight, otherwise it
     /// is deferred to the end of the clearance phase.  Returns true if it
     /// committed now.
-    pub fn request_resize(&mut self, new_size: usize) -> bool {
+    pub fn request_resize(&mut self, output: usize, new_size: usize) -> bool {
         let new_level = level_of(new_size.clamp(1, 1 << self.max_level));
-        if new_level == self.level {
-            self.pending_level = NO_PENDING;
+        let level = self.level(output);
+        let flight = &mut self.records[output][1][1];
+        *flight &= FLIGHT_MASK;
+        if new_level == level {
             return false;
         }
-        self.pending_level = new_level;
-        self.in_flight == 0 && self.commit_resize()
+        *flight |= (new_level ^ level) << PENDING_SHIFT;
+        self.in_flight(output) == 0 && self.commit_resize(output)
     }
 
-    fn commit_resize(&mut self) -> bool {
-        if !self.resize_pending() {
+    /// Apply VOQ `output`'s pending level, if it has one.
+    fn commit_resize(&mut self, output: usize) -> bool {
+        let words = &mut self.records[output][1];
+        // The pending bits are `pending ^ level`: XORed into the stored
+        // `level ^ start` they give `pending ^ start`.
+        let delta = words[1] >> PENDING_SHIFT;
+        if delta == 0 {
             return false;
         }
-        debug_assert_eq!(self.in_flight, 0);
-        self.level = self.pending_level;
-        self.pending_level = NO_PENDING;
+        words[0] ^= delta << LEVEL_SHIFT;
+        words[1] &= FLIGHT_MASK;
         true
+    }
+
+    /// VOQ `output`'s side-table counts, moved out of its record on first
+    /// use.
+    fn wide_counts(&mut self, output: usize) -> &mut [u64; 2] {
+        if self.records[output][1][0] & WIDE == 0 {
+            self.widen(output);
+        }
+        let index = self.records[output][1][0] & READY_MASK;
+        &mut self.wide[index as usize]
+    }
+
+    /// Move VOQ `output`'s counts into a new side-table entry and point its
+    /// record at it; the level bits stay in the record.
+    #[cold]
+    fn widen(&mut self, output: usize) {
+        let [count, flight] = self.records[output][1];
+        let index = u32::try_from(self.wide.len())
+            .ok()
+            .filter(|&index| index <= READY_MASK)
+            .expect("a port has fewer than 2^27 VOQs");
+        self.wide.push([
+            u64::from(count & READY_MASK),
+            u64::from(flight & FLIGHT_MASK),
+        ]);
+        self.records[output][1] = [WIDE | (count & !READY_MASK) | index, flight & !FLIGHT_MASK];
     }
 }
 
 /// The measurement state of one VOQ under adaptive sizing: what it takes to
-/// decide the next stripe size, kept apart from the [`Voq`] record so that
+/// decide the next stripe size, kept apart from the VOQ records so that
 /// fixed and matrix-driven switches carry none of it.
 #[derive(Debug, Clone)]
 pub struct AdaptiveVoq {
@@ -220,36 +397,46 @@ impl AdaptiveVoq {
         self.estimator.record_arrival(now);
     }
 
-    /// Advance the sizing clock to `now` (cheap when no window elapsed) and
-    /// pass any decided size change on to `voq`.  Returns true if a resize
-    /// committed on the spot.
-    pub fn tick(&mut self, voq: &mut Voq, now: u64) -> bool {
+    /// Advance the sizing clock to `now` (cheap when no window elapsed).
+    /// Returns the stripe size the VOQ should change to, if a window
+    /// elapsed and the decider settled on a change.
+    pub fn tick(&mut self, now: u64) -> Option<usize> {
         if now < self.next_check {
-            return false;
+            return None;
         }
         let rate = self.estimator.rate_at(now);
         self.next_check = now - (now % self.window) + self.window;
-        match self.decider.observe(rate) {
-            Some(size) => voq.request_resize(size),
-            None => false,
-        }
+        self.decider.observe(rate)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
-    /// Push a packet whose handle doubles as its VOQ sequence number.
-    fn push(v: &mut Voq, grid: &mut FifoGrid, seq: u32) {
-        v.push(grid, PacketHandle::from_raw(seq), 1);
+    /// The VOQ the unit tests drive.
+    const OUT: usize = 1;
+
+    /// An `n`-port table whose VOQs start at stripe size `size`, and the
+    /// grid whose pool their ready queues draw on.
+    fn table(n: usize, size: usize) -> (Voqs, FifoGrid) {
+        (Voqs::new(n, StartLevels::uniform(size)), FifoGrid::new(0))
     }
 
-    /// Take a released stripe's entries off its source queue, oldest first.
-    fn seqs(grid: &mut FifoGrid, stripe: &Stripe) -> Vec<u32> {
+    /// Push a packet whose handle doubles as its VOQ sequence number.
+    fn push(v: &mut Voqs, grid: &mut FifoGrid, seq: u32) {
+        v.push(grid, OUT, PacketHandle::from_raw(seq), 1);
+    }
+
+    /// Take a released stripe's entries off the ready queue, oldest first.
+    fn seqs(v: &mut Voqs, grid: &mut FifoGrid, stripe: &Stripe) -> Vec<u32> {
         (0..stripe.size())
             .map(|_| {
-                let (handle, output) = grid.pop(stripe.source).expect("the run is in the grid");
+                let (handle, output) = grid
+                    .pop_at(v.ready_queue(OUT))
+                    .expect("the run is in the queue");
                 assert_eq!(output, 1);
                 handle.raw()
             })
@@ -258,64 +445,70 @@ mod tests {
 
     #[test]
     fn fixed_voq_releases_full_stripes_only() {
-        let mut grid = FifoGrid::new(1);
-        let mut v = Voq::new(8, 0, 5, 4);
-        assert_eq!(v.interval(), DyadicInterval::new(4, 4));
+        let (mut v, mut grid) = table(8, 4);
+        assert_eq!(v.stripe_size(OUT), 4);
         for i in 0..3 {
             push(&mut v, &mut grid, i);
-            assert!(v.release_stripe().is_none());
+            assert!(v.release_stripe(OUT, || 5).is_none());
         }
         push(&mut v, &mut grid, 3);
-        let stripe = v.release_stripe().expect("four packets fill the stripe");
-        assert!(v.release_stripe().is_none());
+        let stripe = v
+            .release_stripe(OUT, || 5)
+            .expect("four packets fill the stripe");
+        assert!(v.release_stripe(OUT, || 5).is_none());
         assert_eq!(stripe.size(), 4);
         assert_eq!(stripe.interval, DyadicInterval::new(4, 4));
         assert!(stripe.drains_source);
-        assert_eq!(v.ready_len(), 0);
-        assert_eq!(v.in_flight(), 4);
+        assert_eq!(v.ready_len(OUT), 0);
+        assert_eq!(v.in_flight(OUT), 4);
         // The run is the packets in arrival order.
-        assert_eq!(seqs(&mut grid, &stripe), vec![0, 1, 2, 3]);
+        assert_eq!(seqs(&mut v, &mut grid, &stripe), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn unit_stripe_voq_releases_every_packet() {
-        let mut grid = FifoGrid::new(3);
-        let mut v = Voq::new(8, 2, 3, 1);
+        let (mut v, mut grid) = table(8, 1);
         for i in 0..5 {
             push(&mut v, &mut grid, i);
-            let s = v.release_stripe().expect("every packet is a stripe");
+            let s = v
+                .release_stripe(OUT, || 3)
+                .expect("every packet is a stripe");
             assert_eq!(s.size(), 1);
             assert_eq!(s.interval, DyadicInterval::new(3, 1));
-            assert_eq!(s.source, 2);
-            assert_eq!(seqs(&mut grid, &s), vec![i]);
-            assert!(v.release_stripe().is_none());
+            assert_eq!(seqs(&mut v, &mut grid, &s), vec![i]);
+            assert!(v.release_stripe(OUT, || 3).is_none());
         }
     }
 
     #[test]
     fn resize_with_nothing_in_flight_is_immediate() {
-        let mut v = Voq::new(8, 0, 5, 4);
-        assert!(v.request_resize(2), "nothing in flight: commits at once");
-        assert_eq!(v.stripe_size(), 2);
-        assert_eq!(v.interval(), DyadicInterval::new(4, 2));
-        assert!(!v.resize_pending());
+        let (mut v, _) = table(8, 4);
+        assert!(
+            v.request_resize(OUT, 2),
+            "nothing in flight: commits at once"
+        );
+        assert_eq!(v.stripe_size(OUT), 2);
+        assert!(!v.resize_pending(OUT));
+        // The other VOQs keep their start level.
+        assert_eq!(v.stripe_size(0), 4);
     }
 
     #[test]
     fn resize_waits_for_clearance() {
-        let mut grid = FifoGrid::new(1);
-        let mut v = Voq::new(8, 0, 1, 2);
+        let (mut v, mut grid) = table(8, 2);
         // Fill one stripe → 2 packets in flight.
         push(&mut v, &mut grid, 0);
         push(&mut v, &mut grid, 1);
-        let first = v.release_stripe().expect("two packets fill the stripe");
-        assert_eq!(seqs(&mut grid, &first), vec![0, 1]);
-        assert_eq!(v.in_flight(), 2);
+        let first = v
+            .release_stripe(OUT, || 1)
+            .expect("two packets fill the stripe");
+        assert_eq!(seqs(&mut v, &mut grid, &first), vec![0, 1]);
+        assert_eq!(v.in_flight(OUT), 2);
 
-        assert!(!v.request_resize(4));
-        assert!(v.resize_pending());
+        assert!(!v.request_resize(OUT, 4));
+        assert!(v.resize_pending(OUT));
         assert_eq!(
-            v.stripe_size(),
+            v.stripe_size(OUT),
             2,
             "resize must not apply while packets are in flight"
         );
@@ -323,62 +516,64 @@ mod tests {
         // During clearance, arrivals accumulate and no stripes are formed.
         for i in 2..8 {
             push(&mut v, &mut grid, i);
-            assert!(v.release_stripe().is_none());
+            assert!(v.release_stripe(OUT, || 1).is_none());
         }
-        assert_eq!(v.ready_len(), 6);
+        assert_eq!(v.ready_len(OUT), 6);
 
         // Deliver the two in-flight packets: resize commits and the backlog is
         // released with the new size.
-        assert!(!v.packet_delivered());
-        assert!(v.packet_delivered(), "the last delivery commits the resize");
-        assert_eq!(v.stripe_size(), 4);
+        assert!(!v.packet_delivered(OUT));
+        assert!(
+            v.packet_delivered(OUT),
+            "the last delivery commits the resize"
+        );
+        assert_eq!(v.stripe_size(OUT), 4);
         let released = v
-            .release_stripe()
+            .release_stripe(OUT, || 1)
             .expect("6 ready packets form one stripe of 4");
-        assert!(v.release_stripe().is_none());
+        assert!(v.release_stripe(OUT, || 1).is_none());
         assert_eq!(released.size(), 4);
+        assert_eq!(released.interval, DyadicInterval::new(0, 4));
         assert!(!released.drains_source, "two packets stay behind");
-        assert_eq!(seqs(&mut grid, &released), vec![2, 3, 4, 5]);
-        assert_eq!(v.ready_len(), 2);
-        assert!(!v.resize_pending());
+        assert_eq!(seqs(&mut v, &mut grid, &released), vec![2, 3, 4, 5]);
+        assert_eq!(v.ready_len(OUT), 2);
+        assert!(!v.resize_pending(OUT));
     }
 
     #[test]
     fn resize_to_same_size_clears_pending() {
-        let mut grid = FifoGrid::new(1);
-        let mut v = Voq::new(8, 0, 1, 2);
+        let (mut v, mut grid) = table(8, 2);
         push(&mut v, &mut grid, 0);
         push(&mut v, &mut grid, 1);
-        assert!(v.release_stripe().is_some());
-        v.request_resize(4);
-        assert!(v.resize_pending());
-        v.request_resize(2);
-        assert!(!v.resize_pending());
+        assert!(v.release_stripe(OUT, || 1).is_some());
+        v.request_resize(OUT, 4);
+        assert!(v.resize_pending(OUT));
+        v.request_resize(OUT, 2);
+        assert!(!v.resize_pending(OUT));
     }
 
     #[test]
     fn shrinking_releases_multiple_stripes() {
-        let mut grid = FifoGrid::new(1);
-        let mut v = Voq::new(8, 0, 0, 8);
+        let (mut v, mut grid) = table(8, 8);
         for i in 0..6 {
             push(&mut v, &mut grid, i);
-            assert!(v.release_stripe().is_none());
+            assert!(v.release_stripe(OUT, || 0).is_none());
         }
         // With nothing in flight the resize is immediate and the 6 ready
         // packets become 3 stripes of 2, in arrival order.
-        assert!(v.request_resize(2));
-        assert_eq!(v.stripe_size(), 2);
+        assert!(v.request_resize(OUT, 2));
+        assert_eq!(v.stripe_size(OUT), 2);
         let mut order = Vec::new();
         let mut stripes = 0;
-        while let Some(s) = v.release_stripe() {
+        while let Some(s) = v.release_stripe(OUT, || 0) {
             assert_eq!(s.size(), 2);
             assert_eq!(s.drains_source, stripes == 2, "only the last empties it");
-            order.extend(seqs(&mut grid, &s));
+            order.extend(seqs(&mut v, &mut grid, &s));
             stripes += 1;
         }
         assert_eq!(stripes, 3);
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(v.ready_len(), 0);
+        assert_eq!(v.ready_len(OUT), 0);
     }
 
     #[test]
@@ -391,25 +586,26 @@ mod tests {
             patience: 0,
             initial_size: 1,
         };
-        let mut grid = FifoGrid::new(1);
-        let mut v = Voq::new(n, 0, 7, params.initial_size);
+        let (mut v, mut grid) = table(n, params.initial_size);
         let mut sizing = AdaptiveVoq::new(n, &params);
-        assert_eq!(v.stripe_size(), 1);
+        assert_eq!(v.stripe_size(OUT), 1);
         let mut resizes = 0u32;
         // Offer one packet per slot (rate 1.0) for many windows, delivering
         // everything promptly so clearance never blocks.
         for slot in 0..1024u32 {
             sizing.record_arrival(u64::from(slot));
             push(&mut v, &mut grid, slot);
-            resizes += u32::from(sizing.tick(&mut v, u64::from(slot)));
-            while let Some(s) = v.release_stripe() {
-                for _ in seqs(&mut grid, &s) {
-                    resizes += u32::from(v.packet_delivered());
+            if let Some(size) = sizing.tick(u64::from(slot)) {
+                resizes += u32::from(v.request_resize(OUT, size));
+            }
+            while let Some(s) = v.release_stripe(OUT, || 7) {
+                for _ in seqs(&mut v, &mut grid, &s) {
+                    resizes += u32::from(v.packet_delivered(OUT));
                 }
             }
         }
         assert_eq!(
-            v.stripe_size(),
+            v.stripe_size(OUT),
             n,
             "a rate-1 VOQ must converge to a full-span stripe (F(1) = N)"
         );
@@ -425,28 +621,237 @@ mod tests {
             patience: 0,
             initial_size: 16,
         };
-        let mut v = Voq::new(n, 0, 7, params.initial_size);
+        let (mut v, _) = table(n, params.initial_size);
         let mut sizing = AdaptiveVoq::new(n, &params);
         // No arrivals at all: after a few windows the decider should shrink
         // the stripe to 1 (rate estimate 0).
         for slot in 0..1024u64 {
-            sizing.tick(&mut v, slot);
-            assert!(v.release_stripe().is_none());
+            if let Some(size) = sizing.tick(slot) {
+                v.request_resize(OUT, size);
+            }
+            assert!(v.release_stripe(OUT, || 7).is_none());
         }
-        assert_eq!(v.stripe_size(), 1);
+        assert_eq!(v.stripe_size(OUT), 1);
     }
 
     #[test]
     #[should_panic]
     fn non_power_of_two_resize_is_rejected() {
-        let mut v = Voq::new(8, 0, 0, 2);
-        v.request_resize(3);
+        let (mut v, _) = table(8, 2);
+        v.request_resize(OUT, 3);
     }
 
     #[test]
     fn voq_record_stays_small() {
-        // N² of these sit in flat per-port arrays; the adaptive measurement
+        // N² of these sit in zeroed per-port tables; the adaptive measurement
         // state is deliberately not part of the record.
-        assert!(std::mem::size_of::<Voq>() <= 20);
+        assert!(std::mem::size_of::<Record>() <= 16);
+    }
+
+    #[test]
+    fn start_levels_pick_the_hot_output() {
+        let mut v = Voqs::new(8, StartLevels::one_hot(3, 8, 2));
+        let sizes: Vec<usize> = (0..8).map(|o| v.stripe_size(o)).collect();
+        assert_eq!(sizes, [2, 2, 2, 8, 2, 2, 2, 2]);
+        v.start_at(5, 1);
+        v.start_at(3, 16);
+        assert_eq!((v.stripe_size(5), v.stripe_size(3)), (1, 8));
+        assert!(v
+            .records
+            .iter()
+            .enumerate()
+            .all(|(o, r)| (o == 5) == (*r != [[0; 2]; 2])));
+    }
+
+    /// A VOQ by value: a `VecDeque` ready queue, `u64` counts and an
+    /// optional pending level.  The oldest `phantom` ready packets stand for
+    /// a backlog the test puts in place without pushing it.
+    #[derive(Debug)]
+    struct RefVoq {
+        phantom: u64,
+        ready: VecDeque<u32>,
+        in_flight: u64,
+        level: u32,
+        pending: Option<u32>,
+    }
+
+    impl RefVoq {
+        fn ready_len(&self) -> u64 {
+            self.phantom + self.ready.len() as u64
+        }
+
+        /// The next stripe: its level, whether it empties the ready queue,
+        /// and how many phantom and which real packets it takes.
+        fn release(&mut self) -> Option<(u32, bool, u64, Vec<u32>)> {
+            let size = 1u64 << self.level;
+            if self.pending.is_some() || self.ready_len() < size {
+                return None;
+            }
+            let phantom = self.phantom.min(size);
+            self.phantom -= phantom;
+            let real = self.ready.drain(..(size - phantom) as usize).collect();
+            self.in_flight += size;
+            Some((self.level, self.ready_len() == 0, phantom, real))
+        }
+
+        fn delivered(&mut self) -> bool {
+            self.in_flight -= 1;
+            self.in_flight == 0 && self.commit()
+        }
+
+        fn resize(&mut self, level: u32) -> bool {
+            if level == self.level {
+                self.pending = None;
+                return false;
+            }
+            self.pending = Some(level);
+            self.in_flight == 0 && self.commit()
+        }
+
+        fn commit(&mut self) -> bool {
+            match self.pending.take() {
+                Some(level) => {
+                    self.level = level;
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    impl Voqs {
+        /// Is a stripe-size change of VOQ `output` waiting for the
+        /// clearance phase?
+        fn resize_pending(&self, output: usize) -> bool {
+            self.records[output][1][1] >> PENDING_SHIFT != 0
+        }
+
+        /// Put VOQ `output`, untouched so far, in the state of `model`
+        /// (whose real ready packets must be none): its counts in the
+        /// record if they fit, in the side table otherwise.
+        fn preset(&mut self, output: usize, model: &RefVoq) {
+            assert!(model.ready.is_empty());
+            self.start_at(output, 1 << model.level);
+            let level = self.level(output);
+            let pending = model.pending.map_or(0, |p| p ^ level) << PENDING_SHIFT;
+            let words = &mut self.records[output][1];
+            words[1] = pending;
+            match (
+                u32::try_from(model.phantom)
+                    .ok()
+                    .filter(|&r| r <= READY_MASK),
+                u32::try_from(model.in_flight)
+                    .ok()
+                    .filter(|&f| f <= FLIGHT_MASK),
+            ) {
+                (Some(ready), Some(in_flight)) => {
+                    words[0] |= ready;
+                    words[1] |= in_flight;
+                }
+                _ => *self.wide_counts(output) = [model.phantom, model.in_flight],
+            }
+        }
+    }
+
+    /// Assert that the record of VOQ `OUT` says what `model` says.
+    fn agree(v: &Voqs, grid: &FifoGrid, model: &RefVoq) -> Result<(), TestCaseError> {
+        prop_assert_eq!(v.level(OUT), model.level);
+        prop_assert_eq!(v.resize_pending(OUT), model.pending.is_some());
+        prop_assert_eq!(v.ready_len(OUT), model.ready_len());
+        prop_assert_eq!(v.in_flight(OUT), model.in_flight);
+        prop_assert_eq!(grid.len_at(v.records[OUT][0]), model.ready.len());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+        /// Random push / deliver / resize sequences, each followed by the
+        /// port's release loop, agree with the by-value reference: the same
+        /// stripes with the same packets, levels, counts and commits.  Cases
+        /// cover n = 2, 16 and 2¹⁵ (levels 0 to 15, start levels 0 and
+        /// log₂N) and VOQs put in place one step short of each count's
+        /// width: a resize pending behind three packets in flight over a
+        /// ready backlog of 2²⁷ − 2 (two pushes outgrow the record; the
+        /// commit then releases the backlog as thousands of stripes at once)
+        /// and 2²⁸ − 2 packets in flight (two unit stripes outgrow it).
+        #[test]
+        fn the_record_agrees_with_a_by_value_voq(
+            shape in 0usize..5,
+            top in 0u32..2,
+            ops in collection::vec((0u32..8, 0u32..16), 1..160),
+        ) {
+            let n: usize = [2, 16, 1 << 15, 1 << 15, 1 << 15][shape];
+            let max_level = n.trailing_zeros();
+            let start = top * max_level;
+            let mut v = Voqs::new(n, StartLevels::uniform(1 << start));
+            let mut grid = FifoGrid::new(0);
+            let mut model = RefVoq {
+                phantom: 0,
+                ready: VecDeque::new(),
+                in_flight: 0,
+                level: start,
+                pending: None,
+            };
+            if shape == 3 {
+                model.phantom = u64::from(READY_MASK) - 1;
+                model.in_flight = 3;
+                model.level = max_level - top;
+                model.pending = Some(max_level - 1 + top);
+                v.preset(OUT, &model);
+            } else if shape == 4 {
+                model.in_flight = u64::from(FLIGHT_MASK) - 1;
+                v.preset(OUT, &model);
+            }
+            agree(&v, &grid, &model)?;
+            let primary = 3 % n;
+            let mut next = 0u32;
+            for (op, arg) in ops {
+                match op {
+                    0..=3 => {
+                        v.push(&mut grid, OUT, PacketHandle::from_raw(next), 1);
+                        model.ready.push_back(next);
+                        next += 1;
+                    }
+                    4 | 5 => {
+                        if model.in_flight > 0 {
+                            prop_assert_eq!(v.packet_delivered(OUT), model.delivered());
+                        }
+                    }
+                    _ => {
+                        // Over the big backlog, only the two largest levels:
+                        // a commit releases at most 2^13 stripes.
+                        let level = if shape == 3 {
+                            max_level - arg % 2
+                        } else {
+                            arg % (max_level + 1)
+                        };
+                        prop_assert_eq!(v.request_resize(OUT, 1 << level), model.resize(level));
+                    }
+                }
+                // The port's release loop, with the scheduler's take of each
+                // stripe's real packets.
+                loop {
+                    match (v.release_stripe(OUT, || primary), model.release()) {
+                        (None, None) => break,
+                        (Some(stripe), Some((level, drains, phantom, real))) => {
+                            prop_assert_eq!(
+                                stripe.interval,
+                                DyadicInterval::containing(primary, 1 << level)
+                            );
+                            prop_assert_eq!(stripe.drains_source, drains);
+                            let taken: Vec<u32> = (phantom..stripe.size() as u64)
+                                .map(|_| {
+                                    grid.pop_at(v.ready_queue(OUT))
+                                        .map_or(u32::MAX, |(h, _)| h.raw())
+                                })
+                                .collect();
+                            prop_assert_eq!(taken, real);
+                        }
+                        (got, want) => prop_assert!(false, "released {:?}, reference {:?}", got, want),
+                    }
+                }
+                agree(&v, &grid, &model)?;
+            }
+        }
     }
 }

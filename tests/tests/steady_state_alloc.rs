@@ -464,11 +464,11 @@ fn the_widest_cell_requests_only_the_tables_it_uses() {
 /// Part 7: the `wide-sprinklers` benchmark cell (matrix-sized Sprinklers,
 /// n = 256, diagonal load 0.05) for 20 000 slots, by which time 183 k
 /// packets are resident.  Past what the switch requests at construction —
-/// its grids' queue headers and its VOQ records, 7.8 MiB — the run requests
-/// 32 bytes per store slot for the bodies (5.6 MiB) plus at most 13.5 MiB
-/// for the grids' chunk pools (11.7 MiB measured).  With 48-byte bodies and
-/// a 4-byte free-list entry per slot the same run requested 22.05 MiB, over
-/// its 19.09 MiB budget.
+/// its grids' queue ends and its zeroed 16-byte VOQ records, 7.1 MiB — the
+/// run requests 32 bytes per store slot for the bodies (5.6 MiB) plus at
+/// most 13.5 MiB for the grids' chunk pools (11.7 MiB measured).  With
+/// 48-byte bodies and a 4-byte free-list entry per slot the same run
+/// requested 22.05 MiB, over its 19.09 MiB budget.
 fn the_wide_sprinklers_cell_stores_32_bytes_per_packet() {
     const WIDE: usize = 256;
     const SLOTS: u64 = 20_000;
