@@ -1,23 +1,30 @@
 //! Flat grids of index queues: many FIFOs of packet handles sharing one
 //! pool of cache-line chunks.
 //!
-//! A Sprinklers port has far more queues than packets — `N` VOQ ready
-//! queues and `2N − 1` LSF queues at an input, `N·(log₂N+1)` output FIFOs
-//! at an intermediate — and almost all of them are
-//! empty or hold a handful of entries.  A queue therefore costs its two
-//! [`Ends`] (eight bytes, all zero while it is empty) and no capacity until
-//! a packet is pushed; entries then live in 64-byte chunks of seven, taken
-//! from and returned to a free list private to the grid.  A [`FifoGrid`]
-//! keeps the ends of the queues it numbers in one zeroed, lazily committed
-//! array, so a page of them costs memory only once one of its queues is
-//! used — the intermediate stage numbers its queues level by level for that
-//! reason.  A queue whose ends live elsewhere draws on the same pool through
-//! the `_at` methods: a Sprinklers VOQ keeps its ready queue's ends in its
-//! own record.  Consecutive entries of a queue share a cache line, pushes
-//! and pops touch nothing but that line and the queue's ends, and a whole
-//! queue can be spliced behind another in O(1) — which is how a completed
-//! stripe moves from its VOQ into the LSF schedule without any of its
-//! entries being touched.
+//! A Sprinklers switch has far more queues than packets — `N` VOQ ready
+//! queues and `2N − 1` LSF queues at each input, `N·(log₂N+1)` output FIFOs
+//! at each intermediate port — and almost all of them are empty or hold a
+//! handful of entries.  A queue therefore costs its two [`Ends`] (eight
+//! bytes, all zero while it is empty) and no capacity until a packet is
+//! pushed; entries then live in 64-byte chunks of seven, taken from and
+//! returned to the free list of the grid's pool.  A [`FifoGrid`] keeps the
+//! ends of the queues it numbers in one zeroed, lazily committed array, so a
+//! page of them costs memory only once one of its queues is used — the
+//! intermediate stage numbers its queues level by level, and the Sprinklers
+//! input stage gives each input its own range of one grid, for that reason.
+//! A queue whose ends live elsewhere draws on the same pool through the
+//! `_at` methods: a Sprinklers VOQ keeps its ready queue's ends in its own
+//! record.  Consecutive entries of a queue share a cache line, pushes and
+//! pops touch nothing but that line and the queue's ends, and a whole queue
+//! can be spliced behind another in O(1) — which is how a completed stripe
+//! moves from its VOQ into the LSF schedule without any of its entries being
+//! touched.
+//!
+//! The pool keeps its chunks in fixed pages of 64 (4 KiB) and grows one page
+//! at a time, as the packet store grows its bodies: growth never copies a
+//! chunk, and a pool holds exactly the pages its high-water mark of chunks
+//! needs.  A freed chunk goes on the free list and is handed out again
+//! before the pool takes a chunk it has never used.
 //!
 //! An entry is a [`PacketHandle`] plus one `u32` tag for whatever the queue's
 //! consumer needs without reading the packet body (the input stage tags each
@@ -29,8 +36,11 @@ use crate::store::PacketHandle;
 /// cache line.
 const CHUNK_ENTRIES: usize = 7;
 
-/// Capacity of a grid's chunk pool after its first push (4 KiB).
-const FIRST_CHUNKS: usize = 64;
+/// log₂ of the chunks per pool page.
+const PAGE_SHIFT: u32 = 6;
+
+/// Chunks per pool page (4 KiB).
+const PAGE_CHUNKS: usize = 1 << PAGE_SHIFT;
 
 /// One cache line of a queue: the entries `start..end`, then on to `next`.
 /// Chunks on a queue's list are never empty.
@@ -69,20 +79,23 @@ pub struct FifoGrid {
 /// The chunks of a grid's queues.
 #[derive(Debug, Clone)]
 struct Pool {
-    /// Chunk 0 is a placeholder so that index 0 can mean "none"; it is
-    /// created with the first push.
-    chunks: Vec<Chunk>,
+    /// Chunk `c` — numbered from 1, so that 0 can mean "none" — is chunk
+    /// `(c − 1) % PAGE_CHUNKS` of page `(c − 1) / PAGE_CHUNKS`.
+    pages: Vec<Box<[Chunk; PAGE_CHUNKS]>>,
+    /// Chunks handed out so far: the pool's high-water mark, and the number
+    /// of its last chunk.
+    used: u32,
     /// Head of the free-chunk list.
     free: u32,
 }
-
 impl FifoGrid {
     /// `count` empty queues.
     pub fn new(count: usize) -> Self {
         FifoGrid {
             ends: vec![[0; 2]; count],
             pool: Pool {
-                chunks: Vec::new(),
+                pages: Vec::new(),
+                used: 0,
                 free: 0,
             },
         }
@@ -120,7 +133,7 @@ impl FifoGrid {
         if head == 0 {
             return 0;
         }
-        u64::from(self.pool.chunks[tail as usize].end)
+        u64::from(self.pool.chunk(tail).end)
     }
 
     /// Remove and return the oldest entry of queue `q`.
@@ -167,7 +180,7 @@ impl FifoGrid {
         let mut len = 0;
         let mut cursor = ends[0];
         while cursor != 0 {
-            let chunk = &self.pool.chunks[cursor as usize];
+            let chunk = self.pool.chunk(cursor);
             len += usize::from(chunk.end - chunk.start);
             cursor = chunk.next;
         }
@@ -176,13 +189,27 @@ impl FifoGrid {
 }
 
 impl Pool {
+    /// Chunk `c` (not 0).
+    #[inline]
+    fn chunk(&self, c: u32) -> &Chunk {
+        let index = c as usize - 1;
+        &self.pages[index >> PAGE_SHIFT][index & (PAGE_CHUNKS - 1)]
+    }
+
+    /// Chunk `c` (not 0), to write.
+    #[inline]
+    fn chunk_mut(&mut self, c: u32) -> &mut Chunk {
+        let index = c as usize - 1;
+        &mut self.pages[index >> PAGE_SHIFT][index & (PAGE_CHUNKS - 1)]
+    }
+
     // lint: hot-path
     #[inline]
     fn push(&mut self, ends: &mut Ends, handle: PacketHandle, tag: u32) {
         let entry = [handle.raw(), tag];
         let [head, tail] = *ends;
         if head != 0 {
-            let chunk = &mut self.chunks[tail as usize];
+            let chunk = self.chunk_mut(tail);
             let end = usize::from(chunk.end);
             if end < CHUNK_ENTRIES {
                 chunk.entries[end] = entry;
@@ -191,7 +218,7 @@ impl Pool {
             }
         }
         let fresh = self.take_chunk();
-        let chunk = &mut self.chunks[fresh as usize];
+        let chunk = self.chunk_mut(fresh);
         chunk.entries[0] = entry;
         chunk.next = 0;
         chunk.start = 0;
@@ -199,7 +226,7 @@ impl Pool {
         if head == 0 {
             *ends = [fresh, fresh];
         } else {
-            self.chunks[tail as usize].next = fresh;
+            self.chunk_mut(tail).next = fresh;
             ends[1] = fresh;
         }
     }
@@ -211,12 +238,13 @@ impl Pool {
         if head == 0 {
             return None;
         }
-        let chunk = &mut self.chunks[head as usize];
+        let free = self.free;
+        let chunk = self.chunk_mut(head);
         let [raw, tag] = chunk.entries[usize::from(chunk.start)];
         chunk.start += 1;
         if chunk.start == chunk.end {
             ends[0] = chunk.next;
-            chunk.next = self.free;
+            chunk.next = free;
             self.free = head;
         }
         Some((PacketHandle::from_raw(raw), tag))
@@ -233,36 +261,35 @@ impl Pool {
         if to[0] == 0 {
             *to = [head, tail];
         } else {
-            self.chunks[to[1] as usize].next = head;
+            self.chunk_mut(to[1]).next = head;
             to[1] = tail;
         }
     }
 
-    /// A chunk off the free list, growing the pool when it is empty.
+    /// A chunk off the free list, or the pool's next unused one when the
+    /// list is empty.
     #[inline]
     fn take_chunk(&mut self) -> u32 {
         let chunk = self.free;
         if chunk != 0 {
-            self.free = self.chunks[chunk as usize].next;
+            self.free = self.chunk(chunk).next;
             return chunk;
         }
         self.grow()
     }
 
-    /// Add one chunk to the pool (and the placeholder chunk 0 the first
-    /// time).
+    /// Hand out the next never-used chunk, adding a page when the last one
+    /// is full.
     #[cold]
     fn grow(&mut self) -> u32 {
-        if self.chunks.is_empty() {
-            // One page of chunks up front: a grid that is used at all soon
-            // has a few dozen short queues, and doubling from one chunk
-            // would reallocate five times on the way there.
-            self.chunks.reserve_exact(FIRST_CHUNKS);
-            self.chunks.push(EMPTY_CHUNK);
+        if self.used as usize == self.pages.len() * PAGE_CHUNKS {
+            self.pages.push(Box::new([EMPTY_CHUNK; PAGE_CHUNKS]));
         }
-        let index = u32::try_from(self.chunks.len()).expect("chunk pool outgrew u32 indices");
-        self.chunks.push(EMPTY_CHUNK);
-        index
+        self.used = self
+            .used
+            .checked_add(1)
+            .expect("chunk pool outgrew u32 indices");
+        self.used
     }
 }
 
@@ -274,6 +301,19 @@ mod tests {
 
     fn h(raw: u32) -> PacketHandle {
         PacketHandle::from_raw(raw)
+    }
+
+    impl FifoGrid {
+        /// Chunks on the queue whose ends are `ends`.
+        fn chunks_at(&self, ends: Ends) -> usize {
+            let mut chunks = 0;
+            let mut cursor = ends[0];
+            while cursor != 0 {
+                chunks += 1;
+                cursor = self.pool.chunk(cursor).next;
+            }
+            chunks
+        }
     }
 
     #[test]
@@ -298,11 +338,11 @@ mod tests {
         assert_eq!(grid.pop(0), None);
         assert_eq!(grid.len(2), 20);
         // A drained queue accepts pushes again, reusing freed chunks.
-        let pool = grid.pool.chunks.len();
+        let pool = grid.pool.used;
         for k in 0..20u32 {
             grid.push(0, h(k), 0);
         }
-        assert_eq!(grid.pool.chunks.len(), pool, "freed chunks are reused");
+        assert_eq!(grid.pool.used, pool, "freed chunks are reused");
     }
 
     #[test]
@@ -356,11 +396,11 @@ mod tests {
             .collect();
         assert_eq!(order, [100, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
         // Both queues' chunks went back to the one pool.
-        let pool = grid.pool.chunks.len();
+        let pool = grid.pool.used;
         for k in 0..14u32 {
             grid.push_at(&mut outside, h(k), 0);
         }
-        assert_eq!(grid.pool.chunks.len(), pool);
+        assert_eq!(grid.pool.used, pool);
     }
 
     proptest! {
@@ -395,6 +435,85 @@ mod tests {
                     prop_assert_eq!(grid.len(q), queue.len());
                     prop_assert_eq!(grid.is_empty(q), queue.is_empty());
                 }
+            }
+        }
+
+        /// Numbered and outside queues over a pool of at least four pages
+        /// agree with `VecDeque`s under random push / pop / splice traffic,
+        /// and the pool stays as small as the traffic allows: it holds
+        /// exactly the pages its high-water mark needs, and that mark is
+        /// the most chunks ever on queues at once — a freed chunk is always
+        /// reused before a new one is taken.
+        #[test]
+        fn paged_pool_agrees_with_a_vecdeque_model(
+            fill in 1_800usize..2_400,
+            ops in proptest::collection::vec((0u32..6, 0usize..6, 0usize..6, 1usize..13), 1..400)
+        ) {
+            // Queues 0..3 are the grid's; 3..6 keep their ends outside it.
+            let mut grid = FifoGrid::new(3);
+            let mut outside: [Ends; 3] = [[0; 2]; 3];
+            let mut model: Vec<VecDeque<(u32, u32)>> = vec![VecDeque::new(); 6];
+            let mut next = 0u32;
+            let mut push = |grid: &mut FifoGrid, outside: &mut [Ends; 3], model: &mut [VecDeque<(u32, u32)>], q: usize| {
+                let tag = next.rotate_left(7);
+                if q < 3 {
+                    grid.push(q, h(next), tag);
+                } else {
+                    grid.push_at(&mut outside[q - 3], h(next), tag);
+                }
+                model[q].push_back((next, tag));
+                next += 1;
+            };
+            let pop = |grid: &mut FifoGrid, outside: &mut [Ends; 3], q: usize| {
+                let got = if q < 3 { grid.pop(q) } else { grid.pop_at(&mut outside[q - 3]) };
+                got.map(|(handle, tag)| (handle.raw(), tag))
+            };
+            for k in 0..fill {
+                push(&mut grid, &mut outside, &mut model, k % 6);
+            }
+            prop_assert!(grid.pool.pages.len() >= 4);
+            let mut most_live = grid.pool.used as usize;
+            for (op, q, other, burst) in ops {
+                match op {
+                    0 | 1 => {
+                        for _ in 0..burst {
+                            push(&mut grid, &mut outside, &mut model, q);
+                        }
+                    }
+                    2 | 3 => {
+                        for _ in 0..burst {
+                            prop_assert_eq!(pop(&mut grid, &mut outside, q), model[q].pop_front());
+                        }
+                    }
+                    4 => {
+                        let to = other % 3;
+                        if q != to {
+                            if q < 3 {
+                                grid.splice(q, to);
+                            } else {
+                                grid.splice_at(&mut outside[q - 3], to);
+                                prop_assert_eq!(outside[q - 3], [0; 2]);
+                            }
+                            let moved: Vec<_> = model[q].drain(..).collect();
+                            model[to].extend(moved);
+                        }
+                    }
+                    _ => {
+                        while let Some(entry) = model[q].pop_front() {
+                            prop_assert_eq!(pop(&mut grid, &mut outside, q), Some(entry));
+                        }
+                        prop_assert_eq!(pop(&mut grid, &mut outside, q), None);
+                    }
+                }
+                let ends = |q: usize| if q < 3 { grid.ends[q] } else { outside[q - 3] };
+                let mut live = 0;
+                for (q, queue) in model.iter().enumerate() {
+                    prop_assert_eq!(grid.len_at(ends(q)), queue.len());
+                    live += grid.chunks_at(ends(q));
+                }
+                most_live = most_live.max(live);
+                prop_assert_eq!(grid.pool.used as usize, most_live);
+                prop_assert_eq!(grid.pool.pages.len(), (grid.pool.used as usize).div_ceil(PAGE_CHUNKS));
             }
         }
     }

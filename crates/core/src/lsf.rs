@@ -10,11 +10,12 @@
 //! one contiguous burst, which is what keeps every VOQ in order.
 //!
 //! The scheduler owns no queue storage: its queues are a contiguous range of
-//! the input port's [`FifoGrid`], whose chunk pool the VOQ ready queues
-//! share, so a stripe enters the schedule by moving entries between queues
-//! of one pool (usually one O(1) splice).  It keeps a bitmask of non-empty
-//! levels per start row, so "largest first" is one `leading_zeros` instead
-//! of a scan over the levels.
+//! the [`FifoGrid`] every input of a Sprinklers switch shares — input `i`'s
+//! starts at `i·(2N − 1)` — and every VOQ ready queue draws on the same
+//! chunk pool, so a stripe enters the schedule by moving entries between
+//! queues of one pool (usually one O(1) splice).  It keeps a bitmask of
+//! non-empty levels per start row, so "largest first" is one
+//! `leading_zeros` instead of a scan over the levels.
 
 use crate::fifo::{Ends, FifoGrid};
 use crate::store::PacketHandle;

@@ -6,13 +6,39 @@
 //! estimator that counts arrivals over fixed windows of `window` slots and
 //! smooths the per-window rate with an exponentially weighted moving average.
 
-/// Windowed EWMA arrival-rate estimator.
-#[derive(Debug, Clone)]
-pub struct RateEstimator {
+/// The estimator's constants: the window length and the EWMA weight.  A
+/// switch keeps one for all of its VOQs.
+#[derive(Debug, Clone, Copy)]
+pub struct RateWindow {
     /// Window length in slots.
     window: u64,
     /// EWMA smoothing factor in `(0, 1]`; 1.0 means "use the last window only".
     gamma: f64,
+}
+
+impl RateWindow {
+    /// Windows of `window` slots, the newest weighted `gamma`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window == 0` or `gamma` is outside `(0, 1]`.
+    pub fn new(window: u64, gamma: f64) -> Self {
+        assert!(window > 0, "window must be positive");
+        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
+        RateWindow { window, gamma }
+    }
+
+    /// The window length in slots.
+    pub fn window(&self) -> u64 {
+        self.window
+    }
+}
+
+/// Windowed EWMA arrival-rate estimator: the state of one measurement, whose
+/// constants every call takes as a [`RateWindow`].  The default is an
+/// estimator that has seen nothing, with its first window starting at slot 0.
+#[derive(Debug, Clone, Default)]
+pub struct RateEstimator {
     /// Arrivals counted in the current window.
     count: u64,
     /// Slot at which the current window started.
@@ -24,39 +50,21 @@ pub struct RateEstimator {
 }
 
 impl RateEstimator {
-    /// Create an estimator with the given window length (slots) and EWMA
-    /// factor `gamma` (weight of the newest window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0` or `gamma` is outside `(0, 1]`.
-    pub fn new(window: u64, gamma: f64) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-        RateEstimator {
-            window,
-            gamma,
-            count: 0,
-            window_start: 0,
-            estimate: 0.0,
-            windows_seen: 0,
-        }
-    }
-
     /// Record a packet arrival at `slot`.
-    pub fn record_arrival(&mut self, slot: u64) {
-        self.roll_to(slot);
+    pub fn record_arrival(&mut self, slot: u64, rule: &RateWindow) {
+        self.roll_to(slot, rule);
         self.count += 1;
     }
 
     /// Advance time to `slot` (closing any windows that have elapsed) and
     /// return the current rate estimate in packets per slot.
-    pub fn rate_at(&mut self, slot: u64) -> f64 {
-        self.roll_to(slot);
+    pub fn rate_at(&mut self, slot: u64, rule: &RateWindow) -> f64 {
+        self.roll_to(slot, rule);
         self.estimate
     }
 
-    fn roll_to(&mut self, slot: u64) {
+    fn roll_to(&mut self, slot: u64, rule: &RateWindow) {
+        let RateWindow { window, gamma } = *rule;
         // Compare `slot - window_start >= window` instead of
         // `slot >= window_start + window`: the sum overflows u64 once
         // `window_start` gets within one window of u64::MAX (huge windows
@@ -65,17 +73,17 @@ impl RateEstimator {
         // moving, `slot - window_start` can no longer reach `window`.
         while slot
             .checked_sub(self.window_start)
-            .is_some_and(|elapsed| elapsed >= self.window)
+            .is_some_and(|elapsed| elapsed >= window)
         {
-            let window_rate = self.count as f64 / self.window as f64;
+            let window_rate = self.count as f64 / window as f64;
             self.estimate = if self.windows_seen == 0 {
                 window_rate
             } else {
-                self.gamma * window_rate + (1.0 - self.gamma) * self.estimate
+                gamma * window_rate + (1.0 - gamma) * self.estimate
             };
             self.windows_seen += 1;
             self.count = 0;
-            self.window_start = self.window_start.saturating_add(self.window);
+            self.window_start = self.window_start.saturating_add(window);
         }
     }
 }
@@ -86,12 +94,13 @@ mod tests {
 
     #[test]
     fn constant_rate_converges_to_true_rate() {
-        let mut est = RateEstimator::new(100, 0.3);
+        let w = RateWindow::new(100, 0.3);
+        let mut est = RateEstimator::default();
         // One arrival every 4 slots → rate 0.25.
         for slot in (0..10_000).step_by(4) {
-            est.record_arrival(slot);
+            est.record_arrival(slot, &w);
         }
-        let r = est.rate_at(10_000);
+        let r = est.rate_at(10_000, &w);
         assert!(
             (r - 0.25).abs() < 0.02,
             "estimate {r} should be close to 0.25"
@@ -100,43 +109,47 @@ mod tests {
 
     #[test]
     fn estimate_is_zero_before_first_window_completes() {
-        let mut est = RateEstimator::new(1000, 0.5);
-        est.record_arrival(10);
-        est.record_arrival(20);
-        assert_eq!(est.rate_at(500), 0.0);
-        assert!(est.rate_at(1000) > 0.0);
+        let w = RateWindow::new(1000, 0.5);
+        let mut est = RateEstimator::default();
+        est.record_arrival(10, &w);
+        est.record_arrival(20, &w);
+        assert_eq!(est.rate_at(500, &w), 0.0);
+        assert!(est.rate_at(1000, &w) > 0.0);
         assert_eq!(est.windows_seen, 1);
     }
 
     #[test]
     fn rate_tracks_a_change_in_load() {
-        let mut est = RateEstimator::new(100, 0.5);
+        let w = RateWindow::new(100, 0.5);
+        let mut est = RateEstimator::default();
         // Heavy phase: one arrival per slot.
         for slot in 0..1000 {
-            est.record_arrival(slot);
+            est.record_arrival(slot, &w);
         }
-        let heavy = est.rate_at(1000);
+        let heavy = est.rate_at(1000, &w);
         assert!(heavy > 0.9);
         // Idle phase: no arrivals for many windows.
-        let idle = est.rate_at(3000);
+        let idle = est.rate_at(3000, &w);
         assert!(idle < heavy / 4.0, "estimate should decay after load drops");
     }
 
     #[test]
     fn gamma_one_uses_only_last_window() {
-        let mut est = RateEstimator::new(10, 1.0);
+        let w = RateWindow::new(10, 1.0);
+        let mut est = RateEstimator::default();
         for slot in 0..10 {
-            est.record_arrival(slot);
+            est.record_arrival(slot, &w);
         }
-        assert_eq!(est.rate_at(10), 1.0);
+        assert_eq!(est.rate_at(10, &w), 1.0);
         // Next window has no arrivals; with gamma = 1 the estimate drops to 0.
-        assert_eq!(est.rate_at(20), 0.0);
+        assert_eq!(est.rate_at(20, &w), 0.0);
     }
 
     #[test]
     fn empty_windows_are_counted() {
-        let mut est = RateEstimator::new(10, 0.5);
-        assert_eq!(est.rate_at(100), 0.0);
+        let w = RateWindow::new(10, 0.5);
+        let mut est = RateEstimator::default();
+        assert_eq!(est.rate_at(100, &w), 0.0);
         assert_eq!(est.windows_seen, 10);
     }
 
@@ -146,14 +159,15 @@ mod tests {
         // estimate is exactly 0.0 (no division by the elapsed partial
         // span), and the first complete window reports count/window with no
         // startup bias.
-        let mut est = RateEstimator::new(8, 0.5);
+        let w = RateWindow::new(8, 0.5);
+        let mut est = RateEstimator::default();
         for slot in 0..6 {
-            est.record_arrival(slot);
+            est.record_arrival(slot, &w);
         }
-        assert_eq!(est.rate_at(5), 0.0);
-        assert_eq!(est.rate_at(7), 0.0, "slot 7 is still inside window 0");
+        assert_eq!(est.rate_at(5, &w), 0.0);
+        assert_eq!(est.rate_at(7, &w), 0.0, "slot 7 is still inside window 0");
         assert_eq!(est.windows_seen, 0);
-        assert_eq!(est.rate_at(8), 0.75, "6 arrivals / 8 slots, exactly");
+        assert_eq!(est.rate_at(8, &w), 0.75, "6 arrivals / 8 slots, exactly");
         assert_eq!(est.windows_seen, 1);
     }
 
@@ -161,15 +175,16 @@ mod tests {
     fn second_window_is_an_exact_ewma_blend() {
         // gamma = 0.25 and window rates 1.0 then 0.5 are all exactly
         // representable, so the blend 0.25·0.5 + 0.75·1.0 = 0.875 is exact.
-        let mut est = RateEstimator::new(10, 0.25);
+        let w = RateWindow::new(10, 0.25);
+        let mut est = RateEstimator::default();
         for slot in 0..10 {
-            est.record_arrival(slot);
+            est.record_arrival(slot, &w);
         }
         for slot in (10..20).step_by(2) {
-            est.record_arrival(slot);
+            est.record_arrival(slot, &w);
         }
-        assert_eq!(est.rate_at(10), 1.0);
-        assert_eq!(est.rate_at(20), 0.875);
+        assert_eq!(est.rate_at(10, &w), 1.0);
+        assert_eq!(est.rate_at(20, &w), 0.875);
         assert_eq!(est.windows_seen, 2);
     }
 
@@ -178,13 +193,14 @@ mod tests {
         // Regression: rolling used to compute `window_start + window`, which
         // overflows u64 (a debug-build panic) as soon as one window of
         // length ≥ 2^63 has elapsed and a later slot is queried.
-        let mut est = RateEstimator::new(1 << 63, 1.0);
-        est.record_arrival(0);
+        let w = RateWindow::new(1 << 63, 1.0);
+        let mut est = RateEstimator::default();
+        est.record_arrival(0, &w);
         let expected = 1.0 / (1u64 << 63) as f64;
-        assert_eq!(est.rate_at(u64::MAX), expected);
+        assert_eq!(est.rate_at(u64::MAX, &w), expected);
         assert_eq!(est.windows_seen, 1);
         // Querying again (and further ahead) stays stable and panic-free.
-        assert_eq!(est.rate_at(u64::MAX), expected);
+        assert_eq!(est.rate_at(u64::MAX, &w), expected);
     }
 
     #[test]
@@ -193,12 +209,12 @@ mod tests {
         // `window = 0` is a construction error by contract: there is no
         // meaningful rate over an empty window, so the constructor asserts
         // (in every build profile) instead of letting rate_at divide by 0.
-        let _ = RateEstimator::new(0, 0.5);
+        let _ = RateWindow::new(0, 0.5);
     }
 
     #[test]
     #[should_panic]
     fn gamma_out_of_range_is_rejected() {
-        let _ = RateEstimator::new(10, 1.5);
+        let _ = RateWindow::new(10, 1.5);
     }
 }

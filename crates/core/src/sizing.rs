@@ -64,55 +64,66 @@ pub fn load_per_share(rate: f64, n: usize) -> f64 {
 /// should be delayed.  `SizeDecider` requires the target size suggested by the
 /// measured rate to differ from the current size for `patience` consecutive
 /// updates before committing to a change.
-#[derive(Debug, Clone)]
+///
+/// This is one VOQ's state, eight bytes: the port count and the patience are
+/// the switch's, and every [`observe`](Self::observe) takes them.
+#[derive(Debug, Clone, Copy)]
 pub struct SizeDecider {
-    n: usize,
-    current: usize,
-    pending: Option<usize>,
+    /// `log₂` of the committed stripe size.
+    level: u8,
+    /// `log₂` of the size the latest measurements disagreed toward.
+    pending: Option<u8>,
+    /// Consecutive measurements that agreed with `pending`.
     pending_count: u32,
-    patience: u32,
+}
+
+/// `log₂` of a power-of-two stripe size, as a decider stores it (at most
+/// 63, so the cast is exact).
+fn level_of(size: usize) -> u8 {
+    debug_assert!(size.is_power_of_two());
+    size.trailing_zeros() as u8
 }
 
 impl SizeDecider {
-    /// Create a decider starting at `initial` (clamped to a power of two in
-    /// `1..=n`), requiring `patience` consecutive disagreeing measurements
-    /// before changing size.
-    pub fn new(n: usize, initial: usize, patience: u32) -> Self {
+    /// Create a decider for an `n`-port switch starting at `initial`
+    /// (clamped to a power of two in `1..=n`).
+    pub fn new(n: usize, initial: usize) -> Self {
         let initial = initial.clamp(1, n).next_power_of_two().min(n);
         SizeDecider {
-            n,
-            current: initial,
+            level: level_of(initial),
             pending: None,
             pending_count: 0,
-            patience,
         }
     }
 
     /// The currently committed stripe size.
     pub fn current(&self) -> usize {
-        self.current
+        1 << self.level
     }
 
-    /// Feed a new rate measurement.  Returns `Some(new_size)` if the decider
-    /// commits to a different stripe size, `None` otherwise.
-    pub fn observe(&mut self, measured_rate: f64) -> Option<usize> {
-        let target = stripe_size(measured_rate, self.n);
-        if target == self.current {
+    /// Feed a new rate measurement for a VOQ of an `n`-port switch that
+    /// changes size after `patience` consecutive disagreeing measurements.
+    /// Returns `Some(new_size)` if the decider commits to a different stripe
+    /// size, `None` otherwise.
+    pub fn observe(&mut self, measured_rate: f64, n: usize, patience: u32) -> Option<usize> {
+        let target = stripe_size(measured_rate, n);
+        let level = level_of(target);
+        if level == self.level {
             self.pending = None;
             self.pending_count = 0;
             return None;
         }
         match self.pending {
-            Some(p) if p == target => {
+            Some(p) if p == level => {
                 self.pending_count += 1;
             }
             _ => {
-                self.pending = Some(target);
+                self.pending = Some(level);
                 self.pending_count = 1;
             }
         }
-        if self.pending_count > self.patience {
-            self.current = target;
+        if self.pending_count > patience {
+            self.level = level;
             self.pending = None;
             self.pending_count = 0;
             Some(target)
@@ -178,29 +189,29 @@ mod tests {
     #[test]
     fn decider_requires_patience_before_changing() {
         let n = 64;
-        let mut d = SizeDecider::new(n, 4, 2);
+        let mut d = SizeDecider::new(n, 4);
         assert_eq!(d.current(), 4);
         let hot = 100.0 / (n * n) as f64; // target size 128 → clamped ... n=64 → min(64,128)=64
-        assert_eq!(d.observe(hot), None);
-        assert_eq!(d.observe(hot), None);
-        assert_eq!(d.observe(hot), Some(64));
+        assert_eq!(d.observe(hot, n, 2), None);
+        assert_eq!(d.observe(hot, n, 2), None);
+        assert_eq!(d.observe(hot, n, 2), Some(64));
         assert_eq!(d.current(), 64);
         // A single dissenting measurement resets the pending counter.
         let cold = 0.5 / (n * n) as f64;
-        assert_eq!(d.observe(cold), None);
-        assert_eq!(d.observe(hot), None); // agrees with current → resets
-        assert_eq!(d.observe(cold), None);
-        assert_eq!(d.observe(cold), None);
-        assert_eq!(d.observe(cold), Some(1));
+        assert_eq!(d.observe(cold, n, 2), None);
+        assert_eq!(d.observe(hot, n, 2), None); // agrees with current → resets
+        assert_eq!(d.observe(cold, n, 2), None);
+        assert_eq!(d.observe(cold, n, 2), None);
+        assert_eq!(d.observe(cold, n, 2), Some(1));
     }
 
     #[test]
     fn decider_clamps_initial_size() {
-        let d = SizeDecider::new(16, 100, 1);
+        let d = SizeDecider::new(16, 100);
         assert_eq!(d.current(), 16);
-        let d = SizeDecider::new(16, 0, 1);
+        let d = SizeDecider::new(16, 0);
         assert_eq!(d.current(), 1);
-        let d = SizeDecider::new(16, 3, 1);
+        let d = SizeDecider::new(16, 3);
         assert_eq!(d.current(), 4);
     }
 

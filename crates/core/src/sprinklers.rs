@@ -13,7 +13,9 @@
 
 use crate::config::{SizingMode, SprinklersConfig};
 use crate::error::SwitchError;
+use crate::fifo::FifoGrid;
 use crate::input_port::SprinklersInputPort;
+use crate::lsf::Lsf;
 use crate::matrix::TrafficMatrix;
 use crate::ols::WeaklyUniformOls;
 use crate::packet::Packet;
@@ -22,20 +24,26 @@ use crate::sizing::stripe_size;
 use crate::store::{PacketHandle, PacketStore};
 use crate::switch::Switch;
 use crate::two_stage::{InputPolicy, Served, TwoStage};
-use crate::voq::StartLevels;
+use crate::voq::{AdaptiveRule, StartLevels};
 
 /// A complete Sprinklers switch.
 pub type SprinklersSwitch = TwoStage<Sprinklers>;
 
-/// Sprinklers' input stage: one [`SprinklersInputPort`] per input, the OLS
-/// their VOQs derive their primary ports from, and the switch-wide state
-/// its accessors report.
+/// Sprinklers' input stage: one [`SprinklersInputPort`] per input, the one
+/// queue grid they all share, the OLS their VOQs derive their primary ports
+/// from, and the switch-wide state its accessors report.
 pub struct Sprinklers {
-    /// Adaptive sizing: idle slots shrink the VOQs' stripes.
-    adaptive: bool,
+    /// Adaptive sizing's constants, kept once for every VOQ; its idle slots
+    /// shrink the VOQs' stripes.
+    adaptive: Option<AdaptiveRule>,
     /// The weakly uniform random OLS: two permutations, O(N), from which a
     /// VOQ's primary port is derived each time it releases a stripe.
     ols: WeaklyUniformOls,
+    /// Every input's queues: input `i`'s LSF schedule is its range of
+    /// `2N − 1` queues, and all VOQ ready queues draw on the grid's pool.
+    /// The ends of all `N·(2N − 1)` queues are one zeroed block, so a page
+    /// of them is committed only once one of its queues is used.
+    queues: FifoGrid,
     inputs: Vec<SprinklersInputPort>,
     /// Committed stripe-size changes across all VOQs.
     resizes: u64,
@@ -93,17 +101,20 @@ impl SprinklersSwitch {
         config.validate()?;
         let n = config.n;
         let ols = WeaklyUniformOls::random(n, &mut SimRng::seed_from_u64(seed));
-        let uniform = |start: StartLevels, adaptive| -> Vec<SprinklersInputPort> {
+        let adaptive = match &config.sizing {
+            SizingMode::Adaptive(params) => Some(AdaptiveRule::new(n, params)),
+            _ => None,
+        };
+        let uniform = |start: StartLevels| -> Vec<SprinklersInputPort> {
             (0..n)
-                .map(|i| SprinklersInputPort::new(i, n, start, adaptive))
+                .map(|i| SprinklersInputPort::new(i, n, start, adaptive.as_ref()))
                 .collect()
         };
         let inputs = match &config.sizing {
-            SizingMode::FixedSize(size) => uniform(StartLevels::uniform(*size), None),
-            SizingMode::Adaptive(params) => uniform(
-                StartLevels::uniform(params.initial_size.clamp(1, n)),
-                Some(params),
-            ),
+            SizingMode::FixedSize(size) => uniform(StartLevels::uniform(*size)),
+            SizingMode::Adaptive(params) => {
+                uniform(StartLevels::uniform(params.initial_size.clamp(1, n)))
+            }
             SizingMode::FromMatrix(matrix) => match matrix.one_entry_per_row() {
                 Some((shift, hot, rest)) => {
                     let (hot, rest) = (stripe_size(hot, n), stripe_size(rest, n));
@@ -130,8 +141,9 @@ impl SprinklersSwitch {
             },
         };
         let policy = Sprinklers {
-            adaptive: matches!(config.sizing, SizingMode::Adaptive(_)),
+            adaptive,
             ols,
+            queues: FifoGrid::new(n * Lsf::queue_count(n)),
             inputs,
             resizes: 0,
         };
@@ -155,7 +167,8 @@ impl SprinklersSwitch {
             let port = &mut policy.inputs[input];
             for output in 0..n {
                 let size = sizes.of(matrix.rate(input, output));
-                policy.resizes += u64::from(port.request_resize(output, size, &policy.ols));
+                policy.resizes +=
+                    u64::from(port.request_resize(&mut policy.queues, output, size, &policy.ols));
             }
             // Immediately-committed resizes can release backlogged stripes
             // into the scheduler.
@@ -179,7 +192,7 @@ impl InputPolicy for Sprinklers {
 
     /// Adaptive sizing observes idle slots: its VOQs shrink.
     fn maintains(&self) -> bool {
-        self.adaptive
+        self.adaptive.is_some()
     }
 
     /// The arrival may complete a stripe — or, under adaptive sizing, commit
@@ -188,14 +201,21 @@ impl InputPolicy for Sprinklers {
     #[inline]
     fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
         let port = &mut self.inputs[packet.input()];
-        self.resizes += u64::from(port.arrive(packet, handle, &self.ols));
+        let resized = port.arrive(
+            &mut self.queues,
+            packet,
+            handle,
+            &self.ols,
+            self.adaptive.as_ref(),
+        );
+        self.resizes += u64::from(resized);
         port.has_servable()
     }
 
     // lint: hot-path
     #[inline]
     fn warm(&self, packet: &Packet) -> u64 {
-        self.inputs[packet.input()].warm_arrival(packet.output())
+        self.inputs[packet.input()].warm_arrival(&self.queues, packet.output())
     }
 
     /// The LSF dequeue for the connected intermediate port.
@@ -209,7 +229,7 @@ impl InputPolicy for Sprinklers {
         _store: &mut PacketStore,
     ) -> Served {
         let port = &mut self.inputs[input];
-        let served = port.dequeue(connected);
+        let served = port.dequeue(&mut self.queues, connected);
         Served {
             sent: served.map(|(handle, output, _)| (handle, output)),
             stripe_size: served.map_or(1, |(.., level)| 1 << level),
@@ -224,13 +244,16 @@ impl InputPolicy for Sprinklers {
     #[inline]
     fn delivered(&mut self, packet: &Packet) -> bool {
         let port = &mut self.inputs[packet.input()];
-        self.resizes += u64::from(port.packet_delivered(packet.output(), &self.ols));
+        let resized = port.packet_delivered(&mut self.queues, packet.output(), &self.ols);
+        self.resizes += u64::from(resized);
         port.has_servable()
     }
 
     fn maintain(&mut self, input: usize, slot: u64) -> bool {
         let port = &mut self.inputs[input];
-        self.resizes += u64::from(port.maintain(slot, &self.ols));
+        if let Some(rule) = &self.adaptive {
+            self.resizes += u64::from(port.maintain(&mut self.queues, slot, &self.ols, rule));
+        }
         port.has_servable()
     }
 }

@@ -12,21 +12,22 @@
 //! table, `log₂N` is one value for the whole port, and its primary
 //! intermediate port is `(σ_R(i) + σ_C(j)) mod N`, which the caller derives
 //! from the OLS only when a stripe is released.  What varies — the ready
-//! queue's two ends (its entries live in the port's [`FifoGrid`] pool, so
-//! releasing a stripe moves no packet), the ready and in-flight counts, the
-//! level and the pending level — is one 16-byte record in [`Voqs`], a table
-//! allocated zeroed.  A level is stored relative to the port's
-//! [`StartLevels`], the sizing rule's level for each output, so an all-zero
-//! record is an empty VOQ at the rule's level and building a port writes no
-//! record.  A VOQ whose counts outgrow their bits moves them into a side
-//! table of `u64`s.  The measurement state adaptive sizing needs lives in a
-//! separate [`AdaptiveVoq`], which fixed and matrix-driven switches never
-//! allocate.
+//! queue's two ends (its entries live in the pool of the [`FifoGrid`] all
+//! inputs of the switch share, so releasing a stripe moves no packet), the
+//! ready and in-flight counts, the level and the pending level — is one
+//! 16-byte record in [`Voqs`], a table allocated zeroed.  A level is stored
+//! relative to the port's [`StartLevels`], the sizing rule's level for each
+//! output, so an all-zero record is an empty VOQ at the rule's level and
+//! building a port writes no record.  A VOQ whose counts outgrow their bits
+//! moves them into a side table of `u64`s.  The measurement state adaptive
+//! sizing needs lives in a separate [`AdaptiveVoq`], which fixed and
+//! matrix-driven switches never allocate; its constants — window, EWMA
+//! weight, patience — are one [`AdaptiveRule`] per switch.
 
 use crate::config::AdaptiveSizing;
 use crate::dyadic::DyadicInterval;
 use crate::fifo::{Ends, FifoGrid};
-use crate::rate_estimator::RateEstimator;
+use crate::rate_estimator::{RateEstimator, RateWindow};
 use crate::sizing::SizeDecider;
 use crate::store::PacketHandle;
 use crate::stripe::Stripe;
@@ -367,46 +368,69 @@ impl Voqs {
     }
 }
 
+/// The switch-wide constants of adaptive sizing — the port count, the
+/// measurement window and the hysteresis — kept once per switch and passed
+/// to every [`AdaptiveVoq`] call.
+#[derive(Debug, Clone, Copy)]
+pub struct AdaptiveRule {
+    n: usize,
+    rate: RateWindow,
+    /// Consecutive disagreeing windows before a size change commits.
+    patience: u32,
+    /// The stripe size every VOQ starts at.
+    initial_size: usize,
+}
+
+impl AdaptiveRule {
+    /// The rule of an `n`-port switch sized by `params`.
+    pub fn new(n: usize, params: &AdaptiveSizing) -> Self {
+        AdaptiveRule {
+            n,
+            rate: RateWindow::new(params.window, params.gamma),
+            patience: params.patience,
+            initial_size: params.initial_size.clamp(1, n),
+        }
+    }
+}
+
 /// The measurement state of one VOQ under adaptive sizing: what it takes to
 /// decide the next stripe size, kept apart from the VOQ records so that
-/// fixed and matrix-driven switches carry none of it.
+/// fixed and matrix-driven switches carry none of it.  What every VOQ
+/// shares is its switch's [`AdaptiveRule`], which each call takes.
 #[derive(Debug, Clone)]
 pub struct AdaptiveVoq {
     estimator: RateEstimator,
     decider: SizeDecider,
-    /// Slots between sizing decisions (the measurement window).
-    window: u64,
     /// Slot at which the next sizing decision is due.
     next_check: u64,
 }
 
 impl AdaptiveVoq {
-    /// Measurement state for a VOQ of an `n`-port switch starting at
-    /// `params.initial_size`.
-    pub fn new(n: usize, params: &AdaptiveSizing) -> Self {
+    /// Measurement state for a VOQ starting at the rule's initial size.
+    pub fn new(rule: &AdaptiveRule) -> Self {
         AdaptiveVoq {
-            estimator: RateEstimator::new(params.window, params.gamma),
-            decider: SizeDecider::new(n, params.initial_size.clamp(1, n), params.patience),
-            window: params.window,
-            next_check: params.window,
+            estimator: RateEstimator::default(),
+            decider: SizeDecider::new(rule.n, rule.initial_size),
+            next_check: rule.rate.window(),
         }
     }
 
     /// Count an arrival at slot `now`.
-    pub fn record_arrival(&mut self, now: u64) {
-        self.estimator.record_arrival(now);
+    pub fn record_arrival(&mut self, now: u64, rule: &AdaptiveRule) {
+        self.estimator.record_arrival(now, &rule.rate);
     }
 
     /// Advance the sizing clock to `now` (cheap when no window elapsed).
     /// Returns the stripe size the VOQ should change to, if a window
     /// elapsed and the decider settled on a change.
-    pub fn tick(&mut self, now: u64) -> Option<usize> {
+    pub fn tick(&mut self, now: u64, rule: &AdaptiveRule) -> Option<usize> {
         if now < self.next_check {
             return None;
         }
-        let rate = self.estimator.rate_at(now);
-        self.next_check = now - (now % self.window) + self.window;
-        self.decider.observe(rate)
+        let rate = self.estimator.rate_at(now, &rule.rate);
+        let window = rule.rate.window();
+        self.next_check = now - (now % window) + window;
+        self.decider.observe(rate, rule.n, rule.patience)
     }
 }
 
@@ -587,15 +611,16 @@ mod tests {
             initial_size: 1,
         };
         let (mut v, mut grid) = table(n, params.initial_size);
-        let mut sizing = AdaptiveVoq::new(n, &params);
+        let rule = AdaptiveRule::new(n, &params);
+        let mut sizing = AdaptiveVoq::new(&rule);
         assert_eq!(v.stripe_size(OUT), 1);
         let mut resizes = 0u32;
         // Offer one packet per slot (rate 1.0) for many windows, delivering
         // everything promptly so clearance never blocks.
         for slot in 0..1024u32 {
-            sizing.record_arrival(u64::from(slot));
+            sizing.record_arrival(u64::from(slot), &rule);
             push(&mut v, &mut grid, slot);
-            if let Some(size) = sizing.tick(u64::from(slot)) {
+            if let Some(size) = sizing.tick(u64::from(slot), &rule) {
                 resizes += u32::from(v.request_resize(OUT, size));
             }
             while let Some(s) = v.release_stripe(OUT, || 7) {
@@ -622,11 +647,12 @@ mod tests {
             initial_size: 16,
         };
         let (mut v, _) = table(n, params.initial_size);
-        let mut sizing = AdaptiveVoq::new(n, &params);
+        let rule = AdaptiveRule::new(n, &params);
+        let mut sizing = AdaptiveVoq::new(&rule);
         // No arrivals at all: after a few windows the decider should shrink
         // the stripe to 1 (rate estimate 0).
         for slot in 0..1024u64 {
-            if let Some(size) = sizing.tick(slot) {
+            if let Some(size) = sizing.tick(slot, &rule) {
                 v.request_resize(OUT, size);
             }
             assert!(v.release_stripe(OUT, || 7).is_none());
@@ -646,6 +672,13 @@ mod tests {
         // N² of these sit in zeroed per-port tables; the adaptive measurement
         // state is deliberately not part of the record.
         assert!(std::mem::size_of::<Record>() <= 16);
+    }
+
+    #[test]
+    fn adaptive_voq_holds_no_switch_wide_constant() {
+        // Adaptive sizing builds N² of these; the window, EWMA weight, port
+        // count and patience live once in the switch's `AdaptiveRule`.
+        assert!(std::mem::size_of::<AdaptiveVoq>() <= 48);
     }
 
     #[test]
