@@ -15,7 +15,8 @@
 //! even stored while the packet is inside the switch; they are derived from
 //! the intermediate port and stripe size at delivery
 //! ([`stamp_routing`](crate::stripe::stamp_routing)), and the store keeps
-//! a 32-byte body of its own.
+//! a 16-byte body of its own, with the rare identity field past 32 bits in
+//! a side table.
 //!
 //! A `Packet` by value is what crosses the [`Switch`](crate::switch::Switch)
 //! API and what the output-queued reference queues, so it is packed to fit

@@ -40,7 +40,7 @@
 //! the traffic pattern or duplicate that record.
 //!
 //! Part 7 bounds the packet store the same way, at the `wide-sprinklers`
-//! benchmark cell: a Sprinklers run at n = 256 requests 32 bytes per store
+//! benchmark cell: a Sprinklers run at n = 256 requests 16 bytes per store
 //! slot beyond its grids.
 //!
 //! This file deliberately contains a single `#[test]`: the allocation
@@ -465,12 +465,12 @@ fn the_widest_cell_requests_only_the_tables_it_uses() {
 /// n = 256, diagonal load 0.05) for 20 000 slots, by which time 183 k
 /// packets are resident.  Past what the switch requests at construction —
 /// its grids' queue ends and its zeroed 16-byte VOQ records, 7.1 MiB — the
-/// run requests 32 bytes per store slot for the bodies (5.6 MiB) plus at
+/// run requests 16 bytes per store slot for the bodies (2.8 MiB) plus at
 /// most 5.25 MiB for the grids' chunk pools, which grow a 4 KiB page at a
 /// time (4.63 MiB measured; 11.7 MiB when each input had a pool of its own
-/// that grew by doubling).  With 48-byte bodies and a 4-byte free-list
-/// entry per slot the same run requested 22.05 MiB, over the 19.09 MiB it
-/// was allowed then.
+/// that grew by doubling).  With 32-byte bodies the same run requested
+/// 10.22 MiB, over its 8.05 MiB budget; with 48-byte bodies and a 4-byte
+/// free-list entry per slot it requested 22.05 MiB.
 fn the_wide_sprinklers_cell_stores_32_bytes_per_packet() {
     const WIDE: usize = 256;
     const SLOTS: u64 = 20_000;
@@ -492,12 +492,12 @@ fn the_wide_sprinklers_cell_stores_32_bytes_per_packet() {
         0..SLOTS,
     );
     let ran = requested_bytes() - before - built;
-    let bodies = 32 * switch.store_capacity() as u64;
+    let bodies = 16 * switch.store_capacity() as u64;
     assert!(switch.stats().total_queued() > 150_000);
     assert!(
         ran <= bodies + (21 << 18),
         "{SLOTS} slots of matrix-sized sprinklers at n = {WIDE} requested {:.2} MiB past \
-         construction ({:.2} MiB); the budget is 32 B per store slot ({:.2} MiB) plus \
+         construction ({:.2} MiB); the budget is 16 B per store slot ({:.2} MiB) plus \
          5.25 MiB of chunk pools",
         ran as f64 / f64::from(1 << 20),
         built as f64 / f64::from(1 << 20),
