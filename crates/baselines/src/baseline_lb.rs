@@ -39,7 +39,8 @@ impl InputPolicy for BaselineLb {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+    fn arrive(&mut self, packet: &Packet, store: impl FnOnce() -> PacketHandle) -> bool {
+        let handle = store();
         self.inputs
             .push(packet.input(), handle, packet.output() as u32);
         true

@@ -71,7 +71,8 @@ impl InputPolicy for Foff {
     /// servable exactly while it holds one.
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+    fn arrive(&mut self, packet: &Packet, store: impl FnOnce() -> PacketHandle) -> bool {
+        let handle = store();
         let (input, output) = packet.voq();
         let len = self.frames.push(input, output, handle);
         if len == 1 {

@@ -65,7 +65,8 @@ impl InputPolicy for PaddedFrames {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+    fn arrive(&mut self, packet: &Packet, store: impl FnOnce() -> PacketHandle) -> bool {
+        let handle = store();
         let input = packet.input();
         let len = self.frames.push(input, packet.output(), handle);
         if len == self.threshold {

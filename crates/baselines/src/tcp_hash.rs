@@ -60,7 +60,8 @@ impl InputPolicy for TcpHash {
 
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+    fn arrive(&mut self, packet: &Packet, store: impl FnOnce() -> PacketHandle) -> bool {
+        let handle = store();
         let input = packet.input();
         let path = self.hash_flow(packet.flow);
         self.queued[input] += 1;

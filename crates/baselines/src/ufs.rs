@@ -45,7 +45,8 @@ impl InputPolicy for Ufs {
     /// light load frames are rare, so whole slots cost O(1).
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+    fn arrive(&mut self, packet: &Packet, store: impl FnOnce() -> PacketHandle) -> bool {
+        let handle = store();
         self.frames.push(packet.input(), packet.output(), handle);
         self.frames.has_frame(packet.input())
     }

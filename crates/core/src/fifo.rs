@@ -1,11 +1,11 @@
-//! Flat grids of index queues: many FIFOs of packet handles sharing one
+//! Flat grids of index queues: many FIFOs of two-word entries sharing one
 //! pool of cache-line chunks.
 //!
 //! A Sprinklers switch has far more queues than packets — `N` VOQ ready
 //! queues and `2N − 1` LSF queues at each input, `N·(log₂N+1)` output FIFOs
 //! at each intermediate port — and almost all of them are empty or hold a
 //! handful of entries.  A queue therefore costs its two [`Ends`] (eight
-//! bytes, all zero while it is empty) and no capacity until a packet is
+//! bytes, all zero while it is empty) and no capacity until an entry is
 //! pushed; entries then live in 64-byte chunks of seven, taken from and
 //! returned to the free list of the grid's pool.  A [`FifoGrid`] keeps the
 //! ends of the queues it numbers in one zeroed, lazily committed array, so a
@@ -26,9 +26,11 @@
 //! needs.  A freed chunk goes on the free list and is handed out again
 //! before the pool takes a chunk it has never used.
 //!
-//! An entry is a [`PacketHandle`] plus one `u32` tag for whatever the queue's
-//! consumer needs without reading the packet body (the input stage tags each
-//! handle with its output port).
+//! An [`Entry`] is two `u32` words: usually a [`PacketHandle`] plus a tag
+//! the consumer needs without reading the packet body, but a Sprinklers VOQ
+//! holds its waiting packets by value (see [`crate::voq`]).  The link word
+//! of a queue's tail chunk links nothing, so it holds one more word for the
+//! owner, the [`tail_word`](FifoGrid::tail_word).
 
 use crate::store::PacketHandle;
 
@@ -42,14 +44,17 @@ const PAGE_SHIFT: u32 = 6;
 /// Chunks per pool page (4 KiB).
 const PAGE_CHUNKS: usize = 1 << PAGE_SHIFT;
 
+/// A queue entry: two words whose meaning is the queue owner's.
+pub type Entry = [u32; 2];
+
 /// One cache line of a queue: the entries `start..end`, then on to `next`.
 /// Chunks on a queue's list are never empty.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(64))]
 struct Chunk {
-    /// `[handle, tag]` pairs.
-    entries: [[u32; 2]; CHUNK_ENTRIES],
-    /// Next chunk of the queue (or of the free list); 0 = none.
+    entries: [Entry; CHUNK_ENTRIES],
+    /// Next chunk of the queue (or of the free list; 0 ends it).  A queue's
+    /// tail chunk holds its tail word here instead.
     next: u32,
     start: u8,
     end: u8,
@@ -67,8 +72,8 @@ const EMPTY_CHUNK: Chunk = Chunk {
 /// queue.
 pub type Ends = [u32; 2];
 
-/// A flat array of FIFO queues of `(handle, tag)` entries, and the chunk
-/// pool of any queue kept outside it.
+/// A flat array of FIFO queues of [`Entry`]s, and the chunk pool of any
+/// queue kept outside it.
 #[derive(Debug, Clone)]
 pub struct FifoGrid {
     /// The ends of queue `q` are `ends[q]`.
@@ -107,18 +112,46 @@ impl FifoGrid {
         self.ends[q][0] == 0
     }
 
-    /// Append an entry to queue `q`.
+    /// Append `(handle, tag)` to queue `q`.
     // lint: hot-path
     #[inline]
     pub fn push(&mut self, q: usize, handle: PacketHandle, tag: u32) {
-        self.pool.push(&mut self.ends[q], handle, tag);
+        self.push_entry(q, [handle.raw(), tag]);
     }
 
-    /// Append an entry to the queue whose ends are `ends`.
+    /// Append an entry to queue `q`.
     // lint: hot-path
     #[inline]
-    pub fn push_at(&mut self, ends: &mut Ends, handle: PacketHandle, tag: u32) {
-        self.pool.push(ends, handle, tag);
+    pub fn push_entry(&mut self, q: usize, entry: Entry) {
+        self.pool.push(&mut self.ends[q], entry, 0);
+    }
+
+    /// Append an entry to the queue whose ends are `ends`, and make `word`
+    /// its tail word.
+    // lint: hot-path
+    #[inline]
+    pub fn push_at(&mut self, ends: &mut Ends, entry: Entry, word: u32) {
+        self.pool.push(ends, entry, word);
+    }
+
+    /// The tail word of the queue whose ends are `ends` — the `word` of its
+    /// last [`push_at`](Self::push_at) or [`set_tail_word`](Self::set_tail_word)
+    /// — or `None` while it is empty.  It lives in the line the next push
+    /// writes.
+    // lint: hot-path
+    #[inline]
+    pub fn tail_word(&self, ends: Ends) -> Option<u32> {
+        let [head, tail] = ends;
+        (head != 0).then(|| self.pool.chunk(tail).next)
+    }
+
+    /// Replace the tail word of the queue whose ends are `ends`, if it holds
+    /// an entry.
+    #[inline]
+    pub fn set_tail_word(&mut self, ends: Ends, word: u32) {
+        if ends[0] != 0 {
+            self.pool.chunk_mut(ends[1]).next = word;
+        }
     }
 
     /// Read what the next [`push_at`](Self::push_at) onto the queue whose
@@ -136,10 +169,18 @@ impl FifoGrid {
         u64::from(self.pool.chunk(tail).end)
     }
 
-    /// Remove and return the oldest entry of queue `q`.
+    /// Remove and return the oldest `(handle, tag)` of queue `q`.
     // lint: hot-path
     #[inline]
     pub fn pop(&mut self, q: usize) -> Option<(PacketHandle, u32)> {
+        let [raw, tag] = self.pop_entry(q)?;
+        Some((PacketHandle::from_raw(raw), tag))
+    }
+
+    /// Remove and return the oldest entry of queue `q`.
+    // lint: hot-path
+    #[inline]
+    pub fn pop_entry(&mut self, q: usize) -> Option<Entry> {
         self.pool.pop(&mut self.ends[q])
     }
 
@@ -147,7 +188,7 @@ impl FifoGrid {
     /// `ends`.
     // lint: hot-path
     #[inline]
-    pub fn pop_at(&mut self, ends: &mut Ends) -> Option<(PacketHandle, u32)> {
+    pub fn pop_at(&mut self, ends: &mut Ends) -> Option<Entry> {
         self.pool.pop(ends)
     }
 
@@ -177,12 +218,12 @@ impl FifoGrid {
 
     /// Length of the queue whose ends are `ends`, by walking its chunks.
     pub fn len_at(&self, ends: Ends) -> usize {
+        let [mut cursor, tail] = ends;
         let mut len = 0;
-        let mut cursor = ends[0];
         while cursor != 0 {
             let chunk = self.pool.chunk(cursor);
             len += usize::from(chunk.end - chunk.start);
-            cursor = chunk.next;
+            cursor = if cursor == tail { 0 } else { chunk.next };
         }
         len
     }
@@ -205,8 +246,7 @@ impl Pool {
 
     // lint: hot-path
     #[inline]
-    fn push(&mut self, ends: &mut Ends, handle: PacketHandle, tag: u32) {
-        let entry = [handle.raw(), tag];
+    fn push(&mut self, ends: &mut Ends, entry: Entry, word: u32) {
         let [head, tail] = *ends;
         if head != 0 {
             let chunk = self.chunk_mut(tail);
@@ -214,13 +254,14 @@ impl Pool {
             if end < CHUNK_ENTRIES {
                 chunk.entries[end] = entry;
                 chunk.end += 1;
+                chunk.next = word;
                 return;
             }
         }
         let fresh = self.take_chunk();
         let chunk = self.chunk_mut(fresh);
         chunk.entries[0] = entry;
-        chunk.next = 0;
+        chunk.next = word;
         chunk.start = 0;
         chunk.end = 1;
         if head == 0 {
@@ -233,21 +274,21 @@ impl Pool {
 
     // lint: hot-path
     #[inline]
-    fn pop(&mut self, ends: &mut Ends) -> Option<(PacketHandle, u32)> {
-        let head = ends[0];
+    fn pop(&mut self, ends: &mut Ends) -> Option<Entry> {
+        let [head, tail] = *ends;
         if head == 0 {
             return None;
         }
         let free = self.free;
         let chunk = self.chunk_mut(head);
-        let [raw, tag] = chunk.entries[usize::from(chunk.start)];
+        let entry = chunk.entries[usize::from(chunk.start)];
         chunk.start += 1;
         if chunk.start == chunk.end {
-            ends[0] = chunk.next;
+            ends[0] = if head == tail { 0 } else { chunk.next };
             chunk.next = free;
             self.free = head;
         }
-        Some((PacketHandle::from_raw(raw), tag))
+        Some(entry)
     }
 
     /// Link the queue `moved` (already detached from its ends) behind `to`.
@@ -303,16 +344,36 @@ mod tests {
         PacketHandle::from_raw(raw)
     }
 
+    impl Pool {
+        /// The chunks of the queue whose ends are `ends`, head first.
+        fn chunks(&self, ends: Ends) -> impl Iterator<Item = &Chunk> + '_ {
+            let [mut cursor, tail] = ends;
+            std::iter::from_fn(move || {
+                let chunk = (cursor != 0).then(|| self.chunk(cursor))?;
+                cursor = if cursor == tail { 0 } else { chunk.next };
+                Some(chunk)
+            })
+        }
+    }
+
     impl FifoGrid {
         /// Chunks on the queue whose ends are `ends`.
         fn chunks_at(&self, ends: Ends) -> usize {
-            let mut chunks = 0;
-            let mut cursor = ends[0];
-            while cursor != 0 {
-                chunks += 1;
-                cursor = self.pool.chunk(cursor).next;
-            }
-            chunks
+            self.pool.chunks(ends).count()
+        }
+
+        /// The entries of the queue whose ends are `ends`, oldest first.
+        pub(crate) fn entries_at(&self, ends: Ends) -> impl Iterator<Item = Entry> + '_ {
+            self.pool.chunks(ends).flat_map(|chunk| {
+                chunk.entries[usize::from(chunk.start)..usize::from(chunk.end)]
+                    .iter()
+                    .copied()
+            })
+        }
+
+        /// The entries of queue `q`, oldest first.
+        pub(crate) fn entries(&self, q: usize) -> impl Iterator<Item = Entry> + '_ {
+            self.entries_at(self.ends[q])
         }
     }
 
@@ -377,8 +438,11 @@ mod tests {
         let mut grid = FifoGrid::new(1);
         let mut outside: Ends = [0; 2];
         assert_eq!(grid.warm_at(outside), 0);
+        assert_eq!(grid.tail_word(outside), None);
         for k in 0..10u32 {
-            grid.push_at(&mut outside, h(k), k);
+            grid.push_at(&mut outside, [k, 0], 50 + k);
+            // The word follows the tail onto each new chunk.
+            assert_eq!(grid.tail_word(outside), Some(50 + k));
         }
         grid.push(0, h(100), 0);
         assert_eq!(grid.len_at(outside), 10);
@@ -387,18 +451,28 @@ mod tests {
             3,
             "the tail chunk holds 10 − 7 entries"
         );
-        assert_eq!(grid.pop_at(&mut outside), Some((h(0), 0)));
+        assert_eq!(grid.pop_at(&mut outside), Some([0, 0]));
+        grid.set_tail_word(outside, 7);
+        // Popping the head chunk empty leaves the tail and its word alone.
+        for k in 1..7u32 {
+            assert_eq!(grid.pop_at(&mut outside), Some([k, 0]));
+        }
+        assert_eq!(
+            (grid.len_at(outside), grid.tail_word(outside)),
+            (3, Some(7))
+        );
+        grid.push_at(&mut outside, [10, 0], 8);
         grid.splice_at(&mut outside, 0);
         assert_eq!(outside, [0; 2]);
         assert_eq!(grid.pop_at(&mut outside), None);
         let order: Vec<u32> = std::iter::from_fn(|| grid.pop(0))
             .map(|(handle, _)| handle.raw())
             .collect();
-        assert_eq!(order, [100, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(order, [100, 7, 8, 9, 10]);
         // Both queues' chunks went back to the one pool.
         let pool = grid.pool.used;
         for k in 0..14u32 {
-            grid.push_at(&mut outside, h(k), 0);
+            grid.push_at(&mut outside, [k, 0], 0);
         }
         assert_eq!(grid.pool.used, pool);
     }
@@ -440,7 +514,7 @@ mod tests {
 
         /// Numbered and outside queues over a pool of at least four pages
         /// agree with `VecDeque`s under random push / pop / splice traffic,
-        /// and the pool stays as small as the traffic allows: it holds
+        /// an outside queue keeps the tail word of its last push, and the pool stays as small as the traffic allows: it holds
         /// exactly the pages its high-water mark needs, and that mark is
         /// the most chunks ever on queues at once — a freed chunk is always
         /// reused before a new one is taken.
@@ -459,14 +533,14 @@ mod tests {
                 if q < 3 {
                     grid.push(q, h(next), tag);
                 } else {
-                    grid.push_at(&mut outside[q - 3], h(next), tag);
+                    grid.push_at(&mut outside[q - 3], [next, tag], next);
                 }
                 model[q].push_back((next, tag));
                 next += 1;
             };
             let pop = |grid: &mut FifoGrid, outside: &mut [Ends; 3], q: usize| {
-                let got = if q < 3 { grid.pop(q) } else { grid.pop_at(&mut outside[q - 3]) };
-                got.map(|(handle, tag)| (handle.raw(), tag))
+                let got = if q < 3 { grid.pop(q).map(|(handle, tag)| [handle.raw(), tag]) } else { grid.pop_at(&mut outside[q - 3]) };
+                got.map(|[raw, tag]| (raw, tag))
             };
             for k in 0..fill {
                 push(&mut grid, &mut outside, &mut model, k % 6);
@@ -509,6 +583,10 @@ mod tests {
                 let mut live = 0;
                 for (q, queue) in model.iter().enumerate() {
                     prop_assert_eq!(grid.len_at(ends(q)), queue.len());
+                    if q >= 3 {
+                        // An outside queue's tail word is its last push's.
+                        prop_assert_eq!(grid.tail_word(ends(q)), queue.back().map(|e| e.0));
+                    }
                     live += grid.chunks_at(ends(q));
                 }
                 most_live = most_live.max(live);

@@ -3,12 +3,14 @@
 //! The input port owns its [`Voqs`] (which group packets into stripes) and
 //! one LSF scheduler (which decides, whenever the first fabric connects this
 //! input to an intermediate port, which queued packet to send).  It owns no
-//! queue storage: every input of a switch queues handles into the switch's
-//! [`PacketStore`](crate::store::PacketStore) through one [`FifoGrid`], which
-//! the Sprinklers policy keeps and passes to each call.  Port `i`'s scheduler
-//! numbers grid queues `i·(2N − 1) .. (i + 1)·(2N − 1)`, and each VOQ's
-//! ready queue keeps its ends in the VOQ's record and its entries in the
-//! grid's one chunk pool.  The port never touches a packet body.
+//! queue storage: every input of a switch queues its packets through one
+//! [`FifoGrid`], which the Sprinklers policy keeps and passes to each call.
+//! Port `i`'s scheduler numbers grid queues `i·(2N − 1) .. (i + 1)·(2N − 1)`,
+//! and each VOQ's ready queue keeps its ends in the VOQ's record and its
+//! entries in the grid's one chunk pool.  A waiting packet is held by value
+//! in its entry; the port writes its body into the switch's
+//! [`PacketStore`] only when the scheduler sends it, and a packet that
+//! cannot be held by value when it arrives.
 //!
 //! A VOQ's primary intermediate port is not stored: the port derives it
 //! from the OLS, which the Sprinklers policy keeps once for every port,
@@ -22,7 +24,7 @@ use crate::fifo::FifoGrid;
 use crate::lsf::{Lsf, Served};
 use crate::ols::WeaklyUniformOls;
 use crate::packet::Packet;
-use crate::store::PacketHandle;
+use crate::store::{PacketHandle, PacketStore};
 use crate::voq::{AdaptiveRule, AdaptiveVoq, StartLevels, Voqs};
 
 /// One Sprinklers input port.
@@ -58,24 +60,24 @@ impl SprinklersInputPort {
         self.voqs.start_at(output, size);
     }
 
-    /// Accept an arriving packet, already stored under `handle`: the handle
-    /// joins its VOQ, and any stripe that becomes complete is immediately
-    /// plastered into the scheduler.  `adaptive` is the switch's rule, if
-    /// it sizes adaptively.  Returns whether adaptive sizing committed a
-    /// resize on the way.
+    /// Accept an arriving packet: it joins its VOQ — by value, or under the
+    /// handle `store` stores it under (see [`Voqs::push`]) — and any stripe
+    /// that becomes complete is immediately plastered into the scheduler.
+    /// `adaptive` is the switch's rule, if it sizes adaptively.  Returns
+    /// whether adaptive sizing committed a resize on the way.
     // lint: hot-path
     #[inline]
     pub fn arrive(
         &mut self,
         grid: &mut FifoGrid,
         packet: &Packet,
-        handle: PacketHandle,
+        store: impl FnOnce() -> PacketHandle,
         ols: &WeaklyUniformOls,
         adaptive: Option<&AdaptiveRule>,
     ) -> bool {
         let now = packet.arrival_slot;
         let output = packet.output();
-        self.voqs.push(grid, output, handle, packet.output_raw());
+        self.voqs.push(grid, output, packet, store);
         let resized = match adaptive {
             Some(rule) => {
                 if let Some(sizing) = self.adaptive.get_mut(output) {
@@ -102,11 +104,17 @@ impl SprinklersInputPort {
 
     /// Serve the intermediate port the first fabric currently connects us to:
     /// the handle, output port and stripe level of the packet to send, if
-    /// any.  Touches nothing outside this port's queues.
+    /// any.  Touches nothing outside this port's queues but the body it
+    /// writes into `store`.
     // lint: hot-path
     #[inline]
-    pub fn dequeue(&mut self, grid: &mut FifoGrid, intermediate: usize) -> Option<Served> {
-        self.scheduler.serve(grid, intermediate)
+    pub fn dequeue(
+        &mut self,
+        grid: &mut FifoGrid,
+        store: &mut PacketStore,
+        intermediate: usize,
+    ) -> Option<Served> {
+        self.scheduler.serve(grid, store, self.id, intermediate)
     }
 
     /// Periodic maintenance: gives one VOQ per call the chance to re-evaluate
@@ -217,12 +225,14 @@ impl SprinklersInputPort {
     #[inline]
     fn release_stripes(&mut self, grid: &mut FifoGrid, output: usize, ols: &WeaklyUniformOls) {
         let id = self.id;
+        // Every Sprinklers port count is at most 2^15 (`Voqs::new`).
+        let tag = u32::try_from(output).unwrap_or(u32::MAX);
         while let Some(stripe) = self
             .voqs
-            .release_stripe(output, || ols.primary_port(id, output))
+            .release_stripe(grid, output, || ols.primary_port(id, output))
         {
             self.scheduler
-                .insert(grid, self.voqs.ready_queue(output), stripe);
+                .insert(grid, self.voqs.ready_queue(output), stripe, tag);
         }
     }
 }
@@ -232,7 +242,7 @@ mod tests {
     use super::*;
     use crate::config::AdaptiveSizing;
     use crate::fabric::first_fabric_at;
-    use crate::store::PacketStore;
+    use crate::voq::MARKED;
 
     impl SprinklersInputPort {
         /// Every VOQ gets the same fixed stripe size.
@@ -240,17 +250,24 @@ mod tests {
             Self::new(port_id, n, StartLevels::uniform(size), None)
         }
 
-        /// Store `packet` and arrive it; the primary ports come from the
-        /// cyclic OLS.
+        /// Arrive `packet`, stored in `store` if it cannot be held by
+        /// value; the primary ports come from the cyclic OLS.
         fn store_and_arrive(
             &mut self,
             grid: &mut FifoGrid,
             store: &mut PacketStore,
             packet: Packet,
         ) -> bool {
-            let handle = store.insert(&packet);
             let ols = WeaklyUniformOls::cyclic(self.voqs.outputs());
-            self.arrive(grid, &packet, handle, &ols, None)
+            self.arrive(grid, &packet, || store.insert(&packet), &ols, None)
+        }
+
+        /// Packets the port holds by value (walks its queues).
+        pub(crate) fn held_by_value(&self, grid: &FifoGrid) -> usize {
+            let ready = (0..self.voqs.outputs())
+                .flat_map(|output| grid.entries_at(self.voqs.ready_queue_ends(output)));
+            let ready = ready.filter(|[_, tag]| tag & MARKED == 0).count();
+            ready + self.scheduler.held_by_value(grid)
         }
 
         /// Packets queued in the scheduler destined to a given intermediate
@@ -283,17 +300,21 @@ mod tests {
         port.store_and_arrive(&mut grid, &mut store, pkt(0, 3, 1, 1));
         assert_eq!(port.queued_packets(), 2);
         assert!(port.has_servable(), "stripe formed and plastered");
-        assert_eq!(store.live(), 2);
+        assert_eq!(
+            (store.live(), port.held_by_value(&grid)),
+            (0, 2),
+            "both wait by value"
+        );
         // With the cyclic OLS, VOQ (0, 3) has primary port 3 and stripe size 2,
         // so its interval is [2, 4).
         assert_eq!(port.queued_for_intermediate(&grid, 2), 1);
         assert_eq!(port.queued_for_intermediate(&grid, 3), 1);
         // The scheduler serves the stripe starting at row 2, in VOQ
         // order, tagged with output 3 and level 1.
-        assert!(port.dequeue(&mut grid, 1).is_none());
-        let (first, output, level) = port.dequeue(&mut grid, 2).unwrap();
+        assert!(port.dequeue(&mut grid, &mut store, 1).is_none());
+        let (first, output, level) = port.dequeue(&mut grid, &mut store, 2).unwrap();
         assert_eq!((store.take(first).voq_seq, output, level), (0, 3, 1));
-        let (second, output, level) = port.dequeue(&mut grid, 3).unwrap();
+        let (second, output, level) = port.dequeue(&mut grid, &mut store, 3).unwrap();
         assert_eq!((store.take(second).voq_seq, output, level), (1, 3, 1));
         assert_eq!(port.queued_packets(), 0);
     }
@@ -305,7 +326,7 @@ mod tests {
         let mut port = SprinklersInputPort::with_fixed_size(0, 8, 1);
         port.store_and_arrive(&mut grid, &mut store, pkt(0, 5, 0, 0));
         assert_eq!(port.voqs().in_flight(5), 1);
-        let (_, output, _) = port.dequeue(&mut grid, 5).unwrap();
+        let (_, output, _) = port.dequeue(&mut grid, &mut store, 5).unwrap();
         assert_eq!(output, 5);
         assert!(
             !port.packet_delivered(&mut grid, 5, &WeaklyUniformOls::cyclic(8)),
@@ -372,8 +393,7 @@ mod tests {
                 for (input, port) in ports.iter_mut().enumerate() {
                     let seq = slot / N as u64;
                     let packet = pkt(input, output, seq, slot);
-                    let handle = store.insert(&packet);
-                    port.arrive(&mut grid, &packet, handle, &ols, None);
+                    port.arrive(&mut grid, &packet, || store.insert(&packet), &ols, None);
                 }
                 // Packets released into a schedule, served or not.
                 let released: Vec<u64> = ports
@@ -388,7 +408,7 @@ mod tests {
             }
             for (input, port) in ports.iter_mut().enumerate() {
                 let row = first_fabric_at(input, (slot % N as u64) as usize, N);
-                let Some((handle, output, level)) = port.dequeue(&mut grid, row) else {
+                let Some((handle, output, level)) = port.dequeue(&mut grid, &mut store, row) else {
                     continue;
                 };
                 let packet = store.take(handle);

@@ -13,13 +13,20 @@
 //! the [`FifoGrid`] every input of a Sprinklers switch shares — input `i`'s
 //! starts at `i·(2N − 1)` — and every VOQ ready queue draws on the same
 //! chunk pool, so a stripe enters the schedule by moving entries between
-//! queues of one pool (usually one O(1) splice).  It keeps a bitmask of
-//! non-empty levels per start row, so "largest first" is one
-//! `leading_zeros` instead of a scan over the levels.
+//! queues of one pool (usually one O(1) splice), behind one header entry
+//! `[seq_base, output]`.  It keeps a bitmask of non-empty levels per start
+//! row, so "largest first" is one `leading_zeros` instead of a scan over the
+//! levels.
+//!
+//! A packet gets its store body here, in the slot it leaves the input: the
+//! ready queue held it by value ([`crate::voq`]), and the stripe's header
+//! gives back its output and `voq_seq`.
 
 use crate::fifo::{Ends, FifoGrid};
-use crate::store::PacketHandle;
+use crate::packet::Packet;
+use crate::store::{PacketHandle, PacketStore};
 use crate::stripe::Stripe;
+use crate::voq::MARKED;
 
 /// The number of stripe-size levels for an `n`-port switch: `log₂(n) + 1`.
 pub fn levels(n: usize) -> usize {
@@ -46,6 +53,10 @@ struct InService {
     level: usize,
     /// Packets of the stripe still to send.
     remaining: usize,
+    /// The stripe's output port, from its header.
+    output: u32,
+    /// The `voq_seq` of the next packet, if it is held by value.
+    seq: u64,
 }
 
 /// Algorithm 1 of the paper: stripes start only at the first port of their
@@ -99,36 +110,45 @@ impl Lsf {
         self.base + 2 * self.n - ((2 * self.n) >> level) + (row >> level)
     }
 
-    /// Insert a freshly released stripe, the head of the ready queue whose
-    /// ends are `source`, behind the others of its interval.
+    /// Insert a freshly released stripe of VOQ `output`, the head of the
+    /// ready queue whose ends are `source`, behind the others of its
+    /// interval.
     // lint: hot-path
     #[inline]
-    pub fn insert(&mut self, grid: &mut FifoGrid, source: &mut Ends, stripe: Stripe) {
+    pub fn insert(&mut self, grid: &mut FifoGrid, source: &mut Ends, stripe: Stripe, output: u32) {
         let level = stripe.level();
         let start = stripe.interval.start();
         debug_assert!(stripe.interval.end() <= self.n);
         let q = self.queue(start, level);
+        grid.push_entry(q, [stripe.seq_base, output]);
         if stripe.drains_source {
             grid.splice_at(source, q);
         } else {
             for _ in 0..stripe.size() {
-                let Some((handle, output)) = grid.pop_at(source) else {
+                let Some(entry) = grid.pop_at(source) else {
                     debug_assert!(false, "a released stripe is at the head of its source");
                     break;
                 };
-                grid.push(q, handle, output);
+                grid.push_entry(q, entry);
             }
         }
         self.start_levels[start] |= 1 << level;
         self.queued += stripe.size();
     }
 
-    /// Serve the given row (intermediate port): the packet to transmit in
-    /// this slot, or `None` if no stripe is in service and none starts here.
+    /// Serve the given row (intermediate port) of input `input`: the packet
+    /// to transmit in this slot, or `None` if no stripe is in service and
+    /// none starts here.  A packet held by value is stored in `store` now.
     // lint: hot-path
     #[inline]
-    pub fn serve(&mut self, grid: &mut FifoGrid, row: usize) -> Option<Served> {
-        let (q, level, remaining) = match self.in_service {
+    pub fn serve(
+        &mut self,
+        grid: &mut FifoGrid,
+        store: &mut PacketStore,
+        input: usize,
+        row: usize,
+    ) -> Option<Served> {
+        let svc = match self.in_service {
             // Continue a stripe already in service: its next packet is always
             // destined to the current row because the connection pattern
             // advances one intermediate port per slot and the stripe's ports
@@ -138,33 +158,48 @@ impl Lsf {
                     row & ((1 << svc.level) - 1),
                     (1 << svc.level) - svc.remaining
                 );
-                (svc.queue, svc.level, svc.remaining - 1)
+                svc
             }
             // Otherwise, among the stripes whose interval starts at this row,
             // pick the largest (FCFS within a level, and levels with larger
-            // stripes win).
+            // stripes win), and read its header.
             None => {
                 let mask = self.start_levels[row];
                 if mask == 0 {
                     return None;
                 }
                 let level = top_level(mask);
-                (self.queue(row, level), level, (1 << level) - 1)
+                let queue = self.queue(row, level);
+                let [seq_base, output] = grid.pop_entry(queue)?;
+                InService {
+                    queue,
+                    level,
+                    remaining: 1 << level,
+                    output,
+                    seq: u64::from(seq_base),
+                }
             }
         };
-        let (handle, output) = grid.pop(q)?;
-        self.in_service = (remaining > 0).then_some(InService {
-            queue: q,
-            level,
-            remaining,
+        let [word, tag] = grid.pop_entry(svc.queue)?;
+        let handle = if tag & MARKED == 0 {
+            let output = svc.output as usize;
+            let packet = Packet::new(input, output, u64::from(word), u64::from(tag));
+            store.insert(&packet.with_voq_seq(svc.seq))
+        } else {
+            PacketHandle::from_raw(word)
+        };
+        self.in_service = (svc.remaining > 1).then_some(InService {
+            remaining: svc.remaining - 1,
+            seq: svc.seq + 1,
+            ..svc
         });
-        if grid.is_empty(q) {
+        if grid.is_empty(svc.queue) {
             // Clearing the low `level` bits of `row` gives the interval's
             // first port.
-            self.start_levels[row & !((1 << level) - 1)] &= !(1 << level);
+            self.start_levels[row & !((1 << svc.level) - 1)] &= !(1 << svc.level);
         }
         self.queued -= 1;
-        Some((handle, output, level))
+        Some((handle, svc.output, svc.level))
     }
 
     /// Total number of packets currently queued.
@@ -193,23 +228,22 @@ mod tests {
         }
 
         /// Packets of interval queue `q` that the stripe in service has
-        /// already sent (0 unless `q` is the queue it heads).
-        fn sent_from(&self, q: usize) -> usize {
+        /// still to send (0 unless `q` is the queue it heads).
+        fn left_in(&self, q: usize) -> usize {
             match self.in_service {
-                Some(svc) if svc.queue == q => (1 << svc.level) - svc.remaining,
+                Some(svc) if svc.queue == q => svc.remaining,
                 _ => 0,
             }
         }
 
         /// Number of queued stripes (not counting the one in service), by
-        /// walking every interval queue.
+        /// walking every interval queue: each is a header and its packets.
         fn queued_stripes(&self, grid: &FifoGrid) -> usize {
             let mut stripes = 0;
             for level in 0..levels(self.n) {
                 for row in (0..self.n).step_by(1 << level) {
                     let q = self.queue(row, level);
-                    // Round the in-service stripe's remainder away.
-                    stripes += grid.len(q) >> level;
+                    stripes += (grid.len(q) - self.left_in(q)) / (1 + (1 << level));
                 }
             }
             stripes
@@ -221,12 +255,32 @@ mod tests {
             let mut count = 0;
             for level in 0..levels(self.n) {
                 let q = self.queue(row, level);
-                // The queue holds whole stripes, except that the one in
-                // service has already sent its first `sent` offsets.
-                let sent = self.sent_from(q);
-                count += (grid.len(q) + sent) >> level;
-                if row & ((1 << level) - 1) < sent {
-                    count -= 1;
+                // Whole stripes, and the offsets the stripe in service has
+                // still to send.
+                let left = self.left_in(q);
+                count += (grid.len(q) - left) / (1 + (1 << level));
+                if left > 0 && row & ((1 << level) - 1) >= (1 << level) - left {
+                    count += 1;
+                }
+            }
+            count
+        }
+
+        /// Number of queued packets held by value, by walking every interval
+        /// queue and skipping each stripe's header.
+        pub(crate) fn held_by_value(&self, grid: &FifoGrid) -> usize {
+            let mut count = 0;
+            for level in 0..levels(self.n) {
+                for row in (0..self.n).step_by(1 << level) {
+                    let q = self.queue(row, level);
+                    let mut header = self.left_in(q);
+                    for (k, [_, tag]) in grid.entries(q).enumerate() {
+                        if k == header {
+                            header += 1 + (1 << level);
+                        } else if tag & MARKED == 0 {
+                            count += 1;
+                        }
+                    }
                 }
             }
             count
@@ -238,9 +292,9 @@ mod tests {
         FifoGrid::new(1 + queue_count)
     }
 
-    /// Have a VOQ over `[start, start + size)` release a stripe of packets
-    /// whose handles are `seq·100 + offset`; returns it with the ends of the
-    /// VOQ's ready queue.
+    /// Have a VOQ over `[start, start + size)` release a stripe of stored
+    /// packets whose handles are `seq·100 + offset`; returns it with the
+    /// ends of the VOQ's ready queue.
     fn mk_stripe(
         grid: &mut FifoGrid,
         n: usize,
@@ -250,13 +304,21 @@ mod tests {
     ) -> (Stripe, Ends) {
         assert!(start + size <= n);
         let mut voqs = Voqs::new(n, StartLevels::uniform(size));
+        let stored = Packet::new(0, 1, 0, 0).with_flow(1);
         for offset in 0..size as u32 {
-            voqs.push(grid, 0, PacketHandle::from_raw(seq * 100 + offset), 1);
+            voqs.push(grid, 1, &stored, || {
+                PacketHandle::from_raw(seq * 100 + offset)
+            });
         }
         let stripe = voqs
-            .release_stripe(0, || start)
+            .release_stripe(grid, 1, || start)
             .expect("size packets fill a stripe");
-        (stripe, *voqs.ready_queue(0))
+        (stripe, *voqs.ready_queue(1))
+    }
+
+    /// Serve `row` of input 0 with a store that no stored packet needs.
+    fn serve(s: &mut Lsf, grid: &mut FifoGrid, row: usize) -> Option<Served> {
+        s.serve(grid, &mut PacketStore::new(), 0, row)
     }
 
     /// The stripe size a served packet reports.
@@ -269,18 +331,18 @@ mod tests {
         let mut grid = grid_for(Lsf::queue_count(8));
         let mut s = Lsf::new(8, 1);
         let (stripe, mut source) = mk_stripe(&mut grid, 8, 0, 4, 0);
-        s.insert(&mut grid, &mut source, stripe);
+        s.insert(&mut grid, &mut source, stripe, 1);
         assert_eq!(s.queued_stripes(&grid), 1);
         // Rows 1..4 cannot start the stripe.
-        assert!(s.serve(&mut grid, 1).is_none());
-        assert!(s.serve(&mut grid, 2).is_none());
+        assert!(serve(&mut s, &mut grid, 1).is_none());
+        assert!(serve(&mut s, &mut grid, 2).is_none());
         // Row 0 starts it; rows 1..3 then continue it.
-        assert!(s.serve(&mut grid, 0).is_some());
+        assert!(serve(&mut s, &mut grid, 0).is_some());
         assert!(s.stripe_in_service());
         assert_eq!(s.queued_stripes(&grid), 0);
-        assert!(s.serve(&mut grid, 1).is_some());
-        assert!(s.serve(&mut grid, 2).is_some());
-        assert!(s.serve(&mut grid, 3).is_some());
+        assert!(serve(&mut s, &mut grid, 1).is_some());
+        assert!(serve(&mut s, &mut grid, 2).is_some());
+        assert!(serve(&mut s, &mut grid, 3).is_some());
         assert!(!s.stripe_in_service());
         assert!(s.is_empty());
     }
@@ -290,9 +352,9 @@ mod tests {
         let mut grid = grid_for(Lsf::queue_count(8));
         let mut s = Lsf::new(8, 1);
         let (stripe, mut source) = mk_stripe(&mut grid, 8, 4, 4, 3);
-        s.insert(&mut grid, &mut source, stripe);
+        s.insert(&mut grid, &mut source, stripe, 1);
         for (offset, row) in (4..8).enumerate() {
-            let (handle, output, level) = s.serve(&mut grid, row).unwrap();
+            let (handle, output, level) = serve(&mut s, &mut grid, row).unwrap();
             assert_eq!((output, level), (1, 2));
             assert_eq!(handle.raw(), 300 + offset as u32);
         }
@@ -303,18 +365,18 @@ mod tests {
         let mut grid = grid_for(Lsf::queue_count(8));
         let mut s = Lsf::new(8, 1);
         let (small, mut source) = mk_stripe(&mut grid, 8, 0, 2, 0);
-        s.insert(&mut grid, &mut source, small);
+        s.insert(&mut grid, &mut source, small, 1);
         let (large, mut source) = mk_stripe(&mut grid, 8, 0, 8, 1);
-        s.insert(&mut grid, &mut source, large);
-        let p = s.serve(&mut grid, 0).unwrap();
+        s.insert(&mut grid, &mut source, large, 1);
+        let p = serve(&mut s, &mut grid, 0).unwrap();
         assert_eq!(size_of(p), 8);
         // The size-2 stripe must wait until the size-8 stripe finishes and the
         // connection wraps around to row 0 again.
         for row in 1..8 {
-            let q = s.serve(&mut grid, row).unwrap();
+            let q = serve(&mut s, &mut grid, row).unwrap();
             assert_eq!(size_of(q), 8);
         }
-        let p = s.serve(&mut grid, 0).unwrap();
+        let p = serve(&mut s, &mut grid, 0).unwrap();
         assert_eq!(size_of(p), 2);
     }
 
@@ -323,12 +385,12 @@ mod tests {
         let mut grid = grid_for(Lsf::queue_count(4));
         let mut s = Lsf::new(4, 1);
         let (first, mut source) = mk_stripe(&mut grid, 4, 0, 2, 0);
-        s.insert(&mut grid, &mut source, first);
+        s.insert(&mut grid, &mut source, first, 1);
         let (second, mut source) = mk_stripe(&mut grid, 4, 0, 2, 1);
-        s.insert(&mut grid, &mut source, second);
-        let (first, ..) = s.serve(&mut grid, 0).unwrap();
-        s.serve(&mut grid, 1).unwrap();
-        let (second, ..) = s.serve(&mut grid, 0).unwrap();
+        s.insert(&mut grid, &mut source, second, 1);
+        let (first, ..) = serve(&mut s, &mut grid, 0).unwrap();
+        serve(&mut s, &mut grid, 1).unwrap();
+        let (second, ..) = serve(&mut s, &mut grid, 0).unwrap();
         assert!(
             first.raw() < second.raw(),
             "stripes of the same interval are FCFS"
@@ -341,19 +403,61 @@ mod tests {
         let mut s = Lsf::new(8, 1);
         for (start, size, seq) in [(0, 2, 0), (0, 8, 1)] {
             let (stripe, mut source) = mk_stripe(&mut grid, 8, start, size, seq);
-            s.insert(&mut grid, &mut source, stripe);
+            s.insert(&mut grid, &mut source, stripe, 1);
         }
         for (row, expected) in [(0, 2), (1, 2), (5, 1)] {
             assert_eq!(s.queued_in_row(&grid, row), expected);
         }
         // The scheduler is now mid-stripe: the served offset is gone, the
         // rest of the size-8 stripe still counts.
-        s.serve(&mut grid, 0).unwrap();
+        serve(&mut s, &mut grid, 0).unwrap();
         assert_eq!(s.queued_in_row(&grid, 0), 1);
         assert_eq!(s.queued_in_row(&grid, 1), 2);
-        s.serve(&mut grid, 1).unwrap();
+        serve(&mut s, &mut grid, 1).unwrap();
         assert_eq!(s.queued_in_row(&grid, 1), 1);
         assert_eq!(s.queued_in_row(&grid, 7), 1);
+    }
+
+    /// A stripe mixing by-value and stored packets: the header gives each
+    /// by-value packet its output and `voq_seq`, the body is written only
+    /// when the packet is served, and every packet comes back exact.
+    #[test]
+    fn by_value_packets_are_stored_when_served() {
+        let mut grid = grid_for(Lsf::queue_count(8));
+        let mut store = PacketStore::new();
+        let mut s = Lsf::new(8, 1);
+        let mut voqs = Voqs::new(8, StartLevels::uniform(4));
+        let packets: Vec<Packet> = (0..4u64)
+            .map(|k| {
+                let packet = Packet::new(3, 6, 1000 + k, 50 + k).with_voq_seq(20 + k);
+                if k == 2 {
+                    packet.with_flow(9)
+                } else {
+                    packet
+                }
+            })
+            .collect();
+        for packet in &packets {
+            voqs.push(&mut grid, 6, packet, || store.insert(packet));
+        }
+        assert_eq!(
+            store.live(),
+            1,
+            "only the flow-9 packet is stored at arrival"
+        );
+        let stripe = voqs.release_stripe(&mut grid, 6, || 5).unwrap();
+        assert_eq!(stripe.seq_base, 20);
+        s.insert(&mut grid, voqs.ready_queue(6), stripe, 6);
+        assert_eq!(s.held_by_value(&grid), 3);
+        let served: Vec<Served> = (4..8)
+            .map(|row| s.serve(&mut grid, &mut store, 3, row).unwrap())
+            .collect();
+        assert!(s.is_empty());
+        assert_eq!(store.live(), 4, "each body lives from service to delivery");
+        for ((handle, output, level), packet) in served.into_iter().zip(&packets) {
+            assert_eq!((output, level), (6, 2));
+            assert_eq!(&store.take(handle), packet);
+        }
     }
 
     #[test]
@@ -377,7 +481,7 @@ mod tests {
                 let size = 1usize << level;
                 let start = (port / size) * size;
                 let (stripe, mut source) = mk_stripe(&mut grid, n, start, size, seq as u32);
-                s.insert(&mut grid, &mut source, stripe);
+                s.insert(&mut grid, &mut source, stripe, 1);
                 inserted += size;
             }
             // (slot, handle, row) of every served packet.
@@ -385,7 +489,7 @@ mod tests {
             let mut slot = 0usize;
             while served.len() < inserted && slot < inserted * n + n {
                 let row = slot % n;
-                if let Some((handle, ..)) = s.serve(&mut grid, row) {
+                if let Some((handle, ..)) = serve(&mut s, &mut grid, row) {
                     served.push((slot, handle.raw(), row));
                 }
                 slot += 1;

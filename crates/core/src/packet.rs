@@ -7,16 +7,16 @@
 //!
 //! # Memory layout
 //!
-//! The two-stage kernel writes a packet once and reads it once: `arrive`
-//! stores it in the switch's [`PacketStore`](crate::store::PacketStore),
-//! delivery takes it out again, and every queue in between — VOQ ready
-//! queues, the LSF schedule, the intermediate FIFOs — holds a four-byte
-//! handle (see [`crate::fifo`]).  The three routing fields below are not
-//! even stored while the packet is inside the switch; they are derived from
-//! the intermediate port and stripe size at delivery
-//! ([`stamp_routing`](crate::stripe::stamp_routing)), and the store keeps
-//! a 16-byte body of its own, with the rare identity field past 32 bits in
-//! a side table.
+//! The two-stage kernel writes a packet once and reads it once: it stores
+//! it in the switch's [`PacketStore`](crate::store::PacketStore) — at
+//! arrival, or when it leaves the input if a Sprinklers VOQ held it by value
+//! — delivery takes it out again, and every queue past the inputs holds a
+//! four-byte handle (see [`crate::fifo`]).  The three routing fields below
+//! are not even stored while the packet is inside the switch; they are
+//! derived from the intermediate port and stripe size at delivery
+//! ([`stamp_routing`](crate::stripe::stamp_routing)), and the store keeps a
+//! 16-byte body of its own, with the rare identity field past 32 bits in a
+//! side table.
 //!
 //! A `Packet` by value is what crosses the [`Switch`](crate::switch::Switch)
 //! API and what the output-queued reference queues, so it is packed to fit
@@ -158,13 +158,6 @@ impl Packet {
     #[inline]
     pub fn output(&self) -> usize {
         self.output as usize
-    }
-
-    /// The output port as stored (the index queues tag each handle with it,
-    /// and this spares them a narrowing cast).
-    #[inline]
-    pub(crate) fn output_raw(&self) -> u32 {
-        self.output
     }
 
     /// Readdress the packet to a different `(input, output)` port pair.

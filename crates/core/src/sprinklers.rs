@@ -199,12 +199,12 @@ impl InputPolicy for Sprinklers {
     /// a resize that releases backlogged ones.
     // lint: hot-path
     #[inline]
-    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool {
+    fn arrive(&mut self, packet: &Packet, store: impl FnOnce() -> PacketHandle) -> bool {
         let port = &mut self.inputs[packet.input()];
         let resized = port.arrive(
             &mut self.queues,
             packet,
-            handle,
+            store,
             &self.ols,
             self.adaptive.as_ref(),
         );
@@ -218,7 +218,8 @@ impl InputPolicy for Sprinklers {
         self.inputs[packet.input()].warm_arrival(&self.queues, packet.output())
     }
 
-    /// The LSF dequeue for the connected intermediate port.
+    /// The LSF dequeue for the connected intermediate port, which writes the
+    /// body of a packet the input held by value.
     // lint: hot-path
     #[inline]
     fn serve(
@@ -226,10 +227,10 @@ impl InputPolicy for Sprinklers {
         input: usize,
         connected: usize,
         _slot: u64,
-        _store: &mut PacketStore,
+        store: &mut PacketStore,
     ) -> Served {
         let port = &mut self.inputs[input];
-        let served = port.dequeue(&mut self.queues, connected);
+        let served = port.dequeue(&mut self.queues, store, connected);
         Served {
             sent: served.map(|(handle, output, _)| (handle, output)),
             stripe_size: served.map_or(1, |(.., level)| 1 << level),
@@ -263,6 +264,7 @@ mod tests {
     use super::*;
     use crate::fabric::{first_fabric_at, second_fabric_output_at};
     use crate::packet::DeliveredPacket;
+    use crate::stripe::stamp_routing;
     use crate::two_stage::CheckInput;
 
     impl CheckInput for Sprinklers {
@@ -275,6 +277,10 @@ mod tests {
             );
             // The kernel holds its input counter against the ports' own.
             port.queued_packets()
+        }
+
+        fn held_by_value(&self, input: usize) -> usize {
+            self.inputs[input].held_by_value(&self.queues)
         }
     }
 
@@ -584,6 +590,147 @@ mod tests {
         let delivered = sw.stats().total_departures;
         assert!(delivered > 10_000, "only {delivered} deliveries");
         assert_eq!(sw.second_fabric_visits, delivered);
+    }
+
+    /// Run `arrivals` — `(slot offset, input, output)`, in slot order —
+    /// through a switch built from `config`, from slot `origin` until 64·N
+    /// slots past the last arrival, reconfiguring at the offsets listed in
+    /// `reconfigure`.  Packet `k` gets its identity from
+    /// `identity(k, slot, input, output)`.  Returns the packets offered and
+    /// the deliveries; the switch is checked against brute-force scans every
+    /// 16 slots.
+    fn run_identities(
+        config: &SprinklersConfig,
+        reconfigure: &[(u64, TrafficMatrix)],
+        origin: u64,
+        arrivals: &[(u64, usize, usize)],
+        mut identity: impl FnMut(usize, u64, usize, usize) -> Packet,
+    ) -> (Vec<Packet>, Vec<DeliveredPacket>, u64) {
+        let mut sw = SprinklersSwitch::new(config.clone(), 5);
+        let (mut offered, mut delivered) = (Vec::new(), Vec::new());
+        let mut pending = arrivals.iter().peekable();
+        let end = arrivals.last().map_or(0, |a| a.0) + 64 * config.n as u64;
+        for offset in 0..end {
+            for (_, matrix) in reconfigure.iter().filter(|r| r.0 == offset) {
+                sw.reconfigure_from_matrix(matrix);
+            }
+            while let Some(&(_, input, output)) = pending.next_if(|a| a.0 == offset) {
+                let packet = identity(offered.len(), origin + offset, input, output);
+                offered.push(packet.clone());
+                sw.arrive(packet);
+            }
+            sw.step(origin + offset, &mut delivered);
+            if offset % 16 == 0 {
+                sw.assert_consistent();
+            }
+        }
+        sw.assert_consistent();
+        (offered, delivered, sw.total_resizes())
+    }
+
+    /// Scheduling never reads a packet's identity, so one arrival schedule
+    /// run twice — once with benign identities (ids 0, 1, 2, …, flow 0,
+    /// consecutive seqs), once with adversarial ones — must depart the
+    /// same packets in the same slots through the same ports, and every
+    /// adversarial packet must come back exact.  The adversary mixes, inside
+    /// one VOQ's run, ids and arrival slots on both sides of a by-value
+    /// entry's bounds (u32::MAX, 2³¹), seqs that jump, repeat, stay 0 as a
+    /// fabric cell's do or cross 2³², and non-zero flows.  It runs under
+    /// fixed sizes, under a matrix reconfigured mid-run (a shrink that
+    /// commits over a backlog releases stripes that leave packets behind),
+    /// and under adaptive sizing, whose VOQs shrink the same way; arrival
+    /// slots drive adaptive sizing, so there they are the real ones.
+    #[test]
+    fn identities_never_change_the_schedule_and_come_back_exact() {
+        use crate::config::AdaptiveSizing;
+        const N: usize = 8;
+        let mut rng = SimRng::seed_from_u64(2014);
+        let mut arrivals = Vec::new();
+        for offset in 0..320u64 {
+            for input in 0..N {
+                if rng.unit_f64() < 0.6 {
+                    arrivals.push((offset, input, rng.below(N as u64) as usize));
+                }
+            }
+        }
+        let adaptive = AdaptiveSizing {
+            window: 32,
+            gamma: 1.0,
+            patience: 0,
+            initial_size: N,
+        };
+        let cases = [
+            (SizingMode::FixedSize(4), vec![], 0, true),
+            (
+                SizingMode::FromMatrix(TrafficMatrix::uniform(N, 0.9)),
+                vec![
+                    (120, TrafficMatrix::uniform(N, 0.02)),
+                    (220, TrafficMatrix::uniform(N, 0.3)),
+                ],
+                0,
+                true,
+            ),
+            (SizingMode::Adaptive(adaptive), vec![], 0, false),
+        ];
+        for (sizing, reconfigure, origin, vary_slots) in cases {
+            let config = SprinklersConfig::new(N).with_sizing(sizing);
+            let mut seqs = vec![0u64; N * N];
+            let benign = |k: usize, slot, input: usize, output: usize| {
+                let seq = &mut seqs[input * N + output];
+                *seq += 1;
+                Packet::new(input, output, k as u64, slot).with_voq_seq(*seq - 1)
+            };
+            let (_, calm, calm_resizes) =
+                run_identities(&config, &reconfigure, origin, &arrivals, benign);
+            let wide = 1u64 << 32;
+            let mut next_seq: Vec<u64> =
+                (0..N * N).map(|v| [0, 9, wide - 3, wide][v % 4]).collect();
+            let adversary = |k: usize, slot: u64, input: usize, output: usize| {
+                let bits = (k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let next = &mut next_seq[input * N + output];
+                let seq = match bits >> 61 {
+                    0 => *next + 1 + (bits >> 32) % 4,
+                    1 => next.saturating_sub(1),
+                    2 => 0,
+                    _ => *next,
+                };
+                *next = (*next).max(seq + 1);
+                let id = [k as u64, wide - 2, wide - 1, wide, k as u64 | 1 << 40]
+                    [(bits >> 8) as usize % 5];
+                let half = 1u64 << 31;
+                let slots = [slot, half - 1, half, half + 1, wide - 1, wide, slot, slot];
+                let slot = if vary_slots {
+                    slots[(bits >> 16) as usize % 8]
+                } else {
+                    slot
+                };
+                let flow = if (bits >> 24).is_multiple_of(5) {
+                    bits >> 40 | 1
+                } else {
+                    0
+                };
+                Packet::new(input, output, id, slot)
+                    .with_voq_seq(seq)
+                    .with_flow(flow)
+            };
+            let (offered, wild, wild_resizes) =
+                run_identities(&config, &reconfigure, origin, &arrivals, adversary);
+            assert!(
+                calm.len() * 2 > offered.len(),
+                "only {} delivered",
+                calm.len()
+            );
+            assert_eq!(calm.len(), wild.len());
+            assert_eq!(calm_resizes, wild_resizes);
+            assert_eq!(calm_resizes > 0, !reconfigure.is_empty() || !vary_slots);
+            for (a, b) in calm.iter().zip(&wild) {
+                assert_eq!(a.departure_slot, b.departure_slot);
+                let mut want = offered[a.packet.id as usize].clone();
+                stamp_routing(&mut want, a.packet.intermediate(), a.packet.stripe_size());
+                assert_eq!(want.stripe_index(), a.packet.stripe_index());
+                assert_eq!(b.packet, want, "departure slot {}", a.departure_slot);
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! The per-switch packet store: every packet body is written once, at
-//! arrival, and read once, at delivery; everything in between moves a
-//! four-byte [`PacketHandle`].
+//! The per-switch packet store: every packet body is written once — at
+//! arrival, or by a Sprinklers input when the packet leaves it — and read
+//! once, at delivery; everything in between moves a four-byte
+//! [`PacketHandle`].
 //!
 //! The paper's mechanism needs almost no per-packet state between the two
 //! fabrics — the stripe size in the header is the only coordination (§3.4.3)
 //! and the other routing fields follow from the dyadic interval — so the
-//! queues of a Sprinklers switch (VOQ ready queues, LSF interval queues,
-//! the intermediate `(output, level)` FIFOs; see [`crate::fifo`]) hold
-//! handles, not packets, and a stored body is 16 bytes: a `u32` `id` and
+//! queues past a Sprinklers input (LSF interval queues, the intermediate
+//! `(output, level)` FIFOs; see [`crate::fifo`]) hold handles, not packets,
+//! its VOQ ready queues hold packets by value, and a stored body is 16 bytes: a `u32` `id` and
 //! `arrival_slot`, a 30-bit `voq_seq` beside a `WIDE` and a `PADDING` flag,
 //! and `u16` ports, aligned so four share a cache line.  A packet whose id
 //! is `u32::MAX` or more, whose slot is 2³² or more, or whose `voq_seq` is

@@ -8,11 +8,11 @@
 //! servicing of two stripes never interleaves, which — combined with FCFS
 //! order of stripes within a VOQ — is what rules out packet reordering.
 //!
-//! A stripe is never materialized.  Its packets stay where `arrive` wrote
-//! them in the [`PacketStore`](crate::store::PacketStore); the stripe itself
-//! is the run of `size` consecutive handles at the head of its VOQ's ready
-//! queue, described by a [`Stripe`] for the moment it takes to hand the run
-//! to the LSF scheduler.  Nor are the routing fields written at assembly: the
+//! A stripe is never materialized.  It is the run of `size` consecutive
+//! entries at the head of its VOQ's ready queue — packets held by value, or
+//! handles into the [`PacketStore`](crate::store::PacketStore) — described
+//! by a [`Stripe`] for the moment it takes to hand the run to the LSF
+//! scheduler.  Nor are the routing fields written at assembly: the
 //! intermediate port a packet crossed and the size of the stripe it travelled
 //! in determine all three, so [`stamp_routing`] fills them in once, on the
 //! copy that leaves the switch — for every scheme of the two-stage kernel.
@@ -29,6 +29,9 @@ pub struct Stripe {
     /// True if the stripe is everything the ready queue holds, so it can be
     /// spliced out whole instead of popped entry by entry.
     pub drains_source: bool,
+    /// The run's base: entry `k` of the stripe, if held by value, has
+    /// `voq_seq = seq_base + k`.
+    pub seq_base: u32,
 }
 
 impl Stripe {
@@ -71,6 +74,7 @@ mod tests {
         let stripe = Stripe {
             interval: DyadicInterval::new(8, 4),
             drains_source: true,
+            seq_base: 0,
         };
         assert_eq!(stripe.size(), 4);
         assert_eq!(stripe.level(), 2);
@@ -88,6 +92,7 @@ mod tests {
         let s = Stripe {
             interval: DyadicInterval::new(5, 1),
             drains_source: false,
+            seq_base: 0,
         };
         assert_eq!(s.size(), 1);
         assert_eq!(s.level(), 0);

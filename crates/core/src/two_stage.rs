@@ -5,8 +5,10 @@
 //! machine: inputs, a periodic first fabric, FIFOs at every intermediate
 //! port, a periodic second fabric and — for FOFF — resequencing buffers at
 //! the outputs.  [`TwoStage`] owns all of it: the [`PacketStore`] (a body
-//! is written at `arrive` and read at departure, every queue in between
-//! holds its handle), the [`IntermediateStage`], the occupancy bitsets,
+//! is written once and read at departure, every queue in between holds its
+//! handle; the policy decides when the body is written — the baselines at
+//! arrival, Sprinklers when the packet leaves its input), the
+//! [`IntermediateStage`], the occupancy bitsets,
 //! every [`SwitchStats`] counter, the per-slot passes and the one
 //! `impl Switch`.  A scheme is an [`InputPolicy`]: what an input does with
 //! an arrival, which packet it hands the first fabric when connected to an
@@ -86,9 +88,12 @@ pub trait InputPolicy {
         false
     }
 
-    /// Queue the handle of `packet`, whose body the kernel has just stored;
-    /// returns whether its input is now servable.
-    fn arrive(&mut self, packet: &Packet, handle: PacketHandle) -> bool;
+    /// Queue `packet` at its input; returns whether the input is now
+    /// servable.  `store` writes the packet's body and returns its handle
+    /// (noting its arrival with FOFF's resequencer too).  A policy calls it
+    /// at once, or — to hold the packet by value while it waits — not at
+    /// all, and writes the body itself when [`Self::serve`] sends it.
+    fn arrive(&mut self, packet: &Packet, store: impl FnOnce() -> PacketHandle) -> bool;
 
     /// Load what [`Self::arrive`] will read first for `packet` and return
     /// bits of it; called for a whole slot's arrivals before any of them
@@ -99,7 +104,7 @@ pub trait InputPolicy {
 
     /// `input` is connected to intermediate port `connected` in `slot`.
     /// `store` is the switch's packet store, for a policy that mints packets
-    /// of its own (PF's padding).
+    /// of its own (PF's padding) or sends one it held by value.
     fn serve(
         &mut self,
         input: usize,
@@ -127,6 +132,11 @@ pub trait CheckInput {
     /// scan — including that `servable` is the bit it should be — and
     /// return the number of packets the input holds.
     fn check_input(&self, input: usize, servable: bool) -> usize;
+
+    /// How many of the packets `input` holds have no body in the store.
+    fn held_by_value(&self, _input: usize) -> usize {
+        0
+    }
 }
 
 /// A two-stage load-balanced switch running input policy `P`.
@@ -203,20 +213,25 @@ impl<P: InputPolicy> TwoStage<P> {
         }
     }
 
-    /// Store an arriving packet and queue its handle at its input.
+    /// Queue an arriving packet at its input, which stores it when its
+    /// policy asks to.
     // lint: hot-path
     #[inline]
     fn admit(&mut self, packet: &Packet) {
         debug_assert!(packet.input() < self.n && packet.output() < self.n);
         self.arrivals += 1;
         self.queued_inputs += 1;
-        let handle = self.store.insert(packet);
-        if P::RESEQUENCES {
-            // The output resequencer needs the arrival order of each VOQ.
-            let (input, output) = packet.voq();
-            self.resequencer.note_arrival(input, output, handle);
-        }
-        if self.policy.arrive(packet, handle) {
+        let (store, resequencer) = (&mut self.store, &mut self.resequencer);
+        let stored = || {
+            let handle = store.insert(packet);
+            if P::RESEQUENCES {
+                // The output resequencer needs the arrival order of each VOQ.
+                let (input, output) = packet.voq();
+                resequencer.note_arrival(input, output, handle);
+            }
+            handle
+        };
+        if self.policy.arrive(packet, stored) {
             self.occupied_inputs.insert(packet.input());
         }
     }
@@ -403,9 +418,10 @@ impl<P: InputPolicy + CheckInput> TwoStage<P> {
     /// against the counters; every scheme's interleaving test calls this.
     /// The counters checked are also what batch elision reads.
     pub fn assert_consistent(&self) {
-        let mut at_inputs = 0;
+        let (mut at_inputs, mut by_value) = (0, 0);
         for i in 0..self.n {
             at_inputs += self.policy.check_input(i, self.occupied_inputs.contains(i));
+            by_value += self.policy.held_by_value(i);
         }
         assert_eq!(self.queued_inputs, at_inputs, "input-stage counter");
         let at_intermediates = self.intermediates.assert_consistent();
@@ -424,7 +440,7 @@ impl<P: InputPolicy + CheckInput> TwoStage<P> {
         assert_eq!(self.queued_outputs, at_outputs, "output-stage counter");
         assert_eq!(
             self.store.live(),
-            at_inputs + at_intermediates + at_outputs,
+            at_inputs - by_value + at_intermediates + at_outputs,
             "every stored body is queued at exactly one stage"
         );
     }

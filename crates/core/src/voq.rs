@@ -23,14 +23,40 @@
 //! sizing needs lives in a separate [`AdaptiveVoq`], which fixed and
 //! matrix-driven switches never allocate; its constants — window, EWMA
 //! weight, patience — are one [`AdaptiveRule`] per switch.
+//!
+//! A waiting packet has no store body: its entry is `[id, arrival_slot]`,
+//! its ports are the VOQ's, its flow 0, and its `voq_seq` its run's *base*
+//! (the ready queue's tail word, in the line a push writes anyway) plus its
+//! position.  Any other packet — a flow, padding, an id past 32 bits, a slot
+//! of 2³¹ or more, a `voq_seq` the run does not expect — is stored at
+//! arrival and queued as `[handle, MARKED]`.  A released [`Stripe`] carries
+//! its base, so the scheduler can write the bodies as it sends them.
 
 use crate::config::AdaptiveSizing;
 use crate::dyadic::DyadicInterval;
-use crate::fifo::{Ends, FifoGrid};
+use crate::fifo::{Ends, Entry, FifoGrid};
+use crate::packet::Packet;
 use crate::rate_estimator::{RateEstimator, RateWindow};
 use crate::sizing::SizeDecider;
 use crate::store::PacketHandle;
 use crate::stripe::Stripe;
+
+/// Second word of a ready-queue entry that holds a stored packet's handle in
+/// its first; a by-value entry's second word is a slot below this bit.
+pub(crate) const MARKED: u32 = 1 << 31;
+
+/// `packet`'s by-value entry `[id, arrival_slot]`, if a run whose next
+/// position carries `voq_seq == expected` can rebuild it from that entry.
+#[inline]
+fn by_value(packet: &Packet, expected: u64) -> Option<Entry> {
+    let entry = [
+        u32::try_from(packet.id).ok()?,
+        u32::try_from(packet.arrival_slot).ok()?,
+    ];
+    let fits = entry[1] & MARKED == 0 && u32::try_from(expected).is_ok();
+    let plain = packet.flow == 0 && !packet.is_padding() && packet.voq_seq == expected;
+    (fits && plain).then_some(entry)
+}
 
 /// A VOQ's record: its ready queue's ends, then its count word and its
 /// flight word.
@@ -209,14 +235,27 @@ impl Voqs {
         (0..self.outputs()).map(|o| self.ready_len(o)).sum()
     }
 
-    /// Append an arriving (already stored) packet, tagged with its output
-    /// port, to VOQ `output`'s ready queue.  Call [`Voqs::release_stripe`]
-    /// afterwards to collect what became complete.
+    /// Append an arriving packet to VOQ `output`'s ready queue: by value if
+    /// it can be, otherwise as the handle `store` stores it under.  An empty
+    /// run takes its first packet's `voq_seq` as its base.  Call
+    /// [`Voqs::release_stripe`] afterwards to collect what became complete.
     // lint: hot-path
     #[inline]
-    pub fn push(&mut self, grid: &mut FifoGrid, output: usize, handle: PacketHandle, tag: u32) {
+    pub fn push(
+        &mut self,
+        grid: &mut FifoGrid,
+        output: usize,
+        packet: &Packet,
+        store: impl FnOnce() -> PacketHandle,
+    ) {
+        let ready = self.ready_len(output);
         let record = &mut self.records[output];
-        grid.push_at(&mut record[0], handle, tag);
+        let base = grid
+            .tail_word(record[0])
+            .unwrap_or(u32::try_from(packet.voq_seq).unwrap_or_default());
+        let entry =
+            by_value(packet, u64::from(base) + ready).unwrap_or_else(|| [store().raw(), MARKED]);
+        grid.push_at(&mut record[0], entry, base);
         let count = &mut record[1][0];
         // Below `READY_MASK` only for a narrow record with room left.
         if *count & (WIDE | READY_MASK) < READY_MASK {
@@ -237,7 +276,8 @@ impl Voqs {
 
     /// Release the next complete stripe at the head of VOQ `output`'s ready
     /// queue, if there is one: the entries stay in the queue for the
-    /// scheduler to take.  `primary` gives the VOQ's primary intermediate
+    /// scheduler to take, and the run left behind has its base moved past
+    /// them.  `primary` gives the VOQ's primary intermediate
     /// port and is called only when a stripe is released.  Call until it
     /// returns `None` — an arrival completes at most one stripe, but a
     /// committed shrink can free several at once — handing each stripe to
@@ -250,6 +290,7 @@ impl Voqs {
     #[inline]
     pub fn release_stripe(
         &mut self,
+        grid: &mut FifoGrid,
         output: usize,
         primary: impl FnOnce() -> usize,
     ) -> Option<Stripe> {
@@ -279,9 +320,17 @@ impl Voqs {
             counts[1] += u64::from(size);
             counts[0] == 0
         };
+        let ends = self.records[output][0];
+        let seq_base = grid.tail_word(ends).unwrap_or_default();
+        if !drains {
+            // No by-value entry is left if this wraps: its `voq_seq` would
+            // be past 32 bits.
+            grid.set_tail_word(ends, seq_base.wrapping_add(size));
+        }
         Some(Stripe {
             interval: DyadicInterval::containing(primary(), 1 << level),
             drains_source: drains,
+            seq_base,
         })
     }
 
@@ -449,20 +498,21 @@ mod tests {
         (Voqs::new(n, StartLevels::uniform(size)), FifoGrid::new(0))
     }
 
-    /// Push a packet whose handle doubles as its VOQ sequence number.
+    /// Push a stored packet whose handle doubles as its VOQ sequence number.
     fn push(v: &mut Voqs, grid: &mut FifoGrid, seq: u32) {
-        v.push(grid, OUT, PacketHandle::from_raw(seq), 1);
+        let packet = Packet::new(0, OUT, 0, 0).with_flow(1);
+        v.push(grid, OUT, &packet, || PacketHandle::from_raw(seq));
     }
 
     /// Take a released stripe's entries off the ready queue, oldest first.
     fn seqs(v: &mut Voqs, grid: &mut FifoGrid, stripe: &Stripe) -> Vec<u32> {
         (0..stripe.size())
             .map(|_| {
-                let (handle, output) = grid
+                let [handle, tag] = grid
                     .pop_at(v.ready_queue(OUT))
                     .expect("the run is in the queue");
-                assert_eq!(output, 1);
-                handle.raw()
+                assert_eq!(tag, MARKED);
+                handle
             })
             .collect()
     }
@@ -473,13 +523,13 @@ mod tests {
         assert_eq!(v.stripe_size(OUT), 4);
         for i in 0..3 {
             push(&mut v, &mut grid, i);
-            assert!(v.release_stripe(OUT, || 5).is_none());
+            assert!(v.release_stripe(&mut grid, OUT, || 5).is_none());
         }
         push(&mut v, &mut grid, 3);
         let stripe = v
-            .release_stripe(OUT, || 5)
+            .release_stripe(&mut grid, OUT, || 5)
             .expect("four packets fill the stripe");
-        assert!(v.release_stripe(OUT, || 5).is_none());
+        assert!(v.release_stripe(&mut grid, OUT, || 5).is_none());
         assert_eq!(stripe.size(), 4);
         assert_eq!(stripe.interval, DyadicInterval::new(4, 4));
         assert!(stripe.drains_source);
@@ -495,12 +545,12 @@ mod tests {
         for i in 0..5 {
             push(&mut v, &mut grid, i);
             let s = v
-                .release_stripe(OUT, || 3)
+                .release_stripe(&mut grid, OUT, || 3)
                 .expect("every packet is a stripe");
             assert_eq!(s.size(), 1);
             assert_eq!(s.interval, DyadicInterval::new(3, 1));
             assert_eq!(seqs(&mut v, &mut grid, &s), vec![i]);
-            assert!(v.release_stripe(OUT, || 3).is_none());
+            assert!(v.release_stripe(&mut grid, OUT, || 3).is_none());
         }
     }
 
@@ -524,7 +574,7 @@ mod tests {
         push(&mut v, &mut grid, 0);
         push(&mut v, &mut grid, 1);
         let first = v
-            .release_stripe(OUT, || 1)
+            .release_stripe(&mut grid, OUT, || 1)
             .expect("two packets fill the stripe");
         assert_eq!(seqs(&mut v, &mut grid, &first), vec![0, 1]);
         assert_eq!(v.in_flight(OUT), 2);
@@ -540,7 +590,7 @@ mod tests {
         // During clearance, arrivals accumulate and no stripes are formed.
         for i in 2..8 {
             push(&mut v, &mut grid, i);
-            assert!(v.release_stripe(OUT, || 1).is_none());
+            assert!(v.release_stripe(&mut grid, OUT, || 1).is_none());
         }
         assert_eq!(v.ready_len(OUT), 6);
 
@@ -553,9 +603,9 @@ mod tests {
         );
         assert_eq!(v.stripe_size(OUT), 4);
         let released = v
-            .release_stripe(OUT, || 1)
+            .release_stripe(&mut grid, OUT, || 1)
             .expect("6 ready packets form one stripe of 4");
-        assert!(v.release_stripe(OUT, || 1).is_none());
+        assert!(v.release_stripe(&mut grid, OUT, || 1).is_none());
         assert_eq!(released.size(), 4);
         assert_eq!(released.interval, DyadicInterval::new(0, 4));
         assert!(!released.drains_source, "two packets stay behind");
@@ -569,7 +619,7 @@ mod tests {
         let (mut v, mut grid) = table(8, 2);
         push(&mut v, &mut grid, 0);
         push(&mut v, &mut grid, 1);
-        assert!(v.release_stripe(OUT, || 1).is_some());
+        assert!(v.release_stripe(&mut grid, OUT, || 1).is_some());
         v.request_resize(OUT, 4);
         assert!(v.resize_pending(OUT));
         v.request_resize(OUT, 2);
@@ -581,7 +631,7 @@ mod tests {
         let (mut v, mut grid) = table(8, 8);
         for i in 0..6 {
             push(&mut v, &mut grid, i);
-            assert!(v.release_stripe(OUT, || 0).is_none());
+            assert!(v.release_stripe(&mut grid, OUT, || 0).is_none());
         }
         // With nothing in flight the resize is immediate and the 6 ready
         // packets become 3 stripes of 2, in arrival order.
@@ -589,7 +639,7 @@ mod tests {
         assert_eq!(v.stripe_size(OUT), 2);
         let mut order = Vec::new();
         let mut stripes = 0;
-        while let Some(s) = v.release_stripe(OUT, || 0) {
+        while let Some(s) = v.release_stripe(&mut grid, OUT, || 0) {
             assert_eq!(s.size(), 2);
             assert_eq!(s.drains_source, stripes == 2, "only the last empties it");
             order.extend(seqs(&mut v, &mut grid, &s));
@@ -623,7 +673,7 @@ mod tests {
             if let Some(size) = sizing.tick(u64::from(slot), &rule) {
                 resizes += u32::from(v.request_resize(OUT, size));
             }
-            while let Some(s) = v.release_stripe(OUT, || 7) {
+            while let Some(s) = v.release_stripe(&mut grid, OUT, || 7) {
                 for _ in seqs(&mut v, &mut grid, &s) {
                     resizes += u32::from(v.packet_delivered(OUT));
                 }
@@ -646,7 +696,7 @@ mod tests {
             patience: 0,
             initial_size: 16,
         };
-        let (mut v, _) = table(n, params.initial_size);
+        let (mut v, mut grid) = table(n, params.initial_size);
         let rule = AdaptiveRule::new(n, &params);
         let mut sizing = AdaptiveVoq::new(&rule);
         // No arrivals at all: after a few windows the decider should shrink
@@ -655,7 +705,7 @@ mod tests {
             if let Some(size) = sizing.tick(slot, &rule) {
                 v.request_resize(OUT, size);
             }
-            assert!(v.release_stripe(OUT, || 7).is_none());
+            assert!(v.release_stripe(&mut grid, OUT, || 7).is_none());
         }
         assert_eq!(v.stripe_size(OUT), 1);
     }
@@ -753,6 +803,11 @@ mod tests {
     }
 
     impl Voqs {
+        /// The ends of VOQ `output`'s ready queue, to walk.
+        pub(crate) fn ready_queue_ends(&self, output: usize) -> Ends {
+            self.records[output][0]
+        }
+
         /// Is a stripe-size change of VOQ `output` waiting for the
         /// clearance phase?
         fn resize_pending(&self, output: usize) -> bool {
@@ -800,7 +855,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(160))]
         /// Random push / deliver / resize sequences, each followed by the
         /// port's release loop, agree with the by-value reference: the same
-        /// stripes with the same packets, levels, counts and commits.  Cases
+        /// stripes with the same packets, levels, counts and commits, and
+        /// every packet held by value gets back its `voq_seq` from its
+        /// stripe's base — across non-draining releases and pushes that
+        /// must be stored (a flow, a seq that jumps mid-run).  Cases
         /// cover n = 2, 16 and 2¹⁵ (levels 0 to 15, start levels 0 and
         /// log₂N) and VOQs put in place one step short of each count's
         /// width: a resize pending behind three packets in flight over a
@@ -838,10 +896,19 @@ mod tests {
             agree(&v, &grid, &model)?;
             let primary = 3 % n;
             let mut next = 0u32;
+            let mut seq_of: Vec<u64> = Vec::new();
             for (op, arg) in ops {
                 match op {
                     0..=3 => {
-                        v.push(&mut grid, OUT, PacketHandle::from_raw(next), 1);
+                        // Id, slot and an in-order seq are all `next`; a seq
+                        // that jumps, or a flow, needs a stored body unless
+                        // it starts a run.
+                        let seq = u64::from(next) + if arg % 5 == 0 { 7 } else { 0 };
+                        seq_of.push(seq);
+                        let packet = Packet::new(0, OUT, next.into(), next.into())
+                            .with_voq_seq(seq)
+                            .with_flow(u64::from(arg % 7 == 1));
+                        v.push(&mut grid, OUT, &packet, || PacketHandle::from_raw(next));
                         model.ready.push_back(next);
                         next += 1;
                     }
@@ -864,7 +931,7 @@ mod tests {
                 // The port's release loop, with the scheduler's take of each
                 // stripe's real packets.
                 loop {
-                    match (v.release_stripe(OUT, || primary), model.release()) {
+                    match (v.release_stripe(&mut grid, OUT, || primary), model.release()) {
                         (None, None) => break,
                         (Some(stripe), Some((level, drains, phantom, real))) => {
                             prop_assert_eq!(
@@ -873,9 +940,18 @@ mod tests {
                             );
                             prop_assert_eq!(stripe.drains_source, drains);
                             let taken: Vec<u32> = (phantom..stripe.size() as u64)
-                                .map(|_| {
-                                    grid.pop_at(v.ready_queue(OUT))
-                                        .map_or(u32::MAX, |(h, _)| h.raw())
+                                .map(|k| match grid.pop_at(v.ready_queue(OUT)) {
+                                    Some([handle, MARKED]) => handle,
+                                    // A by-value entry's seq is the base plus
+                                    // its offset.
+                                    Some([id, slot])
+                                        if slot == id
+                                            && u64::from(stripe.seq_base) + k
+                                                == seq_of[id as usize] =>
+                                    {
+                                        id
+                                    }
+                                    _ => u32::MAX,
                                 })
                                 .collect();
                             prop_assert_eq!(taken, real);

@@ -40,8 +40,8 @@
 //! the traffic pattern or duplicate that record.
 //!
 //! Part 7 bounds the packet store the same way, at the `wide-sprinklers`
-//! benchmark cell: a Sprinklers run at n = 256 requests 16 bytes per store
-//! slot beyond its grids.
+//! benchmark cell: a Sprinklers run at n = 256 stores a body only for the
+//! packets past its inputs, and requests little beyond its chunk pools.
 //!
 //! This file deliberately contains a single `#[test]`: the allocation
 //! counter is process-global, so a second concurrently-running test would
@@ -463,15 +463,17 @@ fn the_widest_cell_requests_only_the_tables_it_uses() {
 
 /// Part 7: the `wide-sprinklers` benchmark cell (matrix-sized Sprinklers,
 /// n = 256, diagonal load 0.05) for 20 000 slots, by which time 183 k
-/// packets are resident.  Past what the switch requests at construction —
-/// its grids' queue ends and its zeroed 16-byte VOQ records, 7.1 MiB — the
-/// run requests 16 bytes per store slot for the bodies (2.8 MiB) plus at
-/// most 5.25 MiB for the grids' chunk pools, which grow a 4 KiB page at a
-/// time (4.63 MiB measured; 11.7 MiB when each input had a pool of its own
-/// that grew by doubling).  With 32-byte bodies the same run requested
-/// 10.22 MiB, over its 8.05 MiB budget; with 48-byte bodies and a 4-byte
-/// free-list entry per slot it requested 22.05 MiB.
-fn the_wide_sprinklers_cell_stores_32_bytes_per_packet() {
+/// packets are resident, nearly all of them waiting at the inputs for
+/// their stripes to fill.  A waiting packet has no store body — its ready
+/// queue holds it by value — so the store never holds more than one page
+/// past the most packets ever beyond the inputs (11.7 k here).  Past what
+/// the switch requests at construction — its grids' queue ends and its
+/// zeroed 16-byte VOQ records, 7.1 MiB — the run requests at most 5 MiB,
+/// nearly all of it for the grids' chunk pools, which grow a 4 KiB page at
+/// a time (4.81 MiB measured).  With a 16-byte body written at every
+/// arrival the same run requested 7.43 MiB, with 32-byte bodies 10.22 MiB,
+/// and with 48-byte bodies and a 4-byte free-list entry per slot 22.05 MiB.
+fn the_wide_sprinklers_cell_stores_only_packets_past_the_inputs() {
     const WIDE: usize = 256;
     const SLOTS: u64 = 20_000;
     let matrix = TrafficMatrix::diagonal(WIDE, 0.05);
@@ -483,25 +485,32 @@ fn the_wide_sprinklers_cell_stores_32_bytes_per_packet() {
     let before = requested_bytes();
     let mut switch = SprinklersSwitch::new(config, 7);
     let built = requested_bytes() - before;
-    drive_generated(
-        &mut switch,
-        &mut traffic,
-        &mut arrivals,
-        &mut sink,
-        &mut voq_seq,
-        0..SLOTS,
-    );
+    let mut past_inputs = 0;
+    for slot in 0..SLOTS {
+        drive_generated(
+            &mut switch,
+            &mut traffic,
+            &mut arrivals,
+            &mut sink,
+            &mut voq_seq,
+            slot..slot + 1,
+        );
+        let stats = switch.stats();
+        past_inputs = past_inputs.max(stats.queued_at_intermediates + stats.queued_at_outputs);
+    }
     let ran = requested_bytes() - before - built;
-    let bodies = 16 * switch.store_capacity() as u64;
     assert!(switch.stats().total_queued() > 150_000);
     assert!(
-        ran <= bodies + (21 << 18),
+        switch.store_capacity() <= past_inputs + PAGE_SLOTS,
+        "the store grew to {} slots, but at most {past_inputs} packets were ever past the inputs",
+        switch.store_capacity()
+    );
+    assert!(
+        ran <= 5 << 20,
         "{SLOTS} slots of matrix-sized sprinklers at n = {WIDE} requested {:.2} MiB past \
-         construction ({:.2} MiB); the budget is 16 B per store slot ({:.2} MiB) plus \
-         5.25 MiB of chunk pools",
+         construction ({:.2} MiB); the budget is 5 MiB",
         ran as f64 / f64::from(1 << 20),
         built as f64 / f64::from(1 << 20),
-        bodies as f64 / f64::from(1 << 20),
     );
 }
 
@@ -624,5 +633,5 @@ fn hot_paths_do_not_allocate_in_steady_state() {
     baselines_request_memory_in_proportion_to_queues_and_packets();
     generators_allocate_nothing_after_construction();
     the_widest_cell_requests_only_the_tables_it_uses();
-    the_wide_sprinklers_cell_stores_32_bytes_per_packet();
+    the_wide_sprinklers_cell_stores_only_packets_past_the_inputs();
 }
