@@ -8,6 +8,12 @@
 //! because results are reassembled in case order and every run is seeded
 //! from its spec alone.
 //!
+//! The run itself is [`SuiteRun`]: each case is emitted as soon as every
+//! earlier case has been, and its metrics are dropped then, so the suite
+//! holds one case's metrics at a time, not the whole sweep's.  The outputs
+//! are written only once every case has succeeded; a failing case exits 2
+//! naming the earliest failing case and writes neither file.
+//!
 //! Two optional sidecars ride along without touching the CSV bytes:
 //!
 //! * `--cache <dir>` keeps a content-addressed store of finished runs,
@@ -31,6 +37,10 @@
 //!     --schemes sprinklers,foff --loads 0.3,0.6,0.9 \
 //!     --cache .sprinklers-cache --metrics full --out merged.csv
 //! ```
+//!
+//! [`ScenarioSpec`]: sprinklers_sim::spec::ScenarioSpec
+//! [`ScenarioSpec::content_hash`]: sprinklers_sim::spec::ScenarioSpec::content_hash
+//! [`SimReport::metrics_json`]: sprinklers_sim::report::SimReport::metrics_json
 
 use sprinklers_bench::cli::{
     arg_value, check_distinct_paths, check_flags, exit_on_help, fail, has_flag, note_inert_fields,
@@ -38,9 +48,11 @@ use sprinklers_bench::cli::{
 };
 use sprinklers_sim::cache::{CachedRun, ExperimentCache};
 use sprinklers_sim::engine::RunConfig;
-use sprinklers_sim::parallel::{default_workers, run_specs_parallel};
-use sprinklers_sim::report::{merge_csv_rows, metrics_sidecar_json, SimReport};
-use sprinklers_sim::spec::{ScenarioSpec, SuiteSpec};
+use sprinklers_sim::parallel::default_workers;
+use sprinklers_sim::spec::{SuiteCase, SuiteRun, SuiteSpec};
+use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::BufWriter;
 
 const USAGE: &str = "\
 Run every ScenarioSpec JSON file in a directory, in parallel, and merge the
@@ -149,68 +161,48 @@ fn main() {
         cases.len()
     );
 
+    // The sidecar goes to a temp file beside its path, renamed onto it only
+    // once every case has succeeded.
+    let tmp = sidecar_path
+        .as_ref()
+        .map(|path| format!("{path}.{}.tmp", std::process::id()));
+    let abort = |message: String| -> ! {
+        if let Some(tmp) = &tmp {
+            let _ = std::fs::remove_file(tmp);
+        }
+        fail(&message)
+    };
+    let sidecar = tmp.as_ref().map(|tmp| {
+        let file = File::create(tmp).unwrap_or_else(|e| fail(&format!("cannot write {tmp}: {e}")));
+        BufWriter::new(file)
+    });
     // Probe the cache *after* every override (--quick changes the run
-    // config, which is part of the scientific identity).  A stored entry
-    // lacking metrics cannot serve a --metrics run, so it counts as a
-    // miss and gets recomputed (and re-stored with metrics).
-    let mut outcomes: Vec<Option<CachedRun>> = cases
-        .iter()
-        .map(|case| {
-            cache
-                .as_ref()
-                .and_then(|c| c.load(case.spec.content_hash()))
-                .filter(|run| !want_metrics || run.metrics_json.is_some())
-        })
-        .collect();
-    let miss_indices: Vec<usize> = outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| o.is_none().then_some(i))
-        .collect();
+    // config, which is part of the scientific identity).
+    let run =
+        SuiteRun::probe(&cases, cache.as_ref(), sidecar).unwrap_or_else(|e| abort(e.to_string()));
+    let computed = run.misses();
     if cache.is_some() {
-        let (total, misses) = (cases.len(), miss_indices.len());
-        if misses == 0 {
+        let total = cases.len();
+        if computed == 0 {
             eprintln!("suite: cache: all {total} case(s) served from cache");
         } else {
             eprintln!(
-                "suite: cache: {} hit(s), {misses} miss(es) of {total}",
-                total - misses
+                "suite: cache: {} hit(s), {computed} miss(es) of {total}",
+                total - computed
             );
         }
     }
 
-    let miss_specs: Vec<ScenarioSpec> = miss_indices
-        .iter()
-        .map(|&i| cases[i].spec.clone())
-        .collect();
     let t0 = std::time::Instant::now();
-    let results = run_specs_parallel(&miss_specs, workers);
+    let (csv, runs, sidecar) = run.finish(workers).unwrap_or_else(|e| abort(e.to_string()));
     let elapsed = t0.elapsed();
-    let computed = results.len();
-
-    // Fail on the earliest failing case (deterministic), naming it.
-    for (&i, result) in miss_indices.iter().zip(results) {
-        let report: SimReport = match result {
-            Ok(report) => report,
-            Err(e) => fail(&e.context(format!("case '{}'", cases[i].name)).to_string()),
-        };
-        let run = CachedRun::from_report(&report, want_metrics);
-        if let Some(cache) = &cache {
-            let hash = cases[i].spec.content_hash();
-            cache
-                .store(hash, &run)
-                .unwrap_or_else(|e| fail(&format!("cannot store cache entry {hash:032x}: {e}")));
+    if let (Some(sidecar), Some(tmp), Some(path)) = (sidecar, &tmp, &sidecar_path) {
+        let written = sidecar.into_inner().map_err(|e| e.into_error());
+        if let Err(e) = written.and_then(|_| std::fs::rename(tmp, path)) {
+            abort(format!("cannot write {path}: {e}"));
         }
-        outcomes[i] = Some(run);
     }
-    let runs: Vec<CachedRun> = outcomes.into_iter().map(Option::unwrap).collect();
 
-    let csv = merge_csv_rows(
-        cases
-            .iter()
-            .map(|c| c.name.as_str())
-            .zip(runs.iter().map(|r| r.csv_row.clone())),
-    );
     match &out {
         Some(path) => {
             std::fs::write(path, &csv)
@@ -220,14 +212,6 @@ fn main() {
         None => print!("{csv}"),
     }
     if let Some(path) = &sidecar_path {
-        let sidecar = metrics_sidecar_json(
-            cases
-                .iter()
-                .zip(&runs)
-                .map(|(c, r)| (c.name.as_str(), r.metrics_json.as_deref().unwrap())),
-        );
-        std::fs::write(path, &sidecar)
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
         eprintln!("suite: wrote metrics sidecar to {path}");
     }
 
@@ -240,9 +224,9 @@ fn main() {
 }
 
 /// Per-scheme aggregate table on stderr, sorted by scheme name.  Works
-/// from [`CachedRun`] scalars so cached and fresh cells contribute
-/// identically.
-fn print_summary(cases: &[sprinklers_sim::spec::SuiteCase], runs: &[CachedRun]) {
+/// from the [`CachedRun`] scalars a suite keeps, so cached and fresh cells
+/// contribute identically.
+fn print_summary(cases: &[SuiteCase], runs: &[CachedRun]) {
     struct Agg {
         runs: usize,
         delay_sum: f64,
@@ -250,32 +234,21 @@ fn print_summary(cases: &[sprinklers_sim::spec::SuiteCase], runs: &[CachedRun]) 
         reorders: u64,
         min_delivery: f64,
     }
-    let mut schemes: Vec<(String, Agg)> = Vec::new();
+    let mut schemes: BTreeMap<&str, Agg> = BTreeMap::new();
     for (case, run) in cases.iter().zip(runs) {
-        let key = case.spec.scheme.clone();
-        let agg = match schemes.iter_mut().find(|(name, _)| *name == key) {
-            Some((_, agg)) => agg,
-            None => {
-                schemes.push((
-                    key,
-                    Agg {
-                        runs: 0,
-                        delay_sum: 0.0,
-                        worst_p99: 0,
-                        reorders: 0,
-                        min_delivery: f64::INFINITY,
-                    },
-                ));
-                &mut schemes.last_mut().unwrap().1
-            }
-        };
+        let agg = schemes.entry(&case.spec.scheme).or_insert(Agg {
+            runs: 0,
+            delay_sum: 0.0,
+            worst_p99: 0,
+            reorders: 0,
+            min_delivery: f64::INFINITY,
+        });
         agg.runs += 1;
         agg.delay_sum += run.mean_delay;
         agg.worst_p99 = agg.worst_p99.max(run.p99_delay);
         agg.reorders += run.voq_reorders;
         agg.min_delivery = agg.min_delivery.min(run.delivery_ratio);
     }
-    schemes.sort_by(|a, b| a.0.cmp(&b.0));
 
     eprintln!(
         "{:<22} {:>5} {:>12} {:>10} {:>9} {:>9}",

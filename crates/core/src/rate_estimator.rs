@@ -68,22 +68,34 @@ impl RateEstimator {
         // Compare `slot - window_start >= window` instead of
         // `slot >= window_start + window`: the sum overflows u64 once
         // `window_start` gets within one window of u64::MAX (huge windows
-        // reach that after a single roll).  The saturating advance below is
-        // safe for the same reason it terminates: once `window_start` stops
-        // moving, `slot - window_start` can no longer reach `window`.
-        while slot
+        // reach that after a single roll).  While the comparison holds,
+        // `window_start + window <= slot`, so no advance below overflows.
+        while let Some(elapsed) = slot
             .checked_sub(self.window_start)
-            .is_some_and(|elapsed| elapsed >= window)
+            .filter(|&elapsed| elapsed >= window)
         {
             let window_rate = self.count as f64 / window as f64;
-            self.estimate = if self.windows_seen == 0 {
-                window_rate
-            } else {
+            let before = self.estimate.to_bits();
+            let blended = self.windows_seen > 0;
+            self.estimate = if blended {
                 gamma * window_rate + (1.0 - gamma) * self.estimate
+            } else {
+                window_rate
             };
+            let empty = self.count == 0;
             self.windows_seen += 1;
             self.count = 0;
-            self.window_start = self.window_start.saturating_add(window);
+            self.window_start += window;
+            if empty && blended && self.estimate.to_bits() == before {
+                // A fixed point: every further window is empty and blends
+                // the same estimate into the same bits (0, or a subnormal
+                // that `(1 - gamma) * x` rounds back to), so close the rest
+                // of them at once.  A far first arrival lands here after at
+                // most two windows instead of looping once per window.
+                let rest = (elapsed - window) / window;
+                self.windows_seen += rest;
+                self.window_start += rest * window;
+            }
         }
     }
 }
@@ -91,6 +103,8 @@ impl RateEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn constant_rate_converges_to_true_rate() {
@@ -201,6 +215,81 @@ mod tests {
         assert_eq!(est.windows_seen, 1);
         // Querying again (and further ahead) stays stable and panic-free.
         assert_eq!(est.rate_at(u64::MAX, &w), expected);
+    }
+
+    /// The estimator as it was before fixed points were skipped: one loop
+    /// pass per elapsed window.
+    fn roll_window_by_window(est: &mut RateEstimator, slot: u64, rule: &RateWindow) {
+        while slot
+            .checked_sub(est.window_start)
+            .is_some_and(|elapsed| elapsed >= rule.window)
+        {
+            let window_rate = est.count as f64 / rule.window as f64;
+            est.estimate = if est.windows_seen == 0 {
+                window_rate
+            } else {
+                rule.gamma * window_rate + (1.0 - rule.gamma) * est.estimate
+            };
+            est.windows_seen += 1;
+            est.count = 0;
+            est.window_start = est.window_start.saturating_add(rule.window);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Skipping at a fixed point changes no bit: arrivals in bursts,
+        /// queries, and gaps of up to 10⁵ windows (long enough for a small
+        /// rate to decay to the smallest subnormal or to 0) leave the
+        /// estimate and the window count where the window-by-window loop
+        /// leaves them.
+        #[test]
+        fn skipping_agrees_with_the_window_by_window_loop(
+            g in 0usize..4,
+            window in 1u64..65,
+            events in collection::vec((0u32..4, 0u64..100_001, 0u64..8), 1..48),
+        ) {
+            let rule = RateWindow::new(window, [0.01, 0.25, 0.5, 1.0][g]);
+            let (mut fast, mut slow) = (RateEstimator::default(), RateEstimator::default());
+            let mut slot = 0u64;
+            for (kind, amount, burst) in events {
+                slot += match kind {
+                    0 => amount * window + amount % window,
+                    _ => amount % (3 * window),
+                };
+                if kind == 3 {
+                    fast.rate_at(slot, &rule);
+                    roll_window_by_window(&mut slow, slot, &rule);
+                } else {
+                    for _ in 0..=burst {
+                        fast.record_arrival(slot, &rule);
+                        roll_window_by_window(&mut slow, slot, &rule);
+                        slow.count += 1;
+                    }
+                }
+                prop_assert_eq!(fast.estimate.to_bits(), slow.estimate.to_bits());
+                prop_assert_eq!(fast.windows_seen, slow.windows_seen);
+                prop_assert_eq!(fast.window_start, slow.window_start);
+                prop_assert_eq!(fast.count, slow.count);
+            }
+        }
+    }
+
+    #[test]
+    fn a_far_first_arrival_closes_its_empty_windows_at_once() {
+        // Window by window, this is 2⁵⁸ loop passes; a decaying estimate
+        // reaches its fixed point within 10⁵.
+        let w = RateWindow::new(32, 0.01);
+        let mut est = RateEstimator::default();
+        est.record_arrival(1 << 63, &w);
+        assert_eq!(est.windows_seen, 1 << 58);
+        assert_eq!(est.rate_at((1 << 63) + 32, &w), 1.0 / 32.0 * 0.01);
+        assert!(
+            est.rate_at(u64::MAX, &w) > 0.0,
+            "the smallest subnormal sticks"
+        );
+        assert_eq!(est.windows_seen, u64::MAX / 32);
+        assert_eq!(est.window_start, u64::MAX / 32 * 32);
     }
 
     #[test]

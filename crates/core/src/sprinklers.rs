@@ -671,6 +671,13 @@ mod tests {
                 true,
             ),
             (SizingMode::Adaptive(adaptive), vec![], 0, false),
+            // Every VOQ's rate estimator first rolls 2²⁶ empty windows.
+            (
+                SizingMode::Adaptive(adaptive),
+                vec![],
+                (1 << 31) - 400,
+                false,
+            ),
         ];
         for (sizing, reconfigure, origin, vary_slots) in cases {
             let config = SprinklersConfig::new(N).with_sizing(sizing);

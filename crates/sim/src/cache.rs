@@ -37,9 +37,8 @@
 
 use crate::report::SimReport;
 use crate::spec::{ScenarioSpec, SizingSpec, TrafficSpec};
-use std::fmt::Write as _;
 use std::fs;
-use std::io::Read;
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a offset basis for the 128-bit variant.
@@ -183,9 +182,10 @@ impl ExperimentCache {
 
     /// Load the entry for `hash`.  Returns `None` on a missing file *and*
     /// on any parse deviation — a corrupt entry is a cache miss, not an
-    /// error, because the caller can always recompute.
+    /// error, because the caller can always recompute.  The metrics line is
+    /// moved out of the text read, not copied.
     pub fn load(&self, hash: u128) -> Option<CachedRun> {
-        let text = fs::read_to_string(self.entry_path(hash)).ok()?;
+        let mut text = fs::read_to_string(self.entry_path(hash)).ok()?;
         let mut lines = text.lines();
         if lines.next()? != "sprinklers-cache v1" {
             return None;
@@ -195,14 +195,21 @@ impl ExperimentCache {
         let p99_delay = lines.next()?.strip_prefix("p99_delay ")?.parse().ok()?;
         let voq_reorders = lines.next()?.strip_prefix("voq_reorders ")?.parse().ok()?;
         let delivery_ratio = parse_f64_bits(lines.next()?.strip_prefix("delivery_ratio_bits ")?)?;
-        let metrics = lines.next()?.strip_prefix("metrics ")?;
-        let metrics_json = match metrics {
+        let metrics_len = match lines.next()?.strip_prefix("metrics ")? {
             "-" => None,
-            json => Some(json.to_string()),
+            json => Some(json.len()),
         };
         if lines.next().is_some() {
             return None; // trailing garbage: treat the whole entry as corrupt
         }
+        // The metrics line is the first to start with "metrics ": each line
+        // before it starts with its own key.
+        let metrics_json = metrics_len.and_then(|len| {
+            let start = text.find("\nmetrics ")? + "\nmetrics ".len();
+            text.truncate(start + len);
+            text.replace_range(..start, "");
+            Some(text)
+        });
         Some(CachedRun {
             csv_row,
             mean_delay,
@@ -214,33 +221,30 @@ impl ExperimentCache {
     }
 
     /// Store `run` under `hash`, atomically replacing any existing entry.
+    /// The metrics line goes to the file as it is, not through a copy.
     pub fn store(&self, hash: u128, run: &CachedRun) -> std::io::Result<()> {
         debug_assert!(
             !run.csv_row.contains('\n') && !run.csv_row.contains('\r'),
             "csv_row must be a single line"
         );
-        let mut text = String::with_capacity(256);
-        text.push_str("sprinklers-cache v1\n");
-        let _ = writeln!(text, "row {}", run.csv_row);
+        let tmp = self.dir.join(format!(".{hash:032x}.tmp"));
+        let mut file = BufWriter::new(fs::File::create(&tmp)?);
+        writeln!(file, "sprinklers-cache v1\nrow {}", run.csv_row)?;
         // f64s as bit patterns: exact round-trip, no decimal formatting
         // ambiguity, so a hit reprints the summary byte-identically.
-        let _ = writeln!(text, "mean_delay_bits {:016x}", run.mean_delay.to_bits());
-        let _ = writeln!(text, "p99_delay {}", run.p99_delay);
-        let _ = writeln!(text, "voq_reorders {}", run.voq_reorders);
-        let _ = writeln!(
-            text,
-            "delivery_ratio_bits {:016x}",
-            run.delivery_ratio.to_bits()
-        );
+        writeln!(file, "mean_delay_bits {:016x}", run.mean_delay.to_bits())?;
+        writeln!(file, "p99_delay {}", run.p99_delay)?;
+        writeln!(file, "voq_reorders {}", run.voq_reorders)?;
+        let ratio = run.delivery_ratio.to_bits();
+        writeln!(file, "delivery_ratio_bits {ratio:016x}")?;
         match &run.metrics_json {
             Some(json) => {
                 debug_assert!(!json.contains('\n'), "metrics_json must be a single line");
-                let _ = writeln!(text, "metrics {json}");
+                writeln!(file, "metrics {json}")?;
             }
-            None => text.push_str("metrics -\n"),
+            None => file.write_all(b"metrics -\n")?,
         }
-        let tmp = self.dir.join(format!(".{hash:032x}.tmp"));
-        fs::write(&tmp, &text)?;
+        file.into_inner().map_err(io::IntoInnerError::into_error)?;
         fs::rename(&tmp, self.entry_path(hash))
     }
 }

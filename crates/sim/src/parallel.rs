@@ -3,11 +3,12 @@
 //! The paper's headline figures are scheme × load grids — dozens of
 //! independent simulation runs — and a [`crate::engine::Engine`] run touches
 //! nothing but its own switch, traffic generator and metrics.  This module
-//! exploits that independence: [`run_specs_parallel`] fans a slice of
-//! [`ScenarioSpec`]s out across a pool of worker threads (one engine per
-//! worker, self-scheduling work pickup so fast runs steal slack from slow
-//! ones) and reassembles the results **in submission order**, so the output
-//! is byte-for-byte identical no matter how many workers ran it.
+//! exploits that independence with one executor, [`for_each_result`], which
+//! fans a slice of [`ScenarioSpec`]s out across a pool of worker threads
+//! (one engine per worker, self-scheduling work pickup so fast runs steal
+//! slack from slow ones) and hands each result back as soon as it finishes;
+//! [`run_specs_parallel`] reassembles them **in submission order**, so the
+//! output is byte-for-byte identical no matter how many workers ran it.
 //!
 //! Determinism is the load-bearing property here: every scenario's RNG is
 //! seeded from its spec alone, workers share nothing but the read-only spec
@@ -31,18 +32,18 @@ pub fn default_workers() -> usize {
 }
 
 /// Run every spec, sharded across `workers` OS threads (`0` = one worker per
-/// core).  Each worker owns one [`Engine`] for its whole lifetime, so the
-/// engine's arrival buffer is reused across the runs that land on it.
-///
-/// The returned vector is in **submission order** — `result[i]` always
-/// belongs to `specs[i]` — regardless of worker count or completion order,
-/// and per-run results are bitwise independent of scheduling (each run is
-/// seeded purely from its spec).  A failing spec yields its own `Err` slot;
-/// the other runs still complete.
-pub fn run_specs_parallel(
+/// core), and hand each result to `deliver` on the calling thread, with its
+/// spec's index, as soon as it finishes — in completion order, though
+/// workers take specs in submission order.  `finish` maps each result on
+/// the worker that ran it, so a report is rendered and dropped there.  Each
+/// worker owns one [`Engine`] for its whole lifetime, so the engine's
+/// arrival buffer is reused across the runs that land on it.
+pub fn for_each_result<T: Send>(
     specs: &[ScenarioSpec],
     workers: usize,
-) -> Vec<Result<SimReport, SpecError>> {
+    finish: impl Fn(Result<SimReport, SpecError>) -> T + Sync,
+    mut deliver: impl FnMut(usize, T),
+) {
     let workers = if workers == 0 {
         default_workers()
     } else {
@@ -53,19 +54,22 @@ pub fn run_specs_parallel(
     if workers <= 1 {
         // Serial fast path: same engine reuse, no thread or channel overhead.
         let mut engine = Engine::new();
-        return specs.iter().map(|spec| engine.run(spec)).collect();
+        for (i, spec) in specs.iter().enumerate() {
+            deliver(i, finish(engine.run(spec)));
+        }
+        return;
     }
 
     // Self-scheduling pool: a shared atomic cursor is the work queue, so an
     // idle worker always takes the next unclaimed spec (cheap work stealing
     // without per-worker deques), and a channel carries `(index, result)`
-    // pairs back for positional reassembly.
+    // pairs back to the calling thread.
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<SimReport, SpecError>)>();
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let next = &next;
+            let (next, finish) = (&next, &finish);
             scope.spawn(move || {
                 let mut engine = Engine::new();
                 loop {
@@ -75,7 +79,7 @@ pub fn run_specs_parallel(
                             // The receiver outlives the scope; a send can only
                             // fail if the main thread panicked, in which case
                             // the scope is unwinding anyway.
-                            let _ = tx.send((i, engine.run(spec)));
+                            let _ = tx.send((i, finish(engine.run(spec))));
                         }
                         None => break,
                     }
@@ -83,17 +87,36 @@ pub fn run_specs_parallel(
             });
         }
         drop(tx);
-
-        let mut slots: Vec<Option<Result<SimReport, SpecError>>> =
-            (0..specs.len()).map(|_| None).collect();
         for (i, result) in rx {
-            slots[i] = Some(result);
+            deliver(i, result);
         }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every submitted spec produces exactly one result"))
-            .collect()
-    })
+    });
+}
+
+/// Run every spec on [`for_each_result`] and collect the results.
+///
+/// The returned vector is in **submission order** — `result[i]` always
+/// belongs to `specs[i]` — regardless of worker count or completion order,
+/// and per-run results are bitwise independent of scheduling (each run is
+/// seeded purely from its spec).  A failing spec yields its own `Err` slot;
+/// the other runs still complete.  Every report is held until the last one
+/// is in; a suite ([`crate::spec::SuiteRun`]) holds one case's at a time.
+pub fn run_specs_parallel(
+    specs: &[ScenarioSpec],
+    workers: usize,
+) -> Vec<Result<SimReport, SpecError>> {
+    let mut slots: Vec<Option<Result<SimReport, SpecError>>> =
+        (0..specs.len()).map(|_| None).collect();
+    for_each_result(
+        specs,
+        workers,
+        |result| result,
+        |i, result| slots[i] = Some(result),
+    );
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every submitted spec produces exactly one result"))
+        .collect()
 }
 
 /// Like [`run_specs_parallel`], but collapses the per-spec results into one

@@ -14,6 +14,7 @@ use crate::metrics::occupancy::OccupancyStats;
 use crate::metrics::reorder::ReorderStats;
 use crate::metrics::window::WindowSeries;
 use crate::spec::FaultKind;
+use std::io::{self, Write};
 
 /// Per-kind breakdown of fault-injected packet losses plus the per-event
 /// reconvergence record.  Produced by faulted fabric runs only; `None` on
@@ -321,34 +322,56 @@ pub fn merge_csv_rows<'a>(rows: impl IntoIterator<Item = (&'a str, String)>) -> 
     let mut out = merged_csv_header();
     out.push('\n');
     for (case, row) in rows {
-        debug_assert!(
-            !case.contains(',') && !case.contains('\n') && !case.contains('\r'),
-            "case names are validated at load time (SuiteSpec::load_cases)"
-        );
-        out.push_str(case);
-        out.push(',');
-        out.push_str(&row);
-        out.push('\n');
+        push_csv_row(&mut out, case, &row);
     }
     out
 }
 
+/// Append one case's row to a merged CSV that starts with
+/// [`merged_csv_header`].
+pub(crate) fn push_csv_row(csv: &mut String, case: &str, row: &str) {
+    debug_assert!(
+        !case.contains(',') && !case.contains('\n') && !case.contains('\r'),
+        "case names are validated at load time (SuiteSpec::load_cases)"
+    );
+    csv.push_str(case);
+    csv.push(',');
+    csv.push_str(row);
+    csv.push('\n');
+}
+
 /// Compose the suite-level `--metrics full` sidecar: one JSON document
 /// listing each case's [`SimReport::metrics_json`] line, in merge order.
+/// [`crate::spec::SuiteRun`] writes the same pieces to a file one case at a time.
 pub fn metrics_sidecar_json<'a>(cases: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
-    let mut out = String::from("{\"schema\":\"sprinklers-suite-metrics/1\",\"cases\":[");
-    for (i, (case, metrics)) in cases.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n{\"case\":");
-        json::write_str(&mut out, case);
-        out.push_str(",\"metrics\":");
-        out.push_str(metrics);
-        out.push('}');
+    let mut out = SIDECAR_HEAD.as_bytes().to_vec();
+    for (index, (case, metrics)) in cases.into_iter().enumerate() {
+        write_sidecar_entry(&mut out, index, case, metrics).expect("a Vec takes every write");
     }
-    out.push_str("\n]}\n");
-    out
+    out.extend_from_slice(SIDECAR_TAIL.as_bytes());
+    String::from_utf8(out).expect("the sidecar is UTF-8")
+}
+
+/// The suite sidecar's opening, before its first entry.
+pub(crate) const SIDECAR_HEAD: &str = "{\"schema\":\"sprinklers-suite-metrics/1\",\"cases\":[";
+/// The suite sidecar's closing, after its last entry.
+pub(crate) const SIDECAR_TAIL: &str = "\n]}\n";
+
+/// Write the suite sidecar's entry for case number `index`: its name and
+/// its [`SimReport::metrics_json`] line, written as it is.
+pub(crate) fn write_sidecar_entry(
+    out: &mut impl Write,
+    index: usize,
+    case: &str,
+    metrics: &str,
+) -> io::Result<()> {
+    let mut head = String::from(if index == 0 { "\n" } else { ",\n" });
+    head.push_str("{\"case\":");
+    json::write_str(&mut head, case);
+    head.push_str(",\"metrics\":");
+    out.write_all(head.as_bytes())?;
+    out.write_all(metrics.as_bytes())?;
+    out.write_all(b"}")
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ mod topology;
 mod traffic;
 
 pub use faults::{FaultEventSpec, FaultKind, FaultSpec, RandomFaultSpec};
-pub use suite::{SuiteCase, SuiteSpec};
+pub use suite::{SuiteCase, SuiteRun, SuiteSpec};
 pub use topology::{LinkSpec, RoutingSpec, TopologySpec};
 pub use traffic::TrafficSpec;
 

@@ -1,7 +1,14 @@
 //! Suites: a directory of spec files crossed with scheme and load
-//! overrides.
+//! overrides, and [`SuiteRun`], which runs one.
 
 use super::{ScenarioSpec, SpecError};
+use crate::cache::{CachedRun, ExperimentCache};
+use crate::parallel::for_each_result;
+use crate::report::{
+    merged_csv_header, push_csv_row, write_sidecar_entry, SIDECAR_HEAD, SIDECAR_TAIL,
+};
+use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// A suite of scenarios: a directory of [`ScenarioSpec`] JSON files, plus
@@ -169,6 +176,146 @@ impl SuiteSpec {
         }
         cases
     }
+}
+
+/// One suite run, as the `suite` binary makes it.  Each case is emitted —
+/// its row appended to the merged CSV, its entry written to the `--metrics
+/// full` sidecar — as soon as every earlier case has been, and its metrics
+/// line is dropped then: an all-hit run holds one cache entry at a time, an
+/// all-miss run only the results that finished ahead of the earliest
+/// unfinished case.  The outputs are byte-identical to
+/// [`crate::report::merge_csv_rows`] and
+/// [`crate::report::metrics_sidecar_json`] over every case.
+pub struct SuiteRun<'a, W> {
+    cases: &'a [SuiteCase],
+    cache: Option<&'a ExperimentCache>,
+    csv: String,
+    sidecar: Option<W>,
+    /// Finished cases that wait for an earlier one, by case index.
+    waiting: BTreeMap<usize, Result<CachedRun, SpecError>>,
+    /// Cases the cache could not serve, in case order.
+    misses: Vec<usize>,
+    /// Every emitted case, in case order, without its metrics line.
+    runs: Vec<CachedRun>,
+}
+
+impl<'a, W: Write> SuiteRun<'a, W> {
+    /// Start a run of `cases`, writing the sidecar to `sidecar` if given
+    /// (which also asks for metrics): probe `cache` case by case, in case
+    /// order, and emit each hit whose predecessors are out.
+    ///
+    /// # Errors
+    ///
+    /// The sidecar cannot be written.
+    pub fn probe(
+        cases: &'a [SuiteCase],
+        cache: Option<&'a ExperimentCache>,
+        mut sidecar: Option<W>,
+    ) -> io::Result<Self> {
+        if let Some(out) = &mut sidecar {
+            out.write_all(SIDECAR_HEAD.as_bytes())
+                .map_err(sidecar_error)?;
+        }
+        let mut run = SuiteRun {
+            cases,
+            cache,
+            csv: merged_csv_header() + "\n",
+            sidecar,
+            waiting: BTreeMap::new(),
+            misses: Vec::new(),
+            runs: Vec::with_capacity(cases.len()),
+        };
+        for (i, case) in cases.iter().enumerate() {
+            // A stored entry lacking metrics cannot serve a metrics run, so
+            // it counts as a miss and gets recomputed (and re-stored with
+            // metrics).
+            let hit = cache
+                .and_then(|c| c.load(case.spec.content_hash()))
+                .filter(|hit| run.sidecar.is_none() || hit.metrics_json.is_some());
+            match hit {
+                Some(hit) => run.accept(i, Ok(hit))?,
+                None => run.misses.push(i),
+            }
+        }
+        Ok(run)
+    }
+
+    /// Cases the cache could not serve.
+    pub fn misses(&self) -> usize {
+        self.misses.len()
+    }
+
+    /// Simulate the misses on `workers` threads (`0` = one per core),
+    /// storing each result in the cache as it arrives, and emit the other
+    /// cases in order.  Returns the merged CSV, each case's [`CachedRun`]
+    /// without its metrics line, and the completed sidecar writer.
+    ///
+    /// # Errors
+    ///
+    /// The earliest failing case, named, or a cache entry or the sidecar
+    /// that cannot be written.
+    pub fn finish(mut self, workers: usize) -> io::Result<(String, Vec<CachedRun>, Option<W>)> {
+        let want_metrics = self.sidecar.is_some();
+        let misses = std::mem::take(&mut self.misses);
+        let specs: Vec<ScenarioSpec> = misses.iter().map(|&i| self.cases[i].spec.clone()).collect();
+        let mut failure = None;
+        for_each_result(
+            &specs,
+            workers,
+            |result| result.map(|report| CachedRun::from_report(&report, want_metrics)),
+            |k, result| {
+                if failure.is_none() {
+                    failure = self.arrive(misses[k], result).err();
+                }
+            },
+        );
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        if let Some(out) = &mut self.sidecar {
+            out.write_all(SIDECAR_TAIL.as_bytes())
+                .map_err(sidecar_error)?;
+        }
+        Ok((self.csv, self.runs, self.sidecar))
+    }
+
+    /// Store a simulated case in the cache, then [`Self::accept`] it.
+    fn arrive(&mut self, i: usize, result: Result<CachedRun, SpecError>) -> io::Result<()> {
+        if let (Ok(run), Some(cache)) = (&result, self.cache) {
+            let hash = self.cases[i].spec.content_hash();
+            cache.store(hash, run).map_err(|e| {
+                io::Error::new(
+                    e.kind(),
+                    format!("cannot store cache entry {hash:032x}: {e}"),
+                )
+            })?;
+        }
+        self.accept(i, result)
+    }
+
+    /// Emit case `i`, and every waiting case after it, if every case before
+    /// it is out; otherwise hold it until its turn.  A failed case fails the
+    /// run on its turn, so the error is the earliest failing case's.
+    fn accept(&mut self, i: usize, result: Result<CachedRun, SpecError>) -> io::Result<()> {
+        self.waiting.insert(i, result);
+        while let Some(result) = self.waiting.remove(&self.runs.len()) {
+            let (index, case) = (self.runs.len(), &self.cases[self.runs.len()].name);
+            let mut run =
+                result.map_err(|e| io::Error::other(e.context(format!("case '{case}'"))))?;
+            push_csv_row(&mut self.csv, case, &run.csv_row);
+            let metrics = run.metrics_json.take();
+            if let Some(out) = &mut self.sidecar {
+                let metrics = metrics.as_deref().expect("probe keeps metrics hits only");
+                write_sidecar_entry(out, index, case, metrics).map_err(sidecar_error)?;
+            }
+            self.runs.push(run);
+        }
+        Ok(())
+    }
+}
+
+fn sidecar_error(e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("cannot write the metrics sidecar: {e}"))
 }
 
 /// The first value of `values` equal to an earlier one.

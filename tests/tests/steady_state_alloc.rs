@@ -43,6 +43,12 @@
 //! benchmark cell: a Sprinklers run at n = 256 stores a body only for the
 //! packets past its inputs, and requests little beyond its chunk pools.
 //!
+//! Part 8 is about a suite rather than a switch: the allocator also tracks
+//! live bytes and their peak, and a `--metrics full` suite of 32 cases,
+//! cold and then warm, must peak no higher than one of 8 cases plus one
+//! case's sidecar entry and a little slack — a suite emits each case as
+//! soon as the cases before it are out and drops its metrics then.
+//!
 //! This file deliberately contains a single `#[test]`: the allocation
 //! counter is process-global, so a second concurrently-running test would
 //! pollute the measurement.
@@ -54,13 +60,14 @@ use sprinklers_core::rng::SimRng;
 use sprinklers_core::sprinklers::SprinklersSwitch;
 use sprinklers_core::store::PAGE_SLOTS;
 use sprinklers_core::switch::{CountingSink, DeliverySink, Switch};
+use sprinklers_sim::cache::ExperimentCache;
 use sprinklers_sim::engine::{Engine, RunConfig};
 use sprinklers_sim::fabric::FabricWorld;
 use sprinklers_sim::metrics::sink::MetricsSink;
 use sprinklers_sim::registry;
 use sprinklers_sim::spec::{
     FaultEventSpec, FaultKind, FaultSpec, LinkSpec, RoutingSpec, ScenarioSpec, SizingSpec,
-    TopologySpec, TrafficSpec,
+    SuiteCase, SuiteRun, TopologySpec, TrafficSpec,
 };
 use sprinklers_sim::traffic::bernoulli::BernoulliTraffic;
 use sprinklers_sim::traffic::bursty::BurstyTraffic;
@@ -74,15 +81,25 @@ struct CountingAllocator;
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Bytes requested: every `alloc`'s size plus every `realloc`'s new size.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and the most of them since the last
+/// [`reset_peak`].
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow_live(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: the allocator is a transparent pass-through to `System`, which
-// upholds the `GlobalAlloc` contract; the only added behavior is two relaxed
-// atomic counter bumps, which never allocate and cannot unwind.
+// upholds the `GlobalAlloc` contract; the only added behavior is relaxed
+// atomic counter updates, which never allocate and cannot unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards the caller's layout to `System.alloc` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow_live(layout.size());
         System.alloc(layout)
     }
 
@@ -90,11 +107,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        match new_size.checked_sub(layout.size()) {
+            Some(grown) => grow_live(grown),
+            None => _ = LIVE.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed),
+        }
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: forwards the caller's pointer/layout to `System.dealloc` unchanged.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -108,6 +130,13 @@ fn allocations() -> u64 {
 
 fn requested_bytes() -> u64 {
     REQUESTED.load(Ordering::Relaxed)
+}
+
+/// Start a new peak at the bytes live now, and return them.
+fn reset_peak() -> u64 {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
 }
 
 const N: usize = 16;
@@ -514,6 +543,63 @@ fn the_wide_sprinklers_cell_stores_only_packets_past_the_inputs() {
     );
 }
 
+/// Part 8: a `--metrics full` suite holds one case's metrics at a time.
+/// Over 32 cases it peaks at most one sidecar entry and 256 KiB above the
+/// same suite over 8, cold (every case simulated and stored) and warm
+/// (every case loaded from the cache).  A suite that kept every case's
+/// metrics document to the end, and joined them into one more string before
+/// writing the sidecar, held about two documents per case.
+fn a_suite_holds_one_case_of_metrics_at_a_time() {
+    let root = std::env::temp_dir().join(format!("sprinklers-suite-peak-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let base = ScenarioSpec::new("sprinklers", 8)
+        .with_traffic(TrafficSpec::Uniform { load: 0.7 })
+        .with_run(RunConfig {
+            slots: 3_000,
+            warmup_slots: 300,
+            drain_slots: 3_000,
+        });
+    // Peak live bytes above the start of a cold and of a warm run, and the
+    // sidecar's bytes per case.
+    let peaks = |count: u64| {
+        let cases: Vec<SuiteCase> = (0..count)
+            .map(|seed| SuiteCase {
+                name: format!("case{seed}"),
+                spec: base.clone().with_seed(seed),
+            })
+            .collect();
+        let dir = root.join(count.to_string());
+        let cache = ExperimentCache::open(dir.join("cache")).unwrap();
+        let sidecar = dir.join("out.csv.metrics.json");
+        let peak = |hits| {
+            let start = reset_peak();
+            let out = std::io::BufWriter::new(std::fs::File::create(&sidecar).unwrap());
+            let run = SuiteRun::probe(&cases, Some(&cache), Some(out)).unwrap();
+            assert_eq!(cases.len() - run.misses(), hits);
+            let outputs = run.finish(1).unwrap();
+            let peak = PEAK.load(Ordering::Relaxed) - start;
+            drop(outputs);
+            peak
+        };
+        let cold = peak(0);
+        let warm = peak(cases.len());
+        let entry = std::fs::metadata(&sidecar).unwrap().len() / count;
+        (cold, warm, entry)
+    };
+    let (cold_8, warm_8, entry_8) = peaks(8);
+    let (cold_32, warm_32, entry_32) = peaks(32);
+    let entry = entry_8.max(entry_32);
+    assert!(entry > 8 << 10, "a case's sidecar entry is only {entry} B");
+    for (what, few, many) in [("cold", cold_8, cold_32), ("warm", warm_8, warm_32)] {
+        assert!(
+            many <= few + entry + (256 << 10),
+            "a {what} suite of 32 cases peaked at {many} B live, one of 8 at {few} B; \
+             one case's sidecar entry is {entry} B"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn hot_paths_do_not_allocate_in_steady_state() {
     // Every scheme must be allocation-free on the full arrive + step cycle.
@@ -634,4 +720,5 @@ fn hot_paths_do_not_allocate_in_steady_state() {
     generators_allocate_nothing_after_construction();
     the_widest_cell_requests_only_the_tables_it_uses();
     the_wide_sprinklers_cell_stores_only_packets_past_the_inputs();
+    a_suite_holds_one_case_of_metrics_at_a_time();
 }
